@@ -399,13 +399,20 @@ def run_job(job: Job):
         return {"command": job.command, "status": "verification-failure",
                 "error": str(err)}, EXIT_VERIFICATION
     except _BUDGET_ERRORS as err:
-        return {"command": job.command, "status": "budget-exhausted",
-                "error": str(err),
-                "error_kind": type(err).__name__}, EXIT_BUDGET
+        return _failure(job, err, "budget-exhausted"), EXIT_BUDGET
     except _INPUT_ERRORS as err:
-        return {"command": job.command, "status": "input-error",
-                "error": str(err),
-                "error_kind": type(err).__name__}, EXIT_INPUT
+        if isinstance(err, NotSimpleRootError) and \
+                job.command in ("mult", "bezout"):
+            # ``hensel`` lifts a root the user chose; here an engine chose
+            # it, and a root that is not simple (as in small characteristic)
+            # is a certification failure, not bad input.
+            return _failure(job, err, "budget-exhausted"), EXIT_BUDGET
+        return _failure(job, err, "input-error"), EXIT_INPUT
+
+
+def _failure(job: Job, err: Exception, status: str) -> dict:
+    return {"command": job.command, "status": status, "error": str(err),
+            "error_kind": type(err).__name__}
 
 
 def render_report(report: dict, fmt: str) -> str:

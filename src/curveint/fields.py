@@ -12,6 +12,7 @@ All arithmetic is exact; division by zero raises ZeroDivisionError.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvalidInputError, UnsupportedExtensionError
 
@@ -40,11 +41,12 @@ class Field:
         """Coerce an int, Fraction, or own element into this field."""
         raise NotImplementedError
 
-    @property
+    # Elements are immutable, so one zero and one one serve the whole field.
+    @cached_property
     def zero(self):
         return self.of(0)
 
-    @property
+    @cached_property
     def one(self):
         return self.of(1)
 
@@ -278,7 +280,7 @@ class ExtElement:
 
     def __init__(self, coeffs, field: "ExtensionField"):
         self.coeffs = _poly_trim(coeffs)
-        if len(self.coeffs) >= field.degree:
+        if len(self.coeffs) > field.degree:
             _, self.coeffs = _poly_divmod(self.coeffs, field.modulus, field.base.zero)
         self.field = field
 
@@ -319,7 +321,30 @@ class ExtElement:
         v = self._lift(other)
         if v is None:
             return NotImplemented
-        return ExtElement(_poly_mul(self.coeffs, v, self.field.base.zero), self.field)
+        a = self.coeffs
+        field = self.field
+        if not a or not v:
+            return ExtElement((), field)
+        zero = field.base.zero
+        prod = [zero] * (len(a) + len(v) - 1)
+        for i, ca in enumerate(a):
+            if not ca:
+                continue
+            for j, cb in enumerate(v):
+                if cb:
+                    prod[i + j] = prod[i + j] + ca * cb
+        n = field.degree
+        if len(prod) > n:
+            # fold w^k (n <= k <= 2n-2) back in through its reduced row
+            low = prod[:n]
+            for row, c in zip(field.reduction_table, prod[n:]):
+                if not c:
+                    continue
+                for i, r in enumerate(row):
+                    if r:
+                        low[i] = low[i] + c * r
+            prod = low
+        return ExtElement(prod, field)
 
     __rmul__ = __mul__
 
@@ -419,12 +444,33 @@ class ExtensionField(Field):
         self.name = f"{base.name}[{gen_name}]"
 
     def of(self, value):
-        if isinstance(value, ExtElement) and value.field == self:
+        if isinstance(value, ExtElement) and (value.field is self
+                                              or value.field == self):
             return value
         if isinstance(value, int) or self.base.is_element(value):
             v = self.base.of(value)
             return ExtElement((v,) if v else (), self)
         raise InvalidInputError(f"cannot coerce {value!r} into {self.name}")
+
+    @cached_property
+    def reduction_table(self):
+        """Rows ``w^n, ..., w^(2n-2) mod m`` (n = degree) as length-n tuples.
+
+        A product of two reduced elements has degree at most 2n-2; adding
+        c_k times row k-n for each k >= n reduces it.  Built on first use
+        and kept for the life of this field."""
+        n = self.degree
+        zero = self.base.zero
+        # w^n = -(m_0 + m_1 w + ... + m_(n-1) w^(n-1)), m monic
+        row = [-c for c in self.modulus[:n]]
+        table = [tuple(row)]
+        for _ in range(n - 2):
+            top = row[-1]
+            row = [zero] + row[:-1]
+            if top:
+                row = [x + top * r for x, r in zip(row, table[0])]
+            table.append(tuple(row))
+        return table
 
     def embed(self, base_value):
         """Image of a base-field element under the canonical inclusion."""

@@ -62,6 +62,13 @@ def hensel_lift(f, a0, prec, max_iter=None) -> TruncatedSeries:
     ``f`` is a list of TruncatedSeries (ascending x powers) or a MultiPoly
     in (x, t).  Requires f(a0) = 0 and f'(a0) != 0 at t = 0; otherwise
     NotSimpleRootError.
+
+    Newton's iteration runs at working precisions that double up to
+    ``prec`` (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 9),
+    with the approximant kept as an exact polynomial.  The root is returned
+    only once f(root) vanishes mod t^prec, evaluated at that full
+    precision; when the coefficients are not known that far, or the
+    iteration does not converge, InsufficientPrecisionError.
     """
     prec = Fraction(prec)
     if isinstance(f, MultiPoly):
@@ -85,17 +92,37 @@ def hensel_lift(f, a0, prec, max_iter=None) -> TruncatedSeries:
             "residual derivative vanishes at a0; the root is not simple")
     if max_iter is None:
         max_iter = 4 + math.ceil(math.log2(max(2, float(prec))))
-    for _ in range(max_iter):
-        fx = _eval_series_poly(coeffs, x)
+    # a0 is correct to the valuation v0 of f(a0), and a step at working
+    # precision w needs an approximant correct to w/2: so prec/2^k, ...,
+    # prec/2, prec, starting from the first w with w/2 <= v0.  Between
+    # steps the approximant is an exact polynomial, read at each w.
+    v0 = res0.effective_valuation()
+    schedule = [prec]
+    while v0 > 0 and schedule[-1] / 2 > v0:
+        schedule.append(schedule[-1] / 2)
+    schedule.reverse()
+    x = TruncatedSeries.constant(field, a0, INF, varname)
+    for w in schedule + [prec] * (max_iter - 1):
+        root = x.truncate(w)
+        fx = _eval_series_poly([c.truncate(w) for c in coeffs], root)
         v = fx.valuation()
-        if v is None or v >= prec:
-            break
-        dfx = _eval_series_poly(fprime, x)
-        x = x - fx / dfx
+        if v is None:
+            if w == prec:
+                break
+            continue
+        # f(x) = O(t^v), so f'(x) is needed only mod t^(w - v)
+        dfx = _eval_series_poly([c.truncate(w - v) for c in fprime],
+                                x.truncate(w - v))
+        step = root - fx / dfx
+        x = TruncatedSeries(field, step.coeffs, INF, step.ram, varname)
     else:
         raise InsufficientPrecisionError(
             "Newton iteration failed to converge", suggested=2 * prec)
-    return x.truncate(prec)
+    if root.prec != prec or fx.prec < prec:
+        raise InsufficientPrecisionError(
+            f"lifted root is certified only mod t^{fx.prec}, not t^{prec}",
+            suggested=2 * prec)
+    return root
 
 
 # ----------------------------------------------------------- newton-puiseux

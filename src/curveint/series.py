@@ -26,6 +26,12 @@ def _lcm(a: int, b: int) -> int:
     return a * b // math.gcd(a, b)
 
 
+def _cutoff(prec, ram: int):
+    """Least index k with k/ram >= prec: a series keeps exactly the indices
+    below it.  Comparing integers avoids a Fraction per coefficient."""
+    return INF if prec == INF else math.ceil(prec * ram)
+
+
 class TruncatedSeries:
     __slots__ = ("field", "ram", "coeffs", "prec", "varname")
 
@@ -35,10 +41,11 @@ class TruncatedSeries:
         if self.ram < 1:
             raise InvalidInputError("ramification index must be >= 1")
         self.prec = prec if prec == INF else Fraction(prec)
+        cutoff = _cutoff(self.prec, self.ram)
         clean = {}
         for k, c in coeffs.items():
             c = field.of(c)
-            if c and Fraction(k, self.ram) < self.prec:
+            if c and k < cutoff:
                 clean[int(k)] = c
         self.coeffs = clean
         self.varname = varname
@@ -166,15 +173,16 @@ class TruncatedSeries:
         va = a.effective_valuation()
         vb = b.effective_valuation()
         prec = min(a.prec + vb, b.prec + va) if (a.prec != INF or b.prec != INF) else INF
+        cutoff = _cutoff(prec, a.ram)
+        bterms = sorted(b.coeffs.items())
         out = {}
-        zero = self.field.zero
-        bound = INF if prec == INF else prec * a.ram
         for k1, c1 in a.coeffs.items():
-            for k2, c2 in b.coeffs.items():
+            for k2, c2 in bterms:
                 k = k1 + k2
-                if bound != INF and k >= bound:
-                    continue
-                s = out.get(k, zero) + c1 * c2
+                if k >= cutoff:
+                    break  # every later pair lies past the truncation too
+                s = out.get(k)  # no 0 + c: over Q[w]/(m) that is a full sum
+                s = c1 * c2 if s is None else s + c1 * c2
                 if s:
                     out[k] = s
                 else:
@@ -209,7 +217,7 @@ class TruncatedSeries:
                 "cannot invert a non-monomial exact series; truncate first")
         c0 = self.coeffs[0]
         inv0 = 1 / c0
-        bound = int(math.ceil(self.prec * self.ram))
+        bound = _cutoff(self.prec, self.ram)
         out = {0: inv0}
         zero = self.field.zero
         for k in range(1, bound):

@@ -176,3 +176,19 @@ def test_corpus_command_passes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "status: ok" in out
+
+
+def test_engine_root_not_simple_in_small_characteristic_is_budget_exit():
+    # over F_2 the engine's residual root is not simple: exit 3, not exit 2
+    job = Job(command="bezout", curves=("x^2+y^2+1", "x"), field="F2")
+    report, code = run_job(job)
+    assert code == EXIT_BUDGET
+    assert report["status"] == "budget-exhausted"
+    assert report["error_kind"] == "NotSimpleRootError"
+
+
+def test_hensel_user_root_not_simple_is_input_error():
+    job = Job(command="hensel", curves=("x^2 - t",), a0="0", precision=4)
+    report, code = run_job(job)
+    assert code == EXIT_INPUT
+    assert report["error_kind"] == "NotSimpleRootError"

@@ -3,14 +3,15 @@ import random
 import pytest
 from fractions import Fraction
 
-from curveint.errors import (NothingToPrepareError, NotRegularError,
+from curveint.errors import (InsufficientPrecisionError,
+                             NothingToPrepareError, NotRegularError,
                              NotSimpleRootError)
 from curveint.fields import QQ, PrimeField
 from curveint.lifting import (branch_count, hensel_lift,
                               newton_puiseux, sheet_conjugates,
                               verify_branch, weierstrass_prepare)
 from curveint.poly import MultiPoly
-from curveint.series import TruncatedSeries, eval_poly_at_series
+from curveint.series import INF, TruncatedSeries, eval_poly_at_series
 
 from oracles import random_poly
 
@@ -83,6 +84,63 @@ def test_hensel_random_instances_vanish_mod_t16():
                                       "t": TruncatedSeries.variable(QQ).truncate(16)})
         assert val.valuation() is None  # zero mod t^16
         done += 1
+
+
+def test_hensel_returns_requested_precision_on_criterion_8_instances():
+    # the generator of acceptance criterion 8; the residual must vanish to
+    # precision 16 exactly, not merely to whatever precision came back
+    rng = random.Random(80808)
+    done = 0
+    t16 = TruncatedSeries.variable(QQ).truncate(16)
+    while done < 50:
+        a0 = Fraction(rng.randint(-3, 3))
+        coeffs = {}
+        for i in range(4):
+            for j in range(3):
+                c = rng.randint(-4, 4)
+                if c:
+                    coeffs[(i, j)] = QQ.of(c)
+        base = MultiPoly(QQ, XT, coeffs)
+        if base.is_zero():
+            continue
+        shift = base.subs_values({"x": QQ.of(a0), "t": QQ.zero})
+        f = base - MultiPoly.const(QQ, XT, shift.constant_value())
+        if not f.derivative("x").subs_values(
+                {"x": QQ.of(a0), "t": QQ.zero}).constant_value():
+            continue
+        root = hensel_lift(f, a0, 16)
+        assert root.prec == 16, str(f)
+        val = eval_poly_at_series(f, {"x": root, "t": t16})
+        assert val.prec == 16 and val.valuation() is None, str(f)
+        done += 1
+
+
+def test_hensel_ramified_coefficients_fractional_precision():
+    # x^2 - (1 + s) with s = t^(1/2): the root is the binomial series of
+    # (1 + s)^(1/2), read here to precision t^(5/2), i.e. s^0 .. s^4
+    prec = Fraction(5, 2)
+    f = [-TruncatedSeries(QQ, {0: 1, 1: 1}, INF, ram=2),
+         TruncatedSeries.zero(QQ),
+         TruncatedSeries.constant(QQ, 1)]
+    root = hensel_lift(f, 1, prec)
+    assert root.prec == prec and root.ram == 2
+    binom = Fraction(1)
+    for k in range(5):
+        assert root.coeff_at(Fraction(k, 2)) == binom
+        binom = binom * (Fraction(1, 2) - k) / (k + 1)
+    resid = root * root + f[0]
+    assert resid.prec == prec and resid.valuation() is None
+
+
+def test_hensel_rejects_coefficients_short_of_the_precision():
+    # the constant coefficient is known only mod t^3, so no root can be
+    # certified mod t^8
+    f = [TruncatedSeries(QQ, {0: -1, 1: -1}, 3),
+         TruncatedSeries.zero(QQ),
+         TruncatedSeries.constant(QQ, 1)]
+    with pytest.raises(InsufficientPrecisionError):
+        hensel_lift(f, 1, 8)
+    assert hensel_lift(f, 1, 3).prec == 3
 
 
 # ------------------------------------------------------------ newton-puiseux

@@ -1,9 +1,12 @@
+import random
+
 import pytest
+import sympy
 from fractions import Fraction
 
 from curveint.errors import (InvalidInputError, NotAUnitError,
                              NotSpecializableError)
-from curveint.fields import QQ, PrimeField
+from curveint.fields import QQ, ExtElement, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
 from curveint.series import (INF, TruncatedSeries, eval_poly_at_series,
                              rescale_exponents, series_invert,
@@ -132,3 +135,105 @@ def test_printable_form():
     r = TruncatedSeries.from_terms(QQ, [(Fraction(1, 2), 1)], prec=2)
     assert str(r) == "t^(1/2) + O(t^2)"
     assert str(TruncatedSeries.zero(QQ, 2)) == "O(t^2)"
+
+
+# ------------------------------------------- products against a naive oracle
+#
+# The oracle keeps coefficients as plain values (Fraction over Q, int mod p
+# over F_p, a sympy polynomial in w over Q[w]/(m)), exponents as Fractions,
+# and multiplies with a full double loop, dropping exponents at or past
+# min(prec_a + val_b, prec_b + val_a).  Nothing in it calls curveint
+# arithmetic; the codecs below only move values in and out.
+
+_W = sympy.Symbol("w")
+_M = sympy.Poly(_W ** 3 - 2 * _W + 5, _W, domain="QQ")
+_EXT = ExtensionField(QQ, [5, -2, 0, 1])
+
+
+def _codec_q():
+    rand = lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return (QQ, rand, lambda v: QQ.of(v), lambda c: c,
+            lambda v: v, lambda v: v != 0)
+
+
+def _codec_fp():
+    p = 101
+    F = PrimeField(p)
+    return (F, lambda rng: rng.randrange(p), lambda v: F.of(v),
+            lambda c: c.val, lambda v: v % p, lambda v: v % p != 0)
+
+
+def _codec_ext():
+    def rand(rng):
+        return sympy.Poly([rng.randint(-3, 3) for _ in range(3)], _W,
+                          domain="QQ")
+
+    def to_field(v):
+        return ExtElement([Fraction(int(c.p), int(c.q))
+                           for c in reversed(v.all_coeffs())], _EXT)
+
+    def from_field(c):
+        asc = tuple(Fraction(x) for x in c.coeffs)
+        while asc and not asc[-1]:
+            asc = asc[:-1]
+        return asc
+
+    def normal(v):
+        asc = tuple(Fraction(int(c.p), int(c.q))
+                    for c in reversed(v.rem(_M).all_coeffs()))
+        while asc and not asc[-1]:
+            asc = asc[:-1]
+        return asc
+
+    return (_EXT, rand, to_field, from_field, normal, lambda v: bool(normal(v)))
+
+
+def _random_operand(rng, codec):
+    """(terms by Fraction exponent, prec, ram) with every term below prec."""
+    _, rand, _, _, _, nonzero = codec
+    ram = rng.choice([1, 2, 3])
+    # a precision need not be a multiple of 1/ram
+    prec = INF if rng.random() < 0.3 else Fraction(rng.randint(-2, 14),
+                                                   rng.choice([1, 2, 3, 5]))
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        e = Fraction(rng.randint(-3, 12), ram)
+        v = rand(rng)
+        if e < prec and nonzero(v):
+            terms[e] = v
+    return terms, prec, ram
+
+
+def _naive_product(a, b, codec):
+    normal, nonzero = codec[4], codec[5]
+    (ta, pa, _), (tb, pb, _) = a, b
+    va = min(ta) if ta else pa
+    vb = min(tb) if tb else pb
+    prec = min(pa + vb, pb + va)
+    out = {}
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            e = ea + eb
+            if e < prec:
+                out[e] = out[e] + ca * cb if e in out else ca * cb
+    return {e: normal(c) for e, c in out.items() if nonzero(c)}, prec
+
+
+@pytest.mark.parametrize("codec", [_codec_q, _codec_fp, _codec_ext],
+                         ids=["Q", "F101", "Q[w]/(w^3-2w+5)"])
+def test_series_product_matches_naive_oracle(codec):
+    codec = codec()
+    field, _, to_field, from_field, _, _ = codec
+    rng = random.Random(4242)
+    for _ in range(60):
+        a, b = _random_operand(rng, codec), _random_operand(rng, codec)
+        sa, sb = (TruncatedSeries(field, {int(e * ram): to_field(v)
+                                          for e, v in terms.items()},
+                                  prec, ram)
+                  for terms, prec, ram in (a, b))
+        want, want_prec = _naive_product(a, b, codec)
+        got = sa * sb
+        assert got.prec == want_prec
+        assert {Fraction(k, got.ram): from_field(c)
+                for k, c in got.coeffs.items()} == want
+        assert all(Fraction(k, got.ram) < got.prec for k in got.coeffs)
