@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (GeneralPositionError, InvalidDegreeError,
-                     InvalidInputError, UnsupportedExtensionError)
+from .errors import (GeneralPositionError, InfiniteMultiplicityError,
+                     InvalidDegreeError, InvalidInputError,
+                     SharedComponentError, UnsupportedExtensionError)
 from .fields import QQ, ExtensionField, PrimeField, pth_root_scalar
 from .poly import MultiPoly
 
@@ -444,6 +445,19 @@ def translate_to_origin(f: MultiPoly, point) -> MultiPoly:
     return g.compose({xv: x + cx, yv: y + cy})
 
 
+def check_local_pair(f: MultiPoly, g: MultiPoly):
+    """The input check of every local engine: both curves pass through the
+    origin and share no component there (finite multiplicity)."""
+    if f.constant_value() or g.constant_value():
+        raise InvalidInputError("both curves must vanish at the origin")
+    d = gcd(f, g)
+    if not d.is_constant():
+        if not d.constant_value():
+            raise InfiniteMultiplicityError(
+                "curves share a component through the origin")
+        raise SharedComponentError("curves share a component")
+
+
 def apply_shear(f: MultiPoly, lam, mu) -> MultiPoly:
     """Rewrite f in the coordinates (x' = x, y' = lam*x + mu*y).
 
@@ -507,12 +521,6 @@ def is_homogeneous(F: MultiPoly) -> bool:
     return len(degs) == 1
 
 
-def _regular_in_x(f: MultiPoly) -> bool:
-    """f(x, 0) not identically zero."""
-    yv = f.vars[1]
-    return not f.subs_values({yv: f.field.zero}).is_zero()
-
-
 def _strongly_regular_in_x(f: MultiPoly) -> bool:
     """deg_x f equals the total degree and the top coefficient is constant."""
     xv = f.vars[0]
@@ -532,43 +540,31 @@ def _shear_candidates(field, bound):
                 yield field.of(lam_i), field.of(mu_i)
 
 
-def shear_to_general_position(f: MultiPoly, g: MultiPoly, mode: str = "basic",
-                              bound: int = 20):
-    """Find (lam, mu) putting the pair in general position; returns
-    (sheared f, sheared g, lam, mu).
+def shear_to_general_position(f: MultiPoly, g: MultiPoly, bound: int = 20):
+    """Find (lam, mu) putting the pair in resultant general position;
+    returns (sheared f, sheared g, lam, mu).
 
-    mode "basic": the first image is regular in x; the second is regular in
-    x or free of x entirely (so a transverse pair like (x, y) stays put).
-    mode "resultant": both top x-coefficients are nonzero constants (degree
-    in x equals total degree) and the origin is the only common zero on the
-    line y = 0, so the order of the resultant in y reads off the local
-    multiplicity.
+    Both top x-coefficients are nonzero constants (degree in x equals total
+    degree) and the origin is the only common zero on the line y = 0, so
+    the order of the resultant in y reads off the local multiplicity.
     """
     if f.is_zero() or g.is_zero():
         raise InvalidInputError("shear of a zero polynomial")
     tried = []
-    xv, yv = f.vars[0], f.vars[1]
+    yv = f.vars[1]
     for lam, mu in _shear_candidates(f.field, bound):
         fs = apply_shear(f, lam, mu)
         gs = apply_shear(g, lam, mu)
-        if not _regular_in_x(fs):
+        if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):
             tried.append((lam, mu))
             continue
-        if gs.degree_in(xv) > 0 and not _regular_in_x(gs):
+        f0 = fs.subs_values({yv: f.field.zero})
+        g0 = gs.subs_values({yv: f.field.zero})
+        # every common zero on y = 0 must sit at the origin, i.e. the gcd
+        # of the two restrictions is a pure power of x
+        if len(gcd(f0, g0).terms) > 1:
             tried.append((lam, mu))
             continue
-        if mode == "resultant":
-            if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):
-                tried.append((lam, mu))
-                continue
-            f0 = fs.subs_values({yv: f.field.zero})
-            g0 = gs.subs_values({yv: f.field.zero})
-            common = gcd(f0, g0)
-            # every common zero on y = 0 must sit at the origin, i.e. the
-            # gcd of the two restrictions is a pure power of x
-            if len(common.terms) > 1:
-                tried.append((lam, mu))
-                continue
         return fs, gs, lam, mu
     raise GeneralPositionError(
         f"no shear with |lam|,|mu| <= {bound} put the pair in general position",

@@ -18,9 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import homogenize, is_homogeneous, translate_to_origin, \
-    shear_to_general_position
-from .deformation import deformation_count
+from .algebra import homogenize, is_homogeneous
 from .errors import (BudgetError, CurveIntError, DegreeMixError,
                      GeneralPositionError, GenericityFailureError,
                      InfiniteMultiplicityError, InsufficientPrecisionError,
@@ -29,8 +27,7 @@ from .errors import (BudgetError, CurveIntError, DegreeMixError,
                      NotSpecializableError, ParseError, SharedComponentError,
                      UnsupportedExtensionError, VerificationFailureError)
 from .fields import QQ, PrimeField
-from .intersect import (Curve, bezout_sum, mult_length,
-                        mult_resultant_order, transversality_check)
+from .intersect import Curve, ProjectivePoint, bezout_sum, multiplicities_at
 from .lifting import hensel_lift, weierstrass_prepare
 from .poly import MultiPoly
 
@@ -268,33 +265,18 @@ def _run_mult(job: Job):
     field, warning = parse_field(job.field)
     C1 = parse_curve(job.curves[0], field)
     C2 = parse_curve(job.curves[1], field)
-    pt = parse_point(job.point or "0,0", field)
-    f = C1.affine("Z")
-    g = C2.affine("Z")
-    f0 = translate_to_origin(f, pt)
-    g0 = translate_to_origin(g, pt)
-    m_len = mult_length(f0, g0)
-    fs, gs, lam, mu = shear_to_general_position(f0, g0, mode="resultant")
-    m_res = mult_resultant_order(fs, gs)
-    outcome = deformation_count(f0, g0, seed=job.seed, prec=job.precision,
-                                max_retries=job.max_retries)
-    trans = transversality_check(f0, g0)
+    a, b = parse_point(job.point or "0,0", field)
+    rep = multiplicities_at(C1, C2, ProjectivePoint((a, b, 1), field),
+                            seed=job.seed, prec=job.precision,
+                            max_retries=job.max_retries)
     report = _report_skeleton(job)
     if warning:
         report["warning"] = warning
-    entry = {
-        "point": f"({pt[0]},{pt[1]})",
-        "mult_length": m_len,
-        "mult_resultant": m_res,
-        "mult_deformation": outcome.count,
-        "transversal": trans,
-        "shear": [str(lam), str(mu)],
-    }
+    entry = rep.to_dict()
+    entry["point"] = f"({a},{b})"
+    del entry["weight"]
     report["results"].append(entry)
-    report["precision"] = str(outcome.precision)
-    if not (m_len == m_res == outcome.count):
-        report["status"] = "engine-disagreement"
-        return report, EXIT_VERIFICATION
+    report["precision"] = str(rep.precision)
     return report, EXIT_OK
 
 

@@ -32,15 +32,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (gcd, lift_to_field, resultant,
+from .algebra import (check_local_pair, gcd, lift_to_field, resultant,
                       shear_to_general_position, squarefree_decompose,
                       subresultant_prs)
-from .errors import (GenericityFailureError, InfiniteMultiplicityError,
-                     InsufficientPrecisionError, InvalidInputError,
-                     SharedComponentError, UnsupportedExtensionError)
+from .errors import (GenericityFailureError, InsufficientPrecisionError,
+                     InvalidInputError, SharedComponentError,
+                     UnsupportedExtensionError)
 from .fields import ExtensionField
 from .poly import MultiPoly
-from .lifting import Branch, newton_puiseux, sheet_conjugates
+from .lifting import newton_puiseux
 from .series import INF, TruncatedSeries, eval_poly_at_series
 
 VARS3 = ("x", "y", "t")
@@ -88,15 +88,6 @@ class SolutionBranch:
     x: TruncatedSeries
     y: TruncatedSeries
     span: int
-
-    def coordinate_pairs(self):
-        """Expand ramification sheets into explicit (x, y) witnesses when the
-        field has the required roots of unity; otherwise the cycle itself."""
-        xs = sheet_conjugates(Branch(self.x, 1, self.span))
-        ys = sheet_conjugates(Branch(self.y, 1, self.span))
-        if xs is not None and ys is not None and len(xs) == len(ys) == self.span:
-            return list(zip(xs, ys))
-        return [(self.x, self.y)]
 
 
 def _first_degree_one(chain, xname):
@@ -147,7 +138,6 @@ def certify_squarefree_in(R: MultiPoly, main: str, tname: str):
 
 
 def certified_solutions(ft: MultiPoly, gt: MultiPoly, prec,
-                        want_transversality: bool = True,
                         xname="x", yname="y", tname="t"):
     """All solution branches of the deformed pair through the origin, with
     genericity certificates.  Raises GenericityFailureError when any
@@ -168,10 +158,8 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, prec,
         raise GenericityFailureError("subresultant chain skips degree one")
     s11 = s1.coeff_of(xname, 1)
     s10 = s1.coeff_of(xname, 0)
-    jac = None
-    if want_transversality:
-        jac = (ft.derivative(xname) * gt.derivative(yname)
-               - ft.derivative(yname) * gt.derivative(xname))
+    jac = (ft.derivative(xname) * gt.derivative(yname)
+           - ft.derivative(yname) * gt.derivative(xname))
     sols = []
     for br in ybranches:
         bf = br.series.field
@@ -194,11 +182,10 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, prec,
             if eval_poly_at_series(lift(eq), wassign).valuation() is not None:
                 raise GenericityFailureError(
                     "witness fails to satisfy a deformed equation")
-        if want_transversality:
-            jval = eval_poly_at_series(lift(jac), wassign)
-            if jval.is_zero_to_precision():
-                raise GenericityFailureError(
-                    "deformed intersection is not transverse at a witness")
+        jval = eval_poly_at_series(lift(jac), wassign)
+        if jval.is_zero_to_precision():
+            raise GenericityFailureError(
+                "deformed intersection is not transverse at a witness")
         sols.append(SolutionBranch(xser, br.series, br.span))
     return sols
 
@@ -277,20 +264,6 @@ def _certify_transverse_eval(R, ft, gt, jac, main, other, tname):
         "could not certify transversality of the deformed intersections")
 
 
-def _precheck_pair(f: MultiPoly, g: MultiPoly, xname, yname):
-    field = f.field
-    origin = {xname: field.zero, yname: field.zero}
-    if f.subs_values(origin).constant_value() or \
-            g.subs_values(origin).constant_value():
-        raise InvalidInputError("both curves must pass through the origin")
-    d = gcd(f, g)
-    if not d.is_constant():
-        if not d.subs_values(origin).constant_value():
-            raise InfiniteMultiplicityError(
-                "curves share a component through the origin")
-        raise SharedComponentError("curves share a component")
-
-
 def default_precision(f: MultiPoly, g: MultiPoly) -> int:
     d = max(1, f.total_degree())
     e = max(1, g.total_degree())
@@ -308,15 +281,14 @@ class DeformationOutcome:
 
 def deformation_count(f: MultiPoly, g: MultiPoly, seed: int = 0,
                       prec=None, mode: str = "both", max_retries: int = 8,
-                      xname="x", yname="y", want_witnesses: bool = True
-                      ) -> DeformationOutcome:
+                      xname="x", yname="y") -> DeformationOutcome:
     """The infinitesimal-neighborhood solution count of (f, g) at the origin.
 
     mode "both" perturbs every coefficient of both curves and counts all
     nearby solutions; "left"/"right" perturb a single side and count the
     distinct nearby points (cardinality, not multiplicity), via a two-scale
     run."""
-    _precheck_pair(f, g, xname, yname)
+    check_local_pair(f, g)
     if mode in ("left", "right"):
         analysis = two_scale_analysis(f, g, seed, coarse_side=mode,
                                       prec=prec, max_retries=max_retries,
@@ -328,7 +300,7 @@ def deformation_count(f: MultiPoly, g: MultiPoly, seed: int = 0,
         raise InvalidInputError(f"unknown mode {mode!r}")
     prec = Fraction(prec if prec is not None else default_precision(f, g))
     field = f.field
-    fs, gs, lam, mu = shear_to_general_position(f, g, mode="resultant")
+    fs, gs, lam, mu = shear_to_general_position(f, g)
     d, e = fs.total_degree(), gs.total_degree()
     last_error = None
     for attempt in range(max_retries):
@@ -338,13 +310,12 @@ def deformation_count(f: MultiPoly, g: MultiPoly, seed: int = 0,
                                    random_direction(rng, field, d))
             gt = deform_polynomial(gs.extend_vars(VARS3),
                                    random_direction(rng, field, e))
-            if isinstance(field, ExtensionField) or not want_witnesses:
+            if isinstance(field, ExtensionField):
                 count = certified_count_only(ft, gt, xname, yname, "t")
                 return DeformationOutcome(count, derived_seed(seed, attempt),
                                           (lam, mu), prec, [])
             try:
-                sols = certified_solutions(ft, gt, prec, True,
-                                           xname, yname, "t")
+                sols = certified_solutions(ft, gt, prec, xname, yname, "t")
             except UnsupportedExtensionError:
                 count = certified_count_only(ft, gt, xname, yname, "t")
                 return DeformationOutcome(count, derived_seed(seed, attempt),
@@ -377,12 +348,6 @@ class TwoScaleAnalysis:
     precision: Fraction
     scale_exponent: int
     threshold: Fraction
-
-
-def _valuation_of_difference(a: TruncatedSeries, b: TruncatedSeries):
-    diff = a - b
-    v = diff.valuation()
-    return diff.prec if v is None else v
 
 
 def _coefficient_field_degree(series_list, theta):
@@ -513,7 +478,7 @@ def two_scale_analysis(f: MultiPoly, g: MultiPoly, seed: int = 0,
     separation, so the threshold grows until no new coarse separation
     appears inside the observation window.
     """
-    _precheck_pair(f, g, xname, yname)
+    check_local_pair(f, g)
     if coarse_side not in ("left", "right"):
         raise InvalidInputError("coarse_side must be 'left' or 'right'")
     if fine_side is None:
@@ -522,7 +487,7 @@ def two_scale_analysis(f: MultiPoly, g: MultiPoly, seed: int = 0,
     if isinstance(field, ExtensionField):
         raise UnsupportedExtensionError(
             "two-scale analysis runs over prime-type fields only")
-    fs, gs, lam, mu = shear_to_general_position(f, g, mode="resultant")
+    fs, gs, lam, mu = shear_to_general_position(f, g)
     d, e = fs.total_degree(), gs.total_degree()
     f3, g3 = fs.extend_vars(VARS3), gs.extend_vars(VARS3)
     # total local multiplicity bounds the fine splitting denominator
@@ -547,7 +512,7 @@ def two_scale_analysis(f: MultiPoly, g: MultiPoly, seed: int = 0,
                     gt = deform_polynomial(gt, d_fine_g, power=E)
                 if fine_side in ("left", "both"):
                     ft = deform_polynomial(ft, d_fine_f, power=E)
-                sols = certified_solutions(ft, gt, workprec, True,
+                sols = certified_solutions(ft, gt, workprec,
                                            xname, yname, "t")
                 coarse_seps = set()
                 for i in range(len(sols)):

@@ -15,14 +15,13 @@ and checks the weighted total against the product of the degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from .algebra import (PROJECTIVE_VARS, dehomogenize, gcd, is_homogeneous,
-                      lift_to_field, resultant, roots_univariate,
-                      shear_to_general_position, squarefree_decompose,
+from dataclasses import dataclass, replace
+from .algebra import (PROJECTIVE_VARS, apply_shear, check_local_pair,
+                      dehomogenize, gcd, is_homogeneous, lift_to_field,
+                      resultant, roots_univariate, squarefree_decompose,
                       translate_to_origin)
 from .deformation import deformation_count
-from .errors import (BudgetError, GeneralPositionError,
-                     InfiniteMultiplicityError, InvalidInputError,
+from .errors import (BudgetError, GeneralPositionError, InvalidInputError,
                      NotRegularError, SharedComponentError,
                      VerificationFailureError)
 from .fields import ExtensionField
@@ -148,7 +147,6 @@ class MultiplicityReport:
     seed: int
     precision: object
     weight: int = 1
-    conjugates: int = 1
 
     @property
     def agreed(self) -> bool:
@@ -173,31 +171,14 @@ class MultiplicityReport:
 
 # ------------------------------------------------------------ the engines
 
-def _origin_checks(f: MultiPoly, g: MultiPoly):
-    field = f.field
-    xv, yv = f.vars[0], f.vars[1]
-    origin = {xv: field.zero, yv: field.zero}
-    if f.subs_values(origin).constant_value() or \
-            g.subs_values(origin).constant_value():
-        raise InvalidInputError("both curves must vanish at the origin")
-    d = gcd(f, g)
-    if not d.is_constant():
-        if not d.subs_values(origin).constant_value():
-            raise InfiniteMultiplicityError(
-                "curves share a component through the origin")
-        raise SharedComponentError("curves share a component")
-
-
-def mult_length(f: MultiPoly, g: MultiPoly, cutoff_cap: int = None) -> int:
+def mult_length(f: MultiPoly, g: MultiPoly) -> int:
     """Dimension over the base field of the local ring at the origin modulo
     (f, g): the stabilized dimension of polynomials of degree < N modulo
     (f, g, all monomials of degree >= N)."""
-    _origin_checks(f, g)
-    field = f.field
+    check_local_pair(f, g)
     d = max(1, f.total_degree())
     e = max(1, g.total_degree())
-    if cutoff_cap is None:
-        cutoff_cap = 2 * d * e + 4
+    cutoff_cap = 2 * d * e + 4
     prev = None
     for N in range(1, cutoff_cap + 1):
         cur = _local_dim(f, g, N)
@@ -262,7 +243,7 @@ def mult_resultant_order(f: MultiPoly, g: MultiPoly) -> int:
     """ord_y Res_x(f, g) for a pair in resultant general position (regular
     in x, constant top x-coefficients, origin the only common zero on the
     line y = 0); equals the local intersection multiplicity there."""
-    _origin_checks(f, g)
+    check_local_pair(f, g)
     field = f.field
     xv, yv = f.vars[0], f.vars[1]
     if f.subs_values({yv: field.zero}).is_zero():
@@ -308,10 +289,6 @@ def transversality_check(f: MultiPoly, g: MultiPoly) -> bool:
 
 # ------------------------------------------------------ point enumeration
 
-def _squarefree_part_univar(h: MultiPoly) -> MultiPoly:
-    return squarefree_decompose(h).reduced_product(h)
-
-
 def _solve_fiber(f: MultiPoly, g: MultiPoly, xv: str, yv: str, yval, field):
     """The unique common x over a given y value, or None when the fiber
     holds several distinct common zeros (the shear must be retried)."""
@@ -320,7 +297,7 @@ def _solve_fiber(f: MultiPoly, g: MultiPoly, xv: str, yv: str, yval, field):
     h = gcd(f0, g0)
     if h.is_constant():
         return None
-    sf = _squarefree_part_univar(h)
+    sf = squarefree_decompose(h).reduced_product(h)
     if sf.degree_in(xv) != 1:
         return None
     c1 = sf.coeff_of(xv, 1).constant_value()
@@ -356,7 +333,7 @@ def _affine_points(C1: Curve, C2: Curve, shear_bound: int):
     xv, yv = f.vars[0], f.vars[1]
     last_exc = None
     tried_shears = 0
-    from .algebra import apply_shear, _shear_candidates, _strongly_regular_in_x
+    from .algebra import _shear_candidates, _strongly_regular_in_x
     for lam, mu in _shear_candidates(field, shear_bound):
         fs = apply_shear(f, lam, mu)
         gs = apply_shear(g, lam, mu)
@@ -476,19 +453,25 @@ def _local_pair_at(C1: Curve, C2: Curve, point: ProjectivePoint):
     f = dehomogenize(C1.form, chart).rename_vars(("x", "y"))
     g = dehomogenize(C2.form, chart).rename_vars(("x", "y"))
     px, py = point.affine_pair()
-    return translate_to_origin(f, (px, py)), translate_to_origin(g, (px, py))
+    f0, g0 = translate_to_origin(f, (px, py)), translate_to_origin(g, (px, py))
+    if f0.constant_value() or g0.constant_value():
+        where = f"({px},{py})" if chart == "Z" else str(point)
+        raise InvalidInputError(f"both curves must vanish at {where}")
+    return f0, g0
 
 
 def multiplicities_at(C1: Curve, C2: Curve, point: ProjectivePoint,
                       seed: int = 0, prec=None,
                       max_retries: int = 8) -> MultiplicityReport:
-    """All three engines at one point, with exact agreement enforced."""
+    """All three engines at one point, with exact agreement enforced.  The
+    resultant engine runs on the deformation engine's shear."""
     f0, g0 = _local_pair_at(C1, C2, point)
     m_len = mult_length(f0, g0)
-    fs, gs, lam, mu = shear_to_general_position(f0, g0, mode="resultant")
-    m_res = mult_resultant_order(fs, gs)
     outcome = deformation_count(f0, g0, seed=seed, prec=prec,
                                 max_retries=max_retries)
+    lam, mu = outcome.shear
+    m_res = mult_resultant_order(apply_shear(f0, lam, mu),
+                                 apply_shear(g0, lam, mu))
     trans = transversality_check(f0, g0)
     report = MultiplicityReport(
         point=point, mult_length=m_len, mult_resultant=m_res,
@@ -512,10 +495,6 @@ class BezoutResult:
     expected: int
     reports: list
 
-    @property
-    def verified(self) -> bool:
-        return self.total == self.expected
-
 
 def bezout_sum(C1: Curve, C2: Curve, seed: int = 0, prec=None,
                max_retries: int = 8) -> BezoutResult:
@@ -527,14 +506,7 @@ def bezout_sum(C1: Curve, C2: Curve, seed: int = 0, prec=None,
     for pt in sorted(points, key=lambda p: (p.chart, str(p))):
         orbit_key = _orbit_key(pt)
         if orbit_key in seen_orbits:
-            base = seen_orbits[orbit_key]
-            reports.append(MultiplicityReport(
-                point=pt, mult_length=base.mult_length,
-                mult_resultant=base.mult_resultant,
-                mult_deformation=base.mult_deformation,
-                transversal=base.transversal, shear=base.shear,
-                seed=base.seed, precision=base.precision,
-                conjugates=base.conjugates))
+            reports.append(replace(seen_orbits[orbit_key], point=pt))
             continue
         rep = multiplicities_at(C1, C2, pt, seed=seed, prec=prec,
                                 max_retries=max_retries)
@@ -564,15 +536,8 @@ def bezout_sum(C1: Curve, C2: Curve, seed: int = 0, prec=None,
 def _orbit_key(pt: ProjectivePoint):
     """Conjugate points over F_p share multiplicities; key their orbit."""
     if isinstance(pt.field, ExtensionField) and pt.field.characteristic:
-        p = pt.field.characteristic
-        k = pt.field.degree
-        images = []
-        X, Y, Z = pt.coords
-        for i in range(k):
-            q = p ** i
-            images.append(ProjectivePoint((X ** q, Y ** q, Z ** q),
-                                          pt.field))
-        return frozenset(ppt.coords for ppt in images)
+        orbit = _frobenius_orbit(pt, pt.field, pt.field.degree)
+        return frozenset(ppt.coords for ppt in orbit)
     return pt.coords
 
 

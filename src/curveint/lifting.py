@@ -266,7 +266,7 @@ def _transform_segment(f: MultiPoly, xname: str, tname: str, a: int, b: int,
 
 
 def _expand_squarefree(f: MultiPoly, xname: str, tname: str, prec: Fraction,
-                       depth: int, allow_extension: bool):
+                       depth: int):
     """All val>0 branches of a squarefree polynomial; list of series."""
     if depth > 64:
         raise BudgetError("Newton polygon recursion exceeded its depth cap")
@@ -283,7 +283,7 @@ def _expand_squarefree(f: MultiPoly, xname: str, tname: str, prec: Fraction,
     for edge in edges:
         gamma, a, b, level, coeffs = _edge_polynomial(f, xname, tname, edge)
         phi = _coeffs_to_unipoly(coeffs, field)
-        roots = _segment_roots(phi, field, b, allow_extension)
+        roots = _segment_roots(phi, field, b)
         for c_root, mult, rfield, kappa in roots:
             g = _transform_segment(f, xname, tname, a, b, level, c_root, rfield)
             sub_prec = prec * b - a
@@ -297,14 +297,13 @@ def _expand_squarefree(f: MultiPoly, xname: str, tname: str, prec: Fraction,
                             b * kappa))
             else:
                 for tail, sub_span in _expand_squarefree(
-                        g, xname, tname, Fraction(sub_prec), depth + 1,
-                        allow_extension):
+                        g, xname, tname, Fraction(sub_prec), depth + 1):
                     out.append((_assemble(tail, c_root, a, b, rfield, tname),
                                 b * kappa * sub_span))
     return out
 
 
-def _segment_roots(phi: MultiPoly, field, b: int, allow_extension: bool):
+def _segment_roots(phi: MultiPoly, field, b: int):
     """Initial branch coefficients for one polygon edge of denominator b.
 
     phi is the compressed edge polynomial: its roots are the b-th powers of
@@ -328,16 +327,13 @@ def _segment_roots(phi: MultiPoly, field, b: int, allow_extension: bool):
         deg = fac.degree_in(zname)
         if deg == 1:
             z0 = -fac.coeff_of(zname, 0).constant_value()
-            u0, ufield = _bth_root(z0, field, b, allow_extension)
+            u0, ufield = _bth_root(z0, field, b)
             out.append((u0, mult, ufield, 1))
         else:
             if b != 1:
                 raise UnsupportedExtensionError(
                     "ramified segment with an irrational compressed root "
                     "needs a second extension step")
-            if not allow_extension:
-                raise UnsupportedExtensionError(
-                    "segment root requires a field extension")
             modulus = [fac.coeff_of(zname, k).constant_value()
                        for k in range(deg + 1)]
             ext = ExtensionField(field, modulus, gen_name="w")
@@ -345,7 +341,7 @@ def _segment_roots(phi: MultiPoly, field, b: int, allow_extension: bool):
     return out
 
 
-def _bth_root(z0, field, b: int, allow_extension: bool):
+def _bth_root(z0, field, b: int):
     """Some u0 with u0^b = z0, over the field or a one-step extension.
 
     Any choice represents the same solution cycle: the other roots are the
@@ -358,8 +354,6 @@ def _bth_root(z0, field, b: int, allow_extension: bool):
     for fac, _ in facs:
         if fac.degree_in(zname) == 1:
             return -fac.coeff_of(zname, 0).constant_value(), field
-    if not allow_extension:
-        raise UnsupportedExtensionError("ramified root requires an extension")
     fac = facs[0][0]
     deg = fac.degree_in(zname)
     modulus = [fac.coeff_of(zname, k).constant_value() for k in range(deg + 1)]
@@ -398,7 +392,6 @@ def _assemble(tail: TruncatedSeries, c_root, a: int, b: int, field,
 
 
 def newton_puiseux(F: MultiPoly, xname: str, tname: str, prec,
-                   allow_extension: bool = True,
                    assume_squarefree: bool = False):
     """Every branch x(t) with x(0) = 0 of F(x, t) = 0, with multiplicities.
 
@@ -423,8 +416,7 @@ def newton_puiseux(F: MultiPoly, xname: str, tname: str, prec,
         pieces = [(fac, mult) for fac, mult in squarefree_decompose(F)
                   if fac.involves(xname)]
     for fac, mult in pieces:
-        for series, span in _expand_squarefree(fac, xname, tname, prec, 0,
-                                               allow_extension):
+        for series, span in _expand_squarefree(fac, xname, tname, prec, 0):
             branches.append(Branch(series.truncate(prec) if series.prec > prec
                                    else series, mult, span))
     branches.sort(key=lambda br: (str(br.series)))

@@ -332,12 +332,6 @@ class MultiPoly:
         return self.clone(out)
 
     # -------------------------------------------------------------- printing
-    def _fmt_coeff(self, c):
-        s = str(c)
-        if "/" in s or s.startswith("-"):
-            return s, False
-        return s, False
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -112,10 +112,6 @@ class TruncatedSeries:
     def is_zero_to_precision(self):
         return not self.coeffs
 
-    def is_unit(self):
-        v = self.valuation()
-        return v == 0
-
     def coeff_at(self, exponent) -> object:
         e = Fraction(exponent)
         if e >= self.prec:
@@ -368,8 +364,3 @@ def eval_poly_at_series(f: MultiPoly, assignment: dict) -> TruncatedSeries:
             term = term * cache[e]
         total = total + term
     return total
-
-
-def series_invert(u: TruncatedSeries) -> TruncatedSeries:
-    """Inverse of a unit series; u * result == 1 to u's precision."""
-    return u.invert_unit()

@@ -41,7 +41,7 @@ def _affine_pair(entry_f, entry_g, fieldname):
 
 def _three_engines(f, g, seed=0):
     m1 = mult_length(f, g)
-    fs, gs, lam, mu = shear_to_general_position(f, g, mode="resultant")
+    fs, gs, lam, mu = shear_to_general_position(f, g)
     m2 = mult_resultant_order(fs, gs)
     m3 = mult_deformation(f, g, seed=seed)
     return m1, m2, m3

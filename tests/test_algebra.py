@@ -226,9 +226,9 @@ def test_translate_unrepresentable_coordinate():
 
 def test_shear_identity_accepted_for_transverse_lines():
     x, y = xy()
-    fs, gs, lam, mu = shear_to_general_position(x, y)
+    fs, gs, lam, mu = shear_to_general_position(x - y, x + y)
     assert (lam, mu) == (QQ.zero, QQ.one)
-    assert fs == x and gs == y
+    assert fs == x - y and gs == x + y
 
 
 def test_shear_regularizes_horizontal_line():
@@ -243,7 +243,7 @@ def test_shear_cusp_pair_postcondition():
     x, y = xy()
     f = x * x - y ** 3
     g = x - y
-    fs, gs, lam, mu = shear_to_general_position(f, g, mode="resultant")
+    fs, gs, lam, mu = shear_to_general_position(f, g)
     f0 = fs.subs_values({"y": QQ.zero})
     g0 = gs.subs_values({"y": QQ.zero})
     assert not f0.is_zero() and not g0.is_zero()
@@ -258,8 +258,7 @@ def test_shear_budget_exhaustion_reports_tried_pairs():
     F = PrimeField(2)
     x, y = xy(F)
     with pytest.raises(GeneralPositionError) as info:
-        shear_to_general_position(y * (x + y), y * x + y * y + y,
-                                  mode="resultant", bound=1)
+        shear_to_general_position(y * (x + y), y * x + y * y + y, bound=1)
     assert info.value.tried
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import curveint.intersect
 from curveint.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK,
                           EXIT_VERIFICATION, Job, main, parse_curve,
                           parse_field, parse_point, parse_poly,
@@ -144,12 +145,6 @@ def test_hensel_command():
     assert report["results"][0]["root"] == "1 + 1/2*t - 1/8*t^2 + O(t^3)"
 
 
-def test_hensel_not_simple_root_is_budgetless_input():
-    job = Job(command="hensel", curves=("x^2 - t",), a0="0", precision=4)
-    report, code = run_job(job)
-    assert code in (EXIT_INPUT, EXIT_BUDGET, EXIT_VERIFICATION)
-
-
 def test_json_output_byte_identical():
     job = Job(command="bezout", curves=("x^2 - y", "x^2 - 2*y"), seed=5,
               fmt="json")
@@ -192,3 +187,43 @@ def test_hensel_user_root_not_simple_is_input_error():
     report, code = run_job(job)
     assert code == EXIT_INPUT
     assert report["error_kind"] == "NotSimpleRootError"
+
+
+def test_mult_point_off_the_curves_is_named(capsys):
+    code = main(["mult", "x^2-y^3", "y", "--point", "2,3", "--format",
+                 "json"])
+    out = capsys.readouterr().out
+    assert code == EXIT_INPUT
+    assert "both curves must vanish at (2,3)" in out
+
+
+# ------------------------------------------ one per-point pipeline
+
+def test_mult_and_bezout_share_one_pipeline(monkeypatch):
+    length = curveint.intersect.mult_length
+    monkeypatch.setattr(curveint.intersect, "mult_length",
+                        lambda f, g: length(f, g) + 1)
+    for job in (Job(command="mult", curves=("x^2 - y^3", "y")),
+                Job(command="bezout", curves=("X^2*Z - Y^3", "Y"))):
+        report, code = run_job(job)
+        assert code == EXIT_VERIFICATION, job.command
+        assert report["status"] == "verification-failure", job.command
+
+
+def test_mult_enforces_transverse_implies_one(monkeypatch):
+    monkeypatch.setattr(curveint.intersect, "transversality_check",
+                        lambda f, g: True)
+    report, code = run_job(Job(command="mult", curves=("x^2 - y", "y")))
+    assert code == EXIT_VERIFICATION
+    assert "transverse" in report["error"]
+
+
+def test_mult_off_origin_matches_bezout_line():
+    curves = ("x^2+y^2-2", "x-y")
+    mult, code = run_job(Job(command="mult", curves=curves, point="1,1"))
+    assert code == EXIT_OK
+    bezout, code = run_job(Job(command="bezout", curves=curves))
+    assert code == EXIT_OK
+    line = next(r for r in bezout["results"] if r["point"] == "[1:1:1]")
+    keys = ("mult_length", "mult_resultant", "mult_deformation")
+    assert [mult["results"][0][k] for k in keys] == [line[k] for k in keys]

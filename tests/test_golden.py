@@ -45,11 +45,6 @@ def _render(job_dict):
     return render_report(report, "json") + "\n", code
 
 
-def test_golden_names_are_unique():
-    names = [name for name, _ in golden_jobs()]
-    assert len(set(names)) == len(names)
-
-
 @pytest.mark.parametrize("name,job", golden_jobs(),
                          ids=[name for name, _ in golden_jobs()])
 def test_report_matches_golden(name, job):

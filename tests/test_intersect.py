@@ -74,7 +74,7 @@ def test_resultant_order_requires_regularity():
 def test_resultant_order_after_shear_matches_length():
     x, y = xy()
     f, g = x * x - y ** 3, y - x
-    fs, gs, lam, mu = shear_to_general_position(f, g, mode="resultant")
+    fs, gs, lam, mu = shear_to_general_position(f, g)
     assert mult_resultant_order(fs, gs) == mult_length(f, g) == 2
 
 
@@ -106,8 +106,8 @@ def test_shear_preserves_all_three_multiplicities():
     fsh, gsh = apply_shear(f, lam, mu), apply_shear(g, lam, mu)
     assert mult_length(f, g) == mult_length(fsh, gsh)
     assert mult_deformation(f, g, seed=7) == mult_deformation(fsh, gsh, seed=7)
-    fs1, gs1, *_ = shear_to_general_position(f, g, mode="resultant")
-    fs2, gs2, *_ = shear_to_general_position(fsh, gsh, mode="resultant")
+    fs1, gs1, *_ = shear_to_general_position(f, g)
+    fs2, gs2, *_ = shear_to_general_position(fsh, gsh)
     assert mult_resultant_order(fs1, gs1) == mult_resultant_order(fs2, gs2)
 
 

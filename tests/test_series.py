@@ -9,8 +9,7 @@ from curveint.errors import (InvalidInputError, NotAUnitError,
 from curveint.fields import QQ, ExtElement, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
 from curveint.series import (INF, TruncatedSeries, eval_poly_at_series,
-                             rescale_exponents, series_invert,
-                             shift_exponents)
+                             rescale_exponents, shift_exponents)
 
 
 def t_var(prec=INF):
@@ -22,12 +21,12 @@ def one(prec=INF):
 
 
 def test_invert_identity():
-    assert series_invert(one()) == one()
+    assert one().invert_unit() == one()
 
 
 def test_invert_geometric():
     s = (one() + t_var()).truncate(3)
-    inv = series_invert(s)
+    inv = s.invert_unit()
     assert inv.coeff_at(0) == 1
     assert inv.coeff_at(1) == -1
     assert inv.coeff_at(2) == 1
@@ -36,7 +35,7 @@ def test_invert_geometric():
 
 def test_invert_two_plus_t():
     s = (TruncatedSeries.constant(QQ, 2) + t_var()).truncate(2)
-    inv = series_invert(s)
+    inv = s.invert_unit()
     assert inv.coeff_at(0) == Fraction(1, 2)
     assert inv.coeff_at(1) == Fraction(-1, 4)
     prod = s * inv
@@ -45,9 +44,9 @@ def test_invert_two_plus_t():
 
 def test_invert_requires_unit():
     with pytest.raises(NotAUnitError):
-        series_invert(t_var(4))
+        t_var(4).invert_unit()
     with pytest.raises(NotAUnitError):
-        series_invert(TruncatedSeries.zero(QQ, 3))
+        TruncatedSeries.zero(QQ, 3).invert_unit()
 
 
 def test_precision_never_inflated_by_multiplication():
@@ -124,7 +123,7 @@ def test_fp_series():
     F = PrimeField(7)
     s = (TruncatedSeries.constant(F, 3)
          + TruncatedSeries.variable(F)).truncate(3)
-    inv = series_invert(s)
+    inv = s.invert_unit()
     assert (s * inv).coeff_at(0) == 1
     assert (s * inv).coeff_at(1) == 0
 
