@@ -39,6 +39,11 @@ EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
+# Input bounds: a larger exponent or total degree is refused while parsing,
+# before anything is expanded, and a larger --precision before any work.
+MAX_DEGREE = 64
+MAX_PRECISION = 256
+
 _INPUT_ERRORS = (ParseError, DegreeMixError, InvalidInputError,
                  SharedComponentError, InfiniteMultiplicityError,
                  UnsupportedExtensionError, NotSimpleRootError,
@@ -80,9 +85,17 @@ class _Lexer:
 
 def parse_poly(text: str, field, variables) -> MultiPoly:
     """Recursive-descent parser for the curve grammar: integer or rational
-    literals, the allowed variables, + - * ^ and parentheses."""
+    literals, the allowed variables, + - * ^ and parentheses.
+
+    Raises BudgetError, before expanding, when an exponent or the total
+    degree of a product or power would pass MAX_DEGREE."""
     lx = _Lexer(text)
     varset = tuple(variables)
+
+    def check_degree(degree, pos):
+        if degree > MAX_DEGREE:
+            raise BudgetError(f"total degree {degree} at position {pos} "
+                              f"exceeds the limit of {MAX_DEGREE}")
 
     def parse_expr():
         ch, _ = lx.peek()
@@ -107,10 +120,12 @@ def parse_poly(text: str, field, variables) -> MultiPoly:
     def parse_term():
         node = parse_factor()
         while True:
-            ch, _ = lx.peek()
+            ch, pos = lx.peek()
             if ch == "*":
                 lx.take()
-                node = node * parse_factor()
+                rhs = parse_factor()
+                check_degree(node.total_degree() + rhs.total_degree(), pos)
+                node = node * rhs
             else:
                 return node
 
@@ -120,6 +135,10 @@ def parse_poly(text: str, field, variables) -> MultiPoly:
         if ch == "^":
             lx.take()
             n, pos = lx.take_int()
+            if n > MAX_DEGREE:
+                raise BudgetError(f"exponent {n} at position {pos} exceeds "
+                                  f"the limit of {MAX_DEGREE}")
+            check_degree(node.total_degree() * n, pos)
             node = node ** n
         return node
 
@@ -376,6 +395,9 @@ def run_job(job: Job):
         return {"command": job.command, "status": "unknown-command",
                 "error": f"unknown command {job.command!r}"}, EXIT_INPUT
     try:
+        if job.precision is not None and job.precision > MAX_PRECISION:
+            raise BudgetError(f"precision {job.precision} exceeds the limit "
+                              f"of {MAX_PRECISION}")
         return handler(job)
     except VerificationFailureError as err:
         return {"command": job.command, "status": "verification-failure",

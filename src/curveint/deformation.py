@@ -38,7 +38,7 @@ from .algebra import (check_local_pair, gcd, lift_to_field, resultant,
 from .errors import (GenericityFailureError, InsufficientPrecisionError,
                      InvalidInputError, SharedComponentError,
                      UnsupportedExtensionError)
-from .fields import ExtensionField
+from .fields import ExtElement, ExtensionField
 from .poly import MultiPoly
 from .lifting import newton_puiseux
 from .series import INF, TruncatedSeries, eval_poly_at_series
@@ -360,7 +360,7 @@ def _coefficient_field_degree(series_list, theta):
         if not isinstance(s.field, ExtensionField):
             continue
         for k, c in s.coeffs.items():
-            if Fraction(k, s.ram) < theta and len(c.coeffs) > 1:
+            if Fraction(k, s.ram) < theta and len(c.num) > 1:
                 samples.append(c)
                 field = s.field
     if not samples:
@@ -419,10 +419,10 @@ def _descend(c):
     """Base-field value of an extension element when it has one."""
     if c is None:
         return None
-    if hasattr(c, "coeffs") and hasattr(c, "field"):  # ExtElement
-        if len(c.coeffs) == 0:
+    if isinstance(c, ExtElement):
+        if len(c.num) == 0:
             return 0
-        if len(c.coeffs) == 1:
+        if len(c.num) == 1:
             return c.coeffs[0]
         return None
     return c
@@ -554,9 +554,9 @@ def _truncation_key(s: TruncatedSeries, theta):
             if Fraction(k, s.ram) < theta}
     field = s.field
     if isinstance(field, ExtensionField) and \
-            all(len(c.coeffs) <= 1 for c in kept.values()):
+            all(len(c.num) <= 1 for c in kept.values()):
         base = field.base
-        kept = {e: (c.coeffs[0] if c.coeffs else base.zero)
+        kept = {e: (c.coeffs[0] if c.num else base.zero)
                 for e, c in kept.items()}
         field = base
     return field, tuple(sorted(kept.items()))

@@ -6,6 +6,8 @@ immutable wrappers with full operator overloading, so polynomial and
 series code is generic over the coefficient domain.
 
 An extension K[z]/(m) is built over Q or over F_p; m must be squarefree.
+Its elements compute on Python ints: a vector of numerators over one
+common denominator (Q) or of residues (F_p), normalised once per result.
 All arithmetic is exact; division by zero raises ZeroDivisionError.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .errors import InvalidInputError, UnsupportedExtensionError
 
@@ -203,103 +206,87 @@ class PrimeField(Field):
         return hash(("Fp", self.p))
 
 
-def _poly_trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
+def _ext(num, den, field):
+    """An element from its parts, which must already be canonical."""
+    el = object.__new__(ExtElement)
+    el.num = num
+    el.den = den
+    el.field = field
+    return el
 
 
-def _poly_mul(a, b, zero):
-    if not a or not b:
-        return ()
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return _poly_trim(out)
+def _canonical(num, den, field):
+    """The element num/den, with num a list of ints of length <= degree.
 
-
-def _poly_divmod(a, b, zero):
-    # coefficient lists over a field, ascending order
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [zero] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and _poly_trim(a):
-        a = list(_poly_trim(a))
-        if len(a) < len(b):
-            break
-        c = a[-1] * inv_lead
-        k = len(a) - len(b)
-        q[k] = q[k] + c
-        for i, cb in enumerate(b):
-            a[k + i] = a[k + i] - c * cb
-        a = a[:-1]
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_gcd(a, b, zero):
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        _, r = _poly_divmod(a, b, zero)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = tuple(c / lead for c in a)
-    return a
-
-
-def _poly_ext_gcd(a, b, zero, one):
-    # returns (g, u, v) with u*a + v*b = g, coefficients ascending
-    r0, r1 = _poly_trim(a), _poly_trim(b)
-    s0, s1 = (one,), ()
-    t0, t1 = (), (one,)
-    while r1:
-        q, r = _poly_divmod(r0, r1, zero)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim([x - y for x, y in _zip_pad(s0, _poly_mul(q, s1, zero), zero)])
-        t0, t1 = t1, _poly_trim([x - y for x, y in _zip_pad(t0, _poly_mul(q, t1, zero), zero)])
-    return r0, s0, t0
-
-
-def _zip_pad(a, b, zero):
-    n = max(len(a), len(b))
-    a = list(a) + [zero] * (n - len(a))
-    b = list(b) + [zero] * (n - len(b))
-    return zip(a, b)
+    Over F_p: one ``% p`` per coefficient (den is 1).  Over Q: one gcd of
+    den with all numerators (den > 0).  Trailing zeros are dropped."""
+    p = field.characteristic
+    if p:
+        num = [x % p for x in num]
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return _ext((), 1, field)
+    if not p:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return _ext(tuple(num), den, field)
 
 
 class ExtElement:
-    """Residue class in base[z]/(m), stored as a reduced coefficient tuple."""
+    """Residue class in base[z]/(m), stored as integers: the reduced
+    coefficients of 1, z, ..., z^(n-1) are ``num[k] / den``.
 
-    __slots__ = ("coeffs", "field")
+    Over F_p, ``num`` holds residues in [0, p) and ``den`` is 1.  Over Q,
+    ``den`` > 0 and gcd(den, *num) == 1.  ``num`` has no trailing zeros and
+    at most n entries.  The form is canonical: equal elements have equal
+    ``num`` and ``den``."""
+
+    __slots__ = ("num", "den", "field")
 
     def __init__(self, coeffs, field: "ExtensionField"):
-        self.coeffs = _poly_trim(coeffs)
-        if len(self.coeffs) > field.degree:
-            _, self.coeffs = _poly_divmod(self.coeffs, field.modulus, field.base.zero)
-        self.field = field
+        base = field.base
+        if field.characteristic:
+            num = [base.of(c).val for c in coeffs]
+            den = 1
+        else:
+            fracs = [base.of(c) for c in coeffs]
+            den = lcm(*(c.denominator for c in fracs))
+            num = [c.numerator * (den // c.denominator) for c in fracs]
+        if len(num) > field.degree:
+            num, den = _reduce_long(num, den, field)
+        el = _canonical(num, den, field)
+        self.num, self.den, self.field = el.num, el.den, field
+
+    @property
+    def coeffs(self):
+        """The reduced coefficients as base-field elements (built per call)."""
+        base = self.field.base
+        if self.field.characteristic:
+            return tuple(FpElement(x, base) for x in self.num)
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def _lift(self, other):
+        """(num, den) of an operand of this field, or None if foreign."""
         if isinstance(other, ExtElement):
             if other.field is not self.field and other.field != self.field:
                 raise InvalidInputError("mixed extension fields")
-            return other.coeffs
-        if self.field.base.is_element(other) or isinstance(other, int):
-            v = self.field.base.of(other)
-            return (v,) if v else ()
+            return other.num, other.den
+        base = self.field.base
+        if base.is_element(other) or isinstance(other, int):
+            v = base.of(other)
+            if self.field.characteristic:
+                return ((v.val,) if v.val else ()), 1
+            return ((v.numerator,) if v else ()), v.denominator
         return None
 
     def __add__(self, other):
         v = self._lift(other)
         if v is None:
             return NotImplemented
-        zero = self.field.base.zero
-        return ExtElement([x + y for x, y in _zip_pad(self.coeffs, v, zero)], self.field)
+        return _add(self.num, self.den, v[0], v[1], self.field)
 
     __radd__ = __add__
 
@@ -307,70 +294,79 @@ class ExtElement:
         v = self._lift(other)
         if v is None:
             return NotImplemented
-        zero = self.field.base.zero
-        return ExtElement([x - y for x, y in _zip_pad(self.coeffs, v, zero)], self.field)
+        return _add(self.num, self.den, [-y for y in v[0]], v[1], self.field)
 
     def __rsub__(self, other):
         v = self._lift(other)
         if v is None:
             return NotImplemented
-        zero = self.field.base.zero
-        return ExtElement([y - x for x, y in _zip_pad(self.coeffs, v, zero)], self.field)
+        return _add([-x for x in self.num], self.den, v[0], v[1], self.field)
 
     def __mul__(self, other):
         v = self._lift(other)
         if v is None:
             return NotImplemented
-        a = self.coeffs
+        a = self.num
+        b, bden = v
         field = self.field
-        if not a or not v:
-            return ExtElement((), field)
-        zero = field.base.zero
-        prod = [zero] * (len(a) + len(v) - 1)
+        if not a or not b:
+            return _ext((), 1, field)
+        den = self.den * bden
+        if len(b) == 1:
+            c = b[0]
+            return _canonical([x * c for x in a], den, field)
+        prod = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(v):
-                if cb:
-                    prod[i + j] = prod[i + j] + ca * cb
+            if ca:
+                for j, cb in enumerate(b):
+                    prod[i + j] += ca * cb
         n = field.degree
         if len(prod) > n:
-            # fold w^k (n <= k <= 2n-2) back in through its reduced row
+            # fold z^k (n <= k <= 2n-2) back in through its integer row;
+            # over Q the rows share the denominator scale
+            scale, table = field.int_reduction_table
             low = prod[:n]
-            for row, c in zip(field.reduction_table, prod[n:]):
-                if not c:
-                    continue
-                for i, r in enumerate(row):
-                    if r:
-                        low[i] = low[i] + c * r
+            if scale != 1:
+                low = [x * scale for x in low]
+                den *= scale
+            for row, c in zip(table, prod[n:]):
+                if c:
+                    low = [x + c * r for x, r in zip(low, row)]
             prod = low
-        return ExtElement(prod, field)
+        return _canonical(prod, den, field)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self.coeffs:
+        if not self.num:
             raise ZeroDivisionError("inverse of zero in extension field")
-        base = self.field.base
-        g, u, _ = _poly_ext_gcd(self.coeffs, self.field.modulus, base.zero, base.one)
+        field = self.field
+        p = field.characteristic
+        g, s = _ext_gcd(self.num, field.int_modulus[0], p)
         if len(g) != 1:
             # m squarefree but reducible: the residue ring has zero divisors
             raise ZeroDivisionError(
                 "element is a zero divisor (reducible modulus); cannot invert")
+        # s * num = g mod m, so 1 / (num/den) = s * den / g
         c = g[0]
-        return ExtElement([x / c for x in u], self.field)
+        if p:
+            c = pow(c, -1, p)
+            return _canonical([x * c for x in s], 1, field)
+        if c < 0:
+            c, s = -c, [-x for x in s]
+        return _canonical([x * self.den for x in s], c, field)
 
     def __truediv__(self, other):
         v = self._lift(other)
         if v is None:
             return NotImplemented
-        return self * ExtElement(v, self.field).inverse()
+        return self * _ext(v[0], v[1], self.field).inverse()
 
     def __rtruediv__(self, other):
         v = self._lift(other)
         if v is None:
             return NotImplemented
-        return ExtElement(v, self.field) * self.inverse()
+        return _ext(v[0], v[1], self.field) * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -385,22 +381,25 @@ class ExtElement:
         return result
 
     def __neg__(self):
-        return ExtElement([-x for x in self.coeffs], self.field)
+        p = self.field.characteristic
+        if p:
+            return _ext(tuple(-x % p for x in self.num), 1, self.field)
+        return _ext(tuple(-x for x in self.num), self.den, self.field)
 
     def __eq__(self, other):
         v = self._lift(other)
         if v is None:
             return NotImplemented
-        return self.coeffs == v
+        return self.num == v[0] and self.den == v[1]
 
     def __hash__(self):
-        return hash((self.field.gen_name, self.coeffs))
+        return hash((self.field.gen_name, self.num, self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.num:
             return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -416,6 +415,79 @@ class ExtElement:
         return " + ".join(parts)
 
 
+def _add(a, aden, b, bden, field):
+    """a/aden + b/bden for integer coefficient sequences."""
+    if aden != bden:
+        g = gcd(aden, bden)
+        sa, sb = bden // g, aden // g
+        a = [x * sa for x in a]
+        b = [y * sb for y in b]
+        aden *= sa
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    return _canonical(out, aden, field)
+
+
+def _reduce_long(num, den, field):
+    """num/den of any length reduced mod m, top coefficient first."""
+    mod, scale = field.int_modulus
+    n = field.degree
+    num = list(num)
+    for k in range(len(num) - 1, n - 1, -1):
+        c = num.pop()
+        if not c:
+            continue
+        # subtract c * z^(k-n) * m, with m scaled to integers (lead = scale)
+        if scale != 1:
+            num = [x * scale for x in num]
+            den *= scale
+        for i in range(n):
+            num[k - n + i] -= c * mod[i]
+    return num, den
+
+
+def _ext_gcd(a, m, p):
+    """(g, s) with s*a = g mod m, for integer coefficient lists (ascending,
+    no trailing zeros) with len(m) > len(a): g is the last nonzero remainder
+    of Euclid's algorithm, up to a scalar factor.
+
+    Each step cancels a top coefficient by cross-multiplication, so no
+    division is needed.  Over F_p (p > 0) every step is reduced mod p; over
+    Q (p == 0) every remainder is divided, together with its cofactor, by
+    their common content, which keeps the integers small."""
+    r0, r1 = list(m), list(a)
+    s0, s1 = [], [1]
+    while r1:
+        lead, n1 = r1[-1], len(r1)
+        while len(r0) >= n1:
+            c = r0.pop()
+            k = len(r0) - n1 + 1
+            # r0 <- lead*r0 - c*z^k*r1 and s0 <- lead*s0 - c*z^k*s1
+            r0 = [lead * x for x in r0]
+            for i, y in enumerate(r1[:-1]):
+                r0[k + i] -= c * y
+            s0 = [lead * x for x in s0] + [0] * (k + len(s1) - len(s0))
+            for i, y in enumerate(s1):
+                s0[k + i] -= c * y
+            if p:
+                r0 = [x % p for x in r0]
+                s0 = [x % p for x in s0]
+            while r0 and not r0[-1]:
+                r0.pop()
+            while s0 and not s0[-1]:
+                s0.pop()
+        if not p:
+            g = gcd(*r0, *s0)
+            if g > 1:
+                r0 = [x // g for x in r0]
+                s0 = [x // g for x in s0]
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    return r0, s0
+
+
 class ExtensionField(Field):
     """K[z]/(m) for K = Q or F_p; m squarefree of degree >= 1.
 
@@ -427,20 +499,23 @@ class ExtensionField(Field):
         if isinstance(base, ExtensionField):
             raise UnsupportedExtensionError("only one extension step is supported")
         self.base = base
-        mod = _poly_trim([base.of(c) for c in modulus])
+        mod = [base.of(c) for c in modulus]
+        while mod and not mod[-1]:
+            mod.pop()
         if len(mod) < 2:
             raise InvalidInputError("extension modulus must have degree >= 1")
         lead = mod[-1]
-        mod = tuple(c / lead for c in mod)
-        # squarefreeness: gcd(m, m') = 1
-        deriv = _poly_trim([mod[k] * k for k in range(1, len(mod))])
-        g = _poly_gcd(mod, deriv, base.zero)
-        if len(g) != 1:
-            raise InvalidInputError("extension modulus must be squarefree")
-        self.modulus = mod
+        self.modulus = tuple(c / lead for c in mod)
         self.degree = len(mod) - 1
+        self.characteristic = p = base.characteristic
+        # squarefreeness: gcd(m, m') = 1
+        ints = self.int_modulus[0]
+        deriv = [k * c % p if p else k * c for k, c in enumerate(ints)][1:]
+        while deriv and not deriv[-1]:
+            deriv.pop()
+        if len(_ext_gcd(deriv, ints, p)[0]) != 1:
+            raise InvalidInputError("extension modulus must be squarefree")
         self.gen_name = gen_name
-        self.characteristic = base.characteristic
         self.name = f"{base.name}[{gen_name}]"
 
     def of(self, value):
@@ -471,6 +546,31 @@ class ExtensionField(Field):
                 row = [x + top * r for x, r in zip(row, table[0])]
             table.append(tuple(row))
         return table
+
+    @cached_property
+    def int_modulus(self):
+        """(coefficients, scale): the monic modulus times the least
+        positive integer ``scale`` that clears its denominators, as ints
+        (residues in [0, p) over F_p, where ``scale`` is 1)."""
+        if self.characteristic:
+            return tuple(c.val for c in self.modulus), 1
+        scale = lcm(*(c.denominator for c in self.modulus))
+        return tuple(c.numerator * (scale // c.denominator)
+                     for c in self.modulus), scale
+
+    @cached_property
+    def int_reduction_table(self):
+        """(scale, rows): ``reduction_table`` as ints.  Over Q every row is
+        multiplied by ``scale``, the least common denominator of all rows;
+        over F_p the rows are residues and ``scale`` is 1."""
+        if self.characteristic:
+            return 1, [tuple(c.val for c in row)
+                       for row in self.reduction_table]
+        scale = lcm(*(c.denominator for row in self.reduction_table
+                      for c in row))
+        return scale, [tuple(c.numerator * (scale // c.denominator)
+                             for c in row)
+                       for row in self.reduction_table]
 
     def embed(self, base_value):
         """Image of a base-field element under the canonical inclusion."""

@@ -3,7 +3,10 @@
 These deliberately avoid the production code paths: the resultant oracle
 builds the Sylvester matrix (f's rows first, descending coefficients) and
 evaluates the determinant by fraction-free (Bareiss) elimination; the
-local-dimension oracle does naive monomial enumeration.
+local-dimension oracle does naive monomial enumeration; the extension-field
+oracle computes on tuples of base-field elements (schoolbook products,
+long division by the modulus, the extended Euclidean algorithm) where the
+production code computes on integer vectors.
 """
 
 from curveint.poly import MultiPoly
@@ -134,3 +137,79 @@ def local_dim_oracle(f: MultiPoly, g: MultiPoly, cap: int = 24):
             return cur
         prev = cur
     raise RuntimeError("oracle did not stabilize")
+
+
+# ------------------------------------------------- extension-field oracle
+#
+# Residues in K[z]/(m) as ascending tuples of base-field elements (Fraction
+# or FpElement) without trailing zeros; m is such a tuple too.
+
+def poly_trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def poly_add(a, b, zero):
+    n = max(len(a), len(b))
+    a = list(a) + [zero] * (n - len(a))
+    b = list(b) + [zero] * (n - len(b))
+    return poly_trim(x + y for x, y in zip(a, b))
+
+
+def poly_neg(a):
+    return tuple(-x for x in a)
+
+
+def poly_mul(a, b, zero):
+    if not a or not b:
+        return ()
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = out[i + j] + ca * cb
+    return poly_trim(out)
+
+
+def poly_divmod(a, b, zero):
+    """Quotient and remainder over a field, by long division."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(poly_trim(a))
+    q = [zero] * max(0, len(a) - len(b) + 1)
+    inv_lead = 1 / b[-1]
+    while len(a) >= len(b):
+        c = a[-1] * inv_lead
+        k = len(a) - len(b)
+        q[k] = c
+        for i, cb in enumerate(b):
+            a[k + i] = a[k + i] - c * cb
+        a = list(poly_trim(a[:-1]))
+    return poly_trim(q), tuple(a)
+
+
+def poly_gcd(a, b, zero):
+    """Monic gcd (the empty tuple when both are zero)."""
+    a, b = poly_trim(a), poly_trim(b)
+    while b:
+        a, b = b, poly_divmod(a, b, zero)[1]
+    return tuple(c / a[-1] for c in a) if a else a
+
+
+def ext_mul(a, b, modulus, zero):
+    return poly_divmod(poly_mul(a, b, zero), modulus, zero)[1]
+
+
+def ext_inverse(a, modulus, zero, one):
+    """Inverse of a mod m by the extended Euclidean algorithm; raises
+    ZeroDivisionError for zero and for zero divisors."""
+    r0, r1 = poly_trim(a), poly_trim(modulus)
+    s0, s1 = (one,), ()
+    while r1:
+        q, r = poly_divmod(r0, r1, zero)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_add(s0, poly_neg(poly_mul(q, s1, zero)), zero)
+    if len(r0) != 1:
+        raise ZeroDivisionError("not invertible mod m")
+    return poly_divmod(tuple(x / r0[0] for x in s0), modulus, zero)[1]

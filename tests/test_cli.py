@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from curveint.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK,
                           parse_field, parse_point, parse_poly,
                           render_report, run_job)
 from curveint.corpus import corpus_manifest
-from curveint.errors import DegreeMixError, InvalidInputError, ParseError
+from curveint.errors import (BudgetError, DegreeMixError, InvalidInputError,
+                             ParseError)
 from curveint.fields import QQ, PrimeField
 from curveint.poly import MultiPoly
 
@@ -227,3 +229,49 @@ def test_mult_off_origin_matches_bezout_line():
     line = next(r for r in bezout["results"] if r["point"] == "[1:1:1]")
     keys = ("mult_length", "mult_resultant", "mult_deformation")
     assert [mult["results"][0][k] for k in keys] == [line[k] for k in keys]
+
+
+# ------------------------------------------------------------ input bounds
+#
+# Exponents and total degrees past 64 are refused while parsing, before
+# anything is expanded, so nesting cannot get past the check.
+
+@pytest.mark.parametrize("text", [
+    "(x+y)^100000",        # one huge exponent
+    "x^65",                # an exponent just past the limit
+    "((x+y)^60)^60",       # each exponent allowed, the power is not
+    "(x^8)^8*x",           # a product just past the limit
+    "x^40*y^30 - 1",       # degree 70 from a product of allowed powers
+])
+def test_parse_bounds_exit_budget_fast(text):
+    start = time.perf_counter()
+    report, code = run_job(Job(command="mult", curves=(text, "x")))
+    assert code == EXIT_BUDGET
+    assert report["error_kind"] == "BudgetError"
+    assert "limit of 64" in report["error"]
+    assert time.perf_counter() - start < 1
+
+
+def test_parse_bounds_accept_the_limit():
+    f = parse_poly("(x^8)^8 - y^64 + (x*y)^32", QQ, ("x", "y"))
+    assert f.total_degree() == 64
+    with pytest.raises(BudgetError):
+        parse_poly("(x^8)^8 * y", QQ, ("x", "y"))
+
+
+def test_cli_huge_power_exits_3_within_a_second(capsys):
+    start = time.perf_counter()
+    assert main(["mult", "(x+y)^100000", "x"]) == EXIT_BUDGET
+    assert time.perf_counter() - start < 1
+    assert "exponent 100000" in capsys.readouterr().out
+
+
+def test_precision_bound():
+    report, code = run_job(Job(command="mult", curves=("x", "y"),
+                               precision=257, fmt="json"))
+    assert code == EXIT_BUDGET
+    assert report["error"] == "precision 257 exceeds the limit of 256"
+    assert main(["hensel", "x^2 - (1 + t)", "--a0", "1",
+                 "--precision", "1000"]) == EXIT_BUDGET
+    _, code = run_job(Job(command="mult", curves=("x", "y"), precision=256))
+    assert code == EXIT_OK
