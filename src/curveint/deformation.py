@@ -19,11 +19,14 @@ member of the subresultant chain: when y0 is a simple root of the
 resultant, the gcd of the two specialized polynomials is linear and equals
 (up to a unit) S11(y0) x + S10(y0), so x = -S10/S11 is the unique lift.
 
-Two-scale runs (s coarse, t fine, realized as s = tau, t = tau^E with E
-chosen from exact separation bounds) expose the intermediate fiber points
-of a partial deformation together with their fine-scale multiplicities;
-this is what the staged-specialization and left/right-factoring checks
-consume.
+Two-scale analysis deforms one curve only, at a coarse scale t, and reads
+the nearby coarse points P off the y-eliminant R = Res_x(f_t, g_t): by the
+resultant form of Bezout's theorem, a root y_P of R has order I_P(f_t, g_t)
+once no two coarse points share a y-coordinate (certified by the
+degree-one subresultant).  I_P is the multiplicity that a further fine
+deformation splits at P, so sum over P of I_P equals the count at the
+origin; this is what the staged-specialization and left/right-factoring
+checks consume.
 """
 
 from __future__ import annotations
@@ -33,12 +36,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (check_local_pair, gcd, lift_to_field, resultant,
-                      shear_to_general_position, squarefree_decompose,
-                      subresultant_prs)
+                      shear_to_general_position, subresultant_prs)
 from .errors import (GenericityFailureError, InsufficientPrecisionError,
                      InvalidInputError, SharedComponentError,
                      UnsupportedExtensionError)
-from .fields import ExtElement, ExtensionField
+from .fields import ExtensionField
 from .poly import MultiPoly
 from .lifting import newton_puiseux
 from .series import INF, TruncatedSeries, eval_poly_at_series
@@ -280,24 +282,12 @@ class DeformationOutcome:
 
 
 def deformation_count(f: MultiPoly, g: MultiPoly, seed: int = 0,
-                      prec=None, mode: str = "both", max_retries: int = 8,
+                      prec=None, max_retries: int = 8,
                       xname="x", yname="y") -> DeformationOutcome:
-    """The infinitesimal-neighborhood solution count of (f, g) at the origin.
-
-    mode "both" perturbs every coefficient of both curves and counts all
-    nearby solutions; "left"/"right" perturb a single side and count the
-    distinct nearby points (cardinality, not multiplicity), via a two-scale
-    run."""
+    """The infinitesimal-neighborhood solution count of (f, g) at the origin:
+    perturb every coefficient of both curves and count all nearby
+    solutions."""
     check_local_pair(f, g)
-    if mode in ("left", "right"):
-        analysis = two_scale_analysis(f, g, seed, coarse_side=mode,
-                                      prec=prec, max_retries=max_retries,
-                                      xname=xname, yname=yname)
-        return DeformationOutcome(sum(k for k, _ in analysis.groups),
-                                  analysis.seed_used, analysis.shear,
-                                  analysis.precision, [])
-    if mode != "both":
-        raise InvalidInputError(f"unknown mode {mode!r}")
     prec = Fraction(prec if prec is not None else default_precision(f, g))
     field = f.field
     fs, gs, lam, mu = shear_to_general_position(f, g)
@@ -336,269 +326,81 @@ def deformation_count(f: MultiPoly, g: MultiPoly, seed: int = 0,
 
 @dataclass
 class TwoScaleAnalysis:
-    """Grouped fine-scale solutions of a coarse+fine deformation.
+    """The nearby points of a one-sided coarse deformation, grouped.
 
-    groups: list of (intermediate_point_count, fine_multiplicity) pairs,
-    one per distinct coarse-stage solution cycle; the Bezout-style identity
-    total = sum(k * m) relates them to the plain deformation count."""
+    groups: sorted (k, m) pairs, one per solution cycle of the coarse
+    eliminant: k conjugate coarse points, each carrying the local
+    multiplicity m that a further fine deformation splits into m simple
+    points; total = sum(k * m) is the multiplicity at the origin."""
     groups: list
     total: int
     seed_used: int
     shear: tuple
     precision: Fraction
-    scale_exponent: int
-    threshold: Fraction
-
-
-def _coefficient_field_degree(series_list, theta):
-    """Degree over the base field of the subfield generated by all series
-    coefficients at exponents below theta (1 when every such coefficient
-    is base-valued)."""
-    samples = []
-    field = None
-    for s in series_list:
-        if not isinstance(s.field, ExtensionField):
-            continue
-        for k, c in s.coeffs.items():
-            if Fraction(k, s.ram) < theta and len(c.num) > 1:
-                samples.append(c)
-                field = s.field
-    if not samples:
-        return 1
-    base = field.base
-    wvars = ("z", "w")
-    modulus = MultiPoly(base, wvars,
-                        {(0, k): c for k, c in enumerate(field.modulus)})
-    best = 1
-    for mult_seed in range(1, 4):
-        combo_coeffs = {}
-        for idx, c in enumerate(samples):
-            weight = base.of(mult_seed ** idx if mult_seed > 1 else 1)
-            for k, coeff in enumerate(c.coeffs):
-                combo_coeffs[k] = combo_coeffs.get(k, base.zero) + weight * coeff
-        combo = MultiPoly(base, wvars,
-                          {(0, k): v for k, v in combo_coeffs.items() if v})
-        zpoly = MultiPoly.var(base, wvars, "z")
-        target = zpoly - combo
-        if not target.involves("w"):
-            continue
-        res = resultant(modulus, target, "w")
-        dec = squarefree_decompose(res)
-        deg = dec.reduced_product(res).degree_in("z")
-        best = max(best, deg)
-    return best
-
-
-def _structural_separation(a: TruncatedSeries, b: TruncatedSeries, window):
-    """First exponent below ``window`` where the two series visibly differ,
-    or None if they agree on everything known below it.  Series over
-    different extension fields are compared through their base-descendable
-    coefficients; structurally incomparable coefficients count as a
-    difference."""
-    exps = set()
-    for s in (a, b):
-        for k in s.coeffs:
-            e = Fraction(k, s.ram)
-            if e < window:
-                exps.add(e)
-    for e in sorted(exps):
-        ca = a.coeff_at(e) if e < a.prec else None
-        cb = b.coeff_at(e) if e < b.prec else None
-        if a.field == b.field:
-            if ca != cb:
-                return e
-            continue
-        da = _descend(ca)
-        db = _descend(cb)
-        if da is None or db is None or da != db:
-            return e
-    return None
-
-
-def _descend(c):
-    """Base-field value of an extension element when it has one."""
-    if c is None:
-        return None
-    if isinstance(c, ExtElement):
-        if len(c.num) == 0:
-            return 0
-        if len(c.num) == 1:
-            return c.coeffs[0]
-        return None
-    return c
-
-
-def _pair_separation(s1: SolutionBranch, s2: SolutionBranch, window):
-    vx = _structural_separation(s1.x, s2.x, window)
-    vy = _structural_separation(s1.y, s2.y, window)
-    if vx is None and vy is None:
-        return None
-    if vx is None:
-        return vy
-    if vy is None:
-        return vx
-    return min(vx, vy)
-
-
-def _self_separation(sol: SolutionBranch, window):
-    """First exponent below ``window`` where a solution cycle's own
-    conjugates part ways: a fractional exponent or a proper extension
-    coefficient.  None when the cycle is rational and unramified there."""
-    if sol.span == 1:
-        return None
-    found = None
-    for s in (sol.x, sol.y):
-        red = s.reduce_ram()
-        for k, c in red.coeffs.items():
-            e = Fraction(k, red.ram)
-            if e >= window:
-                continue
-            fractional = (e.denominator > 1)
-            irrational = _descend(c) is None
-            if fractional or irrational:
-                if found is None or e < found:
-                    found = e
-    return found
 
 
 def two_scale_analysis(f: MultiPoly, g: MultiPoly, seed: int = 0,
-                       coarse_side: str = "left", fine_side: str = None,
-                       prec=None, max_retries: int = 8,
+                       coarse_side: str = "left", prec=None,
+                       max_retries: int = 8,
                        xname="x", yname="y") -> TwoScaleAnalysis:
-    """Deform one side at a coarse scale and (by default) the other side at
-    a fine scale; group the fine solutions by the coarse point they sit on.
+    """Deform one side at a coarse scale t and group the multiplicity at
+    the origin by the nearby coarse points P it splits into.
 
-    coarse_side "left" perturbs f, "right" perturbs g.  fine_side defaults
-    to the opposite side (the left/right factoring shape); "both" gives the
-    staged-specialization shape.  Returns group data (k_i, m_i): k_i
-    conjugate coarse points sharing fine multiplicity m_i.
-
-    The fine scale exponent E is chosen adaptively: any separation seen
-    below E/M (M the total local multiplicity) is provably a coarse-point
-    separation, so the threshold grows until no new coarse separation
-    appears inside the observation window.
+    coarse_side "left" perturbs f, "right" perturbs g.  Each y-branch of
+    R = Res_x(f_t, g_t) with multiplicity m and span k is one group (k, m):
+    once every y-root carries a single coarse point, the order of R there
+    is I_P(f_t, g_t), the multiplicity a fine deformation of either side
+    splits at P.  The certificate is the degree-one subresultant's
+    x-coefficient, nonzero along every branch; a failure reseeds.
     """
     check_local_pair(f, g)
     if coarse_side not in ("left", "right"):
         raise InvalidInputError("coarse_side must be 'left' or 'right'")
-    if fine_side is None:
-        fine_side = "right" if coarse_side == "left" else "left"
     field = f.field
     if isinstance(field, ExtensionField):
         raise UnsupportedExtensionError(
             "two-scale analysis runs over prime-type fields only")
     fs, gs, lam, mu = shear_to_general_position(f, g)
-    d, e = fs.total_degree(), gs.total_degree()
+    prec = Fraction(prec if prec is not None else default_precision(fs, gs))
     f3, g3 = fs.extend_vars(VARS3), gs.extend_vars(VARS3)
-    # total local multiplicity bounds the fine splitting denominator
-    Ry = resultant(f3, g3, xname)
-    yi = Ry.vars.index(yname)
-    mult_bound = max(1, min(e2[yi] for e2 in Ry.terms))
     last_error = None
     for attempt in range(max_retries):
         rng = random.Random(derived_seed(seed, 101 + attempt))
-        d_coarse = random_direction(rng, field, d if coarse_side == "left" else e)
-        d_fine_f = random_direction(rng, field, d)
-        d_fine_g = random_direction(rng, field, e)
-        theta = Fraction(1)
+        d_coarse = random_direction(
+            rng, field, fs.total_degree() if coarse_side == "left"
+            else gs.total_degree())
+        ft = deform_polynomial(f3, d_coarse) if coarse_side == "left" else f3
+        gt = deform_polynomial(g3, d_coarse) if coarse_side == "right" else g3
         try:
-            for _ in range(5):
-                E = mult_bound * max(int(theta) + 1, 3) + 1
-                window = Fraction(E, mult_bound)
-                workprec = Fraction(E + default_precision(fs, gs))
-                ft = deform_polynomial(f3, d_coarse) if coarse_side == "left" else f3
-                gt = deform_polynomial(g3, d_coarse) if coarse_side == "right" else g3
-                if fine_side in ("right", "both"):
-                    gt = deform_polynomial(gt, d_fine_g, power=E)
-                if fine_side in ("left", "both"):
-                    ft = deform_polynomial(ft, d_fine_f, power=E)
-                sols = certified_solutions(ft, gt, workprec,
-                                           xname, yname, "t")
-                coarse_seps = set()
-                for i in range(len(sols)):
-                    self_sep = _self_separation(sols[i], window)
-                    if self_sep is not None:
-                        coarse_seps.add(self_sep)
-                    for j in range(i + 1, len(sols)):
-                        sep = _pair_separation(sols[i], sols[j], window)
-                        if sep is not None:
-                            coarse_seps.add(sep)
-                theta_new = (max(coarse_seps) + 1) if coarse_seps else Fraction(1)
-                if theta_new <= theta:
-                    # window grew and exposed no new coarse separation
-                    groups = _group_solutions(sols, theta_new)
-                    total = sum(s.span for s in sols)
-                    if sum(k * m for k, m in groups) != total:
-                        raise GenericityFailureError(
-                            "group accounting failed to partition the "
-                            "solutions")
-                    return TwoScaleAnalysis(
-                        groups, total, derived_seed(seed, 101 + attempt),
-                        (lam, mu), workprec, E, theta_new)
-                theta = theta_new
-            raise GenericityFailureError(
-                "coarse/fine scale separation did not stabilize")
-        except (GenericityFailureError, InsufficientPrecisionError,
-                UnsupportedExtensionError) as err:
+            R = resultant(ft, gt, xname)
+            R0 = R.subs_values({"t": field.zero})
+            total = min(e[R0.vars.index(yname)] for e in R0.terms)
+            branches = newton_puiseux(R, yname, "t", prec)
+            s1 = _first_degree_one(subresultant_prs(ft, gt, xname), xname)
+            if s1 is None:
+                raise GenericityFailureError(
+                    "subresultant chain skips degree one")
+            s11 = s1.coeff_of(xname, 1)
+            for br in branches:
+                bf = br.series.field
+                tser = _series_var(bf, br.series.varname).truncate(prec)
+                den = eval_poly_at_series(
+                    lift_to_field(s11, bf) if bf != field else s11,
+                    {xname: bf.zero, yname: br.series, "t": tser})
+                if den.is_zero_to_precision():
+                    raise GenericityFailureError(
+                        "two coarse points share a y-coordinate")
+            groups = sorted((br.span, br.multiplicity) for br in branches)
+            if sum(k * m for k, m in groups) != total:
+                raise GenericityFailureError(
+                    "coarse groups do not account for the multiplicity")
+            return TwoScaleAnalysis(groups, total,
+                                    derived_seed(seed, 101 + attempt),
+                                    (lam, mu), prec)
+        except (GenericityFailureError, InsufficientPrecisionError) as err:
+            if isinstance(err, InsufficientPrecisionError):
+                prec = Fraction(err.suggested) if err.suggested else 2 * prec
             last_error = err
     raise GenericityFailureError(
         f"two-scale certification failed after {max_retries} attempts "
         f"(last: {last_error})")
-
-
-def _truncation_key(s: TruncatedSeries, theta):
-    """Canonical form of the sub-theta part of a series: descends to the
-    base field when every kept coefficient is base-valued.  Returns
-    (field, ((exponent, coefficient), ...))."""
-    kept = {Fraction(k, s.ram): c for k, c in s.coeffs.items()
-            if Fraction(k, s.ram) < theta}
-    field = s.field
-    if isinstance(field, ExtensionField) and \
-            all(len(c.num) <= 1 for c in kept.values()):
-        base = field.base
-        kept = {e: (c.coeffs[0] if c.num else base.zero)
-                for e, c in kept.items()}
-        field = base
-    return field, tuple(sorted(kept.items()))
-
-
-def _truncated_ram(s: TruncatedSeries, theta) -> int:
-    """Reduced ramification index of the part of s below exponent theta."""
-    import math as _math
-    kept = [k for k in s.coeffs if Fraction(k, s.ram) < theta]
-    if not kept:
-        return 1
-    g = s.ram
-    for k in kept:
-        g = _math.gcd(g, abs(k))
-    return s.ram // g if g else 1
-
-
-def _group_solutions(sols, theta):
-    """Group solution cycles by the coarse point they sit on: equality of
-    both coordinate truncations below theta.  Returns (k, m) per group:
-    k conjugate coarse points carrying fine multiplicity m each."""
-    clusters = {}
-    for s in sols:
-        key = (_truncation_key(s.x, theta), _truncation_key(s.y, theta))
-        clusters.setdefault(key, []).append(s)
-    groups = []
-    for members in clusters.values():
-        finals = sum(s.span for s in members)
-        series_pool = [s.x for s in members] + [s.y for s in members]
-        kappa = _coefficient_field_degree(series_pool, theta)
-        import math as _math
-        rams = 1
-        for s in members:
-            rams = _math.lcm(rams, _truncated_ram(s.x, theta),
-                             _truncated_ram(s.y, theta))
-        # the sheet and field conjugations may act identically on the
-        # truncated data; a cycle never covers more coarse points than it
-        # has closure solutions
-        k = min(kappa * rams, min(s.span for s in members))
-        if finals % k:
-            raise GenericityFailureError(
-                "conjugate coarse points do not divide the group evenly")
-        groups.append((k, finals // k))
-    groups.sort()
-    return groups

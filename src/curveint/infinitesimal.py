@@ -197,8 +197,7 @@ def staged_specialization_check(f: MultiPoly, g: MultiPoly,
     the sum, over the intermediate fiber points of a coarse deformation, of
     their fine-scale local multiplicities."""
     total = deformation_count(f, g, seed=seed).count
-    analysis = two_scale_analysis(f, g, seed=seed, coarse_side="right",
-                                  fine_side="both")
+    analysis = two_scale_analysis(f, g, seed=seed, coarse_side="right")
     staged_sum = sum(k * m for k, m in analysis.groups)
     return staged_sum == total
 
@@ -209,10 +208,8 @@ def left_right_factoring_check(f: MultiPoly, g: MultiPoly,
     equals the sum of right multiplicities over the left-deformed fiber
     points, and symmetrically."""
     total = deformation_count(f, g, seed=seed).count
-    left = two_scale_analysis(f, g, seed=seed, coarse_side="left",
-                              fine_side="right")
+    left = two_scale_analysis(f, g, seed=seed, coarse_side="left")
     if sum(k * m for k, m in left.groups) != total:
         return False
-    right = two_scale_analysis(f, g, seed=seed, coarse_side="right",
-                               fine_side="left")
+    right = two_scale_analysis(f, g, seed=seed, coarse_side="right")
     return sum(k * m for k, m in right.groups) == total

@@ -260,12 +260,10 @@ def mult_resultant_order(f: MultiPoly, g: MultiPoly) -> int:
 
 
 def mult_deformation(f: MultiPoly, g: MultiPoly, seed: int = 0,
-                     prec=None, mode: str = "both",
-                     max_retries: int = 8) -> int:
+                     prec=None, max_retries: int = 8) -> int:
     """Certified infinitesimal solution count at the origin (see the
-    deformation engine); "left"/"right" count distinct one-sided nearby
-    points."""
-    return deformation_count(f, g, seed=seed, prec=prec, mode=mode,
+    deformation engine)."""
+    return deformation_count(f, g, seed=seed, prec=prec,
                              max_retries=max_retries).count
 
 

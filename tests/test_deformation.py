@@ -1,9 +1,16 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from curveint.deformation import (deform_polynomial, deformation_count,
+from curveint import deformation
+from curveint.cli import parse_field, parse_poly
+from curveint.corpus import affine_instances
+from curveint.deformation import (VARS3, deform_polynomial, deformation_count,
                                   derived_seed, random_direction,
                                   two_scale_analysis)
-from curveint.errors import InfiniteMultiplicityError, InvalidInputError
+from curveint.errors import (GenericityFailureError, InfiniteMultiplicityError,
+                             InvalidInputError, UnsupportedExtensionError)
 from curveint.fields import QQ, PrimeField
 from curveint.poly import MultiPoly
 
@@ -81,12 +88,17 @@ def test_zero_direction_rejected():
         deform_polynomial(x, MultiPoly.zero(QQ, V))
 
 
+def _point_count(f, g, seed, coarse_side):
+    groups = two_scale_analysis(f, g, seed=seed, coarse_side=coarse_side).groups
+    return sum(k for k, _ in groups)
+
+
 def test_one_sided_counts_are_cardinalities():
     x, y = xy()
     # deforming the doubled curve splits it: two distinct nearby points
-    assert deformation_count((y - x * x) ** 2, x, seed=3, mode="left").count == 2
+    assert _point_count((y - x * x) ** 2, x, 3, "left") == 2
     # deforming only the line leaves one (doubly covered) nearby point
-    assert deformation_count((y - x * x) ** 2, x, seed=3, mode="right").count == 1
+    assert _point_count((y - x * x) ** 2, x, 3, "right") == 1
 
 
 def test_two_scale_group_structure():
@@ -96,6 +108,96 @@ def test_two_scale_group_structure():
     assert a.groups == [(2, 1)]  # two conjugate coarse points, simple fine
     b = two_scale_analysis((y - x * x) ** 2, x, seed=5, coarse_side="right")
     assert b.groups == [(1, 2)]  # one coarse point of fine multiplicity 2
+
+
+TWO_SCALE_PINS = json.loads(
+    (Path(__file__).parent / "data" / "two_scale_groups.json").read_text())
+
+
+@pytest.mark.parametrize("name,ftext,gtext,fieldname", affine_instances(),
+                         ids=[row[0] for row in affine_instances()])
+def test_two_scale_groups_match_pins(name, ftext, gtext, fieldname):
+    """Groups and seeds of every affine corpus instance at seed 6, as the
+    series-grouping implementation (fine deformation, clustered witness
+    series) computed them; staged ran coarse right with a fine deformation
+    of both sides."""
+    field, _ = parse_field(fieldname)
+    f, g = parse_poly(ftext, field, V), parse_poly(gtext, field, V)
+    pins = TWO_SCALE_PINS[name]
+    for shape, side in (("staged", "right"), ("left", "left"),
+                        ("right", "right")):
+        a = two_scale_analysis(f, g, seed=6, coarse_side=side)
+        assert [list(p) for p in a.groups] == pins[shape]["groups"], shape
+        assert a.seed_used == pins[shape]["seed_used"], shape
+
+
+def _force_direction(monkeypatch, make, forced_calls):
+    """Replace the first ``forced_calls`` coarse directions by
+    ``make(field)``; later draws are the seeded random ones."""
+    calls = []
+
+    def direction(rng, field, degree, *args, **kwargs):
+        calls.append(degree)
+        if len(calls) <= forced_calls:
+            return make(field)
+        return random_direction(rng, field, degree, *args, **kwargs)
+
+    monkeypatch.setattr(deformation, "random_direction", direction)
+    return calls
+
+
+def _minus_one(field):
+    # x^2 - 2y - t meets x^2 - y at (+-sqrt(-t), -t): two coarse points on
+    # one y-root of the eliminant, which reads as [(1, 2)] uncertified
+    return MultiPoly.const(field, VARS3, -1)
+
+
+def test_two_scale_certificate_rejects_shared_y(monkeypatch):
+    x, y = xy()
+    _force_direction(monkeypatch, _minus_one, forced_calls=10 ** 6)
+    with pytest.raises(GenericityFailureError):
+        two_scale_analysis(x * x - y, x * x - 2 * y, seed=1,
+                           coarse_side="right")
+
+
+def test_two_scale_reseeds_past_shared_y(monkeypatch):
+    x, y = xy()
+    calls = _force_direction(monkeypatch, _minus_one, forced_calls=1)
+    a = two_scale_analysis(x * x - y, x * x - 2 * y, seed=1,
+                           coarse_side="right")
+    assert len(calls) > 1
+    assert a.seed_used != derived_seed(1, 101)
+    # two simple coarse points, not one point of multiplicity 2
+    assert sum(k * m for k, m in a.groups) == 2
+    assert a.groups == [(2, 1)]
+
+
+def test_two_scale_certificate_evaluates_along_branches(monkeypatch):
+    # g - t(x + 1) leaves (y^2 - t)(x + 1) modulo f: the degree-one
+    # subresultant exists but vanishes on y = +-sqrt(t), where the four
+    # coarse points (+-t^(1/4), +-sqrt(t)) pair up on two y-roots
+    x, y = xy()
+    _force_direction(monkeypatch,
+                     lambda F: -MultiPoly.var(F, VARS3, "x")
+                     - MultiPoly.const(F, VARS3, 1),
+                     forced_calls=10 ** 6)
+    with pytest.raises(GenericityFailureError, match="share a y-coordinate"):
+        two_scale_analysis(x * x - y, x ** 3 - x * y + x * y * y + y * y,
+                           seed=1, coarse_side="right")
+
+
+def test_two_scale_structural_limit_fails_fast(monkeypatch):
+    calls = []
+
+    def unsupported(*args, **kwargs):
+        calls.append(args)
+        raise UnsupportedExtensionError("needs a second extension step")
+
+    monkeypatch.setattr(deformation, "newton_puiseux", unsupported)
+    x, y = xy()
+    with pytest.raises(UnsupportedExtensionError):
+        two_scale_analysis(x * x - y, x * x - 2 * y, seed=1)
+    assert len(calls) == 1
 
 
 def test_derived_seed_deterministic():
