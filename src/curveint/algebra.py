@@ -6,9 +6,12 @@ Resultant convention
 --------------------
 ``resultant(f, g, x)`` equals the determinant of the Sylvester matrix built
 with f's coefficient rows first (deg g rows of f above deg f rows of g,
-coefficients in descending powers of x).  The subresultant remainder
-sequence is the production algorithm; the determinant is kept as a test
-oracle only.  ``discriminant(f, x)`` is
+coefficients in descending powers of x).  The determinant is kept as a test
+oracle only.  ``subresultant_prs`` is the one remainder loop: one chain
+gives the resultant (its degree-0 last member S_0, signed by
+``resultant_of_chain``), the gcd (the primitive part of its last member)
+and the degree-one subresultant S1 that the deformation engine lifts
+x-coordinates with.  ``discriminant(f, x)`` is
 ``(-1)^(m(m-1)/2) * resultant(f, f_x, x) / lc_x(f)`` with m = deg_x f.
 """
 
@@ -52,30 +55,22 @@ def primitive_part_in(f: MultiPoly, name: str) -> MultiPoly:
     return f.exact_divide(c)
 
 
-def pseudo_divmod(f: MultiPoly, g: MultiPoly, name: str):
-    """(q, r) with lc_g^(df-dg+1) * f = q*g + r and deg_name r < deg_name g."""
+def pseudo_rem(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
+    """r with lc_g^(df-dg+1) * f = q*g + r and deg_name r < deg_name g."""
     df, dg = f.degree_in(name), g.degree_in(name)
     if dg < 0:
         raise ZeroDivisionError("pseudo-division by zero")
     if df < dg:
-        return f.clone({}), f
+        return f
     lead = g.leading_coeff_in(name)
-    q = f.clone({})
     r = f
     e = df - dg + 1
     xvar = MultiPoly.var(f.field, f.vars, name)
     while not r.is_zero() and r.degree_in(name) >= dg:
-        dr = r.degree_in(name)
-        t = r.leading_coeff_in(name) * xvar ** (dr - dg)
-        q = q * lead + t
+        t = r.leading_coeff_in(name) * xvar ** (r.degree_in(name) - dg)
         r = r * lead - t * g
         e -= 1
-    scale = lead ** e
-    return q * scale, r * scale
-
-
-def pseudo_rem(f, g, name):
-    return pseudo_divmod(f, g, name)[1]
+    return r * lead ** e
 
 
 def _involved(f: MultiPoly, g: MultiPoly):
@@ -125,8 +120,10 @@ def _univar_gcd(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
 def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Multivariate gcd over a field, normalized to leading coefficient 1.
 
-    Single-variable pairs take a dense monic-Euclid path; otherwise a
-    recursive primitive pseudo-remainder sequence with content splitting.
+    Single-variable pairs take a dense monic-Euclid path.  Otherwise the
+    contents in the first variable involved split off recursively, and the
+    gcd of the primitive parts is the primitive part of the last member of
+    their subresultant chain (1 when that member has degree 0).
     """
     if f.is_zero():
         return _normalize(g)
@@ -144,16 +141,10 @@ def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return gcd(content_in(f, name), g)
     cf, cg = content_in(f, name), content_in(g, name)
     c = gcd(cf, cg)
-    a, b = f.exact_divide(cf), g.exact_divide(cg)
-    if a.degree_in(name) < b.degree_in(name):
-        a, b = b, a
-    while True:
-        r = pseudo_rem(a, b, name)
-        if r.is_zero():
-            return _normalize(c * primitive_part_in(b, name))
-        if r.degree_in(name) == 0:
-            return _normalize(c)
-        a, b = b, primitive_part_in(r, name)
+    last = subresultant_prs(f.exact_divide(cf), g.exact_divide(cg), name)[-1]
+    if last.degree_in(name) == 0:
+        return _normalize(c)
+    return _normalize(c * primitive_part_in(last, name))
 
 
 # ------------------------------------------------------- subresultant PRS
@@ -161,35 +152,44 @@ def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 def subresultant_prs(f: MultiPoly, g: MultiPoly, name: str):
     """The subresultant polynomial remainder sequence of (f, g) in ``name``.
 
-    Returns the list [f, g, r_1, r_2, ...] ending with the last nonzero
-    remainder.  Exact divisions keep coefficient growth polynomial.
+    Returns the list [f, g, r_1, r_2, ...]: the inputs, larger degree in
+    ``name`` first, then the remainders down to the last nonzero one.
+    Exact divisions keep coefficient growth polynomial.  A last member of
+    positive degree is a gcd of f and g up to a factor free of ``name``.
+    A last member of degree 0 is S_0, in place of the degree-0 remainder
+    (or of g, when g has degree 0): the resultant of the first two members
+    up to the sign (-1)^(sum d_i*d_{i+1}) over the members' degrees d_i
+    (see ``resultant_of_chain``).
     """
     if f.degree_in(name) < g.degree_in(name):
         f, g = g, f
     seq = [f, g]
-    a, b = f, g
     one = MultiPoly.const(f.field, f.vars, 1)
     gg, h = one, one
     while True:
-        delta = a.degree_in(name) - b.degree_in(name)
-        r = pseudo_rem(a, b, name)
-        if r.is_zero():
-            return seq
-        r = r.exact_divide(gg * h ** delta)
-        seq.append(r)
-        a, b = b, r
-        gg = a.leading_coeff_in(name)
+        a, b = seq[-2], seq[-1]
+        db = b.degree_in(name)
+        delta = a.degree_in(name) - db
+        if db != 0:
+            r = pseudo_rem(a, b, name)
+            if r.is_zero():
+                return seq
+            r = r.exact_divide(gg * h ** delta)
+        gg = b.leading_coeff_in(name)
         if delta >= 1:
             h = (gg ** delta).exact_divide(h ** (delta - 1))
-        if b.degree_in(name) == 0:
+        if db == 0:
+            seq[-1] = h  # at a degree-0 member, the h-recurrence gives S_0
             return seq
+        seq.append(r)
 
 
 def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     """Res_name(f, g) as a polynomial in the remaining variables.
 
-    Follows the classical subresultant algorithm with content extraction;
-    agrees exactly with the Sylvester determinant (f's rows first).
+    The contents in ``name`` split off, and the resultant of the primitive
+    parts is read off the last member of their subresultant chain; agrees
+    exactly with the Sylvester determinant (f's rows first).
     """
     if f.is_zero() and g.is_zero():
         raise InvalidInputError("resultant of two zero polynomials")
@@ -197,41 +197,27 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
         raise InvalidInputError(f"neither input involves {name}")
     if f.is_zero() or g.is_zero():
         return f.clone({})
-    sign = 1
-    if f.degree_in(name) < g.degree_in(name):
-        if (f.degree_in(name) * g.degree_in(name)) % 2 == 1:
-            sign = -sign
-        f, g = g, f
-    if g.degree_in(name) == 0:
-        c = g.coeff_of(name, 0)
-        res = c ** f.degree_in(name)
-        return res if sign > 0 else -res
     ca, cb = content_in(f, name), content_in(g, name)
     a, b = f.exact_divide(ca), g.exact_divide(cb)
     t = ca ** b.degree_in(name) * cb ** a.degree_in(name)
-    one = MultiPoly.const(f.field, f.vars, 1)
-    gg, h = one, one
-    s = 1
-    while True:
-        da, db = a.degree_in(name), b.degree_in(name)
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            s = -s
-        r = pseudo_rem(a, b, name)
-        if r.is_zero():
-            return f.clone({})  # positive-degree common factor
-        a, b = b, r.exact_divide(gg * h ** delta)
-        gg = a.leading_coeff_in(name)
-        if delta >= 1:
-            h = (gg ** delta).exact_divide(h ** (delta - 1))
-        if b.degree_in(name) == 0:
-            da = a.degree_in(name)
-            bc = b.coeff_of(name, 0)
-            h = (bc ** da).exact_divide(h ** (da - 1)) if da >= 1 else one
-            res = t * h
-            if s * sign < 0:
-                res = -res
-            return res
+    return t * resultant_of_chain(a, b, subresultant_prs(a, b, name), name)
+
+
+def resultant_of_chain(f: MultiPoly, g: MultiPoly, chain, name: str):
+    """Res_name(f, g) read off chain = subresultant_prs(f, g, name).
+
+    Zero when the chain ends above degree 0.  Otherwise its last member
+    S_0 with the sign (-1)^(sum d_i*d_{i+1}) over the members' degrees,
+    and one more factor (-1)^(deg f * deg g) when the chain put g first.
+    """
+    last = chain[-1]
+    if last.degree_in(name) > 0:
+        return last.clone({})
+    degs = [p.degree_in(name) for p in chain]
+    odd = sum(d * e for d, e in zip(degs, degs[1:]))
+    if f.degree_in(name) < g.degree_in(name):
+        odd += degs[0] * degs[1]
+    return -last if odd % 2 else last
 
 
 def discriminant(f: MultiPoly, name: str) -> MultiPoly:

@@ -15,7 +15,8 @@ Failures raise GenericityFailureError and the driver reseeds
 deterministically, up to a retry budget.
 
 The x-coordinate over a simple y-branch is recovered from the degree-one
-member of the subresultant chain: when y0 is a simple root of the
+member S1 of the subresultant chain whose degree-0 end is the resultant, so
+one chain per attempt gives both: when y0 is a simple root of the
 resultant, the gcd of the two specialized polynomials is linear and equals
 (up to a unit) S11(y0) x + S10(y0), so x = -S10/S11 is the unique lift.
 
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (check_local_pair, gcd, lift_to_field, resultant,
-                      shear_to_general_position, subresultant_prs)
+                      resultant_of_chain, shear_to_general_position,
+                      subresultant_prs)
 from .errors import (GenericityFailureError, InsufficientPrecisionError,
                      InvalidInputError, SharedComponentError,
                      UnsupportedExtensionError)
@@ -92,11 +94,13 @@ class SolutionBranch:
     span: int
 
 
-def _first_degree_one(chain, xname):
-    for member in reversed(chain):
-        if member.degree_in(xname) == 1:
-            return member
-    return None
+def _eliminant_and_s1(ft: MultiPoly, gt: MultiPoly, xname: str):
+    """R = Res_x(ft, gt), exact and signed, and the degree-one member S1
+    (None when the chain skips degree one), both off one subresultant
+    chain of the pair."""
+    chain = subresultant_prs(ft, gt, xname)
+    s1 = next((m for m in reversed(chain) if m.degree_in(xname) == 1), None)
+    return resultant_of_chain(ft, gt, chain, xname), s1
 
 
 def _series_var(field, varname="t"):
@@ -146,7 +150,7 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, prec,
     certificate fails (caller reseeds)."""
     field = ft.field
     prec = Fraction(prec)
-    R = resultant(ft, gt, xname)
+    R, s1 = _eliminant_and_s1(ft, gt, xname)
     R0 = R.subs_values({tname: field.zero})
     if R0.is_zero():
         raise SharedComponentError("resultant vanishes at t = 0")
@@ -154,8 +158,6 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, prec,
     ybranches = newton_puiseux(R, yname, tname, prec, assume_squarefree=True)
     if any(not br.simple for br in ybranches):
         raise GenericityFailureError("non-simple branch after deformation")
-    chain = subresultant_prs(ft, gt, xname)
-    s1 = _first_degree_one(chain, xname)
     if s1 is None:
         raise GenericityFailureError("subresultant chain skips degree one")
     s11 = s1.coeff_of(xname, 1)
@@ -372,11 +374,10 @@ def two_scale_analysis(f: MultiPoly, g: MultiPoly, seed: int = 0,
         ft = deform_polynomial(f3, d_coarse) if coarse_side == "left" else f3
         gt = deform_polynomial(g3, d_coarse) if coarse_side == "right" else g3
         try:
-            R = resultant(ft, gt, xname)
+            R, s1 = _eliminant_and_s1(ft, gt, xname)
             R0 = R.subs_values({"t": field.zero})
             total = min(e[R0.vars.index(yname)] for e in R0.terms)
             branches = newton_puiseux(R, yname, "t", prec)
-            s1 = _first_degree_one(subresultant_prs(ft, gt, xname), xname)
             if s1 is None:
                 raise GenericityFailureError(
                     "subresultant chain skips degree one")

@@ -314,14 +314,15 @@ def _segment_roots(phi: MultiPoly, field, b: int):
     out = []
     zname = phi.vars[0]
     if isinstance(field, ExtensionField):
-        rts = _linear_roots_over_extension(phi)
-        if rts is None:
+        if phi.degree_in(zname) != 1:
             raise UnsupportedExtensionError(
                 "edge polynomial does not split over the one-step extension")
-        if b == 1:
-            return [(r, m, field, 1) for r, m in rts]
-        raise UnsupportedExtensionError(
-            "ramified segment over an extension field needs a second step")
+        if b != 1:
+            raise UnsupportedExtensionError(
+                "ramified segment over an extension field needs a second step")
+        c0 = phi.coeff_of(zname, 0).constant_value()
+        c1 = phi.coeff_of(zname, 1).constant_value()
+        return [(-c0 / c1, 1, field, 1)]
     const, facs = factor_univariate(phi, zname)
     for fac, mult in facs:
         deg = fac.degree_in(zname)
@@ -359,21 +360,6 @@ def _bth_root(z0, field, b: int):
     modulus = [fac.coeff_of(zname, k).constant_value() for k in range(deg + 1)]
     ext = ExtensionField(field, modulus, gen_name="w")
     return ext.gen, ext
-
-
-def _linear_roots_over_extension(phi: MultiPoly):
-    """Try to split phi into linear factors over its extension field by
-    scanning for roots among a candidate set (derived from gcd steps is
-    overkill at the degrees that arise here).  Returns None if it does not
-    visibly split."""
-    name = phi.vars[0]
-    field = phi.field
-    deg = phi.degree_in(name)
-    if deg == 1:
-        c0 = phi.coeff_of(name, 0).constant_value()
-        c1 = phi.coeff_of(name, 1).constant_value()
-        return [(-c0 / c1, 1)]
-    return None
 
 
 def _hensel_continue(g: MultiPoly, xname: str, tname: str, prec) -> TruncatedSeries:

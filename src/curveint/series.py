@@ -233,8 +233,8 @@ class TruncatedSeries:
             raise ZeroDivisionError("division by a series that is zero to precision")
         if vb == 0:
             return a * b.invert_unit()
-        unit_part = _shift_exponents(b, -vb)
-        return _shift_exponents(a * unit_part.invert_unit(), -vb)
+        unit_part = shift_exponents(b, -vb)
+        return shift_exponents(a * unit_part.invert_unit(), -vb)
 
     def __rtruediv__(self, other):
         a, b = self._align(other)
@@ -312,18 +312,14 @@ class TruncatedSeries:
         return f"TruncatedSeries({self})"
 
 
-def _shift_exponents(s: TruncatedSeries, delta) -> TruncatedSeries:
+def shift_exponents(s: TruncatedSeries, delta) -> TruncatedSeries:
+    """Multiply by t^delta (delta may be a negative Fraction)."""
     delta = Fraction(delta)
     r = _lcm(s.ram, delta.denominator)
     s2 = s.with_ram(r)
     d = int(delta * r)
     return TruncatedSeries(s.field, {k + d: c for k, c in s2.coeffs.items()},
                            s2.prec + delta if s2.prec != INF else INF, r, s.varname)
-
-
-def shift_exponents(s: TruncatedSeries, delta) -> TruncatedSeries:
-    """Multiply by t^delta (delta may be a negative Fraction)."""
-    return _shift_exponents(s, delta)
 
 
 def rescale_exponents(s: TruncatedSeries, b: int) -> TruncatedSeries:

@@ -42,19 +42,92 @@ def test_resultant_conic_pair_sylvester_value():
     assert r == y * y
 
 
+XYT = ("x", "y", "t")
+QW = ExtensionField(QQ, [3, 0, 1], "w")                  # Q[w]/(w^2+3)
+F101W = ExtensionField(PrimeField(101), [-2, 0, 1], "w")  # 2: no square mod 101
+
+
+def _random_in(rng, field, variables, max_degree):
+    """random_poly, with a w-part when the field is an extension."""
+    f = random_poly(rng, field, variables, max_degree)
+    if isinstance(field, ExtensionField):
+        f = f + random_poly(rng, field, variables, max_degree).scale(field.gen)
+    return f
+
+
+def _resultant_case(rng, field, variables, shape):
+    """One (f, g) pair of the given shape:
+    dense   -- two random polynomials (total degree <= 3 in three
+               variables);
+    content -- both carry the same factor free of x;
+    drop    -- the remainder of f by g (monic, x-degree 3) has x-degree at
+               most 1, so the chain drops by 2 or more after g;
+    const   -- g is free of x."""
+    def free_of_x(d):
+        return _random_in(rng, field, variables, d).subs_values(
+            {"x": field.zero})
+
+    x = MultiPoly.var(field, variables, "x")
+    if shape == "dense":
+        top = 4 if len(variables) == 2 else 3
+        return (_random_in(rng, field, variables, rng.randint(1, top)),
+                _random_in(rng, field, variables, rng.randint(1, top)))
+    if shape == "content":
+        c = free_of_x(rng.randint(1, 2))
+        return (c * _random_in(rng, field, variables, rng.randint(1, 2)),
+                c * _random_in(rng, field, variables, rng.randint(1, 2)))
+    if shape == "drop":
+        g = x ** 3 + _random_in(rng, field, variables, 2)
+        q = x + free_of_x(1)
+        return q * g + _random_in(rng, field, variables, 1), g
+    assert shape == "const"
+    return _random_in(rng, field, variables, rng.randint(1, 3)), free_of_x(2)
+
+
+RESULTANT_CASES = [  # (field, variables, shape, trials, seed)
+    (PrimeField(101), V, "dense", 100, 12345),
+    (QQ, V, "dense", 20, 1),
+    (PrimeField(7), V, "dense", 20, 2),
+    (QW, V, "dense", 10, 3),
+    (F101W, V, "dense", 10, 4),
+    (QQ, XYT, "dense", 10, 5),
+    (PrimeField(7), XYT, "dense", 10, 6),
+    (QQ, XYT, "content", 10, 7),
+    (F101W, V, "content", 10, 8),
+    (QQ, V, "drop", 10, 9),
+    (PrimeField(101), XYT, "drop", 10, 10),
+    (QQ, XYT, "const", 10, 11),
+    (QW, V, "const", 5, 12),
+]
+
+
 def test_resultant_agrees_with_sylvester_100_random_trials():
-    rng = random.Random(12345)
-    F = PrimeField(101)
-    done = 0
-    while done < 100:
-        f = random_poly(rng, F, V, rng.randint(1, 4))
-        g = random_poly(rng, F, V, rng.randint(1, 4))
-        if f.is_zero() or g.is_zero():
-            continue
-        if not f.involves("x") and not g.involves("x"):
-            continue
-        assert resultant(f, g, "x") == sylvester_resultant(f, g, "x")
-        done += 1
+    """resultant against the Sylvester determinant, and the chain's
+    degree-0 last member against the determinant of its first two members
+    times the sign (-1)^(sum d_i*d_{i+1}) over the chain's degrees."""
+    for field, variables, shape, trials, seed in RESULTANT_CASES:
+        rng = random.Random(seed)
+        done = drops = 0
+        while done < trials:
+            f, g = _resultant_case(rng, field, variables, shape)
+            if f.is_zero() or g.is_zero():
+                continue
+            if not f.involves("x") and not g.involves("x"):
+                continue
+            s0 = sylvester_resultant(f, g, "x")
+            assert resultant(f, g, "x") == s0
+            chain = subresultant_prs(f, g, "x")
+            degs = [p.degree_in("x") for p in chain]
+            if degs[-1] == 0:
+                if f.degree_in("x") < g.degree_in("x"):  # the chain starts at g
+                    s0 = sylvester_resultant(g, f, "x")
+                odd = sum(d * e for d, e in zip(degs, degs[1:])) % 2
+                assert chain[-1] == (-s0 if odd else s0)
+            drops += max((d - e for d, e in zip(degs[1:], degs[2:])),
+                         default=0) >= 2
+            done += 1
+        if shape == "drop":
+            assert drops == trials
 
 
 def test_resultant_multiplicative():
@@ -85,6 +158,41 @@ def test_subresultant_chain_ends_at_gcd_degree():
     g = (x - y) * (x + 2)
     chain = subresultant_prs(f, g, "x")
     assert chain[-1].degree_in("x") == 1  # proportional to x - y
+
+
+def _sympy_gcd(f, g):
+    """gcd(f, g) computed by sympy, scaled to graded-lex leading
+    coefficient 1 and read back as a MultiPoly."""
+    import sympy
+
+    gens = sympy.symbols(f.vars)
+    if f.field == QQ:
+        domain, to_sym = sympy.QQ, lambda c: sympy.Rational(c.numerator,
+                                                            c.denominator)
+        of_sym = lambda c: Fraction(int(c.numerator), int(c.denominator))
+    else:
+        domain, to_sym = sympy.GF(f.field.p), lambda c: int(c.val)
+        of_sym = lambda c: int(c) % f.field.p
+    a, b = (sympy.Poly.from_dict({e: to_sym(c) for e, c in p.terms.items()},
+                                 gens, domain=domain) for p in (f, g))
+    h = a.gcd(b)
+    h = h.exquo_ground(h.LC(order="grlex"))
+    return MultiPoly(f.field, f.vars,
+                     {e: f.field.of(of_sym(c)) for e, c in h.terms()})
+
+
+def test_gcd_agrees_with_sympy_on_planted_factors():
+    for field, seed in ((QQ, 21), (PrimeField(101), 22)):
+        rng = random.Random(seed)
+        done = 0
+        while done < 10:
+            c, a, b = (random_poly(rng, field, XYT, rng.randint(1, 2))
+                       for _ in range(3))
+            if c.is_constant() or a.is_zero() or b.is_zero():
+                continue
+            f, g = c * a, c * b
+            assert gcd(f, g) == _sympy_gcd(f, g)
+            done += 1
 
 
 # -------------------------------------------------------------- discriminant

@@ -266,6 +266,17 @@ def test_cli_huge_power_exits_3_within_a_second(capsys):
     assert "exponent 100000" in capsys.readouterr().out
 
 
+def test_high_degree_transverse_point_is_fast():
+    # x^7*y^7 - y meets x transversally at the origin; the deformed pair's
+    # resultant and degree-one subresultant come off one remainder chain
+    start = time.perf_counter()
+    report, code = run_job(Job(command="mult", curves=("x^7*y^7-y", "x")))
+    assert code == EXIT_OK
+    keys = ("mult_length", "mult_resultant", "mult_deformation")
+    assert [report["results"][0][k] for k in keys] == [1, 1, 1]
+    assert time.perf_counter() - start < 10
+
+
 def test_precision_bound():
     report, code = run_job(Job(command="mult", curves=("x", "y"),
                                precision=257, fmt="json"))

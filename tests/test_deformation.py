@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from curveint import deformation
+from curveint.algebra import resultant
 from curveint.cli import parse_field, parse_poly
 from curveint.corpus import affine_instances
 from curveint.deformation import (VARS3, deform_polynomial, deformation_count,
@@ -13,6 +14,8 @@ from curveint.errors import (GenericityFailureError, InfiniteMultiplicityError,
                              InvalidInputError, UnsupportedExtensionError)
 from curveint.fields import QQ, PrimeField
 from curveint.poly import MultiPoly
+
+from oracles import sylvester_resultant
 
 V = ("x", "y")
 
@@ -198,6 +201,29 @@ def test_two_scale_structural_limit_fails_fast(monkeypatch):
     with pytest.raises(UnsupportedExtensionError):
         two_scale_analysis(x * x - y, x * x - 2 * y, seed=1)
     assert len(calls) == 1
+
+
+def test_certified_solutions_eliminant_is_the_resultant(monkeypatch):
+    # deg_x f_t = 1 < deg_x g_t = 3: the chain starts at g_t, and the odd
+    # degrees make the swap flip the sign of Res_x(f_t, g_t)
+    import random as _r
+    x, y = xy()
+    f, g = x - y, x ** 3 - y * y
+    rng = _r.Random(3)
+    ft = deform_polynomial(f.extend_vars(VARS3), random_direction(rng, QQ, 1))
+    gt = deform_polynomial(g.extend_vars(VARS3), random_direction(rng, QQ, 3))
+    assert (ft.degree_in("x"), gt.degree_in("x")) == (1, 3)
+    seen = []
+
+    def record(R, *args, **kwargs):
+        seen.append(R)
+        raise GenericityFailureError("recorded")
+
+    monkeypatch.setattr(deformation, "newton_puiseux", record)
+    with pytest.raises(GenericityFailureError, match="recorded"):
+        deformation.certified_solutions(ft, gt, 10)
+    assert seen == [resultant(ft, gt, "x")]
+    assert seen == [sylvester_resultant(ft, gt, "x")]
 
 
 def test_derived_seed_deterministic():
