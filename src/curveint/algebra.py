@@ -63,11 +63,16 @@ def pseudo_rem(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     if df < dg:
         return f
     lead = g.leading_coeff_in(name)
+    i = f.vars.index(name)
     r = f
     e = df - dg + 1
-    xvar = MultiPoly.var(f.field, f.vars, name)
-    while not r.is_zero() and r.degree_in(name) >= dg:
-        t = r.leading_coeff_in(name) * xvar ** (r.degree_in(name) - dg)
+    while not r.is_zero():
+        dr = r.degree_in(name)
+        if dr < dg:
+            break
+        # lc_name(r) * name^(dr - dg), by shifting the top terms of r
+        t = r.clone({x[:i] + (dr - dg,) + x[i + 1:]: c
+                     for x, c in r.terms.items() if x[i] == dr})
         r = r * lead - t * g
         e -= 1
     return r * lead ** e

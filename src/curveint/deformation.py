@@ -290,6 +290,13 @@ def deformation_count(f: MultiPoly, g: MultiPoly, seed: int = 0,
     perturb every coefficient of both curves and count all nearby
     solutions."""
     check_local_pair(f, g)
+    return _deformation_count(f, g, seed, prec, max_retries, xname, yname)
+
+
+def _deformation_count(f: MultiPoly, g: MultiPoly, seed: int = 0,
+                       prec=None, max_retries: int = 8,
+                       xname="x", yname="y") -> DeformationOutcome:
+    """``deformation_count`` of a pair that passed ``check_local_pair``."""
     prec = Fraction(prec if prec is not None else default_precision(f, g))
     field = f.field
     fs, gs, lam, mu = shear_to_general_position(f, g)

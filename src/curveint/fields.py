@@ -9,6 +9,10 @@ An extension K[z]/(m) is built over Q or over F_p; m must be squarefree.
 Its elements compute on Python ints: a vector of numerators over one
 common denominator (Q) or of residues (F_p), normalised once per result.
 All arithmetic is exact; division by zero raises ZeroDivisionError.
+
+Every field also encodes whole lists of elements as Python ints for
+polynomial and series products (``Field.product_codec``): a product sums
+plain int products per output coefficient and normalises each sum once.
 """
 
 from __future__ import annotations
@@ -56,6 +60,16 @@ class Field:
     def is_element(self, value) -> bool:
         raise NotImplementedError
 
+    def product_codec(self, a, b):
+        """Integer encodings of two nonempty lists of nonzero elements, for
+        products with delayed reduction: ``(ai, bi, decode)``.
+
+        ``ai[i] * bi[j]`` encodes ``a[i] * b[j]``, and any sum of at most
+        ``min(len(a), len(b))`` such products is exact.  ``decode`` maps a
+        dict of such sums to the field elements they encode, normalising
+        once per entry and dropping the entries that are zero."""
+        raise NotImplementedError
+
 
 class RationalField(Field):
     characteristic = 0
@@ -70,6 +84,20 @@ class RationalField(Field):
 
     def is_element(self, value):
         return isinstance(value, (Fraction, int)) and not isinstance(value, bool)
+
+    def product_codec(self, a, b):
+        # numerators over one common denominator per operand
+        da = lcm(*(c.denominator for c in a))
+        db = lcm(*(c.denominator for c in b))
+        ai = [c.numerator * (da // c.denominator) for c in a]
+        bi = [c.numerator * (db // c.denominator) for c in b]
+        den = da * db
+
+        def decode(sums):
+            if den == 1:
+                return {k: Fraction(v) for k, v in sums.items() if v}
+            return {k: Fraction(v, den) for k, v in sums.items() if v}
+        return ai, bi, decode
 
     def __repr__(self):
         return "QQ"
@@ -196,6 +224,18 @@ class PrimeField(Field):
     def is_element(self, value):
         return isinstance(value, FpElement) and value.field.p == self.p
 
+    def product_codec(self, a, b):
+        p = self.p
+
+        def decode(sums):
+            out = {}
+            for k, v in sums.items():
+                v %= p
+                if v:
+                    out[k] = FpElement(v, self)
+            return out
+        return [c.val for c in a], [c.val for c in b], decode
+
     def __repr__(self):
         return f"GF({self.p})"
 
@@ -320,20 +360,7 @@ class ExtElement:
             if ca:
                 for j, cb in enumerate(b):
                     prod[i + j] += ca * cb
-        n = field.degree
-        if len(prod) > n:
-            # fold z^k (n <= k <= 2n-2) back in through its integer row;
-            # over Q the rows share the denominator scale
-            scale, table = field.int_reduction_table
-            low = prod[:n]
-            if scale != 1:
-                low = [x * scale for x in low]
-                den *= scale
-            for row, c in zip(table, prod[n:]):
-                if c:
-                    low = [x + c * r for x, r in zip(low, row)]
-            prod = low
-        return _canonical(prod, den, field)
+        return _fold(prod, den, field)
 
     __rmul__ = __mul__
 
@@ -413,6 +440,35 @@ class ExtElement:
             else:
                 parts.append(f"{c}*{z}^{k}")
         return " + ".join(parts)
+
+
+def _fold(prod, den, field):
+    """The element prod/den, for an integer product vector of length at
+    most 2n-1 (n = degree): z^k (n <= k <= 2n-2) folds back in through
+    its integer row (over Q the rows share the denominator scale), then
+    the result is normalised once."""
+    n = field.degree
+    if len(prod) > n:
+        scale, table = field.int_reduction_table
+        low = prod[:n]
+        if scale != 1:
+            low = [x * scale for x in low]
+            den *= scale
+        for row, c in zip(table, prod[n:]):
+            if c:
+                low = [x + c * r for x, r in zip(low, row)]
+        prod = low
+    return _canonical(prod, den, field)
+
+
+def _pack(num, width):
+    """The integer vector num evaluated at 2^width (Kronecker substitution):
+    one slot of ``width`` bits per entry, lowest first; entries may be
+    negative."""
+    v = 0
+    for x in reversed(num):
+        v = (v << width) + x
+    return v
 
 
 def _add(a, aden, b, bden, field):
@@ -526,6 +582,53 @@ class ExtensionField(Field):
             v = self.base.of(value)
             return ExtElement((v,) if v else (), self)
         raise InvalidInputError(f"cannot coerce {value!r} into {self.name}")
+
+    def product_codec(self, a, b):
+        # Each element's numerator vector is packed into one int, one slot
+        # per power of z, wide enough for any sum of min(len(a), len(b))
+        # slot products; over Q the numerators share one denominator per
+        # operand and the slots are signed.
+        p = self.characteristic
+        na = max(len(c.num) for c in a)
+        nb = max(len(c.num) for c in b)
+        pairs = min(len(a), len(b)) * min(na, nb)
+        if p:
+            width = (pairs * (p - 1) ** 2).bit_length()
+            ai = [_pack(c.num, width) for c in a]
+            bi = [_pack(c.num, width) for c in b]
+            den = 1
+        else:
+            da = lcm(*(c.den for c in a))
+            db = lcm(*(c.den for c in b))
+            anum = [[x * (da // c.den) for x in c.num] for c in a]
+            bnum = [[x * (db // c.den) for x in c.num] for c in b]
+            amax = max(abs(x) for num in anum for x in num)
+            bmax = max(abs(x) for num in bnum for x in num)
+            width = (pairs * amax * bmax).bit_length() + 1
+            ai = [_pack(num, width) for num in anum]
+            bi = [_pack(num, width) for num in bnum]
+            den = da * db
+        mask = (1 << width) - 1
+        half = 1 << (width - 1)
+        base = 1 << width
+
+        def decode(sums):
+            out = {}
+            for k, v in sums.items():
+                prod = []
+                while v:
+                    x = v & mask
+                    v >>= width
+                    if not p and x >= half:
+                        x -= base
+                        v += 1
+                    prod.append(x)
+                if prod:
+                    el = _fold(prod, den, self)
+                    if el.num:
+                        out[k] = el
+            return out
+        return ai, bi, decode
 
     @cached_property
     def reduction_table(self):

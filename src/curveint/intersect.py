@@ -20,7 +20,7 @@ from .algebra import (PROJECTIVE_VARS, apply_shear, check_local_pair,
                       dehomogenize, gcd, is_homogeneous, lift_to_field,
                       resultant, roots_univariate, squarefree_decompose,
                       translate_to_origin)
-from .deformation import deformation_count
+from .deformation import _deformation_count, deformation_count
 from .errors import (BudgetError, GeneralPositionError, InvalidInputError,
                      NotRegularError, SharedComponentError,
                      VerificationFailureError)
@@ -176,6 +176,11 @@ def mult_length(f: MultiPoly, g: MultiPoly) -> int:
     (f, g): the stabilized dimension of polynomials of degree < N modulo
     (f, g, all monomials of degree >= N)."""
     check_local_pair(f, g)
+    return _length(f, g)
+
+
+def _length(f: MultiPoly, g: MultiPoly) -> int:
+    """``mult_length`` of a pair that passed ``check_local_pair``."""
     d = max(1, f.total_degree())
     e = max(1, g.total_degree())
     cutoff_cap = 2 * d * e + 4
@@ -244,6 +249,11 @@ def mult_resultant_order(f: MultiPoly, g: MultiPoly) -> int:
     in x, constant top x-coefficients, origin the only common zero on the
     line y = 0); equals the local intersection multiplicity there."""
     check_local_pair(f, g)
+    return _resultant_order(f, g)
+
+
+def _resultant_order(f: MultiPoly, g: MultiPoly) -> int:
+    """``mult_resultant_order`` of a pair that passed ``check_local_pair``."""
     field = f.field
     xv, yv = f.vars[0], f.vars[1]
     if f.subs_values({yv: field.zero}).is_zero():
@@ -462,14 +472,16 @@ def multiplicities_at(C1: Curve, C2: Curve, point: ProjectivePoint,
                       seed: int = 0, prec=None,
                       max_retries: int = 8) -> MultiplicityReport:
     """All three engines at one point, with exact agreement enforced.  The
+    pair is checked once (a shear keeps what the check proves), and the
     resultant engine runs on the deformation engine's shear."""
     f0, g0 = _local_pair_at(C1, C2, point)
-    m_len = mult_length(f0, g0)
-    outcome = deformation_count(f0, g0, seed=seed, prec=prec,
-                                max_retries=max_retries)
+    check_local_pair(f0, g0)
+    m_len = _length(f0, g0)
+    outcome = _deformation_count(f0, g0, seed=seed, prec=prec,
+                                 max_retries=max_retries)
     lam, mu = outcome.shear
-    m_res = mult_resultant_order(apply_shear(f0, lam, mu),
-                                 apply_shear(g0, lam, mu))
+    m_res = _resultant_order(apply_shear(f0, lam, mu),
+                             apply_shear(g0, lam, mu))
     trans = transversality_check(f0, g0)
     report = MultiplicityReport(
         point=point, mult_length=m_len, mult_resultant=m_res,

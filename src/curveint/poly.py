@@ -8,8 +8,40 @@ lexicographic order on the declared variable list.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import InvalidInputError
 from .fields import Field
+
+
+def _poly(field, variables, terms):
+    """A polynomial from terms that are already clean: exponent tuples of
+    ints of the right length, nonzero coefficients of ``field``."""
+    p = object.__new__(MultiPoly)
+    p.field = field
+    p.vars = variables
+    p.terms = terms
+    p._hash = None
+    return p
+
+
+def _exponent_packing(a, b, nvars):
+    """(pack, unpack) for the exponent vectors of a product of the term
+    maps ``a`` and ``b``: ``pack`` turns a vector into one int with one
+    slot per variable, wide enough for the sum of any two exponents, so a
+    product's key is the sum of its factors' keys."""
+    top = max(chain.from_iterable(a), default=0) \
+        + max(chain.from_iterable(b), default=0)
+    width = max(1, top.bit_length())
+    mask = (1 << width) - 1
+    shifts = [width * i for i in range(nvars)]
+
+    def pack(exps):
+        return sum(e << s for e, s in zip(exps, shifts))
+
+    def unpack(key):
+        return tuple((key >> s) & mask for s in shifts)
+    return pack, unpack
 
 
 class MultiPoly:
@@ -74,12 +106,9 @@ class MultiPoly:
     def coeff_of(self, name, power):
         """Coefficient of name**power, as a polynomial in the same variables."""
         i = self.vars.index(name)
-        out = {}
-        for exps, c in self.terms.items():
-            if exps[i] == power:
-                key = exps[:i] + (0,) + exps[i + 1:]
-                out[key] = out.get(key, self.field.zero) + c
-        return self.clone(out)
+        return _poly(self.field, self.vars,
+                     {exps[:i] + (0,) + exps[i + 1:]: c
+                      for exps, c in self.terms.items() if exps[i] == power})
 
     def coeffs_in(self, name):
         """Dense ascending coefficient list with respect to one variable."""
@@ -109,6 +138,8 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             if other.vars != self.vars:
                 raise InvalidInputError("variable lists differ")
+            if other.field is not self.field and other.field != self.field:
+                raise InvalidInputError("coefficient fields differ")
             return other
         return MultiPoly.const(self.field, self.vars, other)
 
@@ -122,12 +153,13 @@ class MultiPoly:
                 out[exps] = s
             else:
                 out.pop(exps, None)
-        return self.clone(out)
+        return _poly(self.field, self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.clone({e: -c for e, c in self.terms.items()})
+        return _poly(self.field, self.vars,
+                     {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -136,23 +168,24 @@ class MultiPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            c = self.field.of(other)
-            if not c:
-                return self.clone({})
-            return self.clone({e: v * c for e, v in self.terms.items()})
+        """Product with delayed reduction: the term pairs add plain int
+        products per output exponent (``Field.product_codec``), and each
+        output coefficient is normalised once."""
         other = self._coerce(other)
-        out = {}
-        zero = self.field.zero
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, zero) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return self.clone(out)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return _poly(self.field, self.vars, {})
+        ai, bi, decode = self.field.product_codec(list(a.values()),
+                                                  list(b.values()))
+        pack, unpack = _exponent_packing(a, b, len(self.vars))
+        bterms = list(zip(map(pack, b), bi))
+        sums = {}
+        for ka, x in zip(map(pack, a), ai):
+            for kb, y in bterms:
+                k = ka + kb
+                sums[k] = sums.get(k, 0) + x * y
+        return _poly(self.field, self.vars,
+                     {unpack(k): c for k, c in decode(sums).items()})
 
     __rmul__ = __mul__
 
@@ -169,10 +202,7 @@ class MultiPoly:
         return result
 
     def scale(self, c):
-        c = self.field.of(c)
-        if not c:
-            return self.clone({})
-        return self.clone({e: v * c for e, v in self.terms.items()})
+        return self * c
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
@@ -313,14 +343,14 @@ class MultiPoly:
         rem = dict(self.terms)
         out = {}
         dkey = divisor.leading_term_key()
-        dc = divisor.terms[dkey]
+        inv = 1 / divisor.terms[dkey]
         zero = self.field.zero
         while rem:
             rkey = max(rem, key=lambda e: (sum(e), e))
             qkey = tuple(a - b for a, b in zip(rkey, dkey))
             if any(q < 0 for q in qkey):
                 raise InvalidInputError("division is not exact")
-            qc = rem[rkey] / dc
+            qc = rem[rkey] * inv
             out[qkey] = qc
             for e2, c2 in divisor.terms.items():
                 key = tuple(a + b for a, b in zip(qkey, e2))
@@ -329,7 +359,7 @@ class MultiPoly:
                     rem[key] = s
                 else:
                     rem.pop(key, None)
-        return self.clone(out)
+        return _poly(self.field, self.vars, out)
 
     # -------------------------------------------------------------- printing
     def __str__(self):

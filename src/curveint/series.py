@@ -32,6 +32,18 @@ def _cutoff(prec, ram: int):
     return INF if prec == INF else math.ceil(prec * ram)
 
 
+def _series(field, coeffs, prec, ram, varname):
+    """A series from coefficients that are already clean: int indices
+    below the cutoff, nonzero elements of ``field``."""
+    s = object.__new__(TruncatedSeries)
+    s.field = field
+    s.ram = ram
+    s.prec = prec if prec == INF else Fraction(prec)
+    s.coeffs = coeffs
+    s.varname = varname
+    return s
+
+
 class TruncatedSeries:
     __slots__ = ("field", "ram", "coeffs", "prec", "varname")
 
@@ -169,21 +181,22 @@ class TruncatedSeries:
         va = a.effective_valuation()
         vb = b.effective_valuation()
         prec = min(a.prec + vb, b.prec + va) if (a.prec != INF or b.prec != INF) else INF
+        if not a.coeffs or not b.coeffs:
+            return _series(self.field, {}, prec, a.ram, self.varname)
         cutoff = _cutoff(prec, a.ram)
-        bterms = sorted(b.coeffs.items())
-        out = {}
-        for k1, c1 in a.coeffs.items():
-            for k2, c2 in bterms:
+        bkeys = sorted(b.coeffs)
+        # delayed reduction, as in MultiPoly.__mul__
+        ai, bi, decode = self.field.product_codec(
+            list(a.coeffs.values()), [b.coeffs[k] for k in bkeys])
+        bterms = list(zip(bkeys, bi))
+        sums = {}
+        for k1, x in zip(a.coeffs, ai):
+            for k2, y in bterms:
                 k = k1 + k2
                 if k >= cutoff:
                     break  # every later pair lies past the truncation too
-                s = out.get(k)  # no 0 + c: over Q[w]/(m) that is a full sum
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return TruncatedSeries(self.field, out, prec, a.ram, self.varname)
+                sums[k] = sums.get(k, 0) + x * y
+        return _series(self.field, decode(sums), prec, a.ram, self.varname)
 
     __rmul__ = __mul__
 

@@ -6,10 +6,16 @@ evaluates the determinant by fraction-free (Bareiss) elimination; the
 local-dimension oracle does naive monomial enumeration; the extension-field
 oracle computes on tuples of base-field elements (schoolbook products,
 long division by the modulus, the extended Euclidean algorithm) where the
-production code computes on integer vectors.
+production code computes on integer vectors.  The product references
+multiply polynomials and series one term pair at a time through the
+element operators, normalising every partial sum, where the production
+products sum integer encodings and normalise once per coefficient.
 """
 
+from math import lcm
+
 from curveint.poly import MultiPoly
+from curveint.series import INF, TruncatedSeries, _cutoff
 
 
 def sylvester_matrix(f: MultiPoly, g: MultiPoly, name: str):
@@ -213,3 +219,72 @@ def ext_inverse(a, modulus, zero, one):
     if len(r0) != 1:
         raise ZeroDivisionError("not invertible mod m")
     return poly_divmod(tuple(x / r0[0] for x in s0), modulus, zero)[1]
+
+
+# ------------------------------------------------ product references
+#
+# Schoolbook products through the element operators: every term pair is
+# multiplied and added as field elements.
+
+
+def poly_mul_pairwise(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    if b.vars != a.vars:
+        raise ValueError("variable lists differ")
+    out = {}
+    zero = a.field.zero
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            key = tuple(u + v for u, v in zip(e1, e2))
+            s = out.get(key, zero) + c1 * c2
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return MultiPoly(a.field, a.vars, out)
+
+
+def poly_exact_divide_pairwise(a: MultiPoly, d: MultiPoly) -> MultiPoly:
+    """Quotient a / d by graded-lex long division, dividing every quotient
+    term by d's leading coefficient; raises ValueError unless exact."""
+    rem = dict(a.terms)
+    out = {}
+    dkey = max(d.terms, key=lambda e: (sum(e), e))
+    dc = d.terms[dkey]
+    zero = a.field.zero
+    while rem:
+        rkey = max(rem, key=lambda e: (sum(e), e))
+        qkey = tuple(u - v for u, v in zip(rkey, dkey))
+        if any(q < 0 for q in qkey):
+            raise ValueError("division is not exact")
+        qc = rem[rkey] / dc
+        out[qkey] = qc
+        for e2, c2 in d.terms.items():
+            key = tuple(u + v for u, v in zip(qkey, e2))
+            s = rem.get(key, zero) - qc * c2
+            if s:
+                rem[key] = s
+            else:
+                rem.pop(key, None)
+    return MultiPoly(a.field, a.vars, out)
+
+
+def series_mul_pairwise(a: TruncatedSeries, b: TruncatedSeries):
+    """The product at the common ramification, truncated at
+    min(prec_a + val_b, prec_b + val_a)."""
+    ram = lcm(a.ram, b.ram)
+    a, b = a.with_ram(ram), b.with_ram(ram)
+    va, vb = a.effective_valuation(), b.effective_valuation()
+    prec = min(a.prec + vb, b.prec + va) \
+        if (a.prec != INF or b.prec != INF) else INF
+    cutoff = _cutoff(prec, ram)
+    out = {}
+    for k1, c1 in a.coeffs.items():
+        for k2, c2 in b.coeffs.items():
+            k = k1 + k2
+            if k < cutoff:
+                s = out[k] + c1 * c2 if k in out else c1 * c2
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k)
+    return TruncatedSeries(a.field, out, prec, ram, a.varname)

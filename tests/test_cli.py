@@ -202,8 +202,10 @@ def test_mult_point_off_the_curves_is_named(capsys):
 # ------------------------------------------ one per-point pipeline
 
 def test_mult_and_bezout_share_one_pipeline(monkeypatch):
-    length = curveint.intersect.mult_length
-    monkeypatch.setattr(curveint.intersect, "mult_length",
+    # the length engine's body, which multiplicities_at runs after its one
+    # input check
+    length = curveint.intersect._length
+    monkeypatch.setattr(curveint.intersect, "_length",
                         lambda f, g: length(f, g) + 1)
     for job in (Job(command="mult", curves=("x^2 - y^3", "y")),
                 Job(command="bezout", curves=("X^2*Z - Y^3", "Y"))):
