@@ -309,19 +309,17 @@ def _deformation_count(f: MultiPoly, g: MultiPoly, seed: int = 0,
                                    random_direction(rng, field, d))
             gt = deform_polynomial(gs.extend_vars(VARS3),
                                    random_direction(rng, field, e))
-            if isinstance(field, ExtensionField):
-                count = certified_count_only(ft, gt, xname, yname, "t")
-                return DeformationOutcome(count, derived_seed(seed, attempt),
-                                          (lam, mu), prec, [])
-            try:
-                sols = certified_solutions(ft, gt, prec, xname, yname, "t")
-            except UnsupportedExtensionError:
-                count = certified_count_only(ft, gt, xname, yname, "t")
-                return DeformationOutcome(count, derived_seed(seed, attempt),
-                                          (lam, mu), prec, [])
-            count = sum(s.span for s in sols)
+            sols = None
+            if not isinstance(field, ExtensionField):
+                try:
+                    sols = certified_solutions(ft, gt, prec, xname, yname,
+                                               "t")
+                except UnsupportedExtensionError:
+                    pass
+            count = (certified_count_only(ft, gt, xname, yname, "t")
+                     if sols is None else sum(s.span for s in sols))
             return DeformationOutcome(count, derived_seed(seed, attempt),
-                                      (lam, mu), prec, sols)
+                                      (lam, mu), prec, sols or [])
         except (GenericityFailureError, InsufficientPrecisionError) as err:
             if isinstance(err, InsufficientPrecisionError):
                 prec = Fraction(err.suggested) if err.suggested else 2 * prec

@@ -8,9 +8,11 @@
   deformation engine.
 
 ``bezout_sum`` enumerates every intersection point of two curves across
-all three charts (rational points, conjugate points over F_p, exact
-clusters over Q), runs the three engines at each, demands exact agreement,
-and checks the weighted total against the product of the degrees.
+all three charts, as rational points and Galois orbits (``PointCluster``:
+Frobenius orbits over F_p, exact clusters over Q).  It runs the three
+engines once per rational point and once per orbit, demands exact
+agreement, and checks the weighted total against the product of the
+degrees.
 """
 
 from __future__ import annotations
@@ -118,18 +120,23 @@ class ProjectivePoint:
 
 @dataclass
 class PointCluster:
-    """A Galois orbit of intersection points over Q, carried exactly.
+    """A Galois orbit of irrational intersection points, carried as one.
 
     ``minpoly`` is an irreducible factor of the (sheared) eliminant; the
-    orbit has ``degree`` conjugate points, each of local multiplicity the
-    engines compute at the materialized representative.  The cluster
-    contributes degree * multiplicity to the Bezout total.
+    orbit has ``degree`` conjugate points, all of the local multiplicity
+    the engines compute at ``representative``, a point over
+    ``K[r]/(minpoly)``.  Over F_p, ``conjugates`` lists the ``degree``
+    points, the representative first and each the p-th power of the one
+    before.  Over Q it is None: a non-normal extension cannot hold its
+    conjugates, and the cluster contributes degree * multiplicity to the
+    Bezout total as one.
     """
     minpoly: MultiPoly
     degree: int
     chart: str
     shear: tuple
     representative: ProjectivePoint = None
+    conjugates: list = None
 
     def __str__(self):
         return (f"cluster[deg {self.degree}, chart {self.chart}, "
@@ -146,7 +153,7 @@ class MultiplicityReport:
     shear: tuple
     seed: int
     precision: object
-    weight: int = 1
+    weight: int  # its share of the Bezout total
 
     @property
     def agreed(self) -> bool:
@@ -297,20 +304,43 @@ def transversality_check(f: MultiPoly, g: MultiPoly) -> bool:
 
 # ------------------------------------------------------ point enumeration
 
-def _solve_fiber(f: MultiPoly, g: MultiPoly, xv: str, yv: str, yval, field):
-    """The unique common x over a given y value, or None when the fiber
-    holds several distinct common zeros (the shear must be retried)."""
-    f0 = f.subs_values({yv: yval})
-    g0 = g.subs_values({yv: yval})
-    h = gcd(f0, g0)
-    if h.is_constant():
-        return None
-    sf = squarefree_decompose(h).reduced_product(h)
-    if sf.degree_in(xv) != 1:
-        return None
-    c1 = sf.coeff_of(xv, 1).constant_value()
-    c0 = sf.coeff_of(xv, 0).constant_value()
-    return -c0 / c1
+def _fiber_point(f: MultiPoly, g: MultiPoly, yval, lam, mu):
+    """The common zero of a sheared pair over y = yval, back in the original
+    frame.  Raises GeneralPositionError when the fiber does not hold
+    exactly one distinct common zero (the shear must be retried)."""
+    field = f.field
+    xv, yv = f.vars[0], f.vars[1]
+    h = gcd(f.subs_values({yv: yval}), g.subs_values({yv: yval}))
+    if not h.is_constant():
+        h = squarefree_decompose(h).reduced_product(h)
+    if h.degree_in(xv) != 1:
+        raise GeneralPositionError(
+            "a fiber held two distinct common zeros", tried=[(lam, mu)])
+    x0 = -h.coeff_of(xv, 0).constant_value() / \
+        h.coeff_of(xv, 1).constant_value()
+    y0 = (yval - field.of(lam) * x0) / field.of(mu)
+    return ProjectivePoint((x0, y0, field.one), field)
+
+
+def _orbit(minpoly: MultiPoly, var: str, chart: str, shear: tuple,
+           point_at) -> PointCluster:
+    """The Galois orbit of the roots of an irreducible ``minpoly`` in
+    ``var``; ``point_at(ext)`` builds its point over ext = K[r]/(minpoly).
+    The orbit's k Frobenius conjugates are distinct because r, the sheared
+    y-coordinate (or X/Y at infinity), generates the extension."""
+    field = minpoly.field
+    k = minpoly.degree_in(var)
+    ext = ExtensionField(field, [minpoly.coeff_of(var, n).constant_value()
+                                 for n in range(k + 1)], gen_name="r")
+    rep = point_at(ext)
+    conjugates = None
+    p = field.characteristic
+    if p:
+        conjugates = [rep]
+        for _ in range(k - 1):
+            conjugates.append(ProjectivePoint(
+                [c ** p for c in conjugates[-1].coords], ext))
+    return PointCluster(minpoly, k, chart, shear, rep, conjugates)
 
 
 def intersection_points(C1: Curve, C2: Curve, shear_bound: int = 20):
@@ -318,8 +348,9 @@ def intersection_points(C1: Curve, C2: Curve, shear_bound: int = 20):
 
     Affine points come from the Z chart after a joint shear that gives
     distinct points distinct y-coordinates; points at infinity from the
-    Z = 0 line.  Over Q, irrational orbits are returned as PointCluster;
-    over F_p every conjugate point is materialized.
+    Z = 0 line.  Returns (rational points, clusters): each irrational
+    Galois orbit is one PointCluster, which over F_p lists its conjugate
+    points.
     """
     if C1.field != C2.field:
         raise InvalidInputError("curves over different fields")
@@ -340,75 +371,34 @@ def _affine_points(C1: Curve, C2: Curve, shear_bound: int):
         return [], []  # a curve with no affine part in this chart
     xv, yv = f.vars[0], f.vars[1]
     last_exc = None
-    tried_shears = 0
     from .algebra import _shear_candidates, _strongly_regular_in_x
     for lam, mu in _shear_candidates(field, shear_bound):
         fs = apply_shear(f, lam, mu)
         gs = apply_shear(g, lam, mu)
         if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):
             continue
-        tried_shears += 1
         R = resultant(fs, gs, xv)
         if R.is_zero():
             raise SharedComponentError("identically vanishing eliminant")
         if not R.involves(yv):
             return [], []  # no affine intersections
-        points, clusters = [], []
-        ok = True
         rational_roots, factor_clusters = roots_univariate(R, yv)
-        for y0, mult in rational_roots:
-            x0 = _solve_fiber(fs, gs, xv, yv, y0, field)
-            if x0 is None:
-                ok = False
-                break
-            xo, yo = _unshear(x0, y0, lam, mu)
-            points.append(ProjectivePoint((xo, yo, field.one), field))
-        if not ok:
+        try:
+            points = [_fiber_point(fs, gs, y0, lam, mu)
+                      for y0, _ in rational_roots]
+            clusters = [
+                _orbit(m, yv, "Z", (lam, mu), lambda ext: _fiber_point(
+                    lift_to_field(fs, ext), lift_to_field(gs, ext), ext.gen,
+                    lam, mu))
+                for m, _ in factor_clusters]
+        except GeneralPositionError as exc:
+            last_exc = exc
             continue
-        for minpoly, mult in factor_clusters:
-            k = minpoly.degree_in(yv)
-            ext = ExtensionField(field, [minpoly.coeff_of(yv, n).constant_value()
-                                         for n in range(k + 1)], gen_name="r")
-            fe = lift_to_field(fs, ext)
-            ge = lift_to_field(gs, ext)
-            x0 = _solve_fiber(fe, ge, xv, yv, ext.gen, ext)
-            if x0 is None:
-                ok = False
-                break
-            xo, yo = _unshear(x0, ext.gen, ext.of(lam), ext.of(mu))
-            rep = ProjectivePoint((xo, yo, ext.one), ext)
-            if field.characteristic:
-                points.extend(_frobenius_orbit(rep, ext, k))
-            else:
-                clusters.append(PointCluster(minpoly, k, "Z",
-                                             (lam, mu), rep))
-        if ok:
-            return points, clusters
-        last_exc = GeneralPositionError(
-            "a fiber held two distinct common zeros", tried=[(lam, mu)])
+        return points, clusters
     if last_exc is not None:
         raise last_exc
     raise GeneralPositionError(
         f"no shear with bound {shear_bound} separated the affine points")
-
-
-def _unshear(x0, y0, lam, mu):
-    """Sheared-frame coordinates back to the original affine frame."""
-    return x0, (y0 - lam * x0) / mu
-
-
-def _frobenius_orbit(rep: ProjectivePoint, ext: ExtensionField, k: int):
-    p = ext.characteristic
-    out = []
-    seen = set()
-    X, Y, Z = rep.coords
-    for i in range(k):
-        q = p ** i
-        pt = ProjectivePoint((X ** q, Y ** q, Z ** q), ext)
-        if pt not in seen:
-            seen.add(pt)
-            out.append(pt)
-    return out
 
 
 def _infinity_points(C1: Curve, C2: Curve):
@@ -417,7 +407,7 @@ def _infinity_points(C1: Curve, C2: Curve):
     B2 = C2.form.subs_values({"Z": field.zero})
     if B1.is_zero() and B2.is_zero():
         raise SharedComponentError("both curves contain the infinity line")
-    points, clusters = [], []
+    points = []
     # [1:0:0] lies on a curve iff its X^d coefficient vanishes
     def through_100(B, C):
         return not B.coeff_of("X", C.degree).constant_value()
@@ -435,19 +425,12 @@ def _infinity_points(C1: Curve, C2: Curve):
     else:
         h = gcd(b1, b2)
     if h is None or h.is_constant():
-        return points, clusters
+        return points, []
     rational_roots, factor_clusters = roots_univariate(h, "X")
     for x0, mult in rational_roots:
         points.append(ProjectivePoint((x0, field.one, field.zero), field))
-    for minpoly, mult in factor_clusters:
-        k = minpoly.degree_in("X")
-        ext = ExtensionField(field, [minpoly.coeff_of("X", n).constant_value()
-                                     for n in range(k + 1)], gen_name="r")
-        rep = ProjectivePoint((ext.gen, ext.one, ext.zero), ext)
-        if field.characteristic:
-            points.extend(_frobenius_orbit(rep, ext, k))
-        else:
-            clusters.append(PointCluster(minpoly, k, "Y", (0, 1), rep))
+    clusters = [_orbit(m, "X", "Y", (0, 1), lambda ext: ProjectivePoint(
+        (ext.gen, ext.one, ext.zero), ext)) for m, _ in factor_clusters]
     return points, clusters
 
 
@@ -487,7 +470,7 @@ def multiplicities_at(C1: Curve, C2: Curve, point: ProjectivePoint,
         point=point, mult_length=m_len, mult_resultant=m_res,
         mult_deformation=outcome.count, transversal=trans,
         shear=(lam, mu), seed=outcome.seed_used,
-        precision=outcome.precision)
+        precision=outcome.precision, weight=m_len)
     if not report.agreed:
         raise VerificationFailureError(
             f"engine disagreement at {point}: length={m_len} "
@@ -509,46 +492,36 @@ class BezoutResult:
 def bezout_sum(C1: Curve, C2: Curve, seed: int = 0, prec=None,
                max_retries: int = 8) -> BezoutResult:
     """Sum the local multiplicities over every intersection point and check
-    the total against degree(C1) * degree(C2)."""
+    the total against degree(C1) * degree(C2).
+
+    The engines run once per rational point and once per Galois orbit, at
+    its representative.  Each point over F_p, rational or a Frobenius
+    conjugate, gets one report line, sorted by chart and point; each
+    cluster over Q follows as one line of weight degree * multiplicity."""
     points, clusters = intersection_points(C1, C2)
-    reports = []
-    seen_orbits = {}
-    for pt in sorted(points, key=lambda p: (p.chart, str(p))):
-        orbit_key = _orbit_key(pt)
-        if orbit_key in seen_orbits:
-            reports.append(replace(seen_orbits[orbit_key], point=pt))
-            continue
-        rep = multiplicities_at(C1, C2, pt, seed=seed, prec=prec,
-                                max_retries=max_retries)
-        seen_orbits[orbit_key] = rep
-        reports.append(rep)
+
+    def certify(pt):
+        return multiplicities_at(C1, C2, pt, seed=seed, prec=prec,
+                                 max_retries=max_retries)
+
+    reports = [certify(pt) for pt in points]
+    cluster_reports = []
     for cl in sorted(clusters, key=lambda c: (c.chart, str(c.minpoly))):
-        rep = multiplicities_at(C1, C2, cl.representative, seed=seed,
-                                prec=prec, max_retries=max_retries)
-        rep.point = cl
-        rep.weight = cl.degree * rep.multiplicity
-        reports.append(rep)
-    total = 0
-    for rep in reports:
-        if isinstance(rep.point, PointCluster):
-            total += rep.weight
+        rep = certify(cl.representative)
+        if cl.conjugates:
+            reports += [replace(rep, point=pt) for pt in cl.conjugates]
         else:
-            total += rep.multiplicity
-            rep.weight = rep.multiplicity
+            cluster_reports.append(replace(
+                rep, point=cl, weight=cl.degree * rep.multiplicity))
+    reports.sort(key=lambda r: (r.point.chart, str(r.point)))
+    reports += cluster_reports
+    total = sum(rep.weight for rep in reports)
     expected = C1.degree * C2.degree
     result = BezoutResult(total, expected, reports)
     if total != expected:
         raise VerificationFailureError(
             f"Bezout total {total} != {expected}", report=result)
     return result
-
-
-def _orbit_key(pt: ProjectivePoint):
-    """Conjugate points over F_p share multiplicities; key their orbit."""
-    if isinstance(pt.field, ExtensionField) and pt.field.characteristic:
-        orbit = _frobenius_orbit(pt, pt.field, pt.field.degree)
-        return frozenset(ppt.coords for ppt in orbit)
-    return pt.coords
 
 
 # ------------------------------------------------------------ bilinearity

@@ -22,10 +22,6 @@ from .poly import MultiPoly
 INF = math.inf
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 def _cutoff(prec, ram: int):
     """Least index k with k/ram >= prec: a series keeps exactly the indices
     below it.  Comparing integers avoids a Fraction per coefficient."""
@@ -81,7 +77,7 @@ class TruncatedSeries:
         ram = 1
         items = [(Fraction(e), c) for e, c in terms]
         for e, _ in items:
-            ram = _lcm(ram, e.denominator)
+            ram = math.lcm(ram, e.denominator)
         coeffs = {}
         for e, c in items:
             k = int(e * ram)
@@ -147,7 +143,7 @@ class TruncatedSeries:
     def _align(self, other):
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(self.field, other, INF, self.varname)
-        r = _lcm(self.ram, other.ram)
+        r = math.lcm(self.ram, other.ram)
         return self.with_ram(r), other.with_ram(r)
 
     def __add__(self, other):
@@ -328,7 +324,7 @@ class TruncatedSeries:
 def shift_exponents(s: TruncatedSeries, delta) -> TruncatedSeries:
     """Multiply by t^delta (delta may be a negative Fraction)."""
     delta = Fraction(delta)
-    r = _lcm(s.ram, delta.denominator)
+    r = math.lcm(s.ram, delta.denominator)
     s2 = s.with_ram(r)
     d = int(delta * r)
     return TruncatedSeries(s.field, {k + d: c for k, c in s2.coeffs.items()},

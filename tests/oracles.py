@@ -9,7 +9,9 @@ long division by the modulus, the extended Euclidean algorithm) where the
 production code computes on integer vectors.  The product references
 multiply polynomials and series one term pair at a time through the
 element operators, normalising every partial sum, where the production
-products sum integer encodings and normalise once per coefficient.
+products sum integer encodings and normalise once per coefficient.  The
+Frobenius orbit oracle raises each coordinate of a point to p**i, where
+the production code takes p-th powers step by step.
 """
 
 from math import lcm
@@ -288,3 +290,10 @@ def series_mul_pairwise(a: TruncatedSeries, b: TruncatedSeries):
                 else:
                     out.pop(k)
     return TruncatedSeries(a.field, out, prec, ram, a.varname)
+
+
+def frobenius_orbit(point, k):
+    """The distinct coordinate tuples (X**q, Y**q, Z**q), q = p**i for
+    i < k, of a normalized point over an extension of F_p."""
+    p = point.field.characteristic
+    return {tuple(c ** p ** i for c in point.coords) for i in range(k)}

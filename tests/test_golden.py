@@ -22,6 +22,11 @@ def _mult(f, g, point, field="Q"):
             "point": point, "format": "json"}
 
 
+def _bezout(f, g, field):
+    return {"command": "bezout", "curves": [f, g], "field": field,
+            "format": "json"}
+
+
 EXTRA_JOBS = [
     ("mult-conic-line-at-1-1", _mult("x^2+y^2-2", "x-y", "1,1")),
     ("mult-translated-cusp", _mult("(x-1)^2-(y-2)^3", "y-2", "1,2")),
@@ -32,6 +37,10 @@ EXTRA_JOBS = [
     ("mult-shared-component-elsewhere",
      _mult("(x+1)*y", "(x+1)*x", "0,0")),
     ("mult-bad-point-spec", _mult("x", "y", "1")),
+    # Frobenius orbits no corpus job covers: a degree-2 orbit at infinity
+    # with multiplicity 2, and a degree-3 affine orbit
+    ("f7-concentric-conics", _bezout("x^2+y^2-1", "x^2+y^2-2", "F7")),
+    ("f7-cube-root-orbit", _bezout("x^3-2", "y-x", "F7")),
 ]
 
 

@@ -11,7 +11,7 @@ from curveint.intersect import (Curve, PointCluster, ProjectivePoint,
                                 multiplicities_at, transversality_check)
 from curveint.poly import MultiPoly
 
-from oracles import local_dim_oracle
+from oracles import frobenius_orbit, local_dim_oracle
 
 V = ("x", "y")
 P3 = ("X", "Y", "Z")
@@ -168,8 +168,32 @@ def test_points_fp_conjugates_materialized():
     conic = Curve(homogenize(x * x + y * y - 1, 2))
     line = Curve(homogenize(x - 3, 1))
     pts, cls = intersection_points(conic, line)
-    assert not cls and len(pts) == 2
-    assert all(isinstance(p.field, ExtensionField) for p in pts)
+    assert not pts and len(cls) == 1
+    cl = cls[0]
+    assert cl.degree == 2 and len(cl.conjugates) == 2
+    assert cl.conjugates[0] == cl.representative
+    assert all(isinstance(p.field, ExtensionField) for p in cl.conjugates)
+
+
+# (p, f, g) meeting in one irrational Frobenius orbit: affine of degree 2,
+# 3 and 4, and of degree 2 at infinity
+FP_ORBIT_PAIRS = [
+    (101, lambda x, y: x * x + y * y - 1, lambda x, y: x - 3),
+    (7, lambda x, y: x ** 3 - 2, lambda x, y: y - x),
+    (7, lambda x, y: x * x + y * y - 1, lambda x, y: x * x + y * y - 2),
+    (5, lambda x, y: x ** 4 + y ** 4 - 3, lambda x, y: x + 2 * y - 1),
+]
+
+
+@pytest.mark.parametrize("p,f,g", FP_ORBIT_PAIRS)
+def test_points_fp_conjugates_match_frobenius_oracle(p, f, g):
+    x, y = xy(PrimeField(p))
+    pts, cls = intersection_points(curve(f(x, y)), curve(g(x, y)))
+    assert not pts and len(cls) == 1
+    cl = cls[0]
+    coords = [pt.coords for pt in cl.conjugates]
+    assert len(coords) == cl.degree == len(set(coords))
+    assert set(coords) == frobenius_orbit(cl.representative, cl.degree)
 
 
 # ------------------------------------------------------------------ bezout
@@ -204,6 +228,23 @@ def test_bezout_cluster_weighting():
     rep = res.reports[0]
     assert isinstance(rep.point, PointCluster)
     assert rep.weight == 2 and rep.multiplicity == 1
+
+
+@pytest.mark.parametrize("p,f,g", FP_ORBIT_PAIRS)
+def test_bezout_certifies_each_orbit_once(monkeypatch, p, f, g):
+    import curveint.intersect as intersect
+    calls = []
+    real = intersect.multiplicities_at
+
+    def counting(C1, C2, point, **kw):
+        calls.append(point)
+        return real(C1, C2, point, **kw)
+
+    monkeypatch.setattr(intersect, "multiplicities_at", counting)
+    x, y = xy(PrimeField(p))
+    res = bezout_sum(curve(f(x, y)), curve(g(x, y)), seed=1)
+    assert len(calls) == 1
+    assert res.total == res.expected
 
 
 def test_bezout_fp_total():
