@@ -11,14 +11,19 @@ random direction scaled by t.  The count is certified, never assumed:
 * the Jacobian of the pair must be nonzero at every witness (deformed
   intersections are transverse).
 
-Failures raise GenericityFailureError and the driver reseeds
-deterministically, up to a retry budget.
+Everything runs in the one frame (x, y, t), on a pair that
+``shear_to_general_position`` has put in general position; the shear is
+found once per pair and handed in.  Failures raise GenericityFailureError,
+and one attempt loop (``_attempts``) reseeds deterministically up to a
+retry budget, doubling the precision on InsufficientPrecisionError; the
+deformation count and the two-scale readout share it.
 
-The x-coordinate over a simple y-branch is recovered from the degree-one
-member S1 of the subresultant chain whose degree-0 end is the resultant, so
-one chain per attempt gives both: when y0 is a simple root of the
-resultant, the gcd of the two specialized polynomials is linear and equals
-(up to a unit) S11(y0) x + S10(y0), so x = -S10/S11 is the unique lift.
+Each attempt builds one subresultant chain of (f_t, g_t) in x
+(``_eliminant_and_s1``), the only source of R = Res_x(f_t, g_t) and of
+its degree-one member S1.  The x-coordinate over a simple y-branch is
+recovered from S1: when y0 is a simple root of the resultant, the gcd of
+the two specialized polynomials is linear and equals (up to a unit)
+S11(y0) x + S10(y0), so x = -S10/S11 is the unique lift.
 
 Two-scale analysis deforms one curve only, at a coarse scale t, and reads
 the nearby coarse points P off the y-eliminant R = Res_x(f_t, g_t): by the
@@ -44,7 +49,7 @@ from .errors import (GenericityFailureError, InsufficientPrecisionError,
                      UnsupportedExtensionError)
 from .fields import ExtensionField
 from .poly import MultiPoly
-from .lifting import newton_puiseux
+from .lifting import _divide_x_power, _x_adic_valuation, newton_puiseux
 from .series import INF, TruncatedSeries, eval_poly_at_series
 
 VARS3 = ("x", "y", "t")
@@ -94,17 +99,48 @@ class SolutionBranch:
     span: int
 
 
-def _eliminant_and_s1(ft: MultiPoly, gt: MultiPoly, xname: str):
+def _eliminant_and_s1(ft: MultiPoly, gt: MultiPoly):
     """R = Res_x(ft, gt), exact and signed, and the degree-one member S1
     (None when the chain skips degree one), both off one subresultant
-    chain of the pair."""
-    chain = subresultant_prs(ft, gt, xname)
-    s1 = next((m for m in reversed(chain) if m.degree_in(xname) == 1), None)
-    return resultant_of_chain(ft, gt, chain, xname), s1
+    chain of the pair.  R(y, 0) = 0 means the pair shares a component."""
+    chain = subresultant_prs(ft, gt, "x")
+    R = resultant_of_chain(ft, gt, chain, "x")
+    if R.subs_values({"t": R.field.zero}).is_zero():
+        raise SharedComponentError("resultant vanishes at t = 0")
+    s1 = next((m for m in reversed(chain) if m.degree_in("x") == 1), None)
+    return R, s1
 
 
-def _series_var(field, varname="t"):
-    return TruncatedSeries.variable(field, INF, varname)
+def _jacobian(ft: MultiPoly, gt: MultiPoly) -> MultiPoly:
+    return (ft.derivative("x") * gt.derivative("y")
+            - ft.derivative("y") * gt.derivative("x"))
+
+
+def _along(br, prec):
+    """at(p, x) = p(x, y(t), t) along the y-branch ``br`` at precision
+    prec, over the branch's field; x = 0 unless a series is given."""
+    bf = br.series.field
+    tser = TruncatedSeries.variable(bf, INF, br.series.varname).truncate(prec)
+    return lambda p, x=bf.zero: eval_poly_at_series(
+        lift_to_field(p, bf), {"x": x, "y": br.series, "t": tser})
+
+
+def _s11_along(s1, ybranches, prec, vanishing: str):
+    """Certify that S1 exists and that its x-coefficient S11 is nonzero
+    along every y-branch of R; ``vanishing`` is the failure message.
+
+    Yields (branch, _along(branch), S11 along it) one branch at a time, so
+    a caller's own certificates on a branch run before the next branch is
+    checked."""
+    if s1 is None:
+        raise GenericityFailureError("subresultant chain skips degree one")
+    s11 = s1.coeff_of("x", 1)
+    for br in ybranches:
+        at = _along(br, prec)
+        den = at(s11)
+        if den.is_zero_to_precision():
+            raise GenericityFailureError(vanishing)
+        yield br, at, den
 
 
 def _eval_candidates(field):
@@ -113,89 +149,69 @@ def _eval_candidates(field):
     return range(1, limit)
 
 
-def certify_squarefree_in(R: MultiPoly, main: str, tname: str):
-    """Certify that R has no repeated factor of positive ``main``-degree.
+def certify_squarefree_in(R: MultiPoly):
+    """Certify that R(y, t) has no repeated factor of positive y-degree.
 
     Evaluation shortcut: a single t-value where the specialized gcd of R
-    and dR/dmain is constant proves the discriminant is not identically
+    and dR/dy is constant proves the discriminant is not identically
     zero.  Falls back to an exact bivariate gcd when every candidate value
     is inconclusive."""
     field = R.field
-    if R.degree_in(main) < 2:
+    if R.degree_in("y") < 2:
         return
-    dR = R.derivative(main)
+    dR = R.derivative("y")
     if dR.is_zero():
         raise GenericityFailureError("inseparable deformed resultant")
-    lc = R.leading_coeff_in(main)
+    lc = R.leading_coeff_in("y")
     for raw in _eval_candidates(field):
         tau = field.of(raw)
-        if not lc.subs_values({tname: tau}).constant_value():
+        if not lc.subs_values({"t": tau}).constant_value():
             continue
-        r0 = R.subs_values({tname: tau})
-        d0 = dR.subs_values({tname: tau})
+        r0 = R.subs_values({"t": tau})
+        d0 = dR.subs_values({"t": tau})
         if r0.is_zero() or d0.is_zero():
             continue
         if gcd(r0, d0).is_constant():
             return
     shared = gcd(R, dR)
-    if shared.degree_in(main) > 0:
+    if shared.degree_in("y") > 0:
         raise GenericityFailureError(
             "deformed resultant has a repeated factor")
 
 
-def certified_solutions(ft: MultiPoly, gt: MultiPoly, prec,
-                        xname="x", yname="y", tname="t"):
+def certified_solutions(ft: MultiPoly, gt: MultiPoly, prec):
     """All solution branches of the deformed pair through the origin, with
     genericity certificates.  Raises GenericityFailureError when any
     certificate fails (caller reseeds)."""
-    field = ft.field
     prec = Fraction(prec)
-    R, s1 = _eliminant_and_s1(ft, gt, xname)
-    R0 = R.subs_values({tname: field.zero})
-    if R0.is_zero():
-        raise SharedComponentError("resultant vanishes at t = 0")
-    certify_squarefree_in(R, yname, tname)
-    ybranches = newton_puiseux(R, yname, tname, prec, assume_squarefree=True)
+    R, s1 = _eliminant_and_s1(ft, gt)
+    certify_squarefree_in(R)
+    ybranches = newton_puiseux(R, "y", "t", prec, assume_squarefree=True)
     if any(not br.simple for br in ybranches):
         raise GenericityFailureError("non-simple branch after deformation")
-    if s1 is None:
-        raise GenericityFailureError("subresultant chain skips degree one")
-    s11 = s1.coeff_of(xname, 1)
-    s10 = s1.coeff_of(xname, 0)
-    jac = (ft.derivative(xname) * gt.derivative(yname)
-           - ft.derivative(yname) * gt.derivative(xname))
+    jac = _jacobian(ft, gt)
     sols = []
-    for br in ybranches:
-        bf = br.series.field
-        lift = (lambda p: lift_to_field(p, bf)) if bf != field else (lambda p: p)
-        tser = _series_var(bf, br.series.varname).truncate(prec)
-        assign = {xname: bf.zero, yname: br.series, tname: tser}
-        den = eval_poly_at_series(lift(s11), assign)
-        if den.is_zero_to_precision():
-            raise GenericityFailureError(
-                "degree-one subresultant vanishes along a branch")
-        num = eval_poly_at_series(lift(s10), assign)
-        xser = -(num / den)
+    for br, at, den in _s11_along(
+            s1, ybranches, prec,
+            "degree-one subresultant vanishes along a branch"):
+        xser = -(at(s1.coeff_of("x", 0)) / den)
         vx = xser.valuation()
         if vx is not None and vx <= 0:
             raise GenericityFailureError(
                 "branch x-coordinate does not specialize to the origin; "
                 "the shear precondition is violated")
-        wassign = {xname: xser, yname: br.series, tname: tser}
         for eq in (ft, gt):
-            if eval_poly_at_series(lift(eq), wassign).valuation() is not None:
+            if at(eq, xser).valuation() is not None:
                 raise GenericityFailureError(
                     "witness fails to satisfy a deformed equation")
-        jval = eval_poly_at_series(lift(jac), wassign)
-        if jval.is_zero_to_precision():
+        if at(jac, xser).is_zero_to_precision():
             raise GenericityFailureError(
                 "deformed intersection is not transverse at a witness")
         sols.append(SolutionBranch(xser, br.series, br.span))
     return sols
 
 
-def certified_count_only(ft: MultiPoly, gt: MultiPoly,
-                         xname="x", yname="y", tname="t") -> int:
+def certified_count_only(ft: MultiPoly, gt: MultiPoly) -> int:
     """Solution count through the origin without materializing witnesses.
 
     Used over extension fields, where branch expansion would need a second
@@ -207,26 +223,17 @@ def certified_count_only(ft: MultiPoly, gt: MultiPoly,
     from .lifting import newton_polygon_edges, _edge_polynomial, _coeffs_to_unipoly
 
     field = ft.field
-    jac = (ft.derivative(xname) * gt.derivative(yname)
-           - ft.derivative(yname) * gt.derivative(xname))
-    main, other = yname, xname
-    R = resultant(ft, gt, other)
-    if R.subs_values({tname: field.zero}).is_zero():
-        raise SharedComponentError("resultant vanishes at t = 0")
-    certify_squarefree_in(R, main, tname)
-    _certify_transverse_eval(R, ft, gt, jac, main, other, tname)
-    total = 0
-    mi = R.vars.index(main)
-    k0 = min(e[mi] for e in R.terms)
-    total += k0  # exact factor main^k0: solutions pinned at 0
-    work = R.clone({tuple(e[i] if i != mi else e[i] - k0
-                          for i in range(len(e))): c
-                    for e, c in R.terms.items()}) if k0 else R
-    if work.subs_values({main: field.zero, tname: field.zero}):
-        return total  # no further solutions through 0
-    for edge in newton_polygon_edges(work, main, tname):
+    R, _ = _eliminant_and_s1(ft, gt)
+    certify_squarefree_in(R)
+    _certify_transverse_eval(R, ft, gt)
+    k0 = _x_adic_valuation(R, 1)  # exact factor y^k0: solutions pinned at 0
+    work = _divide_x_power(R, 1, k0)
+    if work.subs_values({"y": field.zero, "t": field.zero}):
+        return k0  # no further solutions through 0
+    total = k0
+    for edge in newton_polygon_edges(work, "y", "t"):
         i1, j1, i2, j2 = edge
-        _, _, _, _, coeffs = _edge_polynomial(work, main, tname, edge)
+        _, _, _, _, coeffs = _edge_polynomial(work, "y", "t", edge)
         phi = _coeffs_to_unipoly(coeffs, field)
         zname = phi.vars[0]
         dphi = phi.derivative(zname)
@@ -238,27 +245,28 @@ def certified_count_only(ft: MultiPoly, gt: MultiPoly,
     return total
 
 
-def _certify_transverse_eval(R, ft, gt, jac, main, other, tname):
+def _certify_transverse_eval(R, ft, gt):
     """Certify the deformed intersections are transverse without expanding
     witnesses: at some t-value the eliminant shares no root with the
     jacobian's eliminant.  A constant specialized gcd at one value is a
     proof; running out of candidate values fails the certificate."""
     field = ft.field
+    jac = _jacobian(ft, gt)
     if jac.is_zero():
         raise GenericityFailureError("identically singular deformed pair")
     for raw in _eval_candidates(field):
         tau = field.of(raw)
-        r0 = R.subs_values({tname: tau})
-        if r0.is_zero() or r0.degree_in(main) != R.degree_in(main):
+        r0 = R.subs_values({"t": tau})
+        if r0.is_zero() or r0.degree_in("y") != R.degree_in("y"):
             continue
         ok = True
+        j0 = jac.subs_values({"t": tau})
         for h in (ft, gt):
-            h0 = h.subs_values({tname: tau})
-            j0 = jac.subs_values({tname: tau})
-            if h0.is_zero() or j0.is_zero() or not h0.involves(other):
+            h0 = h.subs_values({"t": tau})
+            if h0.is_zero() or j0.is_zero() or not h0.involves("x"):
                 ok = False
                 break
-            w0 = resultant(h0, j0, other) if j0.involves(other) else j0
+            w0 = resultant(h0, j0, "x") if j0.involves("x") else j0
             if w0.is_zero() or not gcd(r0, w0).is_constant():
                 ok = False
                 break
@@ -274,59 +282,64 @@ def default_precision(f: MultiPoly, g: MultiPoly) -> int:
     return 2 * d * e + 2
 
 
+def _attempts(certify, seed: int, first: int, prec, max_retries: int,
+              what: str):
+    """(certify(rng, prec), seed used, prec) at the first of the derived
+    seeds of attempts first, first + 1, ... that certifies.  A genericity
+    failure reseeds; a precision failure also escalates the precision."""
+    last_error = None
+    for attempt in range(first, first + max_retries):
+        seed_used = derived_seed(seed, attempt)
+        try:
+            return certify(random.Random(seed_used), prec), seed_used, prec
+        except (GenericityFailureError, InsufficientPrecisionError) as err:
+            if isinstance(err, InsufficientPrecisionError):
+                prec = Fraction(err.suggested) if err.suggested else 2 * prec
+            last_error = err
+    raise GenericityFailureError(
+        f"{what} certification failed after {max_retries} attempts "
+        f"(last: {last_error})")
+
+
 @dataclass
 class DeformationOutcome:
     count: int
     seed_used: int
     shear: tuple
     precision: Fraction
-    solutions: list
 
 
 def deformation_count(f: MultiPoly, g: MultiPoly, seed: int = 0,
-                      prec=None, max_retries: int = 8,
-                      xname="x", yname="y") -> DeformationOutcome:
+                      prec=None, max_retries: int = 8) -> DeformationOutcome:
     """The infinitesimal-neighborhood solution count of (f, g) at the origin:
     perturb every coefficient of both curves and count all nearby
     solutions."""
     check_local_pair(f, g)
-    return _deformation_count(f, g, seed, prec, max_retries, xname, yname)
-
-
-def _deformation_count(f: MultiPoly, g: MultiPoly, seed: int = 0,
-                       prec=None, max_retries: int = 8,
-                       xname="x", yname="y") -> DeformationOutcome:
-    """``deformation_count`` of a pair that passed ``check_local_pair``."""
-    prec = Fraction(prec if prec is not None else default_precision(f, g))
-    field = f.field
     fs, gs, lam, mu = shear_to_general_position(f, g)
-    d, e = fs.total_degree(), gs.total_degree()
-    last_error = None
-    for attempt in range(max_retries):
-        rng = random.Random(derived_seed(seed, attempt))
-        try:
-            ft = deform_polynomial(fs.extend_vars(VARS3),
-                                   random_direction(rng, field, d))
-            gt = deform_polynomial(gs.extend_vars(VARS3),
-                                   random_direction(rng, field, e))
-            sols = None
-            if not isinstance(field, ExtensionField):
-                try:
-                    sols = certified_solutions(ft, gt, prec, xname, yname,
-                                               "t")
-                except UnsupportedExtensionError:
-                    pass
-            count = (certified_count_only(ft, gt, xname, yname, "t")
-                     if sols is None else sum(s.span for s in sols))
-            return DeformationOutcome(count, derived_seed(seed, attempt),
-                                      (lam, mu), prec, sols or [])
-        except (GenericityFailureError, InsufficientPrecisionError) as err:
-            if isinstance(err, InsufficientPrecisionError):
-                prec = Fraction(err.suggested) if err.suggested else 2 * prec
-            last_error = err
-    raise GenericityFailureError(
-        f"genericity certification failed after {max_retries} attempts "
-        f"(last: {last_error})")
+    return _deformation_count(fs, gs, lam, mu, seed, prec, max_retries)
+
+
+def _deformation_count(fs: MultiPoly, gs: MultiPoly, lam, mu, seed: int = 0,
+                       prec=None, max_retries: int = 8) -> DeformationOutcome:
+    """``deformation_count`` of a pair that passed ``check_local_pair``,
+    given as (fs, gs), the pair after the shear (lam, mu) that
+    ``shear_to_general_position`` found for it."""
+    field = fs.field
+
+    def certify(rng, prec):
+        ft = deform_polynomial(fs, random_direction(rng, field, fs.total_degree()))
+        gt = deform_polynomial(gs, random_direction(rng, field, gs.total_degree()))
+        if not isinstance(field, ExtensionField):
+            try:
+                return sum(s.span for s in certified_solutions(ft, gt, prec))
+            except UnsupportedExtensionError:
+                pass
+        return certified_count_only(ft, gt)
+
+    prec = Fraction(prec if prec is not None else default_precision(fs, gs))
+    count, seed_used, prec = _attempts(certify, seed, 0, prec, max_retries,
+                                       "genericity")
+    return DeformationOutcome(count, seed_used, (lam, mu), prec)
 
 
 # ------------------------------------------------------------- two scales
@@ -348,8 +361,7 @@ class TwoScaleAnalysis:
 
 def two_scale_analysis(f: MultiPoly, g: MultiPoly, seed: int = 0,
                        coarse_side: str = "left", prec=None,
-                       max_retries: int = 8,
-                       xname="x", yname="y") -> TwoScaleAnalysis:
+                       max_retries: int = 8) -> TwoScaleAnalysis:
     """Deform one side at a coarse scale t and group the multiplicity at
     the origin by the nearby coarse points P it splits into.
 
@@ -368,45 +380,24 @@ def two_scale_analysis(f: MultiPoly, g: MultiPoly, seed: int = 0,
         raise UnsupportedExtensionError(
             "two-scale analysis runs over prime-type fields only")
     fs, gs, lam, mu = shear_to_general_position(f, g)
-    prec = Fraction(prec if prec is not None else default_precision(fs, gs))
     f3, g3 = fs.extend_vars(VARS3), gs.extend_vars(VARS3)
-    last_error = None
-    for attempt in range(max_retries):
-        rng = random.Random(derived_seed(seed, 101 + attempt))
-        d_coarse = random_direction(
-            rng, field, fs.total_degree() if coarse_side == "left"
-            else gs.total_degree())
+
+    def certify(rng, prec):
+        d_coarse = random_direction(rng, field, (
+            fs if coarse_side == "left" else gs).total_degree())
         ft = deform_polynomial(f3, d_coarse) if coarse_side == "left" else f3
         gt = deform_polynomial(g3, d_coarse) if coarse_side == "right" else g3
-        try:
-            R, s1 = _eliminant_and_s1(ft, gt, xname)
-            R0 = R.subs_values({"t": field.zero})
-            total = min(e[R0.vars.index(yname)] for e in R0.terms)
-            branches = newton_puiseux(R, yname, "t", prec)
-            if s1 is None:
-                raise GenericityFailureError(
-                    "subresultant chain skips degree one")
-            s11 = s1.coeff_of(xname, 1)
-            for br in branches:
-                bf = br.series.field
-                tser = _series_var(bf, br.series.varname).truncate(prec)
-                den = eval_poly_at_series(
-                    lift_to_field(s11, bf) if bf != field else s11,
-                    {xname: bf.zero, yname: br.series, "t": tser})
-                if den.is_zero_to_precision():
-                    raise GenericityFailureError(
-                        "two coarse points share a y-coordinate")
-            groups = sorted((br.span, br.multiplicity) for br in branches)
-            if sum(k * m for k, m in groups) != total:
-                raise GenericityFailureError(
-                    "coarse groups do not account for the multiplicity")
-            return TwoScaleAnalysis(groups, total,
-                                    derived_seed(seed, 101 + attempt),
-                                    (lam, mu), prec)
-        except (GenericityFailureError, InsufficientPrecisionError) as err:
-            if isinstance(err, InsufficientPrecisionError):
-                prec = Fraction(err.suggested) if err.suggested else 2 * prec
-            last_error = err
-    raise GenericityFailureError(
-        f"two-scale certification failed after {max_retries} attempts "
-        f"(last: {last_error})")
+        R, s1 = _eliminant_and_s1(ft, gt)
+        total = _x_adic_valuation(R.subs_values({"t": field.zero}), 1)
+        branches = newton_puiseux(R, "y", "t", prec)
+        groups = sorted((br.span, br.multiplicity) for br, _, _ in _s11_along(
+            s1, branches, prec, "two coarse points share a y-coordinate"))
+        if sum(k * m for k, m in groups) != total:
+            raise GenericityFailureError(
+                "coarse groups do not account for the multiplicity")
+        return groups, total
+
+    prec = Fraction(prec if prec is not None else default_precision(fs, gs))
+    (groups, total), seed_used, prec = _attempts(
+        certify, seed, 101, prec, max_retries, "two-scale")
+    return TwoScaleAnalysis(groups, total, seed_used, (lam, mu), prec)

@@ -15,8 +15,9 @@ from fractions import Fraction
 from .algebra import translate_to_origin
 from .deformation import (VARS3, deform_polynomial, deformation_count,
                           default_precision, two_scale_analysis)
-from .errors import InvalidInputError
-from .intersect import Curve
+from .errors import (InfiniteMultiplicityError, InvalidInputError,
+                     VerificationFailureError)
+from .intersect import Curve, mult_length
 from .lifting import newton_puiseux, sheet_conjugates
 from .poly import MultiPoly
 from .series import INF, TruncatedSeries, eval_poly_at_series
@@ -167,7 +168,12 @@ def _as_deformed_poly(obj) -> MultiPoly:
 
 def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):
     """The points of the infinitesimal neighborhood of ``target`` on the
-    intersection of the two (possibly trivially) deformed curves."""
+    intersection of the two (possibly trivially) deformed curves.
+
+    When the base curves (t = 0) meet at ``target`` with finite
+    multiplicity, the points' counts must add up to it, the length
+    engine's value there; VerificationFailureError otherwise, since the
+    pairing of x- and y-branches can miss points."""
     ft, base1 = _as_deformed_poly(C1t)
     gt, base2 = _as_deformed_poly(C2t)
     field = ft.field
@@ -188,6 +194,17 @@ def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):
             continue
         out.append(NearbyPoint(xs, ys, (tx, ty), count))
     out.sort(key=lambda np_: (str(np_.y), str(np_.x)))
+    base = [h.subs_values({"t": field.zero}).drop_vars(["t"])
+            for h in (ft, gt)]
+    try:
+        expected = mult_length(*base)
+    except (InvalidInputError, InfiniteMultiplicityError):
+        return out  # the base curves do not meet there, or share a component
+    found = sum(p.count for p in out)
+    if found != expected:
+        raise VerificationFailureError(
+            f"nearby points at {target} account for {found} of the "
+            f"multiplicity {expected}")
     return out
 
 

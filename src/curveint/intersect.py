@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from .algebra import (PROJECTIVE_VARS, apply_shear, check_local_pair,
                       dehomogenize, gcd, is_homogeneous, lift_to_field,
-                      resultant, roots_univariate, squarefree_decompose,
-                      translate_to_origin)
+                      resultant, roots_univariate, shear_to_general_position,
+                      squarefree_decompose, translate_to_origin)
 from .deformation import _deformation_count, deformation_count
 from .errors import (BudgetError, GeneralPositionError, InvalidInputError,
                      NotRegularError, SharedComponentError,
@@ -343,7 +343,11 @@ def _orbit(minpoly: MultiPoly, var: str, chart: str, shear: tuple,
     return PointCluster(minpoly, k, chart, shear, rep, conjugates)
 
 
-def intersection_points(C1: Curve, C2: Curve, shear_bound: int = 20):
+# |lam| and mu of the shears tried to separate the affine points
+SHEAR_BOUND = 20
+
+
+def intersection_points(C1: Curve, C2: Curve):
     """Every common point of two curves, each exactly once.
 
     Affine points come from the Z chart after a joint shear that gives
@@ -358,12 +362,12 @@ def intersection_points(C1: Curve, C2: Curve, shear_bound: int = 20):
     common = gcd(C1.form, C2.form)
     if not common.is_constant():
         raise SharedComponentError("curves share a component")
-    points, clusters = _affine_points(C1, C2, shear_bound)
+    points, clusters = _affine_points(C1, C2)
     inf_points, inf_clusters = _infinity_points(C1, C2)
     return points + inf_points, clusters + inf_clusters
 
 
-def _affine_points(C1: Curve, C2: Curve, shear_bound: int):
+def _affine_points(C1: Curve, C2: Curve):
     field = C1.field
     f = C1.affine("Z")
     g = C2.affine("Z")
@@ -372,7 +376,7 @@ def _affine_points(C1: Curve, C2: Curve, shear_bound: int):
     xv, yv = f.vars[0], f.vars[1]
     last_exc = None
     from .algebra import _shear_candidates, _strongly_regular_in_x
-    for lam, mu in _shear_candidates(field, shear_bound):
+    for lam, mu in _shear_candidates(field, SHEAR_BOUND):
         fs = apply_shear(f, lam, mu)
         gs = apply_shear(g, lam, mu)
         if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):
@@ -398,7 +402,7 @@ def _affine_points(C1: Curve, C2: Curve, shear_bound: int):
     if last_exc is not None:
         raise last_exc
     raise GeneralPositionError(
-        f"no shear with bound {shear_bound} separated the affine points")
+        f"no shear with bound {SHEAR_BOUND} separated the affine points")
 
 
 def _infinity_points(C1: Curve, C2: Curve):
@@ -455,16 +459,16 @@ def multiplicities_at(C1: Curve, C2: Curve, point: ProjectivePoint,
                       seed: int = 0, prec=None,
                       max_retries: int = 8) -> MultiplicityReport:
     """All three engines at one point, with exact agreement enforced.  The
-    pair is checked once (a shear keeps what the check proves), and the
-    resultant engine runs on the deformation engine's shear."""
+    pair is checked once (a shear keeps what the check proves) and sheared
+    once: the deformation and resultant engines read the same sheared
+    pair."""
     f0, g0 = _local_pair_at(C1, C2, point)
     check_local_pair(f0, g0)
     m_len = _length(f0, g0)
-    outcome = _deformation_count(f0, g0, seed=seed, prec=prec,
+    fs, gs, lam, mu = shear_to_general_position(f0, g0)
+    outcome = _deformation_count(fs, gs, lam, mu, seed=seed, prec=prec,
                                  max_retries=max_retries)
-    lam, mu = outcome.shear
-    m_res = _resultant_order(apply_shear(f0, lam, mu),
-                             apply_shear(g0, lam, mu))
+    m_res = _resultant_order(fs, gs)
     trans = transversality_check(f0, g0)
     report = MultiplicityReport(
         point=point, mult_length=m_len, mult_resultant=m_res,

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import factor_univariate, squarefree_decompose
+from .algebra import factor_univariate, lift_to_field, squarefree_decompose
 from .errors import (BudgetError, InsufficientPrecisionError, InvalidInputError,
                      NothingToPrepareError, NotRegularError, NotSimpleRootError,
                      UnsupportedExtensionError)
@@ -56,7 +56,7 @@ def series_poly_from_multipoly(f: MultiPoly, xname: str, tname: str, prec):
     return out
 
 
-def hensel_lift(f, a0, prec, max_iter=None) -> TruncatedSeries:
+def hensel_lift(f, a0, prec) -> TruncatedSeries:
     """Lift a simple residual root a0 of f to a series root mod t^prec.
 
     ``f`` is a list of TruncatedSeries (ascending x powers) or a MultiPoly
@@ -90,8 +90,7 @@ def hensel_lift(f, a0, prec, max_iter=None) -> TruncatedSeries:
     if not d0.constant_term():
         raise NotSimpleRootError(
             "residual derivative vanishes at a0; the root is not simple")
-    if max_iter is None:
-        max_iter = 4 + math.ceil(math.log2(max(2, float(prec))))
+    max_iter = 4 + math.ceil(math.log2(max(2, float(prec))))
     # a0 is correct to the valuation v0 of f(a0), and a step at working
     # precision w needs an approximant correct to w/2: so prec/2^k, ...,
     # prec/2, prec, starting from the first w with w/2 <= v0.  Between
@@ -232,37 +231,18 @@ def _transform_segment(f: MultiPoly, xname: str, tname: str, a: int, b: int,
     """Substitute x -> s^a (c + x), t -> s^b and divide by s^level.
 
     Returns a polynomial over new_field in the same two variable slots,
-    with t now standing for s."""
-    if new_field != f.field:
-        lift = new_field.embed
-        f = f.map_coefficients(new_field, lift)
-        c = new_field.of(c)
-    else:
-        c = f.field.of(c)
+    with t now standing for s: each t^j x^i becomes s^(a*i + b*j - level)
+    x^i, nonnegative on the segment's side of the polygon, and then x
+    shifts to c + x."""
     xi, ti = f.vars.index(xname), f.vars.index(tname)
-    field = f.field
-    # powers of (c + x)
-    max_i = max(e[xi] for e in f.terms)
-    xpoly = MultiPoly.var(field, f.vars, xname)
-    cpoly = MultiPoly.const(field, f.vars, c)
-    powers = [MultiPoly.const(field, f.vars, 1)]
-    for _ in range(max_i):
-        powers.append(powers[-1] * (cpoly + xpoly))
-    out = MultiPoly.zero(field, f.vars)
+    terms = {}
     for exps, coeff in f.terms.items():
-        i, j = exps[xi], exps[ti]
-        s_exp = a * i + b * j - level
-        rest = list(exps)
-        rest[xi] = 0
-        rest[ti] = 0
-        term = powers[i].scale(coeff)
-        shift = {tuple(map(sum, zip(e, tuple(rest)))): v
-                 for e, v in term.terms.items()}
-        term = MultiPoly(field, f.vars, shift)
-        tmono = MultiPoly.var(field, f.vars, tname, s_exp) if s_exp else \
-            MultiPoly.const(field, f.vars, 1)
-        out = out + term * tmono
-    return out
+        key = list(exps)
+        key[ti] = a * exps[xi] + b * exps[ti] - level
+        terms[tuple(key)] = coeff
+    g = lift_to_field(f.clone(terms), new_field)
+    x = MultiPoly.var(new_field, g.vars, xname)
+    return g.compose({xname: x + new_field.of(c)})
 
 
 def _expand_squarefree(f: MultiPoly, xname: str, tname: str, prec: Fraction,
@@ -461,9 +441,7 @@ def sheet_conjugates(branch: Branch):
 def verify_branch(F: MultiPoly, xname: str, tname: str, br: Branch) -> bool:
     """Substitute the branch into F; the result must vanish to the branch's
     guaranteed precision."""
-    if br.series.field != F.field:
-        from .algebra import lift_to_field
-        F = lift_to_field(F, br.series.field)
+    F = lift_to_field(F, br.series.field)
     t = TruncatedSeries.variable(F.field, INF, br.series.varname)
     val = eval_poly_at_series(F, {xname: br.series, tname: t})
     return val.valuation() is None

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from curveint import deformation
-from curveint.algebra import resultant
+from curveint.algebra import resultant, shear_to_general_position
 from curveint.cli import parse_field, parse_poly
 from curveint.corpus import affine_instances
 from curveint.deformation import (VARS3, deform_polynomial, deformation_count,
@@ -158,7 +158,10 @@ def _minus_one(field):
 def test_two_scale_certificate_rejects_shared_y(monkeypatch):
     x, y = xy()
     _force_direction(monkeypatch, _minus_one, forced_calls=10 ** 6)
-    with pytest.raises(GenericityFailureError):
+    with pytest.raises(GenericityFailureError,
+                       match=r"^two-scale certification failed after 8 "
+                             r"attempts \(last: subresultant chain skips "
+                             r"degree one\)$"):
         two_scale_analysis(x * x - y, x * x - 2 * y, seed=1,
                            coarse_side="right")
 
@@ -203,9 +206,10 @@ def test_two_scale_structural_limit_fails_fast(monkeypatch):
     assert len(calls) == 1
 
 
-def test_certified_solutions_eliminant_is_the_resultant(monkeypatch):
-    # deg_x f_t = 1 < deg_x g_t = 3: the chain starts at g_t, and the odd
-    # degrees make the swap flip the sign of Res_x(f_t, g_t)
+def _eliminant_seen(monkeypatch, module, consumer, certify):
+    """The R that ``certify`` hands to ``module.consumer``, on a pair with
+    deg_x f_t = 1 < deg_x g_t = 3: the chain starts at g_t, and the odd
+    degrees make the swap flip the sign of Res_x(f_t, g_t)."""
     import random as _r
     x, y = xy()
     f, g = x - y, x ** 3 - y * y
@@ -219,11 +223,45 @@ def test_certified_solutions_eliminant_is_the_resultant(monkeypatch):
         seen.append(R)
         raise GenericityFailureError("recorded")
 
-    monkeypatch.setattr(deformation, "newton_puiseux", record)
+    monkeypatch.setattr(module, consumer, record)
     with pytest.raises(GenericityFailureError, match="recorded"):
-        deformation.certified_solutions(ft, gt, 10)
+        certify(ft, gt)
     assert seen == [resultant(ft, gt, "x")]
     assert seen == [sylvester_resultant(ft, gt, "x")]
+
+
+def test_certified_solutions_eliminant_is_the_resultant(monkeypatch):
+    _eliminant_seen(monkeypatch, deformation, "newton_puiseux",
+                    lambda ft, gt: deformation.certified_solutions(ft, gt, 10))
+
+
+def test_certified_count_only_eliminant_is_the_resultant(monkeypatch):
+    from curveint import lifting
+    _eliminant_seen(monkeypatch, lifting, "newton_polygon_edges",
+                    deformation.certified_count_only)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "F101"])
+@pytest.mark.parametrize("label,make,expected", CLASSICAL)
+def test_count_only_agrees_with_witnesses(field, label, make, expected):
+    """On the directions of the first attempts where both certificates
+    hold, the witness count and the count-only count agree."""
+    import random as _r
+    x, y = xy(field)
+    fs, gs, _, _ = shear_to_general_position(*make(x, y))
+    prec = deformation.default_precision(fs, gs)
+    counts = []
+    for attempt in range(4):
+        rng = _r.Random(derived_seed(5, attempt))
+        ft, gt = (deform_polynomial(h.extend_vars(VARS3), random_direction(
+            rng, field, h.total_degree())) for h in (fs, gs))
+        try:
+            sols = deformation.certified_solutions(ft, gt, prec)
+            counts.append((sum(s.span for s in sols),
+                           deformation.certified_count_only(ft, gt)))
+        except GenericityFailureError:
+            continue
+    assert counts and set(counts) == {(expected, expected)}
 
 
 def test_derived_seed_deterministic():

@@ -1,7 +1,8 @@
 import pytest
 from fractions import Fraction
 
-from curveint.errors import InvalidInputError, NotSpecializableError
+from curveint.errors import (InvalidInputError, NotSpecializableError,
+                             VerificationFailureError)
 from curveint.fields import QQ, PrimeField
 from curveint.infinitesimal import (NearbyPoint, deform,
                                     left_right_factoring_check,
@@ -109,6 +110,26 @@ def test_nearby_count_matches_length_engine():
     lt = deform(y - x, direction)
     pts = nearby_intersections(x * x - y ** 3, lt)
     assert sum(p.count for p in pts) == mult_length(x * x - y ** 3, y - x)
+
+
+# Pairing one representative of each x-cycle with one of each y-cycle
+# misses the conjugate partners over extension fields: it finds 0 of the 2
+# nearby points of the first pair and a total count of 4 of the 6 of the
+# second.
+LOSSY_PAIRS = [
+    (lambda x, y, t: (x + y, x * x - 2 * t * t), 0, 2),
+    (lambda x, y, t: (x * x - y ** 3, x * x - 2 * y ** 3 + t * y), 4, 6),
+]
+
+
+@pytest.mark.parametrize("make,found,expected", LOSSY_PAIRS)
+def test_nearby_lost_points_raise(make, found, expected):
+    x, y, t = (MultiPoly.var(QQ, ("x", "y", "t"), v) for v in "xyt")
+    f, g = make(x, y, t)
+    with pytest.raises(VerificationFailureError,
+                       match=f"account for {found} of the multiplicity "
+                             f"{expected}$"):
+        nearby_intersections(f, g)
 
 
 def test_nearby_count_stable_under_doubled_precision():

@@ -298,3 +298,30 @@ def test_multiplicities_at_detects_agreement():
     assert rep.agreed and rep.multiplicity == 2
     rep1 = multiplicities_at(C1, C2, ProjectivePoint((1, 1, 1), QQ), seed=2)
     assert rep1.agreed and rep1.multiplicity == 1 and rep1.transversal
+
+
+def test_multiplicities_at_shears_once(monkeypatch):
+    """One shear search per point, and its sheared pair is the one both
+    the deformation and the resultant engines read: no second shear."""
+    import curveint.deformation as deformation
+    import curveint.intersect as intersect
+    searches, shears = [], []
+    real_search = shear_to_general_position
+
+    def search(f, g, *args, **kwargs):
+        searches.append((f, g))
+        return real_search(f, g, *args, **kwargs)
+
+    def shear(f, lam, mu):
+        shears.append((f, lam, mu))
+        return apply_shear(f, lam, mu)
+
+    for module in (intersect, deformation):
+        monkeypatch.setattr(module, "shear_to_general_position", search)
+    monkeypatch.setattr(intersect, "apply_shear", shear)
+    x, y = xy()
+    C1, C2 = curve(x * x - y ** 3), curve(y - x)
+    rep = multiplicities_at(C1, C2, ProjectivePoint((0, 0, 1), QQ), seed=2)
+    assert rep.agreed and rep.multiplicity == 2
+    assert len(searches) == 1
+    assert shears == []
