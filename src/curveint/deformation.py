@@ -2,28 +2,39 @@
 
 Count the solutions of a curve pair inside the infinitesimal neighborhood
 of the origin after perturbing the defining coefficients along a seeded
-random direction scaled by t.  The count is certified, never assumed:
-
-* the deformed resultant R(y, t) must be squarefree in y (nonvanishing
-  discriminant as a polynomial in t),
-* every witness pair must satisfy both deformed equations to working
-  precision, with positive valuation in both coordinates,
-* the Jacobian of the pair must be nonzero at every witness (deformed
-  intersections are transverse).
+random direction scaled by t.  The count is certified, never assumed.
 
 Everything runs in the one frame (x, y, t), on a pair that
-``shear_to_general_position`` has put in general position; the shear is
-found once per pair and handed in.  Failures raise GenericityFailureError,
-and one attempt loop (``_attempts``) reseeds deterministically up to a
-retry budget, doubling the precision on InsufficientPrecisionError; the
-deformation count and the two-scale readout share it.
+``shear_to_general_position`` has put in general position (the origin is
+the only common zero on y = 0, and both top x-coefficients are
+constants); the shear is found once per pair and handed in.  Failures
+raise GenericityFailureError, and one attempt loop (``_attempts``)
+reseeds deterministically up to a retry budget, doubling the precision on
+InsufficientPrecisionError; the deformation count and the two-scale
+readout share it.
 
 Each attempt builds one subresultant chain of (f_t, g_t) in x
 (``_eliminant_and_s1``), the only source of R = Res_x(f_t, g_t) and of
-its degree-one member S1.  The x-coordinate over a simple y-branch is
-recovered from S1: when y0 is a simple root of the resultant, the gcd of
-the two specialized polynomials is linear and equals (up to a unit)
-S11(y0) x + S10(y0), so x = -S10/S11 is the unique lift.
+its degree-one member S1, and certifies R once:
+
+* ``certify_squarefree_in``: R is separable in y, so the nearby points
+  are distinct and transverse, and there are ord_y R(y, 0) of them (the
+  proof is in ``certified_count_only``).
+
+Two readouts then use the one R and S1:
+
+* witnesses (``certified_solutions``, over Q and F_p): every y-branch of
+  R is expanded as a Puiseux series, and its x-coordinate is read off S1:
+  when y0 is a simple root of R, the gcd of the two specialized
+  polynomials is S11(y0) x + S10(y0) up to a unit, so x = -S10/S11 is the
+  unique lift (S11 must not vanish along the branch).  Each witness must
+  satisfy f_t and g_t to working precision, specialize to the origin, and
+  have a nonzero Jacobian.  These check every point against the deformed
+  pair itself, where the count-only readout rests on R alone.
+* count-only (``certified_count_only``, over extension fields, and where
+  the expansion would need a second extension step): ord_y R(y, 0).  This
+  equals ord_y Res_x(fs, gs), the resultant engine's value, so where this
+  readout runs the engine is not independent of the resultant engine.
 
 Two-scale analysis deforms one curve only, at a coarse scale t, and reads
 the nearby coarse points P off the y-eliminant R = Res_x(f_t, g_t): by the
@@ -41,7 +52,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (check_local_pair, gcd, lift_to_field, resultant,
+from .algebra import (check_local_pair, gcd, lift_to_field,
                       resultant_of_chain, shear_to_general_position,
                       subresultant_prs)
 from .errors import (GenericityFailureError, InsufficientPrecisionError,
@@ -49,7 +60,7 @@ from .errors import (GenericityFailureError, InsufficientPrecisionError,
                      UnsupportedExtensionError)
 from .fields import ExtensionField
 from .poly import MultiPoly
-from .lifting import _divide_x_power, _x_adic_valuation, newton_puiseux
+from .lifting import _x_adic_valuation, newton_puiseux
 from .series import INF, TruncatedSeries, eval_poly_at_series
 
 VARS3 = ("x", "y", "t")
@@ -179,13 +190,14 @@ def certify_squarefree_in(R: MultiPoly):
             "deformed resultant has a repeated factor")
 
 
-def certified_solutions(ft: MultiPoly, gt: MultiPoly, prec):
+def certified_solutions(ft: MultiPoly, gt: MultiPoly, R: MultiPoly, s1,
+                        prec):
     """All solution branches of the deformed pair through the origin, with
-    genericity certificates.  Raises GenericityFailureError when any
-    certificate fails (caller reseeds)."""
+    witness certificates, read off the pair's eliminant R and degree-one
+    subresultant S1 (``_eliminant_and_s1``) once ``certify_squarefree_in``
+    has passed on R.  Raises GenericityFailureError when any certificate
+    fails (caller reseeds)."""
     prec = Fraction(prec)
-    R, s1 = _eliminant_and_s1(ft, gt)
-    certify_squarefree_in(R)
     ybranches = newton_puiseux(R, "y", "t", prec, assume_squarefree=True)
     if any(not br.simple for br in ybranches):
         raise GenericityFailureError("non-simple branch after deformation")
@@ -211,69 +223,26 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, prec):
     return sols
 
 
-def certified_count_only(ft: MultiPoly, gt: MultiPoly) -> int:
-    """Solution count through the origin without materializing witnesses.
-
-    Used over extension fields, where branch expansion would need a second
-    extension step.  Counts Newton-polygon edge extents of the y-eliminant
-    after certifying that every edge polynomial is squarefree, the deformed
-    resultant has no repeated y-factor, and the deformed intersections are
-    transverse.  The shear precondition (origin is the only common zero on
-    y = 0, constant top x-coefficients) makes the y-side count exact."""
-    from .lifting import newton_polygon_edges, _edge_polynomial, _coeffs_to_unipoly
-
-    field = ft.field
-    R, _ = _eliminant_and_s1(ft, gt)
-    certify_squarefree_in(R)
-    _certify_transverse_eval(R, ft, gt)
-    k0 = _x_adic_valuation(R, 1)  # exact factor y^k0: solutions pinned at 0
-    work = _divide_x_power(R, 1, k0)
-    if work.subs_values({"y": field.zero, "t": field.zero}):
-        return k0  # no further solutions through 0
-    total = k0
-    for edge in newton_polygon_edges(work, "y", "t"):
-        i1, j1, i2, j2 = edge
-        _, _, _, _, coeffs = _edge_polynomial(work, "y", "t", edge)
-        phi = _coeffs_to_unipoly(coeffs, field)
-        zname = phi.vars[0]
-        dphi = phi.derivative(zname)
-        if dphi.is_zero():
-            raise GenericityFailureError("inseparable edge polynomial")
-        if not gcd(phi, dphi).is_constant():
-            raise GenericityFailureError("edge polynomial is not squarefree")
-        total += i2 - i1
-    return total
+def _order_at_origin(R: MultiPoly) -> int:
+    """ord_y R(y, 0): the number of roots of R(y, t) with positive
+    valuation, counted with multiplicity."""
+    return _x_adic_valuation(R.subs_values({"t": R.field.zero}), 1)
 
 
-def _certify_transverse_eval(R, ft, gt):
-    """Certify the deformed intersections are transverse without expanding
-    witnesses: at some t-value the eliminant shares no root with the
-    jacobian's eliminant.  A constant specialized gcd at one value is a
-    proof; running out of candidate values fails the certificate."""
-    field = ft.field
-    jac = _jacobian(ft, gt)
-    if jac.is_zero():
-        raise GenericityFailureError("identically singular deformed pair")
-    for raw in _eval_candidates(field):
-        tau = field.of(raw)
-        r0 = R.subs_values({"t": tau})
-        if r0.is_zero() or r0.degree_in("y") != R.degree_in("y"):
-            continue
-        ok = True
-        j0 = jac.subs_values({"t": tau})
-        for h in (ft, gt):
-            h0 = h.subs_values({"t": tau})
-            if h0.is_zero() or j0.is_zero() or not h0.involves("x"):
-                ok = False
-                break
-            w0 = resultant(h0, j0, "x") if j0.involves("x") else j0
-            if w0.is_zero() or not gcd(r0, w0).is_constant():
-                ok = False
-                break
-        if ok:
-            return
-    raise GenericityFailureError(
-        "could not certify transversality of the deformed intersections")
+def certified_count_only(R: MultiPoly) -> int:
+    """Solution count through the origin without witnesses: ord_y R(y, 0)
+    of the eliminant R = Res_x(f_t, g_t), once ``certify_squarefree_in``
+    has passed on R.
+
+    Proof.  The shear precondition (the origin is the only common zero on
+    y = 0, constant top x-coefficients) keeps the x-coordinates over a
+    y-root of positive valuation bounded, so every such root is the
+    y-coordinate of a nearby point, and every nearby point has one.  The
+    order of R at a y-root is the sum of the multiplicities of the points
+    over it; separability makes that order 1, so each such point is single
+    and transverse.  This is also ord_y Res_x(fs, gs), the resultant
+    engine's value, so the count is not independent of that engine."""
+    return _order_at_origin(R)
 
 
 def default_precision(f: MultiPoly, g: MultiPoly) -> int:
@@ -329,12 +298,15 @@ def _deformation_count(fs: MultiPoly, gs: MultiPoly, lam, mu, seed: int = 0,
     def certify(rng, prec):
         ft = deform_polynomial(fs, random_direction(rng, field, fs.total_degree()))
         gt = deform_polynomial(gs, random_direction(rng, field, gs.total_degree()))
+        R, s1 = _eliminant_and_s1(ft, gt)
+        certify_squarefree_in(R)
         if not isinstance(field, ExtensionField):
             try:
-                return sum(s.span for s in certified_solutions(ft, gt, prec))
+                return sum(s.span
+                           for s in certified_solutions(ft, gt, R, s1, prec))
             except UnsupportedExtensionError:
                 pass
-        return certified_count_only(ft, gt)
+        return certified_count_only(R)
 
     prec = Fraction(prec if prec is not None else default_precision(fs, gs))
     count, seed_used, prec = _attempts(certify, seed, 0, prec, max_retries,
@@ -375,11 +347,20 @@ def two_scale_analysis(f: MultiPoly, g: MultiPoly, seed: int = 0,
     check_local_pair(f, g)
     if coarse_side not in ("left", "right"):
         raise InvalidInputError("coarse_side must be 'left' or 'right'")
-    field = f.field
+    fs, gs, lam, mu = shear_to_general_position(f, g)
+    return _two_scale(fs, gs, lam, mu, seed, coarse_side, prec, max_retries)
+
+
+def _two_scale(fs: MultiPoly, gs: MultiPoly, lam, mu, seed: int,
+               coarse_side: str, prec=None,
+               max_retries: int = 8) -> TwoScaleAnalysis:
+    """``two_scale_analysis`` of a pair that passed ``check_local_pair``,
+    given as (fs, gs), the pair after the shear (lam, mu) that
+    ``shear_to_general_position`` found for it."""
+    field = fs.field
     if isinstance(field, ExtensionField):
         raise UnsupportedExtensionError(
             "two-scale analysis runs over prime-type fields only")
-    fs, gs, lam, mu = shear_to_general_position(f, g)
     f3, g3 = fs.extend_vars(VARS3), gs.extend_vars(VARS3)
 
     def certify(rng, prec):
@@ -388,7 +369,7 @@ def two_scale_analysis(f: MultiPoly, g: MultiPoly, seed: int = 0,
         ft = deform_polynomial(f3, d_coarse) if coarse_side == "left" else f3
         gt = deform_polynomial(g3, d_coarse) if coarse_side == "right" else g3
         R, s1 = _eliminant_and_s1(ft, gt)
-        total = _x_adic_valuation(R.subs_values({"t": field.zero}), 1)
+        total = _order_at_origin(R)
         branches = newton_puiseux(R, "y", "t", prec)
         groups = sorted((br.span, br.multiplicity) for br, _, _ in _s11_along(
             s1, branches, prec, "two coarse points share a y-coordinate"))

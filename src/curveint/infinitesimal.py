@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import translate_to_origin
-from .deformation import (VARS3, deform_polynomial, deformation_count,
-                          default_precision, two_scale_analysis)
+from .algebra import (check_local_pair, shear_to_general_position,
+                      translate_to_origin)
+from .deformation import (VARS3, _deformation_count, _two_scale,
+                          deform_polynomial, default_precision)
 from .errors import (InfiniteMultiplicityError, InvalidInputError,
                      VerificationFailureError)
 from .intersect import Curve, mult_length
@@ -213,8 +214,10 @@ def staged_specialization_check(f: MultiPoly, g: MultiPoly,
     """Two-stage deformation identity: the undeformed solution count equals
     the sum, over the intermediate fiber points of a coarse deformation, of
     their fine-scale local multiplicities."""
-    total = deformation_count(f, g, seed=seed).count
-    analysis = two_scale_analysis(f, g, seed=seed, coarse_side="right")
+    check_local_pair(f, g)
+    sheared = shear_to_general_position(f, g)
+    total = _deformation_count(*sheared, seed=seed).count
+    analysis = _two_scale(*sheared, seed, "right")
     staged_sum = sum(k * m for k, m in analysis.groups)
     return staged_sum == total
 
@@ -224,9 +227,11 @@ def left_right_factoring_check(f: MultiPoly, g: MultiPoly,
     """One-sided factoring identity, both orientations: the joint count
     equals the sum of right multiplicities over the left-deformed fiber
     points, and symmetrically."""
-    total = deformation_count(f, g, seed=seed).count
-    left = two_scale_analysis(f, g, seed=seed, coarse_side="left")
+    check_local_pair(f, g)
+    sheared = shear_to_general_position(f, g)
+    total = _deformation_count(*sheared, seed=seed).count
+    left = _two_scale(*sheared, seed, "left")
     if sum(k * m for k, m in left.groups) != total:
         return False
-    right = two_scale_analysis(f, g, seed=seed, coarse_side="right")
+    right = _two_scale(*sheared, seed, "right")
     return sum(k * m for k, m in right.groups) == total

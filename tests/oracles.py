@@ -11,7 +11,9 @@ multiply polynomials and series one term pair at a time through the
 element operators, normalising every partial sum, where the production
 products sum integer encodings and normalise once per coefficient.  The
 Frobenius orbit oracle raises each coordinate of a point to p**i, where
-the production code takes p-th powers step by step.
+the production code takes p-th powers step by step.  The transversality
+reference proves by evaluation, on Sylvester resultants and long-division
+gcds, what the deformation engine reads off a separable eliminant.
 """
 
 from math import lcm
@@ -297,3 +299,49 @@ def frobenius_orbit(point, k):
     i < k, of a normalized point over an extension of F_p."""
     p = point.field.characteristic
     return {tuple(c ** p ** i for c in point.coords) for i in range(k)}
+
+
+# ------------------------------------------------ transversality reference
+#
+# A certificate that the deformed intersections are transverse, without
+# witnesses, on exact resultants and gcds of coefficient lists.
+
+
+def _coeffs_in(p: MultiPoly, name: str):
+    """Ascending coefficients of a polynomial in ``name`` alone."""
+    return tuple(p.coeff_of(name, k).constant_value()
+                 for k in range(p.degree_in(name) + 1))
+
+
+def transverse_by_evaluation(R: MultiPoly, ft: MultiPoly,
+                             gt: MultiPoly) -> bool:
+    """True when, at some t = tau in 1..23 (below p over F_p) where the
+    eliminant R(y, t) = Res_x(ft, gt) keeps its y-degree, R(y, tau) shares
+    no root with Res_x(h, J)(y, tau) for h = ft and h = gt, J the Jacobian
+    of the pair: then no common zero of the pair is singular.  False when
+    no candidate value shows it."""
+    field = ft.field
+    jac = (ft.derivative("x") * gt.derivative("y")
+           - ft.derivative("y") * gt.derivative("x"))
+    if jac.is_zero():
+        return False
+    p = field.characteristic
+    for raw in range(1, 24 if p == 0 else min(24, p)):
+        tau = field.of(raw)
+        r0 = R.subs_values({"t": tau})
+        j0 = jac.subs_values({"t": tau})
+        if r0.is_zero() or r0.degree_in("y") != R.degree_in("y") \
+                or j0.is_zero():
+            continue
+        for h in (ft, gt):
+            h0 = h.subs_values({"t": tau})
+            if h0.is_zero() or not h0.involves("x"):
+                break
+            w0 = sylvester_resultant(h0, j0, "x") if j0.involves("x") else j0
+            if w0.is_zero() or len(poly_gcd(_coeffs_in(r0, "y"),
+                                            _coeffs_in(w0, "y"),
+                                            field.zero)) > 1:
+                break
+        else:
+            return True
+    return False

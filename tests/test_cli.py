@@ -279,6 +279,21 @@ def test_high_degree_transverse_point_is_fast():
     assert time.perf_counter() - start < 10
 
 
+@pytest.mark.parametrize("curves,expected", [
+    # the roadmap pair: the witness expansion needs a second extension step
+    (("x^4-y^5", "x^3-y^2+x*y"), 8),
+    # at y = 2*x^2 the first curve is 3*x^4
+    (("(y-x^2)*(y+x^2)", "y-2*x^2"), 4),
+], ids=["roadmap-pair", "tangent-parabolas-vs-parabola"])
+def test_count_only_points_certify_in_the_default_budget(curves, expected):
+    start = time.perf_counter()
+    report, code = run_job(Job(command="mult", curves=curves))
+    assert code == EXIT_OK
+    keys = ("mult_length", "mult_resultant", "mult_deformation")
+    assert [report["results"][0][k] for k in keys] == [expected] * 3
+    assert time.perf_counter() - start < 10
+
+
 def test_precision_bound():
     report, code = run_job(Job(command="mult", curves=("x", "y"),
                                precision=257, fmt="json"))

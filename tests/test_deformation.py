@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,10 @@ from curveint.deformation import (VARS3, deform_polynomial, deformation_count,
                                   two_scale_analysis)
 from curveint.errors import (GenericityFailureError, InfiniteMultiplicityError,
                              InvalidInputError, UnsupportedExtensionError)
-from curveint.fields import QQ, PrimeField
+from curveint.fields import QQ, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
 
-from oracles import sylvester_resultant
+from oracles import sylvester_resultant, transverse_by_evaluation
 
 V = ("x", "y")
 
@@ -206,62 +207,123 @@ def test_two_scale_structural_limit_fails_fast(monkeypatch):
     assert len(calls) == 1
 
 
-def _eliminant_seen(monkeypatch, module, consumer, certify):
-    """The R that ``certify`` hands to ``module.consumer``, on a pair with
-    deg_x f_t = 1 < deg_x g_t = 3: the chain starts at g_t, and the odd
-    degrees make the swap flip the sign of Res_x(f_t, g_t)."""
-    import random as _r
+def _eliminant_seen(monkeypatch, consumer):
+    """The R that one attempt of the engine hands to ``consumer``, on a
+    pair with deg_x f_t = 1 < deg_x g_t = 3: the chain starts at g_t, and
+    the odd degrees make the swap flip the sign of Res_x(f_t, g_t)."""
     x, y = xy()
     f, g = x - y, x ** 3 - y * y
-    rng = _r.Random(3)
-    ft = deform_polynomial(f.extend_vars(VARS3), random_direction(rng, QQ, 1))
-    gt = deform_polynomial(g.extend_vars(VARS3), random_direction(rng, QQ, 3))
+    rng = random.Random(3)
+    directions = [random_direction(rng, QQ, 1), random_direction(rng, QQ, 3)]
+    ft, gt = (deform_polynomial(h.extend_vars(VARS3), d)
+              for h, d in zip((f, g), directions))
     assert (ft.degree_in("x"), gt.degree_in("x")) == (1, 3)
+    monkeypatch.setattr(deformation, "random_direction",
+                        lambda *args, **kwargs: directions.pop(0))
     seen = []
 
     def record(R, *args, **kwargs):
         seen.append(R)
         raise GenericityFailureError("recorded")
 
-    monkeypatch.setattr(module, consumer, record)
+    monkeypatch.setattr(deformation, consumer, record)
     with pytest.raises(GenericityFailureError, match="recorded"):
-        certify(ft, gt)
+        deformation._deformation_count(f, g, 0, 0, max_retries=1)
     assert seen == [resultant(ft, gt, "x")]
     assert seen == [sylvester_resultant(ft, gt, "x")]
 
 
 def test_certified_solutions_eliminant_is_the_resultant(monkeypatch):
-    _eliminant_seen(monkeypatch, deformation, "newton_puiseux",
-                    lambda ft, gt: deformation.certified_solutions(ft, gt, 10))
+    _eliminant_seen(monkeypatch, "newton_puiseux")
 
 
 def test_certified_count_only_eliminant_is_the_resultant(monkeypatch):
-    from curveint import lifting
-    _eliminant_seen(monkeypatch, lifting, "newton_polygon_edges",
-                    deformation.certified_count_only)
+    def unsupported(*args, **kwargs):
+        raise UnsupportedExtensionError("needs a second extension step")
+
+    monkeypatch.setattr(deformation, "certified_solutions", unsupported)
+    _eliminant_seen(monkeypatch, "certified_count_only")
+
+
+QW = ExtensionField(QQ, [3, 0, 1], "w")                  # Q[w]/(w^2+3)
+F101W = ExtensionField(PrimeField(101), [-2, 0, 1], "w")  # 2: no square mod 101
+
+
+def _deformed(field, make, attempts=4):
+    """The classical pair over ``field``, sheared, and its deformations
+    along the directions of the first attempts at seed 5."""
+    x, y = xy(field)
+    fs, gs, _, _ = shear_to_general_position(*make(x, y))
+    for attempt in range(attempts):
+        rng = random.Random(derived_seed(5, attempt))
+        yield tuple(deform_polynomial(h.extend_vars(VARS3), random_direction(
+            rng, field, h.total_degree())) for h in (fs, gs))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101), QW, F101W],
+                         ids=["Q", "F101", "QW", "F101W"])
+@pytest.mark.parametrize("label,make,expected", CLASSICAL)
+def test_count_only_agrees_with_witnesses(field, label, make, expected):
+    """On the directions of the first attempts, a separable eliminant
+    passes the reference transversality certificate, and count-only reads
+    the multiplicity off it; where the witness certificates hold too, the
+    witness count agrees."""
+    counts, witnessed = [], []
+    for ft, gt in _deformed(field, make):
+        R, s1 = deformation._eliminant_and_s1(ft, gt)
+        try:
+            deformation.certify_squarefree_in(R)
+        except GenericityFailureError:
+            continue
+        assert transverse_by_evaluation(R, ft, gt)
+        counts.append(deformation.certified_count_only(R))
+        if isinstance(field, ExtensionField):
+            continue
+        prec = deformation.default_precision(ft, gt)
+        try:
+            sols = deformation.certified_solutions(ft, gt, R, s1, prec)
+        except GenericityFailureError:
+            continue
+        witnessed.append(sum(s.span for s in sols))
+    assert counts and set(counts) == {expected}
+    assert isinstance(field, ExtensionField) or witnessed
+    assert set(witnessed) <= {expected}
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "F101"])
-@pytest.mark.parametrize("label,make,expected", CLASSICAL)
-def test_count_only_agrees_with_witnesses(field, label, make, expected):
-    """On the directions of the first attempts where both certificates
-    hold, the witness count and the count-only count agree."""
-    import random as _r
-    x, y = xy(field)
-    fs, gs, _, _ = shear_to_general_position(*make(x, y))
-    prec = deformation.default_precision(fs, gs)
+def test_count_only_certifies_tangent_branches(field):
+    """The tangent conics' nearby points share a leading coefficient, so an
+    edge polynomial of R has a repeated root on 3 of these 4 directions;
+    R itself is separable on all 4, which is what proves the points
+    distinct."""
     counts = []
-    for attempt in range(4):
-        rng = _r.Random(derived_seed(5, attempt))
-        ft, gt = (deform_polynomial(h.extend_vars(VARS3), random_direction(
-            rng, field, h.total_degree())) for h in (fs, gs))
-        try:
-            sols = deformation.certified_solutions(ft, gt, prec)
-            counts.append((sum(s.span for s in sols),
-                           deformation.certified_count_only(ft, gt)))
-        except GenericityFailureError:
-            continue
-    assert counts and set(counts) == {(expected, expected)}
+    for ft, gt in _deformed(field, lambda x, y: (x * x - y, x * x - 2 * y)):
+        R, _ = deformation._eliminant_and_s1(ft, gt)
+        deformation.certify_squarefree_in(R)
+        counts.append(deformation.certified_count_only(R))
+    assert counts == [2, 2, 2, 2]
+
+
+def test_tangent_deformed_pair_is_rejected():
+    # y - x^2 and y - 2t*x + t^2 are tangent at (t, t^2)
+    x, y, t = (MultiPoly.var(QQ, VARS3, v) for v in VARS3)
+    R, _ = deformation._eliminant_and_s1(y - x * x, y - 2 * t * x + t * t)
+    assert R == -(y - t * t) ** 2
+    with pytest.raises(GenericityFailureError, match="repeated factor"):
+        deformation.certify_squarefree_in(R)
+
+
+def test_roadmap_pair_builds_one_chain(monkeypatch):
+    # the witness expansion needs a second extension step, and count-only
+    # reads the count off the same chain at the first attempt
+    from curveint.cli import EXIT_OK, Job, run_job
+    chains = []
+    build = deformation._eliminant_and_s1
+    monkeypatch.setattr(deformation, "_eliminant_and_s1",
+                        lambda ft, gt: chains.append(ft) or build(ft, gt))
+    _, code = run_job(Job(command="mult", curves=("x^4-y^5", "x^3-y^2+x*y")))
+    assert code == EXIT_OK
+    assert len(chains) == 1
 
 
 def test_derived_seed_deterministic():
@@ -270,8 +332,7 @@ def test_derived_seed_deterministic():
 
 
 def test_random_direction_full_family():
-    import random as _r
-    rng = _r.Random(0)
+    rng = random.Random(0)
     d = random_direction(rng, QQ, 2)
     assert d.total_degree() <= 2
     assert not d.is_zero()

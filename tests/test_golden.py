@@ -42,8 +42,8 @@ EXTRA_JOBS = [
     ("f7-concentric-conics", _bezout("x^2+y^2-1", "x^2+y^2-2", "F7")),
     ("f7-cube-root-orbit", _bezout("x^3-2", "y-x", "F7")),
     # one attempt on the roadmap pair: the witness path needs a second
-    # extension step, and the count-only fallback rejects a non-squarefree
-    # edge polynomial, so the job exits 3
+    # extension step, and count-only reads the multiplicity off the
+    # attempt's separable eliminant
     ("mult-roadmap-pair-one-attempt",
      dict(_mult("x^4-y^5", "x^3-y^2+x*y", "0,0"), max_retries=1)),
 ]
