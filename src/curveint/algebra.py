@@ -519,10 +519,14 @@ def _strongly_regular_in_x(f: MultiPoly) -> bool:
             and f.leading_coeff_in(xv).is_constant())
 
 
-def _shear_candidates(field, bound):
+# |lam| and mu of the shears every shear search tries
+SHEAR_BOUND = 20
+
+
+def _shear_candidates(field):
     yield field.zero, field.one  # identity first
     p = field.characteristic
-    limit = bound if p == 0 else min(bound, p - 1)
+    limit = SHEAR_BOUND if p == 0 else min(SHEAR_BOUND, p - 1)
     for size in range(1, 2 * limit + 1):
         for lam_i in range(-limit, limit + 1):
             for mu_i in range(1, limit + 1):
@@ -531,32 +535,33 @@ def _shear_candidates(field, bound):
                 yield field.of(lam_i), field.of(mu_i)
 
 
-def shear_to_general_position(f: MultiPoly, g: MultiPoly, bound: int = 20):
-    """Find (lam, mu) putting the pair in resultant general position;
-    returns (sheared f, sheared g, lam, mu).
+def in_general_position(fs: MultiPoly, gs: MultiPoly) -> bool:
+    """Resultant general position: both top x-coefficients are nonzero
+    constants (degree in x equals total degree) and the origin is the only
+    common zero on the line y = 0, so the order of the resultant in y
+    reads off the local multiplicity."""
+    if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):
+        return False
+    yv = fs.vars[1]
+    f0 = fs.subs_values({yv: fs.field.zero})
+    g0 = gs.subs_values({yv: fs.field.zero})
+    # every common zero on y = 0 must sit at the origin, i.e. the gcd of
+    # the two restrictions is a pure power of x
+    return len(gcd(f0, g0).terms) == 1
 
-    Both top x-coefficients are nonzero constants (degree in x equals total
-    degree) and the origin is the only common zero on the line y = 0, so
-    the order of the resultant in y reads off the local multiplicity.
-    """
+
+def shear_to_general_position(f: MultiPoly, g: MultiPoly):
+    """The first shear (lam, mu) that puts the pair ``in_general_position``;
+    returns (sheared f, sheared g, lam, mu)."""
     if f.is_zero() or g.is_zero():
         raise InvalidInputError("shear of a zero polynomial")
     tried = []
-    yv = f.vars[1]
-    for lam, mu in _shear_candidates(f.field, bound):
+    for lam, mu in _shear_candidates(f.field):
         fs = apply_shear(f, lam, mu)
         gs = apply_shear(g, lam, mu)
-        if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):
-            tried.append((lam, mu))
-            continue
-        f0 = fs.subs_values({yv: f.field.zero})
-        g0 = gs.subs_values({yv: f.field.zero})
-        # every common zero on y = 0 must sit at the origin, i.e. the gcd
-        # of the two restrictions is a pure power of x
-        if len(gcd(f0, g0).terms) > 1:
-            tried.append((lam, mu))
-            continue
-        return fs, gs, lam, mu
+        if in_general_position(fs, gs):
+            return fs, gs, lam, mu
+        tried.append((lam, mu))
     raise GeneralPositionError(
-        f"no shear with |lam|,|mu| <= {bound} put the pair in general position",
-        tried=tried)
+        f"no shear with |lam|,|mu| <= {SHEAR_BOUND} put the pair in general "
+        "position", tried=tried)

@@ -25,9 +25,11 @@ Two readouts then use the one R and S1:
 
 * witnesses (``certified_solutions``, over Q and F_p): every y-branch of
   R is expanded as a Puiseux series, and its x-coordinate is read off S1:
-  when y0 is a simple root of R, the gcd of the two specialized
+  when S11(y0) != 0 at a root y0 of R, the gcd of the two specialized
   polynomials is S11(y0) x + S10(y0) up to a unit, so x = -S10/S11 is the
-  unique lift (S11 must not vanish along the branch).  Each witness must
+  unique lift.  ``_points_along`` is the one readout of the point over
+  each y-branch; the two-scale readout and
+  ``infinitesimal.nearby_intersections`` use it too.  Each witness must
   satisfy f_t and g_t to working precision, specialize to the origin, and
   have a nonzero Jacobian.  These check every point against the deformed
   pair itself, where the count-only readout rests on R alone.
@@ -70,36 +72,29 @@ def derived_seed(seed: int, attempt: int) -> int:
     return (seed * 1000003 + 7919 * attempt + attempt * attempt) & 0x7FFFFFFF
 
 
-def random_direction(rng: random.Random, field, degree: int,
-                     variables=VARS3, xname="x", yname="y") -> MultiPoly:
-    """A random member of the full family of degree <= ``degree`` curves,
-    with small integer coefficients, not identically zero."""
-    xi = variables.index(xname)
-    yi = variables.index(yname)
+def random_direction(rng: random.Random, field, degree: int) -> MultiPoly:
+    """A random member of the full family of degree <= ``degree`` curves
+    in the frame (x, y, t), with small integer coefficients, not
+    identically zero."""
     while True:
         terms = {}
         for i in range(degree + 1):
             for j in range(degree + 1 - i):
                 c = rng.randint(-9, 9)
                 if c:
-                    key = [0] * len(variables)
-                    key[xi] = i
-                    key[yi] = j
-                    terms[tuple(key)] = field.of(c)
-        p = MultiPoly(field, variables, terms)
+                    terms[(i, j, 0)] = field.of(c)
+        p = MultiPoly(field, VARS3, terms)
         if not p.is_zero():
             return p
 
 
-def deform_polynomial(f: MultiPoly, direction: MultiPoly, tname="t",
-                      power: int = 1) -> MultiPoly:
-    """f + t^power * direction, in the three-variable frame."""
+def deform_polynomial(f: MultiPoly, direction: MultiPoly) -> MultiPoly:
+    """f + t * direction, in the three-variable frame."""
     if direction.is_zero():
         raise InvalidInputError("zero deformation direction")
-    f3 = f if tname in f.vars else f.extend_vars(VARS3)
+    f3 = f if "t" in f.vars else f.extend_vars(VARS3)
     d3 = direction if direction.vars == f3.vars else direction.extend_vars(f3.vars)
-    tmono = MultiPoly.var(f3.field, f3.vars, tname, power)
-    return f3 + tmono * d3
+    return f3 + MultiPoly.var(f3.field, f3.vars, "t") * d3
 
 
 @dataclass(frozen=True)
@@ -136,22 +131,24 @@ def _along(br, prec):
         lift_to_field(p, bf), {"x": x, "y": br.series, "t": tser})
 
 
-def _s11_along(s1, ybranches, prec, vanishing: str):
-    """Certify that S1 exists and that its x-coefficient S11 is nonzero
-    along every y-branch of R; ``vanishing`` is the failure message.
+def _points_along(s1, ybranches, prec, vanishing: str):
+    """The one point over each y-branch of R, read off the degree-one
+    subresultant S1 = S11 x + S10: x = -S10/S11 along the branch.
 
-    Yields (branch, _along(branch), S11 along it) one branch at a time, so
-    a caller's own certificates on a branch run before the next branch is
-    checked."""
+    Certifies that S1 exists and that S11 is nonzero along every branch
+    (``vanishing`` is the failure message): then the specialized pair has
+    the one common root x over the branch's y, of the branch's order in R.
+    Yields (branch, _along(branch), x) one branch at a time, so a caller's
+    own certificates on a branch run before the next branch is checked."""
     if s1 is None:
         raise GenericityFailureError("subresultant chain skips degree one")
-    s11 = s1.coeff_of("x", 1)
+    s10, s11 = s1.coeff_of("x", 0), s1.coeff_of("x", 1)
     for br in ybranches:
         at = _along(br, prec)
         den = at(s11)
         if den.is_zero_to_precision():
             raise GenericityFailureError(vanishing)
-        yield br, at, den
+        yield br, at, -(at(s10) / den)
 
 
 def _eval_candidates(field):
@@ -199,14 +196,11 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, R: MultiPoly, s1,
     fails (caller reseeds)."""
     prec = Fraction(prec)
     ybranches = newton_puiseux(R, "y", "t", prec, assume_squarefree=True)
-    if any(not br.simple for br in ybranches):
-        raise GenericityFailureError("non-simple branch after deformation")
     jac = _jacobian(ft, gt)
     sols = []
-    for br, at, den in _s11_along(
+    for br, at, xser in _points_along(
             s1, ybranches, prec,
             "degree-one subresultant vanishes along a branch"):
-        xser = -(at(s1.coeff_of("x", 0)) / den)
         vx = xser.valuation()
         if vx is not None and vx <= 0:
             raise GenericityFailureError(
@@ -371,8 +365,9 @@ def _two_scale(fs: MultiPoly, gs: MultiPoly, lam, mu, seed: int,
         R, s1 = _eliminant_and_s1(ft, gt)
         total = _order_at_origin(R)
         branches = newton_puiseux(R, "y", "t", prec)
-        groups = sorted((br.span, br.multiplicity) for br, _, _ in _s11_along(
-            s1, branches, prec, "two coarse points share a y-coordinate"))
+        groups = sorted(
+            (br.span, br.multiplicity) for br, _, _ in _points_along(
+                s1, branches, prec, "two coarse points share a y-coordinate"))
         if sum(k * m for k, m in groups) != total:
             raise GenericityFailureError(
                 "coarse groups do not account for the multiplicity")

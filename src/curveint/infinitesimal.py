@@ -3,41 +3,42 @@ points, and the staged-specialization and left/right-factoring identities.
 
 Specialization is concrete: set every infinitesimal parameter to zero and
 read off the constant term.  A nearby point is a pair of coordinate series
-of positive valuation; two nearby points that agree to working precision
-are never silently merged (the comparison raises instead).
+of positive valuation.  ``nearby_intersections`` reads the points the way
+the deformation engine reads its witnesses: y off the branches of the
+eliminant Res_x(f_t, g_t), and x off the degree-one subresultant
+(``deformation._points_along``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import (check_local_pair, shear_to_general_position,
-                      translate_to_origin)
-from .deformation import (VARS3, _deformation_count, _two_scale,
-                          deform_polynomial, default_precision)
-from .errors import (InfiniteMultiplicityError, InvalidInputError,
+from .algebra import (SHEAR_BOUND, _shear_candidates, apply_shear,
+                      check_local_pair, in_general_position,
+                      shear_to_general_position, translate_to_origin)
+from .deformation import (VARS3, _deformation_count, _eliminant_and_s1,
+                          _points_along, _two_scale, deform_polynomial,
+                          default_precision)
+from .errors import (GeneralPositionError, GenericityFailureError,
+                     InfiniteMultiplicityError, InvalidInputError,
                      VerificationFailureError)
 from .intersect import Curve, mult_length
-from .lifting import newton_puiseux, sheet_conjugates
+from .lifting import Branch, newton_puiseux, sheet_conjugates
 from .poly import MultiPoly
-from .series import INF, TruncatedSeries, eval_poly_at_series
+from .series import TruncatedSeries
 
 
 @dataclass
 class DeformedCurve:
     """A curve with every coefficient moved along ``direction`` at scale
-    t^power: the result specializes back to the base at t = 0."""
+    t: the result specializes back to the base at t = 0."""
     base: MultiPoly
     direction: MultiPoly
-    tname: str
-    power: int
     result: MultiPoly
 
     def specialize(self) -> MultiPoly:
         zero = self.result.field.zero
-        out = self.result.subs_values({self.tname: zero})
-        return out.drop_vars([self.tname])
+        return self.result.subs_values({"t": zero}).drop_vars(["t"])
 
 
 @dataclass
@@ -63,17 +64,15 @@ class NearbyPoint:
         return f"({self.x}, {self.y}) -> {self.target}"
 
 
-def deform(C, direction: MultiPoly, tname: str = "t",
-           power: int = 1) -> DeformedCurve:
+def deform(C, direction: MultiPoly) -> DeformedCurve:
     """Move every coefficient of the family along ``direction`` scaled by
-    the infinitesimal: u_ij becomes u_ij + t^power * direction_ij."""
+    the infinitesimal: u_ij becomes u_ij + t * direction_ij."""
     base = C.affine("Z") if isinstance(C, Curve) else C
     if direction.is_zero():
         raise InvalidInputError("zero deformation direction")
     if direction.total_degree() > max(base.total_degree(), 0):
         raise InvalidInputError("direction leaves the curve's family")
-    result = deform_polynomial(base, direction, tname=tname, power=power)
-    return DeformedCurve(base, direction, tname, power, result)
+    return DeformedCurve(base, direction, deform_polynomial(base, direction))
 
 
 def specialize(value):
@@ -91,69 +90,9 @@ def specialize(value):
     raise InvalidInputError(f"cannot specialize {value!r}")
 
 
-def _branch_pairs(ft: MultiPoly, gt: MultiPoly, prec):
-    """All (x(t), y(t)) solution pairs with positive valuation of the pair
-    of deformed equations, by expanding both eliminants and keeping the
-    combinations on which both equations vanish to precision."""
-    from .algebra import resultant
-
-    field = ft.field
-    prec = Fraction(prec)
-    Ry = resultant(ft, gt, "x")
-    Rx = resultant(ft, gt, "y")
-    ybr = newton_puiseux(Ry, "y", "t", prec)
-    xbr = newton_puiseux(Rx, "x", "t", prec)
-
-    def expand(branches):
-        out = []
-        for br in branches:
-            sheets = sheet_conjugates(br)
-            if sheets is None:
-                out.append((br.series, br.span * br.multiplicity))
-            else:
-                out.extend((s, br.multiplicity) for s in sheets)
-        return out
-
-    pairs = []
-    for xs, xcount in expand(xbr):
-        for ys, ycount in expand(ybr):
-            if xs.field != ys.field and not (
-                    xs.field == field or ys.field == field):
-                continue
-            try:
-                tser = TruncatedSeries.variable(field, INF, "t").truncate(prec)
-                assign = {"x": xs, "y": ys, "t": tser}
-                ok = True
-                for eq in (ft, gt):
-                    p = eq
-                    target = xs.field if xs.field != field else ys.field
-                    if target != field:
-                        from .algebra import lift_to_field
-                        p = lift_to_field(eq, target)
-                        assign = {"x": _lift_series(xs, target),
-                                  "y": _lift_series(ys, target),
-                                  "t": TruncatedSeries.variable(
-                                      target, INF, "t").truncate(prec)}
-                    if eval_poly_at_series(p, assign).valuation() is not None:
-                        ok = False
-                        break
-                if ok:
-                    pairs.append((xs, ys, min(xcount, ycount)))
-            except InvalidInputError:
-                continue
-    return pairs
-
-
-def _lift_series(s: TruncatedSeries, target):
-    if s.field == target:
-        return s
-    return TruncatedSeries(target, {k: target.of(c) for k, c in s.coeffs.items()},
-                           s.prec, s.ram, s.varname)
-
-
-def _as_deformed_poly(obj) -> MultiPoly:
-    """A deformed curve's working polynomial; undeformed inputs embed as
-    trivially deformed."""
+def _as_deformed_poly(obj) -> tuple[MultiPoly, MultiPoly]:
+    """A deformed curve's working polynomial and its base curve; undeformed
+    inputs embed as trivially deformed."""
     if isinstance(obj, DeformedCurve):
         return obj.result, obj.base
     if isinstance(obj, Curve):
@@ -167,14 +106,48 @@ def _as_deformed_poly(obj) -> MultiPoly:
     raise InvalidInputError(f"not a curve or deformed curve: {obj!r}")
 
 
+def _nearby_points(ft: MultiPoly, gt: MultiPoly, base, prec):
+    """(x, y, count) for each point over a y-branch of R = Res_x(f_t, g_t),
+    under the first shear that puts the base pair (t = 0) in general
+    position and lets ``_points_along`` read x along every branch.  A
+    ramified branch splits into its sheets where the field has the roots
+    of unity for it, and otherwise stays one point that counts for all.
+
+    Every point lies over the origin: the branches of R start at y = 0,
+    and R(y, 0) != 0 leaves a top x-coefficient a unit, so x stays
+    bounded and tends to the base pair's one common zero on y = 0."""
+    for lam, mu in _shear_candidates(ft.field):
+        if not in_general_position(*(apply_shear(h, lam, mu) for h in base)):
+            continue
+        R, s1 = _eliminant_and_s1(apply_shear(ft, lam, mu),
+                                  apply_shear(gt, lam, mu))
+        branches = []
+        for br in newton_puiseux(R, "y", "t", prec):
+            sheets = sheet_conjugates(br)
+            branches += [br] if sheets is None else [
+                Branch(s, br.multiplicity) for s in sheets]
+        try:
+            return [(x, (br.series - x * lam) * (ft.field.one / mu),
+                     br.span * br.multiplicity)
+                    for br, _, x in _points_along(
+                        s1, branches, prec,
+                        "two nearby points share a y-coordinate")]
+        except GenericityFailureError:
+            continue
+    raise GeneralPositionError(
+        f"no shear with |lam|,|mu| <= {SHEAR_BOUND} separated the nearby "
+        "points")
+
+
 def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):
     """The points of the infinitesimal neighborhood of ``target`` on the
     intersection of the two (possibly trivially) deformed curves.
 
-    When the base curves (t = 0) meet at ``target`` with finite
-    multiplicity, the points' counts must add up to it, the length
-    engine's value there; VerificationFailureError otherwise, since the
-    pairing of x- and y-branches can miss points."""
+    Each y-branch of the eliminant carries one point, read off the
+    degree-one subresultant as in the deformation engine.  When the base
+    curves (t = 0) meet at ``target`` with finite multiplicity, the
+    points' counts must add up to it, the length engine's value there;
+    VerificationFailureError otherwise."""
     ft, base1 = _as_deformed_poly(C1t)
     gt, base2 = _as_deformed_poly(C2t)
     field = ft.field
@@ -184,19 +157,11 @@ def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):
         gt = translate_to_origin(gt, (tx, ty))
     if prec is None:
         prec = default_precision(base1, base2) + 2
-    pairs = _branch_pairs(ft, gt, prec)
-    out = []
-    for xs, ys, count in pairs:
-        vx = xs.valuation()
-        vy = ys.valuation()
-        if vx is not None and vx <= 0:
-            continue
-        if vy is not None and vy <= 0:
-            continue
-        out.append(NearbyPoint(xs, ys, (tx, ty), count))
-    out.sort(key=lambda np_: (str(np_.y), str(np_.x)))
     base = [h.subs_values({"t": field.zero}).drop_vars(["t"])
             for h in (ft, gt)]
+    out = sorted((NearbyPoint(xs, ys, (tx, ty), count)
+                  for xs, ys, count in _nearby_points(ft, gt, base, prec)),
+                 key=lambda np_: (str(np_.y), str(np_.x)))
     try:
         expected = mult_length(*base)
     except (InvalidInputError, InfiniteMultiplicityError):

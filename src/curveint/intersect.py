@@ -343,10 +343,6 @@ def _orbit(minpoly: MultiPoly, var: str, chart: str, shear: tuple,
     return PointCluster(minpoly, k, chart, shear, rep, conjugates)
 
 
-# |lam| and mu of the shears tried to separate the affine points
-SHEAR_BOUND = 20
-
-
 def intersection_points(C1: Curve, C2: Curve):
     """Every common point of two curves, each exactly once.
 
@@ -375,8 +371,9 @@ def _affine_points(C1: Curve, C2: Curve):
         return [], []  # a curve with no affine part in this chart
     xv, yv = f.vars[0], f.vars[1]
     last_exc = None
-    from .algebra import _shear_candidates, _strongly_regular_in_x
-    for lam, mu in _shear_candidates(field, SHEAR_BOUND):
+    from .algebra import (SHEAR_BOUND, _shear_candidates,
+                          _strongly_regular_in_x)
+    for lam, mu in _shear_candidates(field):
         fs = apply_shear(f, lam, mu)
         gs = apply_shear(g, lam, mu)
         if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):

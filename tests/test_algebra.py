@@ -361,12 +361,13 @@ def test_shear_cusp_pair_postcondition():
 
 
 def test_shear_budget_exhaustion_reports_tried_pairs():
-    # over F_2 there are almost no shears to try; x*y vs x+y+1 cannot be
-    # regularized in the required strong sense within the tiny budget
+    # over F_2 the only shears have |lam|, mu <= 1; y*(x + y) vs
+    # y*(x + y + 1) cannot be regularized in the required strong sense
+    # within them
     F = PrimeField(2)
     x, y = xy(F)
     with pytest.raises(GeneralPositionError) as info:
-        shear_to_general_position(y * (x + y), y * x + y * y + y, bound=1)
+        shear_to_general_position(y * (x + y), y * x + y * y + y)
     assert info.value.tried
 
 

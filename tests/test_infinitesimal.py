@@ -1,8 +1,11 @@
 import pytest
 from fractions import Fraction
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from curveint.errors import (InvalidInputError, NotSpecializableError,
-                             VerificationFailureError)
+from curveint.algebra import lift_to_field
+from curveint.errors import (InfiniteMultiplicityError, InvalidInputError,
+                             NotSpecializableError)
 from curveint.fields import QQ, PrimeField
 from curveint.infinitesimal import (NearbyPoint, deform,
                                     left_right_factoring_check,
@@ -10,7 +13,8 @@ from curveint.infinitesimal import (NearbyPoint, deform,
                                     staged_specialization_check)
 from curveint.intersect import mult_length
 from curveint.poly import MultiPoly
-from curveint.series import TruncatedSeries, shift_exponents
+from curveint.series import (INF, TruncatedSeries, eval_poly_at_series,
+                             shift_exponents)
 
 V = ("x", "y")
 
@@ -106,30 +110,42 @@ def test_nearby_count_matches_length_engine():
     from curveint.deformation import random_direction
     x, y = xy()
     rng = random.Random(6)
-    direction = random_direction(rng, QQ, 1, V, "x", "y")
+    direction = random_direction(rng, QQ, 1)
     lt = deform(y - x, direction)
     pts = nearby_intersections(x * x - y ** 3, lt)
     assert sum(p.count for p in pts) == mult_length(x * x - y ** 3, y - x)
 
 
+def _on_both(point, f, g):
+    """The nearby point satisfies both deformed equations to its
+    precision."""
+    field = point.x.field
+    t = TruncatedSeries.variable(field, INF, "t")
+    return all(eval_poly_at_series(lift_to_field(h, field),
+                                   {"x": point.x, "y": point.y, "t": t})
+               .is_zero_to_precision() for h in (f, g))
+
+
 # Pairing one representative of each x-cycle with one of each y-cycle
-# misses the conjugate partners over extension fields: it finds 0 of the 2
+# missed the conjugate partners over extension fields: it found 0 of the 2
 # nearby points of the first pair and a total count of 4 of the 6 of the
-# second.
-LOSSY_PAIRS = [
-    (lambda x, y, t: (x + y, x * x - 2 * t * t), 0, 2),
-    (lambda x, y, t: (x * x - y ** 3, x * x - 2 * y ** 3 + t * y), 4, 6),
+# second.  Reading x off the degree-one subresultant over each y-branch
+# finds them all.
+CONJUGATE_PAIRS = [
+    (lambda x, y, t: (x + y, x * x - 2 * t * t), 2),
+    (lambda x, y, t: (x * x - y ** 3, x * x - 2 * y ** 3 + t * y), 6),
 ]
 
 
-@pytest.mark.parametrize("make,found,expected", LOSSY_PAIRS)
-def test_nearby_lost_points_raise(make, found, expected):
+@pytest.mark.parametrize("make,expected", CONJUGATE_PAIRS)
+def test_nearby_recovers_conjugate_points(make, expected):
     x, y, t = (MultiPoly.var(QQ, ("x", "y", "t"), v) for v in "xyt")
     f, g = make(x, y, t)
-    with pytest.raises(VerificationFailureError,
-                       match=f"account for {found} of the multiplicity "
-                             f"{expected}$"):
-        nearby_intersections(f, g)
+    pts = nearby_intersections(f, g)
+    assert sum(p.count for p in pts) == expected
+    for p in pts:
+        assert _on_both(p, f, g)
+        assert all(not c for c in specialize(p))
 
 
 def test_nearby_count_stable_under_doubled_precision():
@@ -176,3 +192,47 @@ def test_checks_over_f7():
     x, y = xy(F)
     assert staged_specialization_check(x * x - y, x * x - 2 * y, seed=2)
     assert left_right_factoring_check(x * x - y, x * x - 2 * y, seed=2)
+
+
+# ------------------------------------------------ nearby points, property
+
+@st.composite
+def deformed_pairs(draw):
+    """(f_t, g_t, f, g): two curves of degree <= 3 through the origin, each
+    moved along a direction of the full family of its degree."""
+    field = draw(st.sampled_from([QQ, PrimeField(101)]))
+
+    def poly(degree, through_origin):
+        monomials = [(i, j) for i in range(degree + 1)
+                     for j in range(degree + 1 - i)
+                     if i + j or not through_origin]
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(monomials),
+                               max_size=len(monomials)))
+        return MultiPoly(field, V, {m: field.of(c)
+                                    for m, c in zip(monomials, coeffs) if c})
+
+    f = poly(draw(st.integers(1, 3)), True)
+    g = poly(draw(st.integers(1, 3)), True)
+    assume(not f.is_zero() and not g.is_zero())
+    df = poly(f.total_degree(), False)
+    dg = poly(g.total_degree(), False)
+    assume(not df.is_zero() and not dg.is_zero())
+    return deform(f, df).result, deform(g, dg).result, f, g
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(deformed_pairs())
+def test_nearby_points_account_for_the_multiplicity(pair):
+    ft, gt, f, g = pair
+    try:
+        expected = mult_length(f, g)
+    except (InvalidInputError, InfiniteMultiplicityError):
+        assume(False)  # no finite multiplicity at the origin to split
+    pts = nearby_intersections(ft, gt)
+    assert sum(p.count for p in pts) == expected
+    for p in pts:
+        assert p.x.field == p.y.field
+        assert _on_both(p, ft, gt)
+        assert all(not c for c in specialize(p))
