@@ -126,11 +126,9 @@ def _on_both(point, f, g):
                .is_zero_to_precision() for h in (f, g))
 
 
-# Pairing one representative of each x-cycle with one of each y-cycle
-# missed the conjugate partners over extension fields: it found 0 of the 2
-# nearby points of the first pair and a total count of 4 of the 6 of the
-# second.  Reading x off the degree-one subresultant over each y-branch
-# finds them all.
+# Nearby points with conjugates over an extension field: the first pair's
+# 2 points are one cycle over Q(sqrt 2), and 4 of the second pair's 6 lie
+# on one ramified cycle over Q(i).
 CONJUGATE_PAIRS = [
     (lambda x, y, t: (x + y, x * x - 2 * t * t), 2),
     (lambda x, y, t: (x * x - y ** 3, x * x - 2 * y ** 3 + t * y), 6),
