@@ -1,5 +1,6 @@
 """Golden reports: the ``--format json`` report and exit code of every
-corpus job, plus ``mult`` away from the origin and its input errors, must
+corpus job, plus ``mult`` away from the origin and its input errors and the
+``weierstrass`` and ``hensel`` commands, must
 match the files under ``tests/data/golden`` byte for byte.
 
 Regenerate after an intended change of output with
@@ -27,6 +28,16 @@ def _bezout(f, g, field):
             "format": "json"}
 
 
+def _weierstrass(f, precision=None, field="Q"):
+    return {"command": "weierstrass", "curves": [f], "field": field,
+            "precision": precision, "format": "json"}
+
+
+def _hensel(f, a0, precision=None, field="Q"):
+    return {"command": "hensel", "curves": [f], "field": field, "a0": a0,
+            "precision": precision, "format": "json"}
+
+
 EXTRA_JOBS = [
     ("mult-conic-line-at-1-1", _mult("x^2+y^2-2", "x-y", "1,1")),
     ("mult-translated-cusp", _mult("(x-1)^2-(y-2)^3", "y-2", "1,2")),
@@ -46,6 +57,14 @@ EXTRA_JOBS = [
     # attempt's separable eliminant
     ("mult-roadmap-pair-one-attempt",
      dict(_mult("x^4-y^5", "x^3-y^2+x*y", "0,0"), max_retries=1)),
+    # the lifting layer's own commands
+    ("weierstrass-unit-times-x", _weierstrass("x^2 + x^3 + y", 6)),
+    ("weierstrass-f7-degree-two",
+     _weierstrass("3*x^2 + x^3 + x*y - 2*y^2", 5, field="F7")),
+    ("weierstrass-not-regular", _weierstrass("y")),
+    ("hensel-square-root", _hensel("x^2 - (1 + t)", "1", 3)),
+    ("hensel-f101-cubic", _hensel("x^3 - x - t", "0", field="F101")),
+    ("hensel-not-simple", _hensel("x^2 - t", "0")),
 ]
 
 
