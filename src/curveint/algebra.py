@@ -1,6 +1,6 @@
 """Polynomial algebra: gcd, subresultant remainder sequences, resultants,
-discriminants, squarefree decomposition, and the coordinate changes used to
-put curve pairs in general position.
+squarefree decomposition, and the coordinate changes used to put curve
+pairs in general position.
 
 Resultant convention
 --------------------
@@ -11,8 +11,7 @@ oracle only.  ``subresultant_prs`` is the one remainder loop: one chain
 gives the resultant (its degree-0 last member S_0, signed by
 ``resultant_of_chain``), the gcd (the primitive part of its last member)
 and the degree-one subresultant S1 that the deformation engine lifts
-x-coordinates with.  ``discriminant(f, x)`` is
-``(-1)^(m(m-1)/2) * resultant(f, f_x, x) / lc_x(f)`` with m = deg_x f.
+x-coordinates with.
 """
 
 from __future__ import annotations
@@ -223,17 +222,6 @@ def resultant_of_chain(f: MultiPoly, g: MultiPoly, chain, name: str):
     if f.degree_in(name) < g.degree_in(name):
         odd += degs[0] * degs[1]
     return -last if odd % 2 else last
-
-
-def discriminant(f: MultiPoly, name: str) -> MultiPoly:
-    m = f.degree_in(name)
-    if m < 1:
-        raise InvalidInputError(f"input is constant in {name}")
-    res = resultant(f, f.derivative(name), name)
-    res = res.exact_divide(f.leading_coeff_in(name))
-    if (m * (m - 1) // 2) % 2 == 1:
-        res = -res
-    return res
 
 
 # ------------------------------------------------------ squarefree factors

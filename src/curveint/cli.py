@@ -329,8 +329,8 @@ def _run_weierstrass(job: Job):
     report["precision"] = prec
     report["results"].append({
         "degree": data.degree,
-        "unit": str(data.unit_poly(F)),
-        "weierstrass_polynomial": str(data.weierstrass_poly(F)),
+        "unit": str(data.unit),
+        "weierstrass_polynomial": str(data.weierstrass),
     })
     return report, EXIT_OK
 

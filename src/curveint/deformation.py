@@ -63,7 +63,7 @@ from .errors import (GenericityFailureError, InsufficientPrecisionError,
 from .fields import ExtensionField
 from .poly import MultiPoly
 from .lifting import _x_adic_valuation, newton_puiseux
-from .series import INF, TruncatedSeries, eval_poly_at_series
+from .series import TruncatedSeries, eval_poly_at_series
 
 VARS3 = ("x", "y", "t")
 
@@ -126,7 +126,7 @@ def _along(br, prec):
     """at(p, x) = p(x, y(t), t) along the y-branch ``br`` at precision
     prec, over the branch's field; x = 0 unless a series is given."""
     bf = br.series.field
-    tser = TruncatedSeries.variable(bf, INF, br.series.varname).truncate(prec)
+    tser = TruncatedSeries.variable(bf, prec)
     return lambda p, x=bf.zero: eval_poly_at_series(
         lift_to_field(p, bf), {"x": x, "y": br.series, "t": tser})
 
@@ -195,7 +195,7 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, R: MultiPoly, s1,
     has passed on R.  Raises GenericityFailureError when any certificate
     fails (caller reseeds)."""
     prec = Fraction(prec)
-    ybranches = newton_puiseux(R, "y", "t", prec, assume_squarefree=True)
+    ybranches = newton_puiseux(R, "y", prec, assume_squarefree=True)
     jac = _jacobian(ft, gt)
     sols = []
     for br, at, xser in _points_along(
@@ -364,7 +364,7 @@ def _two_scale(fs: MultiPoly, gs: MultiPoly, lam, mu, seed: int,
         gt = deform_polynomial(g3, d_coarse) if coarse_side == "right" else g3
         R, s1 = _eliminant_and_s1(ft, gt)
         total = _order_at_origin(R)
-        branches = newton_puiseux(R, "y", "t", prec)
+        branches = newton_puiseux(R, "y", prec)
         groups = sorted(
             (br.span, br.multiplicity) for br, _, _ in _points_along(
                 s1, branches, prec, "two coarse points share a y-coordinate"))

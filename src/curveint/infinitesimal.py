@@ -20,8 +20,8 @@ from .deformation import (VARS3, _deformation_count, _eliminant_and_s1,
                           _points_along, _two_scale, deform_polynomial,
                           default_precision)
 from .errors import (GeneralPositionError, GenericityFailureError,
-                     InfiniteMultiplicityError, InvalidInputError,
-                     VerificationFailureError)
+                     InfiniteMultiplicityError, InsufficientPrecisionError,
+                     InvalidInputError, VerificationFailureError)
 from .intersect import Curve, mult_length
 from .lifting import Branch, newton_puiseux, sheet_conjugates
 from .poly import MultiPoly
@@ -122,7 +122,7 @@ def _nearby_points(ft: MultiPoly, gt: MultiPoly, base, prec):
         R, s1 = _eliminant_and_s1(apply_shear(ft, lam, mu),
                                   apply_shear(gt, lam, mu))
         branches = []
-        for br in newton_puiseux(R, "y", "t", prec):
+        for br in newton_puiseux(R, "y", prec):
             sheets = sheet_conjugates(br)
             branches += [br] if sheets is None else [
                 Branch(s, br.multiplicity) for s in sheets]
@@ -144,10 +144,11 @@ def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):
     intersection of the two (possibly trivially) deformed curves.
 
     Each y-branch of the eliminant carries one point, read off the
-    degree-one subresultant as in the deformation engine.  When the base
-    curves (t = 0) meet at ``target`` with finite multiplicity, the
-    points' counts must add up to it, the length engine's value there;
-    VerificationFailureError otherwise."""
+    degree-one subresultant as in the deformation engine.  Every
+    coordinate is returned to O(t^prec); InsufficientPrecisionError when
+    one is known to less.  When the base curves (t = 0) meet at ``target``
+    with finite multiplicity, the points' counts must add up to it, the
+    length engine's value there; VerificationFailureError otherwise."""
     ft, base1 = _as_deformed_poly(C1t)
     gt, base2 = _as_deformed_poly(C2t)
     field = ft.field
@@ -159,9 +160,23 @@ def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):
         prec = default_precision(base1, base2) + 2
     base = [h.subs_values({"t": field.zero}).drop_vars(["t"])
             for h in (ft, gt)]
-    out = sorted((NearbyPoint(xs, ys, (tx, ty), count)
-                  for xs, ys, count in _nearby_points(ft, gt, base, prec)),
-                 key=lambda np_: (str(np_.y), str(np_.x)))
+    points = _nearby_points(ft, gt, base, prec)
+    # x = -S10/S11 loses the valuation of S11 along the branch: expand once
+    # more with that shortfall added, and keep only what prec asked for
+    short = max((prec - min(xs.prec, ys.prec) for xs, ys, _ in points),
+                default=0)
+    if short > 0:
+        points = _nearby_points(ft, gt, base, prec + short)
+    out = []
+    for xs, ys, count in points:
+        known = min(xs.prec, ys.prec)
+        if known < prec:
+            raise InsufficientPrecisionError(
+                f"a nearby point is known only to O(t^{known}), not "
+                f"O(t^{prec})", suggested=2 * prec + short)
+        out.append(NearbyPoint(xs.truncate(prec), ys.truncate(prec),
+                               (tx, ty), count))
+    out.sort(key=lambda np_: (str(np_.y), str(np_.x)))
     try:
         expected = mult_length(*base)
     except (InvalidInputError, InfiniteMultiplicityError):

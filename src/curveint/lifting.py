@@ -1,6 +1,8 @@
 """Root lifting in truncated series rings.
 
-Three entry points:
+Every series is in the one infinitesimal t, so a polynomial handed to
+``hensel_lift`` or ``newton_puiseux`` names its parameter ``t``.  Three
+entry points:
 
 * ``hensel_lift``: Newton iteration for a simple residual root of a
   polynomial with series coefficients; correct digits double each step.
@@ -9,7 +11,7 @@ Three entry points:
   simple, continuation switches to ``hensel_lift``.
 * ``weierstrass_prepare``: effective Weierstrass division F = U * G with G
   monic in x, non-leading coefficients vanishing at y = 0, and U a local
-  unit, exact in x and truncated in y.
+  unit; U and G are polynomials truncated below y^prec.
 """
 
 from __future__ import annotations
@@ -32,19 +34,22 @@ from .series import (INF, TruncatedSeries, eval_poly_at_series,
 
 def _eval_series_poly(coeffs, point: TruncatedSeries) -> TruncatedSeries:
     """Horner evaluation of [c_0, c_1, ...] (series coefficients) at a series."""
-    total = TruncatedSeries.zero(point.field, INF, point.varname)
+    total = TruncatedSeries.zero(point.field)
     for c in reversed(coeffs):
         total = total * point + c
     return total
 
 
-def series_poly_from_multipoly(f: MultiPoly, xname: str, tname: str, prec):
-    """Dense coefficient list in x, each a series in t, for a poly in (x, t)."""
+def series_poly_from_multipoly(f: MultiPoly, xname: str):
+    """Dense coefficient list in x, each an exact series in t, for a poly
+    in (x, t)."""
+    if xname == "t" or "t" not in f.vars:
+        raise InvalidInputError("the series parameter must be named t")
     for v in f.vars:
-        if v not in (xname, tname) and f.involves(v):
+        if v not in (xname, "t") and f.involves(v):
             raise InvalidInputError(f"unexpected variable {v}")
     xi = f.vars.index(xname)
-    ti = f.vars.index(tname)
+    ti = f.vars.index("t")
     d = f.degree_in(xname)
     out = []
     for k in range(d + 1):
@@ -52,7 +57,7 @@ def series_poly_from_multipoly(f: MultiPoly, xname: str, tname: str, prec):
         for exps, c in f.terms.items():
             if exps[xi] == k:
                 coeffs[exps[ti]] = coeffs.get(exps[ti], f.field.zero) + c
-        out.append(TruncatedSeries(f.field, coeffs, prec, 1, tname))
+        out.append(TruncatedSeries(f.field, coeffs, INF))
     return out
 
 
@@ -60,8 +65,8 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
     """Lift a simple residual root a0 of f to a series root mod t^prec.
 
     ``f`` is a list of TruncatedSeries (ascending x powers) or a MultiPoly
-    in (x, t).  Requires f(a0) = 0 and f'(a0) != 0 at t = 0; otherwise
-    NotSimpleRootError.
+    in x, its first variable, and t.  Requires f(a0) = 0 and f'(a0) != 0 at
+    t = 0; otherwise NotSimpleRootError.
 
     Newton's iteration runs at working precisions that double up to
     ``prec`` (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 9),
@@ -72,17 +77,14 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
     """
     prec = Fraction(prec)
     if isinstance(f, MultiPoly):
-        xname = f.vars[0]
-        tname = next(v for v in f.vars if v != xname)
-        f = series_poly_from_multipoly(f, xname, tname, INF)
+        f = series_poly_from_multipoly(f, f.vars[0])
     if not f:
         raise InvalidInputError("empty polynomial")
     field = f[0].field
-    varname = f[0].varname
     coeffs = [c.truncate(prec) if c.prec > prec else c for c in f]
     fprime = [c * k for k, c in enumerate(coeffs)][1:]
     a0 = field.of(a0)
-    x = TruncatedSeries.constant(field, a0, prec, varname)
+    x = TruncatedSeries.constant(field, a0, prec)
     res0 = _eval_series_poly(coeffs, x)
     if res0.constant_term():
         raise NotSimpleRootError("a0 is not a root of the residual polynomial")
@@ -100,7 +102,7 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
     while v0 > 0 and schedule[-1] / 2 > v0:
         schedule.append(schedule[-1] / 2)
     schedule.reverse()
-    x = TruncatedSeries.constant(field, a0, INF, varname)
+    x = TruncatedSeries.constant(field, a0)
     for w in schedule + [prec] * (max_iter - 1):
         root = x.truncate(w)
         fx = _eval_series_poly([c.truncate(w) for c in coeffs], root)
@@ -113,7 +115,7 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
         dfx = _eval_series_poly([c.truncate(w - v) for c in fprime],
                                 x.truncate(w - v))
         step = root - fx / dfx
-        x = TruncatedSeries(field, step.coeffs, INF, step.ram, varname)
+        x = TruncatedSeries(field, step.coeffs, INF, step.ram)
     else:
         raise InsufficientPrecisionError(
             "Newton iteration failed to converge", suggested=2 * prec)
@@ -183,10 +185,10 @@ def _lower_hull(points):
     return hull
 
 
-def newton_polygon_edges(f: MultiPoly, xname: str, tname: str):
+def newton_polygon_edges(f: MultiPoly, xname: str):
     """Edges (i1, j1, i2, j2) of the origin-facing Newton polygon, with
     positive slope gamma = (j1 - j2)/(i2 - i1) for branches with val > 0."""
-    xi, ti = f.vars.index(xname), f.vars.index(tname)
+    xi, ti = f.vars.index(xname), f.vars.index("t")
     support = {}
     for exps in f.terms:
         i, j = exps[xi], exps[ti]
@@ -204,7 +206,7 @@ def newton_polygon_edges(f: MultiPoly, xname: str, tname: str):
     return edges
 
 
-def _edge_polynomial(f: MultiPoly, xname: str, tname: str, edge):
+def _edge_polynomial(f: MultiPoly, xname: str, edge):
     """Coefficients of the restriction of f to one polygon edge, as a
     univariate polynomial in the segment unknown z: returns (gamma, a, b,
     level, coeff list ascending in z)."""
@@ -212,7 +214,7 @@ def _edge_polynomial(f: MultiPoly, xname: str, tname: str, edge):
     gamma = Fraction(j1 - j2, i2 - i1)
     a, b = gamma.numerator, gamma.denominator
     level = b * j1 + a * i1
-    xi, ti = f.vars.index(xname), f.vars.index(tname)
+    xi, ti = f.vars.index(xname), f.vars.index("t")
     deg = (i2 - i1) // b
     coeffs = [f.field.zero] * (deg + 1)
     for exps, c in f.terms.items():
@@ -226,15 +228,15 @@ def _coeffs_to_unipoly(coeffs, field, name="z"):
     return MultiPoly(field, (name,), {(k,): c for k, c in enumerate(coeffs)})
 
 
-def _transform_segment(f: MultiPoly, xname: str, tname: str, a: int, b: int,
-                       level: int, c, new_field):
+def _transform_segment(f: MultiPoly, xname: str, a: int, b: int, level: int,
+                       c, new_field):
     """Substitute x -> s^a (c + x), t -> s^b and divide by s^level.
 
     Returns a polynomial over new_field in the same two variable slots,
     with t now standing for s: each t^j x^i becomes s^(a*i + b*j - level)
     x^i, nonnegative on the segment's side of the polygon, and then x
     shifts to c + x."""
-    xi, ti = f.vars.index(xname), f.vars.index(tname)
+    xi, ti = f.vars.index(xname), f.vars.index("t")
     terms = {}
     for exps, coeff in f.terms.items():
         key = list(exps)
@@ -245,8 +247,7 @@ def _transform_segment(f: MultiPoly, xname: str, tname: str, a: int, b: int,
     return g.compose({xname: x + new_field.of(c)})
 
 
-def _expand_squarefree(f: MultiPoly, xname: str, tname: str, prec: Fraction,
-                       depth: int):
+def _expand_squarefree(f: MultiPoly, xname: str, prec: Fraction, depth: int):
     """All val>0 branches of a squarefree polynomial; list of series."""
     if depth > 64:
         raise BudgetError("Newton polygon recursion exceeded its depth cap")
@@ -255,30 +256,30 @@ def _expand_squarefree(f: MultiPoly, xname: str, tname: str, prec: Fraction,
     out = []  # (series, span) pairs
     k = _x_adic_valuation(f, xi)
     if k > 0:
-        out.append((TruncatedSeries.zero(field, INF, tname), 1))
+        out.append((TruncatedSeries.zero(field), 1))
         f = _divide_x_power(f, xi, k)
-    if f.subs_values({xname: field.zero, tname: field.zero}):
+    if f.subs_values({xname: field.zero, "t": field.zero}):
         return out
-    edges = newton_polygon_edges(f, xname, tname)
+    edges = newton_polygon_edges(f, xname)
     for edge in edges:
-        gamma, a, b, level, coeffs = _edge_polynomial(f, xname, tname, edge)
+        gamma, a, b, level, coeffs = _edge_polynomial(f, xname, edge)
         phi = _coeffs_to_unipoly(coeffs, field)
         roots = _segment_roots(phi, field, b)
         for c_root, mult, rfield, kappa in roots:
-            g = _transform_segment(f, xname, tname, a, b, level, c_root, rfield)
+            g = _transform_segment(f, xname, a, b, level, c_root, rfield)
             sub_prec = prec * b - a
             if sub_prec <= 0:
                 raise InsufficientPrecisionError(
                     "requested precision too small for this segment",
                     suggested=2 * prec + gamma)
             if mult == 1:
-                tail = _hensel_continue(g, xname, tname, sub_prec)
-                out.append((_assemble(tail, c_root, a, b, rfield, tname),
-                            b * kappa))
+                tail = hensel_lift(series_poly_from_multipoly(g, xname),
+                                   rfield.zero, sub_prec)
+                out.append((_assemble(tail, c_root, a, b), b * kappa))
             else:
                 for tail, sub_span in _expand_squarefree(
-                        g, xname, tname, Fraction(sub_prec), depth + 1):
-                    out.append((_assemble(tail, c_root, a, b, rfield, tname),
+                        g, xname, Fraction(sub_prec), depth + 1):
+                    out.append((_assemble(tail, c_root, a, b),
                                 b * kappa * sub_span))
     return out
 
@@ -342,22 +343,16 @@ def _bth_root(z0, field, b: int):
     return ext.gen, ext
 
 
-def _hensel_continue(g: MultiPoly, xname: str, tname: str, prec) -> TruncatedSeries:
-    coeffs = series_poly_from_multipoly(g, xname, tname, INF)
-    coeffs = [c.truncate(prec) for c in coeffs]
-    return hensel_lift(coeffs, g.field.zero, prec)
+def _assemble(tail: TruncatedSeries, c_root, a: int,
+              b: int) -> TruncatedSeries:
+    """Branch series t^(a/b) * (c + tail(t^(1/b))), over the tail's field
+    (the recursion may have extended the field of c)."""
+    field = tail.field
+    const = TruncatedSeries.constant(field, field.of(c_root))
+    return shift_exponents(const + rescale_exponents(tail, b), Fraction(a, b))
 
 
-def _assemble(tail: TruncatedSeries, c_root, a: int, b: int, field,
-              tname: str) -> TruncatedSeries:
-    """Branch series t^(a/b) * (c + tail(t^(1/b)))."""
-    out_field = tail.field  # the recursion may have extended ``field``
-    inner = rescale_exponents(tail, b)
-    const = TruncatedSeries.constant(out_field, out_field.of(c_root), INF, tname)
-    return shift_exponents(const + inner, Fraction(a, b))
-
-
-def newton_puiseux(F: MultiPoly, xname: str, tname: str, prec,
+def newton_puiseux(F: MultiPoly, xname: str, prec,
                    assume_squarefree: bool = False):
     """Every branch x(t) with x(0) = 0 of F(x, t) = 0, with multiplicities.
 
@@ -369,8 +364,10 @@ def newton_puiseux(F: MultiPoly, xname: str, tname: str, prec,
     """
     if F.is_zero():
         raise InvalidInputError("zero polynomial")
+    if "t" not in F.vars:
+        raise InvalidInputError("the series parameter must be named t")
     prec = Fraction(prec)
-    if F.subs_values({tname: F.field.zero}).is_zero():
+    if F.subs_values({"t": F.field.zero}).is_zero():
         raise NotRegularError("F(x, 0) vanishes identically; shear first")
     branches = []
     if assume_squarefree:
@@ -382,7 +379,7 @@ def newton_puiseux(F: MultiPoly, xname: str, tname: str, prec,
         pieces = [(fac, mult) for fac, mult in squarefree_decompose(F)
                   if fac.involves(xname)]
     for fac, mult in pieces:
-        for series, span in _expand_squarefree(fac, xname, tname, prec, 0):
+        for series, span in _expand_squarefree(fac, xname, prec, 0):
             branches.append(Branch(series.truncate(prec) if series.prec > prec
                                    else series, mult, span))
     branches.sort(key=lambda br: (str(br.series)))
@@ -434,164 +431,67 @@ def sheet_conjugates(branch: Branch):
     out = []
     for j in range(r):
         coeffs = {k: c * zeta ** ((k * j) % r) for k, c in s.coeffs.items()}
-        out.append(TruncatedSeries(s.field, coeffs, s.prec, r, s.varname))
+        out.append(TruncatedSeries(s.field, coeffs, s.prec, r))
     return out
 
 
-def verify_branch(F: MultiPoly, xname: str, tname: str, br: Branch) -> bool:
+def verify_branch(F: MultiPoly, xname: str, br: Branch) -> bool:
     """Substitute the branch into F; the result must vanish to the branch's
     guaranteed precision."""
     F = lift_to_field(F, br.series.field)
-    t = TruncatedSeries.variable(F.field, INF, br.series.varname)
-    val = eval_poly_at_series(F, {xname: br.series, tname: t})
+    t = TruncatedSeries.variable(F.field)
+    val = eval_poly_at_series(F, {xname: br.series, "t": t})
     return val.valuation() is None
 
 
 # ------------------------------------------------------------- weierstrass
 
+@dataclass(frozen=True)
 class WeierstrassData:
-    """Factorization F = U * G to finite y-precision.
+    """F = unit * weierstrass + O(y^prec), both polynomials in (x, y)
+    truncated below y^prec.
 
-    G = x^m + a_1(y) x^(m-1) + ... + a_m(y) with a_i(0) = 0; U is a unit at
-    the origin, polynomial in x with truncated series coefficients in y.
-    The congruence F - U*G = O(y^prec) holds identically in x.
-    """
-
-    def __init__(self, unit_coeffs, wpoly_coeffs, degree, prec, field,
-                 xname="x", yname="y"):
-        self.unit_coeffs = unit_coeffs      # list over x-powers, series in y
-        self.wpoly_coeffs = wpoly_coeffs    # [a_1, ..., a_m], series in y
-        self.degree = degree
-        self.prec = prec
-        self.field = field
-        self.xname = xname
-        self.yname = yname
-
-    def unit_at_origin(self):
-        return self.unit_coeffs[0].constant_term()
-
-    def unit_poly(self, like: MultiPoly) -> MultiPoly:
-        """U as a polynomial in (x, y), truncated at y^prec."""
-        return _series_coeffs_to_poly(self.unit_coeffs, like, self.xname,
-                                      self.yname, self.prec)
-
-    def weierstrass_poly(self, like: MultiPoly) -> MultiPoly:
-        m = self.degree
-        xi = like.vars.index(self.xname)
-        key = [0] * len(like.vars)
-        key[xi] = m
-        out = MultiPoly(like.field, like.vars, {tuple(key): like.field.one})
-        series = [None] + list(self.wpoly_coeffs)  # a_i aligned to x^(m-i)
-        for i in range(1, m + 1):
-            coeffs = [series[i]]
-            piece = _series_coeffs_to_poly(coeffs, like, self.xname,
-                                           self.yname, self.prec)
-            xk = MultiPoly.var(like.field, like.vars, self.xname, m - i) \
-                if m - i else MultiPoly.const(like.field, like.vars, 1)
-            out = out + piece * xk
-        return out
+    ``weierstrass`` = x^m + a_1(y) x^(m-1) + ... + a_m(y) with a_i(0) = 0
+    and m = ``degree``; ``unit`` does not vanish at the origin."""
+    degree: int
+    unit: MultiPoly
+    weierstrass: MultiPoly
 
 
-def _series_coeffs_to_poly(series_list, like: MultiPoly, xname, yname, prec):
-    field = like.field
-    xi = like.vars.index(xname)
-    yi = like.vars.index(yname)
-    terms = {}
-    for xpow, s in enumerate(series_list):
-        if s is None:
-            continue
-        for k, c in s.coeffs.items():
-            if Fraction(k, s.ram) >= prec:
-                continue
-            key = [0] * len(like.vars)
-            key[xi] = xpow
-            key[yi] = k // s.ram if s.ram > 1 else k
-            terms[tuple(key)] = terms.get(tuple(key), field.zero) + c
-    return MultiPoly(field, like.vars, terms)
-
-
-def _poly_inverse_mod_xm(u: MultiPoly, xname: str, m: int) -> MultiPoly:
-    """Inverse of a unit polynomial modulo x^m (coefficients in the field)."""
-    field = u.field
-    c = [u.coeff_of(xname, k).constant_value() for k in range(m)]
-    if not c[0]:
-        raise InvalidInputError("not a unit at the origin")
-    inv0 = 1 / c[0]
-    out = [inv0]
-    for k in range(1, m):
-        acc = field.zero
-        for j in range(1, k + 1):
-            if j < len(c) and c[j]:
-                acc = acc + c[j] * out[k - j]
-        out.append(-inv0 * acc)
-    xi = u.vars.index(xname)
-    terms = {}
-    for k, val in enumerate(out):
-        if val:
-            key = [0] * len(u.vars)
-            key[xi] = k
-            terms[tuple(key)] = val
-    return MultiPoly(field, u.vars, terms)
-
-
-def _truncate_poly_in(f: MultiPoly, xname: str, m: int) -> MultiPoly:
-    xi = f.vars.index(xname)
-    return f.clone({e: c for e, c in f.terms.items() if e[xi] < m})
-
-
-def weierstrass_prepare(F: MultiPoly, prec: int, xname: str = None,
-                        yname: str = None) -> WeierstrassData:
-    """Compute (U, G) with F = U*G + O(y^prec), G a monic degree-m
-    polynomial in x whose non-leading coefficients vanish at y = 0.
+def weierstrass_prepare(F: MultiPoly, prec: int) -> WeierstrassData:
+    """Prepare F in its variables (x, y): U = sum u_k y^k and G = sum g_k y^k
+    are solved order by order in y from F_k = sum_i u_i g_(k-i), where F_k
+    is the y^k coefficient of F, g_0 = x^m and g_k has x-degree below m.
 
     m = ord_x F(x, 0).  Raises NotRegularError when F(x, 0) = 0 and
     NothingToPrepareError when F does not vanish at the origin.
     """
     field = F.field
-    xname = xname or F.vars[0]
-    yname = yname or F.vars[1]
-    f_x0 = F.subs_values({yname: field.zero})
+    xname, second = F.vars[:2]
+    f_x0 = F.subs_values({second: field.zero})
     if f_x0.is_zero():
         raise NotRegularError("F(x, 0) vanishes identically; shear first")
-    if F.subs_values({xname: field.zero, yname: field.zero}):
+    if F.subs_values({xname: field.zero, second: field.zero}):
         raise NothingToPrepareError("F(0,0) != 0: F is already a local unit")
-    xi = F.vars.index(xname)
-    m = min(e[xi] for e in f_x0.terms)
-    fk = [F.coeff_of(yname, k) for k in range(prec)]
-    u0 = _divide_x_power(f_x0, xi, m)
-    v0 = _poly_inverse_mod_xm(u0, xname, m) if m else None
-    units = [u0]
+    m = _x_adic_valuation(f_x0, 0)
+    units = [_divide_x_power(f_x0, 0, m)]
+    # u_0 is a unit mod x^m: invert it as a series in x, read back as a
+    # polynomial
+    inverse = TruncatedSeries(
+        field, {e[0]: c for e, c in units[0].terms.items()}, m).invert_unit()
+    v0 = F.clone({(k,) + (0,) * (len(F.vars) - 1): c
+                  for k, c in inverse.coeffs.items()})
     gs = [MultiPoly.var(field, F.vars, xname, m)]
     for k in range(1, prec):
-        rhs = fk[k]
+        rhs = F.coeff_of(second, k)
         for i in range(1, k):
             rhs = rhs - units[i] * gs[k - i]
-        if m:
-            gk = _truncate_poly_in(rhs * v0, xname, m)
-        else:
-            gk = MultiPoly.zero(field, F.vars)
-        uk = _divide_x_power(rhs - units[0] * gk, xi, m) if m else rhs
-        units.append(uk)
+        gk = rhs * v0
+        gk = gk.clone({e: c for e, c in gk.terms.items() if e[0] < m})
+        units.append(_divide_x_power(rhs - units[0] * gk, 0, m))
         gs.append(gk)
-    # repackage as series in y
-    max_xdeg = max(u.degree_in(xname) for u in units)
-    unit_coeffs = []
-    for xpow in range(max_xdeg + 1):
-        coeffs = {}
-        for k, u in enumerate(units):
-            c = u.coeff_of(xname, xpow).constant_value()
-            if c:
-                coeffs[k] = c
-        unit_coeffs.append(TruncatedSeries(field, coeffs, prec, 1, yname))
-    wpoly_coeffs = []
-    for i in range(1, m + 1):
-        coeffs = {}
-        for k, g in enumerate(gs):
-            if k == 0:
-                continue  # G_0 = x^m contributes no a_i
-            c = g.coeff_of(xname, m - i).constant_value()
-            if c:
-                coeffs[k] = c
-        wpoly_coeffs.append(TruncatedSeries(field, coeffs, prec, 1, yname))
-    return WeierstrassData(unit_coeffs, wpoly_coeffs, m, prec, field,
-                           xname, yname)
+    y = MultiPoly.var(field, F.vars, second)
+    unit = sum((u * y ** k for k, u in enumerate(units) if k < prec),
+               MultiPoly.zero(field, F.vars))
+    weierstrass = sum((g * y ** k for k, g in enumerate(gs) if k), gs[0])
+    return WeierstrassData(m, unit, weierstrass)

@@ -1,4 +1,4 @@
-"""Truncated power series in one infinitesimal parameter.
+"""Truncated power series in the one infinitesimal parameter t.
 
 A series holds coefficients indexed by exponents k/r (ramification index r)
 strictly below its precision, the first unknown exponent.  Exponents may be
@@ -28,7 +28,7 @@ def _cutoff(prec, ram: int):
     return INF if prec == INF else math.ceil(prec * ram)
 
 
-def _series(field, coeffs, prec, ram, varname):
+def _series(field, coeffs, prec, ram):
     """A series from coefficients that are already clean: int indices
     below the cutoff, nonzero elements of ``field``."""
     s = object.__new__(TruncatedSeries)
@@ -36,14 +36,13 @@ def _series(field, coeffs, prec, ram, varname):
     s.ram = ram
     s.prec = prec if prec == INF else Fraction(prec)
     s.coeffs = coeffs
-    s.varname = varname
     return s
 
 
 class TruncatedSeries:
-    __slots__ = ("field", "ram", "coeffs", "prec", "varname")
+    __slots__ = ("field", "ram", "coeffs", "prec")
 
-    def __init__(self, field, coeffs, prec, ram=1, varname="t"):
+    def __init__(self, field, coeffs, prec, ram=1):
         self.field = field
         self.ram = int(ram)
         if self.ram < 1:
@@ -56,23 +55,22 @@ class TruncatedSeries:
             if c and k < cutoff:
                 clean[int(k)] = c
         self.coeffs = clean
-        self.varname = varname
 
     # ------------------------------------------------------------- builders
     @classmethod
-    def constant(cls, field, value, prec=INF, varname="t"):
-        return cls(field, {0: field.of(value)}, prec, 1, varname)
+    def constant(cls, field, value, prec=INF):
+        return cls(field, {0: field.of(value)}, prec)
 
     @classmethod
-    def zero(cls, field, prec=INF, varname="t"):
-        return cls(field, {}, prec, 1, varname)
+    def zero(cls, field, prec=INF):
+        return cls(field, {}, prec)
 
     @classmethod
-    def variable(cls, field, prec=INF, varname="t"):
-        return cls(field, {1: field.one}, prec, 1, varname)
+    def variable(cls, field, prec=INF):
+        return cls(field, {1: field.one}, prec)
 
     @classmethod
-    def from_terms(cls, field, terms, prec=INF, varname="t"):
+    def from_terms(cls, field, terms, prec=INF):
         """terms: iterable of (exponent, coefficient) with Fraction exponents."""
         ram = 1
         items = [(Fraction(e), c) for e, c in terms]
@@ -82,7 +80,7 @@ class TruncatedSeries:
         for e, c in items:
             k = int(e * ram)
             coeffs[k] = coeffs.get(k, field.zero) + field.of(c)
-        return cls(field, coeffs, prec, ram, varname)
+        return cls(field, coeffs, prec, ram)
 
     # ------------------------------------------------------------ structure
     def with_ram(self, new_ram: int) -> "TruncatedSeries":
@@ -92,19 +90,19 @@ class TruncatedSeries:
             raise InvalidInputError("new ramification must be a multiple")
         q = new_ram // self.ram
         return TruncatedSeries(self.field, {k * q: c for k, c in self.coeffs.items()},
-                               self.prec, new_ram, self.varname)
+                               self.prec, new_ram)
 
     def reduce_ram(self) -> "TruncatedSeries":
         """Smallest ramification index representing the same exponents."""
         if not self.coeffs:
-            return TruncatedSeries(self.field, {}, self.prec, 1, self.varname)
+            return TruncatedSeries(self.field, {}, self.prec)
         g = self.ram
         for k in self.coeffs:
             g = math.gcd(g, abs(k))
             if g == 1:
                 return self
         return TruncatedSeries(self.field, {k // g: c for k, c in self.coeffs.items()},
-                               self.prec, self.ram // g, self.varname)
+                               self.prec, self.ram // g)
 
     def valuation(self):
         """Least exponent with a nonzero coefficient, or None if the series
@@ -136,13 +134,12 @@ class TruncatedSeries:
         new_prec = new_prec if new_prec == INF else Fraction(new_prec)
         if new_prec >= self.prec:
             return self
-        return TruncatedSeries(self.field, self.coeffs, new_prec, self.ram,
-                               self.varname)
+        return TruncatedSeries(self.field, self.coeffs, new_prec, self.ram)
 
     # ----------------------------------------------------------- arithmetic
     def _align(self, other):
         if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(self.field, other, INF, self.varname)
+            other = TruncatedSeries.constant(self.field, other)
         r = math.lcm(self.ram, other.ram)
         return self.with_ram(r), other.with_ram(r)
 
@@ -156,13 +153,13 @@ class TruncatedSeries:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return TruncatedSeries(self.field, out, prec, a.ram, self.varname)
+        return TruncatedSeries(self.field, out, prec, a.ram)
 
     __radd__ = __add__
 
     def __neg__(self):
         return TruncatedSeries(self.field, {k: -c for k, c in self.coeffs.items()},
-                               self.prec, self.ram, self.varname)
+                               self.prec, self.ram)
 
     def __sub__(self, other):
         a, b = self._align(other)
@@ -178,7 +175,7 @@ class TruncatedSeries:
         vb = b.effective_valuation()
         prec = min(a.prec + vb, b.prec + va) if (a.prec != INF or b.prec != INF) else INF
         if not a.coeffs or not b.coeffs:
-            return _series(self.field, {}, prec, a.ram, self.varname)
+            return _series(self.field, {}, prec, a.ram)
         cutoff = _cutoff(prec, a.ram)
         bkeys = sorted(b.coeffs)
         # delayed reduction, as in MultiPoly.__mul__
@@ -192,15 +189,15 @@ class TruncatedSeries:
                 if k >= cutoff:
                     break  # every later pair lies past the truncation too
                 sums[k] = sums.get(k, 0) + x * y
-        return _series(self.field, decode(sums), prec, a.ram, self.varname)
+        return _series(self.field, decode(sums), prec, a.ram)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
-            inv = TruncatedSeries.constant(self.field, 1, INF, self.varname) / self
+            inv = TruncatedSeries.constant(self.field, 1) / self
             return inv ** (-n)
-        result = TruncatedSeries.constant(self.field, 1, INF, self.varname)
+        result = TruncatedSeries.constant(self.field, 1)
         base = self
         while n:
             if n & 1:
@@ -215,8 +212,7 @@ class TruncatedSeries:
         if v is None or v != 0:
             raise NotAUnitError("series is not a unit (valuation != 0)")
         if self.prec == INF and len(self.coeffs) == 1:
-            return TruncatedSeries(self.field, {0: 1 / self.coeffs[0]}, INF,
-                                   1, self.varname)
+            return TruncatedSeries(self.field, {0: 1 / self.coeffs[0]}, INF)
         if self.prec == INF:
             raise InvalidInputError(
                 "cannot invert a non-monomial exact series; truncate first")
@@ -233,7 +229,7 @@ class TruncatedSeries:
             val = -inv0 * acc
             if val:
                 out[k] = val
-        return TruncatedSeries(self.field, out, self.prec, self.ram, self.varname)
+        return TruncatedSeries(self.field, out, self.prec, self.ram)
 
     def __truediv__(self, other):
         a, b = self._align(other)
@@ -296,7 +292,7 @@ class TruncatedSeries:
                 parts.append(cs)
             else:
                 es = str(e) if e.denominator == 1 else f"({e})"
-                body = f"{self.varname}^{es}" if e != 1 else self.varname
+                body = f"t^{es}" if e != 1 else "t"
                 if cs == "1":
                     parts.append(body)
                 elif cs == "-1":
@@ -306,7 +302,7 @@ class TruncatedSeries:
         if self.prec != INF:
             p = self.prec
             ps = str(p) if p.denominator == 1 else f"({p})"
-            parts.append(f"O({self.varname}^{ps})")
+            parts.append(f"O(t^{ps})")
         if not parts:
             return "0"
         text = parts[0]
@@ -328,33 +324,29 @@ def shift_exponents(s: TruncatedSeries, delta) -> TruncatedSeries:
     s2 = s.with_ram(r)
     d = int(delta * r)
     return TruncatedSeries(s.field, {k + d: c for k, c in s2.coeffs.items()},
-                           s2.prec + delta if s2.prec != INF else INF, r, s.varname)
+                           s2.prec + delta if s2.prec != INF else INF, r)
 
 
 def rescale_exponents(s: TruncatedSeries, b: int) -> TruncatedSeries:
     """Reinterpret a series in s as a series in t with s = t^(1/b)."""
     return TruncatedSeries(s.field, dict(s.coeffs),
                            s.prec / b if s.prec != INF else INF,
-                           s.ram * b, s.varname)
+                           s.ram * b)
 
 
 def eval_poly_at_series(f: MultiPoly, assignment: dict) -> TruncatedSeries:
     """Evaluate a polynomial with every variable bound to a series or scalar."""
     field = f.field
-    varname = "t"
     series_args = {}
     for v in f.vars:
         val = assignment[v]
         if not isinstance(val, TruncatedSeries):
             val = TruncatedSeries.constant(field, val)
         series_args[v] = val
-        if val.coeffs or val.prec != INF:
-            varname = val.varname
-    total = TruncatedSeries.zero(field, INF, varname)
-    powers = {v: {0: TruncatedSeries.constant(field, 1, INF, varname)}
-              for v in f.vars}
+    total = TruncatedSeries.zero(field)
+    powers = {v: {0: TruncatedSeries.constant(field, 1)} for v in f.vars}
     for exps, c in f.terms.items():
-        term = TruncatedSeries.constant(field, c, INF, varname)
+        term = TruncatedSeries.constant(field, c)
         for v, e in zip(f.vars, exps):
             if not e:
                 continue

@@ -3,7 +3,9 @@
 These deliberately avoid the production code paths: the resultant oracle
 builds the Sylvester matrix (f's rows first, descending coefficients) and
 evaluates the determinant by fraction-free (Bareiss) elimination; the
-local-dimension oracle does naive monomial enumeration; the extension-field
+intersection-number oracle runs Fulton's algorithm, derived from the
+axioms of intersection multiplicity, where the production length engine
+computes the dimension of a local quotient ring; the extension-field
 oracle computes on tuples of base-field elements (schoolbook products,
 long division by the modulus, the extended Euclidean algorithm) where the
 production code computes on integer vectors.  The product references
@@ -91,62 +93,54 @@ def random_poly(rng, field, variables, max_degree, coeff_range=9,
     return MultiPoly(field, variables, terms)
 
 
-def local_dim_oracle(f: MultiPoly, g: MultiPoly, cap: int = 24):
-    """Brute-force dimension of k[x,y]/((f,g) + m^N), stabilized in N.
+def fulton_intersection_number(f: MultiPoly, g: MultiPoly, cap: int = 10_000):
+    """I_0(f, g) at the origin by Fulton's algorithm (Algebraic Curves,
+    section 3.3), which uses only the axioms of intersection multiplicity.
 
-    Independent of the production linear algebra: builds the full multiple
-    matrix and row-reduces over the fraction field with naive pivoting.
+    Works on exponent dictionaries of f(x, y) and g(x, y).  A curve that
+    misses the origin contributes 0.  Otherwise let r <= s be the x-degrees
+    of F(x, 0) and G(x, 0).  If F(x, 0) = 0, then F = y * H, and
+    I(F, G) = I(y, G) + I(H, G), where I(y, G) = ord_x G(x, 0).  Else
+    I(F, G) = I(F, G - c * x^(s - r) * F), with c making the x^s terms
+    cancel.  Every reduction of the first kind adds at least 1, and curves
+    without a common component meet at the origin at most deg f * deg g
+    times (Bezout), so a count past that bound, a zero polynomial or y
+    dividing both means a shared component through the origin: ValueError.
     """
-    field = f.field
-    xv, yv = f.vars[0], f.vars[1]
-
-    def dim_at(N):
-        monos = [(i, j) for i in range(N) for j in range(N) if i + j < N]
-        index = {m: k for k, m in enumerate(monos)}
-        rows = []
-        for h in (f, g):
-            for a in range(N):
-                for b in range(N - a):
-                    row = [field.zero] * len(monos)
-                    seen = False
-                    for (i, j), c in h.terms.items():
-                        i2, j2 = i + a, j + b
-                        if i2 + j2 < N:
-                            row[index[(i2, j2)]] = row[index[(i2, j2)]] + c
-                            seen = True
-                    if seen:
-                        rows.append(row)
-        rank = 0
-        ncols = len(monos)
-        col = 0
-        r = 0
-        while r < len(rows) and col < ncols:
-            piv = None
-            for i in range(r, len(rows)):
-                if rows[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                col += 1
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            pv = rows[r][col]
-            for i in range(r + 1, len(rows)):
-                if rows[i][col]:
-                    factor = rows[i][col] / pv
-                    rows[i] = [ci - factor * cr for ci, cr in zip(rows[i], rows[r])]
-            rank += 1
-            r += 1
-            col += 1
-        return len(monos) - rank
-
-    prev = dim_at(1)
-    for N in range(2, cap + 1):
-        cur = dim_at(N)
-        if cur == prev:
-            return cur
-        prev = cur
-    raise RuntimeError("oracle did not stabilize")
+    zero = f.field.zero
+    bound = f.total_degree() * g.total_degree()
+    total = 0
+    pending = [(dict(f.terms), dict(g.terms))]
+    for _ in range(cap):
+        if not pending:
+            return total
+        F, G = pending.pop()
+        if not F or not G or total > bound:
+            raise ValueError("the curves share a component")
+        if (0, 0) in F or (0, 0) in G:
+            continue  # a curve that misses the origin
+        fa = {i: c for (i, j), c in F.items() if j == 0}
+        ga = {i: c for (i, j), c in G.items() if j == 0}
+        r, s = max(fa, default=0), max(ga, default=0)
+        if r > s:
+            F, G, fa, ga, r, s = G, F, ga, fa, s, r
+        if r == 0:  # F(x, 0) = 0: F = y * H
+            if not ga:
+                raise ValueError("the curves share the component y = 0")
+            total += min(ga)
+            pending.append(({(i, j - 1): c for (i, j), c in F.items()}, G))
+            continue
+        scale = ga[s] / fa[r]
+        G1 = dict(G)
+        for (i, j), c in F.items():
+            key = (i + s - r, j)
+            value = G1.get(key, zero) - scale * c
+            if value:
+                G1[key] = value
+            else:
+                G1.pop(key, None)
+        pending.append((F, G1))
+    raise RuntimeError("Fulton's algorithm did not finish")
 
 
 # ------------------------------------------------- extension-field oracle
@@ -291,7 +285,7 @@ def series_mul_pairwise(a: TruncatedSeries, b: TruncatedSeries):
                     out[k] = s
                 else:
                     out.pop(k)
-    return TruncatedSeries(a.field, out, prec, ram, a.varname)
+    return TruncatedSeries(a.field, out, prec, ram)
 
 
 def frobenius_orbit(point, k):

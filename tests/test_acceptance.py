@@ -188,28 +188,38 @@ def test_criterion_6_staged_and_left_right():
 
 
 def test_criterion_7_weierstrass_preparation():
-    """50 seeded random regular-in-x polynomials of bidegree <= (4,4):
-    F - U*G vanishes identically to y-precision 10, a_i(0) = 0, U(0,0) != 0."""
-    rng = random.Random(70707)
-    done = 0
-    while done < 50:
-        terms = {}
-        for i in range(5):
-            for j in range(5):
-                c = rng.randint(-5, 5)
-                if c and (i, j) != (0, 0):
-                    terms[(i, j)] = QQ.of(c)
-        F = MultiPoly(QQ, V, terms)
-        if F.is_zero() or F.subs_values({"y": QQ.zero}).is_zero():
-            continue
-        data = weierstrass_prepare(F, 10)
-        resid = F - data.unit_poly(F) * data.weierstrass_poly(F)
-        assert all(e[1] >= 10 for e in resid.terms), str(F)
-        assert all(not s.constant_term() for s in data.wpoly_coeffs), str(F)
-        assert data.unit_at_origin(), str(F)
-        done += 1
-    print("\nACCEPTANCE 7: PASS 50 random Weierstrass preparations satisfy "
-          "F = U*G to y-precision 10 with a_i(0)=0 and U(0,0) != 0")
+    """50 seeded random regular-in-x polynomials of bidegree <= (4,4) over
+    each of Q, F_7 and F_101: F - U*G vanishes identically to y-precision
+    10, G is monic in x of degree ord_x F(x, 0) with a_i(0) = 0, and
+    U(0,0) != 0."""
+    for field in (QQ, PrimeField(7), PrimeField(101)):
+        rng = random.Random(70707)
+        zero = field.zero
+        done = 0
+        while done < 50:
+            terms = {}
+            for i in range(5):
+                for j in range(5):
+                    c = rng.randint(-5, 5)
+                    if c and (i, j) != (0, 0):
+                        terms[(i, j)] = field.of(c)
+            F = MultiPoly(field, V, terms)
+            if F.is_zero() or F.subs_values({"y": zero}).is_zero():
+                continue
+            m = min(i for (i, j) in F.subs_values({"y": zero}).terms)
+            data = weierstrass_prepare(F, 10)
+            resid = F - data.unit * data.weierstrass
+            assert all(e[1] >= 10 for e in resid.terms), str(F)
+            G = data.weierstrass
+            assert data.degree == G.degree_in("x") == m, str(F)
+            assert G.leading_coeff_in("x") == MultiPoly.const(field, V, 1)
+            assert G.subs_values({"y": zero}) == \
+                MultiPoly.var(field, V, "x", m), str(F)
+            assert data.unit.subs_values({"x": zero, "y": zero}), str(F)
+            done += 1
+    print("\nACCEPTANCE 7: PASS 50 random Weierstrass preparations each over "
+          "Q, F_7 and F_101 satisfy F = U*G to y-precision 10 with G monic "
+          "of degree ord_x F(x, 0), a_i(0)=0 and U(0,0) != 0")
 
 
 def test_criterion_8_hensel_lifting():

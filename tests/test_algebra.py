@@ -3,7 +3,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from curveint.algebra import (dehomogenize, discriminant, gcd, homogenize,
+from curveint.algebra import (dehomogenize, gcd, homogenize,
                               is_homogeneous, resultant, apply_shear,
                               shear_to_general_position, squarefree_decompose,
                               subresultant_prs, translate_to_origin)
@@ -193,35 +193,6 @@ def test_gcd_agrees_with_sympy_on_planted_factors():
             f, g = c * a, c * b
             assert gcd(f, g) == _sympy_gcd(f, g)
             done += 1
-
-
-# -------------------------------------------------------------- discriminant
-
-def test_discriminant_repeated_root_vanishes():
-    x, y = xy()
-    assert discriminant((x - 1) ** 2, "x").is_zero()
-
-
-def test_discriminant_of_depressed_quadratic():
-    T = ("x", "t")
-    x = MultiPoly.var(QQ, T, "x")
-    t = MultiPoly.var(QQ, T, "t")
-    d = discriminant(x * x - t, "x")
-    assert d == t.scale(4)  # nonzero scalar multiple of t
-
-
-def test_discriminant_general_quadratic():
-    B = ("x", "b", "c")
-    x = MultiPoly.var(QQ, B, "x")
-    b = MultiPoly.var(QQ, B, "b")
-    c = MultiPoly.var(QQ, B, "c")
-    assert discriminant(x * x + b * x + c, "x") == b * b - c.scale(4)
-
-
-def test_discriminant_constant_input_rejected():
-    x, y = xy()
-    with pytest.raises(InvalidInputError):
-        discriminant(y, "x")
 
 
 # ----------------------------------------------------------------- squarefree

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from curveint.algebra import lift_to_field
+from curveint.deformation import default_precision
 from curveint.errors import (InfiniteMultiplicityError, InvalidInputError,
                              NotSpecializableError)
 from curveint.fields import QQ, PrimeField
@@ -13,7 +14,7 @@ from curveint.infinitesimal import (NearbyPoint, deform,
                                     staged_specialization_check)
 from curveint.intersect import mult_length
 from curveint.poly import MultiPoly
-from curveint.series import (INF, TruncatedSeries, eval_poly_at_series,
+from curveint.series import (TruncatedSeries, eval_poly_at_series,
                              shift_exponents)
 
 V = ("x", "y")
@@ -120,7 +121,7 @@ def _on_both(point, f, g):
     """The nearby point satisfies both deformed equations to its
     precision."""
     field = point.x.field
-    t = TruncatedSeries.variable(field, INF, "t")
+    t = TruncatedSeries.variable(field)
     return all(eval_poly_at_series(lift_to_field(h, field),
                                    {"x": point.x, "y": point.y, "t": t})
                .is_zero_to_precision() for h in (f, g))
@@ -144,6 +145,19 @@ def test_nearby_recovers_conjugate_points(make, expected):
     for p in pts:
         assert _on_both(p, f, g)
         assert all(not c for c in specialize(p))
+
+
+def test_nearby_coordinates_reach_the_requested_precision():
+    # x = -S10/S11 loses the valuation of S11 along the branch: read once at
+    # precision 24, x came back as t^(2/5) + O(t^(117/5))
+    x, y, t = (MultiPoly.var(QQ, ("x", "y", "t"), v) for v in "xyt")
+    f, g = (y - x * x) ** 2 - x ** 5, y - x * x + t
+    pts = nearby_intersections(f, g, prec=24)
+    assert sum(p.count for p in pts) == 5
+    for p in pts:
+        assert p.x.prec == p.y.prec == 24
+        assert p.x.valuation() == Fraction(2, 5)
+        assert _on_both(p, f, g)
 
 
 def test_nearby_count_stable_under_doubled_precision():
@@ -230,7 +244,9 @@ def test_nearby_points_account_for_the_multiplicity(pair):
         assume(False)  # no finite multiplicity at the origin to split
     pts = nearby_intersections(ft, gt)
     assert sum(p.count for p in pts) == expected
+    prec = default_precision(ft, gt) + 2  # the default of nearby_intersections
     for p in pts:
+        assert p.x.prec == p.y.prec == prec
         assert p.x.field == p.y.field
         assert _on_both(p, ft, gt)
         assert all(not c for c in specialize(p))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from curveint.algebra import apply_shear, homogenize, shear_to_general_position
@@ -11,7 +13,7 @@ from curveint.intersect import (Curve, PointCluster, ProjectivePoint,
                                 multiplicities_at, transversality_check)
 from curveint.poly import MultiPoly
 
-from oracles import frobenius_orbit, local_dim_oracle
+from oracles import frobenius_orbit, fulton_intersection_number, random_poly
 
 V = ("x", "y")
 P3 = ("X", "Y", "Z")
@@ -44,7 +46,39 @@ def test_length_matches_independent_oracle():
                  ((y - x * x) ** 2, x),
                  (x * y, x - y),
                  (x ** 3 - y ** 3, x + y)]:
-        assert mult_length(f, g) == local_dim_oracle(f, g)
+        assert mult_length(f, g) == fulton_intersection_number(f, g)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(101)],
+                         ids=str)
+def test_length_matches_fulton_on_random_pairs(field):
+    """Seeded random pairs through the origin, some sharing a factor: the
+    length engine and Fulton's algorithm agree, on finite multiplicities
+    and on which pairs have none."""
+    rng = random.Random(3301)
+    x, y = xy(field)
+    seen = set()
+    for _ in range(40):
+        f, g = (random_poly(rng, field, V, rng.randint(2, 4), 3,
+                            force_origin=True) for _ in range(2))
+        if rng.random() < 0.6:  # singular at the origin, or tangent there
+            f = f.clone({e: c for e, c in f.terms.items() if sum(e) > 1})
+        if rng.random() < 0.3:
+            g = g.clone({e: c for e, c in g.terms.items() if sum(e) > 1})
+        if rng.random() < 0.15:
+            common = x - y * field.of(rng.randint(-2, 2))
+            f, g = f * common, g * common
+        if f.is_zero() or g.is_zero():
+            continue
+        try:
+            expected = fulton_intersection_number(f, g)
+        except ValueError:
+            with pytest.raises(InfiniteMultiplicityError):
+                mult_length(f, g)
+            continue
+        assert mult_length(f, g) == expected, (str(f), str(g))
+        seen.add(expected)
+    assert len(seen) >= 3  # the draws reach beyond transverse pairs
 
 
 def test_length_shared_component_through_origin():

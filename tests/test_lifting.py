@@ -3,7 +3,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from curveint.errors import (InsufficientPrecisionError,
+from curveint.errors import (InsufficientPrecisionError, InvalidInputError,
                              NothingToPrepareError, NotRegularError,
                              NotSimpleRootError)
 from curveint.fields import QQ, PrimeField
@@ -51,6 +51,17 @@ def test_hensel_not_a_root():
     x, t = xt()
     with pytest.raises(NotSimpleRootError):
         hensel_lift(x - t - 1, 0, 4)
+
+
+def test_polynomial_input_names_its_parameter_t():
+    # x is the first variable of a polynomial handed to hensel_lift
+    for names in [("x", "s"), ("t", "x")]:
+        x, s = (MultiPoly.var(QQ, names, v) for v in names)
+        with pytest.raises(InvalidInputError):
+            hensel_lift(x * x - 1 - s, 1, 3)
+    x, s = (MultiPoly.var(QQ, ("x", "s"), v) for v in "xs")
+    with pytest.raises(InvalidInputError):
+        newton_puiseux(x * x - s, "x", 4)
 
 
 def test_hensel_idempotence():
@@ -147,7 +158,7 @@ def test_hensel_rejects_coefficients_short_of_the_precision():
 
 def test_puiseux_splitting_pair():
     x, t = xt()
-    brs = newton_puiseux(x * x - t * t, "x", "t", 5)
+    brs = newton_puiseux(x * x - t * t, "x", 5)
     series = sorted(str(b.series) for b in brs)
     assert len(brs) == 2 and branch_count(brs) == 2
     assert all(b.simple and b.ram == 1 for b in brs)
@@ -155,7 +166,7 @@ def test_puiseux_splitting_pair():
 
 def test_puiseux_ramified_pair():
     x, t = xt()
-    brs = newton_puiseux(x * x - t, "x", "t", 4)
+    brs = newton_puiseux(x * x - t, "x", 4)
     assert len(brs) == 1 and brs[0].ram == 2 and branch_count(brs) == 2
     sheets = sheet_conjugates(brs[0])
     assert sorted(str(s) for s in sheets) == \
@@ -164,7 +175,7 @@ def test_puiseux_ramified_pair():
 
 def test_puiseux_branch_through_origin_only():
     x, t = xt()
-    brs = newton_puiseux(x * x - x, "x", "t", 5)
+    brs = newton_puiseux(x * x - x, "x", 5)
     assert len(brs) == 1
     assert brs[0].series.is_zero_to_precision() or \
         brs[0].series.valuation() is None
@@ -173,7 +184,7 @@ def test_puiseux_branch_through_origin_only():
 def test_puiseux_not_regular():
     x, t = xt()
     with pytest.raises(NotRegularError):
-        newton_puiseux(t * (x - t), "x", "t", 4)
+        newton_puiseux(t * (x - t), "x", 4)
 
 
 def test_puiseux_branch_count_matches_x_order():
@@ -191,19 +202,19 @@ def test_puiseux_branch_count_matches_x_order():
     for F in samples:
         m = min(e[0] for e in
                 F.subs_values({"t": QQ.zero}).terms)
-        brs = newton_puiseux(F, "x", "t", 6)
+        brs = newton_puiseux(F, "x", 6)
         assert branch_count(brs) == m, str(F)
         for b in brs:
-            assert verify_branch(F, "x", "t", b), (str(F), str(b))
+            assert verify_branch(F, "x", b), (str(F), str(b))
 
 
 def test_puiseux_substitution_check_over_fp():
     F7 = PrimeField(7)
     x, t = xt(F7)
-    brs = newton_puiseux(x ** 3 - t, "x", "t", 4)
+    brs = newton_puiseux(x ** 3 - t, "x", 4)
     assert branch_count(brs) == 3
     for b in brs:
-        assert verify_branch(x ** 3 - t, "x", "t", b)
+        assert verify_branch(x ** 3 - t, "x", b)
 
 
 # -------------------------------------------------------------- weierstrass
@@ -215,8 +226,8 @@ def test_weierstrass_unit_times_x():
     F = x * (one + y)
     data = weierstrass_prepare(F, 6)
     assert data.degree == 1
-    assert data.unit_poly(F) == one + y
-    assert data.weierstrass_poly(F) == x
+    assert data.unit == one + y
+    assert data.weierstrass == x
 
 
 def test_weierstrass_defining_congruence():
@@ -225,11 +236,10 @@ def test_weierstrass_defining_congruence():
     F = x * x + x ** 3 + y
     data = weierstrass_prepare(F, 6)
     assert data.degree == 2
-    resid = F - data.unit_poly(F) * data.weierstrass_poly(F)
+    resid = F - data.unit * data.weierstrass
     assert all(e[1] >= 6 for e in resid.terms)
-    assert all(s.constant_term() == 0 or not s.constant_term()
-               for s in data.wpoly_coeffs)
-    assert data.unit_at_origin()
+    assert data.weierstrass.subs_values({"y": QQ.zero}) == x * x
+    assert data.unit.subs_values({"x": QQ.zero, "y": QQ.zero})
 
 
 def test_weierstrass_not_regular():
