@@ -224,10 +224,6 @@ def _edge_polynomial(f: MultiPoly, xname: str, edge):
     return gamma, a, b, level, coeffs
 
 
-def _coeffs_to_unipoly(coeffs, field, name="z"):
-    return MultiPoly(field, (name,), {(k,): c for k, c in enumerate(coeffs)})
-
-
 def _transform_segment(f: MultiPoly, xname: str, a: int, b: int, level: int,
                        c, new_field):
     """Substitute x -> s^a (c + x), t -> s^b and divide by s^level.
@@ -263,7 +259,8 @@ def _expand_squarefree(f: MultiPoly, xname: str, prec: Fraction, depth: int):
     edges = newton_polygon_edges(f, xname)
     for edge in edges:
         gamma, a, b, level, coeffs = _edge_polynomial(f, xname, edge)
-        phi = _coeffs_to_unipoly(coeffs, field)
+        phi = MultiPoly(field, ("z",),
+                        {(k,): c for k, c in enumerate(coeffs)})
         roots = _segment_roots(phi, field, b)
         for c_root, mult, rfield, kappa in roots:
             g = _transform_segment(f, xname, a, b, level, c_root, rfield)
