@@ -74,7 +74,7 @@ def pseudo_rem(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
                      for x, c in r.terms.items() if x[i] == dr})
         r = r * lead - t * g
         e -= 1
-    return r * lead ** e
+    return r * lead ** e if e else r
 
 
 def _involved(f: MultiPoly, g: MultiPoly):
@@ -441,12 +441,15 @@ def apply_shear(f: MultiPoly, lam, mu) -> MultiPoly:
     """Rewrite f in the coordinates (x' = x, y' = lam*x + mu*y).
 
     Substitutes y -> (y - lam*x)/mu, so the new polynomial vanishes on the
-    image of the old zero set.  The origin is fixed.
+    image of the old zero set.  The origin is fixed, and the identity
+    shear (0, 1) returns f itself.
     """
     field = f.field
     lam, mu = field.of(lam), field.of(mu)
     if not mu:
         raise InvalidInputError("shear requires mu != 0")
+    if not lam and mu == field.one:
+        return f
     xv, yv = f.vars[0], f.vars[1]
     x = MultiPoly.var(field, f.vars, xv)
     y = MultiPoly.var(field, f.vars, yv)

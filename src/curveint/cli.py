@@ -40,7 +40,8 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 # Input bounds: a larger exponent or total degree is refused while parsing,
-# before anything is expanded, and a larger --precision before any work.
+# before anything is expanded, and a larger --precision before any work (a
+# --precision below 1 is bad input).
 MAX_DEGREE = 64
 MAX_PRECISION = 256
 
@@ -395,6 +396,9 @@ def run_job(job: Job):
         return {"command": job.command, "status": "unknown-command",
                 "error": f"unknown command {job.command!r}"}, EXIT_INPUT
     try:
+        if job.precision is not None and job.precision < 1:
+            raise InvalidInputError(f"precision {job.precision} is not "
+                                    "positive")
         if job.precision is not None and job.precision > MAX_PRECISION:
             raise BudgetError(f"precision {job.precision} exceeds the limit "
                               f"of {MAX_PRECISION}")

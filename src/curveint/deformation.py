@@ -157,19 +157,18 @@ def _eval_candidates(field):
     return range(1, limit)
 
 
-def certify_squarefree_in(R: MultiPoly):
-    """Certify that R(y, t) has no repeated factor of positive y-degree.
-
-    Evaluation shortcut: a single t-value where the specialized gcd of R
-    and dR/dy is constant proves the discriminant is not identically
-    zero.  Falls back to an exact bivariate gcd when every candidate value
-    is inconclusive."""
-    field = R.field
+def _separable_by_evaluation(R: MultiPoly) -> bool:
+    """True when one t-value tau proves R(y, t) separable in y: the top
+    y-coefficient does not vanish at tau, and R(y, tau) and dR/dy(y, tau)
+    are coprime, so the discriminant is not identically zero.  False
+    means only that no candidate value proved it (a y-degree below 2 is
+    separable outright)."""
     if R.degree_in("y") < 2:
-        return
+        return True
     dR = R.derivative("y")
     if dR.is_zero():
-        raise GenericityFailureError("inseparable deformed resultant")
+        return False
+    field = R.field
     lc = R.leading_coeff_in("y")
     for raw in _eval_candidates(field):
         tau = field.of(raw)
@@ -180,7 +179,18 @@ def certify_squarefree_in(R: MultiPoly):
         if r0.is_zero() or d0.is_zero():
             continue
         if gcd(r0, d0).is_constant():
-            return
+            return True
+    return False
+
+
+def certify_squarefree_in(R: MultiPoly):
+    """Certify that R(y, t) has no repeated factor of positive y-degree:
+    by ``_separable_by_evaluation``, or else by an exact bivariate gcd."""
+    if _separable_by_evaluation(R):
+        return
+    dR = R.derivative("y")
+    if dR.is_zero():
+        raise GenericityFailureError("inseparable deformed resultant")
     shared = gcd(R, dR)
     if shared.degree_in("y") > 0:
         raise GenericityFailureError(

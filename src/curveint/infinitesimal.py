@@ -17,8 +17,8 @@ from .algebra import (SHEAR_BOUND, _shear_candidates, apply_shear,
                       check_local_pair, in_general_position,
                       shear_to_general_position, translate_to_origin)
 from .deformation import (VARS3, _deformation_count, _eliminant_and_s1,
-                          _points_along, _two_scale, deform_polynomial,
-                          default_precision)
+                          _points_along, _separable_by_evaluation,
+                          _two_scale, deform_polynomial, default_precision)
 from .errors import (GeneralPositionError, GenericityFailureError,
                      InfiniteMultiplicityError, InsufficientPrecisionError,
                      InvalidInputError, VerificationFailureError)
@@ -122,7 +122,8 @@ def _nearby_points(ft: MultiPoly, gt: MultiPoly, base, prec):
         R, s1 = _eliminant_and_s1(apply_shear(ft, lam, mu),
                                   apply_shear(gt, lam, mu))
         branches = []
-        for br in newton_puiseux(R, "y", prec):
+        separable = _separable_by_evaluation(R)
+        for br in newton_puiseux(R, "y", prec, assume_squarefree=separable):
             sheets = sheet_conjugates(br)
             branches += [br] if sheets is None else [
                 Branch(s, br.multiplicity) for s in sheets]

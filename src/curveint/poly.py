@@ -192,17 +192,21 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise InvalidInputError("negative polynomial power")
-        result = MultiPoly.const(self.field, self.vars, 1)
-        base = self
-        while n:
+        if n == 0:
+            return MultiPoly.const(self.field, self.vars, 1)
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def scale(self, c):
-        return self * c
+        c = self.field.of(c)
+        return _poly(self.field, self.vars,
+                     {e: p for e, v in self.terms.items() if (p := v * c)})
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
@@ -269,36 +273,40 @@ class MultiPoly:
         return self.clone(out)
 
     def compose(self, substitution):
-        """Substitute polynomials (same field/vars) for some variables."""
+        """Substitute polynomials (same field/vars) for some variables.
+
+        One pass over the terms: each term's substituted powers (cached
+        per variable) are multiplied together, and their terms, scaled by
+        the coefficient and shifted by the kept exponents, are added into
+        one term map."""
         subs = {}
         for v, p in substitution.items():
             if not isinstance(p, MultiPoly):
                 p = MultiPoly.const(self.field, self.vars, p)
             subs[self.vars.index(v)] = p
         one = MultiPoly.const(self.field, self.vars, 1)
-        # cache powers per substituted variable
-        powers = {i: {0: one} for i in subs}
-        result = MultiPoly.zero(self.field, self.vars)
+        powers = {i: [one] for i in subs}
+        out = {}
+        zero = self.field.zero
         for exps, c in self.terms.items():
-            term = MultiPoly.const(self.field, self.vars, c)
-            key = []
+            term = one
+            kept = list(exps)
             for i, e in enumerate(exps):
                 if i in subs:
+                    kept[i] = 0
                     cache = powers[i]
-                    if e not in cache:
-                        q = max(cache)
-                        acc = cache[q]
-                        while q < e:
-                            acc = acc * subs[i]
-                            q += 1
-                            cache[q] = acc
-                    term = term * cache[e]
-                    key.append(0)
+                    while len(cache) <= e:
+                        cache.append(cache[-1] * subs[i])
+                    if e:
+                        term = cache[e] if term is one else term * cache[e]
+            for k, v in term.terms.items():
+                key = tuple(a + b for a, b in zip(k, kept))
+                s = out.get(key, zero) + v * c
+                if s:
+                    out[key] = s
                 else:
-                    key.append(e)
-            mono = MultiPoly(self.field, self.vars, {tuple(key): self.field.one})
-            result = result + term * mono
-        return result
+                    out.pop(key, None)
+        return _poly(self.field, self.vars, out)
 
     # -------------------------------------------------------- recoordinate
     def map_coefficients(self, new_field, fn):
@@ -338,6 +346,9 @@ class MultiPoly:
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if divisor.is_constant():
+            c = divisor.constant_value()
+            return self if c == self.field.one else self.scale(1 / c)
         if self.is_zero():
             return self.clone({})
         rem = dict(self.terms)

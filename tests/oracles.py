@@ -13,13 +13,17 @@ multiply polynomials and series one term pair at a time through the
 element operators, normalising every partial sum, where the production
 products sum integer encodings and normalise once per coefficient.  The
 Frobenius orbit oracle raises each coordinate of a point to p**i, where
-the production code takes p-th powers step by step.  The transversality
-reference proves by evaluation, on Sylvester resultants and long-division
-gcds, what the deformation engine reads off a separable eliminant.
+the production code takes p-th powers step by step.  The substitution
+oracle expands with sympy, where the production ``compose`` multiplies
+cached powers term by term.  The transversality reference proves by
+evaluation, on Sylvester resultants and long-division gcds, what the
+deformation engine reads off a separable eliminant.
 """
 
+from fractions import Fraction
 from math import lcm
 
+from curveint.fields import ExtElement, ExtensionField
 from curveint.poly import MultiPoly
 from curveint.series import INF, TruncatedSeries, _cutoff
 
@@ -293,6 +297,55 @@ def frobenius_orbit(point, k):
     i < k, of a normalized point over an extension of F_p."""
     p = point.field.characteristic
     return {tuple(c ** p ** i for c in point.coords) for i in range(k)}
+
+
+def sympy_compose(f: MultiPoly, substitution) -> MultiPoly:
+    """f with the polynomials of ``substitution`` put in for their
+    variables, multiplied out as sympy polynomials over Q and reduced into
+    f's field: an element of an extension field is a polynomial in its
+    generator w, the first sympy variable, and is reduced mod the field's
+    modulus; coefficients are reduced mod p."""
+    import sympy
+    field = f.field
+    ext = isinstance(field, ExtensionField)
+    gens = (sympy.Symbol("w_"),) + sympy.symbols(f.vars)
+
+    def poly(terms):
+        return sympy.Poly.from_dict(terms or {(0,) * len(gens): 0}, *gens,
+                                    domain=sympy.QQ)
+
+    def rational(c):
+        if field.characteristic:
+            return sympy.Integer(c.val)
+        return sympy.Rational(c.numerator, c.denominator)
+
+    def lift(q):
+        if not ext:
+            return poly({(0,) + e: rational(c) for e, c in q.terms.items()})
+        return poly({(k,) + e: sympy.Rational(n, c.den)
+                     for e, c in q.terms.items() for k, n in enumerate(c.num)})
+
+    images = [lift(substitution[v]) if v in substitution
+              else poly({tuple(int(i == j) for j in range(len(gens))): 1})
+              for i, v in enumerate(f.vars, start=1)]
+    total = poly({})
+    for exps, c in lift(f).terms():
+        term = poly({(exps[0],) + (0,) * len(f.vars): c})
+        for image, e in zip(images, exps[1:]):
+            term = term * image ** e
+        total = total + term
+    if ext:  # division by a monic polynomial in the first variable
+        total = total.rem(poly({(k,) + (0,) * len(f.vars): rational(c)
+                                for k, c in enumerate(field.modulus)}))
+    terms = {}
+    for (k, *exps), c in total.terms():
+        if c:
+            c = Fraction(int(c.p), int(c.q))
+            terms.setdefault(tuple(exps), [0] * field.degree if ext
+                             else [0])[k] = c
+    return MultiPoly(field, f.vars, {
+        e: ExtElement(cs, field) if ext else field.of(cs[0])
+        for e, cs in terms.items()})
 
 
 # ------------------------------------------------ transversality reference

@@ -303,3 +303,15 @@ def test_precision_bound():
                  "--precision", "1000"]) == EXIT_BUDGET
     _, code = run_job(Job(command="mult", curves=("x", "y"), precision=256))
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("precision", [0, -1])
+@pytest.mark.parametrize("command,curves,a0", [
+    ("mult", ("x^2-y^3", "y"), None),
+    ("weierstrass", ("x^2 + x^3 + y",), None),
+    ("hensel", ("x^2 - (1 + t)",), "1")])
+def test_nonpositive_precision_is_bad_input(command, curves, a0, precision):
+    report, code = run_job(Job(command=command, curves=curves, a0=a0,
+                               precision=precision))
+    assert code == EXIT_INPUT
+    assert report["error"] == f"precision {precision} is not positive"

@@ -1,0 +1,97 @@
+"""Powers, division by a constant, substitution and the shear, against
+references that do not call them.
+
+Powers are checked against repeated term-pair multiplication, division by
+a constant against term-pair long division, and ``compose`` against a
+sympy expansion.  Operands are seeded and random, over Q, F_101 and
+F_101[w]/(w^2 - 2) (2 is not a square mod 101).
+"""
+
+import random
+
+import pytest
+
+from curveint.algebra import apply_shear
+from curveint.fields import QQ, ExtElement, ExtensionField, PrimeField
+from curveint.poly import MultiPoly
+
+from oracles import (poly_exact_divide_pairwise, poly_mul_pairwise,
+                     sympy_compose)
+
+V = ("x", "y", "t")
+F101 = PrimeField(101)
+F101W = ExtensionField(F101, [-2, 0, 1], "w")
+FIELDS = [QQ, F101, F101W]
+IDS = ["Q", "F101", "F101w"]
+
+
+def _element(rng, field):
+    """A random nonzero element; over the extension, a full one."""
+    while True:
+        if isinstance(field, ExtensionField):
+            c = ExtElement([rng.randint(-9, 9) for _ in range(field.degree)],
+                           field)
+        else:
+            c = field.of(rng.randint(-9, 9))
+        if c:
+            return c
+
+
+def _poly(rng, field, nterms, degree=2, variables=V):
+    return MultiPoly(field, variables,
+                     {tuple(rng.randint(0, degree) for _ in variables):
+                      _element(rng, field) for _ in range(nterms)})
+
+
+def _const(field, c):
+    return MultiPoly.const(field, V, c)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+def test_power_is_repeated_multiplication(field, n):
+    rng = random.Random(n)
+    for nterms in (0, 1, 2, 4):
+        p = _poly(rng, field, nterms)
+        expected = _const(field, 1)
+        for _ in range(n):
+            expected = poly_mul_pairwise(expected, p)
+        assert p ** n == expected
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_exact_divide_by_a_constant(field):
+    rng = random.Random(13)
+    for nterms in (0, 1, 5):
+        p = _poly(rng, field, nterms)
+        c = _const(field, _element(rng, field))
+        q = p.exact_divide(c)
+        assert q == poly_exact_divide_pairwise(p, c)
+        assert poly_mul_pairwise(q, c) == p
+        assert p.exact_divide(_const(field, 1)) == p
+        assert p.exact_divide(1) == p
+        for zero in (0, _const(field, 0)):
+            with pytest.raises(ZeroDivisionError):
+                p.exact_divide(zero)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@pytest.mark.parametrize("names", [("y",), ("x", "y")], ids=["one", "two"])
+def test_compose_agrees_with_sympy(field, names):
+    rng = random.Random(len(names))
+    for _ in range(4):
+        f = _poly(rng, field, 6, degree=3)
+        subs = {v: _poly(rng, field, 3) for v in names}
+        assert f.compose(subs) == sympy_compose(f, subs)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_shear_agrees_with_sympy_and_the_identity_keeps_f(field):
+    rng = random.Random(5)
+    x, y = (MultiPoly.var(field, ("x", "y"), v) for v in ("x", "y"))
+    for _ in range(4):
+        f = _poly(rng, field, 6, degree=3, variables=("x", "y"))
+        assert apply_shear(f, 0, 1) == f
+        lam, mu = field.of(3), field.of(-2)
+        repl = (y - x * lam) * (1 / mu)
+        assert apply_shear(f, lam, mu) == sympy_compose(f, {"y": repl})
