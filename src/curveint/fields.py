@@ -24,6 +24,20 @@ from math import gcd, lcm
 from .errors import InvalidInputError, UnsupportedExtensionError
 
 
+def binary_power(base, n: int):
+    """base ** n for n >= 1 by repeated squaring, with no square past the
+    top bit of n: the one loop behind the powers of polynomials, series
+    and extension elements."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -398,14 +412,7 @@ class ExtElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n) if n else self.field.one
 
     def __neg__(self):
         p = self.field.characteristic

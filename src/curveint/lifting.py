@@ -26,19 +26,11 @@ from .errors import (BudgetError, InsufficientPrecisionError, InvalidInputError,
                      UnsupportedExtensionError)
 from .fields import ExtensionField
 from .poly import MultiPoly
-from .series import (INF, TruncatedSeries, eval_poly_at_series,
+from .series import (INF, TruncatedSeries, eval_poly_at_series, horner,
                      rescale_exponents, shift_exponents)
 
 
 # ----------------------------------------------------------------- hensel
-
-def _eval_series_poly(coeffs, point: TruncatedSeries) -> TruncatedSeries:
-    """Horner evaluation of [c_0, c_1, ...] (series coefficients) at a series."""
-    total = TruncatedSeries.zero(point.field)
-    for c in reversed(coeffs):
-        total = total * point + c
-    return total
-
 
 def series_poly_from_multipoly(f: MultiPoly, xname: str):
     """Dense coefficient list in x, each an exact series in t, for a poly
@@ -85,10 +77,10 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
     fprime = [c * k for k, c in enumerate(coeffs)][1:]
     a0 = field.of(a0)
     x = TruncatedSeries.constant(field, a0, prec)
-    res0 = _eval_series_poly(coeffs, x)
+    res0 = horner(coeffs, x)
     if res0.constant_term():
         raise NotSimpleRootError("a0 is not a root of the residual polynomial")
-    d0 = _eval_series_poly(fprime, x)
+    d0 = horner(fprime, x)
     if not d0.constant_term():
         raise NotSimpleRootError(
             "residual derivative vanishes at a0; the root is not simple")
@@ -105,15 +97,14 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
     x = TruncatedSeries.constant(field, a0)
     for w in schedule + [prec] * (max_iter - 1):
         root = x.truncate(w)
-        fx = _eval_series_poly([c.truncate(w) for c in coeffs], root)
+        fx = horner([c.truncate(w) for c in coeffs], root)
         v = fx.valuation()
         if v is None:
             if w == prec:
                 break
             continue
         # f(x) = O(t^v), so f'(x) is needed only mod t^(w - v)
-        dfx = _eval_series_poly([c.truncate(w - v) for c in fprime],
-                                x.truncate(w - v))
+        dfx = horner([c.truncate(w - v) for c in fprime], x.truncate(w - v))
         step = root - fx / dfx
         x = TruncatedSeries(field, step.coeffs, INF, step.ram)
     else:

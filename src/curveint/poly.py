@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import InvalidInputError
-from .fields import Field
+from .fields import Field, binary_power
 
 
 def _poly(field, variables, terms):
@@ -194,14 +194,7 @@ class MultiPoly:
             raise InvalidInputError("negative polynomial power")
         if n == 0:
             return MultiPoly.const(self.field, self.vars, 1)
-        result, base = None, self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return binary_power(self, n)
 
     def scale(self, c):
         c = self.field.of(c)
@@ -241,15 +234,8 @@ class MultiPoly:
     # ----------------------------------------------------------- evaluation
     def evaluate(self, assignment):
         """Substitute field elements for every variable; returns an element."""
-        vals = [self.field.of(assignment[v]) for v in self.vars]
-        total = self.field.zero
-        for exps, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exps):
-                if e:
-                    term = term * v ** e
-            total = total + term
-        return total
+        return self.subs_values({v: assignment[v] for v in self.vars}) \
+            .constant_value()
 
     def subs_values(self, assignment):
         """Substitute field elements for a subset of variables."""

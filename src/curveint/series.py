@@ -17,6 +17,7 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidInputError, NotAUnitError, NotSpecializableError
+from .fields import binary_power
 from .poly import MultiPoly
 
 INF = math.inf
@@ -197,14 +198,9 @@ class TruncatedSeries:
         if n < 0:
             inv = TruncatedSeries.constant(self.field, 1) / self
             return inv ** (-n)
-        result = TruncatedSeries.constant(self.field, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return TruncatedSeries.constant(self.field, 1)
+        return binary_power(self, n)
 
     def invert_unit(self) -> "TruncatedSeries":
         """Inverse of a valuation-zero series, to the same precision."""
@@ -334,30 +330,33 @@ def rescale_exponents(s: TruncatedSeries, b: int) -> TruncatedSeries:
                            s.ram * b)
 
 
-def eval_poly_at_series(f: MultiPoly, assignment: dict) -> TruncatedSeries:
-    """Evaluate a polynomial with every variable bound to a series or scalar."""
-    field = f.field
-    series_args = {}
-    for v in f.vars:
-        val = assignment[v]
-        if not isinstance(val, TruncatedSeries):
-            val = TruncatedSeries.constant(field, val)
-        series_args[v] = val
-    total = TruncatedSeries.zero(field)
-    powers = {v: {0: TruncatedSeries.constant(field, 1)} for v in f.vars}
-    for exps, c in f.terms.items():
-        term = TruncatedSeries.constant(field, c)
-        for v, e in zip(f.vars, exps):
-            if not e:
-                continue
-            cache = powers[v]
-            if e not in cache:
-                q = max(cache)
-                acc = cache[q]
-                while q < e:
-                    acc = acc * series_args[v]
-                    q += 1
-                    cache[q] = acc
-            term = term * cache[e]
-        total = total + term
+def horner(coeffs, point: TruncatedSeries) -> TruncatedSeries:
+    """Horner evaluation of [c_0, c_1, ...] (series or scalars) at a series."""
+    total = TruncatedSeries.zero(point.field)
+    for c in reversed(coeffs):
+        total = total * point + c
     return total
+
+
+def eval_poly_at_series(f: MultiPoly, assignment: dict) -> TruncatedSeries:
+    """Evaluate a polynomial with every variable bound to a series or
+    scalar, by Horner's rule in each variable in turn."""
+    field = f.field
+    points = [val if isinstance(val, TruncatedSeries)
+              else TruncatedSeries.constant(field, val)
+              for val in (assignment[v] for v in f.vars)]
+
+    def nest(terms, i):
+        """The terms [(exponents, c)] summed, variables i, ... bound."""
+        if i == len(points):
+            return terms[0][1]  # the one term with these exponents
+        groups = {}
+        for term in terms:
+            groups.setdefault(term[0][i], []).append(term)
+        return horner([nest(groups[e], i + 1) if e in groups else field.zero
+                       for e in range(max(groups) + 1)], points[i])
+
+    terms = list(f.terms.items())
+    if not points or not terms:
+        return TruncatedSeries.constant(field, f.constant_value())
+    return nest(terms, 0)

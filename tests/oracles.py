@@ -15,7 +15,11 @@ products sum integer encodings and normalise once per coefficient.  The
 Frobenius orbit oracle raises each coordinate of a point to p**i, where
 the production code takes p-th powers step by step.  The substitution
 oracle expands with sympy, where the production ``compose`` multiplies
-cached powers term by term.  The transversality reference proves by
+cached powers term by term.  The evaluation oracle reads each bound
+series as a polynomial in s = t^(1/L) and expands with ``compose``, where
+the production ``eval_poly_at_series`` runs Horner's rule on series.  The
+shear-candidate oracle lists every (lam, mu) by growing |lam| + mu and
+drops the repeated directions lam/mu.  The transversality reference proves by
 evaluation, on Sylvester resultants and long-division gcds, what the
 deformation engine reads off a separable eliminant.
 """
@@ -290,6 +294,55 @@ def series_mul_pairwise(a: TruncatedSeries, b: TruncatedSeries):
                 else:
                     out.pop(k)
     return TruncatedSeries(a.field, out, prec, ram)
+
+
+def eval_by_compose(f: MultiPoly, assignment):
+    """f at the bound series (or scalars) of ``assignment``, exactly: the
+    map k -> coefficient of t^(k/L), L the lcm of the ramifications.
+
+    A series read at ramification L is s^-m P(s) with s = t^(1/L) and P a
+    polynomial; each variable becomes u P(s) for a fresh variable u that
+    stands for s^-m, and ``compose`` expands f at once."""
+    bound = [val if isinstance(val, TruncatedSeries)
+             else TruncatedSeries.constant(f.field, val)
+             for val in (assignment[v] for v in f.vars)]
+    L = lcm(1, *(val.ram for val in bound))
+    names = f.vars + ("s_",) + tuple(f"u_{v}" for v in f.vars)
+    shifts, images = [], {}
+    for i, (v, val) in enumerate(zip(f.vars, bound)):
+        coeffs = val.with_ram(L).coeffs
+        m = max(0, -min(coeffs, default=0))
+        shifts.append(m)
+        images[v] = MultiPoly(f.field, names, {
+            (0,) * len(f.vars) + (k + m,)
+            + tuple(int(j == i) for j in range(len(f.vars))): c
+            for k, c in coeffs.items()})
+    out = {}
+    zero = f.field.zero
+    expanded = f.extend_vars(names).compose(images)
+    for exps, c in expanded.terms.items():
+        us = exps[len(f.vars) + 1:]
+        k = exps[len(f.vars)] - sum(m * e for m, e in zip(shifts, us))
+        out[k] = out.get(k, zero) + c
+    return {k: c for k, c in out.items() if c}, L
+
+
+def shear_candidates_by_ratio(field, bound):
+    """Every shear (lam, mu) with |lam|, mu <= bound (below p over F_p),
+    identity first, then by growing |lam| + mu and ascending lam; a
+    direction lam/mu met before is dropped."""
+    p = field.characteristic
+    limit = bound if p == 0 else min(bound, p - 1)
+    pairs = [(0, 1)] + [(lam, mu) for size in range(1, 2 * limit + 1)
+                        for lam in range(-limit, limit + 1)
+                        for mu in range(1, limit + 1)
+                        if abs(lam) + mu == size and (lam, mu) != (0, 1)]
+    out = []
+    for lam, mu in pairs:
+        lam, mu = field.of(lam), field.of(mu)
+        if all(lam * m != l * mu for l, m in out):
+            out.append((lam, mu))
+    return out
 
 
 def frobenius_orbit(point, k):

@@ -1,22 +1,26 @@
-"""Powers, division by a constant, substitution and the shear, against
-references that do not call them.
+"""Powers, division by a constant, substitution, the shear and evaluation
+at series, against references that do not call them.
 
-Powers are checked against repeated term-pair multiplication, division by
-a constant against term-pair long division, and ``compose`` against a
-sympy expansion.  Operands are seeded and random, over Q, F_101 and
+Powers of polynomials, extension elements and series are checked against
+repeated multiplication, division by a constant against term-pair long
+division, ``compose`` against a sympy expansion, and
+``eval_poly_at_series`` against ``compose`` on the bound series read as
+polynomials.  Operands are seeded and random, over Q, F_101 and
 F_101[w]/(w^2 - 2) (2 is not a square mod 101).
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from curveint.algebra import apply_shear
 from curveint.fields import QQ, ExtElement, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
+from curveint.series import INF, TruncatedSeries, eval_poly_at_series
 
-from oracles import (poly_exact_divide_pairwise, poly_mul_pairwise,
-                     sympy_compose)
+from oracles import (eval_by_compose, poly_exact_divide_pairwise,
+                     poly_mul_pairwise, series_mul_pairwise, sympy_compose)
 
 V = ("x", "y", "t")
 F101 = PrimeField(101)
@@ -57,6 +61,70 @@ def test_power_is_repeated_multiplication(field, n):
         for _ in range(n):
             expected = poly_mul_pairwise(expected, p)
         assert p ** n == expected
+
+
+@pytest.mark.parametrize("field", [ExtensionField(QQ, [-2, 0, 1], "w"),
+                                   F101W], ids=["Qw", "F101w"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+def test_extension_power_is_repeated_multiplication(field, n):
+    rng = random.Random(n)
+    for _ in range(4):
+        c = _element(rng, field)
+        expected = field.one
+        for _ in range(n):
+            expected = expected * c
+        assert c ** n == expected
+        assert c ** -n == expected.inverse()
+
+
+def _series(rng, field, low=0):
+    """A random series of ramification 1-3 from t^(low/ram) on, exact or
+    truncated."""
+    ram = rng.randint(1, 3)
+    coeffs = {k: _element(rng, field) for k in range(low, low + 4)
+              if rng.random() < 0.6}
+    prec = INF if rng.random() < 0.3 \
+        else Fraction(rng.randint(low + 1, low + 6), ram)
+    return TruncatedSeries(field, coeffs, prec, ram)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+def test_series_power_is_repeated_multiplication(field, n):
+    rng = random.Random(n)
+    one = TruncatedSeries.constant(field, 1)
+    for low in (-1, 0, 1):
+        s = _series(rng, field, low)
+        expected = one
+        for _ in range(n):
+            expected = series_mul_pairwise(expected, s)
+        assert s ** n == expected
+    # a unit known to a finite precision: the negative power inverts
+    u = _series(rng, field) + one
+    u = u.truncate(min(u.prec, 4))
+    expected = one
+    for _ in range(n):
+        expected = series_mul_pairwise(expected, u)
+    assert u ** -n == one / expected
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+def test_eval_poly_at_series_matches_expansion(field):
+    rng = random.Random(14)
+    for _ in range(40):
+        f = _poly(rng, field, rng.randint(0, 8), degree=3)
+        assignment = {v: _element(rng, field) if rng.random() < 0.2
+                      else _series(rng, field, rng.choice([-1, 0, 0, 1]))
+                      for v in V}
+        val = eval_poly_at_series(f, assignment)
+        expected, L = eval_by_compose(f, assignment)
+        assert L % val.ram == 0
+        assert {k * (L // val.ram): c for k, c in val.coeffs.items()} == \
+            {k: c for k, c in expected.items() if Fraction(k, L) < val.prec}
+        bound = [s for s in assignment.values()
+                 if isinstance(s, TruncatedSeries)]
+        if all(s.effective_valuation() >= 0 for s in bound):
+            assert val.prec >= min((s.prec for s in bound), default=INF)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
