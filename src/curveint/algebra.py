@@ -515,15 +515,22 @@ SHEAR_BOUND = 20
 
 
 def _shear_candidates(field):
-    yield field.zero, field.one  # identity first
+    """Shears (lam, mu) by growing |lam| + mu, the identity first.  Each
+    direction lam/mu comes once: scaling (lam, mu) only rescales the
+    sheared y, so every acceptor gives the same answer."""
     p = field.characteristic
     limit = SHEAR_BOUND if p == 0 else min(SHEAR_BOUND, p - 1)
+    seen = set()
     for size in range(1, 2 * limit + 1):
         for lam_i in range(-limit, limit + 1):
-            for mu_i in range(1, limit + 1):
-                if abs(lam_i) + mu_i != size or (lam_i, mu_i) == (0, 1):
-                    continue
-                yield field.of(lam_i), field.of(mu_i)
+            mu_i = size - abs(lam_i)
+            if not 1 <= mu_i <= limit:
+                continue
+            lam, mu = field.of(lam_i), field.of(mu_i)
+            ratio = lam / mu
+            if ratio not in seen:
+                seen.add(ratio)
+                yield lam, mu
 
 
 def in_general_position(fs: MultiPoly, gs: MultiPoly) -> bool:

@@ -267,8 +267,8 @@ class Job:
                    max_retries=d.get("max_retries", 8))
 
 
-def _report_skeleton(job: Job):
-    return {
+def _report_skeleton(job: Job, warning=None):
+    report = {
         "command": job.command,
         "inputs": list(job.curves),
         "field": job.field,
@@ -279,6 +279,9 @@ def _report_skeleton(job: Job):
         "expected_total": None,
         "status": "ok",
     }
+    if warning:
+        report["warning"] = warning
+    return report
 
 
 def _run_mult(job: Job):
@@ -289,9 +292,7 @@ def _run_mult(job: Job):
     rep = multiplicities_at(C1, C2, ProjectivePoint((a, b, 1), field),
                             seed=job.seed, prec=job.precision,
                             max_retries=job.max_retries)
-    report = _report_skeleton(job)
-    if warning:
-        report["warning"] = warning
+    report = _report_skeleton(job, warning)
     entry = rep.to_dict()
     entry["point"] = f"({a},{b})"
     del entry["weight"]
@@ -304,9 +305,7 @@ def _run_bezout(job: Job):
     field, warning = parse_field(job.field)
     C1 = parse_curve(job.curves[0], field)
     C2 = parse_curve(job.curves[1], field)
-    report = _report_skeleton(job)
-    if warning:
-        report["warning"] = warning
+    report = _report_skeleton(job, warning)
     try:
         result = bezout_sum(C1, C2, seed=job.seed, prec=job.precision,
                             max_retries=job.max_retries)
@@ -326,7 +325,7 @@ def _run_weierstrass(job: Job):
     F = parse_poly(job.curves[0], field, AFFINE)
     prec = job.precision or 8
     data = weierstrass_prepare(F, prec)
-    report = _report_skeleton(job)
+    report = _report_skeleton(job, warning)
     report["precision"] = prec
     report["results"].append({
         "degree": data.degree,
@@ -342,7 +341,7 @@ def _run_hensel(job: Job):
     prec = job.precision or 8
     a0 = field.of(Fraction(job.a0 or "0"))
     series = hensel_lift(F, a0, prec)
-    report = _report_skeleton(job)
+    report = _report_skeleton(job, warning)
     report["precision"] = prec
     report["results"].append({"root": str(series)})
     return report, EXIT_OK

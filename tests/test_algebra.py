@@ -3,7 +3,8 @@ import random
 import pytest
 from fractions import Fraction
 
-from curveint.algebra import (dehomogenize, gcd, homogenize,
+from curveint.algebra import (SHEAR_BOUND, _shear_candidates,
+                              dehomogenize, gcd, homogenize,
                               is_homogeneous, resultant, apply_shear,
                               shear_to_general_position, squarefree_decompose,
                               subresultant_prs, translate_to_origin)
@@ -12,7 +13,8 @@ from curveint.errors import (GeneralPositionError, InvalidDegreeError,
 from curveint.fields import QQ, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
 
-from oracles import random_poly, sylvester_resultant
+from oracles import (random_poly, shear_candidates_by_ratio,
+                     sylvester_resultant)
 
 V = ("x", "y")
 
@@ -340,6 +342,16 @@ def test_shear_budget_exhaustion_reports_tried_pairs():
     with pytest.raises(GeneralPositionError) as info:
         shear_to_general_position(y * (x + y), y * x + y * y + y)
     assert info.value.tried
+
+
+@pytest.mark.parametrize("field, count", [
+    (PrimeField(2), 2), (PrimeField(7), 7), (PrimeField(101), 101),
+    (QQ, 511)], ids=["F2", "F7", "F101", "Q"])
+def test_shear_candidates_try_each_direction_once(field, count):
+    # the full search order with each repeated direction lam/mu dropped
+    got = list(_shear_candidates(field))
+    assert got == shear_candidates_by_ratio(field, SHEAR_BOUND)
+    assert len(got) == count and got[0] == (0, 1)
 
 
 def test_shear_preserves_point_membership():

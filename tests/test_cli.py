@@ -1,3 +1,4 @@
+import json
 import time
 from fractions import Fraction
 
@@ -145,6 +146,20 @@ def test_hensel_command():
     report, code = run_job(job)
     assert code == EXIT_OK
     assert report["results"][0]["root"] == "1 + 1/2*t - 1/8*t^2 + O(t^3)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["hensel", "x^2 - (1 + t)", "--a0", "1", "--field", "F3"],
+    ["weierstrass", "x^2 + x^3 + y", "--field", "F5"],
+    ["mult", "x^2 - y^3", "y", "--field", "F5"],
+], ids=["hensel", "weierstrass", "mult"])
+def test_small_characteristic_warning_on_every_command(argv, capsys):
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["warning"].startswith("characteristic ")
+    argv[argv.index("--field") + 1] = "F101"
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    assert "warning" not in json.loads(capsys.readouterr().out)
 
 
 def test_json_output_byte_identical():
