@@ -517,7 +517,8 @@ SHEAR_BOUND = 20
 def _shear_candidates(field):
     """Shears (lam, mu) by growing |lam| + mu, the identity first.  Each
     direction lam/mu comes once: scaling (lam, mu) only rescales the
-    sheared y, so every acceptor gives the same answer."""
+    sheared y, so every acceptor gives the same answer.  The direction is
+    kept in the prime field, on ints."""
     p = field.characteristic
     limit = SHEAR_BOUND if p == 0 else min(SHEAR_BOUND, p - 1)
     seen = set()
@@ -526,11 +527,11 @@ def _shear_candidates(field):
             mu_i = size - abs(lam_i)
             if not 1 <= mu_i <= limit:
                 continue
-            lam, mu = field.of(lam_i), field.of(mu_i)
-            ratio = lam / mu
+            ratio = Fraction(lam_i, mu_i) if p == 0 \
+                else lam_i * pow(mu_i, -1, p) % p
             if ratio not in seen:
                 seen.add(ratio)
-                yield lam, mu
+                yield field.of(lam_i), field.of(mu_i)
 
 
 def in_general_position(fs: MultiPoly, gs: MultiPoly) -> bool:
