@@ -17,6 +17,7 @@ x-coordinates with.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (GeneralPositionError, InfiniteMultiplicityError,
                      InvalidDegreeError, InvalidInputError,
@@ -424,19 +425,6 @@ def translate_to_origin(f: MultiPoly, point) -> MultiPoly:
     return g.compose({xv: x + cx, yv: y + cy})
 
 
-def check_local_pair(f: MultiPoly, g: MultiPoly):
-    """The input check of every local engine: both curves pass through the
-    origin and share no component there (finite multiplicity)."""
-    if f.constant_value() or g.constant_value():
-        raise InvalidInputError("both curves must vanish at the origin")
-    d = gcd(f, g)
-    if not d.is_constant():
-        if not d.constant_value():
-            raise InfiniteMultiplicityError(
-                "curves share a component through the origin")
-        raise SharedComponentError("curves share a component")
-
-
 def apply_shear(f: MultiPoly, lam, mu) -> MultiPoly:
     """Rewrite f in the coordinates (x' = x, y' = lam*x + mu*y).
 
@@ -564,3 +552,37 @@ def shear_to_general_position(f: MultiPoly, g: MultiPoly):
     raise GeneralPositionError(
         f"no shear with |lam|,|mu| <= {SHEAR_BOUND} put the pair in general "
         "position", tried=tried)
+
+
+# ------------------------------------------------------------ local pairs
+
+class LocalPair:
+    """Two curves through the origin that share no component there: the
+    input of every local engine, built by ``local_pair``.
+
+    ``sheared`` is the pair in general position, searched for the first
+    time an engine asks for it and kept, so a pair is sheared at most
+    once and an engine that works in the given frame never shears."""
+
+    def __init__(self, f: MultiPoly, g: MultiPoly):
+        self.f, self.g = f, g
+
+    @cached_property
+    def sheared(self):
+        """(sheared f, sheared g, lam, mu), as ``shear_to_general_position``
+        returns them."""
+        return shear_to_general_position(self.f, self.g)
+
+
+def local_pair(f: MultiPoly, g: MultiPoly) -> LocalPair:
+    """The input check of every local engine: both curves pass through the
+    origin and share no component there (finite multiplicity)."""
+    if f.constant_value() or g.constant_value():
+        raise InvalidInputError("both curves must vanish at the origin")
+    d = gcd(f, g)
+    if not d.is_constant():
+        if not d.constant_value():
+            raise InfiniteMultiplicityError(
+                "curves share a component through the origin")
+        raise SharedComponentError("curves share a component")
+    return LocalPair(f, g)

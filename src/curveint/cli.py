@@ -41,9 +41,13 @@ EXIT_BUDGET = 3
 
 # Input bounds: a larger exponent or total degree is refused while parsing,
 # before anything is expanded, and a larger --precision before any work (a
-# --precision below 1 is bad input).
+# --precision or --max-retries below 1 is bad input).
 MAX_DEGREE = 64
 MAX_PRECISION = 256
+
+# The number of curves each command takes (``corpus`` takes none and
+# ignores any given).
+ARITY = {"mult": 2, "bezout": 2, "weierstrass": 1, "hensel": 1}
 
 _INPUT_ERRORS = (ParseError, DegreeMixError, InvalidInputError,
                  SharedComponentError, InfiniteMultiplicityError,
@@ -395,8 +399,16 @@ def run_job(job: Job):
         return {"command": job.command, "status": "unknown-command",
                 "error": f"unknown command {job.command!r}"}, EXIT_INPUT
     try:
+        arity = ARITY.get(job.command)
+        if arity is not None and len(job.curves) != arity:
+            raise InvalidInputError(
+                f"{job.command} takes {arity} curve"
+                f"{'s' if arity > 1 else ''}, got {len(job.curves)}")
         if job.precision is not None and job.precision < 1:
             raise InvalidInputError(f"precision {job.precision} is not "
+                                    "positive")
+        if job.max_retries < 1:
+            raise InvalidInputError(f"max-retries {job.max_retries} is not "
                                     "positive")
         if job.precision is not None and job.precision > MAX_PRECISION:
             raise BudgetError(f"precision {job.precision} exceeds the limit "

@@ -4,12 +4,14 @@ Count the solutions of a curve pair inside the infinitesimal neighborhood
 of the origin after perturbing the defining coefficients along a seeded
 random direction scaled by t.  The count is certified, never assumed.
 
-Everything runs in the one frame (x, y, t), on a pair that
-``shear_to_general_position`` has put in general position (the origin is
-the only common zero on y = 0, and both top x-coefficients are
-constants); the shear is found once per pair and handed in.  Failures
-raise GenericityFailureError, and one attempt loop (``_attempts``)
-reseeds deterministically up to a retry budget, doubling the precision on
+Everything runs in the one frame (x, y, t), on the sheared pair of a
+``LocalPair`` (``algebra.local_pair``), which is in general position (the
+origin is the only common zero on y = 0, and both top x-coefficients are
+constants).  The pair finds its shear the first time an engine asks and
+keeps it, so the deformation count, the two-scale readout and the
+resultant engine share one shear search.  Failures raise
+GenericityFailureError, and one attempt loop (``_attempts``) reseeds
+deterministically up to a retry budget, doubling the precision on
 InsufficientPrecisionError; the deformation count and the two-scale
 readout share it.
 
@@ -54,8 +56,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (check_local_pair, gcd, lift_to_field,
-                      resultant_of_chain, shear_to_general_position,
+from .algebra import (LocalPair, gcd, lift_to_field, resultant_of_chain,
                       subresultant_prs)
 from .errors import (GenericityFailureError, InsufficientPrecisionError,
                      InvalidInputError, SharedComponentError,
@@ -282,21 +283,12 @@ class DeformationOutcome:
     precision: Fraction
 
 
-def deformation_count(f: MultiPoly, g: MultiPoly, seed: int = 0,
-                      prec=None, max_retries: int = 8) -> DeformationOutcome:
-    """The infinitesimal-neighborhood solution count of (f, g) at the origin:
-    perturb every coefficient of both curves and count all nearby
-    solutions."""
-    check_local_pair(f, g)
-    fs, gs, lam, mu = shear_to_general_position(f, g)
-    return _deformation_count(fs, gs, lam, mu, seed, prec, max_retries)
-
-
-def _deformation_count(fs: MultiPoly, gs: MultiPoly, lam, mu, seed: int = 0,
-                       prec=None, max_retries: int = 8) -> DeformationOutcome:
-    """``deformation_count`` of a pair that passed ``check_local_pair``,
-    given as (fs, gs), the pair after the shear (lam, mu) that
-    ``shear_to_general_position`` found for it."""
+def deformation_count(pair: LocalPair, seed: int = 0, prec=None,
+                      max_retries: int = 8) -> DeformationOutcome:
+    """The infinitesimal-neighborhood solution count of the pair at the
+    origin: perturb every coefficient of both sheared curves and count all
+    nearby solutions."""
+    fs, gs, lam, mu = pair.sheared
     field = fs.field
 
     def certify(rng, prec):
@@ -335,7 +327,7 @@ class TwoScaleAnalysis:
     precision: Fraction
 
 
-def two_scale_analysis(f: MultiPoly, g: MultiPoly, seed: int = 0,
+def two_scale_analysis(pair: LocalPair, seed: int = 0,
                        coarse_side: str = "left", prec=None,
                        max_retries: int = 8) -> TwoScaleAnalysis:
     """Deform one side at a coarse scale t and group the multiplicity at
@@ -348,19 +340,9 @@ def two_scale_analysis(f: MultiPoly, g: MultiPoly, seed: int = 0,
     splits at P.  The certificate is the degree-one subresultant's
     x-coefficient, nonzero along every branch; a failure reseeds.
     """
-    check_local_pair(f, g)
     if coarse_side not in ("left", "right"):
         raise InvalidInputError("coarse_side must be 'left' or 'right'")
-    fs, gs, lam, mu = shear_to_general_position(f, g)
-    return _two_scale(fs, gs, lam, mu, seed, coarse_side, prec, max_retries)
-
-
-def _two_scale(fs: MultiPoly, gs: MultiPoly, lam, mu, seed: int,
-               coarse_side: str, prec=None,
-               max_retries: int = 8) -> TwoScaleAnalysis:
-    """``two_scale_analysis`` of a pair that passed ``check_local_pair``,
-    given as (fs, gs), the pair after the shear (lam, mu) that
-    ``shear_to_general_position`` found for it."""
+    fs, gs, lam, mu = pair.sheared
     field = fs.field
     if isinstance(field, ExtensionField):
         raise UnsupportedExtensionError(

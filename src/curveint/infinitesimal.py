@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (SHEAR_BOUND, _shear_candidates, apply_shear,
-                      check_local_pair, in_general_position,
-                      shear_to_general_position, translate_to_origin)
-from .deformation import (VARS3, _deformation_count, _eliminant_and_s1,
-                          _points_along, _separable_by_evaluation,
-                          _two_scale, deform_polynomial, default_precision)
+                      in_general_position, local_pair, translate_to_origin)
+from .deformation import (VARS3, _eliminant_and_s1, _points_along,
+                          _separable_by_evaluation, deform_polynomial,
+                          default_precision, deformation_count,
+                          two_scale_analysis)
 from .errors import (GeneralPositionError, GenericityFailureError,
                      InfiniteMultiplicityError, InsufficientPrecisionError,
                      InvalidInputError, VerificationFailureError)
@@ -179,7 +179,7 @@ def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):
                                (tx, ty), count))
     out.sort(key=lambda np_: (str(np_.y), str(np_.x)))
     try:
-        expected = mult_length(*base)
+        expected = mult_length(local_pair(*base))
     except (InvalidInputError, InfiniteMultiplicityError):
         return out  # the base curves do not meet there, or share a component
     found = sum(p.count for p in out)
@@ -195,10 +195,9 @@ def staged_specialization_check(f: MultiPoly, g: MultiPoly,
     """Two-stage deformation identity: the undeformed solution count equals
     the sum, over the intermediate fiber points of a coarse deformation, of
     their fine-scale local multiplicities."""
-    check_local_pair(f, g)
-    sheared = shear_to_general_position(f, g)
-    total = _deformation_count(*sheared, seed=seed).count
-    analysis = _two_scale(*sheared, seed, "right")
+    pair = local_pair(f, g)
+    total = deformation_count(pair, seed=seed).count
+    analysis = two_scale_analysis(pair, seed, "right")
     staged_sum = sum(k * m for k, m in analysis.groups)
     return staged_sum == total
 
@@ -208,11 +207,10 @@ def left_right_factoring_check(f: MultiPoly, g: MultiPoly,
     """One-sided factoring identity, both orientations: the joint count
     equals the sum of right multiplicities over the left-deformed fiber
     points, and symmetrically."""
-    check_local_pair(f, g)
-    sheared = shear_to_general_position(f, g)
-    total = _deformation_count(*sheared, seed=seed).count
-    left = _two_scale(*sheared, seed, "left")
+    pair = local_pair(f, g)
+    total = deformation_count(pair, seed=seed).count
+    left = two_scale_analysis(pair, seed, "left")
     if sum(k * m for k, m in left.groups) != total:
         return False
-    right = _two_scale(*sheared, seed, "right")
+    right = two_scale_analysis(pair, seed, "right")
     return sum(k * m for k, m in right.groups) == total

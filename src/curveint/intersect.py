@@ -3,9 +3,13 @@
 * ``mult_length``: dimension of the local quotient ring at the origin,
   by exact linear algebra on truncations, stabilized in the cutoff.
 * ``mult_resultant_order``: order of vanishing of the x-eliminant at the
-  origin's fiber (the pair must be in resultant general position).
-* ``mult_deformation``: certified infinitesimal solution count from the
-  deformation engine.
+  origin's fiber, on the pair sheared to resultant general position.
+* ``deformation.deformation_count``: certified infinitesimal solution
+  count.
+
+Each engine takes a ``LocalPair`` (``algebra.local_pair``): the pair is
+checked once when it is built and sheared at most once, by whichever
+engine first asks for the sheared pair.
 
 ``bezout_sum`` enumerates every intersection point of two curves across
 all three charts, as rational points and Galois orbits (``PointCluster``:
@@ -18,14 +22,14 @@ degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from .algebra import (PROJECTIVE_VARS, apply_shear, check_local_pair,
+from .algebra import (PROJECTIVE_VARS, SHEAR_BOUND, LocalPair,
+                      _shear_candidates, _strongly_regular_in_x, apply_shear,
                       dehomogenize, gcd, is_homogeneous, lift_to_field,
-                      resultant, roots_univariate, shear_to_general_position,
+                      local_pair, resultant, roots_univariate,
                       squarefree_decompose, translate_to_origin)
-from .deformation import _deformation_count, deformation_count
+from .deformation import deformation_count
 from .errors import (BudgetError, GeneralPositionError, InvalidInputError,
-                     NotRegularError, SharedComponentError,
-                     VerificationFailureError)
+                     SharedComponentError, VerificationFailureError)
 from .fields import ExtensionField
 from .poly import MultiPoly
 
@@ -178,16 +182,12 @@ class MultiplicityReport:
 
 # ------------------------------------------------------------ the engines
 
-def mult_length(f: MultiPoly, g: MultiPoly) -> int:
+def mult_length(pair: LocalPair) -> int:
     """Dimension over the base field of the local ring at the origin modulo
     (f, g): the stabilized dimension of polynomials of degree < N modulo
-    (f, g, all monomials of degree >= N)."""
-    check_local_pair(f, g)
-    return _length(f, g)
-
-
-def _length(f: MultiPoly, g: MultiPoly) -> int:
-    """``mult_length`` of a pair that passed ``check_local_pair``."""
+    (f, g, all monomials of degree >= N).  Works in the given frame and
+    never shears."""
+    f, g = pair.f, pair.g
     d = max(1, f.total_degree())
     e = max(1, g.total_degree())
     cutoff_cap = 2 * d * e + 4
@@ -251,37 +251,18 @@ def _rank(rows, field) -> int:
     return rank
 
 
-def mult_resultant_order(f: MultiPoly, g: MultiPoly) -> int:
-    """ord_y Res_x(f, g) for a pair in resultant general position (regular
-    in x, constant top x-coefficients, origin the only common zero on the
-    line y = 0); equals the local intersection multiplicity there."""
-    check_local_pair(f, g)
-    return _resultant_order(f, g)
-
-
-def _resultant_order(f: MultiPoly, g: MultiPoly) -> int:
-    """``mult_resultant_order`` of a pair that passed ``check_local_pair``."""
-    field = f.field
-    xv, yv = f.vars[0], f.vars[1]
-    if f.subs_values({yv: field.zero}).is_zero():
-        raise NotRegularError(
-            "first input vanishes on the x-axis; shear to general position")
-    if g.degree_in(xv) > 0 and g.subs_values({yv: field.zero}).is_zero():
-        raise NotRegularError(
-            "second input vanishes on the x-axis; shear to general position")
-    R = resultant(f, g, xv)
+def mult_resultant_order(pair: LocalPair) -> int:
+    """ord_y Res_x(fs, gs) of the sheared pair, which is in resultant
+    general position (constant top x-coefficients, origin the only common
+    zero on the line y = 0); equals the local intersection multiplicity
+    there."""
+    fs, gs, _, _ = pair.sheared
+    xv, yv = fs.vars[0], fs.vars[1]
+    R = resultant(fs, gs, xv)
     if R.is_zero():
         raise SharedComponentError("identically vanishing resultant")
     yi = R.vars.index(yv)
     return min(e[yi] for e in R.terms)
-
-
-def mult_deformation(f: MultiPoly, g: MultiPoly, seed: int = 0,
-                     prec=None, max_retries: int = 8) -> int:
-    """Certified infinitesimal solution count at the origin (see the
-    deformation engine)."""
-    return deformation_count(f, g, seed=seed, prec=prec,
-                             max_retries=max_retries).count
 
 
 def transversality_check(f: MultiPoly, g: MultiPoly) -> bool:
@@ -371,8 +352,6 @@ def _affine_points(C1: Curve, C2: Curve):
         return [], []  # a curve with no affine part in this chart
     xv, yv = f.vars[0], f.vars[1]
     last_exc = None
-    from .algebra import (SHEAR_BOUND, _shear_candidates,
-                          _strongly_regular_in_x)
     for lam, mu in _shear_candidates(field):
         fs = apply_shear(f, lam, mu)
         gs = apply_shear(g, lam, mu)
@@ -437,10 +416,11 @@ def _infinity_points(C1: Curve, C2: Curve):
 
 # --------------------------------------------------------------- reports
 
-def _local_pair_at(C1: Curve, C2: Curve, point: ProjectivePoint):
+def _local_pair_at(C1: Curve, C2: Curve,
+                   point: ProjectivePoint) -> LocalPair:
     """Translate both curves into the point's chart with the point at the
-    affine origin.  The chart coordinates are renamed to (x, y) so every
-    engine sees the standard frame."""
+    affine origin, as a checked ``LocalPair``.  The chart coordinates are
+    renamed to (x, y) so every engine sees the standard frame."""
     chart = point.chart
     f = dehomogenize(C1.form, chart).rename_vars(("x", "y"))
     g = dehomogenize(C2.form, chart).rename_vars(("x", "y"))
@@ -449,7 +429,7 @@ def _local_pair_at(C1: Curve, C2: Curve, point: ProjectivePoint):
     if f0.constant_value() or g0.constant_value():
         where = f"({px},{py})" if chart == "Z" else str(point)
         raise InvalidInputError(f"both curves must vanish at {where}")
-    return f0, g0
+    return local_pair(f0, g0)
 
 
 def multiplicities_at(C1: Curve, C2: Curve, point: ProjectivePoint,
@@ -457,20 +437,18 @@ def multiplicities_at(C1: Curve, C2: Curve, point: ProjectivePoint,
                       max_retries: int = 8) -> MultiplicityReport:
     """All three engines at one point, with exact agreement enforced.  The
     pair is checked once (a shear keeps what the check proves) and sheared
-    once: the deformation and resultant engines read the same sheared
-    pair."""
-    f0, g0 = _local_pair_at(C1, C2, point)
-    check_local_pair(f0, g0)
-    m_len = _length(f0, g0)
-    fs, gs, lam, mu = shear_to_general_position(f0, g0)
-    outcome = _deformation_count(fs, gs, lam, mu, seed=seed, prec=prec,
-                                 max_retries=max_retries)
-    m_res = _resultant_order(fs, gs)
-    trans = transversality_check(f0, g0)
+    once, by the deformation engine: the resultant engine reads the same
+    sheared pair."""
+    pair = _local_pair_at(C1, C2, point)
+    m_len = mult_length(pair)
+    outcome = deformation_count(pair, seed=seed, prec=prec,
+                                max_retries=max_retries)
+    m_res = mult_resultant_order(pair)
+    trans = transversality_check(pair.f, pair.g)
     report = MultiplicityReport(
         point=point, mult_length=m_len, mult_resultant=m_res,
         mult_deformation=outcome.count, transversal=trans,
-        shear=(lam, mu), seed=outcome.seed_used,
+        shear=outcome.shear, seed=outcome.seed_used,
         precision=outcome.precision, weight=m_len)
     if not report.agreed:
         raise VerificationFailureError(
@@ -547,7 +525,7 @@ def bilinearity_expand(C1: Curve, C2: Curve, point: ProjectivePoint,
             if gi0.subs_values(origin).constant_value() or \
                     hj0.subs_values(origin).constant_value():
                 continue  # this component pair misses the point
-            m = mult_length(gi0, hj0)
+            m = mult_length(local_pair(gi0, hj0))
             table.append((ni, ej, m))
             total += ni * ej * m
     return total, table

@@ -11,7 +11,7 @@ import time
 import pytest
 from fractions import Fraction
 
-from curveint.algebra import homogenize, shear_to_general_position
+from curveint.algebra import homogenize, local_pair
 from curveint.cli import EXIT_BUDGET, EXIT_OK, Job, parse_field, parse_poly, \
     run_job
 from curveint.corpus import affine_instances, corpus_manifest
@@ -22,8 +22,8 @@ from curveint.fields import QQ, PrimeField
 from curveint.infinitesimal import (left_right_factoring_check,
                                     staged_specialization_check)
 from curveint.intersect import (Curve, ProjectivePoint,
-                                bilinearity_expand, mult_deformation,
-                                mult_length, mult_resultant_order,
+                                bilinearity_expand, mult_length,
+                                mult_resultant_order,
                                 transversality_check)
 from curveint.lifting import hensel_lift, weierstrass_prepare
 from curveint.poly import MultiPoly
@@ -40,10 +40,10 @@ def _affine_pair(entry_f, entry_g, fieldname):
 
 
 def _three_engines(f, g, seed=0):
-    m1 = mult_length(f, g)
-    fs, gs, lam, mu = shear_to_general_position(f, g)
-    m2 = mult_resultant_order(fs, gs)
-    m3 = mult_deformation(f, g, seed=seed)
+    pair = local_pair(f, g)
+    m1 = mult_length(pair)
+    m3 = deformation_count(pair, seed=seed).count
+    m2 = mult_resultant_order(pair)
     return m1, m2, m3
 
 
@@ -169,7 +169,7 @@ def test_criterion_5_bilinearity():
     C1 = Curve(homogenize(f, 3))
     C2 = Curve(homogenize(g, 1))
     expanded, _ = bilinearity_expand(C1, C2, origin)
-    assert expanded == mult_length(f, g)
+    assert expanded == mult_length(local_pair(f, g))
     print("\nACCEPTANCE 5: PASS bilinearity expansion equals engine values "
           "on all non-reduced instances")
 
@@ -273,8 +273,9 @@ def test_criterion_9_f7_genericity_robustness():
             g = parse_poly(gtext, F7, V)
             if f.is_zero() or g.is_zero():
                 continue
-            outcome = deformation_count(f, g, seed=9, max_retries=8)
-            assert outcome.count == mult_length(f, g), name
+            pair = local_pair(f, g)
+            outcome = deformation_count(pair, seed=9, max_retries=8)
+            assert outcome.count == mult_length(pair), name
             succeeded += 1
         except (GenericityFailureError, GeneralPositionError):
             job = Job(command="mult", curves=(ftext, gtext), field="F7",

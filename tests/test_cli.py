@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import curveint.cli
+import curveint.infinitesimal
 import curveint.intersect
 from curveint.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK,
                           EXIT_VERIFICATION, Job, main, parse_curve,
@@ -215,16 +217,48 @@ def test_mult_point_off_the_curves_is_named(capsys):
 # ------------------------------------------ one per-point pipeline
 
 def test_mult_and_bezout_share_one_pipeline(monkeypatch):
-    # the length engine's body, which multiplicities_at runs after its one
-    # input check
-    length = curveint.intersect._length
-    monkeypatch.setattr(curveint.intersect, "_length",
-                        lambda f, g: length(f, g) + 1)
+    length = curveint.intersect.mult_length
+    monkeypatch.setattr(curveint.intersect, "mult_length",
+                        lambda pair: length(pair) + 1)
     for job in (Job(command="mult", curves=("x^2 - y^3", "y")),
                 Job(command="bezout", curves=("X^2*Z - Y^3", "Y"))):
         report, code = run_job(job)
         assert code == EXIT_VERIFICATION, job.command
         assert report["status"] == "verification-failure", job.command
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_every_caller_runs_the_public_engines(monkeypatch):
+    """A point's report runs each public engine once, and both identities
+    run the public two-scale readout: no caller has a private twin."""
+    calls = {}
+    for name in ("mult_length", "mult_resultant_order",
+                 "deformation_count"):
+        _count_calls(monkeypatch, curveint.intersect, name, calls)
+    _, code = run_job(Job(command="mult", curves=("x^2 - y^3", "y")))
+    assert code == EXIT_OK
+    assert calls == {"mult_length": 1, "mult_resultant_order": 1,
+                     "deformation_count": 1}
+    x = MultiPoly.var(QQ, ("x", "y"), "x")
+    y = MultiPoly.var(QQ, ("x", "y"), "y")
+    _count_calls(monkeypatch, curveint.infinitesimal, "two_scale_analysis",
+                 calls)
+    # the staged check reads one side, the left/right check both
+    for check, runs in ((curveint.infinitesimal.staged_specialization_check,
+                         1),
+                        (curveint.infinitesimal.left_right_factoring_check,
+                         2)):
+        calls.clear()
+        assert check(x * x - y, x * x - 2 * y, seed=1)
+        assert calls == {"two_scale_analysis": runs}, check.__name__
 
 
 def test_mult_enforces_transverse_implies_one(monkeypatch):
@@ -328,3 +362,36 @@ def test_nonpositive_precision_is_bad_input(command, curves, a0, precision):
                                precision=precision))
     assert code == EXIT_INPUT
     assert report["error"] == f"precision {precision} is not positive"
+
+
+def _no_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the job started work on bad input")
+    for name in ("parse_field", "parse_curve", "parse_poly"):
+        monkeypatch.setattr(curveint.cli, name, refuse)
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["mult", "x^2-y"], "mult takes 2 curves, got 1"),
+    (["mult", "x", "y", "x+y"], "mult takes 2 curves, got 3"),
+    (["bezout", "x"], "bezout takes 2 curves, got 1"),
+    (["bezout"], "bezout takes 2 curves, got 0"),
+    (["weierstrass"], "weierstrass takes 1 curve, got 0"),
+    (["weierstrass", "x^2 + y", "y"], "weierstrass takes 1 curve, got 2"),
+    (["hensel", "--a0", "0"], "hensel takes 1 curve, got 0")])
+def test_wrong_number_of_curves_is_bad_input(monkeypatch, capsys, argv,
+                                             error):
+    _no_work(monkeypatch)
+    assert main(argv + ["--format", "json"]) == EXIT_INPUT
+    report = json.loads(capsys.readouterr().out)
+    assert report["error_kind"] == "InvalidInputError"
+    assert report["error"] == error
+
+
+@pytest.mark.parametrize("retries", [0, -1])
+def test_nonpositive_max_retries_is_bad_input(monkeypatch, retries):
+    _no_work(monkeypatch)
+    report, code = run_job(Job(command="mult", curves=("x^2-y^3", "y"),
+                               max_retries=retries))
+    assert code == EXIT_INPUT
+    assert report["error"] == f"max-retries {retries} is not positive"

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from curveint import deformation
-from curveint.algebra import resultant, shear_to_general_position
+from curveint.algebra import (local_pair, resultant,
+                              shear_to_general_position)
 from curveint.cli import parse_field, parse_poly
 from curveint.corpus import affine_instances
 from curveint.deformation import (VARS3, deform_polynomial, deformation_count,
@@ -39,13 +40,14 @@ CLASSICAL = [
 def test_classical_counts(label, make, expected):
     x, y = xy()
     f, g = make(x, y)
-    assert deformation_count(f, g, seed=42).count == expected
+    assert deformation_count(local_pair(f, g), seed=42).count == expected
 
 
 def test_seed_invariance():
     x, y = xy()
     f, g = x * x - y ** 3, y - x
-    counts = {deformation_count(f, g, seed=s).count for s in (0, 1, 7, 123)}
+    pair = local_pair(f, g)
+    counts = {deformation_count(pair, seed=s).count for s in (0, 1, 7, 123)}
     assert counts == {2}
 
 
@@ -53,8 +55,9 @@ def test_precision_invariance():
     # doubled precision, same count
     x, y = xy()
     f, g = x * x - y, x * x - 2 * y
-    base = deformation_count(f, g, seed=4)
-    doubled = deformation_count(f, g, seed=4, prec=2 * base.precision)
+    pair = local_pair(f, g)
+    base = deformation_count(pair, seed=4)
+    doubled = deformation_count(pair, seed=4, prec=2 * base.precision)
     assert base.count == doubled.count
 
 
@@ -62,20 +65,20 @@ def test_counts_over_prime_fields():
     for p in (7, 101):
         F = PrimeField(p)
         x, y = xy(F)
-        assert deformation_count(x * x - y ** 3, y, seed=3).count == 2
-        assert deformation_count(x * x - y, x * x - 2 * y, seed=3).count == 2
+        for f, g in ((x * x - y ** 3, y), (x * x - y, x * x - 2 * y)):
+            assert deformation_count(local_pair(f, g), seed=3).count == 2
 
 
 def test_shared_component_through_origin():
     x, y = xy()
     with pytest.raises(InfiniteMultiplicityError):
-        deformation_count(x * (y - x), x * (y + x), seed=1)
+        deformation_count(local_pair(x * (y - x), x * (y + x)), seed=1)
 
 
 def test_both_must_vanish_at_origin():
     x, y = xy()
     with pytest.raises(InvalidInputError):
-        deformation_count(x + 1, y, seed=1)
+        deformation_count(local_pair(x + 1, y), seed=1)
 
 
 def test_deform_polynomial_structure():
@@ -93,7 +96,8 @@ def test_zero_direction_rejected():
 
 
 def _point_count(f, g, seed, coarse_side):
-    groups = two_scale_analysis(f, g, seed=seed, coarse_side=coarse_side).groups
+    groups = two_scale_analysis(local_pair(f, g), seed=seed,
+                                coarse_side=coarse_side).groups
     return sum(k for k, _ in groups)
 
 
@@ -107,10 +111,12 @@ def test_one_sided_counts_are_cardinalities():
 
 def test_two_scale_group_structure():
     x, y = xy()
-    a = two_scale_analysis(x * x - y, x * x - 2 * y, seed=5, coarse_side="left")
+    a = two_scale_analysis(local_pair(x * x - y, x * x - 2 * y), seed=5,
+                           coarse_side="left")
     assert sum(k * m for k, m in a.groups) == 2
     assert a.groups == [(2, 1)]  # two conjugate coarse points, simple fine
-    b = two_scale_analysis((y - x * x) ** 2, x, seed=5, coarse_side="right")
+    b = two_scale_analysis(local_pair((y - x * x) ** 2, x), seed=5,
+                           coarse_side="right")
     assert b.groups == [(1, 2)]  # one coarse point of fine multiplicity 2
 
 
@@ -130,7 +136,7 @@ def test_two_scale_groups_match_pins(name, ftext, gtext, fieldname):
     pins = TWO_SCALE_PINS[name]
     for shape, side in (("staged", "right"), ("left", "left"),
                         ("right", "right")):
-        a = two_scale_analysis(f, g, seed=6, coarse_side=side)
+        a = two_scale_analysis(local_pair(f, g), seed=6, coarse_side=side)
         assert [list(p) for p in a.groups] == pins[shape]["groups"], shape
         assert a.seed_used == pins[shape]["seed_used"], shape
 
@@ -163,14 +169,14 @@ def test_two_scale_certificate_rejects_shared_y(monkeypatch):
                        match=r"^two-scale certification failed after 8 "
                              r"attempts \(last: subresultant chain skips "
                              r"degree one\)$"):
-        two_scale_analysis(x * x - y, x * x - 2 * y, seed=1,
+        two_scale_analysis(local_pair(x * x - y, x * x - 2 * y), seed=1,
                            coarse_side="right")
 
 
 def test_two_scale_reseeds_past_shared_y(monkeypatch):
     x, y = xy()
     calls = _force_direction(monkeypatch, _minus_one, forced_calls=1)
-    a = two_scale_analysis(x * x - y, x * x - 2 * y, seed=1,
+    a = two_scale_analysis(local_pair(x * x - y, x * x - 2 * y), seed=1,
                            coarse_side="right")
     assert len(calls) > 1
     assert a.seed_used != derived_seed(1, 101)
@@ -189,8 +195,9 @@ def test_two_scale_certificate_evaluates_along_branches(monkeypatch):
                      - MultiPoly.const(F, VARS3, 1),
                      forced_calls=10 ** 6)
     with pytest.raises(GenericityFailureError, match="share a y-coordinate"):
-        two_scale_analysis(x * x - y, x ** 3 - x * y + x * y * y + y * y,
-                           seed=1, coarse_side="right")
+        two_scale_analysis(
+            local_pair(x * x - y, x ** 3 - x * y + x * y * y + y * y),
+            seed=1, coarse_side="right")
 
 
 def test_two_scale_structural_limit_fails_fast(monkeypatch):
@@ -203,14 +210,15 @@ def test_two_scale_structural_limit_fails_fast(monkeypatch):
     monkeypatch.setattr(deformation, "newton_puiseux", unsupported)
     x, y = xy()
     with pytest.raises(UnsupportedExtensionError):
-        two_scale_analysis(x * x - y, x * x - 2 * y, seed=1)
+        two_scale_analysis(local_pair(x * x - y, x * x - 2 * y), seed=1)
     assert len(calls) == 1
 
 
 def _eliminant_seen(monkeypatch, consumer):
     """The R that one attempt of the engine hands to ``consumer``, on a
     pair with deg_x f_t = 1 < deg_x g_t = 3: the chain starts at g_t, and
-    the odd degrees make the swap flip the sign of Res_x(f_t, g_t)."""
+    the odd degrees make the swap flip the sign of Res_x(f_t, g_t).  The
+    pair is in general position as given, so its shear is the identity."""
     x, y = xy()
     f, g = x - y, x ** 3 - y * y
     rng = random.Random(3)
@@ -228,7 +236,7 @@ def _eliminant_seen(monkeypatch, consumer):
 
     monkeypatch.setattr(deformation, consumer, record)
     with pytest.raises(GenericityFailureError, match="recorded"):
-        deformation._deformation_count(f, g, 0, 0, max_retries=1)
+        deformation_count(local_pair(f, g), max_retries=1)
     assert seen == [resultant(ft, gt, "x")]
     assert seen == [sylvester_resultant(ft, gt, "x")]
 

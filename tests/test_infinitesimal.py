@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from curveint.algebra import lift_to_field
+from curveint.algebra import lift_to_field, local_pair
 from curveint.deformation import default_precision
 from curveint.errors import (InfiniteMultiplicityError, InvalidInputError,
                              NotSpecializableError)
@@ -114,7 +114,8 @@ def test_nearby_count_matches_length_engine():
     direction = random_direction(rng, QQ, 1)
     lt = deform(y - x, direction)
     pts = nearby_intersections(x * x - y ** 3, lt)
-    assert sum(p.count for p in pts) == mult_length(x * x - y ** 3, y - x)
+    assert sum(p.count for p in pts) == \
+        mult_length(local_pair(x * x - y ** 3, y - x))
 
 
 def _on_both(point, f, g):
@@ -239,7 +240,7 @@ def deformed_pairs(draw):
 def test_nearby_points_account_for_the_multiplicity(pair):
     ft, gt, f, g = pair
     try:
-        expected = mult_length(f, g)
+        expected = mult_length(local_pair(f, g))
     except (InvalidInputError, InfiniteMultiplicityError):
         assume(False)  # no finite multiplicity at the origin to split
     pts = nearby_intersections(ft, gt)

@@ -2,15 +2,18 @@ import random
 
 import pytest
 
-from curveint.algebra import apply_shear, homogenize, shear_to_general_position
-from curveint.errors import (InfiniteMultiplicityError, NotRegularError,
+import curveint.algebra as algebra
+from curveint.algebra import (apply_shear, homogenize, local_pair,
+                              shear_to_general_position)
+from curveint.deformation import deformation_count
+from curveint.errors import (GeneralPositionError, InfiniteMultiplicityError,
                              SharedComponentError)
 from curveint.fields import QQ, ExtensionField, PrimeField
 from curveint.intersect import (Curve, PointCluster, ProjectivePoint,
                                 bezout_sum, bilinearity_expand,
-                                intersection_points, mult_deformation,
-                                mult_length, mult_resultant_order,
-                                multiplicities_at, transversality_check)
+                                intersection_points, mult_length,
+                                mult_resultant_order, multiplicities_at,
+                                transversality_check)
 from curveint.poly import MultiPoly
 
 from oracles import frobenius_orbit, fulton_intersection_number, random_poly
@@ -31,13 +34,13 @@ def curve(f, d=None):
 
 def test_length_transverse_lines():
     x, y = xy()
-    assert mult_length(x, y) == 1
+    assert mult_length(local_pair(x, y)) == 1
 
 
 def test_length_cusp_against_axes():
     x, y = xy()
-    assert mult_length(x * x - y ** 3, y) == 2
-    assert mult_length(x * x - y ** 3, x) == 3
+    assert mult_length(local_pair(x * x - y ** 3, y)) == 2
+    assert mult_length(local_pair(x * x - y ** 3, x)) == 3
 
 
 def test_length_matches_independent_oracle():
@@ -46,7 +49,8 @@ def test_length_matches_independent_oracle():
                  ((y - x * x) ** 2, x),
                  (x * y, x - y),
                  (x ** 3 - y ** 3, x + y)]:
-        assert mult_length(f, g) == fulton_intersection_number(f, g)
+        assert mult_length(local_pair(f, g)) == \
+            fulton_intersection_number(f, g)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(101)],
@@ -74,42 +78,62 @@ def test_length_matches_fulton_on_random_pairs(field):
             expected = fulton_intersection_number(f, g)
         except ValueError:
             with pytest.raises(InfiniteMultiplicityError):
-                mult_length(f, g)
+                mult_length(local_pair(f, g))
             continue
-        assert mult_length(f, g) == expected, (str(f), str(g))
+        assert mult_length(local_pair(f, g)) == expected, (str(f), str(g))
         seen.add(expected)
     assert len(seen) >= 3  # the draws reach beyond transverse pairs
+
+
+def test_length_never_shears():
+    """Over F2 no shear puts (xy, x + y) in general position, and the
+    length engine, which works in the given frame, still answers."""
+    x, y = xy(PrimeField(2))
+    pair = local_pair(x * y, x + y)
+    assert mult_length(pair) == 2
+    with pytest.raises(GeneralPositionError):
+        pair.sheared
 
 
 def test_length_shared_component_through_origin():
     x, y = xy()
     with pytest.raises(InfiniteMultiplicityError):
-        mult_length(x * y, x * (x + y))
+        mult_length(local_pair(x * y, x * (x + y)))
 
 
 # ---------------------------------------------------- mult_resultant_order
 
 def test_resultant_order_conic_pair():
     x, y = xy()
-    assert mult_resultant_order(x * x - y, x * x - 2 * y) == 2
+    assert mult_resultant_order(local_pair(x * x - y, x * x - 2 * y)) == 2
 
 
 def test_resultant_order_transverse():
     x, y = xy()
-    assert mult_resultant_order(x, y) == 1
+    assert mult_resultant_order(local_pair(x, y)) == 1
 
 
-def test_resultant_order_requires_regularity():
+def test_resultant_order_shears_a_non_regular_pair():
+    # y vanishes on the x-axis; the engine reads the sheared pair
     x, y = xy()
-    with pytest.raises(NotRegularError):
-        mult_resultant_order(y, y - x)
+    pair = local_pair(y, y - x)
+    assert mult_resultant_order(pair) == mult_length(pair) == 1
+
+
+def test_resultant_order_leaves_no_second_zero_on_the_axis():
+    # unsheared, Res_x(x^2 - x + y, y) = y^2 also counts the common zero
+    # (1, 0); the sheared pair has the origin alone on its axis
+    x, y = xy()
+    pair = local_pair(x * x - x + y, y)
+    assert mult_resultant_order(pair) == mult_length(pair) == 1
 
 
 def test_resultant_order_after_shear_matches_length():
     x, y = xy()
     f, g = x * x - y ** 3, y - x
     fs, gs, lam, mu = shear_to_general_position(f, g)
-    assert mult_resultant_order(fs, gs) == mult_length(f, g) == 2
+    assert mult_resultant_order(local_pair(fs, gs)) == \
+        mult_length(local_pair(f, g)) == 2
 
 
 # --------------------------------------------------------- transversality
@@ -127,8 +151,8 @@ def test_transversality_implies_unit_multiplicity():
              (x + 2 * y + y * y, y + x * x)]
     for f, g in pairs:
         if transversality_check(f, g):
-            assert mult_length(f, g) == 1
-            assert mult_deformation(f, g, seed=5) == 1
+            assert mult_length(local_pair(f, g)) == 1
+            assert deformation_count(local_pair(f, g), seed=5).count == 1
 
 
 # ------------------------------------------------------------ shear effect
@@ -138,11 +162,11 @@ def test_shear_preserves_all_three_multiplicities():
     f, g = x * x - y ** 3, y - x
     lam, mu = QQ.of(2), QQ.of(1)
     fsh, gsh = apply_shear(f, lam, mu), apply_shear(g, lam, mu)
-    assert mult_length(f, g) == mult_length(fsh, gsh)
-    assert mult_deformation(f, g, seed=7) == mult_deformation(fsh, gsh, seed=7)
-    fs1, gs1, *_ = shear_to_general_position(f, g)
-    fs2, gs2, *_ = shear_to_general_position(fsh, gsh)
-    assert mult_resultant_order(fs1, gs1) == mult_resultant_order(fs2, gs2)
+    assert mult_length(local_pair(f, g)) == mult_length(local_pair(fsh, gsh))
+    assert deformation_count(local_pair(f, g), seed=7).count == \
+        deformation_count(local_pair(fsh, gsh), seed=7).count
+    assert mult_resultant_order(local_pair(f, g)) == \
+        mult_resultant_order(local_pair(fsh, gsh))
 
 
 def test_shear_invariance_across_corpus_pairs():
@@ -155,7 +179,8 @@ def test_shear_invariance_across_corpus_pairs():
         g = parse_poly(gtext, field, V)
         fsh = apply_shear(f, field.of(lam), field.of(mu))
         gsh = apply_shear(g, field.of(lam), field.of(mu))
-        assert mult_length(f, g) == mult_length(fsh, gsh), name
+        assert mult_length(local_pair(f, g)) == \
+            mult_length(local_pair(fsh, gsh)), name
 
 
 # ------------------------------------------------------------------ points
@@ -299,7 +324,7 @@ def test_bilinearity_double_parabola():
     total, table = bilinearity_expand(C1, C2, origin)
     assert total == 2
     assert table == [(2, 1, 1)]
-    assert total == mult_length((y - x * x) ** 2, x)
+    assert total == mult_length(local_pair((y - x * x) ** 2, x))
 
 
 def test_bilinearity_mixed_components():
@@ -310,7 +335,7 @@ def test_bilinearity_mixed_components():
     total, table = bilinearity_expand(C1, C2, origin)
     assert total == 3
     assert sorted(table) == [(1, 1, 1), (2, 1, 1)]
-    assert total == mult_length(x * x * y, x + y)
+    assert total == mult_length(local_pair(x * x * y, x + y))
 
 
 def test_bilinearity_reduced_equals_length():
@@ -319,7 +344,7 @@ def test_bilinearity_reduced_equals_length():
     C2 = curve(y - x)
     origin = ProjectivePoint((0, 0, 1), QQ)
     total, _ = bilinearity_expand(C1, C2, origin)
-    assert total == mult_length(x * x - y ** 3, y - x)
+    assert total == mult_length(local_pair(x * x - y ** 3, y - x))
 
 
 # ------------------------------------------------------------- per-point
@@ -335,9 +360,9 @@ def test_multiplicities_at_detects_agreement():
 
 
 def test_multiplicities_at_shears_once(monkeypatch):
-    """One shear search per point, and its sheared pair is the one both
-    the deformation and the resultant engines read: no second shear."""
-    import curveint.deformation as deformation
+    """One shear search per point, made by the point's ``LocalPair``, and
+    its sheared pair is the one both the deformation and the resultant
+    engines read: no second shear."""
     import curveint.intersect as intersect
     searches, shears = [], []
     real_search = shear_to_general_position
@@ -350,8 +375,7 @@ def test_multiplicities_at_shears_once(monkeypatch):
         shears.append((f, lam, mu))
         return apply_shear(f, lam, mu)
 
-    for module in (intersect, deformation):
-        monkeypatch.setattr(module, "shear_to_general_position", search)
+    monkeypatch.setattr(algebra, "shear_to_general_position", search)
     monkeypatch.setattr(intersect, "apply_shear", shear)
     x, y = xy()
     C1, C2 = curve(x * x - y ** 3), curve(y - x)
