@@ -393,7 +393,7 @@ def lift_to_field(f: MultiPoly, new_field) -> MultiPoly:
     if f.field == new_field:
         return f
     if isinstance(new_field, ExtensionField) and new_field.base == f.field:
-        return f.map_coefficients(new_field, new_field.embed)
+        return f.map_coefficients(new_field, new_field.of)
     raise UnsupportedExtensionError(
         f"cannot lift coefficients from {f.field!r} to {new_field!r}")
 
@@ -445,7 +445,6 @@ def apply_shear(f: MultiPoly, lam, mu) -> MultiPoly:
     return f.compose({yv: repl})
 
 
-AFFINE_VARS = ("x", "y")
 PROJECTIVE_VARS = ("X", "Y", "Z")
 
 
@@ -502,13 +501,25 @@ def _strongly_regular_in_x(f: MultiPoly) -> bool:
 SHEAR_BOUND = 20
 
 
+def shear_bound(field) -> int:
+    """The bound on |lam| and mu of the shears tried over ``field``:
+    SHEAR_BOUND, cut to p - 1 over F_p."""
+    p = field.characteristic
+    return SHEAR_BOUND if p == 0 else min(SHEAR_BOUND, p - 1)
+
+
+def no_shear_message(field, outcome: str) -> str:
+    """The message of every shear search that ran out of shears."""
+    return f"no shear with |lam|, mu <= {shear_bound(field)} {outcome}"
+
+
 def _shear_candidates(field):
     """Shears (lam, mu) by growing |lam| + mu, the identity first.  Each
     direction lam/mu comes once: scaling (lam, mu) only rescales the
     sheared y, so every acceptor gives the same answer.  The direction is
     kept in the prime field, on ints."""
     p = field.characteristic
-    limit = SHEAR_BOUND if p == 0 else min(SHEAR_BOUND, p - 1)
+    limit = shear_bound(field)
     seen = set()
     for size in range(1, 2 * limit + 1):
         for lam_i in range(-limit, limit + 1):
@@ -550,8 +561,8 @@ def shear_to_general_position(f: MultiPoly, g: MultiPoly):
             return fs, gs, lam, mu
         tried.append((lam, mu))
     raise GeneralPositionError(
-        f"no shear with |lam|,|mu| <= {SHEAR_BOUND} put the pair in general "
-        "position", tried=tried)
+        no_shear_message(f.field, "put the pair in general position"),
+        tried=tried)
 
 
 # ------------------------------------------------------------ local pairs

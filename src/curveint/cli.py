@@ -358,6 +358,8 @@ def _run_corpus(job: Job):
     for entry in corpus_manifest():
         sub = Job.from_dict(entry["job"])
         sub.seed = sub.seed or job.seed
+        sub.precision = sub.precision or job.precision
+        sub.max_retries = job.max_retries  # the manifest sets no budget
         subreport, code = run_job(sub)
         line = {
             "name": entry["name"],

@@ -8,6 +8,8 @@ series code is generic over the coefficient domain.
 An extension K[z]/(m) is built over Q or over F_p; m must be squarefree.
 Its elements compute on Python ints: a vector of numerators over one
 common denominator (Q) or of residues (F_p), normalised once per result.
+One function reduces an int vector mod m, by long division, for the
+constructor, products and the product codec alike.
 All arithmetic is exact; division by zero raises ZeroDivisionError.
 
 Every field also encodes whole lists of elements as Python ints for
@@ -309,9 +311,7 @@ class ExtElement:
             fracs = [base.of(c) for c in coeffs]
             den = lcm(*(c.denominator for c in fracs))
             num = [c.numerator * (den // c.denominator) for c in fracs]
-        if len(num) > field.degree:
-            num, den = _reduce_long(num, den, field)
-        el = _canonical(num, den, field)
+        el = _reduce(num, den, field)
         self.num, self.den, self.field = el.num, el.den, field
 
     @property
@@ -374,7 +374,7 @@ class ExtElement:
             if ca:
                 for j, cb in enumerate(b):
                     prod[i + j] += ca * cb
-        return _fold(prod, den, field)
+        return _reduce(prod, den, field)
 
     __rmul__ = __mul__
 
@@ -449,23 +449,34 @@ class ExtElement:
         return " + ".join(parts)
 
 
-def _fold(prod, den, field):
-    """The element prod/den, for an integer product vector of length at
-    most 2n-1 (n = degree): z^k (n <= k <= 2n-2) folds back in through
-    its integer row (over Q the rows share the denominator scale), then
-    the result is normalised once."""
+def _reduce(num, den, field):
+    """The element num/den for an int list num of any length, which it
+    consumes: long division by m, top coefficient first, then one
+    ``_canonical``.
+
+    ``int_modulus`` is m times its integer lead ``scale`` (1 over F_p).
+    Over Q with scale > 1, num and den are first multiplied by
+    scale**steps, so each step divides its top coefficient by scale
+    exactly; over F_p each top coefficient is taken mod p."""
+    mod, scale = field.int_modulus
+    p = field.characteristic
     n = field.degree
-    if len(prod) > n:
-        scale, table = field.int_reduction_table
-        low = prod[:n]
-        if scale != 1:
-            low = [x * scale for x in low]
-            den *= scale
-        for row, c in zip(table, prod[n:]):
-            if c:
-                low = [x + c * r for x, r in zip(low, row)]
-        prod = low
-    return _canonical(prod, den, field)
+    steps = len(num) - n
+    if steps > 0 and scale != 1:
+        s = scale ** steps
+        num = [x * s for x in num]
+        den *= s
+    for _ in range(steps):
+        c = num.pop()
+        if p:
+            c %= p
+        elif scale != 1:
+            c //= scale
+        if c:
+            # the popped top term is c * z^(k-n) * (scale * z^n), with
+            # k = len(num); scale * z^n = -(mod[0] + ... z^(n-1)) mod m
+            num[-n:] = [x - c * r for x, r in zip(num[-n:], mod)]
+    return _canonical(num, den, field)
 
 
 def _pack(num, width):
@@ -492,24 +503,6 @@ def _add(a, aden, b, bden, field):
     for i, y in enumerate(b):
         out[i] += y
     return _canonical(out, aden, field)
-
-
-def _reduce_long(num, den, field):
-    """num/den of any length reduced mod m, top coefficient first."""
-    mod, scale = field.int_modulus
-    n = field.degree
-    num = list(num)
-    for k in range(len(num) - 1, n - 1, -1):
-        c = num.pop()
-        if not c:
-            continue
-        # subtract c * z^(k-n) * m, with m scaled to integers (lead = scale)
-        if scale != 1:
-            num = [x * scale for x in num]
-            den *= scale
-        for i in range(n):
-            num[k - n + i] -= c * mod[i]
-    return num, den
 
 
 def _ext_gcd(a, m, p):
@@ -631,60 +624,23 @@ class ExtensionField(Field):
                         v += 1
                     prod.append(x)
                 if prod:
-                    el = _fold(prod, den, self)
+                    el = _reduce(prod, den, self)
                     if el.num:
                         out[k] = el
             return out
         return ai, bi, decode
 
     @cached_property
-    def reduction_table(self):
-        """Rows ``w^n, ..., w^(2n-2) mod m`` (n = degree) as length-n tuples.
-
-        A product of two reduced elements has degree at most 2n-2; adding
-        c_k times row k-n for each k >= n reduces it.  Built on first use
-        and kept for the life of this field."""
-        n = self.degree
-        zero = self.base.zero
-        # w^n = -(m_0 + m_1 w + ... + m_(n-1) w^(n-1)), m monic
-        row = [-c for c in self.modulus[:n]]
-        table = [tuple(row)]
-        for _ in range(n - 2):
-            top = row[-1]
-            row = [zero] + row[:-1]
-            if top:
-                row = [x + top * r for x, r in zip(row, table[0])]
-            table.append(tuple(row))
-        return table
-
-    @cached_property
     def int_modulus(self):
         """(coefficients, scale): the monic modulus times the least
         positive integer ``scale`` that clears its denominators, as ints
-        (residues in [0, p) over F_p, where ``scale`` is 1)."""
+        (residues in [0, p) over F_p, where ``scale`` is 1); the divisor of
+        every reduction mod m."""
         if self.characteristic:
             return tuple(c.val for c in self.modulus), 1
         scale = lcm(*(c.denominator for c in self.modulus))
         return tuple(c.numerator * (scale // c.denominator)
                      for c in self.modulus), scale
-
-    @cached_property
-    def int_reduction_table(self):
-        """(scale, rows): ``reduction_table`` as ints.  Over Q every row is
-        multiplied by ``scale``, the least common denominator of all rows;
-        over F_p the rows are residues and ``scale`` is 1."""
-        if self.characteristic:
-            return 1, [tuple(c.val for c in row)
-                       for row in self.reduction_table]
-        scale = lcm(*(c.denominator for row in self.reduction_table
-                      for c in row))
-        return scale, [tuple(c.numerator * (scale // c.denominator)
-                             for c in row)
-                       for row in self.reduction_table]
-
-    def embed(self, base_value):
-        """Image of a base-field element under the canonical inclusion."""
-        return self.of(base_value)
 
     @property
     def gen(self):
@@ -692,12 +648,6 @@ class ExtensionField(Field):
 
     def is_element(self, value):
         return isinstance(value, ExtElement) and value.field == self
-
-    def frobenius_order(self):
-        """k with field size p^k, for extensions of prime fields."""
-        if self.characteristic == 0:
-            raise InvalidInputError("no Frobenius over characteristic zero")
-        return self.degree
 
     def __repr__(self):
         mod = ", ".join(str(c) for c in self.modulus)
@@ -724,5 +674,4 @@ def pth_root_scalar(c, field):
         raise InvalidInputError("p-th roots only exist in characteristic p")
     if isinstance(field, PrimeField):
         return c
-    k = field.frobenius_order()
-    return c ** (p ** (k - 1))
+    return c ** (p ** (field.degree - 1))

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (SHEAR_BOUND, _shear_candidates, apply_shear,
-                      in_general_position, local_pair, translate_to_origin)
+from .algebra import (_shear_candidates, apply_shear, in_general_position,
+                      local_pair, no_shear_message, translate_to_origin)
 from .deformation import (VARS3, _eliminant_and_s1, _points_along,
                           _separable_by_evaluation, deform_polynomial,
                           default_precision, deformation_count,
@@ -136,8 +136,7 @@ def _nearby_points(ft: MultiPoly, gt: MultiPoly, base, prec):
         except GenericityFailureError:
             continue
     raise GeneralPositionError(
-        f"no shear with |lam|,|mu| <= {SHEAR_BOUND} separated the nearby "
-        "points")
+        no_shear_message(ft.field, "separated the nearby points"))
 
 
 def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):

@@ -22,10 +22,10 @@ degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from .algebra import (PROJECTIVE_VARS, SHEAR_BOUND, LocalPair,
-                      _shear_candidates, _strongly_regular_in_x, apply_shear,
-                      dehomogenize, gcd, is_homogeneous, lift_to_field,
-                      local_pair, resultant, roots_univariate,
+from .algebra import (PROJECTIVE_VARS, LocalPair, _shear_candidates,
+                      _strongly_regular_in_x, apply_shear, dehomogenize, gcd,
+                      is_homogeneous, lift_to_field, local_pair,
+                      no_shear_message, resultant, roots_univariate,
                       squarefree_decompose, translate_to_origin)
 from .deformation import deformation_count
 from .errors import (BudgetError, GeneralPositionError, InvalidInputError,
@@ -39,7 +39,7 @@ from .poly import MultiPoly
 class Curve:
     """A plane projective curve: homogeneous nonzero form in X, Y, Z."""
 
-    def __init__(self, form: MultiPoly, degree: int = None):
+    def __init__(self, form: MultiPoly):
         if form.is_zero():
             raise InvalidInputError("curve form must be nonzero")
         if tuple(form.vars) != PROJECTIVE_VARS:
@@ -47,11 +47,8 @@ class Curve:
                 else form
         if not is_homogeneous(form):
             raise InvalidInputError("curve form must be homogeneous")
-        d = form.total_degree()
-        if degree is not None and degree != d:
-            raise InvalidInputError(f"declared degree {degree} != {d}")
         self.form = form
-        self.degree = d
+        self.degree = form.total_degree()
         self.field = form.field
         self._decomposition = None
 
@@ -378,7 +375,7 @@ def _affine_points(C1: Curve, C2: Curve):
     if last_exc is not None:
         raise last_exc
     raise GeneralPositionError(
-        f"no shear with bound {SHEAR_BOUND} separated the affine points")
+        no_shear_message(field, "separated the affine points"))
 
 
 def _infinity_points(C1: Curve, C2: Curve):

@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import factor_univariate, lift_to_field, squarefree_decompose
+from .algebra import (content_in, factor_univariate, lift_to_field,
+                      squarefree_decompose)
 from .errors import (BudgetError, InsufficientPrecisionError, InvalidInputError,
                      NothingToPrepareError, NotRegularError, NotSimpleRootError,
                      UnsupportedExtensionError)
@@ -359,7 +360,6 @@ def newton_puiseux(F: MultiPoly, xname: str, prec,
         raise NotRegularError("F(x, 0) vanishes identically; shear first")
     branches = []
     if assume_squarefree:
-        from .algebra import content_in
         cont = content_in(F, xname)
         work = F.exact_divide(cont) if not cont.is_constant() else F
         pieces = [(work, 1)]
@@ -391,7 +391,6 @@ def _root_of_unity(field, r: int):
     if p and (p ** getattr(field, "degree", 1) - 1) % r == 0:
         q = p ** getattr(field, "degree", 1)
         # scan for an element of exact order r
-        candidate = field.of(2)
         for raw in range(2, min(q, 4000)):
             z = field.of(raw) ** ((q - 1) // r)
             if z != field.one and all(z ** j != field.one

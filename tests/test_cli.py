@@ -190,6 +190,17 @@ def test_corpus_command_passes(capsys):
     assert "status: ok" in out
 
 
+def test_corpus_passes_precision_and_retries_to_every_instance():
+    # one attempt at precision 1 is too little for some bundled instances;
+    # each of them exits 3, so the flags reached the sub-jobs
+    report, code = run_job(Job(command="corpus", precision=1, max_retries=1))
+    assert code == EXIT_BUDGET
+    exits = [line["exit"] for line in report["results"]]
+    assert EXIT_BUDGET in exits and set(exits) <= {EXIT_OK, EXIT_BUDGET}
+    report, code = run_job(Job(command="corpus", max_retries=1))
+    assert code == EXIT_OK
+
+
 def test_engine_root_not_simple_in_small_characteristic_is_budget_exit():
     # over F_2 the engine's residual root is not simple: exit 3, not exit 2
     job = Job(command="bezout", curves=("x^2+y^2+1", "x"), field="F2")

@@ -9,6 +9,7 @@ from curveint.deformation import deformation_count
 from curveint.errors import (GeneralPositionError, InfiniteMultiplicityError,
                              SharedComponentError)
 from curveint.fields import QQ, ExtensionField, PrimeField
+from curveint.infinitesimal import nearby_intersections
 from curveint.intersect import (Curve, PointCluster, ProjectivePoint,
                                 bezout_sum, bilinearity_expand,
                                 intersection_points, mult_length,
@@ -93,6 +94,24 @@ def test_length_never_shears():
     assert mult_length(pair) == 2
     with pytest.raises(GeneralPositionError):
         pair.sheared
+
+
+def test_shear_searches_over_f2_name_the_bound_they_tried():
+    """Over F2 only |lam|, mu <= 1 is tried, and the local, affine and
+    nearby shear searches all say so in one wording."""
+    x, y = xy(PrimeField(2))
+    cases = [
+        (lambda: local_pair(x * y, x + y).sheared,
+         "put the pair in general position"),
+        (lambda: bezout_sum(curve(y * y + x * y), curve(x * x + y + 1)),
+         "separated the affine points"),
+        (lambda: nearby_intersections(x * y, x + y),
+         "separated the nearby points"),
+    ]
+    for run, outcome in cases:
+        with pytest.raises(GeneralPositionError) as info:
+            run()
+        assert str(info.value) == f"no shear with |lam|, mu <= 1 {outcome}"
 
 
 def test_length_shared_component_through_origin():

@@ -29,6 +29,8 @@ F7 = PrimeField(7)
 FP = PrimeField(P)
 QW = ExtensionField(QQ, [5, -2, 0, 1], "w")               # w^3 - 2w + 5
 FPW = ExtensionField(FP, [3, 1, 0, 0, 0, 0, 1], "w")      # w^6 + w + 3
+# monic over Q only after dividing by 3: the codec's decode meets scale 3
+QS = ExtensionField(QQ, [5, -2, 0, 3], "s")               # 3s^3 - 2s + 5
 
 
 def _rational(rng):
@@ -86,8 +88,9 @@ def _assert_canonical(poly_or_series):
                 assert c.den > 0 and gcd(c.den, *c.num) == 1
 
 
-FIELDS = [QQ, F7, FP, QW, FPW]
-IDS = ["Q", "F7", "F32003", "Q[w]/(w^3-2w+5)", "F32003[w]/(w^6+w+3)"]
+FIELDS = [QQ, F7, FP, QW, QS, FPW]
+IDS = ["Q", "F7", "F32003", "Q[w]/(w^3-2w+5)", "Q[s]/(3s^3-2s+5)",
+       "F32003[w]/(w^6+w+3)"]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
