@@ -19,9 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import (GeneralPositionError, InfiniteMultiplicityError,
-                     InvalidDegreeError, InvalidInputError,
-                     SharedComponentError, UnsupportedExtensionError)
+from .errors import (GeneralPositionError, GenericityFailureError,
+                     InfiniteMultiplicityError, InvalidDegreeError,
+                     InvalidInputError, SharedComponentError,
+                     UnsupportedExtensionError)
 from .fields import QQ, ExtensionField, PrimeField, pth_root_scalar
 from .poly import MultiPoly
 
@@ -327,9 +328,10 @@ def squarefree_decompose(f: MultiPoly) -> SquarefreeDecomposition:
 def factor_univariate(f: MultiPoly, name: str):
     """Irreducible factorization of a univariate polynomial over Q or F_p.
 
-    Returns (constant, [(factor, multiplicity), ...]) with monic factors in
-    a deterministic order.  Backed by sympy; everything is converted through
-    exact integer/rational data, never floats.
+    Returns [(factor, multiplicity), ...] with monic factors in a
+    deterministic order, by degree first; the constant factor is dropped.
+    Backed by sympy; everything is converted through exact
+    integer/rational data, never floats.
     """
     import sympy
 
@@ -341,12 +343,10 @@ def factor_univariate(f: MultiPoly, name: str):
     if field == QQ:
         expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** e[f.vars.index(name)]
                    for e, c in f.terms.items())
-        const, facs = sympy.Poly(expr, x, domain="QQ").factor_list()
-        const = Fraction(const.p, const.q)
+        _, facs = sympy.Poly(expr, x, domain="QQ").factor_list()
     elif isinstance(field, PrimeField):
         expr = sum(int(c.val) * x ** e[f.vars.index(name)] for e, c in f.terms.items())
-        const, facs = sympy.Poly(expr, x, domain=sympy.GF(field.p)).factor_list()
-        const = int(const) % field.p
+        _, facs = sympy.Poly(expr, x, domain=sympy.GF(field.p)).factor_list()
     else:
         raise UnsupportedExtensionError(
             "univariate factorization only over Q or F_p")
@@ -364,26 +364,28 @@ def factor_univariate(f: MultiPoly, name: str):
         fac = MultiPoly(field, f.vars, terms)
         lead = fac.leading_coeff_in(name).constant_value()
         if lead != field.one:
-            const = const * (lead ** mult if field == QQ else int((lead ** mult).val))
             fac = fac.scale(1 / lead)
         out.append((fac, int(mult)))
     out.sort(key=lambda it: (it[0].degree_in(name), str(it[0])))
-    return field.of(const), out
+    return out
 
 
-def roots_univariate(f: MultiPoly, name: str):
-    """Roots in the ground field with multiplicities, plus the nonlinear
-    irreducible factors: (roots, clusters)."""
-    const, facs = factor_univariate(f, name)
-    roots, clusters = [], []
-    for fac, mult in facs:
-        if fac.degree_in(name) == 1:
-            c0 = fac.coeff_of(name, 0).constant_value()
-            c1 = fac.coeff_of(name, 1).constant_value()
-            roots.append((-c0 / c1, mult))
+def roots_univariate(f: MultiPoly, name: str, gen_name: str):
+    """One root of each irreducible factor of a univariate f over Q or F_p:
+    (factor, root, field of the root, multiplicity) in
+    ``factor_univariate``'s order.  The root of a linear factor lies in
+    f's field; that of a nonlinear one is the generator of
+    K[gen_name]/(factor), the only place a root is adjoined."""
+    out = []
+    for fac, mult in factor_univariate(f, name):
+        coeffs = [fac.coeff_of(name, k).constant_value()
+                  for k in range(fac.degree_in(name) + 1)]
+        if len(coeffs) == 2:  # monic linear: y + c has the root -c
+            out.append((fac, -coeffs[0], f.field, mult))
         else:
-            clusters.append((fac, mult))
-    return roots, clusters
+            ext = ExtensionField(f.field, coeffs, gen_name=gen_name)
+            out.append((fac, ext.gen, ext, mult))
+    return out
 
 
 # ----------------------------------------------------- coordinate changes
@@ -508,11 +510,6 @@ def shear_bound(field) -> int:
     return SHEAR_BOUND if p == 0 else min(SHEAR_BOUND, p - 1)
 
 
-def no_shear_message(field, outcome: str) -> str:
-    """The message of every shear search that ran out of shears."""
-    return f"no shear with |lam|, mu <= {shear_bound(field)} {outcome}"
-
-
 def _shear_candidates(field):
     """Shears (lam, mu) by growing |lam| + mu, the identity first.  Each
     direction lam/mu comes once: scaling (lam, mu) only rescales the
@@ -548,21 +545,40 @@ def in_general_position(fs: MultiPoly, gs: MultiPoly) -> bool:
     return len(gcd(f0, g0).terms) == 1
 
 
+def first_shear(field, attempt, outcome: str):
+    """The first value ``attempt(lam, mu)`` gives over the shears of
+    ``_shear_candidates``, the one loop over them.  An attempt rejects its
+    shear by returning None or by raising GeneralPositionError or
+    GenericityFailureError.  Once every shear is rejected, raises
+    GeneralPositionError "no shear with |lam|, mu <= B <outcome>", with
+    the last rejection's reason when one raised, and ``tried`` listing
+    every shear."""
+    tried, last = [], None
+    for lam, mu in _shear_candidates(field):
+        tried.append((lam, mu))
+        try:
+            found = attempt(lam, mu)
+        except (GeneralPositionError, GenericityFailureError) as exc:
+            last = exc
+            continue
+        if found is not None:
+            return found
+    reason = "" if last is None else f" (last: {last})"
+    raise GeneralPositionError(
+        f"no shear with |lam|, mu <= {shear_bound(field)} {outcome}{reason}",
+        tried=tried)
+
+
 def shear_to_general_position(f: MultiPoly, g: MultiPoly):
     """The first shear (lam, mu) that puts the pair ``in_general_position``;
     returns (sheared f, sheared g, lam, mu)."""
     if f.is_zero() or g.is_zero():
         raise InvalidInputError("shear of a zero polynomial")
-    tried = []
-    for lam, mu in _shear_candidates(f.field):
-        fs = apply_shear(f, lam, mu)
-        gs = apply_shear(g, lam, mu)
-        if in_general_position(fs, gs):
-            return fs, gs, lam, mu
-        tried.append((lam, mu))
-    raise GeneralPositionError(
-        no_shear_message(f.field, "put the pair in general position"),
-        tried=tried)
+
+    def attempt(lam, mu):
+        fs, gs = apply_shear(f, lam, mu), apply_shear(g, lam, mu)
+        return (fs, gs, lam, mu) if in_general_position(fs, gs) else None
+    return first_shear(f.field, attempt, "put the pair in general position")
 
 
 # ------------------------------------------------------------ local pairs

@@ -24,8 +24,8 @@ from .errors import (BudgetError, CurveIntError, DegreeMixError,
                      InfiniteMultiplicityError, InsufficientPrecisionError,
                      InvalidInputError, NotAUnitError, NothingToPrepareError,
                      NotRegularError, NotSimpleRootError,
-                     NotSpecializableError, ParseError, SharedComponentError,
-                     UnsupportedExtensionError, VerificationFailureError)
+                     NotSpecializableError, ParseError,
+                     VerificationFailureError)
 from .fields import QQ, PrimeField
 from .intersect import Curve, ProjectivePoint, bezout_sum, multiplicities_at
 from .lifting import hensel_lift, weierstrass_prepare
@@ -49,11 +49,9 @@ MAX_PRECISION = 256
 # ignores any given).
 ARITY = {"mult": 2, "bezout": 2, "weierstrass": 1, "hensel": 1}
 
-_INPUT_ERRORS = (ParseError, DegreeMixError, InvalidInputError,
-                 SharedComponentError, InfiniteMultiplicityError,
-                 UnsupportedExtensionError, NotSimpleRootError,
-                 NotRegularError, NothingToPrepareError, NotAUnitError,
-                 NotSpecializableError)
+_INPUT_ERRORS = (InvalidInputError, InfiniteMultiplicityError,
+                 NotSimpleRootError, NotRegularError, NothingToPrepareError,
+                 NotAUnitError, NotSpecializableError)
 _BUDGET_ERRORS = (GenericityFailureError, InsufficientPrecisionError,
                   GeneralPositionError, BudgetError)
 

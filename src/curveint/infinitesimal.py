@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (_shear_candidates, apply_shear, in_general_position,
-                      local_pair, no_shear_message, translate_to_origin)
+from .algebra import (apply_shear, first_shear, in_general_position,
+                      local_pair, translate_to_origin)
 from .deformation import (VARS3, _eliminant_and_s1, _points_along,
                           _separable_by_evaluation, deform_polynomial,
                           default_precision, deformation_count,
                           two_scale_analysis)
-from .errors import (GeneralPositionError, GenericityFailureError,
-                     InfiniteMultiplicityError, InsufficientPrecisionError,
+from .errors import (InfiniteMultiplicityError, InsufficientPrecisionError,
                      InvalidInputError, VerificationFailureError)
 from .intersect import Curve, mult_length
 from .lifting import Branch, newton_puiseux, sheet_conjugates
@@ -116,9 +115,9 @@ def _nearby_points(ft: MultiPoly, gt: MultiPoly, base, prec):
     Every point lies over the origin: the branches of R start at y = 0,
     and R(y, 0) != 0 leaves a top x-coefficient a unit, so x stays
     bounded and tends to the base pair's one common zero on y = 0."""
-    for lam, mu in _shear_candidates(ft.field):
+    def attempt(lam, mu):
         if not in_general_position(*(apply_shear(h, lam, mu) for h in base)):
-            continue
+            return None
         R, s1 = _eliminant_and_s1(apply_shear(ft, lam, mu),
                                   apply_shear(gt, lam, mu))
         branches = []
@@ -127,16 +126,12 @@ def _nearby_points(ft: MultiPoly, gt: MultiPoly, base, prec):
             sheets = sheet_conjugates(br)
             branches += [br] if sheets is None else [
                 Branch(s, br.multiplicity) for s in sheets]
-        try:
-            return [(x, (br.series - x * lam) * (ft.field.one / mu),
-                     br.span * br.multiplicity)
-                    for br, _, x in _points_along(
-                        s1, branches, prec,
-                        "two nearby points share a y-coordinate")]
-        except GenericityFailureError:
-            continue
-    raise GeneralPositionError(
-        no_shear_message(ft.field, "separated the nearby points"))
+        return [(x, (br.series - x * lam) * (ft.field.one / mu),
+                 br.span * br.multiplicity)
+                for br, _, x in _points_along(
+                    s1, branches, prec,
+                    "two nearby points share a y-coordinate")]
+    return first_shear(ft.field, attempt, "separated the nearby points")
 
 
 def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):

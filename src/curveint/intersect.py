@@ -22,15 +22,16 @@ degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from .algebra import (PROJECTIVE_VARS, LocalPair, _shear_candidates,
-                      _strongly_regular_in_x, apply_shear, dehomogenize, gcd,
-                      is_homogeneous, lift_to_field, local_pair,
-                      no_shear_message, resultant, roots_univariate,
-                      squarefree_decompose, translate_to_origin)
+from functools import cached_property
+
+from .algebra import (PROJECTIVE_VARS, LocalPair, _strongly_regular_in_x,
+                      apply_shear, dehomogenize, first_shear, gcd,
+                      is_homogeneous, lift_to_field, local_pair, resultant,
+                      roots_univariate, squarefree_decompose,
+                      translate_to_origin)
 from .deformation import deformation_count
 from .errors import (BudgetError, GeneralPositionError, InvalidInputError,
                      SharedComponentError, VerificationFailureError)
-from .fields import ExtensionField
 from .poly import MultiPoly
 
 
@@ -50,13 +51,10 @@ class Curve:
         self.form = form
         self.degree = form.total_degree()
         self.field = form.field
-        self._decomposition = None
 
-    @property
+    @cached_property
     def decomposition(self):
-        if self._decomposition is None:
-            self._decomposition = squarefree_decompose(self.form)
-        return self._decomposition
+        return squarefree_decompose(self.form)
 
     @property
     def reduced(self) -> bool:
@@ -285,34 +283,30 @@ def transversality_check(f: MultiPoly, g: MultiPoly) -> bool:
 def _fiber_point(f: MultiPoly, g: MultiPoly, yval, lam, mu):
     """The common zero of a sheared pair over y = yval, back in the original
     frame.  Raises GeneralPositionError when the fiber does not hold
-    exactly one distinct common zero (the shear must be retried)."""
+    exactly one distinct common zero (the shear is rejected)."""
     field = f.field
     xv, yv = f.vars[0], f.vars[1]
     h = gcd(f.subs_values({yv: yval}), g.subs_values({yv: yval}))
     if not h.is_constant():
         h = squarefree_decompose(h).reduced_product(h)
     if h.degree_in(xv) != 1:
-        raise GeneralPositionError(
-            "a fiber held two distinct common zeros", tried=[(lam, mu)])
+        raise GeneralPositionError("a fiber held two distinct common zeros")
     x0 = -h.coeff_of(xv, 0).constant_value() / \
         h.coeff_of(xv, 1).constant_value()
     y0 = (yval - field.of(lam) * x0) / field.of(mu)
     return ProjectivePoint((x0, y0, field.one), field)
 
 
-def _orbit(minpoly: MultiPoly, var: str, chart: str, shear: tuple,
-           point_at) -> PointCluster:
-    """The Galois orbit of the roots of an irreducible ``minpoly`` in
-    ``var``; ``point_at(ext)`` builds its point over ext = K[r]/(minpoly).
-    The orbit's k Frobenius conjugates are distinct because r, the sheared
-    y-coordinate (or X/Y at infinity), generates the extension."""
-    field = minpoly.field
-    k = minpoly.degree_in(var)
-    ext = ExtensionField(field, [minpoly.coeff_of(var, n).constant_value()
-                                 for n in range(k + 1)], gen_name="r")
-    rep = point_at(ext)
+def _orbit(minpoly: MultiPoly, chart: str, shear: tuple,
+           rep: ProjectivePoint) -> PointCluster:
+    """The Galois orbit of ``rep``, a point over the root r of an
+    irreducible ``minpoly`` (``roots_univariate``).  The orbit's k
+    Frobenius conjugates are distinct because r, the sheared y-coordinate
+    (or X/Y at infinity), generates the extension."""
+    ext = rep.field
+    k = ext.degree
     conjugates = None
-    p = field.characteristic
+    p = ext.characteristic
     if p:
         conjugates = [rep]
         for _ in range(k - 1):
@@ -332,7 +326,6 @@ def intersection_points(C1: Curve, C2: Curve):
     """
     if C1.field != C2.field:
         raise InvalidInputError("curves over different fields")
-    field = C1.field
     common = gcd(C1.form, C2.form)
     if not common.is_constant():
         raise SharedComponentError("curves share a component")
@@ -342,40 +335,32 @@ def intersection_points(C1: Curve, C2: Curve):
 
 
 def _affine_points(C1: Curve, C2: Curve):
-    field = C1.field
     f = C1.affine("Z")
     g = C2.affine("Z")
     if f.is_constant() or g.is_constant():
         return [], []  # a curve with no affine part in this chart
     xv, yv = f.vars[0], f.vars[1]
-    last_exc = None
-    for lam, mu in _shear_candidates(field):
+
+    def attempt(lam, mu):
         fs = apply_shear(f, lam, mu)
         gs = apply_shear(g, lam, mu)
         if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):
-            continue
+            return None
         R = resultant(fs, gs, xv)
         if R.is_zero():
             raise SharedComponentError("identically vanishing eliminant")
+        points, clusters = [], []
         if not R.involves(yv):
-            return [], []  # no affine intersections
-        rational_roots, factor_clusters = roots_univariate(R, yv)
-        try:
-            points = [_fiber_point(fs, gs, y0, lam, mu)
-                      for y0, _ in rational_roots]
-            clusters = [
-                _orbit(m, yv, "Z", (lam, mu), lambda ext: _fiber_point(
-                    lift_to_field(fs, ext), lift_to_field(gs, ext), ext.gen,
-                    lam, mu))
-                for m, _ in factor_clusters]
-        except GeneralPositionError as exc:
-            last_exc = exc
-            continue
+            return points, clusters  # no affine intersections
+        for m, y0, yfield, _ in roots_univariate(R, yv, "r"):
+            point = _fiber_point(lift_to_field(fs, yfield),
+                                 lift_to_field(gs, yfield), y0, lam, mu)
+            if yfield == f.field:
+                points.append(point)
+            else:
+                clusters.append(_orbit(m, "Z", (lam, mu), point))
         return points, clusters
-    if last_exc is not None:
-        raise last_exc
-    raise GeneralPositionError(
-        no_shear_message(field, "separated the affine points"))
+    return first_shear(f.field, attempt, "separated the affine points")
 
 
 def _infinity_points(C1: Curve, C2: Curve):
@@ -403,26 +388,32 @@ def _infinity_points(C1: Curve, C2: Curve):
         h = gcd(b1, b2)
     if h is None or h.is_constant():
         return points, []
-    rational_roots, factor_clusters = roots_univariate(h, "X")
-    for x0, mult in rational_roots:
-        points.append(ProjectivePoint((x0, field.one, field.zero), field))
-    clusters = [_orbit(m, "X", "Y", (0, 1), lambda ext: ProjectivePoint(
-        (ext.gen, ext.one, ext.zero), ext)) for m, _ in factor_clusters]
+    clusters = []
+    for m, x0, xfield, _ in roots_univariate(h, "X", "r"):
+        point = ProjectivePoint((x0, xfield.one, xfield.zero), xfield)
+        if xfield == field:
+            points.append(point)
+        else:
+            clusters.append(_orbit(m, "Y", (0, 1), point))
     return points, clusters
 
 
 # --------------------------------------------------------------- reports
 
+def _at_origin(F: MultiPoly, chart: str, pair) -> MultiPoly:
+    """The form F in ``chart``, with the point of affine coordinates
+    ``pair`` there moved to the origin.  The chart coordinates are renamed
+    to (x, y) so every engine sees the standard frame."""
+    f = dehomogenize(F, chart).rename_vars(("x", "y"))
+    return translate_to_origin(f, pair)
+
+
 def _local_pair_at(C1: Curve, C2: Curve,
                    point: ProjectivePoint) -> LocalPair:
-    """Translate both curves into the point's chart with the point at the
-    affine origin, as a checked ``LocalPair``.  The chart coordinates are
-    renamed to (x, y) so every engine sees the standard frame."""
-    chart = point.chart
-    f = dehomogenize(C1.form, chart).rename_vars(("x", "y"))
-    g = dehomogenize(C2.form, chart).rename_vars(("x", "y"))
-    px, py = point.affine_pair()
-    f0, g0 = translate_to_origin(f, (px, py)), translate_to_origin(g, (px, py))
+    """Both curves with the point at the affine origin, as a checked
+    ``LocalPair``."""
+    chart, (px, py) = point.chart, point.affine_pair()
+    f0, g0 = (_at_origin(C.form, chart, (px, py)) for C in (C1, C2))
     if f0.constant_value() or g0.constant_value():
         where = f"({px},{py})" if chart == "Z" else str(point)
         raise InvalidInputError(f"both curves must vanish at {where}")
@@ -502,25 +493,18 @@ def bezout_sum(C1: Curve, C2: Curve, seed: int = 0, prec=None,
 
 # ------------------------------------------------------------ bilinearity
 
-def bilinearity_expand(C1: Curve, C2: Curve, point: ProjectivePoint,
-                       seed: int = 0):
+def bilinearity_expand(C1: Curve, C2: Curve, point: ProjectivePoint):
     """(total, table): the weighted sum of pairwise component
     multiplicities sum(n_i * e_j * I(G_i, H_j, p)) with each I computed on
     the reduced factors by the length engine."""
-    chart = point.chart
-    px, py = point.affine_pair()
+    chart, pair = point.chart, point.affine_pair()
+    hs = [(_at_origin(Hj, chart, pair), ej) for Hj, ej in C2.components()]
     table = []
     total = 0
     for Gi, ni in C1.components():
-        gi = dehomogenize(Gi, chart).rename_vars(("x", "y"))
-        gi0 = translate_to_origin(gi, (px, py))
-        for Hj, ej in C2.components():
-            hj = dehomogenize(Hj, chart).rename_vars(("x", "y"))
-            hj0 = translate_to_origin(hj, (px, py))
-            origin = {gi0.vars[0]: point.field.zero,
-                      gi0.vars[1]: point.field.zero}
-            if gi0.subs_values(origin).constant_value() or \
-                    hj0.subs_values(origin).constant_value():
+        gi0 = _at_origin(Gi, chart, pair)
+        for hj0, ej in hs:
+            if gi0.constant_value() or hj0.constant_value():
                 continue  # this component pair misses the point
             m = mult_length(local_pair(gi0, hj0))
             table.append((ni, ej, m))

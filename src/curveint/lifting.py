@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (content_in, factor_univariate, lift_to_field,
+from .algebra import (content_in, lift_to_field, roots_univariate,
                       squarefree_decompose)
 from .errors import (BudgetError, InsufficientPrecisionError, InvalidInputError,
                      NothingToPrepareError, NotRegularError, NotSimpleRootError,
@@ -293,22 +293,14 @@ def _segment_roots(phi: MultiPoly, field, b: int):
         c0 = phi.coeff_of(zname, 0).constant_value()
         c1 = phi.coeff_of(zname, 1).constant_value()
         return [(-c0 / c1, 1, field, 1)]
-    const, facs = factor_univariate(phi, zname)
-    for fac, mult in facs:
-        deg = fac.degree_in(zname)
-        if deg == 1:
-            z0 = -fac.coeff_of(zname, 0).constant_value()
-            u0, ufield = _bth_root(z0, field, b)
-            out.append((u0, mult, ufield, 1))
-        else:
-            if b != 1:
-                raise UnsupportedExtensionError(
-                    "ramified segment with an irrational compressed root "
-                    "needs a second extension step")
-            modulus = [fac.coeff_of(zname, k).constant_value()
-                       for k in range(deg + 1)]
-            ext = ExtensionField(field, modulus, gen_name="w")
-            out.append((ext.gen, mult, ext, deg))
+    for fac, z0, zfield, mult in roots_univariate(phi, zname, "w"):
+        if zfield == field:
+            z0, zfield = _bth_root(z0, field, b)
+        elif b != 1:
+            raise UnsupportedExtensionError(
+                "ramified segment with an irrational compressed root "
+                "needs a second extension step")
+        out.append((z0, mult, zfield, fac.degree_in(zname)))
     return out
 
 
@@ -319,17 +311,9 @@ def _bth_root(z0, field, b: int):
     ramification sheets."""
     if b == 1:
         return z0, field
-    zname = "u"
-    radical = MultiPoly(field, (zname,), {(b,): field.one, (0,): -z0})
-    const, facs = factor_univariate(radical, zname)
-    for fac, _ in facs:
-        if fac.degree_in(zname) == 1:
-            return -fac.coeff_of(zname, 0).constant_value(), field
-    fac = facs[0][0]
-    deg = fac.degree_in(zname)
-    modulus = [fac.coeff_of(zname, k).constant_value() for k in range(deg + 1)]
-    ext = ExtensionField(field, modulus, gen_name="w")
-    return ext.gen, ext
+    radical = MultiPoly(field, ("u",), {(b,): field.one, (0,): -z0})
+    _, u0, ufield, _ = roots_univariate(radical, "u", "w")[0]
+    return u0, ufield
 
 
 def _assemble(tail: TruncatedSeries, c_root, a: int,

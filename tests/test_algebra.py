@@ -5,7 +5,8 @@ from fractions import Fraction
 
 from curveint.algebra import (SHEAR_BOUND, _shear_candidates,
                               dehomogenize, gcd, homogenize,
-                              is_homogeneous, resultant, apply_shear,
+                              is_homogeneous, lift_to_field, resultant,
+                              apply_shear, roots_univariate,
                               shear_to_general_position, squarefree_decompose,
                               subresultant_prs, translate_to_origin)
 from curveint.errors import (GeneralPositionError, InvalidDegreeError,
@@ -362,6 +363,32 @@ def test_shear_preserves_point_membership():
     for px, py in [(Fraction(1), Fraction(1)), (Fraction(8), Fraction(4))]:
         assert f.evaluate({"x": px, "y": py}) == 0
         assert sheared.evaluate({"x": px, "y": 2 * px + 3 * py}) == 0
+
+
+# ------------------------------------------------------- univariate roots
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_roots_univariate_adjoins_one_root_per_factor(field):
+    """(y - 2) (y + 1)^2 (y^2 + 1)^2, with y^2 + 1 irreducible over Q and
+    over F7 (7 = 3 mod 4): the factors by degree, then by how they print,
+    each with its multiplicity and one root, which lies in the base field
+    exactly when its factor is linear."""
+    y = MultiPoly.var(field, ("y",), "y")
+    one = MultiPoly.const(field, ("y",), 1)
+    factors = [(y + one, 2), (y - 2 * one, 1), (y * y + one, 2)]
+    f = one
+    for fac, mult in factors:
+        f = f * fac ** mult
+    got = roots_univariate(f, "y", "r")
+    assert [(fac, mult) for fac, _, _, mult in got] == factors
+    for fac, root, rfield, _ in got:
+        linear = fac.degree_in("y") == 1
+        assert (rfield == field) == linear
+        if not linear:
+            assert isinstance(rfield, ExtensionField)
+            assert rfield.base == field and rfield.gen_name == "r"
+            assert rfield.degree == fac.degree_in("y")
+        assert lift_to_field(fac, rfield).evaluate({"y": root}) == 0
 
 
 # ---------------------------------------------------------------- homogenize

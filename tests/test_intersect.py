@@ -3,8 +3,9 @@ import random
 import pytest
 
 import curveint.algebra as algebra
-from curveint.algebra import (apply_shear, homogenize, local_pair,
-                              shear_to_general_position)
+from curveint.algebra import (_shear_candidates, apply_shear, homogenize,
+                              local_pair, shear_to_general_position)
+from curveint.cli import parse_curve
 from curveint.deformation import deformation_count
 from curveint.errors import (GeneralPositionError, InfiniteMultiplicityError,
                              SharedComponentError)
@@ -98,20 +99,32 @@ def test_length_never_shears():
 
 def test_shear_searches_over_f2_name_the_bound_they_tried():
     """Over F2 only |lam|, mu <= 1 is tried, and the local, affine and
-    nearby shear searches all say so in one wording."""
-    x, y = xy(PrimeField(2))
+    nearby shear searches all say so in one wording and list every shear
+    they tried.  Over F7 the affine search tries all 7 directions, each
+    with a fiber holding two common zeros, and names that last reason."""
+    F2, F7 = PrimeField(2), PrimeField(7)
+    x, y = xy(F2)
+    f7_pair = [parse_curve(text, F7) for text in (
+        "-5*X^2 - 4*X*Y + 5*X*Z + 4*Y^2 - 2*Y*Z - 3*Z^2",
+        "-5*X^3 - 3*X^2*Y - 3*X^2*Z + X*Y^2 - 2*X*Y*Z + 5*X*Z^2 + 3*Y^3 "
+        "+ 2*Y^2*Z - Y*Z^2 + 4*Z^3")]
     cases = [
-        (lambda: local_pair(x * y, x + y).sheared,
-         "put the pair in general position"),
-        (lambda: bezout_sum(curve(y * y + x * y), curve(x * x + y + 1)),
-         "separated the affine points"),
-        (lambda: nearby_intersections(x * y, x + y),
-         "separated the nearby points"),
+        (F2, lambda: local_pair(x * y, x + y).sheared,
+         "<= 1 put the pair in general position"),
+        (F2, lambda: bezout_sum(curve(y * y + x * y), curve(x * x + y + 1)),
+         "<= 1 separated the affine points"),
+        (F2, lambda: nearby_intersections(x * y, x + y),
+         "<= 1 separated the nearby points"),
+        (F7, lambda: bezout_sum(*f7_pair),
+         "<= 6 separated the affine points "
+         "(last: a fiber held two distinct common zeros)"),
     ]
-    for run, outcome in cases:
+    for field, run, outcome in cases:
         with pytest.raises(GeneralPositionError) as info:
             run()
-        assert str(info.value) == f"no shear with |lam|, mu <= 1 {outcome}"
+        assert str(info.value) == f"no shear with |lam|, mu {outcome}"
+        assert info.value.tried == list(_shear_candidates(field))
+    assert len(info.value.tried) == 7
 
 
 def test_length_shared_component_through_origin():
