@@ -15,17 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from .algebra import homogenize, is_homogeneous
 from .errors import (BudgetError, CurveIntError, DegreeMixError,
                      GeneralPositionError, GenericityFailureError,
-                     InfiniteMultiplicityError, InsufficientPrecisionError,
-                     InvalidInputError, NotAUnitError, NothingToPrepareError,
-                     NotRegularError, NotSimpleRootError,
-                     NotSpecializableError, ParseError,
-                     VerificationFailureError)
+                     InsufficientPrecisionError, InvalidInputError,
+                     NotSimpleRootError, ParseError, VerificationFailureError)
 from .fields import QQ, PrimeField
 from .intersect import Curve, ProjectivePoint, bezout_sum, multiplicities_at
 from .lifting import hensel_lift, weierstrass_prepare
@@ -39,24 +36,34 @@ EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-# Input bounds: a larger exponent or total degree is refused while parsing,
-# before anything is expanded, and a larger --precision before any work (a
-# --precision or --max-retries below 1 is bad input).
+# Input bounds: a larger exponent, total degree, nesting depth or integer
+# literal (past Python's int() digit limit) is refused while parsing, and a
+# larger --precision or field characteristic before any work (a --precision
+# or --max-retries below 1 is bad input).
 MAX_DEGREE = 64
+MAX_NESTING = 64
 MAX_PRECISION = 256
+MAX_PRIME = 2**31 - 1
 
 # The number of curves each command takes (``corpus`` takes none and
 # ignores any given).
 ARITY = {"mult": 2, "bezout": 2, "weierstrass": 1, "hensel": 1}
 
-_INPUT_ERRORS = (InvalidInputError, InfiniteMultiplicityError,
-                 NotSimpleRootError, NotRegularError, NothingToPrepareError,
-                 NotAUnitError, NotSpecializableError)
+# run_job maps these (and an engine's NotSimpleRootError) to exit 3, and
+# every other CurveIntError to exit 2.
 _BUDGET_ERRORS = (GenericityFailureError, InsufficientPrecisionError,
                   GeneralPositionError, BudgetError)
 
 
 # ------------------------------------------------------------------ parse
+
+def _to_int(digits: str, what: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # the digits are decimal: only the limit is left
+        raise BudgetError(f"{what} has {len(digits)} digits, past the limit "
+                          f"of {sys.get_int_max_str_digits()}") from None
+
 
 class _Lexer:
     def __init__(self, text: str):
@@ -78,12 +85,13 @@ class _Lexer:
 
     def take_int(self):
         ch, pos = self.peek()
-        if ch is None or not ch.isdigit():
+        if ch is None or not ch.isdecimal():
             raise ParseError("expected an integer", pos)
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
-        return int(self.text[start:self.pos]), start
+        return _to_int(self.text[start:self.pos],
+                       f"integer at position {start}"), start
 
 
 def parse_poly(text: str, field, variables) -> MultiPoly:
@@ -91,9 +99,11 @@ def parse_poly(text: str, field, variables) -> MultiPoly:
     literals, the allowed variables, + - * ^ and parentheses.
 
     Raises BudgetError, before expanding, when an exponent or the total
-    degree of a product or power would pass MAX_DEGREE."""
+    degree of a product or power would pass MAX_DEGREE, and before
+    recursing, when parentheses nest deeper than MAX_NESTING."""
     lx = _Lexer(text)
     varset = tuple(variables)
+    depth = 0
 
     def check_degree(degree, pos):
         if degree > MAX_DEGREE:
@@ -146,18 +156,24 @@ def parse_poly(text: str, field, variables) -> MultiPoly:
         return node
 
     def parse_atom():
+        nonlocal depth
         ch, pos = lx.peek()
         if ch is None:
             raise ParseError("unexpected end of input", pos)
         if ch == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise BudgetError(f"nesting depth {depth} at position {pos} "
+                                  f"exceeds the limit of {MAX_NESTING}")
             lx.take()
             node = parse_expr()
             ch2, pos2 = lx.peek()
             if ch2 != ")":
                 raise ParseError("expected ')'", pos2)
             lx.take()
+            depth -= 1
             return node
-        if ch.isdigit():
+        if ch.isdecimal():
             num, _ = lx.take_int()
             ch2, _ = lx.peek()
             if ch2 == "/":
@@ -165,8 +181,12 @@ def parse_poly(text: str, field, variables) -> MultiPoly:
                 den, dpos = lx.take_int()
                 if den == 0:
                     raise ParseError("zero denominator", dpos)
-                return MultiPoly.const(field, varset,
-                                       field.of(Fraction(num, den)))
+                try:
+                    value = field.of(Fraction(num, den))
+                except ZeroDivisionError:  # p divides the denominator
+                    raise ParseError(f"denominator {den} is zero in "
+                                     f"{field.name}", dpos) from None
+                return MultiPoly.const(field, varset, value)
             return MultiPoly.const(field, varset, num)
         if ch.isalpha():
             lx.take()
@@ -190,25 +210,27 @@ def parse_curve(text: str, field) -> Curve:
     proj = letters & set(PROJECTIVE)
     if affine and proj:
         raise DegreeMixError("affine and homogeneous variables mixed")
-    if proj:
-        form = parse_poly(text, field, PROJECTIVE)
-        if form.is_zero():
-            raise InvalidInputError("zero curve")
-        if not is_homogeneous(form):
-            raise DegreeMixError("inhomogeneous input declared homogeneous")
-        return Curve(form)
-    f = parse_poly(text, field, AFFINE)
-    if f.is_zero():
+    form = parse_poly(text, field, PROJECTIVE if proj else AFFINE)
+    if form.is_zero():
         raise InvalidInputError("zero curve")
-    return Curve(homogenize(f, f.total_degree()))
+    if not proj:
+        return Curve(homogenize(form, form.total_degree()))
+    if not is_homogeneous(form):
+        raise DegreeMixError("inhomogeneous input declared homogeneous")
+    return Curve(form)
 
 
 def parse_field(spec: str):
+    """Q or F<p>, with a warning for p in (2, 3, 5).  Raises BudgetError,
+    before testing primality, when p exceeds MAX_PRIME."""
     spec = spec.strip()
     if spec in ("Q", "QQ", "q"):
         return QQ, None
-    if spec and spec[0] in ("F", "f") and spec[1:].isdigit():
-        p = int(spec[1:])
+    if spec and spec[0] in ("F", "f") and spec[1:].isdecimal():
+        p = _to_int(spec[1:], "the characteristic")
+        if p > MAX_PRIME:
+            raise BudgetError(f"characteristic {p} exceeds the limit of "
+                              f"{MAX_PRIME}")
         fieldobj = PrimeField(p)
         warning = None
         if p in (2, 3, 5):
@@ -219,18 +241,20 @@ def parse_field(spec: str):
     raise InvalidInputError(f"unknown field spec {spec!r} (use Q or F<p>)")
 
 
+def _parse_value(text: str, field, what: str):
+    """An integer, rational or decimal literal as an element of field."""
+    text = text.strip()
+    try:
+        return field.of(Fraction(text))
+    except (ValueError, ZeroDivisionError) as err:
+        raise InvalidInputError(f"bad {what} {text!r}: {err}") from None
+
+
 def parse_point(spec: str, field):
     parts = spec.strip().lstrip("(").rstrip(")").split(",")
     if len(parts) != 2:
         raise InvalidInputError(f"point spec {spec!r} is not 'a,b'")
-    out = []
-    for part in parts:
-        part = part.strip()
-        try:
-            out.append(field.of(Fraction(part)))
-        except (ValueError, ZeroDivisionError) as err:
-            raise InvalidInputError(f"bad coordinate {part!r}: {err}")
-    return tuple(out)
+    return tuple(_parse_value(part, field, "coordinate") for part in parts)
 
 
 # -------------------------------------------------------------------- job
@@ -243,144 +267,101 @@ class Job:
     point: str = None
     seed: int = 0
     precision: int = None
-    fmt: str = "text"
+    fmt: str = "text"  # serialized as "format"
     a0: str = None
     max_retries: int = 8
 
     def to_dict(self):
-        return {
-            "command": self.command,
-            "curves": list(self.curves),
-            "field": self.field,
-            "point": self.point,
-            "seed": self.seed,
-            "precision": self.precision,
-            "format": self.fmt,
-            "a0": self.a0,
-            "max_retries": self.max_retries,
-        }
+        d = asdict(self)
+        d["curves"] = list(self.curves)
+        d["format"] = d.pop("fmt")
+        return d
 
     @classmethod
     def from_dict(cls, d):
-        return cls(command=d["command"], curves=tuple(d.get("curves", ())),
-                   field=d.get("field", "Q"), point=d.get("point"),
-                   seed=d.get("seed", 0), precision=d.get("precision"),
-                   fmt=d.get("format", "text"), a0=d.get("a0"),
-                   max_retries=d.get("max_retries", 8))
+        d = {"fmt" if key == "format" else key: value
+             for key, value in d.items()}
+        kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        kwargs["curves"] = tuple(kwargs.get("curves", ()))
+        return cls(**kwargs)
 
 
-def _report_skeleton(job: Job, warning=None):
-    report = {
-        "command": job.command,
-        "inputs": list(job.curves),
-        "field": job.field,
-        "seed": job.seed,
-        "precision": job.precision,
-        "results": [],
-        "total": None,
-        "expected_total": None,
-        "status": "ok",
-    }
-    if warning:
-        report["warning"] = warning
-    return report
+# Each handler fills the report run_job built and returns an exit code only
+# when it is not EXIT_OK.
 
-
-def _run_mult(job: Job):
-    field, warning = parse_field(job.field)
-    C1 = parse_curve(job.curves[0], field)
-    C2 = parse_curve(job.curves[1], field)
+def _run_mult(job: Job, field, report):
+    C1, C2 = (parse_curve(text, field) for text in job.curves)
     a, b = parse_point(job.point or "0,0", field)
     rep = multiplicities_at(C1, C2, ProjectivePoint((a, b, 1), field),
                             seed=job.seed, prec=job.precision,
                             max_retries=job.max_retries)
-    report = _report_skeleton(job, warning)
     entry = rep.to_dict()
     entry["point"] = f"({a},{b})"
     del entry["weight"]
     report["results"].append(entry)
     report["precision"] = str(rep.precision)
-    return report, EXIT_OK
 
 
-def _run_bezout(job: Job):
-    field, warning = parse_field(job.field)
-    C1 = parse_curve(job.curves[0], field)
-    C2 = parse_curve(job.curves[1], field)
-    report = _report_skeleton(job, warning)
+def _run_bezout(job: Job, field, report):
+    C1, C2 = (parse_curve(text, field) for text in job.curves)
     try:
         result = bezout_sum(C1, C2, seed=job.seed, prec=job.precision,
                             max_retries=job.max_retries)
     except VerificationFailureError as err:
         report["status"] = "verification-failure"
         report["error"] = str(err)
-        return report, EXIT_VERIFICATION
+        return EXIT_VERIFICATION
     for rep in result.reports:
         report["results"].append(rep.to_dict())
     report["total"] = result.total
     report["expected_total"] = result.expected
-    return report, EXIT_OK
 
 
-def _run_weierstrass(job: Job):
-    field, warning = parse_field(job.field)
+def _run_weierstrass(job: Job, field, report):
     F = parse_poly(job.curves[0], field, AFFINE)
-    prec = job.precision or 8
+    report["precision"] = prec = job.precision or 8
     data = weierstrass_prepare(F, prec)
-    report = _report_skeleton(job, warning)
-    report["precision"] = prec
     report["results"].append({
         "degree": data.degree,
         "unit": str(data.unit),
         "weierstrass_polynomial": str(data.weierstrass),
     })
-    return report, EXIT_OK
 
 
-def _run_hensel(job: Job):
-    field, warning = parse_field(job.field)
+def _run_hensel(job: Job, field, report):
     F = parse_poly(job.curves[0], field, ("x", "t"))
-    prec = job.precision or 8
-    a0 = field.of(Fraction(job.a0 or "0"))
-    series = hensel_lift(F, a0, prec)
-    report = _report_skeleton(job, warning)
-    report["precision"] = prec
-    report["results"].append({"root": str(series)})
-    return report, EXIT_OK
+    report["precision"] = prec = job.precision or 8
+    a0 = _parse_value(job.a0 or "0", field, "a0")
+    report["results"].append({"root": str(hensel_lift(F, a0, prec))})
 
 
-def _run_corpus(job: Job):
+# The corpus exits with its gravest sub-job exit.
+_SEVERITY = {EXIT_OK: 0, EXIT_INPUT: 1, EXIT_BUDGET: 2, EXIT_VERIFICATION: 3}
+
+
+def _run_corpus(job: Job, field, report):
     from .corpus import corpus_manifest
-    report = _report_skeleton(job)
-    worst = EXIT_OK
     for entry in corpus_manifest():
         sub = Job.from_dict(entry["job"])
         sub.seed = sub.seed or job.seed
         sub.precision = sub.precision or job.precision
         sub.max_retries = job.max_retries  # the manifest sets no budget
         subreport, code = run_job(sub)
-        line = {
-            "name": entry["name"],
-            "status": subreport.get("status", "ok") if code == EXIT_OK
-            else subreport.get("status", "error"),
-            "exit": code,
-        }
+        line = {"name": entry["name"], "status": subreport["status"],
+                "exit": code}
         expected = entry.get("expected_mult")
         if expected is not None and code == EXIT_OK:
             got = subreport["results"][0]["mult_length"]
             if got != expected:
-                line["status"] = "unexpected-multiplicity"
-                line["got"] = got
-                line["expected"] = expected
-                code = EXIT_VERIFICATION
-        line["exit"] = code
+                line.update(status="unexpected-multiplicity",
+                            exit=EXIT_VERIFICATION, got=got,
+                            expected=expected)
         report["results"].append(line)
-        if code != EXIT_OK:
-            priority = {EXIT_VERIFICATION: 3, EXIT_BUDGET: 2, EXIT_INPUT: 1}
-            if worst == EXIT_OK or priority.get(code, 0) > priority.get(worst, 0):
-                worst = code
-    report["status"] = "ok" if worst == EXIT_OK else "corpus-failure"
-    return report, worst
+    worst = max((line["exit"] for line in report["results"]),
+                key=_SEVERITY.get, default=EXIT_OK)
+    if worst != EXIT_OK:
+        report["status"] = "corpus-failure"
+    return worst
 
 
 _COMMANDS = {
@@ -393,7 +374,11 @@ _COMMANDS = {
 
 
 def run_job(job: Job):
-    """Execute a job; returns (report dict, exit code)."""
+    """Execute a job; returns (report dict, exit code).
+
+    The one input boundary: the job's flags are checked and its field is
+    parsed here, once, and every CurveIntError it raises is mapped to an
+    exit code here."""
     handler = _COMMANDS.get(job.command)
     if handler is None:
         return {"command": job.command, "status": "unknown-command",
@@ -413,18 +398,27 @@ def run_job(job: Job):
         if job.precision is not None and job.precision > MAX_PRECISION:
             raise BudgetError(f"precision {job.precision} exceeds the limit "
                               f"of {MAX_PRECISION}")
-        return handler(job)
+        # ``corpus`` has never read --field: each instance names its own.
+        field, warning = ((None, None) if job.command == "corpus"
+                          else parse_field(job.field))
+        report = {"command": job.command, "inputs": list(job.curves),
+                  "field": job.field, "seed": job.seed,
+                  "precision": job.precision, "results": [], "total": None,
+                  "expected_total": None, "status": "ok"}
+        if warning:
+            report["warning"] = warning
+        return report, handler(job, field, report) or EXIT_OK
     except VerificationFailureError as err:
         return {"command": job.command, "status": "verification-failure",
                 "error": str(err)}, EXIT_VERIFICATION
-    except _BUDGET_ERRORS as err:
-        return _failure(job, err, "budget-exhausted"), EXIT_BUDGET
-    except _INPUT_ERRORS as err:
-        if isinstance(err, NotSimpleRootError) and \
-                job.command in ("mult", "bezout"):
-            # ``hensel`` lifts a root the user chose; here an engine chose
-            # it, and a root that is not simple (as in small characteristic)
-            # is a certification failure, not bad input.
+    except CurveIntError as err:
+        # ``hensel`` lifts a root the user chose; for ``mult`` and
+        # ``bezout`` an engine chose it, and a root that is not simple (as
+        # in small characteristic) is a certification failure, not bad
+        # input.
+        if isinstance(err, _BUDGET_ERRORS) or (
+                isinstance(err, NotSimpleRootError) and
+                job.command in ("mult", "bezout")):
             return _failure(job, err, "budget-exhausted"), EXIT_BUDGET
         return _failure(job, err, "input-error"), EXIT_INPUT
 
@@ -477,15 +471,8 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    job = Job(command=args.command, curves=tuple(args.curves),
-              field=args.field, point=args.point, seed=args.seed,
-              precision=args.precision, fmt=args.fmt, a0=args.a0,
-              max_retries=args.max_retries)
-    try:
-        report, code = run_job(job)
-    except CurveIntError as err:  # safety net; run_job maps known kinds
-        report, code = {"command": job.command, "status": "error",
-                        "error": str(err)}, EXIT_INPUT
+    job = Job(**dict(vars(args), curves=tuple(args.curves)))
+    report, code = run_job(job)
     print(render_report(report, job.fmt))
     return code
 

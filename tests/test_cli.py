@@ -406,3 +406,37 @@ def test_nonpositive_max_retries_is_bad_input(monkeypatch, retries):
                                max_retries=retries))
     assert code == EXIT_INPUT
     assert report["error"] == f"max-retries {retries} is not positive"
+
+
+# Hostile input: each case exits 2 or 3 with a report within a second, not
+# with a traceback or an unbounded run.
+_LONG = "1" * 5000  # past Python's 4300-digit limit for int()
+
+
+@pytest.mark.parametrize("argv,code,kind", [
+    (["mult", "x + 1/7", "y", "--field", "F7"], EXIT_INPUT, "ParseError"),
+    (["mult", "²", "y"], EXIT_INPUT, "ParseError"),
+    (["mult", "x", "y", "--field", "F²"], EXIT_INPUT,
+     "InvalidInputError"),
+    (["mult", _LONG + "*x", "y"], EXIT_BUDGET, "BudgetError"),
+    (["mult", "x^" + _LONG, "y"], EXIT_BUDGET, "BudgetError"),
+    (["mult", "x", "y", "--field", "F" + _LONG], EXIT_BUDGET, "BudgetError"),
+    (["mult", "(" * 250 + "x" + ")" * 250, "y"], EXIT_BUDGET, "BudgetError"),
+    (["mult", "x", "y", "--field", "F2305843009213693951"], EXIT_BUDGET,
+     "BudgetError"),
+    (["hensel", "x^2 - (1 + t)", "--a0", "1/0"], EXIT_INPUT,
+     "InvalidInputError"),
+    (["hensel", "x^2 - (1 + t)", "--a0", "abc"], EXIT_INPUT,
+     "InvalidInputError"),
+], ids=["denominator-zero-mod-p", "superscript-digit", "superscript-field",
+        "long-coefficient", "long-exponent", "long-characteristic",
+        "deep-nesting", "large-prime", "a0-zero-denominator",
+        "a0-not-a-number"])
+def test_hostile_input_exits_with_a_report(capsys, argv, code, kind):
+    start = time.perf_counter()
+    assert main(argv + ["--format", "json"]) == code
+    assert time.perf_counter() - start < 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error_kind"] == kind
+    assert report["status"] == ("input-error" if code == EXIT_INPUT
+                                else "budget-exhausted")
