@@ -83,24 +83,27 @@ def _involved(f: MultiPoly, g: MultiPoly):
     return [v for v in f.vars if f.involves(v) or g.involves(v)]
 
 
+def _dense(f: MultiPoly, name: str):
+    """The scalar coefficients of f in ``name``, ascending; f involves no
+    other variable."""
+    i = f.vars.index(name)
+    out = [f.field.zero] * (f.degree_in(name) + 1)
+    for e, c in f.terms.items():
+        out[e[i]] = c
+    return out
+
+
+def _monic(coeffs, like: MultiPoly, name: str) -> MultiPoly:
+    """The monic polynomial in ``name`` with the ascending coefficients
+    ``coeffs`` (the top one nonzero), in the variables of ``like``."""
+    inv = 1 / coeffs[-1]
+    return like.clone({tuple(k if v == name else 0 for v in like.vars):
+                       c * inv for k, c in enumerate(coeffs) if c})
+
+
 def _univar_gcd(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     """Monic Euclid on dense coefficient lists (single-variable inputs)."""
-    field = f.field
-
-    def to_list(p):
-        d = p.degree_in(name)
-        out = [field.zero] * (d + 1)
-        i = p.vars.index(name)
-        for e, c in p.terms.items():
-            out[e[i]] = out[e[i]] + c
-        return out
-
-    def trim(ls):
-        while ls and not ls[-1]:
-            ls.pop()
-        return ls
-
-    a, b = trim(to_list(f)), trim(to_list(g))
+    a, b = _dense(f, name), _dense(g, name)
     while b:
         inv = 1 / b[-1]
         bm = [c * inv for c in b]
@@ -111,16 +114,11 @@ def _univar_gcd(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
                 off = k - (len(bm) - 1)
                 for i2, cb in enumerate(bm):
                     r[off + i2] = r[off + i2] - c * cb
-        a, b = b, trim(r[:len(bm) - 1])
-    lead = a[-1]
-    i = f.vars.index(name)
-    terms = {}
-    for k, c in enumerate(a):
-        if c:
-            key = [0] * len(f.vars)
-            key[i] = k
-            terms[tuple(key)] = c / lead
-    return MultiPoly(field, f.vars, terms)
+        del r[len(bm) - 1:]
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, r
+    return _monic(a, f, name)
 
 
 def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -323,6 +321,33 @@ def squarefree_decompose(f: MultiPoly) -> SquarefreeDecomposition:
     return SquarefreeDecomposition(factors, content.constant_value())
 
 
+def separable_by_evaluation(R: MultiPoly, name: str) -> bool:
+    """The one evaluation proof that R(name, t) is separable in ``name``:
+    for some tau in 1..23 (cut to p - 1 over F_p) the top coefficient does
+    not vanish at tau and R(name, tau) is coprime to its derivative.
+    False means only that no tau proved it (a degree below 2 is separable
+    outright)."""
+    if R.degree_in(name) < 2:
+        return True
+    dR = R.derivative(name)
+    if dR.is_zero():
+        return False
+    field = R.field
+    p = field.characteristic
+    lc = R.leading_coeff_in(name)
+    for raw in range(1, 24 if p == 0 else min(24, p)):
+        tau = field.of(raw)
+        if not lc.subs_values({"t": tau}).constant_value():
+            continue
+        r0 = R.subs_values({"t": tau})
+        d0 = dR.subs_values({"t": tau})
+        if r0.is_zero() or d0.is_zero():
+            continue
+        if gcd(r0, d0).is_constant():
+            return True
+    return False
+
+
 # ------------------------------------------------- univariate factorization
 
 def factor_univariate(f: MultiPoly, name: str):
@@ -330,42 +355,27 @@ def factor_univariate(f: MultiPoly, name: str):
 
     Returns [(factor, multiplicity), ...] with monic factors in a
     deterministic order, by degree first; the constant factor is dropped.
-    Backed by sympy; everything is converted through exact
-    integer/rational data, never floats.
+    Backed by sympy, through dense lists of exact integer or rational
+    coefficients, never floats.
     """
     import sympy
 
     for v in f.vars:
         if v != name and f.involves(v):
             raise InvalidInputError("input is not univariate")
-    x = sympy.Symbol(name)
     field = f.field
     if field == QQ:
-        expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** e[f.vars.index(name)]
-                   for e, c in f.terms.items())
-        _, facs = sympy.Poly(expr, x, domain="QQ").factor_list()
+        domain = "QQ"
     elif isinstance(field, PrimeField):
-        expr = sum(int(c.val) * x ** e[f.vars.index(name)] for e, c in f.terms.items())
-        _, facs = sympy.Poly(expr, x, domain=sympy.GF(field.p)).factor_list()
+        domain = sympy.GF(field.p)
     else:
         raise UnsupportedExtensionError(
             "univariate factorization only over Q or F_p")
-    out = []
-    for poly, mult in facs:
-        coeffs = poly.all_coeffs()[::-1]  # ascending
-        terms = {}
-        for k, c in enumerate(coeffs):
-            if field == QQ:
-                val = Fraction(sympy.Rational(c).p, sympy.Rational(c).q)
-            else:
-                val = int(c) % field.p
-            key = tuple(k if v == name else 0 for v in f.vars)
-            terms[key] = field.of(val)
-        fac = MultiPoly(field, f.vars, terms)
-        lead = fac.leading_coeff_in(name).constant_value()
-        if lead != field.one:
-            fac = fac.scale(1 / lead)
-        out.append((fac, int(mult)))
+    dense = [c if field == QQ else c.val for c in _dense(f, name)]
+    poly = sympy.Poly(dense[::-1], sympy.Symbol(name), domain=domain)
+    out = [(_monic([field.of(Fraction(c.p, c.q))
+                    for c in fac.all_coeffs()[::-1]], f, name), int(mult))
+           for fac, mult in poly.factor_list()[1]]
     out.sort(key=lambda it: (it[0].degree_in(name), str(it[0])))
     return out
 
@@ -378,8 +388,7 @@ def roots_univariate(f: MultiPoly, name: str, gen_name: str):
     K[gen_name]/(factor), the only place a root is adjoined."""
     out = []
     for fac, mult in factor_univariate(f, name):
-        coeffs = [fac.coeff_of(name, k).constant_value()
-                  for k in range(fac.degree_in(name) + 1)]
+        coeffs = _dense(fac, name)
         if len(coeffs) == 2:  # monic linear: y + c has the root -c
             out.append((fac, -coeffs[0], f.field, mult))
         else:

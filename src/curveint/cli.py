@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
@@ -37,9 +38,9 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 # Input bounds: a larger exponent, total degree, nesting depth or integer
-# literal (past Python's int() digit limit) is refused while parsing, and a
-# larger --precision or field characteristic before any work (a --precision
-# or --max-retries below 1 is bad input).
+# literal (past Python's int() digit limit, in a curve, --point or --a0) is
+# refused while parsing, and a larger --precision or field characteristic
+# before any work (a --precision or --max-retries below 1 is bad input).
 MAX_DEGREE = 64
 MAX_NESTING = 64
 MAX_PRECISION = 256
@@ -241,9 +242,32 @@ def parse_field(spec: str):
     raise InvalidInputError(f"unknown field spec {spec!r} (use Q or F<p>)")
 
 
+# An integer, rational or decimal literal, a superset of what Fraction(text)
+# accepts: (whole digits, denominator, fraction digits, exponent).
+_LITERAL = re.compile(r"[-+]?([\d_]*)(?:\s*/\s*([\d_]*)|(?:\.([\d_]*))?"
+                      r"(?:[eE]([-+]?[\d_]*))?)\Z")
+
+
 def _parse_value(text: str, field, what: str):
-    """An integer, rational or decimal literal as an element of field."""
+    """An integer, rational or decimal literal as an element of field.
+
+    Raises BudgetError, before any number is built, when the numerator or
+    denominator the literal spells out (its digits, with the power of ten
+    its exponent asks for) would pass Python's int() digit limit."""
     text = text.strip()
+    m = _LITERAL.match(text)
+    limit = sys.get_int_max_str_digits()
+    if m and limit:
+        whole, den, dec, exp = ((g or "").replace("_", "") for g in m.groups())
+        # a cut exponent is still past the limit, and never a huge int
+        mag = int(exp.lstrip("+-").lstrip("0")[:len(str(limit)) + 1] or 0)
+        e = -mag if exp.startswith("-") else mag
+        for part, digits in (
+                ("numerator", len(whole) + len(dec) + max(e, 0)),
+                ("denominator", len(den) or 1 + len(dec) + max(-e, 0))):
+            if digits > limit:
+                raise BudgetError(f"{what} has a {part} past the limit of "
+                                  f"{limit} digits")
     try:
         return field.of(Fraction(text))
     except (ValueError, ZeroDivisionError) as err:

@@ -17,26 +17,23 @@ readout share it.
 
 Each attempt builds one subresultant chain of (f_t, g_t) in x
 (``_eliminant_and_s1``), the only source of R = Res_x(f_t, g_t) and of
-its degree-one member S1, and certifies R once:
-
-* ``certify_squarefree_in``: R is separable in y, so the nearby points
-  are distinct and transverse, and there are ord_y R(y, 0) of them (the
-  proof is in ``certified_count_only``).
-
-Two readouts then use the one R and S1:
+its degree-one member S1, and runs one readout on them.  Each readout
+proves what it reads: that R is separable in y, so the nearby points are
+distinct and transverse.
 
 * witnesses (``certified_solutions``, over Q and F_p): every y-branch of
-  R is expanded as a Puiseux series, and its x-coordinate is read off S1:
-  when S11(y0) != 0 at a root y0 of R, the gcd of the two specialized
-  polynomials is S11(y0) x + S10(y0) up to a unit, so x = -S10/S11 is the
-  unique lift.  ``_points_along`` is the one readout of the point over
-  each y-branch; the two-scale readout and
+  R is expanded as a Puiseux series and must be simple, and its
+  x-coordinate is read off S1: when S11(y0) != 0 at a root y0 of R, the
+  gcd of the two specialized polynomials is S11(y0) x + S10(y0) up to a
+  unit, so x = -S10/S11 is the unique lift.  ``_points_along`` is the one
+  readout of the point over each y-branch; the two-scale readout and
   ``infinitesimal.nearby_intersections`` use it too.  Each witness must
   satisfy f_t and g_t to working precision, specialize to the origin, and
   have a nonzero Jacobian.  These check every point against the deformed
   pair itself, where the count-only readout rests on R alone.
 * count-only (``certified_count_only``, over extension fields, and where
-  the expansion would need a second extension step): ord_y R(y, 0).  This
+  the expansion would need a second extension step): once
+  ``certify_squarefree_in`` proves R separable, ord_y R(y, 0).  This
   equals ord_y Res_x(fs, gs), the resultant engine's value, so where this
   readout runs the engine is not independent of the resultant engine.
 
@@ -57,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (LocalPair, gcd, lift_to_field, resultant_of_chain,
-                      subresultant_prs)
+                      separable_by_evaluation, subresultant_prs)
 from .errors import (GenericityFailureError, InsufficientPrecisionError,
                      InvalidInputError, SharedComponentError,
                      UnsupportedExtensionError)
@@ -152,42 +149,11 @@ def _points_along(s1, ybranches, prec, vanishing: str):
         yield br, at, -(at(s10) / den)
 
 
-def _eval_candidates(field):
-    p = field.characteristic
-    limit = 24 if p == 0 else min(24, p)
-    return range(1, limit)
-
-
-def _separable_by_evaluation(R: MultiPoly) -> bool:
-    """True when one t-value tau proves R(y, t) separable in y: the top
-    y-coefficient does not vanish at tau, and R(y, tau) and dR/dy(y, tau)
-    are coprime, so the discriminant is not identically zero.  False
-    means only that no candidate value proved it (a y-degree below 2 is
-    separable outright)."""
-    if R.degree_in("y") < 2:
-        return True
-    dR = R.derivative("y")
-    if dR.is_zero():
-        return False
-    field = R.field
-    lc = R.leading_coeff_in("y")
-    for raw in _eval_candidates(field):
-        tau = field.of(raw)
-        if not lc.subs_values({"t": tau}).constant_value():
-            continue
-        r0 = R.subs_values({"t": tau})
-        d0 = dR.subs_values({"t": tau})
-        if r0.is_zero() or d0.is_zero():
-            continue
-        if gcd(r0, d0).is_constant():
-            return True
-    return False
-
-
 def certify_squarefree_in(R: MultiPoly):
     """Certify that R(y, t) has no repeated factor of positive y-degree:
-    by ``_separable_by_evaluation``, or else by an exact bivariate gcd."""
-    if _separable_by_evaluation(R):
+    by ``algebra.separable_by_evaluation``, or else by an exact bivariate
+    gcd."""
+    if separable_by_evaluation(R, "y"):
         return
     dR = R.derivative("y")
     if dR.is_zero():
@@ -202,11 +168,16 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, R: MultiPoly, s1,
                         prec):
     """All solution branches of the deformed pair through the origin, with
     witness certificates, read off the pair's eliminant R and degree-one
-    subresultant S1 (``_eliminant_and_s1``) once ``certify_squarefree_in``
-    has passed on R.  Raises GenericityFailureError when any certificate
-    fails (caller reseeds)."""
+    subresultant S1 (``_eliminant_and_s1``).  Every y-branch of R must be
+    simple (R has no repeated factor along a branch); then each witness
+    must satisfy f_t and g_t, specialize to the origin and have a nonzero
+    Jacobian.  Raises GenericityFailureError when any certificate fails
+    (caller reseeds)."""
     prec = Fraction(prec)
-    ybranches = newton_puiseux(R, "y", prec, assume_squarefree=True)
+    ybranches = newton_puiseux(R, "y", prec)
+    if any(br.multiplicity > 1 for br in ybranches):
+        raise GenericityFailureError(
+            "deformed resultant has a repeated factor")
     jac = _jacobian(ft, gt)
     sols = []
     for br, at, xser in _points_along(
@@ -237,7 +208,7 @@ def _order_at_origin(R: MultiPoly) -> int:
 def certified_count_only(R: MultiPoly) -> int:
     """Solution count through the origin without witnesses: ord_y R(y, 0)
     of the eliminant R = Res_x(f_t, g_t), once ``certify_squarefree_in``
-    has passed on R.
+    has proved R separable in y.
 
     Proof.  The shear precondition (the origin is the only common zero on
     y = 0, constant top x-coefficients) keeps the x-coordinates over a
@@ -247,6 +218,7 @@ def certified_count_only(R: MultiPoly) -> int:
     over it; separability makes that order 1, so each such point is single
     and transverse.  This is also ord_y Res_x(fs, gs), the resultant
     engine's value, so the count is not independent of that engine."""
+    certify_squarefree_in(R)
     return _order_at_origin(R)
 
 
@@ -295,7 +267,6 @@ def deformation_count(pair: LocalPair, seed: int = 0, prec=None,
         ft = deform_polynomial(fs, random_direction(rng, field, fs.total_degree()))
         gt = deform_polynomial(gs, random_direction(rng, field, gs.total_degree()))
         R, s1 = _eliminant_and_s1(ft, gt)
-        certify_squarefree_in(R)
         if not isinstance(field, ExtensionField):
             try:
                 return sum(s.span

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from .algebra import (apply_shear, first_shear, in_general_position,
                       local_pair, translate_to_origin)
 from .deformation import (VARS3, _eliminant_and_s1, _points_along,
-                          _separable_by_evaluation, deform_polynomial,
-                          default_precision, deformation_count,
-                          two_scale_analysis)
+                          deform_polynomial, default_precision,
+                          deformation_count, two_scale_analysis)
 from .errors import (InfiniteMultiplicityError, InsufficientPrecisionError,
                      InvalidInputError, VerificationFailureError)
 from .intersect import Curve, mult_length
@@ -121,8 +120,7 @@ def _nearby_points(ft: MultiPoly, gt: MultiPoly, base, prec):
         R, s1 = _eliminant_and_s1(apply_shear(ft, lam, mu),
                                   apply_shear(gt, lam, mu))
         branches = []
-        separable = _separable_by_evaluation(R)
-        for br in newton_puiseux(R, "y", prec, assume_squarefree=separable):
+        for br in newton_puiseux(R, "y", prec):
             sheets = sheet_conjugates(br)
             branches += [br] if sheets is None else [
                 Branch(s, br.multiplicity) for s in sheets]

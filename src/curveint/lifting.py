@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (content_in, lift_to_field, roots_univariate,
-                      squarefree_decompose)
+from .algebra import (lift_to_field, primitive_part_in, roots_univariate,
+                      separable_by_evaluation, squarefree_decompose)
 from .errors import (BudgetError, InsufficientPrecisionError, InvalidInputError,
                      NothingToPrepareError, NotRegularError, NotSimpleRootError,
                      UnsupportedExtensionError)
@@ -325,15 +325,14 @@ def _assemble(tail: TruncatedSeries, c_root, a: int,
     return shift_exponents(const + rescale_exponents(tail, b), Fraction(a, b))
 
 
-def newton_puiseux(F: MultiPoly, xname: str, prec,
-                   assume_squarefree: bool = False):
+def newton_puiseux(F: MultiPoly, xname: str, prec):
     """Every branch x(t) with x(0) = 0 of F(x, t) = 0, with multiplicities.
 
     Requires F(x, 0) != 0 (shear first otherwise) and F(0, 0) = 0 for a
-    nonempty answer.  Branch multiplicities come from the squarefree
-    decomposition; within a squarefree factor every branch is simple.
-    Callers that have already certified squarefreeness in ``xname`` can
-    skip the decomposition with ``assume_squarefree``.
+    nonempty answer.  The one piece expanded is F's primitive part in
+    ``xname`` when ``separable_by_evaluation`` proves F separable, and
+    else the squarefree factors carry the multiplicities; within a piece
+    every branch is simple.
     """
     if F.is_zero():
         raise InvalidInputError("zero polynomial")
@@ -343,10 +342,8 @@ def newton_puiseux(F: MultiPoly, xname: str, prec,
     if F.subs_values({"t": F.field.zero}).is_zero():
         raise NotRegularError("F(x, 0) vanishes identically; shear first")
     branches = []
-    if assume_squarefree:
-        cont = content_in(F, xname)
-        work = F.exact_divide(cont) if not cont.is_constant() else F
-        pieces = [(work, 1)]
+    if separable_by_evaluation(F, xname):
+        pieces = [(primitive_part_in(F, xname), 1)]
     else:
         pieces = [(fac, mult) for fac, mult in squarefree_decompose(F)
                   if fac.involves(xname)]

@@ -428,10 +428,15 @@ _LONG = "1" * 5000  # past Python's 4300-digit limit for int()
      "InvalidInputError"),
     (["hensel", "x^2 - (1 + t)", "--a0", "abc"], EXIT_INPUT,
      "InvalidInputError"),
+    (["mult", "x", "y", "--point", "1e5000,0"], EXIT_BUDGET, "BudgetError"),
+    (["mult", "x", "y", "--point", "0,1e-1000000000"], EXIT_BUDGET,
+     "BudgetError"),
+    (["hensel", "x^2 - (1 + t)", "--a0", "1e5000"], EXIT_BUDGET,
+     "BudgetError"),
 ], ids=["denominator-zero-mod-p", "superscript-digit", "superscript-field",
         "long-coefficient", "long-exponent", "long-characteristic",
         "deep-nesting", "large-prime", "a0-zero-denominator",
-        "a0-not-a-number"])
+        "a0-not-a-number", "huge-point", "huge-exponent", "huge-a0"])
 def test_hostile_input_exits_with_a_report(capsys, argv, code, kind):
     start = time.perf_counter()
     assert main(argv + ["--format", "json"]) == code

@@ -321,6 +321,16 @@ def test_tangent_deformed_pair_is_rejected():
         deformation.certify_squarefree_in(R)
 
 
+def test_witness_readout_rejects_a_repeated_factor():
+    # certified_solutions proves what it reads: the double branch y = t^2
+    # is refused before any witness check runs
+    x, y, t = (MultiPoly.var(QQ, VARS3, v) for v in VARS3)
+    ft, gt = y - x * x, y - 2 * t * x + t * t
+    R, s1 = deformation._eliminant_and_s1(ft, gt)
+    with pytest.raises(GenericityFailureError, match="repeated factor"):
+        deformation.certified_solutions(ft, gt, R, s1, 6)
+
+
 def test_roadmap_pair_builds_one_chain(monkeypatch):
     # the witness expansion needs a second extension step, and count-only
     # reads the count off the same chain at the first attempt

@@ -198,6 +198,7 @@ def test_puiseux_branch_count_matches_x_order():
         x ** 3 - t * t,
         (x * x - t * t) * (x * x - t),
         x ** 2 * (x - t) - t ** 5,
+        (1 + t) * (x * x - t),
     ]
     for F in samples:
         m = min(e[0] for e in
