@@ -16,6 +16,7 @@ x-coordinates with.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import cached_property
 
@@ -23,6 +24,7 @@ from .errors import (GeneralPositionError, GenericityFailureError,
                      InfiniteMultiplicityError, InvalidDegreeError,
                      InvalidInputError, SharedComponentError,
                      UnsupportedExtensionError)
+from .factor import factor_mod_p, factor_over_q
 from .fields import QQ, ExtensionField, PrimeField, pth_root_scalar
 from .poly import MultiPoly
 
@@ -355,27 +357,31 @@ def factor_univariate(f: MultiPoly, name: str):
 
     Returns [(factor, multiplicity), ...] with monic factors in a
     deterministic order, by degree first; the constant factor is dropped.
-    Backed by sympy, through dense lists of exact integer or rational
-    coefficients, never floats.
+    ``squarefree_decompose`` gives the multiplicities, and ``factor``
+    splits each squarefree factor on dense int lists: over F_p by
+    distinct- and equal-degree factorization, over Q as a primitive
+    integer polynomial by Hensel lifting and Zassenhaus recombination.
+    Its random choices come from a ``random.Random`` seeded anew on every
+    call.
     """
-    import sympy
-
     for v in f.vars:
         if v != name and f.involves(v):
             raise InvalidInputError("input is not univariate")
     field = f.field
-    if field == QQ:
-        domain = "QQ"
-    elif isinstance(field, PrimeField):
-        domain = sympy.GF(field.p)
-    else:
+    if field != QQ and not isinstance(field, PrimeField):
         raise UnsupportedExtensionError(
             "univariate factorization only over Q or F_p")
-    dense = [c if field == QQ else c.val for c in _dense(f, name)]
-    poly = sympy.Poly(dense[::-1], sympy.Symbol(name), domain=domain)
-    out = [(_monic([field.of(Fraction(c.p, c.q))
-                    for c in fac.all_coeffs()[::-1]], f, name), int(mult))
-           for fac, mult in poly.factor_list()[1]]
+    coeffs = _dense(f, name)
+    if len(coeffs) < 3:  # zero, a constant or a linear polynomial
+        return [(_monic(coeffs, f, name), 1)] if len(coeffs) == 2 else []
+    rng = random.Random(0)
+    out = []
+    for fac, mult in squarefree_decompose(f):
+        coeffs = _dense(fac, name)
+        pieces = (factor_over_q(coeffs, rng) if field == QQ else
+                  factor_mod_p([c.val for c in coeffs], field.p, rng))
+        out += [(_monic([field.of(c) for c in piece], f, name), mult)
+                for piece in pieces]
     out.sort(key=lambda it: (it[0].degree_in(name), str(it[0])))
     return out
 

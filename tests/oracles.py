@@ -21,13 +21,16 @@ the production ``eval_poly_at_series`` runs Horner's rule on series.  The
 shear-candidate oracle lists every (lam, mu) by growing |lam| + mu and
 drops the repeated directions lam/mu.  The transversality reference proves by
 evaluation, on Sylvester resultants and long-division gcds, what the
-deformation engine reads off a separable eliminant.
+deformation engine reads off a separable eliminant.  The factorization
+oracle asks sympy for the irreducible factors of a univariate polynomial,
+where the production code lifts factors mod p on dense int lists.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from curveint.fields import ExtElement, ExtensionField
+from curveint.errors import InvalidInputError, UnsupportedExtensionError
+from curveint.fields import QQ, ExtElement, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
 from curveint.series import INF, TruncatedSeries, _cutoff
 
@@ -445,3 +448,37 @@ def transverse_by_evaluation(R: MultiPoly, ft: MultiPoly,
         else:
             return True
     return False
+
+
+def sympy_factor_list(f: MultiPoly, name: str):
+    """The irreducible factors of a univariate f over Q or F_p by sympy's
+    ``factor_list``, in ``algebra.factor_univariate``'s form: monic
+    (factor, multiplicity) pairs sorted by (degree, str), without the
+    constant; the same errors for an input in two variables and for an
+    extension field."""
+    import sympy
+    for v in f.vars:
+        if v != name and f.involves(v):
+            raise InvalidInputError("input is not univariate")
+    field = f.field
+    if field == QQ:
+        domain = "QQ"
+    elif isinstance(field, PrimeField):
+        domain = sympy.GF(field.p)
+    else:
+        raise UnsupportedExtensionError(
+            "univariate factorization only over Q or F_p")
+    i = f.vars.index(name)
+    dense = [0] * (f.degree_in(name) + 1)
+    for e, c in f.terms.items():
+        dense[e[i]] = c if field == QQ else c.val
+    poly = sympy.Poly(dense[::-1], sympy.Symbol(name), domain=domain)
+    out = []
+    for fac, mult in poly.factor_list()[1]:
+        coeffs = [field.of(Fraction(int(c.p), int(c.q)))
+                  for c in fac.all_coeffs()[::-1]]
+        out.append((MultiPoly(f.field, f.vars, {
+            tuple(k if v == name else 0 for v in f.vars): c / coeffs[-1]
+            for k, c in enumerate(coeffs) if c}), int(mult)))
+    out.sort(key=lambda it: (it[0].degree_in(name), str(it[0])))
+    return out

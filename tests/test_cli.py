@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -445,3 +449,27 @@ def test_hostile_input_exits_with_a_report(capsys, argv, code, kind):
     assert report["error_kind"] == kind
     assert report["status"] == ("input-error" if code == EXIT_INPUT
                                 else "budget-exhausted")
+
+
+# ------------------------------------------------------ runtime without sympy
+
+_RUN_MAIN = "from curveint.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bezout", "X^2 - 2*Z^2", "Y"],
+    ["bezout", "X^2 - 3*Z^2", "Y", "--field", "F7"],
+    ["corpus", "--format", "json"],
+], ids=["orbit-over-Q", "orbit-over-F7", "corpus"])
+def test_main_runs_without_sympy(argv):
+    """With sympy unimportable, each job exits 0 and prints, byte for byte,
+    what it prints with sympy importable: no run imports it.  Both orbits
+    are of degree 2 (3 is not a square mod 7)."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    runs = [subprocess.run(
+        [sys.executable, "-c", "import sys; " + block + _RUN_MAIN, *argv],
+        capture_output=True, env=env, timeout=120)
+        for block in ("sys.modules['sympy'] = None; ", "")]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout

@@ -1,0 +1,103 @@
+"""Univariate factorization over Q and F_p against sympy's ``factor_list``
+(``oracles.sympy_factor_list``): seeded planted products, and fixed hard
+cases that split mod every prime, have a 60-digit coefficient or reach
+sympy's edge behaviour (zero, constants, two variables, extensions)."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from curveint.algebra import factor_univariate
+from curveint.cli import parse_poly
+from curveint.errors import InvalidInputError, UnsupportedExtensionError
+from curveint.fields import QQ, ExtensionField, PrimeField
+from curveint.poly import MultiPoly
+
+from oracles import sympy_factor_list
+
+PRIMES = (2, 3, 5, 7, 101, 32003, 2147483647)
+FIELDS = (QQ,) + tuple(PrimeField(p) for p in PRIMES)
+
+
+@st.composite
+def planted_products(draw):
+    """A product of one to three factors of degree 1-3, each to a power
+    1-3, or p or p + 1 in characteristic p <= 7; over Q the coefficients
+    are fractions and the top ones need not be 1."""
+    field = draw(st.sampled_from(FIELDS))
+    p = field.characteristic
+    mults = [1, 2, 3] + ([p, p + 1] if 0 < p <= 7 else [])
+    den = st.integers(1, 6) if p == 0 else st.just(1)
+    f = MultiPoly.const(field, ("x",), 1)
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, 3))
+        coeffs = [Fraction(draw(st.integers(-9, 9)), draw(den))
+                  for _ in range(deg)] + [draw(st.integers(1, 9))]
+        fac = MultiPoly(field, ("x",), {(k,): field.of(c)
+                                        for k, c in enumerate(coeffs)})
+        if fac.degree_in("x") > 0:
+            f = f * fac ** draw(st.sampled_from(mults))
+    return f
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(planted_products())
+def test_factor_univariate_agrees_with_sympy(f):
+    assert factor_univariate(f, "x") == sympy_factor_list(f, "x")
+
+
+PHI15 = "x^8 - x^7 + x^5 - x^4 + x^3 - x + 1"
+HARD = {
+    # Swinnerton-Dyer: irreducible over Q, a product of factors of
+    # degree <= 2 mod every prime
+    "sd4": (QQ, "x^4 - 10*x^2 + 1", [4]),
+    "sd8": (QQ, "x^8 - 40*x^6 + 352*x^4 - 960*x^2 + 576", [8]),
+    # Artin-Schreier: x^p - x - 1 is irreducible over F_p
+    "as2": (PrimeField(2), "x^2 - x - 1", [2]),
+    "as3": (PrimeField(3), "x^3 - x - 1", [3]),
+    "as5": (PrimeField(5), "x^5 - x - 1", [5]),
+    "as7": (PrimeField(7), "x^7 - x - 1", [7]),
+    # the 15th cyclotomic polynomial: 2 and 7 have order 4 mod 15
+    "phi15-Q": (QQ, PHI15, [8]),
+    "phi15-F2": (PrimeField(2), PHI15, [4, 4]),
+    "phi15-F7": (PrimeField(7), PHI15, [4, 4]),
+    "rational": (QQ, "(2/3*x^2 - 1/5)*(7/2*x^3 + x - 3/4)^2", [2, 3]),
+    "60-digit": (QQ, "(x - 123456789012345678901234567890123456789012345678901"
+                     "234567890)*(x^2 + 3)", [1, 2]),
+    "big-prime": (PrimeField(2147483647), "(x^2 + 1)*(x^3 + 2)*(x - 5)^3",
+                  [1, 1, 1, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", HARD)
+def test_factor_univariate_hard_cases(name):
+    field, text, degrees = HARD[name]
+    f = parse_poly(text, field, ("x",))
+    got = factor_univariate(f, "x")
+    assert got == sympy_factor_list(f, "x")
+    assert [fac.degree_in("x") for fac, _ in got] == degrees
+
+
+QW = ExtensionField(QQ, [-2, 0, 1], "w")
+
+
+@pytest.mark.parametrize("f", [
+    MultiPoly(QQ, ("x",), {}),
+    MultiPoly.const(PrimeField(7), ("x",), 3),
+    MultiPoly.const(QQ, ("x", "y"), 5),
+    parse_poly("x*y + 1", QQ, ("x", "y")),
+    MultiPoly.var(QW, ("x",), "x"),
+    MultiPoly.const(QW, ("x",), 3),
+], ids=["zero", "constant", "constant-xy", "bivariate", "extension",
+        "extension-constant"])
+def test_factor_univariate_edge_inputs_match_sympy(f):
+    try:
+        expected = sympy_factor_list(f, "x")
+    except (InvalidInputError, UnsupportedExtensionError) as err:
+        with pytest.raises(type(err), match=str(err)):
+            factor_univariate(f, "x")
+    else:
+        assert factor_univariate(f, "x") == expected
