@@ -171,8 +171,10 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, R: MultiPoly, s1,
     subresultant S1 (``_eliminant_and_s1``).  Every y-branch of R must be
     simple (R has no repeated factor along a branch); then each witness
     must satisfy f_t and g_t, specialize to the origin and have a nonzero
-    Jacobian.  Raises GenericityFailureError when any certificate fails
-    (caller reseeds)."""
+    Jacobian.  Separability of R already proves every point transverse;
+    the Jacobian is the one witness check made against the deformed pair
+    rather than against R, so it stays.  Raises GenericityFailureError
+    when any certificate fails (caller reseeds)."""
     prec = Fraction(prec)
     ybranches = newton_puiseux(R, "y", prec)
     if any(br.multiplicity > 1 for br in ybranches):

@@ -47,13 +47,6 @@ class NearbyPoint:
     target: tuple
     count: int = 1
 
-    def valuation_certificate(self):
-        """(val_x, val_y) of the centered coordinates; both positive."""
-        vx = self.x.valuation()
-        vy = self.y.valuation()
-        return (vx if vx is not None else self.x.prec,
-                vy if vy is not None else self.y.prec)
-
     def specialize(self):
         tx, ty = self.target
         return (self.x.specialize() + tx, self.y.specialize() + ty)

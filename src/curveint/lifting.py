@@ -351,13 +351,18 @@ def newton_puiseux(F: MultiPoly, xname: str, prec):
         for series, span in _expand_squarefree(fac, xname, prec, 0):
             branches.append(Branch(series.truncate(prec) if series.prec > prec
                                    else series, mult, span))
-    branches.sort(key=lambda br: (str(br.series)))
+    branches.sort(key=_printed)
     return branches
 
 
-def branch_count(branches) -> int:
-    """Closure solutions with multiplicity; equals ord_x F(x, 0)."""
-    return sum(br.multiplicity * br.span for br in branches)
+def _printed(br: Branch):
+    """Sort key: branches in the order they print; one whose coefficients
+    are past ``int()``'s digit limit for printing sorts after, in the
+    order found."""
+    try:
+        return 0, str(br.series)
+    except ValueError:
+        return 1, ""
 
 
 def _root_of_unity(field, r: int):

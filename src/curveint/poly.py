@@ -232,11 +232,6 @@ class MultiPoly:
         return self.clone(out)
 
     # ----------------------------------------------------------- evaluation
-    def evaluate(self, assignment):
-        """Substitute field elements for every variable; returns an element."""
-        return self.subs_values({v: assignment[v] for v in self.vars}) \
-            .constant_value()
-
     def subs_values(self, assignment):
         """Substitute field elements for a subset of variables."""
         idx = {self.vars.index(v): self.field.of(val) for v, val in assignment.items()}

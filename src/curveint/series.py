@@ -25,19 +25,42 @@ INF = math.inf
 
 def _cutoff(prec, ram: int):
     """Least index k with k/ram >= prec: a series keeps exactly the indices
-    below it.  Comparing integers avoids a Fraction per coefficient."""
-    return INF if prec == INF else math.ceil(prec * ram)
+    below it.  A stored precision is a Fraction or the float INF, so the
+    type tells them apart, and the ceiling is taken on integers."""
+    if prec.__class__ is float:
+        return INF
+    return -(-prec.numerator * ram // prec.denominator)
+
+
+def _precision(prec):
+    """A precision as a series stores it: a Fraction, or INF."""
+    if prec.__class__ is Fraction:
+        return prec
+    return INF if prec == INF else Fraction(prec)
 
 
 def _series(field, coeffs, prec, ram):
     """A series from coefficients that are already clean: int indices
-    below the cutoff, nonzero elements of ``field``."""
+    below the cutoff, nonzero elements of ``field``; ``prec`` a stored
+    precision (a Fraction, or INF)."""
     s = object.__new__(TruncatedSeries)
     s.field = field
     s.ram = ram
-    s.prec = prec if prec == INF else Fraction(prec)
+    s.prec = prec
     s.coeffs = coeffs
     return s
+
+
+def _less(p, q):
+    """p < q for stored precisions, without comparing a Fraction to INF."""
+    if q.__class__ is float:
+        return p.__class__ is not float
+    return p.__class__ is not float and p < q
+
+
+def _below(coeffs, cutoff):
+    """The entries of ``coeffs`` with index below ``cutoff``."""
+    return {k: c for k, c in coeffs.items() if k < cutoff}
 
 
 class TruncatedSeries:
@@ -48,7 +71,7 @@ class TruncatedSeries:
         self.ram = int(ram)
         if self.ram < 1:
             raise InvalidInputError("ramification index must be >= 1")
-        self.prec = prec if prec == INF else Fraction(prec)
+        self.prec = _precision(prec)
         cutoff = _cutoff(self.prec, self.ram)
         clean = {}
         for k, c in coeffs.items():
@@ -90,8 +113,8 @@ class TruncatedSeries:
         if new_ram % self.ram:
             raise InvalidInputError("new ramification must be a multiple")
         q = new_ram // self.ram
-        return TruncatedSeries(self.field, {k * q: c for k, c in self.coeffs.items()},
-                               self.prec, new_ram)
+        return _series(self.field, {k * q: c for k, c in self.coeffs.items()},
+                       self.prec, new_ram)
 
     def reduce_ram(self) -> "TruncatedSeries":
         """Smallest ramification index representing the same exponents."""
@@ -132,10 +155,12 @@ class TruncatedSeries:
         return self.coeff_at(0) if self.prec > 0 else self.field.zero
 
     def truncate(self, new_prec) -> "TruncatedSeries":
-        new_prec = new_prec if new_prec == INF else Fraction(new_prec)
-        if new_prec >= self.prec:
+        new_prec = _precision(new_prec)
+        if not _less(new_prec, self.prec):
             return self
-        return TruncatedSeries(self.field, self.coeffs, new_prec, self.ram)
+        return _series(self.field,
+                       _below(self.coeffs, _cutoff(new_prec, self.ram)),
+                       new_prec, self.ram)
 
     # ----------------------------------------------------------- arithmetic
     def _align(self, other):
@@ -146,21 +171,24 @@ class TruncatedSeries:
 
     def __add__(self, other):
         a, b = self._align(other)
-        prec = min(a.prec, b.prec)
-        out = dict(a.coeffs)
+        prec = b.prec if _less(b.prec, a.prec) else a.prec
+        cutoff = _cutoff(prec, a.ram)
+        out = _below(a.coeffs, cutoff)
+        zero = self.field.zero
         for k, c in b.coeffs.items():
-            s = out.get(k, self.field.zero) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return TruncatedSeries(self.field, out, prec, a.ram)
+            if k < cutoff:
+                s = out.get(k, zero) + c
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+        return _series(self.field, out, prec, a.ram)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.field, {k: -c for k, c in self.coeffs.items()},
-                               self.prec, self.ram)
+        return _series(self.field, {k: -c for k, c in self.coeffs.items()},
+                       self.prec, self.ram)
 
     def __sub__(self, other):
         a, b = self._align(other)
@@ -174,7 +202,8 @@ class TruncatedSeries:
         a, b = self._align(other)
         va = a.effective_valuation()
         vb = b.effective_valuation()
-        prec = min(a.prec + vb, b.prec + va) if (a.prec != INF or b.prec != INF) else INF
+        prec = INF if a.prec.__class__ is float and b.prec.__class__ is float \
+            else min(a.prec + vb, b.prec + va)
         if not a.coeffs or not b.coeffs:
             return _series(self.field, {}, prec, a.ram)
         cutoff = _cutoff(prec, a.ram)
@@ -251,20 +280,6 @@ class TruncatedSeries:
         return hash((self.ram, self.prec, frozenset(self.coeffs.items())))
 
     # -------------------------------------------------------------- queries
-    def agrees_with(self, other, below) -> bool:
-        """Coefficientwise equality at all exponents < ``below``."""
-        a, b = self._align(other)
-        below = Fraction(below)
-        if min(a.prec, b.prec) < below:
-            raise InvalidInputError("comparison range exceeds precision")
-        keys = set(a.coeffs) | set(b.coeffs)
-        zero = self.field.zero
-        for k in keys:
-            if Fraction(k, a.ram) < below:
-                if a.coeffs.get(k, zero) != b.coeffs.get(k, zero):
-                    return False
-        return True
-
     def specialize(self):
         """Constant term; the image with the infinitesimal set to zero."""
         v = self.valuation()
@@ -338,18 +353,43 @@ def horner(coeffs, point: TruncatedSeries) -> TruncatedSeries:
     return total
 
 
+def _read_t(coeffs, t: TruncatedSeries) -> TruncatedSeries:
+    """Horner's rule on {e: c_e} (nonzero scalars) at the monomial
+    t = t + O(t^P), P = t.prec > 1, read off the exponents.
+
+    A step total * t + c keeps min(p + 1, P + v), p and v the running
+    precision and valuation.  Read at the exponents' own places, that is
+    min(q, P - 1 + u), u the least exponent summed so far, so the cutoff q
+    only falls and ends at P - 1 + e1, e1 the least positive exponent: the
+    value is sum c_e t^e over the e below it, exact when there is no e1."""
+    e1 = min((e for e in coeffs if e), default=None)
+    if e1 is None:
+        return _series(t.field, coeffs, INF, 1)
+    prec = t.prec - 1 + e1
+    return _series(t.field, _below(coeffs, _cutoff(prec, 1)), prec, 1)
+
+
 def eval_poly_at_series(f: MultiPoly, assignment: dict) -> TruncatedSeries:
     """Evaluate a polynomial with every variable bound to a series or
-    scalar, by Horner's rule in each variable in turn."""
+    scalar, by Horner's rule in each variable in turn, the last variable
+    innermost.  When that variable is bound to the monomial t
+    (``TruncatedSeries.variable`` to a precision above 1), its level is
+    read, not evaluated: the coefficients in t already are the series
+    (``_read_t``)."""
     field = f.field
     points = [val if isinstance(val, TruncatedSeries)
               else TruncatedSeries.constant(field, val)
               for val in (assignment[v] for v in f.vars)]
+    last = points[-1] if points else None
+    read_t = last is not None and last.ram == 1 \
+        and last.coeffs == {1: last.field.one}
 
     def nest(terms, i):
         """The terms [(exponents, c)] summed, variables i, ... bound."""
         if i == len(points):
             return terms[0][1]  # the one term with these exponents
+        if read_t and i == len(points) - 1:
+            return _read_t({exps[i]: c for exps, c in terms}, last)
         groups = {}
         for term in terms:
             groups.setdefault(term[0][i], []).append(term)

@@ -24,6 +24,10 @@ evaluation, on Sylvester resultants and long-division gcds, what the
 deformation engine reads off a separable eliminant.  The factorization
 oracle asks sympy for the irreducible factors of a univariate polynomial,
 where the production code lifts factors mod p on dense int lists.
+
+The readouts at the end (``evaluate``, ``agrees_with``, ``branch_count``
+and ``valuation_certificate``) are used by tests only, so they live here
+rather than in the library.
 """
 
 from fractions import Fraction
@@ -482,3 +486,34 @@ def sympy_factor_list(f: MultiPoly, name: str):
             for k, c in enumerate(coeffs) if c}), int(mult)))
     out.sort(key=lambda it: (it[0].degree_in(name), str(it[0])))
     return out
+
+
+# --------------------------------------------------------------- readouts
+
+def evaluate(f: MultiPoly, assignment):
+    """f with a field element substituted for every variable."""
+    return f.subs_values({v: assignment[v] for v in f.vars}).constant_value()
+
+
+def agrees_with(a: TruncatedSeries, b: TruncatedSeries, below) -> bool:
+    """Coefficientwise equality of two series at all exponents < ``below``,
+    which must lie within both precisions."""
+    below = Fraction(below)
+    if min(a.prec, b.prec) < below:
+        raise InvalidInputError("comparison range exceeds precision")
+    exponents = {Fraction(k, s.ram) for s in (a, b) for k in s.coeffs}
+    return all(a.coeff_at(e) == b.coeff_at(e)
+               for e in exponents if e < below)
+
+
+def branch_count(branches) -> int:
+    """Closure solutions with multiplicity of ``newton_puiseux`` branches;
+    equals ord_x F(x, 0)."""
+    return sum(br.multiplicity * br.span for br in branches)
+
+
+def valuation_certificate(point):
+    """(val_x, val_y) of a nearby point's centred coordinates, a zero
+    coordinate read at its precision; both positive for a nearby point."""
+    return tuple(s.prec if s.valuation() is None else s.valuation()
+                 for s in (point.x, point.y))

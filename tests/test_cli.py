@@ -413,8 +413,11 @@ def test_nonpositive_max_retries_is_bad_input(monkeypatch, retries):
 
 
 # Hostile input: each case exits 2 or 3 with a report within a second, not
-# with a traceback or an unbounded run.
+# with a traceback or an unbounded run.  A coefficient just inside the
+# literal limit is no error: its series coefficients are past the limit
+# for printing, and the report gives multiplicity 1 (kind None).
 _LONG = "1" * 5000  # past Python's 4300-digit limit for int()
+_WIDE = "1" + "0" * 4000  # within it
 
 
 @pytest.mark.parametrize("argv,code,kind", [
@@ -423,6 +426,7 @@ _LONG = "1" * 5000  # past Python's 4300-digit limit for int()
     (["mult", "x", "y", "--field", "F²"], EXIT_INPUT,
      "InvalidInputError"),
     (["mult", _LONG + "*x", "y"], EXIT_BUDGET, "BudgetError"),
+    (["mult", _WIDE + "*x", "y"], EXIT_OK, None),
     (["mult", "x^" + _LONG, "y"], EXIT_BUDGET, "BudgetError"),
     (["mult", "x", "y", "--field", "F" + _LONG], EXIT_BUDGET, "BudgetError"),
     (["mult", "(" * 250 + "x" + ")" * 250, "y"], EXIT_BUDGET, "BudgetError"),
@@ -438,14 +442,19 @@ _LONG = "1" * 5000  # past Python's 4300-digit limit for int()
     (["hensel", "x^2 - (1 + t)", "--a0", "1e5000"], EXIT_BUDGET,
      "BudgetError"),
 ], ids=["denominator-zero-mod-p", "superscript-digit", "superscript-field",
-        "long-coefficient", "long-exponent", "long-characteristic",
-        "deep-nesting", "large-prime", "a0-zero-denominator",
-        "a0-not-a-number", "huge-point", "huge-exponent", "huge-a0"])
+        "long-coefficient", "wide-coefficient", "long-exponent",
+        "long-characteristic", "deep-nesting", "large-prime",
+        "a0-zero-denominator", "a0-not-a-number", "huge-point",
+        "huge-exponent", "huge-a0"])
 def test_hostile_input_exits_with_a_report(capsys, argv, code, kind):
     start = time.perf_counter()
     assert main(argv + ["--format", "json"]) == code
     assert time.perf_counter() - start < 1
     report = json.loads(capsys.readouterr().out)
+    if kind is None:
+        assert report["status"] == "ok"
+        assert [line["mult_length"] for line in report["results"]] == [1]
+        return
     assert report["error_kind"] == kind
     assert report["status"] == ("input-error" if code == EXIT_INPUT
                                 else "budget-exhausted")

@@ -5,8 +5,9 @@ Powers of polynomials, extension elements and series are checked against
 repeated multiplication, division by a constant against term-pair long
 division, ``compose`` against a sympy expansion, and
 ``eval_poly_at_series`` against ``compose`` on the bound series read as
-polynomials.  Operands are seeded and random, over Q, F_101 and
-F_101[w]/(w^2 - 2) (2 is not a square mod 101).
+polynomials, and its reading of t against Horner's rule through
+term-pair series products.  Operands are seeded and random, over Q, F_101
+and F_101[w]/(w^2 - 2) (2 is not a square mod 101).
 """
 
 import random
@@ -125,6 +126,49 @@ def test_eval_poly_at_series_matches_expansion(field):
                  if isinstance(s, TruncatedSeries)]
         if all(s.effective_valuation() >= 0 for s in bound):
             assert val.prec >= min((s.prec for s in bound), default=INF)
+
+
+def _horner_pairwise(coeffs, point):
+    """Horner's rule on scalars [c_0, c_1, ...]: each step a term-pair
+    product, then c added at t^0 through the checking constructor."""
+    total = TruncatedSeries.zero(point.field)
+    for c in reversed(coeffs):
+        total = series_mul_pairwise(total, point)
+        out = dict(total.coeffs)
+        out[0] = out.get(0, point.field.zero) + c
+        total = TruncatedSeries(point.field, out, total.prec, total.ram)
+    return total
+
+
+T_PRECS = [Fraction(2), Fraction(3), Fraction(7), INF,  # integer, exact
+           Fraction(3, 2), Fraction(7, 3), Fraction(9, 2),  # fractional
+           Fraction(1), Fraction(1, 2), Fraction(0)]  # t zero to precision
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@pytest.mark.parametrize("prec", T_PRECS, ids=str)
+def test_reading_t_is_horner_in_t(field, prec):
+    """Bound to t + O(t^prec), the innermost level is read off the
+    exponents; it must carry the coefficients and the precision of
+    Horner's rule in t.  Sparse polynomials with gaps below and between
+    their exponents, in t alone and in (x, y, t) with x and y at 0."""
+    t = TruncatedSeries.variable(field, prec)
+    for seed in range(30):
+        rng = random.Random(seed)
+        degree = rng.randint(0, 9)
+        coeffs = [_element(rng, field) if rng.random() < 0.4
+                  else field.zero for _ in range(degree)]
+        coeffs.append(_element(rng, field))
+        expected = _horner_pairwise(coeffs, t)
+        for names in (("t",), V):
+            f = MultiPoly(field, names, {
+                (0,) * (len(names) - 1) + (e,): c
+                for e, c in enumerate(coeffs) if c})
+            val = eval_poly_at_series(
+                f, {"x": field.zero, "y": field.zero, "t": t})
+            assert (val.coeffs, val.prec, val.ram) == \
+                (expected.coeffs, expected.prec, expected.ram), \
+                f"seed {seed}: {f} at t + O(t^{prec})"
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)

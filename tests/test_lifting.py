@@ -7,13 +7,12 @@ from curveint.errors import (InsufficientPrecisionError, InvalidInputError,
                              NothingToPrepareError, NotRegularError,
                              NotSimpleRootError)
 from curveint.fields import QQ, PrimeField
-from curveint.lifting import (branch_count, hensel_lift,
-                              newton_puiseux, sheet_conjugates,
+from curveint.lifting import (hensel_lift, newton_puiseux, sheet_conjugates,
                               verify_branch, weierstrass_prepare)
 from curveint.poly import MultiPoly
 from curveint.series import INF, TruncatedSeries, eval_poly_at_series
 
-from oracles import random_poly
+from oracles import branch_count, random_poly
 
 XT = ("x", "t")
 XY = ("x", "y")

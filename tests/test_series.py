@@ -11,6 +11,8 @@ from curveint.poly import MultiPoly
 from curveint.series import (INF, TruncatedSeries, eval_poly_at_series,
                              rescale_exponents, shift_exponents)
 
+from oracles import agrees_with
+
 
 def t_var(prec=INF):
     return TruncatedSeries.variable(QQ).truncate(prec)
@@ -105,8 +107,8 @@ def test_specialize_negative_valuation_rejected():
 def test_agrees_with():
     a = one(6) + t_var(6)
     b = one(6) + t_var(6) + shift_exponents(one(6), 3).truncate(6)
-    assert a.agrees_with(b, 3)
-    assert not a.agrees_with(b, 4)
+    assert agrees_with(a, b, 3)
+    assert not agrees_with(a, b, 4)
 
 
 def test_eval_poly_at_series():
