@@ -402,7 +402,7 @@ def run_job(job: Job):
 
     The one input boundary: the job's flags are checked and its field is
     parsed here, once, and every CurveIntError it raises is mapped to an
-    exit code here."""
+    exit code here, as is a computed value too long to print (exit 3)."""
     handler = _COMMANDS.get(job.command)
     if handler is None:
         return {"command": job.command, "status": "unknown-command",
@@ -445,6 +445,14 @@ def run_job(job: Job):
                 job.command in ("mult", "bezout")):
             return _failure(job, err, "budget-exhausted"), EXIT_BUDGET
         return _failure(job, err, "input-error"), EXIT_INPUT
+    except ValueError as err:
+        # str() of a computed int past the interpreter's digit limit
+        if "integer string conversion" not in str(err):
+            raise
+        limit = BudgetError(f"a computed value has more than "
+                            f"{sys.get_int_max_str_digits()} digits, past "
+                            "the limit for printing")
+        return _failure(job, limit, "budget-exhausted"), EXIT_BUDGET
 
 
 def _failure(job: Job, err: Exception, status: str) -> dict:

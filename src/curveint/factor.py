@@ -2,7 +2,8 @@
 
 Polynomials are dense lists of Python ints: ascending coefficients, no
 trailing zeros.  Arithmetic mod m takes any modulus m > 1, because Hensel
-lifting computes mod prime powers.
+lifting computes mod prime powers.  ``fields`` computes in extensions of
+F_p with this long division, gcd and extended gcd.
 
 Over F_p: distinct-degree factorization, then an equal-degree split,
 Cantor-Zassenhaus for odd p and the trace map for p = 2 (von zur Gathen
@@ -19,7 +20,11 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
-from .fields import is_prime
+
+def is_prime(n: int) -> bool:
+    if n < 4:
+        return n > 1
+    return n % 2 == 1 and all(n % i for i in range(3, isqrt(n) + 1, 2))
 
 
 # ------------------------------------------------- arithmetic mod m
@@ -63,11 +68,12 @@ def _prod(polys, m):
 
 def _divmod(a, b, m):
     """Quotient and remainder of a by b mod m; b's top coefficient is a
-    unit mod m."""
-    r = _trim([c % m for c in a])
+    unit mod m; each remainder coefficient is taken mod m once, when it is
+    read or returned."""
+    r = list(a)
     n = len(b) - 1
     if len(r) <= n:
-        return [], _trim(r)
+        return [], _trim([c % m for c in r])
     inv = pow(b[-1], -1, m)
     q = [0] * (len(r) - n)
     for k in range(len(r) - 1, n - 1, -1):
@@ -75,8 +81,8 @@ def _divmod(a, b, m):
         if c:
             q[k - n] = c
             for i in range(n):
-                r[k - n + i] = (r[k - n + i] - c * b[i]) % m
-    return q, _trim(r[:n])
+                r[k - n + i] -= c * b[i]
+    return _trim(q), _trim([c % m for c in r[:n]])
 
 
 def _rem(a, b, m):
@@ -93,6 +99,19 @@ def _gcd(a, b, p):
     while b:
         a, b = b, _rem(a, b, p)
     return _monic(a, p) if a else a
+
+
+def _xgcd(a, b, p):
+    """(g, s) with g the monic gcd of a and b mod a prime p, s*a = g mod b
+    and deg s < deg b - deg g, for b nonzero (MCA Algorithm 3.14, keeping
+    only the cofactor of a)."""
+    r0, r1, s0, s1 = b, _rem(a, b, p), [], [1]
+    while r1:
+        q, r = _divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
+    inv = pow(r0[-1], -1, p)
+    return [c * inv % p for c in r0], [c * inv % p for c in s0]
 
 
 def _powmod(a, e, f, p):
@@ -158,19 +177,6 @@ def factor_mod_p(f, p, rng):
 
 # ---------------------------------------------------------- over Q and Z
 
-def _bezout(g, h, p):
-    """(s, t) with s*g + t*h = 1 mod p, deg s < deg h and deg t < deg g,
-    for g and h coprime mod p."""
-    r0, r1, s0, s1, t0, t1 = g, h, [1], [], [], [1]
-    while r1:
-        q, r = _divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
-        t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
-    inv = pow(r0[0], -1, p)
-    return [c * inv % p for c in s0], [c * inv % p for c in t0]
-
-
 def _hensel_step(f, g, h, s, t, m):
     """From f = g*h and s*g + t*h = 1 mod m, h monic, the same four
     mod m^2 (MCA Algorithm 15.10)."""
@@ -196,7 +202,8 @@ def _hensel_lift(f, us, p, big):
     k = len(us) // 2
     g = [c * f[-1] % p for c in _prod(us[:k], p)]
     h = _prod(us[k:], p)
-    s, t = _bezout(g, h, p)
+    s = _xgcd(g, h, p)[1]  # s*g = 1 mod h, as g and h are coprime mod p
+    t = _divmod(_sub([1], _mul(s, g, p), p), h, p)[0]  # deg t < deg g
     m = p
     while m < big:
         g, h, s, t = _hensel_step(f, g, h, s, t, m)
@@ -236,9 +243,7 @@ def _zassenhaus(f, rng):
     lc, n = f[-1], len(f) - 1
     df = [k * c for k, c in enumerate(f)][1:]
     p = 2
-    while (not lc % p
-           or len(_gcd(_trim([c % p for c in f]),
-                       _trim([c % p for c in df]), p)) > 1):
+    while not lc % p or len(_gcd(df, f, p)) > 1:
         p += 1
         while not is_prime(p):
             p += 1

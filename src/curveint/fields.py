@@ -8,8 +8,10 @@ series code is generic over the coefficient domain.
 An extension K[z]/(m) is built over Q or over F_p; m must be squarefree.
 Its elements compute on Python ints: a vector of numerators over one
 common denominator (Q) or of residues (F_p), normalised once per result.
-One function reduces an int vector mod m, by long division, for the
-constructor, products and the product codec alike.
+One function reduces an int vector mod m, for the constructor, products
+and the product codec alike.  Over F_p, reduction, inverses and the
+squarefree check of m run on ``factor``'s dense arithmetic mod p; over Q
+they are long division and a cross-multiplying extended Euclid here.
 All arithmetic is exact; division by zero raises ZeroDivisionError.
 
 Every field also encodes whole lists of elements as Python ints for
@@ -24,6 +26,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InvalidInputError, UnsupportedExtensionError
+from .factor import _gcd, _rem, _xgcd, is_prime
 
 
 def binary_power(base, n: int):
@@ -38,21 +41,6 @@ def binary_power(base, n: int):
         if not n:
             return result
         base = base * base
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
 
 
 class Field:
@@ -383,16 +371,16 @@ class ExtElement:
             raise ZeroDivisionError("inverse of zero in extension field")
         field = self.field
         p = field.characteristic
-        g, s = _ext_gcd(self.num, field.int_modulus[0], p)
+        mod = field.int_modulus[0]
+        g, s = _xgcd(self.num, mod, p) if p else _ext_gcd(self.num, mod)
         if len(g) != 1:
             # m squarefree but reducible: the residue ring has zero divisors
             raise ZeroDivisionError(
                 "element is a zero divisor (reducible modulus); cannot invert")
+        if p:  # s * num = 1 mod m, s reduced
+            return _ext(tuple(s), 1, field)
         # s * num = g mod m, so 1 / (num/den) = s * den / g
         c = g[0]
-        if p:
-            c = pow(c, -1, p)
-            return _canonical([x * c for x in s], 1, field)
         if c < 0:
             c, s = -c, [-x for x in s]
         return _canonical([x * self.den for x in s], c, field)
@@ -451,15 +439,16 @@ class ExtElement:
 
 def _reduce(num, den, field):
     """The element num/den for an int list num of any length, which it
-    consumes: long division by m, top coefficient first, then one
-    ``_canonical``.
+    consumes.  Over F_p (den 1) it is ``factor._rem`` by m, whose result
+    is already canonical.
 
-    ``int_modulus`` is m times its integer lead ``scale`` (1 over F_p).
-    Over Q with scale > 1, num and den are first multiplied by
-    scale**steps, so each step divides its top coefficient by scale
-    exactly; over F_p each top coefficient is taken mod p."""
+    Over Q: long division by ``int_modulus``, which is m times its integer
+    lead ``scale``, top coefficient first, then one ``_canonical``.  With
+    scale > 1, num and den are first multiplied by scale**steps, so each
+    step divides its top coefficient by scale exactly."""
     mod, scale = field.int_modulus
-    p = field.characteristic
+    if field.characteristic:
+        return _ext(tuple(_rem(num, mod, field.characteristic)), 1, field)
     n = field.degree
     steps = len(num) - n
     if steps > 0 and scale != 1:
@@ -468,9 +457,7 @@ def _reduce(num, den, field):
         den *= s
     for _ in range(steps):
         c = num.pop()
-        if p:
-            c %= p
-        elif scale != 1:
+        if scale != 1:
             c //= scale
         if c:
             # the popped top term is c * z^(k-n) * (scale * z^n), with
@@ -505,15 +492,14 @@ def _add(a, aden, b, bden, field):
     return _canonical(out, aden, field)
 
 
-def _ext_gcd(a, m, p):
-    """(g, s) with s*a = g mod m, for integer coefficient lists (ascending,
-    no trailing zeros) with len(m) > len(a): g is the last nonzero remainder
-    of Euclid's algorithm, up to a scalar factor.
+def _ext_gcd(a, m):
+    """(g, s) with s*a = g mod m over Q, for integer coefficient lists
+    (ascending, no trailing zeros) with len(m) > len(a): g is the last
+    nonzero remainder of Euclid's algorithm, up to a scalar factor.
 
     Each step cancels a top coefficient by cross-multiplication, so no
-    division is needed.  Over F_p (p > 0) every step is reduced mod p; over
-    Q (p == 0) every remainder is divided, together with its cofactor, by
-    their common content, which keeps the integers small."""
+    division is needed, and every remainder is divided, together with its
+    cofactor, by their common content, which keeps the integers small."""
     r0, r1 = list(m), list(a)
     s0, s1 = [], [1]
     while r1:
@@ -528,18 +514,14 @@ def _ext_gcd(a, m, p):
             s0 = [lead * x for x in s0] + [0] * (k + len(s1) - len(s0))
             for i, y in enumerate(s1):
                 s0[k + i] -= c * y
-            if p:
-                r0 = [x % p for x in r0]
-                s0 = [x % p for x in s0]
             while r0 and not r0[-1]:
                 r0.pop()
             while s0 and not s0[-1]:
                 s0.pop()
-        if not p:
-            g = gcd(*r0, *s0)
-            if g > 1:
-                r0 = [x // g for x in r0]
-                s0 = [x // g for x in s0]
+        g = gcd(*r0, *s0)
+        if g > 1:
+            r0 = [x // g for x in r0]
+            s0 = [x // g for x in s0]
         r0, r1, s0, s1 = r1, r0, s1, s0
     return r0, s0
 
@@ -564,12 +546,10 @@ class ExtensionField(Field):
         self.modulus = tuple(c / lead for c in mod)
         self.degree = len(mod) - 1
         self.characteristic = p = base.characteristic
-        # squarefreeness: gcd(m, m') = 1
+        # squarefreeness: gcd(m, m') = 1 (over Q, m' has no trailing zero)
         ints = self.int_modulus[0]
-        deriv = [k * c % p if p else k * c for k, c in enumerate(ints)][1:]
-        while deriv and not deriv[-1]:
-            deriv.pop()
-        if len(_ext_gcd(deriv, ints, p)[0]) != 1:
+        deriv = [k * c for k, c in enumerate(ints)][1:]
+        if len(_gcd(deriv, ints, p) if p else _ext_gcd(deriv, ints)[0]) != 1:
             raise InvalidInputError("extension modulus must be squarefree")
         self.gen_name = gen_name
         self.name = f"{base.name}[{gen_name}]"

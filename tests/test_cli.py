@@ -415,9 +415,12 @@ def test_nonpositive_max_retries_is_bad_input(monkeypatch, retries):
 # Hostile input: each case exits 2 or 3 with a report within a second, not
 # with a traceback or an unbounded run.  A coefficient just inside the
 # literal limit is no error: its series coefficients are past the limit
-# for printing, and the report gives multiplicity 1 (kind None).
+# for printing, and the report gives multiplicity 1 (kind None).  Where a
+# computed value (a root, a unit, a coordinate) grows past that limit and
+# is needed as text, the job is refused with exit 3.
 _LONG = "1" * 5000  # past Python's 4300-digit limit for int()
 _WIDE = "1" + "0" * 4000  # within it
+_HALF = "1" + "0" * 3000  # its square is not
 
 
 @pytest.mark.parametrize("argv,code,kind", [
@@ -441,11 +444,17 @@ _WIDE = "1" + "0" * 4000  # within it
      "BudgetError"),
     (["hensel", "x^2 - (1 + t)", "--a0", "1e5000"], EXIT_BUDGET,
      "BudgetError"),
+    (["hensel", f"x^2 + x - {_WIDE}*t", "--a0", "0", "--precision", "3"],
+     EXIT_BUDGET, "BudgetError"),
+    (["weierstrass", f"x^2 + x^3 + {_WIDE}*y", "--precision", "3"],
+     EXIT_BUDGET, "BudgetError"),
+    (["bezout", f"x - {_HALF}*{_HALF}", "y"], EXIT_BUDGET, "BudgetError"),
 ], ids=["denominator-zero-mod-p", "superscript-digit", "superscript-field",
         "long-coefficient", "wide-coefficient", "long-exponent",
         "long-characteristic", "deep-nesting", "large-prime",
         "a0-zero-denominator", "a0-not-a-number", "huge-point",
-        "huge-exponent", "huge-a0"])
+        "huge-exponent", "huge-a0", "wide-root", "wide-unit",
+        "wide-coordinate"])
 def test_hostile_input_exits_with_a_report(capsys, argv, code, kind):
     start = time.perf_counter()
     assert main(argv + ["--format", "json"]) == code

@@ -1,8 +1,11 @@
 """Univariate factorization over Q and F_p against sympy's ``factor_list``
 (``oracles.sympy_factor_list``): seeded planted products, and fixed hard
 cases that split mod every prime, have a 60-digit coefficient or reach
-sympy's edge behaviour (zero, constants, two variables, extensions)."""
+sympy's edge behaviour (zero, constants, two variables, extensions).  The
+extended Euclid mod p, which also inverts in extensions of F_p, is checked
+against ``oracles.poly_gcd``."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,10 +15,11 @@ from hypothesis import strategies as st
 from curveint.algebra import factor_univariate
 from curveint.cli import parse_poly
 from curveint.errors import InvalidInputError, UnsupportedExtensionError
+from curveint.factor import _mul, _rem, _sub, _xgcd
 from curveint.fields import QQ, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
 
-from oracles import sympy_factor_list
+from oracles import poly_gcd, sympy_factor_list
 
 PRIMES = (2, 3, 5, 7, 101, 32003, 2147483647)
 FIELDS = (QQ,) + tuple(PrimeField(p) for p in PRIMES)
@@ -101,3 +105,29 @@ def test_factor_univariate_edge_inputs_match_sympy(f):
             factor_univariate(f, "x")
     else:
         assert factor_univariate(f, "x") == expected
+
+
+@pytest.mark.parametrize("p", (2, 3, 7, 101))
+def test_xgcd_contract(p):
+    """(g, s) = _xgcd(a, b, p): g is the monic gcd, s*a = g mod b, and s is
+    reduced with deg s < deg b - deg g.  Seeded pairs, a zero a among them,
+    and every other pair with a common factor multiplied in: a non-unit g
+    is how an extension of F_p detects a zero divisor."""
+    F = PrimeField(p)
+    rng = random.Random(f"xgcd-{p}")
+
+    def rand(deg):
+        return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+    for i in range(60):
+        a = rand(rng.randint(0, 6)) if i else []
+        b = rand(rng.randint(0, 6))
+        if i % 2:
+            c = rand(rng.randint(1, 3))
+            a, b = _mul(a, c, p), _mul(b, c, p)
+        g, s = _xgcd(a, b, p)
+        want = poly_gcd([F.of(x) for x in a], [F.of(x) for x in b], F.zero)
+        assert tuple(F.of(x) for x in g) == want and g[-1] == 1, (a, b)
+        assert not _rem(_sub(_mul(s, a, p), g, p), b, p), (a, b)
+        assert len(s) - 1 < len(b) - len(g), (a, b)  # in degrees
+        assert all(0 <= x < p for x in s) and (not s or s[-1]), (a, b)

@@ -65,8 +65,12 @@ def test_extension_field_over_q():
 
 
 def test_extension_field_modulus_must_be_squarefree():
-    with pytest.raises(InvalidInputError):
-        ExtensionField(QQ, [1, 2, 1])  # (z+1)^2
+    for base, modulus in (
+            (QQ, [1, 2, 1]),                # (z + 1)^2
+            (PrimeField(2), [1, 0, 1]),     # z^2 + 1 = (z + 1)^2, m' = 0
+            (PrimeField(3), [1, 0, 0, 1])):  # z^3 + 1 = (z + 1)^3, m' = 0
+        with pytest.raises(InvalidInputError):
+            ExtensionField(base, modulus)
 
 
 def test_extension_of_extension_rejected():
@@ -197,19 +201,29 @@ def _squarefree(base, m):
     return len(poly_gcd(m, deriv, base.zero)) == 1
 
 
+def _rand_den(rng, base):
+    """A denominator from 1 to 4 that is a unit in base."""
+    while True:
+        den = rng.randint(1, 4)
+        if base is QQ or den % base.p:
+            return den
+
+
 def _rand_modulus(rng, base, n):
     """A squarefree modulus of degree n, not monic over Q."""
     while True:
         lead = base.of(rng.choice([1, 3, 7]) if base is QQ else
                        rng.randrange(1, base.p))
-        m = tuple(base.of(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        m = tuple(base.of(Fraction(rng.randint(-9, 9), _rand_den(rng, base)))
                   for _ in range(n)) + (lead,)
         if _squarefree(base, m):
             return m
 
 
-_DIFF_FIELDS = [(spec, n) for spec in ("Q", "F7", "F101", "F32003")
-                for n in (*range(1, 7), 8, 12)]
+# F2 and F3 have the fewest units and moduli; 2^31 - 1 is the largest
+# prime the command line accepts.
+_SPECS = ("Q", "F7", "F101", "F32003", "F2", "F3", "F2147483647")
+_DIFF_FIELDS = [(spec, n) for spec in _SPECS for n in (*range(1, 7), 8, 12)]
 
 
 def _check_against_oracle(E, rng, pairs=25):
@@ -280,6 +294,8 @@ def test_extension_kernels_match_oracle(spec, n):
 # a zero divisor, and inverting it must still raise.
 _REDUCIBLE = [
     ("Q", [-1, 1], [2, 1, 0, 2, 1]),          # (w-1)(w^4 + 2w^3 + w + 2)
+    ("F2", [1, 1], [1, 1, 1]),                # (w+1)(w^2 + w + 1) = w^3 + 1
+    ("F3", [1, 0, 1], [-1, 1]),               # (w^2 + 1)(w - 1)
     ("F7", [-1, 1], [1, 1, 0, 1]),            # (w-1)(w^3 + w + 1)
     ("F101", [3, 0, 1], [-5, 1]),             # (w^2 + 3)(w - 5)
     ("F32003", [1, 1, 1], [7, 0, 0, 1]),      # (w^2 + w + 1)(w^3 + 7)
@@ -305,7 +321,7 @@ def test_reducible_modulus_zero_divisors(spec, f, g):
 
 def test_modulus_squarefree_check_matches_oracle():
     rng = random.Random(7)
-    for spec in ("Q", "F7", "F101", "F32003"):
+    for spec in _SPECS:
         base = _base(spec)
         for _ in range(20):
             a = _rand_modulus(rng, base, rng.randint(1, 3))
