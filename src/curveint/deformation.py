@@ -10,16 +10,26 @@ origin is the only common zero on y = 0, and both top x-coefficients are
 constants).  The pair finds its shear the first time an engine asks and
 keeps it, so the deformation count, the two-scale readout and the
 resultant engine share one shear search.  Failures raise
-GenericityFailureError, and one attempt loop (``_attempts``) reseeds
-deterministically up to a retry budget, doubling the precision on
-InsufficientPrecisionError; the deformation count and the two-scale
-readout share it.
+GenericityFailureError, and one attempt loop (``_attempts``), shared by
+the deformation count and the two-scale readout, reseeds deterministically
+up to a retry budget.
 
-Each attempt builds one subresultant chain of (f_t, g_t) in x
+Each attempt (one seed) builds one subresultant chain of (f_t, g_t) in x
 (``_eliminant_and_s1``), the only source of R = Res_x(f_t, g_t) and of
 its degree-one member S1, and runs one readout on them.  Each readout
 proves what it reads: that R is separable in y, so the nearby points are
-distinct and transverse.
+distinct and transverse.  The count is fixed by R alone; the working
+precision of the series only has to let the checks decide.  So the
+readout starts at precision 2 and, where it failed only for want of
+precision (InsufficientPrecisionError, or S11 or the Jacobian zero to
+precision along a branch: ZeroToPrecisionError), reruns on the same R at
+double the precision, up to the cap ``default_precision`` = 2de + 2.  A
+failure at the cap fails the attempt: the next seed runs, after an
+InsufficientPrecisionError under a raised cap (the suggested precision,
+or double).  An explicit precision is both start and cap.  The outcome's
+``precision`` is the precision the witnesses were certified at;
+count-only expands no series and reports the precision at which the
+witnesses gave way to it (the start, over an extension field).
 
 * witnesses (``certified_solutions``, over Q and F_p): every y-branch of
   R is expanded as a Puiseux series and must be simple, and its
@@ -57,7 +67,7 @@ from .algebra import (LocalPair, gcd, lift_to_field, resultant_of_chain,
                       separable_by_evaluation, subresultant_prs)
 from .errors import (GenericityFailureError, InsufficientPrecisionError,
                      InvalidInputError, SharedComponentError,
-                     UnsupportedExtensionError)
+                     UnsupportedExtensionError, ZeroToPrecisionError)
 from .fields import ExtensionField
 from .poly import MultiPoly
 from .lifting import _x_adic_valuation, newton_puiseux
@@ -134,8 +144,9 @@ def _points_along(s1, ybranches, prec, vanishing: str):
     subresultant S1 = S11 x + S10: x = -S10/S11 along the branch.
 
     Certifies that S1 exists and that S11 is nonzero along every branch
-    (``vanishing`` is the failure message): then the specialized pair has
-    the one common root x over the branch's y, of the branch's order in R.
+    (else ZeroToPrecisionError, with the message ``vanishing``): then the
+    specialized pair has the one common root x over the branch's y, of
+    the branch's order in R.
     Yields (branch, _along(branch), x) one branch at a time, so a caller's
     own certificates on a branch run before the next branch is checked."""
     if s1 is None:
@@ -145,7 +156,7 @@ def _points_along(s1, ybranches, prec, vanishing: str):
         at = _along(br, prec)
         den = at(s11)
         if den.is_zero_to_precision():
-            raise GenericityFailureError(vanishing)
+            raise ZeroToPrecisionError(vanishing)
         yield br, at, -(at(s10) / den)
 
 
@@ -174,7 +185,10 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, R: MultiPoly, s1,
     Jacobian.  Separability of R already proves every point transverse;
     the Jacobian is the one witness check made against the deformed pair
     rather than against R, so it stays.  Raises GenericityFailureError
-    when any certificate fails (caller reseeds)."""
+    when any certificate fails (caller reseeds), and
+    InsufficientPrecisionError or ZeroToPrecisionError when a check could
+    not decide at ``prec`` (caller escalates); no check passes on a value
+    known only to O(t^0)."""
     prec = Fraction(prec)
     ybranches = newton_puiseux(R, "y", prec)
     if any(br.multiplicity > 1 for br in ybranches):
@@ -190,12 +204,19 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, R: MultiPoly, s1,
             raise GenericityFailureError(
                 "branch x-coordinate does not specialize to the origin; "
                 "the shear precondition is violated")
+        if vx is None and xser.prec <= 0:
+            raise InsufficientPrecisionError(
+                f"branch x-coordinate is known only to O(t^{xser.prec})")
         for eq in (ft, gt):
-            if at(eq, xser).valuation() is not None:
+            residual = at(eq, xser)
+            if residual.valuation() is not None:
                 raise GenericityFailureError(
                     "witness fails to satisfy a deformed equation")
+            if residual.prec <= 0:
+                raise InsufficientPrecisionError(
+                    f"witness residual is known only to O(t^{residual.prec})")
         if at(jac, xser).is_zero_to_precision():
-            raise GenericityFailureError(
+            raise ZeroToPrecisionError(
                 "deformed intersection is not transverse at a witness")
         sols.append(SolutionBranch(xser, br.series, br.span))
     return sols
@@ -225,24 +246,45 @@ def certified_count_only(R: MultiPoly) -> int:
 
 
 def default_precision(f: MultiPoly, g: MultiPoly) -> int:
+    """2de + 2: the cap of the adaptive schedule."""
     d = max(1, f.total_degree())
     e = max(1, g.total_degree())
     return 2 * d * e + 2
 
 
-def _attempts(certify, seed: int, first: int, prec, max_retries: int,
-              what: str):
-    """(certify(rng, prec), seed used, prec) at the first of the derived
-    seeds of attempts first, first + 1, ... that certifies.  A genericity
-    failure reseeds; a precision failure also escalates the precision."""
+START_PRECISION = Fraction(2)
+
+
+def _attempts(build, readout, seed: int, first: int, prec, cap,
+              max_retries: int, what: str):
+    """(readout(built, p), seed used, p) at the first of the derived seeds
+    of attempts first, first + 1, ... that certifies, where built =
+    build(rng) is made once per seed.
+
+    Within a seed the readout runs at START_PRECISION and, on a failure
+    that more precision may mend (InsufficientPrecisionError,
+    ZeroToPrecisionError), again at double the precision, up to ``cap``.
+    A failure at the cap fails the attempt: any genericity failure
+    reseeds, and a precision failure also raises the cap to its suggested
+    precision, or doubles it.  An explicit ``prec`` (not None) is both the
+    start and the cap, so it runs once per seed."""
+    cap = Fraction(cap if prec is None else prec)
     last_error = None
     for attempt in range(first, first + max_retries):
         seed_used = derived_seed(seed, attempt)
+        work = cap if prec is not None else min(START_PRECISION, cap)
         try:
-            return certify(random.Random(seed_used), prec), seed_used, prec
+            built = build(random.Random(seed_used))
+            while True:
+                try:
+                    return readout(built, work), seed_used, work
+                except (InsufficientPrecisionError, ZeroToPrecisionError):
+                    if work >= cap:
+                        raise
+                    work = min(2 * work, cap)
         except (GenericityFailureError, InsufficientPrecisionError) as err:
             if isinstance(err, InsufficientPrecisionError):
-                prec = Fraction(err.suggested) if err.suggested else 2 * prec
+                cap = Fraction(err.suggested) if err.suggested else 2 * cap
             last_error = err
     raise GenericityFailureError(
         f"{what} certification failed after {max_retries} attempts "
@@ -265,10 +307,13 @@ def deformation_count(pair: LocalPair, seed: int = 0, prec=None,
     fs, gs, lam, mu = pair.sheared
     field = fs.field
 
-    def certify(rng, prec):
+    def build(rng):
         ft = deform_polynomial(fs, random_direction(rng, field, fs.total_degree()))
         gt = deform_polynomial(gs, random_direction(rng, field, gs.total_degree()))
-        R, s1 = _eliminant_and_s1(ft, gt)
+        return (ft, gt) + _eliminant_and_s1(ft, gt)
+
+    def readout(built, prec):
+        ft, gt, R, s1 = built
         if not isinstance(field, ExtensionField):
             try:
                 return sum(s.span
@@ -277,9 +322,9 @@ def deformation_count(pair: LocalPair, seed: int = 0, prec=None,
                 pass
         return certified_count_only(R)
 
-    prec = Fraction(prec if prec is not None else default_precision(fs, gs))
-    count, seed_used, prec = _attempts(certify, seed, 0, prec, max_retries,
-                                       "genericity")
+    count, seed_used, prec = _attempts(
+        build, readout, seed, 0, prec, default_precision(fs, gs),
+        max_retries, "genericity")
     return DeformationOutcome(count, seed_used, (lam, mu), prec)
 
 
@@ -322,13 +367,16 @@ def two_scale_analysis(pair: LocalPair, seed: int = 0,
             "two-scale analysis runs over prime-type fields only")
     f3, g3 = fs.extend_vars(VARS3), gs.extend_vars(VARS3)
 
-    def certify(rng, prec):
+    def build(rng):
         d_coarse = random_direction(rng, field, (
             fs if coarse_side == "left" else gs).total_degree())
         ft = deform_polynomial(f3, d_coarse) if coarse_side == "left" else f3
         gt = deform_polynomial(g3, d_coarse) if coarse_side == "right" else g3
         R, s1 = _eliminant_and_s1(ft, gt)
-        total = _order_at_origin(R)
+        return R, s1, _order_at_origin(R)
+
+    def readout(built, prec):
+        R, s1, total = built
         branches = newton_puiseux(R, "y", prec)
         groups = sorted(
             (br.span, br.multiplicity) for br, _, _ in _points_along(
@@ -338,7 +386,7 @@ def two_scale_analysis(pair: LocalPair, seed: int = 0,
                 "coarse groups do not account for the multiplicity")
         return groups, total
 
-    prec = Fraction(prec if prec is not None else default_precision(fs, gs))
     (groups, total), seed_used, prec = _attempts(
-        certify, seed, 101, prec, max_retries, "two-scale")
+        build, readout, seed, 101, prec, default_precision(fs, gs),
+        max_retries, "two-scale")
     return TwoScaleAnalysis(groups, total, seed_used, (lam, mu), prec)

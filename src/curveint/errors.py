@@ -82,6 +82,11 @@ class GenericityFailureError(CurveIntError):
     genericity certificates."""
 
 
+class ZeroToPrecisionError(GenericityFailureError):
+    """A value that a genericity certificate needs nonzero is zero to
+    working precision; a higher precision may show a nonzero term."""
+
+
 class SharedComponentError(InvalidInputError):
     """The two curves have a common component."""
 

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,9 +15,11 @@ from curveint.deformation import (VARS3, deform_polynomial, deformation_count,
                                   derived_seed, random_direction,
                                   two_scale_analysis)
 from curveint.errors import (GenericityFailureError, InfiniteMultiplicityError,
-                             InvalidInputError, UnsupportedExtensionError)
+                             InsufficientPrecisionError, InvalidInputError,
+                             UnsupportedExtensionError)
 from curveint.fields import QQ, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
+from curveint.series import TruncatedSeries
 
 from oracles import sylvester_resultant, transverse_by_evaluation
 
@@ -59,6 +63,111 @@ def test_precision_invariance():
     base = deformation_count(pair, seed=4)
     doubled = deformation_count(pair, seed=4, prec=2 * base.precision)
     assert base.count == doubled.count
+
+
+def _stress_pairs():
+    """(name, f, g, field) of every pair of the bench's stress workload."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [(f"{f} | {g} over {field}", f, g, field)
+            for f, g, field, _, _ in workloads.STRESS]
+
+
+ADAPTIVE_PAIRS = affine_instances() + _stress_pairs()
+
+
+@pytest.mark.parametrize("name,ftext,gtext,fieldname", ADAPTIVE_PAIRS,
+                         ids=[row[0] for row in ADAPTIVE_PAIRS])
+def test_adaptive_precision_keeps_counts_and_seeds(name, ftext, gtext,
+                                                   fieldname):
+    """The adaptive schedule certifies what the fixed cap 2de + 2 does, on
+    the same seed, at a precision no higher; two-scale groups and seeds
+    match on both sides."""
+    field, _ = parse_field(fieldname)
+    pair = local_pair(parse_poly(ftext, field, V), parse_poly(gtext, field, V))
+    fs, gs, _, _ = pair.sheared
+    cap = deformation.default_precision(fs, gs)
+    adaptive, fixed = deformation_count(pair), deformation_count(pair, prec=cap)
+    assert (adaptive.count, adaptive.seed_used) == (fixed.count,
+                                                    fixed.seed_used)
+    assert adaptive.precision <= fixed.precision == cap
+    if isinstance(field, ExtensionField):
+        return
+    for side in ("left", "right"):
+        a, b = (_groups_or_refusal(pair, side, prec) for prec in (None, cap))
+        assert a[:2] == b[:2], side
+        assert a[2] <= b[2]
+
+
+def _groups_or_refusal(pair, side, prec):
+    """(groups, seed used, precision) of a two-scale analysis, or the
+    structural refusal it raises (the roadmap pair's expansion needs a
+    second extension step) at precision 0."""
+    try:
+        a = two_scale_analysis(pair, coarse_side=side, prec=prec)
+    except UnsupportedExtensionError as err:
+        return str(err), None, 0
+    return a.groups, a.seed_used, a.precision
+
+
+def test_precision_escalates_within_the_first_seed(monkeypatch):
+    """The tangent parabolas' witnesses cannot decide at the start
+    precision 2; the readout reruns at 4 on the same eliminant, so seed
+    0's first attempt certifies and builds one chain."""
+    assert deformation.START_PRECISION == 2
+    precisions, chains = [], []
+    readout, build = deformation.certified_solutions, deformation._eliminant_and_s1
+    monkeypatch.setattr(deformation, "certified_solutions",
+                        lambda *a: precisions.append(a[-1]) or readout(*a))
+    monkeypatch.setattr(deformation, "_eliminant_and_s1",
+                        lambda ft, gt: chains.append(ft) or build(ft, gt))
+    x, y = xy()
+    outcome = deformation_count(local_pair(y - x * x, y - 2 * x * x))
+    assert outcome.count == 2
+    assert outcome.seed_used == derived_seed(0, 0)
+    assert outcome.precision == 4
+    assert precisions == [2, 4]
+    assert len(chains) == 1
+
+
+def test_explicit_precision_runs_once_per_seed(monkeypatch):
+    precisions = []
+    readout = deformation.certified_solutions
+    monkeypatch.setattr(deformation, "certified_solutions",
+                        lambda *a: precisions.append(a[-1]) or readout(*a))
+    x, y = xy()
+    outcome = deformation_count(local_pair(y - x * x, y - 2 * x * x), prec=3)
+    assert outcome.precision == 3
+    assert set(precisions) == {3}
+
+
+@pytest.mark.parametrize("shortfall,message", [
+    ("x", r"^branch x-coordinate is known only to O\(t\^0\)$"),
+    ("residual", r"^witness residual is known only to O\(t\^0\)$")],
+    ids=["x", "residual"])
+def test_witness_known_to_no_order_escalates(monkeypatch, shortfall, message):
+    """A witness x, or a residual of a deformed equation, known only to
+    O(t^0) proves nothing: InsufficientPrecisionError, not a pass."""
+    points = deformation._points_along
+
+    def short(s1, ybranches, prec, vanishing):
+        for br, at, xser in points(s1, ybranches, prec, vanishing):
+            if shortfall == "x":
+                yield br, at, TruncatedSeries.zero(xser.field, 0)
+            else:
+                yield br, (lambda p, x=None: TruncatedSeries.zero(
+                    xser.field, 0)), xser
+
+    monkeypatch.setattr(deformation, "_points_along", short)
+    x, y = xy()
+    ft, gt = (deform_polynomial(h.extend_vars(VARS3),
+                                MultiPoly.var(QQ, VARS3, "x"))
+              for h in (x - y, x + y))
+    R, s1 = deformation._eliminant_and_s1(ft, gt)
+    with pytest.raises(InsufficientPrecisionError, match=message):
+        deformation.certified_solutions(ft, gt, R, s1, 4)
 
 
 def test_counts_over_prime_fields():
@@ -194,10 +303,17 @@ def test_two_scale_certificate_evaluates_along_branches(monkeypatch):
                      lambda F: -MultiPoly.var(F, VARS3, "x")
                      - MultiPoly.const(F, VARS3, 1),
                      forced_calls=10 ** 6)
+    precisions = []
+    expand = deformation.newton_puiseux
+    monkeypatch.setattr(deformation, "newton_puiseux",
+                        lambda R, v, p: precisions.append(p) or expand(R, v, p))
+    pair = local_pair(x * x - y, x ** 3 - x * y + x * y * y + y * y)
     with pytest.raises(GenericityFailureError, match="share a y-coordinate"):
-        two_scale_analysis(
-            local_pair(x * x - y, x ** 3 - x * y + x * y * y + y * y),
-            seed=1, coarse_side="right")
+        two_scale_analysis(pair, seed=1, coarse_side="right")
+    # S11 is zero at every precision: each of the 8 seeds escalates from
+    # 2 to the cap 2de + 2 = 14 before it fails
+    assert deformation.default_precision(*pair.sheared[:2]) == 14
+    assert precisions == [2, 4, 8, 14] * 8
 
 
 def test_two_scale_structural_limit_fails_fast(monkeypatch):

@@ -1,0 +1,133 @@
+"""Properties of intersection multiplicity that the paper's theorem covers,
+checked on seeded random pairs over Q and F_101 (Fulton, Algebraic Curves,
+section 3.3).
+
+Every pair runs through ``multiplicities_at``, which enforces that its three
+engines agree, at the default (adaptive) working precision, and its value
+is compared with ``oracles.fulton_intersection_number``.  Hypothesis draws
+the seeds with ``derandomize=True``, so every run checks the same pairs; a
+failure names its seed and prints the pair.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from curveint.algebra import homogenize
+from curveint.fields import QQ, PrimeField
+from curveint.intersect import Curve, ProjectivePoint, multiplicities_at
+from curveint.poly import MultiPoly
+
+from oracles import bareiss_determinant, fulton_intersection_number
+
+V = ("x", "y")
+FIELDS = {"Q": QQ, "F101": PrimeField(101)}
+SETTINGS = settings(derandomize=True, max_examples=25, deadline=None,
+                    database=None)
+
+
+def _form(rng, field, coeffs):
+    """sum c_k x^(d-k) y^k for the descending coefficient list coeffs."""
+    d = len(coeffs) - 1
+    return MultiPoly(field, V, {(d - k, k): field.of(c)
+                                for k, c in enumerate(coeffs) if c})
+
+
+def _random_coeffs(rng, degree):
+    while True:
+        coeffs = [rng.randint(-4, 4) for _ in range(degree + 1)]
+        if any(coeffs):
+            return coeffs
+
+
+def _times_linear(coeffs, a, b):
+    """The descending coefficients of (a x + b y) * form(coeffs)."""
+    out = [0] * (len(coeffs) + 1)
+    for k, c in enumerate(coeffs):
+        out[k] += a * c
+        out[k + 1] += b * c
+    return out
+
+
+def _higher_terms(rng, field, low, high):
+    """Random terms of total degree low .. high."""
+    terms = {}
+    for d in range(low, high + 1):
+        for i in range(d + 1):
+            c = rng.randint(-3, 3)
+            if c:
+                terms[(i, d - i)] = field.of(c)
+    return MultiPoly(field, V, terms)
+
+
+def _forms_share_a_line(fc, gc, field):
+    """Whether two binary forms, given by descending coefficients, share a
+    linear factor over the algebraic closure: their resultant, the
+    determinant of the Sylvester matrix of the coefficient lists, is 0."""
+    r, s = len(fc) - 1, len(gc) - 1
+    const = [MultiPoly.const(field, ("u",), c) for c in fc + gc]
+    fk, gk = const[:r + 1], const[r + 1:]
+    zero = MultiPoly.zero(field, ("u",))
+    rows = [[zero] * i + fk + [zero] * (s - 1 - i) for i in range(s)]
+    rows += [[zero] * i + gk + [zero] * (r - 1 - i) for i in range(r)]
+    return bareiss_determinant(rows).is_zero()
+
+
+def _engines(f, g, field):
+    """The multiplicity at the origin from all three engines (which
+    ``multiplicities_at`` requires to agree), at the default precision."""
+    curves = [Curve(homogenize(h, h.total_degree())) for h in (f, g)]
+    origin = ProjectivePoint((0, 0, 1), field)
+    return multiplicities_at(*curves, origin).multiplicity
+
+
+@SETTINGS
+@given(seed=st.integers(0, 10 ** 6), fieldname=st.sampled_from(sorted(FIELDS)),
+       r=st.integers(1, 3), s=st.integers(1, 3), share=st.booleans())
+def test_singular_point_of_order_r_s(seed, fieldname, r, s, share):
+    """A point of orders (r, s) on the two curves has I >= r*s, with
+    equality exactly when the tangent cones share no line."""
+    field = FIELDS[fieldname]
+    rng = random.Random(seed)
+    fc, gc = _random_coeffs(rng, r), _random_coeffs(rng, s)
+    if share:
+        a, b = rng.choice([(1, 0), (0, 1), (1, 1), (1, -2), (2, 3)])
+        fc = _times_linear(_random_coeffs(rng, r - 1), a, b)
+        gc = _times_linear(_random_coeffs(rng, s - 1), a, b)
+    fr, gs = _form(rng, field, fc), _form(rng, field, gc)
+    f = fr + _higher_terms(rng, field, r + 1, r + 1)
+    g = gs + _higher_terms(rng, field, s + 1, s + 1)
+    pair = f"seed {seed} over {fieldname}: f = {f}, g = {g}"
+    try:
+        expected = fulton_intersection_number(f, g)
+    except ValueError:
+        return  # a shared component: no finite multiplicity to test
+    assert _engines(f, g, field) == expected, pair
+    assert expected >= r * s, pair
+    assert (expected == r * s) == (not _forms_share_a_line(fc, gc, field)), \
+        pair
+
+
+@SETTINGS
+@given(seed=st.integers(0, 10 ** 6), fieldname=st.sampled_from(sorted(FIELDS)),
+       k=st.integers(2, 3))
+def test_non_reduced_component(seed, fieldname, k):
+    """I(F^k * G, H) = k * I(F, H) + I(G, H)."""
+    field = FIELDS[fieldname]
+    rng = random.Random(seed)
+    # F and H through the origin, each singular there half the time
+    F, H = (_higher_terms(rng, field, 1 + (rng.random() < 0.5), 2)
+            for _ in range(2))
+    G = _higher_terms(rng, field, 0, 1)
+    if F.is_zero() or G.is_zero() or H.is_zero():
+        return
+    pair = (f"seed {seed} over {fieldname}: F = {F}, G = {G}, H = {H}, "
+            f"k = {k}")
+    try:
+        parts = (fulton_intersection_number(F, H),
+                 fulton_intersection_number(G, H))
+    except ValueError:
+        return  # a shared component
+    expected = k * parts[0] + parts[1]
+    assert fulton_intersection_number(F ** k * G, H) == expected, pair
+    assert _engines(F ** k * G, H, field) == expected, pair
