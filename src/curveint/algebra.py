@@ -39,23 +39,20 @@ def _normalize(f: MultiPoly) -> MultiPoly:
 
 
 def content_in(f: MultiPoly, name: str) -> MultiPoly:
-    """gcd of the coefficients of f viewed as a polynomial in ``name``."""
+    """gcd of the coefficients of f viewed as a polynomial in ``name``,
+    normalized; 1 with no gcd run when some coefficient is a nonzero
+    constant."""
     coeffs = [c for c in f.coeffs_in(name) if not c.is_zero()]
     if not coeffs:
         return f.clone({})
+    if any(c.is_constant() for c in coeffs):
+        return MultiPoly.const(f.field, f.vars, 1)
     g = coeffs[0]
     for c in coeffs[1:]:
         g = gcd(g, c)
         if g.is_constant():
             break
     return _normalize(g)
-
-
-def primitive_part_in(f: MultiPoly, name: str) -> MultiPoly:
-    c = content_in(f, name)
-    if c.is_zero():
-        return f
-    return f.exact_divide(c)
 
 
 def pseudo_rem(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
@@ -150,7 +147,7 @@ def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     last = subresultant_prs(f.exact_divide(cf), g.exact_divide(cg), name)[-1]
     if last.degree_in(name) == 0:
         return _normalize(c)
-    return _normalize(c * primitive_part_in(last, name))
+    return _normalize(c * last.exact_divide(content_in(last, name)))
 
 
 # ------------------------------------------------------- subresultant PRS
@@ -193,9 +190,10 @@ def subresultant_prs(f: MultiPoly, g: MultiPoly, name: str):
 def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     """Res_name(f, g) as a polynomial in the remaining variables.
 
-    The contents in ``name`` split off, and the resultant of the primitive
-    parts is read off the last member of their subresultant chain; agrees
-    exactly with the Sylvester determinant (f's rows first).
+    Read off the last member of the subresultant chain of f and g as
+    given: S_0 is the resultant over any integral domain (Collins 1967,
+    Brown & Traub 1971), so no content splits off.  Agrees exactly with
+    the Sylvester determinant (f's rows first).
     """
     if f.is_zero() and g.is_zero():
         raise InvalidInputError("resultant of two zero polynomials")
@@ -203,10 +201,7 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
         raise InvalidInputError(f"neither input involves {name}")
     if f.is_zero() or g.is_zero():
         return f.clone({})
-    ca, cb = content_in(f, name), content_in(g, name)
-    a, b = f.exact_divide(ca), g.exact_divide(cb)
-    t = ca ** b.degree_in(name) * cb ** a.degree_in(name)
-    return t * resultant_of_chain(a, b, subresultant_prs(a, b, name), name)
+    return resultant_of_chain(f, g, subresultant_prs(f, g, name), name)
 
 
 def resultant_of_chain(f: MultiPoly, g: MultiPoly, chain, name: str):

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (lift_to_field, primitive_part_in, roots_univariate,
+from .algebra import (lift_to_field, roots_univariate,
                       separable_by_evaluation, squarefree_decompose)
 from .errors import (BudgetError, InsufficientPrecisionError, InvalidInputError,
                      NothingToPrepareError, NotRegularError, NotSimpleRootError,
@@ -329,10 +329,11 @@ def newton_puiseux(F: MultiPoly, xname: str, prec):
     """Every branch x(t) with x(0) = 0 of F(x, t) = 0, with multiplicities.
 
     Requires F(x, 0) != 0 (shear first otherwise) and F(0, 0) = 0 for a
-    nonempty answer.  The one piece expanded is F's primitive part in
-    ``xname`` when ``separable_by_evaluation`` proves F separable, and
-    else the squarefree factors carry the multiplicities; within a piece
-    every branch is simple.
+    nonempty answer.  F itself is the one piece expanded when
+    ``separable_by_evaluation`` proves it separable: its content in
+    ``xname`` is then a unit of k[[t]], which moves no Newton polygon,
+    edge root or Newton iterate.  Else the squarefree factors carry the
+    multiplicities; within a piece every branch is simple.
     """
     if F.is_zero():
         raise InvalidInputError("zero polynomial")
@@ -343,7 +344,7 @@ def newton_puiseux(F: MultiPoly, xname: str, prec):
         raise NotRegularError("F(x, 0) vanishes identically; shear first")
     branches = []
     if separable_by_evaluation(F, xname):
-        pieces = [(primitive_part_in(F, xname), 1)]
+        pieces = [(F, 1)]
     else:
         pieces = [(fac, mult) for fac, mult in squarefree_decompose(F)
                   if fac.involves(xname)]

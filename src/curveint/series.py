@@ -277,7 +277,8 @@ class TruncatedSeries:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ram, self.prec, frozenset(self.coeffs.items())))
+        s = self.reduce_ram()  # equal series agree in their reduced form
+        return hash((s.ram, s.prec, frozenset(s.coeffs.items())))
 
     # -------------------------------------------------------------- queries
     def specialize(self):

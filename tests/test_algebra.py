@@ -3,7 +3,8 @@ import random
 import pytest
 from fractions import Fraction
 
-from curveint.algebra import (SHEAR_BOUND, _shear_candidates,
+from curveint import algebra
+from curveint.algebra import (SHEAR_BOUND, _shear_candidates, content_in,
                               dehomogenize, gcd, homogenize,
                               is_homogeneous, lift_to_field, resultant,
                               apply_shear, roots_univariate,
@@ -63,6 +64,9 @@ def _resultant_case(rng, field, variables, shape):
     dense   -- two random polynomials (total degree <= 3 in three
                variables);
     content -- both carry the same factor free of x;
+    scaled  -- f and g carry different factors free of x, coprime because
+               the second is the first times a third plus a nonzero
+               constant;
     drop    -- the remainder of f by g (monic, x-degree 3) has x-degree at
                most 1, so the chain drops by 2 or more after g;
     const   -- g is free of x."""
@@ -79,6 +83,11 @@ def _resultant_case(rng, field, variables, shape):
         c = free_of_x(rng.randint(1, 2))
         return (c * _random_in(rng, field, variables, rng.randint(1, 2)),
                 c * _random_in(rng, field, variables, rng.randint(1, 2)))
+    if shape == "scaled":
+        cf = free_of_x(rng.randint(1, 2))
+        cg = cf * free_of_x(1) + field.of(rng.randint(1, 9))
+        return (cf * _random_in(rng, field, variables, rng.randint(1, 2)),
+                cg * _random_in(rng, field, variables, rng.randint(1, 2)))
     if shape == "drop":
         g = x ** 3 + _random_in(rng, field, variables, 2)
         q = x + free_of_x(1)
@@ -101,6 +110,9 @@ RESULTANT_CASES = [  # (field, variables, shape, trials, seed)
     (PrimeField(101), XYT, "drop", 10, 10),
     (QQ, XYT, "const", 10, 11),
     (QW, V, "const", 5, 12),
+    (QQ, XYT, "scaled", 10, 13),
+    (PrimeField(101), V, "scaled", 10, 14),
+    (F101W, V, "scaled", 10, 15),
 ]
 
 
@@ -131,6 +143,22 @@ def test_resultant_agrees_with_sylvester_100_random_trials():
             done += 1
         if shape == "drop":
             assert drops == trials
+
+
+def test_content_in(monkeypatch):
+    """The content in x; 1 at once, with no gcd run, when a coefficient
+    is a nonzero constant."""
+    x, y = xy()
+    one = MultiPoly.const(QQ, V, 1)
+    assert content_in((2 * y + 2) * x * x - (y + 1) * (y - 2), "x") == y + 1
+    assert content_in(MultiPoly.zero(QQ, V), "x").is_zero()
+
+    def no_gcd(f, g):
+        raise AssertionError("content_in ran a gcd")
+
+    monkeypatch.setattr(algebra, "gcd", no_gcd)
+    assert content_in((y + 1) * x * x + 3 * x + (y * y - 1), "x") == one
+    assert content_in((y - 2) * x ** 3 - 5, "x") == one
 
 
 def test_resultant_multiplicative():

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from curveint.algebra import lift_to_field, local_pair
+from curveint.cli import parse_poly
 from curveint.deformation import default_precision
 from curveint.errors import (InfiniteMultiplicityError, InvalidInputError,
                              NotSpecializableError)
@@ -17,7 +18,7 @@ from curveint.poly import MultiPoly
 from curveint.series import (TruncatedSeries, eval_poly_at_series,
                              shift_exponents)
 
-from oracles import valuation_certificate
+from oracles import fulton_intersection_number, valuation_certificate
 
 V = ("x", "y")
 
@@ -118,6 +119,34 @@ def test_nearby_count_matches_length_engine():
     pts = nearby_intersections(x * x - y ** 3, lt)
     assert sum(p.count for p in pts) == \
         mult_length(local_pair(x * x - y ** 3, y - x))
+
+
+def _distinct_nearby_points(ft: str) -> int:
+    """Test-only count of the distinct nearby points of f_t = 0 and y = 0
+    at the origin: ord_x at t = 0 of the squarefree part of
+    Res_y(f_t, y), by sympy."""
+    import sympy
+    x, y, t = sympy.symbols("x y t")
+    r = sympy.resultant(sympy.sympify(ft.replace("^", "**")), y, y)
+    at0 = sympy.Poly(sympy.sqf_part(r).subs(t, 0), x)
+    return min(m[0] for m in at0.monoms())
+
+
+@pytest.mark.parametrize("direction,counts", [
+    ("x^2", [2]),                                     # a restricted family
+    ("3*x^2 - 2*x*y + y^2 + 5*x - 7*y + 4", [1, 1]),  # every monomial
+], ids=["x^2-alone", "full-family"])
+def test_the_full_family_is_needed(direction, counts):
+    """y - x^2 meets y with I = 2 at the origin.  Moved along x^2 alone the
+    two intersections stay one double point; along a direction with every
+    monomial of degree <= 2 they separate into two simple points."""
+    x, y = xy()
+    f = y - x * x
+    pts = nearby_intersections(deform(f, parse_poly(direction, QQ, V)), y)
+    assert sorted(p.count for p in pts) == counts
+    assert sum(counts) == fulton_intersection_number(f, y) == 2
+    assert _distinct_nearby_points(f"y - x^2 + t*({direction})") == \
+        len(counts)
 
 
 def _on_both(point, f, g):

@@ -3,6 +3,7 @@ import random
 import pytest
 from fractions import Fraction
 
+from curveint.algebra import separable_by_evaluation
 from curveint.errors import (InsufficientPrecisionError, InvalidInputError,
                              NothingToPrepareError, NotRegularError,
                              NotSimpleRootError)
@@ -215,6 +216,22 @@ def test_puiseux_substitution_check_over_fp():
     assert branch_count(brs) == 3
     for b in brs:
         assert verify_branch(x ** 3 - t, "x", b)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "F101"])
+@pytest.mark.parametrize("shape", ["ramified", "irrational"])
+@pytest.mark.parametrize("unit", ["1 + t", "2 - t^3"])
+def test_puiseux_ignores_a_unit_content(field, shape, unit):
+    """F(x, 0) != 0 makes F's content c(t) in x a unit of k[[t]]: the
+    branches of c*P are those of P, in the same order (2 is no square in
+    Q or F_101, so x^2 - 2t^2 needs an extension)."""
+    x, t = xt(field)
+    P = x * x - t ** 3 if shape == "ramified" else x * x - 2 * t * t
+    c = 1 + t if unit == "1 + t" else 2 - t ** 3
+    assert separable_by_evaluation(c * P, "x")  # c*P is expanded as given
+    mine, base = newton_puiseux(c * P, "x", 6), newton_puiseux(P, "x", 6)
+    assert mine == base
+    assert [b.series.field for b in mine] == [b.series.field for b in base]
 
 
 # -------------------------------------------------------------- weierstrass

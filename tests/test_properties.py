@@ -1,6 +1,7 @@
 """Properties of intersection multiplicity that the paper's theorem covers,
 checked on seeded random pairs over Q and F_101 (Fulton, Algebraic Curves,
-section 3.3).
+section 3.3): singular points, non-reduced components, symmetry and
+adding a multiple of one curve to the other.
 
 Every pair runs through ``multiplicities_at``, which enforces that its three
 engines agree, at the default (adaptive) working precision, and its value
@@ -131,3 +132,26 @@ def test_non_reduced_component(seed, fieldname, k):
     expected = k * parts[0] + parts[1]
     assert fulton_intersection_number(F ** k * G, H) == expected, pair
     assert _engines(F ** k * G, H, field) == expected, pair
+
+
+@SETTINGS
+@given(seed=st.integers(0, 10 ** 6), fieldname=st.sampled_from(sorted(FIELDS)))
+def test_symmetry_and_adding_a_multiple(seed, fieldname):
+    """I(F, G) = I(G, F) and I(F, G + A*F) = I(F, G)."""
+    field = FIELDS[fieldname]
+    rng = random.Random(seed)
+    # F and G through the origin, each singular there half the time
+    F, G = (_higher_terms(rng, field, 1 + (rng.random() < 0.5), 2)
+            for _ in range(2))
+    A = _higher_terms(rng, field, 0, 2)
+    if F.is_zero() or G.is_zero():
+        return
+    pair = f"seed {seed} over {fieldname}: F = {F}, G = {G}, A = {A}"
+    try:
+        expected = fulton_intersection_number(F, G)
+    except ValueError:
+        return  # a shared component
+    assert fulton_intersection_number(G, F) == expected, pair
+    assert fulton_intersection_number(F, G + A * F) == expected, pair
+    assert _engines(F, G, field) == _engines(G, F, field) == expected, pair
+    assert _engines(F, G + A * F, field) == expected, pair

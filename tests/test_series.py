@@ -51,6 +51,18 @@ def test_invert_requires_unit():
         TruncatedSeries.zero(QQ, 3).invert_unit()
 
 
+def test_hash_agrees_with_equality_across_ramification():
+    """Equal series hash equal, whatever ramification index stores them."""
+    s = (one() + t_var() + shift_exponents(t_var(), Fraction(1, 2))
+         ).truncate(Fraction(5, 2))
+    r = TruncatedSeries.from_terms(QQ, [(Fraction(1, 3), 2)], prec=3)
+    for a in (s, r, one(4), TruncatedSeries.zero(QQ, 3)):
+        for k in (2, 6):
+            assert a == a.with_ram(a.ram * k)
+            assert hash(a) == hash(a.with_ram(a.ram * k))
+            assert len({a, a.with_ram(a.ram * k)}) == 1
+
+
 def test_precision_never_inflated_by_multiplication():
     a = t_var(3)          # t + O(t^3)
     b = t_var(5)          # t + O(t^5)
