@@ -17,6 +17,10 @@ All arithmetic is exact; division by zero raises ZeroDivisionError.
 Every field also encodes whole lists of elements as Python ints for
 polynomial and series products (``Field.product_codec``): a product sums
 plain int products per output coefficient and normalises each sum once.
+Exact polynomial division reads its remainder through
+``Field.division_codec`` the same way: plain ints over Q and F_p, one
+normalisation per remainder coefficient it reads (extension elements go
+in as they are).
 """
 
 from __future__ import annotations
@@ -74,6 +78,18 @@ class Field:
         once per entry and dropping the entries that are zero."""
         raise NotImplementedError
 
+    def division_codec(self, a, d):
+        """Encodings for the exact division of a polynomial with the
+        nonzero coefficients ``a`` by one with the nonzero coefficients
+        ``d``, leading coefficient first: ``(ai, di, take, decode)``.
+
+        The remainder starts as ``ai``; a quotient term ``q`` adds
+        ``q * di[j]`` (the negated ``d[j + 1]``) to its entries, as plain
+        sums.  ``take`` reads one such sum: the quotient term that cancels
+        it, falsy when the sum encodes zero.  ``decode`` maps a dict of
+        quotient terms to the field elements they encode."""
+        raise NotImplementedError
+
 
 class RationalField(Field):
     characteristic = 0
@@ -102,6 +118,34 @@ class RationalField(Field):
                 return {k: Fraction(v) for k, v in sums.items() if v}
             return {k: Fraction(v, den) for k, v in sums.items() if v}
         return ai, bi, decode
+
+    def division_codec(self, a, d):
+        # The dividend as integers A = da * a and the divisor as a
+        # primitive integer polynomial D = (dd / g) * d.  By Gauss's lemma
+        # an exact quotient A / D has integer coefficients, so each of its
+        # terms is one exact integer division by D's lead; one that leaves
+        # a remainder proves the division inexact.  The quotient a / d is
+        # (A / D) * dd / (da * g).
+        da = lcm(*(c.denominator for c in a))
+        dd = lcm(*(c.denominator for c in d))
+        dn = [c.numerator * (dd // c.denominator) for c in d]
+        g = gcd(*dn)
+        lead = dn[0] // g
+
+        def take(v):
+            q, r = divmod(v, lead)
+            if r:
+                raise InvalidInputError("division is not exact")
+            return q
+        scale = Fraction(dd, da * g)
+        num, den = scale.numerator, scale.denominator
+
+        def decode(quotient):
+            if den == 1:
+                return {k: Fraction(v * num) for k, v in quotient.items()}
+            return {k: Fraction(v * num, den) for k, v in quotient.items()}
+        return ([c.numerator * (da // c.denominator) for c in a],
+                [-x // g for x in dn[1:]], take, decode)
 
     def __repr__(self):
         return "QQ"
@@ -239,6 +283,18 @@ class PrimeField(Field):
                     out[k] = FpElement(v, self)
             return out
         return [c.val for c in a], [c.val for c in b], decode
+
+    def division_codec(self, a, d):
+        # residues, reduced once per remainder coefficient read
+        p = self.p
+        inv = pow(d[0].val, -1, p)
+
+        def take(v):
+            return v % p * inv % p
+
+        def decode(quotient):
+            return {k: FpElement(v, self) for k, v in quotient.items()}
+        return [c.val for c in a], [p - c.val for c in d[1:]], take, decode
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -609,6 +665,13 @@ class ExtensionField(Field):
                         out[k] = el
             return out
         return ai, bi, decode
+
+    def division_codec(self, a, d):
+        # Field elements as they are: the divisors met here have two or
+        # three terms, so the time goes to making quotient terms, and
+        # packing them into ints as product_codec does gained little when
+        # measured.
+        return list(a), [-c for c in d[1:]], (1 / d[0]).__mul__, dict
 
     @cached_property
     def int_modulus(self):

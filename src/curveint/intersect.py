@@ -8,8 +8,9 @@
   count.
 
 Each engine takes a ``LocalPair`` (``algebra.local_pair``): the pair is
-checked once when it is built and sheared at most once, by whichever
-engine first asks for the sheared pair.
+checked once when it is built (under ``bezout_sum``, once for the whole
+pair of curves) and sheared at most once, by whichever engine first asks
+for the sheared pair.
 
 ``bezout_sum`` enumerates every intersection point of two curves across
 all three charts, as rational points and Galois orbits (``PointCluster``:
@@ -408,26 +409,30 @@ def _at_origin(F: MultiPoly, chart: str, pair) -> MultiPoly:
     return translate_to_origin(f, pair)
 
 
-def _local_pair_at(C1: Curve, C2: Curve,
-                   point: ProjectivePoint) -> LocalPair:
-    """Both curves with the point at the affine origin, as a checked
-    ``LocalPair``."""
+def _local_pair_at(C1: Curve, C2: Curve, point: ProjectivePoint,
+                   coprime: bool) -> LocalPair:
+    """Both curves with the point at the affine origin, as a ``LocalPair``.
+    Both must vanish there.  The pair is checked by ``local_pair`` unless
+    ``coprime`` says the forms are proved to share no component: then so
+    do their translates in any chart, and no gcd is run."""
     chart, (px, py) = point.chart, point.affine_pair()
     f0, g0 = (_at_origin(C.form, chart, (px, py)) for C in (C1, C2))
     if f0.constant_value() or g0.constant_value():
         where = f"({px},{py})" if chart == "Z" else str(point)
         raise InvalidInputError(f"both curves must vanish at {where}")
-    return local_pair(f0, g0)
+    return LocalPair(f0, g0) if coprime else local_pair(f0, g0)
 
 
 def multiplicities_at(C1: Curve, C2: Curve, point: ProjectivePoint,
-                      seed: int = 0, prec=None,
-                      max_retries: int = 8) -> MultiplicityReport:
+                      seed: int = 0, prec=None, max_retries: int = 8, *,
+                      coprime: bool = False) -> MultiplicityReport:
     """All three engines at one point, with exact agreement enforced.  The
-    pair is checked once (a shear keeps what the check proves) and sheared
-    once, by the deformation engine: the resultant engine reads the same
-    sheared pair."""
-    pair = _local_pair_at(C1, C2, point)
+    pair is checked once (a shear keeps what the check proves), or not at
+    all when ``coprime`` passes on the proof that the curves share no
+    component (``bezout_sum`` has it from ``intersection_points``).  It is
+    sheared once, by the deformation engine: the resultant engine reads
+    the same sheared pair."""
+    pair = _local_pair_at(C1, C2, point, coprime)
     m_len = mult_length(pair)
     outcome = deformation_count(pair, seed=seed, prec=prec,
                                 max_retries=max_retries)
@@ -469,7 +474,7 @@ def bezout_sum(C1: Curve, C2: Curve, seed: int = 0, prec=None,
 
     def certify(pt):
         return multiplicities_at(C1, C2, pt, seed=seed, prec=prec,
-                                 max_retries=max_retries)
+                                 max_retries=max_retries, coprime=True)
 
     reports = [certify(pt) for pt in points]
     cluster_reports = []

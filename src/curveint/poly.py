@@ -8,7 +8,9 @@ lexicographic order on the declared variable list.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import chain
+from math import prod
 
 from .errors import InvalidInputError
 from .fields import Field, binary_power
@@ -323,7 +325,21 @@ class MultiPoly:
 
     # -------------------------------------------------------------- division
     def exact_divide(self, divisor: "MultiPoly"):
-        """Quotient self / divisor; raises if the division is not exact."""
+        """Quotient self / divisor; raises ``InvalidInputError`` if the
+        division is not exact.
+
+        A constant divisor scales each coefficient by its inverse (by 1 it
+        returns self).  Otherwise one sparse pass of long division in lex
+        order: exponent vectors are packed into ints with a mixed radix of
+        (degree of self + 1) per variable, the first variable most
+        significant, so within the degree box of self a key's order is the
+        lex order and a key's difference an exponent difference.  The
+        remainder is a dict of sums (``Field.division_codec``: plain ints
+        over Q and F_p) whose keys at or above the divisor's lead come off
+        a max-heap, each read once.  "Not exact" is decided in three places: a divisor
+        degree above self's in some variable, before the pass; a quotient
+        term outside the quotient's degree box (or, over Q, not integral),
+        when it is made; a nonzero remainder below the lead, at the end."""
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -332,26 +348,50 @@ class MultiPoly:
             return self if c == self.field.one else self.scale(1 / c)
         if self.is_zero():
             return self.clone({})
-        rem = dict(self.terms)
+        a, d = self.terms, divisor.terms
+        top = [max(col) for col in zip(*a)]
+        room = [t - max(col) for t, col in zip(top, zip(*d))]
+        if min(room) < 0:  # nor would the divisor's keys pack into the box
+            raise InvalidInputError("division is not exact")
+        bases = [t + 1 for t in top]
+        places = [prod(bases[i + 1:]) for i in range(len(bases))]
+
+        def pack(exps):
+            return sum(e * w for e, w in zip(exps, places))
+        dkeys = sorted(d, key=pack, reverse=True)
+        ai, di, take, decode = self.field.division_codec(
+            list(a.values()), [d[e] for e in dkeys])
+        lead = pack(dkeys[0])
+        tail = list(zip(map(pack, dkeys[1:]), di))
+        rem = dict(zip(map(pack, a), ai))
+        heap = [-k for k in rem if k >= lead]
+        heapify(heap)
         out = {}
-        dkey = divisor.leading_term_key()
-        inv = 1 / divisor.terms[dkey]
-        zero = self.field.zero
-        while rem:
-            rkey = max(rem, key=lambda e: (sum(e), e))
-            qkey = tuple(a - b for a, b in zip(rkey, dkey))
-            if any(q < 0 for q in qkey):
+        while heap:
+            k = -heappop(heap)
+            c = take(rem.pop(k))
+            if not c:
+                continue
+            k -= lead
+            # Digits within the quotient's box are the exponent differences
+            # themselves: with the lead's exponents added they stay in the
+            # box and pack to the key just read.  A difference below 0 or
+            # past the box leaves some digit past the box.
+            exps = tuple(k // w % b for w, b in zip(places, bases))
+            if any(e > r for e, r in zip(exps, room)):
                 raise InvalidInputError("division is not exact")
-            qc = rem[rkey] * inv
-            out[qkey] = qc
-            for e2, c2 in divisor.terms.items():
-                key = tuple(a + b for a, b in zip(qkey, e2))
-                s = rem.get(key, zero) - qc * c2
-                if s:
-                    rem[key] = s
+            out[exps] = c
+            for kd, cd in tail:
+                kk = k + kd
+                if kk in rem:
+                    rem[kk] += c * cd
                 else:
-                    rem.pop(key, None)
-        return _poly(self.field, self.vars, out)
+                    rem[kk] = c * cd
+                    if kk >= lead:
+                        heappush(heap, -kk)
+        if any(take(c) for c in rem.values()):
+            raise InvalidInputError("division is not exact")
+        return _poly(self.field, self.vars, decode(out))
 
     # -------------------------------------------------------------- printing
     def __str__(self):

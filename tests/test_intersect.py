@@ -338,6 +338,37 @@ def test_bezout_certifies_each_orbit_once(monkeypatch, p, f, g):
     assert res.total == res.expected
 
 
+def test_bezout_runs_no_gcd_per_point(monkeypatch):
+    """``intersection_points`` proves the curves coprime once, so no point
+    re-proves it with a gcd of its translated pair; ``mult`` on raw input
+    still does, and still refuses a component through the point."""
+    import curveint.intersect as intersect
+    calls = []
+    real = algebra.gcd
+
+    def counting(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(algebra, "gcd", counting)
+    monkeypatch.setattr(intersect, "gcd", counting)
+    x, y = xy()
+    C1, C2 = curve(x * x - y ** 3), curve(y - x)
+    res = bezout_sum(C1, C2, seed=1)
+    assert res.total == res.expected == 3
+    pairs = [tuple(intersect._at_origin(C.form, r.point.chart,
+                                        r.point.affine_pair())
+                   for C in (C1, C2)) for r in res.reports]
+    assert len(pairs) == 2  # the cusp (multiplicity 2) and (1, 1)
+    assert not [c for c in calls if c in pairs]
+    calls.clear()
+    multiplicities_at(C1, C2, res.reports[0].point, seed=1)
+    assert pairs[0] in calls
+    with pytest.raises(InfiniteMultiplicityError):
+        multiplicities_at(curve(x * y), curve(x * (x + y)),
+                          ProjectivePoint((0, 0, 1), QQ))
+
+
 def test_bezout_fp_total():
     F = PrimeField(101)
     x, y = xy(F)

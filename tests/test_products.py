@@ -6,9 +6,16 @@ The production products encode each operand as Python ints once
 and normalise each sum once; the references multiply and add field
 elements one term pair at a time.  Operands are seeded and random, over Q,
 F_7, F_32003, Q[w]/(w^3-2w+5) and a degree-6 extension of F_32003.
+
+Exact division (one sparse lex-order pass on ``Field.division_codec``
+encodings) is checked against graded-lex long division on field elements,
+over Q, F_2, F_7, F_32003, F_7[w]/(w^2-3) and Q[w]/(w^3-2), with each of
+the ways a division can fail to be exact.
 """
 
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -31,6 +38,9 @@ QW = ExtensionField(QQ, [5, -2, 0, 1], "w")               # w^3 - 2w + 5
 FPW = ExtensionField(FP, [3, 1, 0, 0, 0, 0, 1], "w")      # w^6 + w + 3
 # monic over Q only after dividing by 3: the codec's decode meets scale 3
 QS = ExtensionField(QQ, [5, -2, 0, 3], "s")               # 3s^3 - 2s + 5
+F2 = PrimeField(2)
+F7W = ExtensionField(F7, [-3, 0, 1], "w")                 # 3 is no square mod 7
+QC = ExtensionField(QQ, [-2, 0, 0, 1], "w")               # w^3 - 2
 
 
 def _rational(rng):
@@ -91,6 +101,8 @@ def _assert_canonical(poly_or_series):
 FIELDS = [QQ, F7, FP, QW, QS, FPW]
 IDS = ["Q", "F7", "F32003", "Q[w]/(w^3-2w+5)", "Q[s]/(3s^3-2s+5)",
        "F32003[w]/(w^6+w+3)"]
+DIV_FIELDS = FIELDS + [F2, F7W, QC]
+DIV_IDS = IDS + ["F2", "F7[w]/(w^2-3)", "Q[w]/(w^3-2)"]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
@@ -171,7 +183,7 @@ def test_poly_product_keeps_its_variables():
     assert (k * k).terms == {(): Fraction(9)}
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@pytest.mark.parametrize("field", DIV_FIELDS, ids=DIV_IDS)
 def test_exact_divide_matches_pairwise_reference(field):
     rng = random.Random(7006)
     for _ in range(12):
@@ -184,6 +196,91 @@ def test_exact_divide_matches_pairwise_reference(field):
         _assert_canonical(got)
         with pytest.raises(InvalidInputError):
             (prod + 1).exact_divide(d)
+
+
+def _xyt(field):
+    return (MultiPoly.var(field, V, v) for v in V)
+
+
+def _divides(q, d):
+    """q * d (the term-pair product) divided by d gives q back, as the
+    oracle's long division does, in canonical form."""
+    prod = poly_mul_pairwise(q, d)
+    got = prod.exact_divide(d)
+    assert got.terms == q.terms
+    assert got.terms == poly_exact_divide_pairwise(prod, d).terms
+    _assert_canonical(got)
+
+
+def test_exact_divide_by_non_integral_divisors_over_q():
+    """Non-monic divisors with non-integral leads (6/5, -7/12, 1/9, and
+    -6/5 with content 6/5) and mixed denominators: the pass divides
+    integer encodings and scales each quotient term once."""
+    x, y, t = _xyt(QQ)
+    rng = random.Random(2502)
+    divisors = [
+        x * x * y * Fraction(6, 5) + y * t * Fraction(1, 3)
+        - Fraction(2, 7) + t ** 3 * Fraction(5, 4),
+        x * t * Fraction(-7, 12) + y ** 2 * Fraction(11, 18) + 1,
+        y * Fraction(1, 9) - t * Fraction(3, 8),
+        (x * t * 5 - y * 2 + 3) * Fraction(-6, 5),
+    ]
+    for d in divisors:
+        for _ in range(8):
+            _divides(_poly(rng, QQ, rng.randint(1, 8)), d)
+
+
+def test_exact_divide_quotient_with_powers_of_three():
+    """Quotient coefficients 1/3^i (i < 20) by integral and non-integral
+    divisors, and x^20 - 3^-20 by x - 1/3."""
+    x, y, t = _xyt(QQ)
+    q = MultiPoly(QQ, V, {(i, i % 3, i % 2): Fraction(1, 3 ** i)
+                          for i in range(20)})
+    for d in (x * 3 - 1, x * y * 3 + t - 2, x * Fraction(1, 3) - y):
+        _divides(q, d)
+    third = x - Fraction(1, 3)
+    got = (x ** 20 - Fraction(1, 3 ** 20)).exact_divide(third)
+    assert got.terms == {(19 - i, 0, 0): Fraction(1, 3 ** i)
+                         for i in range(20)}
+
+
+@pytest.mark.parametrize("field", DIV_FIELDS, ids=DIV_IDS)
+def test_exact_divide_rejects_every_kind_of_inexact(field):
+    x, y, t = _xyt(field)
+    cases = [
+        # a low-order remainder left below the divisor's lead
+        ((x + 1) * (x * y + t) + 1, x + 1),
+        # x^2 / (x*y) would need y^-1: a quotient exponent below 0
+        (x * x + y * y, x * y + 1),
+        # y^2 + x has a higher degree in y than x*y + 1
+        (x * y + 1, y * y + x),
+    ]
+    if field.characteristic != 2:
+        # over Q a quotient term that is not integral: 1/2 * x^0
+        cases.append((x + 1, x * 2 + 1))
+    for a, d in cases:
+        with pytest.raises(ValueError):
+            poly_exact_divide_pairwise(a, d)
+        with pytest.raises(InvalidInputError, match="not exact"):
+            a.exact_divide(d)
+
+
+def test_exact_divide_stays_sparse_at_high_degree():
+    """A quotient of 1000 terms in a degree box of 1001^3 monomials: the
+    pass must not touch the box, in time or in memory."""
+    x, y, t = _xyt(QQ)
+    a = MultiPoly(QQ, V, {(1000, 1000, 1000): 1, (0, 0, 0): -1})
+    want = {(i, i, i): Fraction(1) for i in range(1000)}
+    began = time.perf_counter()
+    assert a.exact_divide(x * y * t - 1).terms == want
+    assert time.perf_counter() - began < 2
+    tracemalloc.start()
+    try:
+        a.exact_divide(x * y * t - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def _series(rng, field, nterms=8):
