@@ -8,9 +8,9 @@ Resultant convention
 with f's coefficient rows first (deg g rows of f above deg f rows of g,
 coefficients in descending powers of x).  The determinant is kept as a test
 oracle only.  ``subresultant_prs`` is the one remainder loop: one chain
-gives the resultant (its degree-0 last member S_0, signed by
-``resultant_of_chain``), the gcd (the primitive part of its last member)
-and the degree-one subresultant S1 that the deformation engine lifts
+gives the resultant (its last member when that has degree 0, signed by
+the chain itself), the gcd (the primitive part of its last member) and
+the degree-one subresultant S1 that the deformation engine lifts
 x-coordinates with.
 """
 
@@ -159,20 +159,24 @@ def subresultant_prs(f: MultiPoly, g: MultiPoly, name: str):
     ``name`` first, then the remainders down to the last nonzero one.
     Exact divisions keep coefficient growth polynomial.  A last member of
     positive degree is a gcd of f and g up to a factor free of ``name``.
-    A last member of degree 0 is S_0, in place of the degree-0 remainder
-    (or of g, when g has degree 0): the resultant of the first two members
-    up to the sign (-1)^(sum d_i*d_{i+1}) over the members' degrees d_i
-    (see ``resultant_of_chain``).
+    A last member of degree 0 is Res_name(f, g) of the inputs as given,
+    in place of the degree-0 remainder (or of g, when g has degree 0):
+    S_0, the h-recurrence's last value, times the sign
+    (-1)^(sum d_i*d_{i+1}) over the members' degrees d_i, and times
+    (-1)^(deg f * deg g) when g came first.
     """
-    if f.degree_in(name) < g.degree_in(name):
-        f, g = g, f
+    da, db = f.degree_in(name), g.degree_in(name)
+    odd = 0
+    if da < db:
+        f, g, da, db = g, f, db, da
+        odd = da * db
     seq = [f, g]
     one = MultiPoly.const(f.field, f.vars, 1)
     gg, h = one, one
     while True:
         a, b = seq[-2], seq[-1]
-        db = b.degree_in(name)
-        delta = a.degree_in(name) - db
+        odd += da * db
+        delta = da - db
         if db != 0:
             r = pseudo_rem(a, b, name)
             if r.is_zero():
@@ -182,18 +186,20 @@ def subresultant_prs(f: MultiPoly, g: MultiPoly, name: str):
         if delta >= 1:
             h = (gg ** delta).exact_divide(h ** (delta - 1))
         if db == 0:
-            seq[-1] = h  # at a degree-0 member, the h-recurrence gives S_0
+            seq[-1] = -h if odd % 2 else h
             return seq
         seq.append(r)
+        da, db = db, r.degree_in(name)
 
 
 def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     """Res_name(f, g) as a polynomial in the remaining variables.
 
-    Read off the last member of the subresultant chain of f and g as
-    given: S_0 is the resultant over any integral domain (Collins 1967,
-    Brown & Traub 1971), so no content splits off.  Agrees exactly with
-    the Sylvester determinant (f's rows first).
+    The last member of the subresultant chain of f and g as given, or 0
+    when that member has positive degree: the chain's signed S_0 is the
+    resultant over any integral domain (Collins 1967, Brown & Traub
+    1971), so no content splits off.  Agrees exactly with the Sylvester
+    determinant (f's rows first).
     """
     if f.is_zero() and g.is_zero():
         raise InvalidInputError("resultant of two zero polynomials")
@@ -201,24 +207,8 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
         raise InvalidInputError(f"neither input involves {name}")
     if f.is_zero() or g.is_zero():
         return f.clone({})
-    return resultant_of_chain(f, g, subresultant_prs(f, g, name), name)
-
-
-def resultant_of_chain(f: MultiPoly, g: MultiPoly, chain, name: str):
-    """Res_name(f, g) read off chain = subresultant_prs(f, g, name).
-
-    Zero when the chain ends above degree 0.  Otherwise its last member
-    S_0 with the sign (-1)^(sum d_i*d_{i+1}) over the members' degrees,
-    and one more factor (-1)^(deg f * deg g) when the chain put g first.
-    """
-    last = chain[-1]
-    if last.degree_in(name) > 0:
-        return last.clone({})
-    degs = [p.degree_in(name) for p in chain]
-    odd = sum(d * e for d, e in zip(degs, degs[1:]))
-    if f.degree_in(name) < g.degree_in(name):
-        odd += degs[0] * degs[1]
-    return -last if odd % 2 else last
+    last = subresultant_prs(f, g, name)[-1]
+    return last.clone({}) if last.degree_in(name) > 0 else last
 
 
 # ------------------------------------------------------ squarefree factors

@@ -63,8 +63,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (LocalPair, gcd, lift_to_field, resultant_of_chain,
-                      separable_by_evaluation, subresultant_prs)
+from .algebra import (LocalPair, gcd, lift_to_field, separable_by_evaluation,
+                      subresultant_prs)
 from .errors import (GenericityFailureError, InsufficientPrecisionError,
                      InvalidInputError, SharedComponentError,
                      UnsupportedExtensionError, ZeroToPrecisionError)
@@ -118,8 +118,8 @@ def _eliminant_and_s1(ft: MultiPoly, gt: MultiPoly):
     (None when the chain skips degree one), both off one subresultant
     chain of the pair.  R(y, 0) = 0 means the pair shares a component."""
     chain = subresultant_prs(ft, gt, "x")
-    R = resultant_of_chain(ft, gt, chain, "x")
-    if R.subs_values({"t": R.field.zero}).is_zero():
+    R = chain[-1]
+    if R.degree_in("x") > 0 or R.subs_values({"t": R.field.zero}).is_zero():
         raise SharedComponentError("resultant vanishes at t = 0")
     s1 = next((m for m in reversed(chain) if m.degree_in("x") == 1), None)
     return R, s1

@@ -3,7 +3,8 @@
 Polynomials are dense lists of Python ints: ascending coefficients, no
 trailing zeros.  Arithmetic mod m takes any modulus m > 1, because Hensel
 lifting computes mod prime powers.  ``fields`` computes in extensions of
-F_p with this long division, gcd and extended gcd.
+F_p with this long division, gcd and extended gcd, and puts Fractions over
+a common denominator with ``_over_lcm``.
 
 Over F_p: distinct-degree factorization, then an equal-degree split,
 Cantor-Zassenhaus for odd p and the trace map for p = 2 (von zur Gathen
@@ -25,6 +26,13 @@ def is_prime(n: int) -> bool:
     if n < 4:
         return n > 1
     return n % 2 == 1 and all(n % i for i in range(3, isqrt(n) + 1, 2))
+
+
+def _over_lcm(fracs):
+    """(numerators, den): Fractions as integer numerators over den, the
+    lcm of their denominators (1 for none)."""
+    den = lcm(*(c.denominator for c in fracs))
+    return [c.numerator * (den // c.denominator) for c in fracs], den
 
 
 # ------------------------------------------------- arithmetic mod m
@@ -230,8 +238,7 @@ def factor_over_q(coeffs, rng):
     """The irreducible factors over Q of a squarefree polynomial of degree
     >= 1 with Fraction coefficients: primitive integer polynomials with
     positive top coefficients."""
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    ints = _over_lcm(coeffs)[0]
     content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
     return _zassenhaus([c // content for c in ints], rng)
 

@@ -30,7 +30,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InvalidInputError, UnsupportedExtensionError
-from .factor import _gcd, _rem, _xgcd, is_prime
+from .factor import _gcd, _over_lcm, _rem, _xgcd, is_prime
 
 
 def binary_power(base, n: int):
@@ -107,10 +107,7 @@ class RationalField(Field):
 
     def product_codec(self, a, b):
         # numerators over one common denominator per operand
-        da = lcm(*(c.denominator for c in a))
-        db = lcm(*(c.denominator for c in b))
-        ai = [c.numerator * (da // c.denominator) for c in a]
-        bi = [c.numerator * (db // c.denominator) for c in b]
+        (ai, da), (bi, db) = _over_lcm(a), _over_lcm(b)
         den = da * db
 
         def decode(sums):
@@ -126,9 +123,7 @@ class RationalField(Field):
         # terms is one exact integer division by D's lead; one that leaves
         # a remainder proves the division inexact.  The quotient a / d is
         # (A / D) * dd / (da * g).
-        da = lcm(*(c.denominator for c in a))
-        dd = lcm(*(c.denominator for c in d))
-        dn = [c.numerator * (dd // c.denominator) for c in d]
+        (ai, da), (dn, dd) = _over_lcm(a), _over_lcm(d)
         g = gcd(*dn)
         lead = dn[0] // g
 
@@ -144,8 +139,7 @@ class RationalField(Field):
             if den == 1:
                 return {k: Fraction(v * num) for k, v in quotient.items()}
             return {k: Fraction(v * num, den) for k, v in quotient.items()}
-        return ([c.numerator * (da // c.denominator) for c in a],
-                [-x // g for x in dn[1:]], take, decode)
+        return ai, [-x // g for x in dn[1:]], take, decode
 
     def __repr__(self):
         return "QQ"
@@ -352,9 +346,7 @@ class ExtElement:
             num = [base.of(c).val for c in coeffs]
             den = 1
         else:
-            fracs = [base.of(c) for c in coeffs]
-            den = lcm(*(c.denominator for c in fracs))
-            num = [c.numerator * (den // c.denominator) for c in fracs]
+            num, den = _over_lcm([base.of(c) for c in coeffs])
         el = _reduce(num, den, field)
         self.num, self.den, self.field = el.num, el.den, field
 
@@ -681,9 +673,8 @@ class ExtensionField(Field):
         every reduction mod m."""
         if self.characteristic:
             return tuple(c.val for c in self.modulus), 1
-        scale = lcm(*(c.denominator for c in self.modulus))
-        return tuple(c.numerator * (scale // c.denominator)
-                     for c in self.modulus), scale
+        num, scale = _over_lcm(self.modulus)
+        return tuple(num), scale
 
     @property
     def gen(self):

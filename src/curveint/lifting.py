@@ -27,8 +27,8 @@ from .errors import (BudgetError, InsufficientPrecisionError, InvalidInputError,
                      UnsupportedExtensionError)
 from .fields import ExtensionField
 from .poly import MultiPoly
-from .series import (INF, TruncatedSeries, eval_poly_at_series, horner,
-                     rescale_exponents, shift_exponents)
+from .series import (INF, TruncatedSeries, horner, rescale_exponents,
+                     shift_exponents)
 
 
 # ----------------------------------------------------------------- hensel
@@ -407,15 +407,6 @@ def sheet_conjugates(branch: Branch):
         coeffs = {k: c * zeta ** ((k * j) % r) for k, c in s.coeffs.items()}
         out.append(TruncatedSeries(s.field, coeffs, s.prec, r))
     return out
-
-
-def verify_branch(F: MultiPoly, xname: str, br: Branch) -> bool:
-    """Substitute the branch into F; the result must vanish to the branch's
-    guaranteed precision."""
-    F = lift_to_field(F, br.series.field)
-    t = TruncatedSeries.variable(F.field)
-    val = eval_poly_at_series(F, {xname: br.series, "t": t})
-    return val.valuation() is None
 
 
 # ------------------------------------------------------------- weierstrass

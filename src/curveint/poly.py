@@ -8,12 +8,12 @@ lexicographic order on the declared variable list.
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import prod
 
 from .errors import InvalidInputError
-from .fields import Field, binary_power
+from .fields import Field, _pack, binary_power
 
 
 def _poly(field, variables, terms):
@@ -27,23 +27,20 @@ def _poly(field, variables, terms):
     return p
 
 
-def _exponent_packing(a, b, nvars):
-    """(pack, unpack) for the exponent vectors of a product of the term
-    maps ``a`` and ``b``: ``pack`` turns a vector into one int with one
-    slot per variable, wide enough for the sum of any two exponents, so a
-    product's key is the sum of its factors' keys."""
-    top = max(chain.from_iterable(a), default=0) \
-        + max(chain.from_iterable(b), default=0)
+def _exponent_codec(top, nvars):
+    """(pack, unpack) for exponent vectors of ``nvars`` entries at most
+    ``top``: ``fields._pack`` with one slot of top.bit_length() bits per
+    variable, the first variable lowest.  Keys compare in lex order from
+    the last variable, a monomial order, and while every entry stays at
+    most ``top`` the key of a product of monomials is the sum of their
+    keys; ``unpack`` reads the slots back with shifts and masks."""
     width = max(1, top.bit_length())
     mask = (1 << width) - 1
-    shifts = [width * i for i in range(nvars)]
-
-    def pack(exps):
-        return sum(e << s for e, s in zip(exps, shifts))
+    shifts = range(0, width * nvars, width)
 
     def unpack(key):
-        return tuple((key >> s) & mask for s in shifts)
-    return pack, unpack
+        return tuple(key >> s & mask for s in shifts)
+    return partial(_pack, width=width), unpack
 
 
 class MultiPoly:
@@ -171,15 +168,20 @@ class MultiPoly:
 
     def __mul__(self, other):
         """Product with delayed reduction: the term pairs add plain int
-        products per output exponent (``Field.product_codec``), and each
-        output coefficient is normalised once."""
+        products per output exponent (``Field.product_codec``), keyed by
+        exponent vectors packed with ``_exponent_codec`` in slots wide
+        enough for the sum of any two exponents, so a product's key is the
+        sum of its factors' keys; each output coefficient is normalised
+        once."""
         other = self._coerce(other)
         a, b = self.terms, other.terms
         if not a or not b:
             return _poly(self.field, self.vars, {})
         ai, bi, decode = self.field.product_codec(list(a.values()),
                                                   list(b.values()))
-        pack, unpack = _exponent_packing(a, b, len(self.vars))
+        pack, unpack = _exponent_codec(
+            max(chain.from_iterable(a), default=0)
+            + max(chain.from_iterable(b), default=0), len(self.vars))
         bterms = list(zip(map(pack, b), bi))
         sums = {}
         for ka, x in zip(map(pack, a), ai):
@@ -329,17 +331,18 @@ class MultiPoly:
         division is not exact.
 
         A constant divisor scales each coefficient by its inverse (by 1 it
-        returns self).  Otherwise one sparse pass of long division in lex
-        order: exponent vectors are packed into ints with a mixed radix of
-        (degree of self + 1) per variable, the first variable most
-        significant, so within the degree box of self a key's order is the
-        lex order and a key's difference an exponent difference.  The
-        remainder is a dict of sums (``Field.division_codec``: plain ints
-        over Q and F_p) whose keys at or above the divisor's lead come off
-        a max-heap, each read once.  "Not exact" is decided in three places: a divisor
-        degree above self's in some variable, before the pass; a quotient
-        term outside the quotient's degree box (or, over Q, not integral),
-        when it is made; a nonzero remainder below the lead, at the end."""
+        returns self).  Otherwise one sparse pass of long division in the
+        monomial order of ``_exponent_codec``'s keys (lex from the last
+        variable), with one slot per variable wide enough for self's top
+        exponent: within the degree box of self a key's difference is an
+        exponent difference.  Any monomial order serves, since the exact
+        quotient is unique.  The remainder is a dict of sums
+        (``Field.division_codec``: plain ints over Q and F_p) whose keys at
+        or above the divisor's lead come off a max-heap, each read once.
+        "Not exact" is decided in three places: a divisor degree above
+        self's in some variable, before the pass; a quotient term outside
+        the quotient's degree box (or, over Q, not integral), when it is
+        made; a nonzero remainder below the lead, at the end."""
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -353,11 +356,7 @@ class MultiPoly:
         room = [t - max(col) for t, col in zip(top, zip(*d))]
         if min(room) < 0:  # nor would the divisor's keys pack into the box
             raise InvalidInputError("division is not exact")
-        bases = [t + 1 for t in top]
-        places = [prod(bases[i + 1:]) for i in range(len(bases))]
-
-        def pack(exps):
-            return sum(e * w for e, w in zip(exps, places))
+        pack, unpack = _exponent_codec(max(top), len(top))
         dkeys = sorted(d, key=pack, reverse=True)
         ai, di, take, decode = self.field.division_codec(
             list(a.values()), [d[e] for e in dkeys])
@@ -373,11 +372,12 @@ class MultiPoly:
             if not c:
                 continue
             k -= lead
-            # Digits within the quotient's box are the exponent differences
+            # Slots within the quotient's box are the exponent differences
             # themselves: with the lead's exponents added they stay in the
-            # box and pack to the key just read.  A difference below 0 or
-            # past the box leaves some digit past the box.
-            exps = tuple(k // w % b for w, b in zip(places, bases))
+            # box and pack to the key just read.  A difference below 0
+            # borrows, and the lowest slot that borrows holds at least
+            # 2^width - (the lead's exponent there), past the box.
+            exps = unpack(k)
             if any(e > r for e, r in zip(exps, room)):
                 raise InvalidInputError("division is not exact")
             out[exps] = c

@@ -93,19 +93,6 @@ class TruncatedSeries:
     def variable(cls, field, prec=INF):
         return cls(field, {1: field.one}, prec)
 
-    @classmethod
-    def from_terms(cls, field, terms, prec=INF):
-        """terms: iterable of (exponent, coefficient) with Fraction exponents."""
-        ram = 1
-        items = [(Fraction(e), c) for e, c in terms]
-        for e, _ in items:
-            ram = math.lcm(ram, e.denominator)
-        coeffs = {}
-        for e, c in items:
-            k = int(e * ram)
-            coeffs[k] = coeffs.get(k, field.zero) + field.of(c)
-        return cls(field, coeffs, prec, ram)
-
     # ------------------------------------------------------------ structure
     def with_ram(self, new_ram: int) -> "TruncatedSeries":
         if new_ram == self.ram:

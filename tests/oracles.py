@@ -25,18 +25,19 @@ deformation engine reads off a separable eliminant.  The factorization
 oracle asks sympy for the irreducible factors of a univariate polynomial,
 where the production code lifts factors mod p on dense int lists.
 
-The readouts at the end (``evaluate``, ``agrees_with``, ``branch_count``
-and ``valuation_certificate``) are used by tests only, so they live here
-rather than in the library.
+The readouts at the end (``evaluate``, ``agrees_with``, ``branch_count``,
+``valuation_certificate``, ``series_from_terms`` and ``verify_branch``)
+are used by tests only, so they live here rather than in the library.
 """
 
 from fractions import Fraction
 from math import lcm
 
+from curveint.algebra import lift_to_field
 from curveint.errors import InvalidInputError, UnsupportedExtensionError
 from curveint.fields import QQ, ExtElement, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
-from curveint.series import INF, TruncatedSeries, _cutoff
+from curveint.series import INF, TruncatedSeries, _cutoff, eval_poly_at_series
 
 
 def sylvester_matrix(f: MultiPoly, g: MultiPoly, name: str):
@@ -517,3 +518,24 @@ def valuation_certificate(point):
     coordinate read at its precision; both positive for a nearby point."""
     return tuple(s.prec if s.valuation() is None else s.valuation()
                  for s in (point.x, point.y))
+
+
+def series_from_terms(field, terms, prec=INF):
+    """The series with the (exponent, coefficient) pairs ``terms``, whose
+    exponents are Fractions (or ints)."""
+    items = [(Fraction(e), c) for e, c in terms]
+    ram = lcm(1, *(e.denominator for e, _ in items))
+    coeffs = {}
+    for e, c in items:
+        k = int(e * ram)
+        coeffs[k] = coeffs.get(k, field.zero) + field.of(c)
+    return TruncatedSeries(field, coeffs, prec, ram)
+
+
+def verify_branch(F: MultiPoly, xname: str, br) -> bool:
+    """Substitute the branch into F; the result must vanish to the branch's
+    guaranteed precision."""
+    F = lift_to_field(F, br.series.field)
+    t = TruncatedSeries.variable(F.field)
+    val = eval_poly_at_series(F, {xname: br.series, "t": t})
+    return val.valuation() is None

@@ -118,8 +118,9 @@ RESULTANT_CASES = [  # (field, variables, shape, trials, seed)
 
 def test_resultant_agrees_with_sylvester_100_random_trials():
     """resultant against the Sylvester determinant, and the chain's
-    degree-0 last member against the determinant of its first two members
-    times the sign (-1)^(sum d_i*d_{i+1}) over the chain's degrees."""
+    degree-0 last member against the same determinant: the chain signs
+    S_0 itself, also when it puts g first with deg f * deg g odd."""
+    odd_swaps = 0
     for field, variables, shape, trials, seed in RESULTANT_CASES:
         rng = random.Random(seed)
         done = drops = 0
@@ -134,15 +135,15 @@ def test_resultant_agrees_with_sylvester_100_random_trials():
             chain = subresultant_prs(f, g, "x")
             degs = [p.degree_in("x") for p in chain]
             if degs[-1] == 0:
-                if f.degree_in("x") < g.degree_in("x"):  # the chain starts at g
-                    s0 = sylvester_resultant(g, f, "x")
-                odd = sum(d * e for d, e in zip(degs, degs[1:])) % 2
-                assert chain[-1] == (-s0 if odd else s0)
+                assert chain[-1] == s0
+                df, dg = f.degree_in("x"), g.degree_in("x")
+                odd_swaps += df < dg and df * dg % 2 == 1
             drops += max((d - e for d, e in zip(degs[1:], degs[2:])),
                          default=0) >= 2
             done += 1
         if shape == "drop":
             assert drops == trials
+    assert odd_swaps
 
 
 def test_content_in(monkeypatch):

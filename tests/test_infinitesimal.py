@@ -18,7 +18,8 @@ from curveint.poly import MultiPoly
 from curveint.series import (TruncatedSeries, eval_poly_at_series,
                              shift_exponents)
 
-from oracles import fulton_intersection_number, valuation_certificate
+from oracles import (fulton_intersection_number, series_from_terms,
+                     valuation_certificate)
 
 V = ("x", "y")
 
@@ -72,7 +73,7 @@ def test_specialize_series():
 
 
 def test_specialize_nearby_point():
-    half = TruncatedSeries.from_terms(QQ, [(Fraction(1, 2), 1)], prec=3)
+    half = series_from_terms(QQ, [(Fraction(1, 2), 1)], prec=3)
     t = TruncatedSeries.variable(QQ).truncate(3)
     np_ = NearbyPoint(half, t, (QQ.zero, QQ.zero))
     assert specialize(np_) == (0, 0)

@@ -9,11 +9,11 @@ from curveint.errors import (InsufficientPrecisionError, InvalidInputError,
                              NotSimpleRootError)
 from curveint.fields import QQ, PrimeField
 from curveint.lifting import (hensel_lift, newton_puiseux, sheet_conjugates,
-                              verify_branch, weierstrass_prepare)
+                              weierstrass_prepare)
 from curveint.poly import MultiPoly
 from curveint.series import INF, TruncatedSeries, eval_poly_at_series
 
-from oracles import branch_count, random_poly
+from oracles import branch_count, random_poly, verify_branch
 
 XT = ("x", "t")
 XY = ("x", "y")

@@ -10,7 +10,8 @@ F_7, F_32003, Q[w]/(w^3-2w+5) and a degree-6 extension of F_32003.
 Exact division (one sparse lex-order pass on ``Field.division_codec``
 encodings) is checked against graded-lex long division on field elements,
 over Q, F_2, F_7, F_32003, F_7[w]/(w^2-3) and Q[w]/(w^3-2), with each of
-the ways a division can fail to be exact.
+the ways a division can fail to be exact.  Products and division are also
+checked where the exponent slots widen.
 """
 
 import random
@@ -254,6 +255,8 @@ def test_exact_divide_rejects_every_kind_of_inexact(field):
         (x * x + y * y, x * y + 1),
         # y^2 + x has a higher degree in y than x*y + 1
         (x * y + 1, y * y + x),
+        # and x^2 + y a higher degree in x
+        (x * y + 1, x * x + y),
     ]
     if field.characteristic != 2:
         # over Q a quotient term that is not integral: 1/2 * x^0
@@ -263,6 +266,45 @@ def test_exact_divide_rejects_every_kind_of_inexact(field):
             poly_exact_divide_pairwise(a, d)
         with pytest.raises(InvalidInputError, match="not exact"):
             a.exact_divide(d)
+
+
+def _corner_poly(rng, field, degs, nterms=5):
+    """A random polynomial of degree exactly ``degs[i]`` in variable i."""
+    terms = {tuple(rng.randint(0, d) for d in degs): _scalar(rng, field)
+             for _ in range(nterms)}
+    for i, d in enumerate(degs):
+        terms[tuple(d if j == i else 0 for j in range(len(degs)))] = \
+            _scalar(rng, field) or field.one
+    return MultiPoly(field, V, terms)
+
+
+@pytest.mark.parametrize("top", [7, 8, 127, 128])
+@pytest.mark.parametrize("field", [QQ, F7, F7W], ids=["Q", "F7", "F7[w]"])
+def test_products_and_division_at_slot_boundaries(field, top):
+    """Exponents packed one slot of top.bit_length() bits per variable,
+    at tops 2^k - 1 and 2^k (k = 3, 7), where the slot widens: in every
+    variable, and in one variable far above the others (the lowest slot
+    and the highest)."""
+    rng = random.Random(top)
+    half = top // 2
+    splits = [((half,) * 3, (top - half,) * 3),
+              ((half, 1, 0), (top - half, 0, 1)),
+              ((0, 1, half), (1, 0, top - half))]
+    for qdegs, ddegs in splits:
+        for _ in range(3):
+            q = _corner_poly(rng, field, qdegs)
+            d = _corner_poly(rng, field, ddegs)
+            prod = q * d
+            assert prod.terms == poly_mul_pairwise(q, d).terms
+            assert max(prod.degree_in(v) for v in V) == top
+            _divides(q, d)
+            with pytest.raises(InvalidInputError, match="not exact"):
+                (prod + 1).exact_divide(d)
+    # y - x*y leaves x^-1 in the lowest slot, whose 2^width - 1 is the
+    # first value past the quotient's box when top = 2^k - 1
+    x, y, _ = _xyt(field)
+    with pytest.raises(InvalidInputError, match="not exact"):
+        (x ** top + y).exact_divide(x * y + 1)
 
 
 def test_exact_divide_stays_sparse_at_high_degree():
