@@ -313,24 +313,21 @@ def separable_by_evaluation(R: MultiPoly, name: str) -> bool:
     for some tau in 1..23 (cut to p - 1 over F_p) the top coefficient does
     not vanish at tau and R(name, tau) is coprime to its derivative.
     False means only that no tau proved it (a degree below 2 is separable
-    outright)."""
-    if R.degree_in(name) < 2:
+    outright).  R is specialized once per tau: the top coefficient survives
+    iff R(name, tau) keeps R's degree, and d/d name commutes with t = tau."""
+    n = R.degree_in(name)
+    if n < 2:
         return True
-    dR = R.derivative(name)
-    if dR.is_zero():
+    if R.derivative(name).is_zero():
         return False
     field = R.field
     p = field.characteristic
-    lc = R.leading_coeff_in(name)
     for raw in range(1, 24 if p == 0 else min(24, p)):
-        tau = field.of(raw)
-        if not lc.subs_values({"t": tau}).constant_value():
+        r0 = R.subs_values({"t": field.of(raw)})
+        if r0.degree_in(name) != n:
             continue
-        r0 = R.subs_values({"t": tau})
-        d0 = dR.subs_values({"t": tau})
-        if r0.is_zero() or d0.is_zero():
-            continue
-        if gcd(r0, d0).is_constant():
+        d0 = r0.derivative(name)
+        if not d0.is_zero() and gcd(r0, d0).is_constant():
             return True
     return False
 

@@ -25,8 +25,9 @@ precision (InsufficientPrecisionError, or S11 or the Jacobian zero to
 precision along a branch: ZeroToPrecisionError), reruns on the same R at
 double the precision, up to the cap ``default_precision`` = 2de + 2.  A
 failure at the cap fails the attempt: the next seed runs, after an
-InsufficientPrecisionError under a raised cap (the suggested precision,
-or double).  An explicit precision is both start and cap.  The outcome's
+InsufficientPrecisionError under double the cap.  That is the one
+precision rule: no certificate suggests a precision of its own.  An
+explicit precision is both start and cap.  The outcome's
 ``precision`` is the precision the witnesses were certified at;
 count-only expands no series and reports the precision at which the
 witnesses gave way to it (the start, over an extension field).
@@ -265,9 +266,9 @@ def _attempts(build, readout, seed: int, first: int, prec, cap,
     that more precision may mend (InsufficientPrecisionError,
     ZeroToPrecisionError), again at double the precision, up to ``cap``.
     A failure at the cap fails the attempt: any genericity failure
-    reseeds, and a precision failure also raises the cap to its suggested
-    precision, or doubles it.  An explicit ``prec`` (not None) is both the
-    start and the cap, so it runs once per seed."""
+    reseeds, and an InsufficientPrecisionError also doubles the cap for
+    the seeds after it.  An explicit ``prec`` (not None) is both the start
+    and the cap, so it runs once per seed."""
     cap = Fraction(cap if prec is None else prec)
     last_error = None
     for attempt in range(first, first + max_retries):
@@ -284,7 +285,7 @@ def _attempts(build, readout, seed: int, first: int, prec, cap,
                     work = min(2 * work, cap)
         except (GenericityFailureError, InsufficientPrecisionError) as err:
             if isinstance(err, InsufficientPrecisionError):
-                cap = Fraction(err.suggested) if err.suggested else 2 * cap
+                cap = 2 * cap
             last_error = err
     raise GenericityFailureError(
         f"{what} certification failed after {max_retries} attempts "

@@ -59,14 +59,9 @@ class NotSpecializableError(CurveIntError):
 
 
 class InsufficientPrecisionError(CurveIntError):
-    """Retryable: truncation order too small to separate branches.
-
-    ``suggested`` carries the precision a retry should use.
-    """
-
-    def __init__(self, message, suggested=None):
-        self.suggested = suggested
-        super().__init__(message)
+    """Retryable: the truncation order was too small for a certificate to
+    decide.  The caller picks the next precision
+    (``deformation._attempts`` doubles it)."""
 
 
 class GeneralPositionError(CurveIntError):

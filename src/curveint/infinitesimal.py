@@ -20,7 +20,7 @@ from .deformation import (VARS3, _eliminant_and_s1, _points_along,
                           deformation_count, two_scale_analysis)
 from .errors import (InfiniteMultiplicityError, InsufficientPrecisionError,
                      InvalidInputError, VerificationFailureError)
-from .intersect import Curve, mult_length
+from .intersect import mult_length
 from .lifting import Branch, newton_puiseux, sheet_conjugates
 from .poly import MultiPoly
 from .series import TruncatedSeries
@@ -55,10 +55,10 @@ class NearbyPoint:
         return f"({self.x}, {self.y}) -> {self.target}"
 
 
-def deform(C, direction: MultiPoly) -> DeformedCurve:
-    """Move every coefficient of the family along ``direction`` scaled by
-    the infinitesimal: u_ij becomes u_ij + t * direction_ij."""
-    base = C.affine("Z") if isinstance(C, Curve) else C
+def deform(base: MultiPoly, direction: MultiPoly) -> DeformedCurve:
+    """Move every coefficient of the affine curve ``base`` along
+    ``direction`` scaled by the infinitesimal: u_ij becomes
+    u_ij + t * direction_ij."""
     if direction.is_zero():
         raise InvalidInputError("zero deformation direction")
     if direction.total_degree() > max(base.total_degree(), 0):
@@ -86,14 +86,8 @@ def _as_deformed_poly(obj) -> tuple[MultiPoly, MultiPoly]:
     inputs embed as trivially deformed."""
     if isinstance(obj, DeformedCurve):
         return obj.result, obj.base
-    if isinstance(obj, Curve):
-        base = obj.affine("Z")
-        return base.extend_vars(VARS3), base
     if isinstance(obj, MultiPoly):
-        base = obj
-        if "t" not in obj.vars:
-            return obj.extend_vars(VARS3), base
-        return obj, obj
+        return (obj if "t" in obj.vars else obj.extend_vars(VARS3)), obj
     raise InvalidInputError(f"not a curve or deformed curve: {obj!r}")
 
 
@@ -159,7 +153,7 @@ def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):
         if known < prec:
             raise InsufficientPrecisionError(
                 f"a nearby point is known only to O(t^{known}), not "
-                f"O(t^{prec})", suggested=2 * prec + short)
+                f"O(t^{prec})")
         out.append(NearbyPoint(xs.truncate(prec), ys.truncate(prec),
                                (tx, ty), count))
     out.sort(key=lambda np_: (str(np_.y), str(np_.x)))

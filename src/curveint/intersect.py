@@ -134,7 +134,6 @@ class PointCluster:
     minpoly: MultiPoly
     degree: int
     chart: str
-    shear: tuple
     representative: ProjectivePoint = None
     conjugates: list = None
 
@@ -263,17 +262,13 @@ def mult_resultant_order(pair: LocalPair) -> int:
 
 def transversality_check(f: MultiPoly, g: MultiPoly) -> bool:
     """True iff both curves are nonsingular at the origin and meet with
-    independent tangents (nonzero Jacobian determinant)."""
-    field = f.field
-    xv, yv = f.vars[0], f.vars[1]
-    origin = {xv: field.zero, yv: field.zero}
-    if f.subs_values(origin).constant_value() or \
-            g.subs_values(origin).constant_value():
+    independent tangents (nonzero Jacobian determinant), read off the
+    constant and linear terms of f and g in their first two variables."""
+    zero, rest = f.field.zero, (0,) * (len(f.vars) - 2)
+    const, ex, ey = (0, 0) + rest, (1, 0) + rest, (0, 1) + rest
+    if f.terms.get(const, zero) or g.terms.get(const, zero):
         raise InvalidInputError("both curves must vanish at the origin")
-    fx = f.derivative(xv).subs_values(origin).constant_value()
-    fy = f.derivative(yv).subs_values(origin).constant_value()
-    gx = g.derivative(xv).subs_values(origin).constant_value()
-    gy = g.derivative(yv).subs_values(origin).constant_value()
+    fx, fy, gx, gy = (h.terms.get(e, zero) for h in (f, g) for e in (ex, ey))
     if (not fx and not fy) or (not gx and not gy):
         return False
     return bool(fx * gy - fy * gx)
@@ -298,7 +293,7 @@ def _fiber_point(f: MultiPoly, g: MultiPoly, yval, lam, mu):
     return ProjectivePoint((x0, y0, field.one), field)
 
 
-def _orbit(minpoly: MultiPoly, chart: str, shear: tuple,
+def _orbit(minpoly: MultiPoly, chart: str,
            rep: ProjectivePoint) -> PointCluster:
     """The Galois orbit of ``rep``, a point over the root r of an
     irreducible ``minpoly`` (``roots_univariate``).  The orbit's k
@@ -313,7 +308,7 @@ def _orbit(minpoly: MultiPoly, chart: str, shear: tuple,
         for _ in range(k - 1):
             conjugates.append(ProjectivePoint(
                 [c ** p for c in conjugates[-1].coords], ext))
-    return PointCluster(minpoly, k, chart, shear, rep, conjugates)
+    return PointCluster(minpoly, k, chart, rep, conjugates)
 
 
 def intersection_points(C1: Curve, C2: Curve):
@@ -359,35 +354,25 @@ def _affine_points(C1: Curve, C2: Curve):
             if yfield == f.field:
                 points.append(point)
             else:
-                clusters.append(_orbit(m, "Z", (lam, mu), point))
+                clusters.append(_orbit(m, "Z", point))
         return points, clusters
     return first_shear(f.field, attempt, "separated the affine points")
 
 
 def _infinity_points(C1: Curve, C2: Curve):
+    """The common points on Z = 0 of two curves with no common component:
+    the zeros of H = gcd(C1(X, Y, 0), C2(X, Y, 0)), a binary form (a curve
+    that contains Z = 0 restricts to 0, and gcd(0, B) is B)."""
     field = C1.field
-    B1 = C1.form.subs_values({"Z": field.zero})
-    B2 = C2.form.subs_values({"Z": field.zero})
-    if B1.is_zero() and B2.is_zero():
-        raise SharedComponentError("both curves contain the infinity line")
+    H = gcd(C1.form.coeff_of("Z", 0), C2.form.coeff_of("Z", 0))
     points = []
-    # [1:0:0] lies on a curve iff its X^d coefficient vanishes
-    def through_100(B, C):
-        return not B.coeff_of("X", C.degree).constant_value()
-    if (B1.is_zero() or through_100(B1, C1)) and \
-            (B2.is_zero() or through_100(B2, C2)):
+    # [1:0:0] is a zero of H iff H's X^deg coefficient vanishes
+    if H.degree_in("X") < H.total_degree():
         points.append(ProjectivePoint((field.one, field.zero, field.zero),
                                       field))
-    # remaining infinity points are [x:1:0]
-    b1 = B1.subs_values({"Y": field.one}) if not B1.is_zero() else None
-    b2 = B2.subs_values({"Y": field.one}) if not B2.is_zero() else None
-    if b1 is None:
-        h = b2
-    elif b2 is None:
-        h = b1
-    else:
-        h = gcd(b1, b2)
-    if h is None or h.is_constant():
+    # the others are [x:1:0]
+    h = H.subs_values({"Y": field.one})
+    if h.is_constant():
         return points, []
     clusters = []
     for m, x0, xfield, _ in roots_univariate(h, "X", "r"):
@@ -395,7 +380,7 @@ def _infinity_points(C1: Curve, C2: Curve):
         if xfield == field:
             points.append(point)
         else:
-            clusters.append(_orbit(m, "Y", (0, 1), point))
+            clusters.append(_orbit(m, "Y", point))
     return points, clusters
 
 

@@ -16,7 +16,6 @@ entry points:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,11 +61,13 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
     t = 0; otherwise NotSimpleRootError.
 
     Newton's iteration runs at working precisions that double up to
-    ``prec`` (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 9),
-    with the approximant kept as an exact polynomial.  The root is returned
-    only once f(root) vanishes mod t^prec, evaluated at that full
-    precision; when the coefficients are not known that far, or the
-    iteration does not converge, InsufficientPrecisionError.
+    ``prec`` (von zur Gathen and Gerhard, Modern Computer Algebra, 9.4),
+    with the approximant kept as an exact polynomial, and then reads
+    f(root) once more at ``prec``.  From a simple root each step doubles
+    the correct digits, so that schedule is the whole iteration: the root
+    is returned only once f(root) vanishes mod t^prec, evaluated at that
+    full precision, and InsufficientPrecisionError otherwise (the
+    coefficients are not known that far, or the iterate did not converge).
     """
     prec = Fraction(prec)
     if isinstance(f, MultiPoly):
@@ -85,7 +86,6 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
     if not d0.constant_term():
         raise NotSimpleRootError(
             "residual derivative vanishes at a0; the root is not simple")
-    max_iter = 4 + math.ceil(math.log2(max(2, float(prec))))
     # a0 is correct to the valuation v0 of f(a0), and a step at working
     # precision w needs an approximant correct to w/2: so prec/2^k, ...,
     # prec/2, prec, starting from the first w with w/2 <= v0.  Between
@@ -96,7 +96,7 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
         schedule.append(schedule[-1] / 2)
     schedule.reverse()
     x = TruncatedSeries.constant(field, a0)
-    for w in schedule + [prec] * (max_iter - 1):
+    for w in schedule + [prec]:
         root = x.truncate(w)
         fx = horner([c.truncate(w) for c in coeffs], root)
         v = fx.valuation()
@@ -109,12 +109,10 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
         step = root - fx / dfx
         x = TruncatedSeries(field, step.coeffs, INF, step.ram)
     else:
-        raise InsufficientPrecisionError(
-            "Newton iteration failed to converge", suggested=2 * prec)
+        raise InsufficientPrecisionError("Newton iteration failed to converge")
     if root.prec != prec or fx.prec < prec:
         raise InsufficientPrecisionError(
-            f"lifted root is certified only mod t^{fx.prec}, not t^{prec}",
-            suggested=2 * prec)
+            f"lifted root is certified only mod t^{fx.prec}, not t^{prec}")
     return root
 
 
@@ -200,8 +198,9 @@ def newton_polygon_edges(f: MultiPoly, xname: str):
 
 def _edge_polynomial(f: MultiPoly, xname: str, edge):
     """Coefficients of the restriction of f to one polygon edge, as a
-    univariate polynomial in the segment unknown z: returns (gamma, a, b,
-    level, coeff list ascending in z)."""
+    univariate polynomial in the segment unknown z: returns (a, b, level,
+    coeff list ascending in z), where a/b is the slope gamma in lowest
+    terms."""
     i1, j1, i2, j2 = edge
     gamma = Fraction(j1 - j2, i2 - i1)
     a, b = gamma.numerator, gamma.denominator
@@ -213,7 +212,7 @@ def _edge_polynomial(f: MultiPoly, xname: str, edge):
         i, j = exps[xi], exps[ti]
         if b * j + a * i == level and (i - i1) % b == 0 and i1 <= i <= i2:
             coeffs[(i - i1) // b] = coeffs[(i - i1) // b] + c
-    return gamma, a, b, level, coeffs
+    return a, b, level, coeffs
 
 
 def _transform_segment(f: MultiPoly, xname: str, a: int, b: int, level: int,
@@ -250,7 +249,7 @@ def _expand_squarefree(f: MultiPoly, xname: str, prec: Fraction, depth: int):
         return out
     edges = newton_polygon_edges(f, xname)
     for edge in edges:
-        gamma, a, b, level, coeffs = _edge_polynomial(f, xname, edge)
+        a, b, level, coeffs = _edge_polynomial(f, xname, edge)
         phi = MultiPoly(field, ("z",),
                         {(k,): c for k, c in enumerate(coeffs)})
         roots = _segment_roots(phi, field, b)
@@ -259,8 +258,7 @@ def _expand_squarefree(f: MultiPoly, xname: str, prec: Fraction, depth: int):
             sub_prec = prec * b - a
             if sub_prec <= 0:
                 raise InsufficientPrecisionError(
-                    "requested precision too small for this segment",
-                    suggested=2 * prec + gamma)
+                    "requested precision too small for this segment")
             if mult == 1:
                 tail = hensel_lift(series_poly_from_multipoly(g, xname),
                                    rfield.zero, sub_prec)
@@ -333,7 +331,11 @@ def newton_puiseux(F: MultiPoly, xname: str, prec):
     ``separable_by_evaluation`` proves it separable: its content in
     ``xname`` is then a unit of k[[t]], which moves no Newton polygon,
     edge root or Newton iterate.  Else the squarefree factors carry the
-    multiplicities; within a piece every branch is simple.
+    multiplicities; within a piece every branch is simple.  Branches come
+    in the order the expansion finds them (piece, polygon edge, then edge
+    root in ``factor_univariate``'s order), which is deterministic.  A
+    segment that ``prec`` is too short for raises
+    InsufficientPrecisionError; the caller picks the next precision.
     """
     if F.is_zero():
         raise InvalidInputError("zero polynomial")
@@ -352,18 +354,7 @@ def newton_puiseux(F: MultiPoly, xname: str, prec):
         for series, span in _expand_squarefree(fac, xname, prec, 0):
             branches.append(Branch(series.truncate(prec) if series.prec > prec
                                    else series, mult, span))
-    branches.sort(key=_printed)
     return branches
-
-
-def _printed(br: Branch):
-    """Sort key: branches in the order they print; one whose coefficients
-    are past ``int()``'s digit limit for printing sorts after, in the
-    order found."""
-    try:
-        return 0, str(br.series)
-    except ValueError:
-        return 1, ""
 
 
 def _root_of_unity(field, r: int):

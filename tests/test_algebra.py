@@ -299,6 +299,62 @@ def test_squarefree_zero_rejected():
         squarefree_decompose(MultiPoly.zero(QQ, V))
 
 
+def _random_in_y(rng, field, degree, top_at_1):
+    """A random R(y, t) of y-degree ``degree`` and t-degree at most 2; its
+    top coefficient is a multiple of t - 1 when ``top_at_1``."""
+    YT = ("y", "t")
+    t = MultiPoly.var(field, YT, "t")
+    while True:
+        terms = {(i, j): field.of(rng.randint(-3, 3))
+                 for i in range(degree + 1) for j in range(3)}
+        R = MultiPoly(field, YT, {e: c for e, c in terms.items() if c})
+        top = R.coeff_of("y", degree)
+        if top.is_zero():
+            continue
+        if top_at_1:  # top + top * (t - 2) = top * (t - 1)
+            R = R + top * MultiPoly.var(field, YT, "y", degree) * (t - 2)
+        return R
+
+
+def _sympy_discriminant(R):
+    """sympy's discriminant of R(y, t) in y, over Q or GF(p)."""
+    import sympy
+
+    y, t = sympy.symbols("y t")
+    if R.field == QQ:
+        domain, to_sym = sympy.QQ, lambda c: sympy.Rational(c.numerator,
+                                                            c.denominator)
+    else:
+        domain, to_sym = sympy.GF(R.field.p), lambda c: int(c.val)
+    expr = sum(to_sym(c) * y ** i * t ** j for (i, j), c in R.terms.items())
+    return sympy.Poly(expr, y, t, domain=domain).discriminant()
+
+
+@pytest.mark.parametrize("field,seed", [(QQ, 61), (PrimeField(5), 62),
+                                        (PrimeField(101), 63)],
+                         ids=["Q", "F5", "F101"])
+def test_separable_by_evaluation_implies_a_nonzero_discriminant(field, seed):
+    """Whenever ``separable_by_evaluation`` proves R(y, t) separable in y,
+    sympy's discriminant of R in y is not the zero polynomial in t.  R is
+    A^m * B for random A and B, some with a top coefficient that vanishes
+    at tau = 1, where R(y, 1) drops degree and proves nothing."""
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(80):
+        a_top, b_top = rng.random() < 0.5, rng.random() < 0.3
+        A = _random_in_y(rng, field, rng.randint(1, 2), a_top)
+        B = _random_in_y(rng, field, rng.randint(0, 2), b_top)
+        R = A ** rng.randint(1, 2) * B
+        if R.degree_in("y") < 2:
+            continue
+        proved = algebra.separable_by_evaluation(R, "y")
+        if proved:
+            assert not _sympy_discriminant(R).is_zero, str(R)
+        seen.add((proved, a_top or b_top))
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
 # ----------------------------------------------------------------- translate
 
 def test_translate_line():

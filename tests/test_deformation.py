@@ -16,7 +16,7 @@ from curveint.deformation import (VARS3, deform_polynomial, deformation_count,
                                   two_scale_analysis)
 from curveint.errors import (GenericityFailureError, InfiniteMultiplicityError,
                              InsufficientPrecisionError, InvalidInputError,
-                             UnsupportedExtensionError)
+                             UnsupportedExtensionError, ZeroToPrecisionError)
 from curveint.fields import QQ, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
 from curveint.series import TruncatedSeries
@@ -141,6 +141,63 @@ def test_explicit_precision_runs_once_per_seed(monkeypatch):
     outcome = deformation_count(local_pair(y - x * x, y - 2 * x * x), prec=3)
     assert outcome.precision == 3
     assert set(precisions) == {3}
+
+
+def _ladder(prec, cap, fails):
+    """Run ``_attempts`` (seed 5, up to 8 attempts) on a fake build and
+    readout.  ``fails(attempt, p)`` is the error class the readout raises
+    at attempt 0, 1, ... and precision p, or None to certify.  Returns the
+    (attempt, precision) pairs tried and the outcome."""
+    tried, attempts = [], iter(range(8))
+
+    def readout(attempt, p):
+        tried.append((attempt, p))
+        error = fails(attempt, p)
+        if error:
+            raise error("fake")
+        return "done"
+
+    out = deformation._attempts(lambda rng: next(attempts), readout, 5, 0,
+                                prec, cap, 8, "fake")
+    return tried, out
+
+
+def test_attempts_double_the_cap_after_a_precision_failure():
+    """Within a seed the precision doubles from START_PRECISION up to the
+    cap; an InsufficientPrecisionError at the cap reseeds under double the
+    cap.  No certificate chooses a precision of its own."""
+    tried, out = _ladder(None, 10, lambda k, p: (
+        InsufficientPrecisionError if k == 0 or p < 20 else None))
+    assert tried == [(0, 2), (0, 4), (0, 8), (0, 10),
+                     (1, 2), (1, 4), (1, 8), (1, 16), (1, 20)]
+    assert out == ("done", derived_seed(5, 1), 20)
+
+
+def test_attempts_keep_the_cap_after_a_genericity_failure():
+    """ZeroToPrecisionError escalates within the seed but reseeds at the
+    cap, like any genericity failure, under the same cap."""
+    tried, out = _ladder(None, 8, lambda k, p: (
+        ZeroToPrecisionError if k == 0 or (k == 2 and p < 8) else
+        GenericityFailureError if k == 1 else None))
+    assert tried == [(0, 2), (0, 4), (0, 8), (1, 2),
+                     (2, 2), (2, 4), (2, 8)]
+    assert out == ("done", derived_seed(5, 2), 8)
+
+
+def test_attempts_explicit_precision_doubles_per_seed():
+    """An explicit precision is start and cap: once per seed, at p and,
+    after a precision failure, at 2p."""
+    tried, out = _ladder(3, 10, lambda k, p: (
+        InsufficientPrecisionError if k < 2 else None))
+    assert tried == [(0, 3), (1, 6), (2, 12)]
+    assert out == ("done", derived_seed(5, 2), 12)
+
+
+def test_attempts_report_the_last_failure():
+    with pytest.raises(GenericityFailureError,
+                       match=r"^fake certification failed after 8 attempts "
+                             r"\(last: fake\)$"):
+        _ladder(4, 4, lambda k, p: InsufficientPrecisionError)
 
 
 @pytest.mark.parametrize("shortfall,message", [

@@ -52,6 +52,12 @@ EXTRA_JOBS = [
     # with multiplicity 2, and a degree-3 affine orbit
     ("f7-concentric-conics", _bezout("x^2+y^2-1", "x^2+y^2-2", "F7")),
     ("f7-cube-root-orbit", _bezout("x^3-2", "y-x", "F7")),
+    # points at infinity when one curve is the line Z = 0: an irrational
+    # pair over Q, a degree-2 orbit over F7; and [1:0:0] on a conic and a
+    # line pair that contains Z = 0
+    ("conic-vs-infinity-line", _bezout("X^2 - 2*Y^2", "Z", "Q")),
+    ("f7-conic-vs-infinity-line", _bezout("X^2 - 3*Y^2", "Z", "F7")),
+    ("conic-vs-line-pair", _bezout("Y^2 + X*Z", "Y*Z", "Q")),
     # one attempt on the roadmap pair: the witness path needs a second
     # extension step, and count-only reads the multiplicity off the
     # attempt's separable eliminant
