@@ -11,7 +11,10 @@ oracle only.  ``subresultant_prs`` is the one remainder loop: one chain
 gives the resultant (its last member when that has degree 0, signed by
 the chain itself), the gcd (the primitive part of its last member) and
 the degree-one subresultant S1 that the deformation engine lifts
-x-coordinates with.
+x-coordinates with.  Its pseudo-remainders (``pseudo_rem``) take one
+sparse pass of plain int products per step, on packed exponent keys and
+one ``Field.product_codec`` encoding, and never form the top terms that
+cancel.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from .errors import (GeneralPositionError, GenericityFailureError,
                      InfiniteMultiplicityError, InvalidDegreeError,
@@ -26,7 +30,7 @@ from .errors import (GeneralPositionError, GenericityFailureError,
                      UnsupportedExtensionError)
 from .factor import factor_mod_p, factor_over_q
 from .fields import QQ, ExtensionField, PrimeField, pth_root_scalar
-from .poly import MultiPoly
+from .poly import MultiPoly, _exponent_codec, _poly
 
 
 # --------------------------------------------------------------------- gcd
@@ -56,26 +60,72 @@ def content_in(f: MultiPoly, name: str) -> MultiPoly:
 
 
 def pseudo_rem(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
-    """r with lc_g^(df-dg+1) * f = q*g + r and deg_name r < deg_name g."""
+    """r with lc_g^(df-dg+1) * f = q*g + r and deg_name r < deg_name g.
+
+    g splits once into lead, its top coefficient in ``name``, and rest,
+    its terms below, negated.  A step of degree dr splits r into low, its
+    terms below dr, and top, its terms of degree dr shifted down by dg, and
+    forms r*lead - top*g = low*lead + top*rest: the top terms cancel, so
+    they are never formed.  Both products run in one pass of plain int
+    products (one ``Field.product_codec`` call on the pair
+    (low + top, lead + rest)), summed per exponent key of
+    ``poly._exponent_codec`` and decoded once per step; the keys stay
+    packed from step to step, with name's slot read by shift and mask.
+    """
     df, dg = f.degree_in(name), g.degree_in(name)
     if dg < 0:
         raise ZeroDivisionError("pseudo-division by zero")
     if df < dg:
         return f
-    lead = g.leading_coeff_in(name)
-    i = f.vars.index(name)
-    r = f
     e = df - dg + 1
-    while not r.is_zero():
-        dr = r.degree_in(name)
+    # Each of the at most e steps raises r's exponents by at most g's.
+    pack, unpack, width = _exponent_codec(
+        max(chain.from_iterable(f.terms))
+        + e * max(chain.from_iterable(g.terms)), len(f.vars))
+    shift = width * f.vars.index(name)
+    mask = (1 << width) - 1
+    down = dg << shift
+    lead_keys, lead, rest_keys, rest = [], [], [], []
+    for x, c in g.terms.items():
+        k = pack(x)
+        if k >> shift & mask == dg:
+            lead_keys.append(k - down)
+            lead.append(c)
+        else:
+            rest_keys.append(k)
+            rest.append(-c)
+    n = len(lead)
+    r = {pack(x): c for x, c in f.terms.items()}
+    while r:
+        dr = max(k >> shift & mask for k in r)
         if dr < dg:
             break
-        # lc_name(r) * name^(dr - dg), by shifting the top terms of r
-        t = r.clone({x[:i] + (dr - dg,) + x[i + 1:]: c
-                     for x, c in r.terms.items() if x[i] == dr})
-        r = r * lead - t * g
+        low_keys, low, top_keys, top = [], [], [], []
+        for k, c in r.items():
+            if k >> shift & mask == dr:
+                top_keys.append(k - down)
+                top.append(c)
+            else:
+                low_keys.append(k)
+                low.append(c)
+        # One codec call is exact for both products: an output key sums at
+        # most min(|low|, |lead|) products from low*lead and at most
+        # min(|top|, |rest|) from top*rest, together at most
+        # min(|low| + |top|, |lead| + |rest|), the codec's bound.
+        ai, bi, decode = f.field.product_codec(low + top, lead + rest)
+        m = len(low)
+        sums = {}
+        for a_keys, a, b_keys, b in ((low_keys, ai[:m], lead_keys, bi[:n]),
+                                     (top_keys, ai[m:], rest_keys, bi[n:])):
+            b_terms = list(zip(b_keys, b))
+            for ka, x in zip(a_keys, a):
+                for kb, y in b_terms:
+                    k = ka + kb
+                    sums[k] = sums.get(k, 0) + x * y
+        r = decode(sums)
         e -= 1
-    return r * lead ** e if e else r
+    r = _poly(f.field, f.vars, {unpack(k): c for k, c in r.items()})
+    return r * g.leading_coeff_in(name) ** e if e else r
 
 
 def _involved(f: MultiPoly, g: MultiPoly):

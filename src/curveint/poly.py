@@ -28,19 +28,20 @@ def _poly(field, variables, terms):
 
 
 def _exponent_codec(top, nvars):
-    """(pack, unpack) for exponent vectors of ``nvars`` entries at most
-    ``top``: ``fields._pack`` with one slot of top.bit_length() bits per
-    variable, the first variable lowest.  Keys compare in lex order from
-    the last variable, a monomial order, and while every entry stays at
-    most ``top`` the key of a product of monomials is the sum of their
-    keys; ``unpack`` reads the slots back with shifts and masks."""
+    """(pack, unpack, width) for exponent vectors of ``nvars`` entries at
+    most ``top``: ``fields._pack`` with one slot of ``width`` =
+    top.bit_length() bits per variable, the first variable lowest.  Keys
+    compare in lex order from the last variable, a monomial order, and
+    while every entry stays at most ``top`` the key of a product of
+    monomials is the sum of their keys; ``unpack`` reads the slots back
+    with shifts and masks."""
     width = max(1, top.bit_length())
     mask = (1 << width) - 1
     shifts = range(0, width * nvars, width)
 
     def unpack(key):
         return tuple(key >> s & mask for s in shifts)
-    return partial(_pack, width=width), unpack
+    return partial(_pack, width=width), unpack, width
 
 
 class MultiPoly:
@@ -179,7 +180,7 @@ class MultiPoly:
             return _poly(self.field, self.vars, {})
         ai, bi, decode = self.field.product_codec(list(a.values()),
                                                   list(b.values()))
-        pack, unpack = _exponent_codec(
+        pack, unpack, _ = _exponent_codec(
             max(chain.from_iterable(a), default=0)
             + max(chain.from_iterable(b), default=0), len(self.vars))
         bterms = list(zip(map(pack, b), bi))
@@ -231,9 +232,9 @@ class MultiPoly:
             nc = c * e
             if not nc:
                 continue  # exponent divisible by the characteristic
-            key = exps[:i] + (e - 1,) + exps[i + 1:]
-            out[key] = out.get(key, self.field.zero) + nc
-        return self.clone(out)
+            # distinct terms keep distinct keys
+            out[exps[:i] + (e - 1,) + exps[i + 1:]] = nc
+        return _poly(self.field, self.vars, out)
 
     # ----------------------------------------------------------- evaluation
     def subs_values(self, assignment):
@@ -255,7 +256,7 @@ class MultiPoly:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return self.clone(out)
+        return _poly(self.field, self.vars, out)
 
     def compose(self, substitution):
         """Substitute polynomials (same field/vars) for some variables.
@@ -356,7 +357,7 @@ class MultiPoly:
         room = [t - max(col) for t, col in zip(top, zip(*d))]
         if min(room) < 0:  # nor would the divisor's keys pack into the box
             raise InvalidInputError("division is not exact")
-        pack, unpack = _exponent_codec(max(top), len(top))
+        pack, unpack, _ = _exponent_codec(max(top), len(top))
         dkeys = sorted(d, key=pack, reverse=True)
         ai, di, take, decode = self.field.division_codec(
             list(a.values()), [d[e] for e in dkeys])

@@ -11,9 +11,12 @@ long division by the modulus, the extended Euclidean algorithm) where the
 production code computes on integer vectors.  The product references
 multiply polynomials and series one term pair at a time through the
 element operators, normalising every partial sum, where the production
-products sum integer encodings and normalise once per coefficient.  The
-Frobenius orbit oracle raises each coordinate of a point to p**i, where
-the production code takes p-th powers step by step.  The substitution
+products sum integer encodings and normalise once per coefficient; the
+pseudo-remainder reference forms each step r*lead - t*g as whole
+polynomial products, where the production step runs one pass that never
+forms the cancelling top terms.  The Frobenius orbit oracle raises each
+coordinate of a point to p**i, where the production code takes p-th
+powers step by step.  The substitution
 oracle expands with sympy, where the production ``compose`` multiplies
 cached powers term by term.  The evaluation oracle reads each bound
 series as a polynomial in s = t^(1/L) and expands with ``compose``, where
@@ -280,6 +283,30 @@ def poly_exact_divide_pairwise(a: MultiPoly, d: MultiPoly) -> MultiPoly:
             else:
                 rem.pop(key, None)
     return MultiPoly(a.field, a.vars, out)
+
+
+def pseudo_rem_by_products(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
+    """r with lc_g^(df-dg+1) * f = q*g + r and deg_name r < deg_name g, each
+    step forming r*lead - t*g as two whole ``MultiPoly`` products and a
+    sum, t the top terms of r shifted down by deg_name g."""
+    df, dg = f.degree_in(name), g.degree_in(name)
+    if dg < 0:
+        raise ZeroDivisionError("pseudo-division by zero")
+    if df < dg:
+        return f
+    lead = g.leading_coeff_in(name)
+    i = f.vars.index(name)
+    r = f
+    e = df - dg + 1
+    while not r.is_zero():
+        dr = r.degree_in(name)
+        if dr < dg:
+            break
+        t = r.clone({x[:i] + (dr - dg,) + x[i + 1:]: c
+                     for x, c in r.terms.items() if x[i] == dr})
+        r = r * lead - t * g
+        e -= 1
+    return r * lead ** e if e else r
 
 
 def series_mul_pairwise(a: TruncatedSeries, b: TruncatedSeries):

@@ -6,8 +6,8 @@ from fractions import Fraction
 from curveint import algebra
 from curveint.algebra import (SHEAR_BOUND, _shear_candidates, content_in,
                               dehomogenize, gcd, homogenize,
-                              is_homogeneous, lift_to_field, resultant,
-                              apply_shear, roots_univariate,
+                              is_homogeneous, lift_to_field, pseudo_rem,
+                              resultant, apply_shear, roots_univariate,
                               shear_to_general_position, squarefree_decompose,
                               subresultant_prs, translate_to_origin)
 from curveint.errors import (GeneralPositionError, InvalidDegreeError,
@@ -15,8 +15,8 @@ from curveint.errors import (GeneralPositionError, InvalidDegreeError,
 from curveint.fields import QQ, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
 
-from oracles import (evaluate, random_poly, shear_candidates_by_ratio,
-                     sylvester_resultant)
+from oracles import (evaluate, pseudo_rem_by_products, random_poly,
+                     shear_candidates_by_ratio, sylvester_resultant)
 
 V = ("x", "y")
 
@@ -190,6 +190,81 @@ def test_subresultant_chain_ends_at_gcd_degree():
     g = (x - y) * (x + 2)
     chain = subresultant_prs(f, g, "x")
     assert chain[-1].degree_in("x") == 1  # proportional to x - y
+
+
+def _in_degree(rng, field, name, degree):
+    """A random trivariate polynomial of degree exactly ``degree`` in
+    ``name``, with coefficients of degree at most 2 in the other two
+    variables (and a w-part over an extension field)."""
+    unit = MultiPoly.var(field, XYT, name)
+    f = MultiPoly.zero(field, XYT)
+    for k in range(degree + 1):
+        c = MultiPoly.zero(field, XYT)
+        while c.is_zero():
+            c = _random_in(rng, field, XYT, 2)
+            c = c.clone({e: v for e, v in c.terms.items()
+                         if e[XYT.index(name)] == 0})
+        f = f + c * unit ** k
+    return f
+
+
+def _sympy_prem(f, g, name):
+    """sympy's pseudo-remainder in ``name`` of two polynomials over Q."""
+    import sympy
+
+    order = (name,) + tuple(v for v in XYT if v != name)
+    gens = sympy.symbols(order)
+    perm = [XYT.index(v) for v in order]
+    a, b = (sympy.Poly.from_dict(
+        {tuple(e[i] for i in perm): sympy.Rational(c.numerator,
+                                                   c.denominator)
+         for e, c in p.terms.items()}, gens, domain=sympy.QQ)
+        for p in (f, g))
+    back = [order.index(v) for v in XYT]
+    return MultiPoly(QQ, XYT, {
+        tuple(e[i] for i in back): Fraction(int(c.numerator),
+                                            int(c.denominator))
+        for e, c in a.prem(b).terms() if c})
+
+
+@pytest.mark.parametrize("field", [
+    QQ, PrimeField(7), PrimeField(32003),
+    ExtensionField(PrimeField(7), [-3, 0, 1], "w"),
+    ExtensionField(QQ, [-2, 0, 1], "w")],
+    ids=["Q", "F7", "F32003", "F7[w]/(w^2-3)", "Q[w]/(w^2-2)"])
+def test_pseudo_rem_matches_oracle(field):
+    """lc^e * f = q*g + r with deg r < deg g, e = max(df - dg + 1, 0), in
+    each variable: equal to the step-by-products reference, lc^e * f - r
+    divisible by g, and over Q equal to sympy's prem.  Degree gaps 0, 1
+    and 2 to 3, g free of the variable, df < dg, exact multiples, and a
+    step that drops the degree by two."""
+    rng = random.Random(28)
+    cases = []
+    for name in XYT:
+        for df, dg in ((2, 2), (3, 2), (4, 2), (4, 1), (3, 0), (1, 2)):
+            cases.append((name, _in_degree(rng, field, name, df),
+                          _in_degree(rng, field, name, dg)))
+        g = _in_degree(rng, field, name, 2)
+        cases.append((name, _in_degree(rng, field, name, 1) * g, g))
+        # no middle terms: the first step drops r from degree 4 to 2, so
+        # the last step leaves lc^1 to multiply in
+        i = XYT.index(name)
+        f, g = (p.clone({e: c for e, c in p.terms.items() if e[i] in (0, d)})
+                for p, d in ((_in_degree(rng, field, name, 4), 4), (g, 2)))
+        cases.append((name, f, g))
+    for name, f, g in cases:
+        r = pseudo_rem(f, g, name)
+        assert r.terms == pseudo_rem_by_products(f, g, name).terms
+        df, dg = f.degree_in(name), g.degree_in(name)
+        assert r.degree_in(name) < dg
+        if df < dg:
+            assert r == f
+        lead = g.leading_coeff_in(name)
+        (lead ** max(df - dg + 1, 0) * f - r).exact_divide(g)
+        if field == QQ:
+            assert r == _sympy_prem(f, g, name)
+    multiples = cases[6::8]
+    assert all(pseudo_rem(f, g, name).is_zero() for name, f, g in multiples)
 
 
 def _sympy_gcd(f, g):

@@ -11,7 +11,8 @@ Exact division (one sparse lex-order pass on ``Field.division_codec``
 encodings) is checked against graded-lex long division on field elements,
 over Q, F_2, F_7, F_32003, F_7[w]/(w^2-3) and Q[w]/(w^3-2), with each of
 the ways a division can fail to be exact.  Products and division are also
-checked where the exponent slots widen.
+checked where the exponent slots widen, and a pseudo-remainder step where
+its one codec call holds the most products it can.
 """
 
 import random
@@ -22,6 +23,7 @@ from math import gcd
 
 import pytest
 
+from curveint.algebra import pseudo_rem
 from curveint.errors import InvalidInputError
 from curveint.fields import (QQ, ExtElement, ExtensionField, FpElement,
                              PrimeField)
@@ -29,7 +31,7 @@ from curveint.poly import MultiPoly
 from curveint.series import INF, TruncatedSeries
 
 from oracles import (poly_exact_divide_pairwise, poly_mul_pairwise,
-                     series_mul_pairwise)
+                     pseudo_rem_by_products, series_mul_pairwise)
 
 V = ("x", "y", "t")
 P = 32003
@@ -305,6 +307,38 @@ def test_products_and_division_at_slot_boundaries(field, top):
     x, y, _ = _xyt(field)
     with pytest.raises(InvalidInputError, match="not exact"):
         (x ** top + y).exact_divide(x * y + 1)
+
+
+@pytest.mark.parametrize("top", [7, 8, 127, 128])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("field", [FPW, QW],
+                         ids=["F32003[w]/(w^6+w+3)", "Q[w]/(w^3-2w+5)"])
+def test_pseudo_rem_step_fills_the_codec_bound(field, sign, top):
+    """One pseudo-remainder step whose key y^2 t^top collects m products
+    from low*lead and m from top*rest, the full
+    min(|low|, |lead|) + min(|top|, |rest|) = 2m that its one
+    ``product_codec`` call must hold, with every slot product at the
+    codec's largest (residues p - 1, or numerators 2^40 + 1 of one sign)
+    and the exponent reaching its slot's top.  The step forms
+    low*lead - top*rest; ``sign`` puts -1 on g's rest (sign 1) or on f's
+    top terms (sign -1), so the encoded operands are at their largest
+    whichever of the two the step negates."""
+    m, k = 3, top // 2
+    if field.characteristic:
+        big = ExtElement([P - 1] * field.degree, field)
+    else:
+        big = ExtElement([2 ** 40 + 1] * field.degree, field)
+    x, y, t = _xyt(field)
+    lead = sum((big * y ** j * t ** k for j in range(m)),
+               MultiPoly.zero(field, V))
+    rest = lead.scale(-sign)
+    f = sum(((1 + sign * x).scale(big) * y ** (m - 1 - j) * t ** (top - k)
+             for j in range(m)), MultiPoly.zero(field, V))
+    g = x * lead + rest
+    r = pseudo_rem(f, g, "x")
+    assert r.terms == pseudo_rem_by_products(f, g, "x").terms
+    assert r.degree_in("t") == top and (0, m - 1, top) in r.terms
+    _assert_canonical(r)
 
 
 def test_exact_divide_stays_sparse_at_high_degree():
