@@ -263,37 +263,6 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
 
 # ------------------------------------------------------ squarefree factors
 
-class SquarefreeDecomposition:
-    """Pairwise-coprime squarefree factors with multiplicities and a
-    constant content; the product reconstructs the input exactly."""
-
-    def __init__(self, factors, content):
-        self.factors = list(factors)
-        self.content = content
-
-    def reconstruct(self, like: MultiPoly) -> MultiPoly:
-        out = MultiPoly.const(like.field, like.vars, self.content)
-        for fac, mult in self.factors:
-            out = out * fac ** mult
-        return out
-
-    def reduced_product(self, like: MultiPoly) -> MultiPoly:
-        out = MultiPoly.const(like.field, like.vars, 1)
-        for fac, _ in self.factors:
-            out = out * fac
-        return out
-
-    def is_reduced(self):
-        return all(m == 1 for _, m in self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __repr__(self):
-        inner = ", ".join(f"({fac}, {m})" for fac, m in self.factors)
-        return f"SquarefreeDecomposition([{inner}], content={self.content})"
-
-
 def _pth_root_poly(f: MultiPoly) -> MultiPoly:
     p = f.field.characteristic
     out = {}
@@ -342,20 +311,25 @@ def _sqf_recurse(f: MultiPoly):
     return result
 
 
-def squarefree_decompose(f: MultiPoly) -> SquarefreeDecomposition:
+def squarefree_decompose(f: MultiPoly):
+    """The squarefree factors of a nonzero f as [(factor, multiplicity),
+    ...]: pairwise coprime, squarefree, each with graded-lex leading
+    coefficient 1, and f is a nonzero constant times the product of
+    factor ** multiplicity.  Sorted by multiplicity, total degree, then
+    printed form; a constant f gives [].  Over F_p a polynomial whose
+    partials all vanish is decomposed through its p-th root."""
     if f.is_zero():
         raise InvalidInputError("squarefree decomposition of zero")
     if f.is_constant():
-        return SquarefreeDecomposition([], f.constant_value())
+        return []
     factors = sorted(_sqf_recurse(f).items(),
                      key=lambda it: (it[1], it[0].total_degree(), str(it[0])))
     prod = MultiPoly.const(f.field, f.vars, 1)
     for fac, m in factors:
         prod = prod * fac ** m
-    content = f.exact_divide(prod)
-    if not content.is_constant():
+    if not f.exact_divide(prod).is_constant():
         raise InvalidInputError("squarefree decomposition failed to reconstruct")
-    return SquarefreeDecomposition(factors, content.constant_value())
+    return factors
 
 
 def separable_by_evaluation(R: MultiPoly, name: str) -> bool:
@@ -585,8 +559,7 @@ def in_general_position(fs: MultiPoly, gs: MultiPoly) -> bool:
     if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):
         return False
     yv = fs.vars[1]
-    f0 = fs.subs_values({yv: fs.field.zero})
-    g0 = gs.subs_values({yv: fs.field.zero})
+    f0, g0 = fs.coeff_of(yv, 0), gs.coeff_of(yv, 0)
     # every common zero on y = 0 must sit at the origin, i.e. the gcd of
     # the two restrictions is a pure power of x
     return len(gcd(f0, g0).terms) == 1

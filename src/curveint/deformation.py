@@ -120,7 +120,7 @@ def _eliminant_and_s1(ft: MultiPoly, gt: MultiPoly):
     chain of the pair.  R(y, 0) = 0 means the pair shares a component."""
     chain = subresultant_prs(ft, gt, "x")
     R = chain[-1]
-    if R.degree_in("x") > 0 or R.subs_values({"t": R.field.zero}).is_zero():
+    if R.degree_in("x") > 0 or R.coeff_of("t", 0).is_zero():
         raise SharedComponentError("resultant vanishes at t = 0")
     s1 = next((m for m in reversed(chain) if m.degree_in("x") == 1), None)
     return R, s1
@@ -226,7 +226,7 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, R: MultiPoly, s1,
 def _order_at_origin(R: MultiPoly) -> int:
     """ord_y R(y, 0): the number of roots of R(y, t) with positive
     valuation, counted with multiplicity."""
-    return _x_adic_valuation(R.subs_values({"t": R.field.zero}), 1)
+    return _x_adic_valuation(R.coeff_of("t", 0), 1)
 
 
 def certified_count_only(R: MultiPoly) -> int:

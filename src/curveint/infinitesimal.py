@@ -35,8 +35,7 @@ class DeformedCurve:
     result: MultiPoly
 
     def specialize(self) -> MultiPoly:
-        zero = self.result.field.zero
-        return self.result.subs_values({"t": zero}).drop_vars(["t"])
+        return self.result.coeff_of("t", 0).drop_vars(["t"])
 
 
 @dataclass
@@ -138,8 +137,7 @@ def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):
         gt = translate_to_origin(gt, (tx, ty))
     if prec is None:
         prec = default_precision(base1, base2) + 2
-    base = [h.subs_values({"t": field.zero}).drop_vars(["t"])
-            for h in (ft, gt)]
+    base = [h.coeff_of("t", 0).drop_vars(["t"]) for h in (ft, gt)]
     points = _nearby_points(ft, gt, base, prec)
     # x = -S10/S11 loses the valuation of S11 along the branch: expand once
     # more with that shortfall added, and keep only what prec asked for

@@ -23,7 +23,6 @@ degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from .algebra import (PROJECTIVE_VARS, LocalPair, _strongly_regular_in_x,
                       apply_shear, dehomogenize, first_shear, gcd,
@@ -39,7 +38,9 @@ from .poly import MultiPoly
 # ----------------------------------------------------------------- curves
 
 class Curve:
-    """A plane projective curve: homogeneous nonzero form in X, Y, Z."""
+    """A plane projective curve: homogeneous nonzero form in X, Y, Z.
+    ``components()`` lists its squarefree factors with multiplicities;
+    a multiplicity above 1 is a non-reduced component."""
 
     def __init__(self, form: MultiPoly):
         if form.is_zero():
@@ -53,20 +54,13 @@ class Curve:
         self.degree = form.total_degree()
         self.field = form.field
 
-    @cached_property
-    def decomposition(self):
-        return squarefree_decompose(self.form)
-
-    @property
-    def reduced(self) -> bool:
-        return self.decomposition.is_reduced()
-
     def affine(self, chart: str = "Z") -> MultiPoly:
         return dehomogenize(self.form, chart)
 
     def components(self):
-        """(reduced factor, multiplicity) pairs of the defining form."""
-        return list(self.decomposition)
+        """(reduced factor, multiplicity) pairs of the defining form, as
+        ``squarefree_decompose`` lists them."""
+        return squarefree_decompose(self.form)
 
     def __str__(self):
         return str(self.form)
@@ -150,7 +144,6 @@ class MultiplicityReport:
     mult_deformation: int
     transversal: bool
     shear: tuple
-    seed: int
     precision: object
     weight: int  # its share of the Bezout total
 
@@ -282,11 +275,11 @@ def _fiber_point(f: MultiPoly, g: MultiPoly, yval, lam, mu):
     exactly one distinct common zero (the shear is rejected)."""
     field = f.field
     xv, yv = f.vars[0], f.vars[1]
-    h = gcd(f.subs_values({yv: yval}), g.subs_values({yv: yval}))
-    if not h.is_constant():
-        h = squarefree_decompose(h).reduced_product(h)
-    if h.degree_in(xv) != 1:
+    factors = squarefree_decompose(
+        gcd(f.subs_values({yv: yval}), g.subs_values({yv: yval})))
+    if len(factors) != 1 or factors[0][0].degree_in(xv) != 1:
         raise GeneralPositionError("a fiber held two distinct common zeros")
+    h = factors[0][0]
     x0 = -h.coeff_of(xv, 0).constant_value() / \
         h.coeff_of(xv, 1).constant_value()
     y0 = (yval - field.of(lam) * x0) / field.of(mu)
@@ -426,8 +419,7 @@ def multiplicities_at(C1: Curve, C2: Curve, point: ProjectivePoint,
     report = MultiplicityReport(
         point=point, mult_length=m_len, mult_resultant=m_res,
         mult_deformation=outcome.count, transversal=trans,
-        shear=outcome.shear, seed=outcome.seed_used,
-        precision=outcome.precision, weight=m_len)
+        shear=outcome.shear, precision=outcome.precision, weight=m_len)
     if not report.agreed:
         raise VerificationFailureError(
             f"engine disagreement at {point}: length={m_len} "

@@ -245,7 +245,7 @@ def _expand_squarefree(f: MultiPoly, xname: str, prec: Fraction, depth: int):
     if k > 0:
         out.append((TruncatedSeries.zero(field), 1))
         f = _divide_x_power(f, xi, k)
-    if f.subs_values({xname: field.zero, "t": field.zero}):
+    if f.constant_value():
         return out
     edges = newton_polygon_edges(f, xname)
     for edge in edges:
@@ -342,7 +342,7 @@ def newton_puiseux(F: MultiPoly, xname: str, prec):
     if "t" not in F.vars:
         raise InvalidInputError("the series parameter must be named t")
     prec = Fraction(prec)
-    if F.subs_values({"t": F.field.zero}).is_zero():
+    if F.coeff_of("t", 0).is_zero():
         raise NotRegularError("F(x, 0) vanishes identically; shear first")
     branches = []
     if separable_by_evaluation(F, xname):
@@ -424,10 +424,10 @@ def weierstrass_prepare(F: MultiPoly, prec: int) -> WeierstrassData:
     """
     field = F.field
     xname, second = F.vars[:2]
-    f_x0 = F.subs_values({second: field.zero})
+    f_x0 = F.coeff_of(second, 0)
     if f_x0.is_zero():
         raise NotRegularError("F(x, 0) vanishes identically; shear first")
-    if F.subs_values({xname: field.zero, second: field.zero}):
+    if F.constant_value():
         raise NothingToPrepareError("F(0,0) != 0: F is already a local unit")
     m = _x_adic_valuation(f_x0, 0)
     units = [_divide_x_power(f_x0, 0, m)]

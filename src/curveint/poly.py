@@ -69,14 +69,16 @@ class MultiPoly:
     @classmethod
     def const(cls, field, variables, value):
         variables = tuple(variables)
-        return cls(field, variables, {(0,) * len(variables): field.of(value)})
+        value = field.of(value)
+        return _poly(field, variables,
+                     {(0,) * len(variables): value} if value else {})
 
     @classmethod
     def var(cls, field, variables, name, power=1):
         variables = tuple(variables)
         exps = [0] * len(variables)
         exps[variables.index(name)] = power
-        return cls(field, variables, {tuple(exps): field.one})
+        return _poly(field, variables, {tuple(exps): field.one})
 
     def clone(self, terms):
         return MultiPoly(self.field, self.vars, terms)
@@ -238,16 +240,20 @@ class MultiPoly:
 
     # ----------------------------------------------------------- evaluation
     def subs_values(self, assignment):
-        """Substitute field elements for a subset of variables."""
-        idx = {self.vars.index(v): self.field.of(val) for v, val in assignment.items()}
+        """Substitute field elements for a subset of variables.  Each value
+        keeps one list of its powers, extended as the terms need them."""
+        idx = {self.vars.index(v): [self.field.one, self.field.of(val)]
+               for v, val in assignment.items()}
         out = {}
         zero = self.field.zero
         for exps, c in self.terms.items():
             term = c
-            for i, val in idx.items():
+            for i, powers in idx.items():
                 e = exps[i]
                 if e:
-                    term = term * val ** e
+                    while len(powers) <= e:
+                        powers.append(powers[-1] * powers[1])
+                    term = term * powers[e]
             if not term:
                 continue
             key = tuple(0 if i in idx else e for i, e in enumerate(exps))

@@ -160,8 +160,9 @@ def test_criterion_5_bilinearity():
     for f, g in nonreduced:
         C1 = Curve(homogenize(f, f.total_degree()))
         C2 = Curve(homogenize(g, g.total_degree()))
-        assert not (C1.reduced and C2.reduced)
         expanded, table = bilinearity_expand(C1, C2, origin)
+        # a component of multiplicity above 1 passes through the origin
+        assert any(ni > 1 or ej > 1 for ni, ej, _ in table), str(f)
         m1, m2, m3 = _three_engines(f, g, seed=3)
         assert expanded == m1 == m2 == m3, (str(f), str(g), expanded, m1)
     # reduced x reduced degenerates to the plain length engine

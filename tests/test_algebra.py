@@ -267,9 +267,9 @@ def test_pseudo_rem_matches_oracle(field):
     assert all(pseudo_rem(f, g, name).is_zero() for name, f, g in multiples)
 
 
-def _sympy_gcd(f, g):
-    """gcd(f, g) computed by sympy, scaled to graded-lex leading
-    coefficient 1 and read back as a MultiPoly."""
+def _sympy_poly(f):
+    """f as a sympy Poly over QQ or GF(p), and the map from sympy's
+    coefficients back to f's field."""
     import sympy
 
     gens = sympy.symbols(f.vars)
@@ -280,12 +280,24 @@ def _sympy_gcd(f, g):
     else:
         domain, to_sym = sympy.GF(f.field.p), lambda c: int(c.val)
         of_sym = lambda c: int(c) % f.field.p
-    a, b = (sympy.Poly.from_dict({e: to_sym(c) for e, c in p.terms.items()},
-                                 gens, domain=domain) for p in (f, g))
-    h = a.gcd(b)
+    poly = sympy.Poly.from_dict({e: to_sym(c) for e, c in f.terms.items()},
+                                gens, domain=domain)
+    return poly, of_sym
+
+
+def _from_sympy(h, like, of_sym):
+    """A sympy Poly scaled to graded-lex leading coefficient 1, read back
+    as a MultiPoly in the variables and field of ``like``."""
     h = h.exquo_ground(h.LC(order="grlex"))
-    return MultiPoly(f.field, f.vars,
-                     {e: f.field.of(of_sym(c)) for e, c in h.terms()})
+    return MultiPoly(like.field, like.vars,
+                     {e: like.field.of(of_sym(c)) for e, c in h.terms()})
+
+
+def _sympy_gcd(f, g):
+    """gcd(f, g) computed by sympy, scaled to graded-lex leading
+    coefficient 1 and read back as a MultiPoly."""
+    (a, of_sym), (b, _) = _sympy_poly(f), _sympy_poly(g)
+    return _from_sympy(a.gcd(b), f, of_sym)
 
 
 def test_gcd_agrees_with_sympy_on_planted_factors():
@@ -304,13 +316,29 @@ def test_gcd_agrees_with_sympy_on_planted_factors():
 
 # ----------------------------------------------------------------- squarefree
 
+def _expand(factors, like):
+    """The product of factor ** multiplicity, formed here."""
+    out = MultiPoly.const(like.field, like.vars, 1)
+    for fac, mult in factors:
+        for _ in range(mult):
+            out = out * fac
+    return out
+
+
+def _times_constant(f, factors):
+    """f is a nonzero constant times the product of the factors."""
+    prod = _expand(factors, f)
+    return f == prod.scale(f.leading_coefficient()
+                           / prod.leading_coefficient())
+
+
 def test_squarefree_given_factored_form():
     x, y = xy()
     f = (y - x * x) ** 2 * x
-    dec = squarefree_decompose(f)
-    assert dec.reconstruct(f) == f
-    assert sorted(m for _, m in dec.factors) == [1, 2]
-    for fac, _ in dec.factors:
+    factors = squarefree_decompose(f)
+    assert _times_constant(f, factors)
+    assert sorted(m for _, m in factors) == [1, 2]
+    for fac, _ in factors:
         assert gcd(fac, fac.derivative("x")).is_constant() or \
             gcd(fac, fac.derivative("y")).is_constant()
 
@@ -318,8 +346,8 @@ def test_squarefree_given_factored_form():
 def test_squarefree_of_squarefree_input():
     x, y = xy()
     f = x * x - y ** 3
-    dec = squarefree_decompose(f)
-    assert len(dec.factors) == 1 and dec.factors[0][1] == 1
+    factors = squarefree_decompose(f)
+    assert len(factors) == 1 and factors[0][1] == 1
     g = gcd(gcd(f, f.derivative("x")), f.derivative("y"))
     assert g.is_constant()  # independent oracle for squarefreeness
 
@@ -327,9 +355,8 @@ def test_squarefree_of_squarefree_input():
 def test_squarefree_content():
     x, y = xy()
     f = ((x + y) ** 3).scale(4)
-    dec = squarefree_decompose(f)
-    assert dec.content == Fraction(4)
-    assert dec.factors == [(x + y, 3)]
+    assert squarefree_decompose(f) == [(x + y, 3)]
+    assert squarefree_decompose(MultiPoly.const(QQ, V, 4)) == []
 
 
 def test_squarefree_reconstruction_random():
@@ -341,32 +368,62 @@ def test_squarefree_reconstruction_random():
         if a.is_zero() or b.is_zero() or a.is_constant() or b.is_constant():
             continue
         f = a * b * b
-        dec = squarefree_decompose(f)
-        assert dec.reconstruct(f) == f
-        prod = MultiPoly.const(QQ, V, 1)
-        for fac, mult in dec.factors:
-            for fac2, _ in dec.factors:
+        factors = squarefree_decompose(f)
+        assert _times_constant(f, factors)
+        for fac, mult in factors:
+            for fac2, _ in factors:
                 if fac is not fac2:
                     assert gcd(fac, fac2).is_constant()
         done += 1
+
+
+def test_squarefree_matches_sympy_sqf_list():
+    """The factors, up to a nonzero constant, and their multiplicities
+    agree with sympy's sqf_list: seeded random bivariate products over Q, and
+    univariate products over F5 and F101, where multiplicities reach p
+    (sympy refuses multivariate input over a finite field)."""
+    cases = []
+    rng = random.Random(29)
+    while len(cases) < 12:
+        parts = [(random_poly(rng, QQ, V, rng.randint(1, 2), 4),
+                  rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        if all(not a.is_constant() for a, _ in parts):
+            cases.append(_expand(parts, parts[0][0]).scale(rng.randint(1, 9)))
+    for p in (5, 101):
+        F = PrimeField(p)
+        rng = random.Random(p)
+        for _ in range(10):
+            parts = [(random_poly(rng, F, ("x",), rng.randint(1, 3)),
+                      rng.choice((1, 2, 3, p, p + 1)))
+                     for _ in range(rng.randint(1, 3))]
+            parts = [(a, m) for a, m in parts if not a.is_constant()]
+            if parts:
+                cases.append(_expand(parts, parts[0][0]))
+    assert len(cases) >= 25
+    for f in cases:
+        poly, of_sym = _sympy_poly(f)
+        _, expected = poly.sqf_list()
+        expected = [(_from_sympy(h, f, of_sym), m) for h, m in expected]
+        by_mult = lambda factors: sorted(factors, key=lambda it: it[1])
+        assert by_mult(squarefree_decompose(f)) == by_mult(expected), str(f)
 
 
 def test_squarefree_char_p_pth_power():
     F = PrimeField(7)
     x, y = xy(F)
     f = (x - y) ** 7
-    dec = squarefree_decompose(f)
-    assert dec.factors == [(x - y, 7)]
-    assert dec.reconstruct(f) == f
+    factors = squarefree_decompose(f)
+    assert factors == [(x - y, 7)]
+    assert _times_constant(f, factors)
 
 
 def test_squarefree_char_p_mixed():
     F = PrimeField(7)
     x, y = xy(F)
     f = (x - y) ** 7 * (x + y) ** 2
-    dec = squarefree_decompose(f)
-    assert dec.reconstruct(f) == f
-    assert sorted(m for _, m in dec.factors) == [2, 7]
+    factors = squarefree_decompose(f)
+    assert _times_constant(f, factors)
+    assert sorted(m for _, m in factors) == [2, 7]
 
 
 def test_squarefree_zero_rejected():

@@ -58,6 +58,21 @@ EXTRA_JOBS = [
     ("conic-vs-infinity-line", _bezout("X^2 - 2*Y^2", "Z", "Q")),
     ("f7-conic-vs-infinity-line", _bezout("X^2 - 3*Y^2", "Z", "F7")),
     ("conic-vs-line-pair", _bezout("Y^2 + X*Z", "Y*Z", "Q")),
+    # dense conic/cubic pairs over F_p whose affine points form Frobenius
+    # orbits of degree 3 (two over F7, one over F101 beside three rational
+    # points) and 6 (over F32003), each fiber read off by _fiber_point
+    ("f7-dense-conic-vs-cubic", _bezout(
+        "-5*X^2 - 2*X*Y - 2*X*Z + 5*Y^2 + 2*Y*Z - 3*Z^2",
+        "-4*X^3 + 3*X^2*Y - 3*X^2*Z - 2*X*Y^2 - 3*X*Y*Z - 4*X*Z^2 + 2*Y^3"
+        " + 2*Y^2*Z + 4*Y*Z^2 - Z^3", "F7")),
+    ("f32003-dense-conic-vs-cubic", _bezout(
+        "-2*X^2 + 2*X*Y - 4*X*Z - Y^2 + 4*Y*Z - 4*Z^2",
+        "-4*X^3 - 5*X^2*Y - 5*X^2*Z - X*Y^2 + X*Y*Z + 3*X*Z^2 + 3*Y^3"
+        " - 3*Y^2*Z - 4*Y*Z^2 + 4*Z^3", "F32003")),
+    ("f101-dense-conic-vs-cubic", _bezout(
+        "2*X^2 - 4*X*Y - 4*X*Z + Y^2 + 5*Y*Z + 3*Z^2",
+        "-4*X^3 - X^2*Y - 2*X^2*Z + 5*X*Y^2 + 4*X*Y*Z + 3*X*Z^2 + Y^3"
+        " - Y^2*Z - 3*Y*Z^2 + 4*Z^3", "F101")),
     # one attempt on the roadmap pair: the witness path needs a second
     # extension step, and count-only reads the multiplicity off the
     # attempt's separable eliminant
