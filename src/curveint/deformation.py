@@ -43,7 +43,7 @@ witnesses gave way to it (the start, over an extension field).
   have a nonzero Jacobian.  These check every point against the deformed
   pair itself, where the count-only readout rests on R alone.
 * count-only (``certified_count_only``, over extension fields, and where
-  the expansion would need a second extension step): once
+  an edge factor does not split over the one-step extension): once
   ``certify_squarefree_in`` proves R separable, ord_y R(y, 0).  This
   equals ord_y Res_x(fs, gs), the resultant engine's value, so where this
   readout runs the engine is not independent of the resultant engine.
@@ -108,7 +108,8 @@ def deform_polynomial(f: MultiPoly, direction: MultiPoly) -> MultiPoly:
 
 @dataclass(frozen=True)
 class SolutionBranch:
-    """One certified nearby-solution cycle of a deformed pair."""
+    """One certified nearby-solution cycle of a deformed pair, its x and y
+    series in the T of its y-branch (t = scale * T^B, ``lifting.Branch``)."""
     x: TruncatedSeries
     y: TruncatedSeries
     span: int
@@ -132,10 +133,13 @@ def _jacobian(ft: MultiPoly, gt: MultiPoly) -> MultiPoly:
 
 
 def _along(br, prec):
-    """at(p, x) = p(x, y(t), t) along the y-branch ``br`` at precision
-    prec, over the branch's field; x = 0 unless a series is given."""
+    """at(p, x) = p(x, y, t) along the y-branch ``br`` at precision prec,
+    over the branch's field, as a series in the branch's T: y is the
+    branch's series and t the monomial scale * T^B.  t is a constant times
+    T^B, so valuations and precisions read the same in T and in t; x = 0
+    unless a series is given."""
     bf = br.series.field
-    tser = TruncatedSeries.variable(bf, prec)
+    tser = TruncatedSeries(bf, {1: bf.of(br.scale)}, prec)
     return lambda p, x=bf.zero: eval_poly_at_series(
         lift_to_field(p, bf), {"x": x, "y": br.series, "t": tser})
 

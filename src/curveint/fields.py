@@ -450,6 +450,18 @@ class ExtElement:
             return self.inverse() ** (-n)
         return binary_power(self, n) if n else self.field.one
 
+    def frobenius(self):
+        """self ** p over F_p[z]/(m): c ** p = sum c_i z^(p*i), since the
+        Frobenius fixes F_p and is additive, so it is one pass over the
+        field's ``frobenius_table``."""
+        field = self.field
+        out = [0] * field.degree
+        for c, row in zip(self.num, field.frobenius_table):
+            if c:
+                for k, r in enumerate(row):
+                    out[k] += c * r
+        return _canonical(out, 1, field)
+
     def __neg__(self):
         p = self.field.characteristic
         if p:
@@ -675,6 +687,20 @@ class ExtensionField(Field):
             return tuple(c.val for c in self.modulus), 1
         num, scale = _over_lcm(self.modulus)
         return tuple(num), scale
+
+    @cached_property
+    def frobenius_table(self):
+        """Rows z^(p*i) mod m for i < deg m, as residue tuples (over F_p
+        only): the matrix of the Frobenius, built once per field."""
+        p = self.characteristic
+        if not p:
+            raise InvalidInputError("the Frobenius needs a prime characteristic")
+        zp = self.gen ** p
+        rows, row = [], self.one
+        for _ in range(self.degree):
+            rows.append(row.num)
+            row = row * zp
+        return rows
 
     @property
     def gen(self):

@@ -21,7 +21,7 @@ from .deformation import (VARS3, _eliminant_and_s1, _points_along,
 from .errors import (InfiniteMultiplicityError, InsufficientPrecisionError,
                      InvalidInputError, VerificationFailureError)
 from .intersect import mult_length
-from .lifting import Branch, newton_puiseux, sheet_conjugates
+from .lifting import Branch, newton_puiseux_in_t, sheet_conjugates
 from .poly import MultiPoly
 from .series import TruncatedSeries
 
@@ -93,9 +93,10 @@ def _as_deformed_poly(obj) -> tuple[MultiPoly, MultiPoly]:
 def _nearby_points(ft: MultiPoly, gt: MultiPoly, base, prec):
     """(x, y, count) for each point over a y-branch of R = Res_x(f_t, g_t),
     under the first shear that puts the base pair (t = 0) in general
-    position and lets ``_points_along`` read x along every branch.  A
-    ramified branch splits into its sheets where the field has the roots
-    of unity for it, and otherwise stays one point that counts for all.
+    position and lets ``_points_along`` read x along every branch, each
+    read as a series in t (``newton_puiseux_in_t``).  A ramified branch
+    splits into its sheets where the field has the roots of unity for it,
+    and otherwise stays one point that counts for all.
 
     Every point lies over the origin: the branches of R start at y = 0,
     and R(y, 0) != 0 leaves a top x-coefficient a unit, so x stays
@@ -106,7 +107,7 @@ def _nearby_points(ft: MultiPoly, gt: MultiPoly, base, prec):
         R, s1 = _eliminant_and_s1(apply_shear(ft, lam, mu),
                                   apply_shear(gt, lam, mu))
         branches = []
-        for br in newton_puiseux(R, "y", prec):
+        for br in newton_puiseux_in_t(R, "y", prec):
             sheets = sheet_conjugates(br)
             branches += [br] if sheets is None else [
                 Branch(s, br.multiplicity) for s in sheets]

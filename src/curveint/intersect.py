@@ -300,7 +300,7 @@ def _orbit(minpoly: MultiPoly, chart: str,
         conjugates = [rep]
         for _ in range(k - 1):
             conjugates.append(ProjectivePoint(
-                [c ** p for c in conjugates[-1].coords], ext))
+                [c.frobenius() for c in conjugates[-1].coords], ext))
     return PointCluster(minpoly, k, chart, rep, conjugates)
 
 

@@ -8,7 +8,13 @@ entry points:
   polynomial with series coefficients; correct digits double each step.
 * ``newton_puiseux``: all branches x(t) with x(0) = 0 of a bivariate
   polynomial, by Newton-polygon segmentation; once a segment root is
-  simple, continuation switches to ``hensel_lift``.
+  simple, continuation switches to ``hensel_lift``.  An edge of slope a/b
+  is expanded without a b-th root of its compressed root z0: t = z0^v T^b
+  and x = T^a (z0^u + x1) with u*b - v*a = 1 (D. Duval, Rational Puiseux
+  expansions, Compositio Math. 70, 1989), so every coefficient stays in
+  the field of the edge roots, and a ``Branch`` is a series in T with
+  t = scale * T^B.  ``newton_puiseux_in_t`` reads the branches as series
+  in t itself, the one place a b-th root is adjoined.
 * ``weierstrass_prepare``: effective Weierstrass division F = U * G with G
   monic in x, non-leading coefficients vanishing at y = 0, and U a local
   unit; U and G are polynomials truncated below y^prec.
@@ -18,9 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from math import prod
 
-from .algebra import (lift_to_field, roots_univariate,
-                      separable_by_evaluation, squarefree_decompose)
+from .algebra import (roots_univariate, separable_by_evaluation,
+                      squarefree_decompose)
 from .errors import (BudgetError, InsufficientPrecisionError, InvalidInputError,
                      NothingToPrepareError, NotRegularError, NotSimpleRootError,
                      UnsupportedExtensionError)
@@ -120,21 +128,32 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
 
 @dataclass(frozen=True)
 class Branch:
-    """One solution cycle x(t) through the origin.
+    """One solution cycle x(t) through the origin, as a series in T with
+    t = scale * T^B.
 
-    ``multiplicity`` counts how often the cycle divides the input (simple
-    when 1).  ``span`` is the number of algebraic-closure solutions the
-    stored series represents: the ramification sheets times the degree of
-    any field extension the initial coefficients needed.  ``ram`` is the
-    reduced ramification index.
-    """
+    The series' formal t^(1/B) is T: its exponent k/B stands for T^k, so
+    the coefficients stay in the field of the edge roots and no b-th root
+    is adjoined (Duval's rational Puiseux expansion).  With no ramified
+    level the scale is 1 and the series is x(t) itself.  ``multiplicity``
+    counts how often the cycle divides the input (simple when 1).
+    ``span`` is the number of algebraic-closure solutions the stored
+    series represents: the ramification sheets times the degree of any
+    field extension the edge roots needed.  ``ram`` is the reduced
+    ramification index.  ``levels`` holds (a, b, z0) per Newton-polygon
+    level, slope a/b and compressed root z0: the one record of the
+    substitutions, from which the scale and the reading in t follow."""
     series: TruncatedSeries
     multiplicity: int
     span: int = 1
+    levels: tuple = ()
 
     @property
     def ram(self) -> int:
         return self.series.reduce_ram().ram
+
+    @property
+    def scale(self):
+        return self.series.field.of(_scale(self.levels))
 
     @property
     def simple(self) -> bool:
@@ -144,6 +163,8 @@ class Branch:
         tag = "simple" if self.simple else f"multiplicity {self.multiplicity}"
         if self.span > 1:
             tag += f", {self.span} conjugates"
+        if self.scale != 1:
+            tag += f", scale {self.scale}"
         return f"Branch({self.series}; {tag})"
 
 
@@ -216,34 +237,59 @@ def _edge_polynomial(f: MultiPoly, xname: str, edge):
 
 
 def _transform_segment(f: MultiPoly, xname: str, a: int, b: int, level: int,
-                       c, new_field):
-    """Substitute x -> s^a (c + x), t -> s^b and divide by s^level.
+                       head, c, new_field, below=None):
+    """Substitute t -> c T^b, x -> T^a (head + x) and divide by T^level:
+    each d x^i t^j becomes d c^j T^(a*i + b*j - level) (head + x)^i, with
+    T nonnegative on the segment's side of the polygon.  The result is
+    over new_field, the field of head and c, in the same two variable
+    slots, t now standing for T.
 
-    Returns a polynomial over new_field in the same two variable slots,
-    with t now standing for s: each t^j x^i becomes s^(a*i + b*j - level)
-    x^i, nonnegative on the segment's side of the polygon, and then x
-    shifts to c + x."""
+    Terms of T-exponent ``below`` or more are dropped before the shift:
+    the shift keeps T-exponents, so this is exact below T^below."""
     xi, ti = f.vars.index(xname), f.vars.index("t")
-    terms = {}
+    powers, terms = {}, {}
     for exps, coeff in f.terms.items():
+        j = exps[ti]
+        e = a * exps[xi] + b * j - level
+        if below is not None and e >= below:
+            continue
+        if j not in powers:
+            powers[j] = c ** j
         key = list(exps)
-        key[ti] = a * exps[xi] + b * exps[ti] - level
-        terms[tuple(key)] = coeff
-    g = lift_to_field(f.clone(terms), new_field)
-    x = MultiPoly.var(new_field, g.vars, xname)
-    return g.compose({xname: x + new_field.of(c)})
+        key[ti] = e
+        terms[tuple(key)] = new_field.of(coeff) * powers[j]
+    g = MultiPoly(new_field, f.vars, terms)
+    return g.compose({xname: MultiPoly.var(new_field, g.vars, xname)
+                      + new_field.of(head)})
+
+
+def _bezout_pair(a: int, b: int):
+    """(u, v) with u*b - v*a = 1, 0 <= v < b, for a/b in lowest terms."""
+    v = -pow(a, -1, b) % b
+    return (1 + v * a) // b, v
+
+
+def _scale(levels):
+    """c with t = c T^B for a branch of these levels: the level t = z0^v
+    T^b over a nested level's T = c' T'^b' gives c = z0^v c'^b."""
+    c = 1
+    for a, b, z0 in reversed(levels):
+        c = z0 ** _bezout_pair(a, b)[1] * c ** b
+    return c
 
 
 def _expand_squarefree(f: MultiPoly, xname: str, prec: Fraction, depth: int):
-    """All val>0 branches of a squarefree polynomial; list of series."""
+    """All val>0 branches of a squarefree polynomial, as (levels, span,
+    expand) in ``Branch``'s terms, ``expand()`` computing the series: the
+    levels of every branch are known before any series is lifted."""
     if depth > 64:
         raise BudgetError("Newton polygon recursion exceeded its depth cap")
     field = f.field
     xi = f.vars.index(xname)
-    out = []  # (series, span) pairs
+    out = []
     k = _x_adic_valuation(f, xi)
     if k > 0:
-        out.append((TruncatedSeries.zero(field), 1))
+        out.append(((), 1, partial(TruncatedSeries.zero, field)))
         f = _divide_x_power(f, xi, k)
     if f.constant_value():
         return out
@@ -252,75 +298,92 @@ def _expand_squarefree(f: MultiPoly, xname: str, prec: Fraction, depth: int):
         a, b, level, coeffs = _edge_polynomial(f, xname, edge)
         phi = MultiPoly(field, ("z",),
                         {(k,): c for k, c in enumerate(coeffs)})
-        roots = _segment_roots(phi, field, b)
-        for c_root, mult, rfield, kappa in roots:
-            g = _transform_segment(f, xname, a, b, level, c_root, rfield)
+        u, v = _bezout_pair(a, b)
+        for z0, mult, rfield, kappa in _segment_roots(phi, field):
             sub_prec = prec * b - a
             if sub_prec <= 0:
                 raise InsufficientPrecisionError(
                     "requested precision too small for this segment")
+            # Duval's substitution t = z0^v T^b, x = T^a (z0^u + x1): the
+            # edge terms become phi(z0) z0^const, so no b-th root is needed
+            head, c = z0 ** u, z0 ** v
             if mult == 1:
-                tail = hensel_lift(series_poly_from_multipoly(g, xname),
-                                   rfield.zero, sub_prec)
-                out.append((_assemble(tail, c_root, a, b), b * kappa))
-            else:
-                for tail, sub_span in _expand_squarefree(
-                        g, xname, Fraction(sub_prec), depth + 1):
-                    out.append((_assemble(tail, c_root, a, b),
-                                b * kappa * sub_span))
+                tail = partial(_hensel_tail, f, xname, a, b, level, head, c,
+                               rfield, sub_prec)
+                out.append((((a, b, z0),), b * kappa,
+                            partial(_assemble, tail, head, a, b, 1)))
+                continue
+            g = _transform_segment(f, xname, a, b, level, head, c, rfield)
+            for levels, sub_span, tail in _expand_squarefree(
+                    g, xname, Fraction(sub_prec), depth + 1):
+                out.append((((a, b, z0),) + levels, b * kappa * sub_span,
+                            partial(_assemble, tail, head, a, b,
+                                    _scale(levels))))
     return out
 
 
-def _segment_roots(phi: MultiPoly, field, b: int):
-    """Initial branch coefficients for one polygon edge of denominator b.
+def _hensel_tail(f: MultiPoly, xname: str, a: int, b: int, level: int, head,
+                 c, rfield, sub_prec) -> TruncatedSeries:
+    """The tail x1(T) of a segment whose root is simple, to O(T^sub_prec)."""
+    g = _transform_segment(f, xname, a, b, level, head, c, rfield, sub_prec)
+    return hensel_lift(series_poly_from_multipoly(g, xname), rfield.zero,
+                       sub_prec)
 
-    phi is the compressed edge polynomial: its roots are the b-th powers of
-    the true initial coefficients.  Each returned tuple is (coefficient u0,
-    multiplicity, field of u0, compressed-root extension degree kappa); the
-    cycle the coefficient starts accounts for b * kappa closure solutions.
-    """
-    out = []
+
+def _segment_roots(phi: MultiPoly, field):
+    """The compressed roots of one edge polynomial phi: (root z0,
+    multiplicity, field of z0, extension degree kappa of z0).  A root of
+    an edge of slope a/b starts a cycle of b * kappa closure solutions."""
     zname = phi.vars[0]
     if isinstance(field, ExtensionField):
         if phi.degree_in(zname) != 1:
             raise UnsupportedExtensionError(
                 "edge polynomial does not split over the one-step extension")
-        if b != 1:
-            raise UnsupportedExtensionError(
-                "ramified segment over an extension field needs a second step")
         c0 = phi.coeff_of(zname, 0).constant_value()
         c1 = phi.coeff_of(zname, 1).constant_value()
         return [(-c0 / c1, 1, field, 1)]
-    for fac, z0, zfield, mult in roots_univariate(phi, zname, "w"):
-        if zfield == field:
-            z0, zfield = _bth_root(z0, field, b)
-        elif b != 1:
-            raise UnsupportedExtensionError(
-                "ramified segment with an irrational compressed root "
-                "needs a second extension step")
-        out.append((z0, mult, zfield, fac.degree_in(zname)))
-    return out
+    return [(z0, mult, zfield, fac.degree_in(zname))
+            for fac, z0, zfield, mult in roots_univariate(phi, zname, "w")]
 
 
-def _bth_root(z0, field, b: int):
-    """Some u0 with u0^b = z0, over the field or a one-step extension.
-
-    Any choice represents the same solution cycle: the other roots are the
-    ramification sheets."""
-    if b == 1:
-        return z0, field
-    radical = MultiPoly(field, ("u",), {(b,): field.one, (0,): -z0})
-    _, u0, ufield, _ = roots_univariate(radical, "u", "w")[0]
-    return u0, ufield
-
-
-def _assemble(tail: TruncatedSeries, c_root, a: int,
-              b: int) -> TruncatedSeries:
-    """Branch series t^(a/b) * (c + tail(t^(1/b))), over the tail's field
-    (the recursion may have extended the field of c)."""
+def _assemble(tail, head, a: int, b: int, sub_scale) -> TruncatedSeries:
+    """The series T^a (head + tail()) in the formal t of its level, t^(1/b)
+    = T: shifted by a/b after the tail's exponents are divided by b.  A
+    tail of a nested level is a series in T' with T = sub_scale * T'^b',
+    so T^a brings the factor sub_scale^a.  Over the tail's field (a nested
+    level may have extended the field of head)."""
+    tail = tail()
     field = tail.field
-    const = TruncatedSeries.constant(field, field.of(c_root))
-    return shift_exponents(const + rescale_exponents(tail, b), Fraction(a, b))
+    const = TruncatedSeries.constant(field, field.of(head))
+    s = shift_exponents(const + rescale_exponents(tail, b), Fraction(a, b))
+    m = field.of(sub_scale) ** a
+    if m == field.one:
+        return s
+    return TruncatedSeries(field, {k: c * m for k, c in s.coeffs.items()},
+                           s.prec, s.ram)
+
+
+def _branch_plans(F: MultiPoly, xname: str, prec: Fraction):
+    """(levels, multiplicity, span, expand) per branch of F, in
+    ``newton_puiseux``'s order."""
+    if F.is_zero():
+        raise InvalidInputError("zero polynomial")
+    if "t" not in F.vars:
+        raise InvalidInputError("the series parameter must be named t")
+    if F.coeff_of("t", 0).is_zero():
+        raise NotRegularError("F(x, 0) vanishes identically; shear first")
+    if separable_by_evaluation(F, xname):
+        pieces = [(F, 1)]
+    else:
+        pieces = [(fac, mult) for fac, mult in squarefree_decompose(F)
+                  if fac.involves(xname)]
+    return [(levels, mult, span, expand) for fac, mult in pieces
+            for levels, span, expand in _expand_squarefree(fac, xname, prec,
+                                                            0)]
+
+
+def _truncated(series: TruncatedSeries, prec: Fraction) -> TruncatedSeries:
+    return series.truncate(prec) if series.prec > prec else series
 
 
 def newton_puiseux(F: MultiPoly, xname: str, prec):
@@ -337,24 +400,107 @@ def newton_puiseux(F: MultiPoly, xname: str, prec):
     segment that ``prec`` is too short for raises
     InsufficientPrecisionError; the caller picks the next precision.
     """
-    if F.is_zero():
-        raise InvalidInputError("zero polynomial")
-    if "t" not in F.vars:
-        raise InvalidInputError("the series parameter must be named t")
     prec = Fraction(prec)
-    if F.coeff_of("t", 0).is_zero():
-        raise NotRegularError("F(x, 0) vanishes identically; shear first")
-    branches = []
-    if separable_by_evaluation(F, xname):
-        pieces = [(F, 1)]
-    else:
-        pieces = [(fac, mult) for fac, mult in squarefree_decompose(F)
-                  if fac.involves(xname)]
-    for fac, mult in pieces:
-        for series, span in _expand_squarefree(fac, xname, prec, 0):
-            branches.append(Branch(series.truncate(prec) if series.prec > prec
-                                   else series, mult, span))
-    return branches
+    return [Branch(_truncated(expand(), prec), mult, span, levels)
+            for levels, mult, span, expand in _branch_plans(F, xname, prec)]
+
+
+def newton_puiseux_in_t(F: MultiPoly, xname: str, prec):
+    """``newton_puiseux``'s branches as Puiseux series in t itself (scale
+    1), over the field that reading them in t needs (``_t_reading``).
+    Every branch's levels are read before any series is lifted, so a
+    branch that would need a second extension step raises
+    UnsupportedExtensionError at the cost of its Newton polygons alone."""
+    prec = Fraction(prec)
+    plans = _branch_plans(F, xname, prec)
+    readings = [_t_reading(levels, F.field) for levels, _, _, _ in plans]
+    out = []
+    for (levels, mult, span, expand), (field, embed, beta) in zip(plans,
+                                                                 readings):
+        s = _truncated(expand(), prec)
+        denominator = prod(b for _, b, _ in levels)
+        coeffs = {k: embed(c) * beta ** (k * denominator // s.ram)
+                  for k, c in s.coeffs.items()}
+        out.append(Branch(TruncatedSeries(field, coeffs, s.prec, s.ram),
+                          mult, span))
+    return out
+
+
+def _bth_root(z0, field, b: int):
+    """Some u0 with u0^b = z0, over the field or a one-step extension.
+
+    Any choice represents the same solution cycle: the other roots are the
+    ramification sheets."""
+    if b == 1:
+        return z0, field
+    if isinstance(field, ExtensionField):
+        raise UnsupportedExtensionError(
+            "ramified segment over an extension field needs a second step")
+    radical = MultiPoly(field, ("u",), {(b,): field.one, (0,): -z0})
+    _, u0, ufield, _ = roots_univariate(radical, "u", "w")[0]
+    return u0, ufield
+
+
+def _t_reading(levels, field):
+    """How to read a branch of F with these levels, F over ``field``, as a
+    Puiseux series in t: (target field, embedding of the branch's
+    coefficients into it, beta), with T^k = beta^k s^k for s^B = t.
+
+    The levels are walked from F's field as the classical expansion, which
+    adjoins u0 with u0^b = z0 at each ramified level, met them.  A level
+    (slope a/b, compressed root z0) expands a polynomial in (x', T), T its
+    parameter, by T = z0^v T'^b and x' = T'^a (z0^u + x1).  The same level
+    in t's own terms expands the polynomial in (x, s), s^N = t for N the
+    product of the earlier levels' b, with x' = alpha x and T = beta s:
+    its compressed root is z0 beta^a / alpha^b, whose b-th root u0 gives
+    s = (mu T')^b, mu = alpha^v u0^v / beta^u, so the next level starts
+    from alpha = z0^u / u0 and beta = 1 / mu.
+
+    An edge root z0 that adjoined K[w]/(m) stands there for the classical
+    root k z0, k = beta^a / alpha^b in K, which is the generator of
+    K[w]/(k^deg(m) m(w / k)): the target, into which w maps as w / k, so
+    the coefficients print as the classical expansion's did.  A second
+    extension, or a ramified level over an extension, raises
+    UnsupportedExtensionError."""
+    source = field  # the field of the branch's coefficients so far
+    embed = field.of
+    alpha = beta = field.one
+    for a, b, z0 in levels:
+        zfield = getattr(z0, "field", source)
+        if zfield != source:
+            if isinstance(field, ExtensionField):
+                raise UnsupportedExtensionError(
+                    "an edge root over an extension field needs a second "
+                    "extension step")
+            k = beta ** a / alpha ** b
+            if k == field.one:
+                target, embed = zfield, zfield.of
+            else:
+                d = zfield.degree
+                target = ExtensionField(field, [
+                    m * k ** (d - i) for i, m in enumerate(zfield.modulus)],
+                    zfield.gen_name)
+                embed = partial(_mapped, target, target.gen / k)
+            source, field = zfield, target
+            alpha, beta = field.of(alpha), field.of(beta)
+        z0 = embed(z0)
+        u, v = _bezout_pair(a, b)
+        u0, ufield = _bth_root(z0 * beta ** a / alpha ** b, field, b)
+        if ufield != field:
+            field = ufield
+            alpha, beta, z0 = field.of(alpha), field.of(beta), field.of(z0)
+            embed = field.of
+        mu = alpha ** v * u0 ** v / beta ** u
+        alpha, beta = z0 ** u / u0, 1 / mu
+    return field, embed, beta
+
+
+def _mapped(target, image, c):
+    """c = sum c_i w^i of a one-step extension, as sum c_i image^i."""
+    out = target.zero
+    for ci in reversed(c.coeffs):
+        out = out * image + ci
+    return out
 
 
 def _root_of_unity(field, r: int):

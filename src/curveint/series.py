@@ -343,13 +343,18 @@ def horner(coeffs, point: TruncatedSeries) -> TruncatedSeries:
 
 def _read_t(coeffs, t: TruncatedSeries) -> TruncatedSeries:
     """Horner's rule on {e: c_e} (nonzero scalars) at the monomial
-    t = t + O(t^P), P = t.prec > 1, read off the exponents.
+    t = c t + O(t^P), P = t.prec > 1, read off the exponents: c_e c^e is
+    the coefficient of t^e.
 
     A step total * t + c keeps min(p + 1, P + v), p and v the running
     precision and valuation.  Read at the exponents' own places, that is
     min(q, P - 1 + u), u the least exponent summed so far, so the cutoff q
     only falls and ends at P - 1 + e1, e1 the least positive exponent: the
-    value is sum c_e t^e over the e below it, exact when there is no e1."""
+    value is sum c_e c^e t^e over the e below it, exact when there is no
+    e1."""
+    c = t.coeffs[1]
+    if c != t.field.one:
+        coeffs = {e: ce * c ** e for e, ce in coeffs.items()}
     e1 = min((e for e in coeffs if e), default=None)
     if e1 is None:
         return _series(t.field, coeffs, INF, 1)
@@ -360,17 +365,16 @@ def _read_t(coeffs, t: TruncatedSeries) -> TruncatedSeries:
 def eval_poly_at_series(f: MultiPoly, assignment: dict) -> TruncatedSeries:
     """Evaluate a polynomial with every variable bound to a series or
     scalar, by Horner's rule in each variable in turn, the last variable
-    innermost.  When that variable is bound to the monomial t
-    (``TruncatedSeries.variable`` to a precision above 1), its level is
-    read, not evaluated: the coefficients in t already are the series
-    (``_read_t``)."""
+    innermost.  When that variable is bound to a monomial c t (to a
+    precision above 1), its level is read, not evaluated: the coefficients
+    in t, times powers of c, already are the series (``_read_t``)."""
     field = f.field
     points = [val if isinstance(val, TruncatedSeries)
               else TruncatedSeries.constant(field, val)
               for val in (assignment[v] for v in f.vars)]
     last = points[-1] if points else None
     read_t = last is not None and last.ram == 1 \
-        and last.coeffs == {1: last.field.one}
+        and len(last.coeffs) == 1 and 1 in last.coeffs
 
     def nest(terms, i):
         """The terms [(exponents, c)] summed, variables i, ... bound."""

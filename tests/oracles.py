@@ -29,7 +29,8 @@ oracle asks sympy for the irreducible factors of a univariate polynomial,
 where the production code lifts factors mod p on dense int lists.
 
 The readouts at the end (``evaluate``, ``agrees_with``, ``branch_count``,
-``valuation_certificate``, ``series_from_terms`` and ``verify_branch``)
+``valuation_certificate``, ``series_from_terms``, ``branch_residual``
+and ``verify_branch``)
 are used by tests only, so they live here rather than in the library.
 """
 
@@ -40,7 +41,7 @@ from curveint.algebra import lift_to_field
 from curveint.errors import InvalidInputError, UnsupportedExtensionError
 from curveint.fields import QQ, ExtElement, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
-from curveint.series import INF, TruncatedSeries, _cutoff, eval_poly_at_series
+from curveint.series import INF, TruncatedSeries, _cutoff
 
 
 def sylvester_matrix(f: MultiPoly, g: MultiPoly, name: str):
@@ -559,10 +560,21 @@ def series_from_terms(field, terms, prec=INF):
     return TruncatedSeries(field, coeffs, prec, ram)
 
 
+def branch_residual(F: MultiPoly, xname: str, br) -> TruncatedSeries:
+    """F at the branch, term by term: x is the branch's series and t is
+    its scale times the series' own formal t (t = scale * T^B, T the
+    formal t^(1/B)), with no Horner step or exponent readout."""
+    field = br.series.field
+    F = lift_to_field(F, field)
+    t = TruncatedSeries(field, {1: field.of(br.scale)}, INF)
+    xi, ti = F.vars.index(xname), F.vars.index("t")
+    total = TruncatedSeries.zero(field)
+    for exps, c in F.terms.items():
+        total = total + br.series ** exps[xi] * t ** exps[ti] * c
+    return total
+
+
 def verify_branch(F: MultiPoly, xname: str, br) -> bool:
-    """Substitute the branch into F; the result must vanish to the branch's
-    guaranteed precision."""
-    F = lift_to_field(F, br.series.field)
-    t = TruncatedSeries.variable(F.field)
-    val = eval_poly_at_series(F, {xname: br.series, "t": t})
-    return val.valuation() is None
+    """Substitute the branch into F (``branch_residual``); the result must
+    vanish to the branch's guaranteed precision."""
+    return branch_residual(F, xname, br).valuation() is None

@@ -342,7 +342,8 @@ def test_high_degree_transverse_point_is_fast():
 
 
 @pytest.mark.parametrize("curves,expected", [
-    # the roadmap pair: the witness expansion needs a second extension step
+    # the roadmap pair and the parabolas once took the count-only readout;
+    # their ramified edges now expand over Q, without a b-th root
     (("x^4-y^5", "x^3-y^2+x*y"), 8),
     # at y = 2*x^2 the first curve is 3*x^4
     (("(y-x^2)*(y+x^2)", "y-2*x^2"), 4),

@@ -96,20 +96,44 @@ def test_adaptive_precision_keeps_counts_and_seeds(name, ftext, gtext,
     if isinstance(field, ExtensionField):
         return
     for side in ("left", "right"):
-        a, b = (_groups_or_refusal(pair, side, prec) for prec in (None, cap))
-        assert a[:2] == b[:2], side
-        assert a[2] <= b[2]
+        a, b = (two_scale_analysis(pair, coarse_side=side, prec=prec)
+                for prec in (None, cap))
+        assert (a.groups, a.seed_used) == (b.groups, b.seed_used), side
+        assert a.precision <= b.precision
 
 
-def _groups_or_refusal(pair, side, prec):
-    """(groups, seed used, precision) of a two-scale analysis, or the
-    structural refusal it raises (the roadmap pair's expansion needs a
-    second extension step) at precision 0."""
-    try:
-        a = two_scale_analysis(pair, coarse_side=side, prec=prec)
-    except UnsupportedExtensionError as err:
-        return str(err), None, 0
-    return a.groups, a.seed_used, a.precision
+WITNESS_PAIRS = [("x^4-y^5", "x^3-y^2+x*y", 8),
+                 ("(y-x^2)*(y+x^2)", "y-2*x^2", 4)]
+
+
+@pytest.mark.parametrize("ftext,gtext,expected", WITNESS_PAIRS,
+                         ids=["roadmap-pair", "parabola-pair"])
+def test_ramified_pairs_certify_by_witnesses(monkeypatch, ftext, gtext,
+                                             expected):
+    """Both pairs' eliminants have nested ramified edges whose compressed
+    roots are no squares in Q (the roadmap pair's also a slope-1/4 edge);
+    the witnesses expand them over Q itself, so count-only never runs, at
+    seeds 0-9."""
+    def count_only(R):
+        raise AssertionError("count-only readout ran")
+
+    monkeypatch.setattr(deformation, "certified_count_only", count_only)
+    pair = local_pair(parse_poly(ftext, QQ, V), parse_poly(gtext, QQ, V))
+    for seed in range(10):
+        assert deformation_count(pair, seed=seed).count == expected, seed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 6])
+def test_two_scale_expands_a_nested_ramified_eliminant(seed):
+    """The coarse eliminant's branch has two nested ramified levels whose
+    compressed roots are no squares in Q; expanded without a square root,
+    its groups account for the multiplicity 4."""
+    x, y = xy()
+    a = two_scale_analysis(
+        local_pair(x * x - y, x ** 3 - x * y + x * y * y + y * y), seed=seed,
+        coarse_side="right")
+    assert a.total == 4
+    assert sum(k * m for k, m in a.groups) == 4
 
 
 def test_precision_escalates_within_the_first_seed(monkeypatch):
@@ -505,8 +529,7 @@ def test_witness_readout_rejects_a_repeated_factor():
 
 
 def test_roadmap_pair_builds_one_chain(monkeypatch):
-    # the witness expansion needs a second extension step, and count-only
-    # reads the count off the same chain at the first attempt
+    # the witnesses certify the count off the first attempt's one chain
     from curveint.cli import EXIT_OK, Job, run_job
     chains = []
     build = deformation._eliminant_and_s1

@@ -384,3 +384,29 @@ def test_mixing_extension_fields_raises():
     # an equal field built twice is the same field
     E3 = ExtensionField(QQ, [-2, 0, 1])
     assert E3.gen * a == 2 and E3.gen == a and hash(E3.gen) == hash(a)
+
+
+@pytest.mark.parametrize("p", [7, 101, 32003])
+def test_frobenius_table_matches_power(p):
+    """c.frobenius() is c ** p, by repeated squaring, on random elements
+    of extensions of degree 2 to 6 (random squarefree moduli)."""
+    rng = random.Random(p)
+    base = PrimeField(p)
+    for n in range(2, 7):
+        while True:
+            modulus = [rng.randrange(p) for _ in range(n)] + [1]
+            try:
+                field = ExtensionField(base, modulus, "w")
+                break
+            except InvalidInputError:
+                continue
+        for _ in range(10):
+            c = ExtElement([rng.randrange(p) for _ in range(n)], field)
+            assert c.frobenius() == c ** p
+        assert field.zero.frobenius() == field.zero
+
+
+def test_frobenius_needs_a_prime_characteristic():
+    field = ExtensionField(QQ, [-2, 0, 1], "w")
+    with pytest.raises(InvalidInputError):
+        field.gen.frobenius()

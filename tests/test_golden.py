@@ -73,8 +73,7 @@ EXTRA_JOBS = [
         "2*X^2 - 4*X*Y - 4*X*Z + Y^2 + 5*Y*Z + 3*Z^2",
         "-4*X^3 - X^2*Y - 2*X^2*Z + 5*X*Y^2 + 4*X*Y*Z + 3*X*Z^2 + Y^3"
         " - Y^2*Z - 3*Y*Z^2 + 4*Z^3", "F101")),
-    # one attempt on the roadmap pair: the witness path needs a second
-    # extension step, and count-only reads the multiplicity off the
+    # one attempt on the roadmap pair: the witnesses certify it off the
     # attempt's separable eliminant
     ("mult-roadmap-pair-one-attempt",
      dict(_mult("x^4-y^5", "x^3-y^2+x*y", "0,0"), max_retries=1)),

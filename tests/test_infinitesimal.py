@@ -1,13 +1,18 @@
-import pytest
+import json
+import time
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from curveint.algebra import lift_to_field, local_pair
-from curveint.cli import parse_poly
-from curveint.deformation import default_precision
+from curveint.cli import parse_field, parse_poly
+from curveint.deformation import VARS3, default_precision
+from curveint import lifting
 from curveint.errors import (InfiniteMultiplicityError, InvalidInputError,
-                             NotSpecializableError)
+                             NotSpecializableError, UnsupportedExtensionError)
 from curveint.fields import QQ, PrimeField
 from curveint.infinitesimal import (NearbyPoint, deform,
                                     left_right_factoring_check,
@@ -200,6 +205,44 @@ def test_nearby_count_stable_under_doubled_precision():
     base = nearby_intersections(f, gt)
     doubled = nearby_intersections(f, gt, prec=24)
     assert sum(p.count for p in base) == sum(p.count for p in doubled)
+
+
+NEARBY_PINS = json.loads(
+    (Path(__file__).parent / "data" / "nearby_points.json").read_text())
+
+
+@pytest.mark.parametrize("pin", NEARBY_PINS,
+                         ids=[str(k) for k in range(len(NEARBY_PINS))])
+def test_nearby_points_match_pins(pin):
+    """Every (f_t, g_t, precision) that the tests of this file hand to
+    nearby_intersections, and f_t = x or x - y against curves with one
+    cycle whose ramified first level (slope 1/2 or 1/3, compressed root a
+    b-th power) is followed by a level whose edge root adjoins sqrt 2,
+    sqrt 3 or cbrt 2, over Q, F101 and F7.  The points are as printed when
+    each ramified y-branch was expanded over the b-th root of its
+    compressed root: the branches, now expanded without that root and read
+    in t afterwards, print the same."""
+    field, _ = parse_field(pin["field"])
+    f, g = (parse_poly(pin[k], field, VARS3) for k in "fg")
+    pts = nearby_intersections(f, g, prec=pin["prec"])
+    assert [[str(p.x), str(p.y), p.count] for p in pts] == pin["points"]
+
+
+def test_second_extension_is_refused_before_any_lift(monkeypatch):
+    """The one eliminant branch has a slope-1/5 level over the compressed
+    root -1/2, whose fifth root is irrational, and then a slope-1/2
+    level: reading it in t needs a second extension.  The refusal comes
+    from the levels alone, before a series is lifted (lifting the branch
+    at the default precision took seconds)."""
+    lifts = []
+    monkeypatch.setattr(lifting, "hensel_lift",
+                        lambda *args: lifts.append(args))
+    f = parse_poly("(x^3 + 4*y^4)*(x + y) + 2*t", QQ, VARS3)
+    g = parse_poly("x^2 - 4*y^3 - 4*t*x", QQ, VARS3)
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedExtensionError, match="second step"):
+        nearby_intersections(f, g)
+    assert time.perf_counter() - start < 2 and not lifts
 
 
 # --------------------------------------------------------- property checks

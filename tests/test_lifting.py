@@ -1,19 +1,22 @@
 import random
+from math import prod
 
 import pytest
 from fractions import Fraction
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from curveint.algebra import separable_by_evaluation
 from curveint.errors import (InsufficientPrecisionError, InvalidInputError,
                              NothingToPrepareError, NotRegularError,
                              NotSimpleRootError)
-from curveint.fields import QQ, PrimeField
+from curveint.fields import QQ, ExtensionField, PrimeField
 from curveint.lifting import (hensel_lift, newton_puiseux, sheet_conjugates,
                               weierstrass_prepare)
 from curveint.poly import MultiPoly
 from curveint.series import INF, TruncatedSeries, eval_poly_at_series
 
-from oracles import branch_count, random_poly, verify_branch
+from oracles import branch_count, branch_residual, random_poly, verify_branch
 
 XT = ("x", "t")
 XY = ("x", "y")
@@ -232,6 +235,87 @@ def test_puiseux_ignores_a_unit_content(field, shape, unit):
     mine, base = newton_puiseux(c * P, "x", 6), newton_puiseux(P, "x", 6)
     assert mine == base
     assert [b.series.field for b in mine] == [b.series.field for b in base]
+
+
+def test_ramified_branch_needs_no_bth_root():
+    """x^2 - 2t: the compressed root 2 is no square in Q, so the branch is
+    the series 2T with t = 2 T^2 (u = v = 1), over Q itself."""
+    x, t = xt()
+    [br] = newton_puiseux(x * x - 2 * t, "x", 4)
+    assert br.series.field == QQ and br.scale == 2 and br.span == 2
+    assert str(br.series) == "2*t^(1/2) + O(t^4)"
+    assert br.levels == ((1, 2, 2),)
+    assert verify_branch(x * x - 2 * t, "x", br)
+
+
+def test_nested_ramified_branch_composes_its_scale():
+    """(x^2 - 2t^3)^2 - x t^5 has a double root on its first edge (slope
+    3/2) and a ramified second level: t = c T^4 with c = z0^v c'^b, and
+    the tail carries c'^a."""
+    x, t = xt()
+    F = (x * x - 2 * t ** 3) ** 2 - x * t ** 5
+    [br] = newton_puiseux(F, "x", 4)
+    assert br.series.field == QQ and br.span == 4
+    assert [(a, b) for a, b, _ in br.levels] == [(3, 2), (1, 2)]
+    (_, _, z0), (_, _, z1) = br.levels
+    assert br.scale == z0 * z1 ** 2
+    residual = branch_residual(F, "x", br)
+    assert residual.valuation() is None and residual.prec >= 4
+
+
+FIELDS = [QQ, PrimeField(7), PrimeField(101)]
+SLOPES = [(1, 2), (3, 2), (1, 3), (2, 3), (5, 2), (3, 4)]
+
+
+@st.composite
+def puiseux_inputs(draw):
+    """F(x, t): a product of one or two factors x^b - c t^a, some of them
+    nested as (x^b - c t^a)^2 - d x^i t^j past the first edge, times an
+    optional unit; c ranges over 2, 3, 5, -1, no b-th powers in Q."""
+    field = draw(st.sampled_from(FIELDS))
+    x, t = xt(field)
+    F = MultiPoly.const(field, XT, 1)
+    for _ in range(draw(st.integers(1, 2))):
+        a, b = draw(st.sampled_from(SLOPES))
+        c = draw(st.sampled_from([2, 3, 5, -1]))
+        factor = x ** b - c * t ** a
+        if draw(st.booleans()):
+            i = draw(st.integers(0, b - 1))
+            # past the edge of factor^2: b*j + a*i > 2ab
+            j = (2 * a * b - a * i) // b + 1 + draw(st.integers(0, 1))
+            factor = factor ** 2 - draw(st.sampled_from([1, 2, -3])) \
+                * x ** i * t ** j
+        F = F * factor
+    if draw(st.booleans()):
+        F = F * (1 + t)
+    return F
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(puiseux_inputs())
+def test_rational_puiseux_branches_satisfy_F(F):
+    """Every branch satisfies F at (series, t = scale * T^B) to the
+    requested precision; its field is the base field or the one extension
+    that an edge factor needs (degree span / B, so no b-th root is
+    adjoined); and the branches account for ord_x F(x, 0), with the spans
+    alone doing so when F is squarefree."""
+    prec = 5
+    brs = newton_puiseux(F, "x", prec)
+    for br in brs:
+        residual = branch_residual(F, "x", br)
+        assert residual.valuation() is None and residual.prec >= prec, \
+            (str(F), str(br))
+        field = br.series.field
+        degree = field.degree if isinstance(field, ExtensionField) else 1
+        assert degree * prod(b for _, b, _ in br.levels) == br.span, \
+            (str(F), str(br))
+        if isinstance(field, ExtensionField):
+            assert field.base == F.field
+    order = min(e[0] for e in F.coeff_of("t", 0).terms)
+    assert branch_count(brs) == order
+    if all(br.simple for br in brs):
+        assert sum(br.span for br in brs) == order
 
 
 # -------------------------------------------------------------- weierstrass
