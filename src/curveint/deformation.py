@@ -72,7 +72,7 @@ from .errors import (GenericityFailureError, InsufficientPrecisionError,
 from .fields import ExtensionField
 from .poly import MultiPoly
 from .lifting import _x_adic_valuation, newton_puiseux
-from .series import TruncatedSeries, eval_poly_at_series
+from .series import TruncatedSeries, eval_poly_at_series, positive_precision
 
 VARS3 = ("x", "y", "t")
 
@@ -272,8 +272,9 @@ def _attempts(build, readout, seed: int, first: int, prec, cap,
     A failure at the cap fails the attempt: any genericity failure
     reseeds, and an InsufficientPrecisionError also doubles the cap for
     the seeds after it.  An explicit ``prec`` (not None) is both the start
-    and the cap, so it runs once per seed."""
-    cap = Fraction(cap if prec is None else prec)
+    and the cap, so it runs once per seed; one that is not positive is an
+    InvalidInputError, raised before any attempt."""
+    cap = Fraction(cap) if prec is None else positive_precision(prec)
     last_error = None
     for attempt in range(first, first + max_retries):
         seed_used = derived_seed(seed, attempt)

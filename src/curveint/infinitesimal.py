@@ -2,16 +2,18 @@
 points, and the staged-specialization and left/right-factoring identities.
 
 Specialization is concrete: set every infinitesimal parameter to zero and
-read off the constant term.  A nearby point is a pair of coordinate series
-of positive valuation.  ``nearby_intersections`` reads the points the way
-the deformation engine reads its witnesses: y off the branches of the
-eliminant Res_x(f_t, g_t), and x off the degree-one subresultant
-(``deformation._points_along``).
+read off the constant term.  A nearby point is one solution cycle: a pair
+of coordinate series of positive valuation in Duval's rational form, series
+in a T with t = scale * T^B (``lifting.Branch``).  ``nearby_intersections``
+reads the points the way the deformation engine reads its witnesses: y off
+the branches of the eliminant Res_x(f_t, g_t), and x off the degree-one
+subresultant (``deformation._points_along``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .algebra import (apply_shear, first_shear, in_general_position,
                       local_pair, translate_to_origin)
@@ -21,9 +23,9 @@ from .deformation import (VARS3, _eliminant_and_s1, _points_along,
 from .errors import (InfiniteMultiplicityError, InsufficientPrecisionError,
                      InvalidInputError, VerificationFailureError)
 from .intersect import mult_length
-from .lifting import Branch, newton_puiseux_in_t, sheet_conjugates
+from .lifting import newton_puiseux
 from .poly import MultiPoly
-from .series import TruncatedSeries
+from .series import INF, TruncatedSeries, positive_precision
 
 
 @dataclass
@@ -40,18 +42,41 @@ class DeformedCurve:
 
 @dataclass
 class NearbyPoint:
-    """A witness in the infinitesimal neighborhood of ``target``."""
+    """One solution cycle in the infinitesimal neighborhood of ``target``.
+
+    ``x`` and ``y`` are the coordinates less the target's, as series in the
+    T of the cycle's eliminant branch, with t = scale * T^B: a series'
+    formal t^(1/B) is T, as in ``lifting.Branch``.  The cycle stands for
+    ``span`` points over the algebraic closure (its conjugates under the B
+    choices of T and under the field extension of its coefficients), each
+    counted ``multiplicity`` times."""
     x: TruncatedSeries
     y: TruncatedSeries
     target: tuple
-    count: int = 1
+    span: int = 1
+    multiplicity: int = 1
+    scale: object = 1
+
+    @property
+    def count(self) -> int:
+        return self.span * self.multiplicity
 
     def specialize(self):
+        """The point at T = 0: the target."""
         tx, ty = self.target
         return (self.x.specialize() + tx, self.y.specialize() + ty)
 
     def __str__(self):
-        return f"({self.x}, {self.y}) -> {self.target}"
+        """(x, y) -> target.  With scale 1, T^B = t and the point prints
+        in t; otherwise it prints in T, followed by t = scale * T^B.  Any
+        common ramification index of the two series serves as B."""
+        tx, ty = self.target
+        if self.scale == 1:
+            return f"({self.x}, {self.y}) -> ({tx}, {ty})"
+        B = lcm(self.x.ram, self.y.ram)
+        t = TruncatedSeries(self.x.field, {B: self.scale}, INF)
+        return (f"({self.x.format('T', B)}, {self.y.format('T', B)}) -> "
+                f"({tx}, {ty}), t = {t.format('T')}")
 
 
 def deform(base: MultiPoly, direction: MultiPoly) -> DeformedCurve:
@@ -91,12 +116,11 @@ def _as_deformed_poly(obj) -> tuple[MultiPoly, MultiPoly]:
 
 
 def _nearby_points(ft: MultiPoly, gt: MultiPoly, base, prec):
-    """(x, y, count) for each point over a y-branch of R = Res_x(f_t, g_t),
-    under the first shear that puts the base pair (t = 0) in general
-    position and lets ``_points_along`` read x along every branch, each
-    read as a series in t (``newton_puiseux_in_t``).  A ramified branch
-    splits into its sheets where the field has the roots of unity for it,
-    and otherwise stays one point that counts for all.
+    """(x, y, branch) for the point over each y-branch of R = Res_x(f_t,
+    g_t), under the first shear that puts the base pair (t = 0) in general
+    position and lets ``_points_along`` read x along every branch: one
+    point per solution cycle, in the branch's T (``newton_puiseux``, as
+    the deformation engine expands them).
 
     Every point lies over the origin: the branches of R start at y = 0,
     and R(y, 0) != 0 leaves a top x-coefficient a unit, so x stays
@@ -106,38 +130,39 @@ def _nearby_points(ft: MultiPoly, gt: MultiPoly, base, prec):
             return None
         R, s1 = _eliminant_and_s1(apply_shear(ft, lam, mu),
                                   apply_shear(gt, lam, mu))
-        branches = []
-        for br in newton_puiseux_in_t(R, "y", prec):
-            sheets = sheet_conjugates(br)
-            branches += [br] if sheets is None else [
-                Branch(s, br.multiplicity) for s in sheets]
-        return [(x, (br.series - x * lam) * (ft.field.one / mu),
-                 br.span * br.multiplicity)
+        return [(x, (br.series - x * lam) * (ft.field.one / mu), br)
                 for br, _, x in _points_along(
-                    s1, branches, prec,
+                    s1, newton_puiseux(R, "y", prec), prec,
                     "two nearby points share a y-coordinate")]
     return first_shear(ft.field, attempt, "separated the nearby points")
 
 
 def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):
     """The points of the infinitesimal neighborhood of ``target`` on the
-    intersection of the two (possibly trivially) deformed curves.
+    intersection of the two (possibly trivially) deformed curves, one
+    ``NearbyPoint`` per solution cycle.
 
     Each y-branch of the eliminant carries one point, read off the
     degree-one subresultant as in the deformation engine.  Every
     coordinate is returned to O(t^prec); InsufficientPrecisionError when
     one is known to less.  When the base curves (t = 0) meet at ``target``
     with finite multiplicity, the points' counts must add up to it, the
-    length engine's value there; VerificationFailureError otherwise."""
+    length engine's value there; VerificationFailureError otherwise.  A
+    target that is not a point of the plane, or a precision that is not
+    positive, is an InvalidInputError."""
     ft, base1 = _as_deformed_poly(C1t)
     gt, base2 = _as_deformed_poly(C2t)
     field = ft.field
-    tx, ty = (field.of(c) for c in target)
+    try:
+        tx, ty = (field.of(c) for c in target)
+    except (TypeError, ValueError):
+        raise InvalidInputError(
+            f"target {target!r} is not a point (x, y)") from None
+    prec = default_precision(base1, base2) + 2 if prec is None \
+        else positive_precision(prec)
     if tx or ty:
         ft = translate_to_origin(ft, (tx, ty))
         gt = translate_to_origin(gt, (tx, ty))
-    if prec is None:
-        prec = default_precision(base1, base2) + 2
     base = [h.coeff_of("t", 0).drop_vars(["t"]) for h in (ft, gt)]
     points = _nearby_points(ft, gt, base, prec)
     # x = -S10/S11 loses the valuation of S11 along the branch: expand once
@@ -147,14 +172,14 @@ def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):
     if short > 0:
         points = _nearby_points(ft, gt, base, prec + short)
     out = []
-    for xs, ys, count in points:
+    for xs, ys, br in points:
         known = min(xs.prec, ys.prec)
         if known < prec:
             raise InsufficientPrecisionError(
                 f"a nearby point is known only to O(t^{known}), not "
                 f"O(t^{prec})")
         out.append(NearbyPoint(xs.truncate(prec), ys.truncate(prec),
-                               (tx, ty), count))
+                               (tx, ty), br.span, br.multiplicity, br.scale))
     out.sort(key=lambda np_: (str(np_.y), str(np_.x)))
     try:
         expected = mult_length(local_pair(*base))

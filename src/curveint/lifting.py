@@ -13,8 +13,7 @@ entry points:
   and x = T^a (z0^u + x1) with u*b - v*a = 1 (D. Duval, Rational Puiseux
   expansions, Compositio Math. 70, 1989), so every coefficient stays in
   the field of the edge roots, and a ``Branch`` is a series in T with
-  t = scale * T^B.  ``newton_puiseux_in_t`` reads the branches as series
-  in t itself, the one place a b-th root is adjoined.
+  t = scale * T^B.  Every caller reads the branches in that form.
 * ``weierstrass_prepare``: effective Weierstrass division F = U * G with G
   monic in x, non-leading coefficients vanishing at y = 0, and U a local
   unit; U and G are polynomials truncated below y^prec.
@@ -25,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import prod
 
 from .algebra import (roots_univariate, separable_by_evaluation,
                       squarefree_decompose)
@@ -34,8 +32,8 @@ from .errors import (BudgetError, InsufficientPrecisionError, InvalidInputError,
                      UnsupportedExtensionError)
 from .fields import ExtensionField
 from .poly import MultiPoly
-from .series import (INF, TruncatedSeries, horner, rescale_exponents,
-                     shift_exponents)
+from .series import (INF, TruncatedSeries, horner, positive_precision,
+                     rescale_exponents, shift_exponents)
 
 
 # ----------------------------------------------------------------- hensel
@@ -76,8 +74,9 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
     is returned only once f(root) vanishes mod t^prec, evaluated at that
     full precision, and InsufficientPrecisionError otherwise (the
     coefficients are not known that far, or the iterate did not converge).
+    A precision that is not positive is an InvalidInputError.
     """
-    prec = Fraction(prec)
+    prec = positive_precision(prec)
     if isinstance(f, MultiPoly):
         f = series_poly_from_multipoly(f, f.vars[0])
     if not f:
@@ -141,7 +140,7 @@ class Branch:
     field extension the edge roots needed.  ``ram`` is the reduced
     ramification index.  ``levels`` holds (a, b, z0) per Newton-polygon
     level, slope a/b and compressed root z0: the one record of the
-    substitutions, from which the scale and the reading in t follow."""
+    substitutions, from which the scale follows."""
     series: TruncatedSeries
     multiplicity: int
     span: int = 1
@@ -363,25 +362,6 @@ def _assemble(tail, head, a: int, b: int, sub_scale) -> TruncatedSeries:
                            s.prec, s.ram)
 
 
-def _branch_plans(F: MultiPoly, xname: str, prec: Fraction):
-    """(levels, multiplicity, span, expand) per branch of F, in
-    ``newton_puiseux``'s order."""
-    if F.is_zero():
-        raise InvalidInputError("zero polynomial")
-    if "t" not in F.vars:
-        raise InvalidInputError("the series parameter must be named t")
-    if F.coeff_of("t", 0).is_zero():
-        raise NotRegularError("F(x, 0) vanishes identically; shear first")
-    if separable_by_evaluation(F, xname):
-        pieces = [(F, 1)]
-    else:
-        pieces = [(fac, mult) for fac, mult in squarefree_decompose(F)
-                  if fac.involves(xname)]
-    return [(levels, mult, span, expand) for fac, mult in pieces
-            for levels, span, expand in _expand_squarefree(fac, xname, prec,
-                                                            0)]
-
-
 def _truncated(series: TruncatedSeries, prec: Fraction) -> TruncatedSeries:
     return series.truncate(prec) if series.prec > prec else series
 
@@ -399,151 +379,27 @@ def newton_puiseux(F: MultiPoly, xname: str, prec):
     root in ``factor_univariate``'s order), which is deterministic.  A
     segment that ``prec`` is too short for raises
     InsufficientPrecisionError; the caller picks the next precision.
+    Every branch's levels are found before any series is lifted, so that
+    refusal costs Newton polygons only.  A precision that is not positive
+    is an InvalidInputError.
     """
-    prec = Fraction(prec)
+    prec = positive_precision(prec)
+    if F.is_zero():
+        raise InvalidInputError("zero polynomial")
+    if "t" not in F.vars:
+        raise InvalidInputError("the series parameter must be named t")
+    if F.coeff_of("t", 0).is_zero():
+        raise NotRegularError("F(x, 0) vanishes identically; shear first")
+    if separable_by_evaluation(F, xname):
+        pieces = [(F, 1)]
+    else:
+        pieces = [(fac, mult) for fac, mult in squarefree_decompose(F)
+                  if fac.involves(xname)]
+    plans = [(levels, mult, span, expand) for fac, mult in pieces
+             for levels, span, expand in _expand_squarefree(fac, xname, prec,
+                                                             0)]
     return [Branch(_truncated(expand(), prec), mult, span, levels)
-            for levels, mult, span, expand in _branch_plans(F, xname, prec)]
-
-
-def newton_puiseux_in_t(F: MultiPoly, xname: str, prec):
-    """``newton_puiseux``'s branches as Puiseux series in t itself (scale
-    1), over the field that reading them in t needs (``_t_reading``).
-    Every branch's levels are read before any series is lifted, so a
-    branch that would need a second extension step raises
-    UnsupportedExtensionError at the cost of its Newton polygons alone."""
-    prec = Fraction(prec)
-    plans = _branch_plans(F, xname, prec)
-    readings = [_t_reading(levels, F.field) for levels, _, _, _ in plans]
-    out = []
-    for (levels, mult, span, expand), (field, embed, beta) in zip(plans,
-                                                                 readings):
-        s = _truncated(expand(), prec)
-        denominator = prod(b for _, b, _ in levels)
-        coeffs = {k: embed(c) * beta ** (k * denominator // s.ram)
-                  for k, c in s.coeffs.items()}
-        out.append(Branch(TruncatedSeries(field, coeffs, s.prec, s.ram),
-                          mult, span))
-    return out
-
-
-def _bth_root(z0, field, b: int):
-    """Some u0 with u0^b = z0, over the field or a one-step extension.
-
-    Any choice represents the same solution cycle: the other roots are the
-    ramification sheets."""
-    if b == 1:
-        return z0, field
-    if isinstance(field, ExtensionField):
-        raise UnsupportedExtensionError(
-            "ramified segment over an extension field needs a second step")
-    radical = MultiPoly(field, ("u",), {(b,): field.one, (0,): -z0})
-    _, u0, ufield, _ = roots_univariate(radical, "u", "w")[0]
-    return u0, ufield
-
-
-def _t_reading(levels, field):
-    """How to read a branch of F with these levels, F over ``field``, as a
-    Puiseux series in t: (target field, embedding of the branch's
-    coefficients into it, beta), with T^k = beta^k s^k for s^B = t.
-
-    The levels are walked from F's field as the classical expansion, which
-    adjoins u0 with u0^b = z0 at each ramified level, met them.  A level
-    (slope a/b, compressed root z0) expands a polynomial in (x', T), T its
-    parameter, by T = z0^v T'^b and x' = T'^a (z0^u + x1).  The same level
-    in t's own terms expands the polynomial in (x, s), s^N = t for N the
-    product of the earlier levels' b, with x' = alpha x and T = beta s:
-    its compressed root is z0 beta^a / alpha^b, whose b-th root u0 gives
-    s = (mu T')^b, mu = alpha^v u0^v / beta^u, so the next level starts
-    from alpha = z0^u / u0 and beta = 1 / mu.
-
-    An edge root z0 that adjoined K[w]/(m) stands there for the classical
-    root k z0, k = beta^a / alpha^b in K, which is the generator of
-    K[w]/(k^deg(m) m(w / k)): the target, into which w maps as w / k, so
-    the coefficients print as the classical expansion's did.  A second
-    extension, or a ramified level over an extension, raises
-    UnsupportedExtensionError."""
-    source = field  # the field of the branch's coefficients so far
-    embed = field.of
-    alpha = beta = field.one
-    for a, b, z0 in levels:
-        zfield = getattr(z0, "field", source)
-        if zfield != source:
-            if isinstance(field, ExtensionField):
-                raise UnsupportedExtensionError(
-                    "an edge root over an extension field needs a second "
-                    "extension step")
-            k = beta ** a / alpha ** b
-            if k == field.one:
-                target, embed = zfield, zfield.of
-            else:
-                d = zfield.degree
-                target = ExtensionField(field, [
-                    m * k ** (d - i) for i, m in enumerate(zfield.modulus)],
-                    zfield.gen_name)
-                embed = partial(_mapped, target, target.gen / k)
-            source, field = zfield, target
-            alpha, beta = field.of(alpha), field.of(beta)
-        z0 = embed(z0)
-        u, v = _bezout_pair(a, b)
-        u0, ufield = _bth_root(z0 * beta ** a / alpha ** b, field, b)
-        if ufield != field:
-            field = ufield
-            alpha, beta, z0 = field.of(alpha), field.of(beta), field.of(z0)
-            embed = field.of
-        mu = alpha ** v * u0 ** v / beta ** u
-        alpha, beta = z0 ** u / u0, 1 / mu
-    return field, embed, beta
-
-
-def _mapped(target, image, c):
-    """c = sum c_i w^i of a one-step extension, as sum c_i image^i."""
-    out = target.zero
-    for ci in reversed(c.coeffs):
-        out = out * image + ci
-    return out
-
-
-def _root_of_unity(field, r: int):
-    """A primitive r-th root of unity, or None if the field has none."""
-    if r == 1:
-        return field.one
-    if r == 2:
-        if field.characteristic == 2:
-            return None
-        return field.of(-1)
-    p = field.characteristic
-    if p and (p ** getattr(field, "degree", 1) - 1) % r == 0:
-        q = p ** getattr(field, "degree", 1)
-        # scan for an element of exact order r
-        for raw in range(2, min(q, 4000)):
-            z = field.of(raw) ** ((q - 1) // r)
-            if z != field.one and all(z ** j != field.one
-                                      for j in range(1, r)) and z ** r == field.one:
-                return z
-    return None
-
-
-def sheet_conjugates(branch: Branch):
-    """Expand a ramified cycle into its sheets t^(1/r) -> zeta^j t^(1/r).
-
-    Possible only when the coefficient field has a primitive r-th root of
-    unity and the cycle needed no coefficient extension; otherwise returns
-    None and the caller should keep the cycle with its span count.
-    """
-    s = branch.series.reduce_ram()
-    r = s.ram
-    if r == 1 and branch.span == 1:
-        return [branch.series]
-    if branch.span != r:
-        return None
-    zeta = _root_of_unity(s.field, r)
-    if zeta is None:
-        return None
-    out = []
-    for j in range(r):
-        coeffs = {k: c * zeta ** ((k * j) % r) for k, c in s.coeffs.items()}
-        out.append(TruncatedSeries(s.field, coeffs, s.prec, r))
-    return out
+            for levels, mult, span, expand in plans]
 
 
 # ------------------------------------------------------------- weierstrass

@@ -51,6 +51,15 @@ def _series(field, coeffs, prec, ram):
     return s
 
 
+def positive_precision(prec) -> Fraction:
+    """A requested precision as a Fraction; InvalidInputError unless it is
+    positive, since nothing is known below t^0."""
+    prec = Fraction(prec)
+    if prec <= 0:
+        raise InvalidInputError(f"precision {prec} is not positive")
+    return prec
+
+
 def _less(p, q):
     """p < q for stored precisions, without comparing a Fraction to INF."""
     if q.__class__ is float:
@@ -280,10 +289,15 @@ class TruncatedSeries:
 
     # ------------------------------------------------------------- printing
     def __str__(self):
+        return self.format()
+
+    def format(self, name: str = "t", B: int = 1) -> str:
+        """The series printed in ``name`` standing for t^(1/B): each
+        exponent, the precision's too, prints multiplied by B."""
         parts = []
         for k in sorted(self.coeffs):
             c = self.coeffs[k]
-            e = Fraction(k, self.ram)
+            e = Fraction(k * B, self.ram)
             cs = str(c)
             if ("+" in cs[1:]) or ("-" in cs[1:]) or ("*" in cs):
                 cs = f"({cs})"
@@ -291,7 +305,7 @@ class TruncatedSeries:
                 parts.append(cs)
             else:
                 es = str(e) if e.denominator == 1 else f"({e})"
-                body = f"t^{es}" if e != 1 else "t"
+                body = f"{name}^{es}" if e != 1 else name
                 if cs == "1":
                     parts.append(body)
                 elif cs == "-1":
@@ -299,9 +313,9 @@ class TruncatedSeries:
                 else:
                     parts.append(f"{cs}*{body}")
         if self.prec != INF:
-            p = self.prec
+            p = self.prec * B
             ps = str(p) if p.denominator == 1 else f"({p})"
-            parts.append(f"O(t^{ps})")
+            parts.append(f"O({name}^{ps})")
         if not parts:
             return "0"
         text = parts[0]

@@ -560,21 +560,27 @@ def series_from_terms(field, terms, prec=INF):
     return TruncatedSeries(field, coeffs, prec, ram)
 
 
-def branch_residual(F: MultiPoly, xname: str, br) -> TruncatedSeries:
-    """F at the branch, term by term: x is the branch's series and t is
-    its scale times the series' own formal t (t = scale * T^B, T the
-    formal t^(1/B)), with no Horner step or exponent readout."""
-    field = br.series.field
+def branch_residual(F: MultiPoly, series: dict, scale=1) -> TruncatedSeries:
+    """F at a parametrized point, term by term: each variable named in
+    ``series`` is its series in T, and t is ``scale`` times the series'
+    own formal t (t = scale * T^B, T the formal t^(1/B)), with no Horner
+    step or exponent readout.  F involves no other variable."""
+    field = next(iter(series.values())).field
     F = lift_to_field(F, field)
-    t = TruncatedSeries(field, {1: field.of(br.scale)}, INF)
-    xi, ti = F.vars.index(xname), F.vars.index("t")
+    t = TruncatedSeries(field, {1: field.of(scale)}, INF)
+    values = [t if v == "t" else series.get(v) for v in F.vars]
     total = TruncatedSeries.zero(field)
     for exps, c in F.terms.items():
-        total = total + br.series ** exps[xi] * t ** exps[ti] * c
+        term = TruncatedSeries.constant(field, c)
+        for value, e in zip(values, exps):
+            if e:
+                term = term * value ** e
+        total = total + term
     return total
 
 
 def verify_branch(F: MultiPoly, xname: str, br) -> bool:
     """Substitute the branch into F (``branch_residual``); the result must
     vanish to the branch's guaranteed precision."""
-    return branch_residual(F, xname, br).valuation() is None
+    return branch_residual(F, {xname: br.series}, br.scale).valuation() \
+        is None

@@ -7,24 +7,25 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from curveint.algebra import lift_to_field, local_pair
+from curveint import deformation
+from curveint.algebra import local_pair
 from curveint.cli import parse_field, parse_poly
-from curveint.deformation import VARS3, default_precision
-from curveint import lifting
+from curveint.deformation import (VARS3, default_precision, deformation_count,
+                                  two_scale_analysis)
 from curveint.errors import (InfiniteMultiplicityError, InvalidInputError,
-                             NotSpecializableError, UnsupportedExtensionError)
+                             NotSpecializableError)
 from curveint.fields import QQ, PrimeField
 from curveint.infinitesimal import (NearbyPoint, deform,
                                     left_right_factoring_check,
                                     nearby_intersections, specialize,
                                     staged_specialization_check)
 from curveint.intersect import mult_length
+from curveint.lifting import hensel_lift, newton_puiseux
 from curveint.poly import MultiPoly
-from curveint.series import (TruncatedSeries, eval_poly_at_series,
-                             shift_exponents)
+from curveint.series import INF, TruncatedSeries, shift_exponents
 
-from oracles import (fulton_intersection_number, series_from_terms,
-                     valuation_certificate)
+from oracles import (branch_residual, fulton_intersection_number,
+                     series_from_terms, valuation_certificate)
 
 V = ("x", "y")
 
@@ -95,16 +96,15 @@ def test_specialize_negative_valuation():
 # ---------------------------------------------------- nearby_intersections
 
 def test_nearby_tangent_conics_plus_t():
+    """x^2 = t and y = t: the two points are one ramified cycle, x = T
+    with t = T^2, of span 2."""
     x, y = xy()
     f = x * x - y
     gt = deform(x * x - 2 * y, MultiPoly.const(QQ, V, 1))
-    pts = nearby_intersections(f, gt)
-    series = sorted(str(p.x) for p in pts)
-    assert len(pts) == 2
-    assert series[0].startswith("-t^(1/2)") and series[1].startswith("t^(1/2)")
-    for p in pts:
-        assert str(p.y).startswith("t")
-        assert specialize(p) == (0, 0)
+    [p] = nearby_intersections(f, gt)
+    assert (p.span, p.multiplicity, p.count, p.scale) == (2, 1, 2, 1)
+    assert str(p.x).startswith("-t^(1/2)") and str(p.y).startswith("t")
+    assert specialize(p) == (0, 0)
 
 
 def test_nearby_transverse_pair_trivial():
@@ -138,36 +138,40 @@ def _distinct_nearby_points(ft: str) -> int:
     return min(m[0] for m in at0.monoms())
 
 
-@pytest.mark.parametrize("direction,counts", [
-    ("x^2", [2]),                                     # a restricted family
-    ("3*x^2 - 2*x*y + y^2 + 5*x - 7*y + 4", [1, 1]),  # every monomial
+@pytest.mark.parametrize("direction,cycles", [
+    ("x^2", [(1, 2)]),                                     # restricted
+    ("3*x^2 - 2*x*y + y^2 + 5*x - 7*y + 4", [(2, 1)]),     # every monomial
 ], ids=["x^2-alone", "full-family"])
-def test_the_full_family_is_needed(direction, counts):
+def test_the_full_family_is_needed(direction, cycles):
     """y - x^2 meets y with I = 2 at the origin.  Moved along x^2 alone the
     two intersections stay one double point; along a direction with every
-    monomial of degree <= 2 they separate into two simple points."""
+    monomial of degree <= 2 they separate into two simple points, one
+    cycle of span 2.  (span, multiplicity) per cycle."""
     x, y = xy()
     f = y - x * x
     pts = nearby_intersections(deform(f, parse_poly(direction, QQ, V)), y)
-    assert sorted(p.count for p in pts) == counts
-    assert sum(counts) == fulton_intersection_number(f, y) == 2
+    assert sorted((p.span, p.multiplicity) for p in pts) == cycles
+    assert sum(p.count for p in pts) == fulton_intersection_number(f, y) == 2
     assert _distinct_nearby_points(f"y - x^2 + t*({direction})") == \
-        len(counts)
+        sum(p.span for p in pts)
 
 
 def _on_both(point, f, g):
-    """The nearby point satisfies both deformed equations to its
-    precision."""
-    field = point.x.field
-    t = TruncatedSeries.variable(field)
-    return all(eval_poly_at_series(lift_to_field(h, field),
-                                   {"x": point.x, "y": point.y, "t": t})
-               .is_zero_to_precision() for h in (f, g))
+    """The nearby point satisfies both deformed equations to its precision,
+    its coordinates substituted with t = scale * T^B (``branch_residual``).
+    The coordinates are centred at the target, as are f and g here."""
+    known = min(point.x.prec, point.y.prec)
+    for h in (f, g):
+        residual = branch_residual(h, {"x": point.x, "y": point.y},
+                                   point.scale)
+        if residual.valuation() is not None or residual.prec < known:
+            return False
+    return True
 
 
-# Nearby points with conjugates over an extension field: the first pair's
-# 2 points are one cycle over Q(sqrt 2), and 4 of the second pair's 6 lie
-# on one ramified cycle over Q(i).
+# Nearby points with conjugates: the first pair's 2 points are one cycle
+# over Q(sqrt 2), and 4 of the second pair's 6 lie on one ramified cycle
+# over Q, x = -T^3 and y = T^2 with t = T^4.
 CONJUGATE_PAIRS = [
     (lambda x, y, t: (x + y, x * x - 2 * t * t), 2),
     (lambda x, y, t: (x * x - y ** 3, x * x - 2 * y ** 3 + t * y), 6),
@@ -215,34 +219,73 @@ NEARBY_PINS = json.loads(
                          ids=[str(k) for k in range(len(NEARBY_PINS))])
 def test_nearby_points_match_pins(pin):
     """Every (f_t, g_t, precision) that the tests of this file hand to
-    nearby_intersections, and f_t = x or x - y against curves with one
-    cycle whose ramified first level (slope 1/2 or 1/3, compressed root a
-    b-th power) is followed by a level whose edge root adjoins sqrt 2,
-    sqrt 3 or cbrt 2, over Q, F101 and F7.  The points are as printed when
-    each ramified y-branch was expanded over the b-th root of its
-    compressed root: the branches, now expanded without that root and read
-    in t afterwards, print the same."""
+    nearby_intersections; f_t = x or x - y against curves with one cycle
+    whose ramified first level (slope 1/2 or 1/3, compressed root a b-th
+    power) is followed by a level whose edge root adjoins sqrt 2, sqrt 3
+    or cbrt 2, over Q, F101 and F7; and three pairs whose branches nest a
+    ramified level in another or over an edge root's extension.  Each
+    point is pinned as printed, with its span and multiplicity; each
+    satisfies both equations and specializes to the origin, and the
+    counts add up to Fulton's intersection number of the base pair.  A
+    pin's ``seconds`` bounds the time it takes."""
     field, _ = parse_field(pin["field"])
     f, g = (parse_poly(pin[k], field, VARS3) for k in "fg")
-    pts = nearby_intersections(f, g, prec=pin["prec"])
-    assert [[str(p.x), str(p.y), p.count] for p in pts] == pin["points"]
-
-
-def test_second_extension_is_refused_before_any_lift(monkeypatch):
-    """The one eliminant branch has a slope-1/5 level over the compressed
-    root -1/2, whose fifth root is irrational, and then a slope-1/2
-    level: reading it in t needs a second extension.  The refusal comes
-    from the levels alone, before a series is lifted (lifting the branch
-    at the default precision took seconds)."""
-    lifts = []
-    monkeypatch.setattr(lifting, "hensel_lift",
-                        lambda *args: lifts.append(args))
-    f = parse_poly("(x^3 + 4*y^4)*(x + y) + 2*t", QQ, VARS3)
-    g = parse_poly("x^2 - 4*y^3 - 4*t*x", QQ, VARS3)
     start = time.perf_counter()
-    with pytest.raises(UnsupportedExtensionError, match="second step"):
-        nearby_intersections(f, g)
-    assert time.perf_counter() - start < 2 and not lifts
+    pts = nearby_intersections(f, g, prec=pin["prec"])
+    took = time.perf_counter() - start
+    assert [[str(p), p.span, p.multiplicity] for p in pts] == pin["points"]
+    for p in pts:
+        assert _on_both(p, f, g)
+        assert specialize(p) == (0, 0)
+    base = [h.subs_values({"t": field.zero}).drop_vars(["t"]) for h in (f, g)]
+    assert sum(p.count for p in pts) == fulton_intersection_number(*base)
+    assert took < pin.get("seconds", INF)
+
+
+def test_a_point_prints_its_coordinates_and_target():
+    """Scale 1 and no ramification: (x, y) -> target, each coordinate
+    printed as a field element."""
+    x, y, t = (MultiPoly.var(QQ, VARS3, v) for v in "xyt")
+    [p] = nearby_intersections(x - 1 + t, y - 2, target=(1, 2), prec=4)
+    assert str(p) == "(-t + O(t^4), O(t^4)) -> (1, 2)"
+
+
+def test_a_scaled_point_prints_in_its_T():
+    """y^2 = 2t: the cycle y = 2T with t = 2T^2 prints in T, with t stated,
+    so that no printed power of t stands for a power of T."""
+    x, y, t = (MultiPoly.var(QQ, VARS3, v) for v in "xyt")
+    [p] = nearby_intersections(x, y * y - 2 * t, prec=4)
+    assert (p.scale, p.span) == (2, 2)
+    assert str(p) == "(O(T^8), 2*T + O(T^8)) -> (0, 0), t = 2*T^2"
+
+
+def _bad_inputs():
+    x, y = xy()
+    pair = local_pair(x * x - y, x * x - 2 * y)
+    xt, tt = (MultiPoly.var(QQ, ("x", "t"), v) for v in "xt")
+    return {
+        "deformation_count-prec-0": lambda: deformation_count(pair, prec=0),
+        "deformation_count-prec-neg": lambda: deformation_count(pair,
+                                                                prec=-2),
+        "two_scale_analysis-prec-0": lambda: two_scale_analysis(pair,
+                                                                prec=0),
+        "hensel_lift-prec-0": lambda: hensel_lift(xt - tt, 0, 0),
+        "newton_puiseux-prec-0": lambda: newton_puiseux(xt * xt - tt, "x", 0),
+        "nearby-prec-0": lambda: nearby_intersections(x, y, prec=0),
+        "nearby-target-(0,)": lambda: nearby_intersections(x, y,
+                                                           target=(0,)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_inputs()))
+def test_bad_precision_and_targets_are_input_errors(monkeypatch, case):
+    """A precision that is not positive, or a target that is not a point,
+    is refused before any subresultant chain is built."""
+    def no_chain(*args):
+        raise AssertionError("a chain was built")
+    monkeypatch.setattr(deformation, "subresultant_prs", no_chain)
+    with pytest.raises(InvalidInputError):
+        _bad_inputs()[case]()
 
 
 # --------------------------------------------------------- property checks

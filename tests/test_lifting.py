@@ -11,8 +11,7 @@ from curveint.errors import (InsufficientPrecisionError, InvalidInputError,
                              NothingToPrepareError, NotRegularError,
                              NotSimpleRootError)
 from curveint.fields import QQ, ExtensionField, PrimeField
-from curveint.lifting import (hensel_lift, newton_puiseux, sheet_conjugates,
-                              weierstrass_prepare)
+from curveint.lifting import hensel_lift, newton_puiseux, weierstrass_prepare
 from curveint.poly import MultiPoly
 from curveint.series import INF, TruncatedSeries, eval_poly_at_series
 
@@ -171,9 +170,6 @@ def test_puiseux_ramified_pair():
     x, t = xt()
     brs = newton_puiseux(x * x - t, "x", 4)
     assert len(brs) == 1 and brs[0].ram == 2 and branch_count(brs) == 2
-    sheets = sheet_conjugates(brs[0])
-    assert sorted(str(s) for s in sheets) == \
-        ["-t^(1/2) + O(t^4)", "t^(1/2) + O(t^4)"]
 
 
 def test_puiseux_branch_through_origin_only():
@@ -259,7 +255,7 @@ def test_nested_ramified_branch_composes_its_scale():
     assert [(a, b) for a, b, _ in br.levels] == [(3, 2), (1, 2)]
     (_, _, z0), (_, _, z1) = br.levels
     assert br.scale == z0 * z1 ** 2
-    residual = branch_residual(F, "x", br)
+    residual = branch_residual(F, {"x": br.series}, br.scale)
     assert residual.valuation() is None and residual.prec >= 4
 
 
@@ -303,7 +299,7 @@ def test_rational_puiseux_branches_satisfy_F(F):
     prec = 5
     brs = newton_puiseux(F, "x", prec)
     for br in brs:
-        residual = branch_residual(F, "x", br)
+        residual = branch_residual(F, {"x": br.series}, br.scale)
         assert residual.valuation() is None and residual.prec >= prec, \
             (str(F), str(br))
         field = br.series.field
