@@ -337,8 +337,12 @@ def separable_by_evaluation(R: MultiPoly, name: str) -> bool:
     for some tau in 1..23 (cut to p - 1 over F_p) the top coefficient does
     not vanish at tau and R(name, tau) is coprime to its derivative.
     False means only that no tau proved it (a degree below 2 is separable
-    outright).  R is specialized once per tau: the top coefficient survives
-    iff R(name, tau) keeps R's degree, and d/d name commutes with t = tau."""
+    outright).  The search stops at the second tau that keeps R's degree
+    but leaves R(name, tau) sharing a factor with its derivative: a
+    repeated factor of R shows at every such tau, and False is always
+    safe, since the caller then takes its exact path.  R is specialized
+    once per tau: the top coefficient survives iff R(name, tau) keeps R's
+    degree, and d/d name commutes with t = tau."""
     n = R.degree_in(name)
     if n < 2:
         return True
@@ -346,6 +350,7 @@ def separable_by_evaluation(R: MultiPoly, name: str) -> bool:
         return False
     field = R.field
     p = field.characteristic
+    shared = 0
     for raw in range(1, 24 if p == 0 else min(24, p)):
         r0 = R.subs_values({"t": field.of(raw)})
         if r0.degree_in(name) != n:
@@ -353,6 +358,9 @@ def separable_by_evaluation(R: MultiPoly, name: str) -> bool:
         d0 = r0.derivative(name)
         if not d0.is_zero() and gcd(r0, d0).is_constant():
             return True
+        shared += 1
+        if shared == 2:
+            return False
     return False
 
 

@@ -2,8 +2,8 @@
 
 Rationals are plain ``fractions.Fraction`` (always in lowest terms with
 positive denominator).  F_p elements and extension elements are small
-immutable wrappers with full operator overloading, so polynomial and
-series code is generic over the coefficient domain.
+immutable wrappers with full operator overloading, so polynomial code is
+generic over the coefficient domain.
 
 An extension K[z]/(m) is built over Q or over F_p; m must be squarefree.
 Its elements compute on Python ints: a vector of numerators over one
@@ -15,8 +15,13 @@ they are long division and a cross-multiplying extended Euclid here.
 All arithmetic is exact; division by zero raises ZeroDivisionError.
 
 Every field also encodes whole lists of elements as Python ints for
-polynomial and series products (``Field.product_codec``): a product sums
-plain int products per output coefficient and normalises each sum once.
+polynomial products (``Field.product_codec``): a product sums plain int
+products per output coefficient and normalises each sum once.  A truncated
+series (``curveint.series``) keeps its coefficients in the same int
+encodings between operations, residues over F_p and numerators over one
+common denominator over Q, and builds an ``FpElement`` or a ``Fraction``
+only when a caller reads a coefficient; over K[z]/(m) its coefficients are
+the elements, and its products go through ``product_codec``.
 Exact polynomial division reads its remainder through
 ``Field.division_codec`` the same way: plain ints over Q and F_p, one
 normalisation per remainder coefficient it reads (extension elements go

@@ -82,7 +82,7 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
     if not f:
         raise InvalidInputError("empty polynomial")
     field = f[0].field
-    coeffs = [c.truncate(prec) if c.prec > prec else c for c in f]
+    coeffs = [c.truncate(prec) for c in f]
     fprime = [c * k for k, c in enumerate(coeffs)][1:]
     a0 = field.of(a0)
     x = TruncatedSeries.constant(field, a0, prec)
@@ -113,8 +113,7 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
             continue
         # f(x) = O(t^v), so f'(x) is needed only mod t^(w - v)
         dfx = horner([c.truncate(w - v) for c in fprime], x.truncate(w - v))
-        step = root - fx / dfx
-        x = TruncatedSeries(field, step.coeffs, INF, step.ram)
+        x = (root - fx / dfx).exact()
     else:
         raise InsufficientPrecisionError("Newton iteration failed to converge")
     if root.prec != prec or fx.prec < prec:
@@ -356,14 +355,7 @@ def _assemble(tail, head, a: int, b: int, sub_scale) -> TruncatedSeries:
     const = TruncatedSeries.constant(field, field.of(head))
     s = shift_exponents(const + rescale_exponents(tail, b), Fraction(a, b))
     m = field.of(sub_scale) ** a
-    if m == field.one:
-        return s
-    return TruncatedSeries(field, {k: c * m for k, c in s.coeffs.items()},
-                           s.prec, s.ram)
-
-
-def _truncated(series: TruncatedSeries, prec: Fraction) -> TruncatedSeries:
-    return series.truncate(prec) if series.prec > prec else series
+    return s if m == field.one else s * m
 
 
 def newton_puiseux(F: MultiPoly, xname: str, prec):
@@ -398,7 +390,7 @@ def newton_puiseux(F: MultiPoly, xname: str, prec):
     plans = [(levels, mult, span, expand) for fac, mult in pieces
              for levels, span, expand in _expand_squarefree(fac, xname, prec,
                                                              0)]
-    return [Branch(_truncated(expand(), prec), mult, span, levels)
+    return [Branch(expand().truncate(prec), mult, span, levels)
             for levels, mult, span, expand in plans]
 
 

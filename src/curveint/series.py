@@ -7,6 +7,20 @@ coefficients zero is only "zero to precision" and its valuation is reported
 as None, never as a number.  Constants and polynomials embed with infinite
 precision.
 
+A series computes on Python ints.  Its precision is kept in index units,
+prec * r = pn / pd as two ints (pd = 0 for an exact series), with the
+cutoff, the least index at or past it, as one more int; so a precision off
+the ramification grid, such as Hensel's 5/2 at r = 1, is kept exactly.
+Its coefficients are int codes: over F_p residues in [1, p), over Q
+integer numerators over one positive series-wide denominator with
+gcd(den, *codes) = 1, and over K[z]/(m) the elements themselves.  Each
+result is normalised once (one ``% p`` per coefficient, or one gcd per
+series); a product of two series over K[z]/(m) goes through
+``Field.product_codec``.  Field elements and ``Fraction`` precisions are
+built only where a caller reads them (``coeffs``, ``prec``, ``coeff_at``,
+``valuation``, ``format``) and in the rare product with a factor zero to
+precision.
+
 All values are immutable; operations return fresh series and never claim
 coefficients at or beyond the stated precision.
 """
@@ -17,38 +31,10 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidInputError, NotAUnitError, NotSpecializableError
-from .fields import binary_power
+from .fields import ExtensionField, FpElement, binary_power
 from .poly import MultiPoly
 
 INF = math.inf
-
-
-def _cutoff(prec, ram: int):
-    """Least index k with k/ram >= prec: a series keeps exactly the indices
-    below it.  A stored precision is a Fraction or the float INF, so the
-    type tells them apart, and the ceiling is taken on integers."""
-    if prec.__class__ is float:
-        return INF
-    return -(-prec.numerator * ram // prec.denominator)
-
-
-def _precision(prec):
-    """A precision as a series stores it: a Fraction, or INF."""
-    if prec.__class__ is Fraction:
-        return prec
-    return INF if prec == INF else Fraction(prec)
-
-
-def _series(field, coeffs, prec, ram):
-    """A series from coefficients that are already clean: int indices
-    below the cutoff, nonzero elements of ``field``; ``prec`` a stored
-    precision (a Fraction, or INF)."""
-    s = object.__new__(TruncatedSeries)
-    s.field = field
-    s.ram = ram
-    s.prec = prec
-    s.coeffs = coeffs
-    return s
 
 
 def positive_precision(prec) -> Fraction:
@@ -60,34 +46,108 @@ def positive_precision(prec) -> Fraction:
     return prec
 
 
-def _less(p, q):
-    """p < q for stored precisions, without comparing a Fraction to INF."""
-    if q.__class__ is float:
-        return p.__class__ is not float
-    return p.__class__ is not float and p < q
+def _modulus(field):
+    """How a series over ``field`` codes its coefficients: None over an
+    extension (the elements), p over F_p (residues), 0 over Q (numerators
+    over one denominator)."""
+    return None if isinstance(field, ExtensionField) else field.characteristic
 
 
-def _below(coeffs, cutoff):
-    """The entries of ``coeffs`` with index below ``cutoff``."""
-    return {k: c for k, c in coeffs.items() if k < cutoff}
+def _cutoff(pn, pd):
+    """The least index k with k >= pn / pd, or None when pd = 0 (INF)."""
+    return -(-pn // pd) if pd else None
+
+
+def _index_precision(prec, ram):
+    """(pn, pd, cut) for a precision (a number or INF) at ramification
+    ram: prec * ram = pn / pd and its cutoff; (1, 0, None) for INF."""
+    if prec.__class__ is not Fraction:
+        if prec == INF:
+            return 1, 0, None
+        prec = Fraction(prec)
+    pn, pd = prec.numerator * ram, prec.denominator
+    return pn, pd, _cutoff(pn, pd)
+
+
+def _make(field, mod, ram, codes, den, pn, pd, cut):
+    """A series from parts that are already clean: nonzero codes in
+    canonical form at int indices below ``cut``."""
+    s = object.__new__(TruncatedSeries)
+    s.field = field
+    s._mod = mod
+    s.ram = ram
+    s._c = codes
+    s._den = den
+    s._pn = pn
+    s._pd = pd
+    s._cut = cut
+    return s
+
+
+def _normal(mod, sums, den):
+    """(codes, den) for a dict of unreduced codes over ``den``: the zero
+    entries dropped, each residue reduced mod p, or, over Q, numerators
+    and den divided by their one gcd."""
+    if mod:
+        out = {}
+        for k, v in sums.items():
+            v %= mod
+            if v:
+                out[k] = v
+        return out, 1
+    out = {k: v for k, v in sums.items() if v}
+    if den != 1:
+        if not out:
+            return out, 1
+        g = math.gcd(den, *out.values())
+        if g != 1:
+            return {k: v // g for k, v in out.items()}, den // g
+    return out, den
+
+
+def _scalar_code(field, mod, c):
+    """(code, den) of a field element (or an int or Fraction) ``c``."""
+    c = field.of(c)
+    if mod is None:
+        return c, 1
+    if mod:
+        return c.val, 1
+    return c.numerator, c.denominator
+
+
+def _encode(field, mod, elements):
+    """(codes, den) of a dict of nonzero field elements, over their least
+    common denominator: already canonical."""
+    parts = {k: _scalar_code(field, mod, c) for k, c in elements.items()}
+    den = math.lcm(1, *(d for _, d in parts.values()))
+    return {k: n if d == den else n * (den // d)
+            for k, (n, d) in parts.items()}, den
+
+
+def _less(an, ad, bn, bd):
+    """an/ad < bn/bd for index precisions, a zero denominator marking INF."""
+    return an * bd < bn * ad
 
 
 class TruncatedSeries:
-    __slots__ = ("field", "ram", "coeffs", "prec")
+    __slots__ = ("field", "_mod", "ram", "_c", "_den", "_pn", "_pd", "_cut")
 
     def __init__(self, field, coeffs, prec, ram=1):
-        self.field = field
-        self.ram = int(ram)
-        if self.ram < 1:
+        ram = int(ram)
+        if ram < 1:
             raise InvalidInputError("ramification index must be >= 1")
-        self.prec = _precision(prec)
-        cutoff = _cutoff(self.prec, self.ram)
+        pn, pd, cut = _index_precision(prec, ram)
+        mod = _modulus(field)
         clean = {}
         for k, c in coeffs.items():
             c = field.of(c)
-            if c and k < cutoff:
-                clean[int(k)] = c
-        self.coeffs = clean
+            k = int(k)
+            if c and (cut is None or k < cut):
+                clean[k] = c
+        codes, den = _encode(field, mod, clean)
+        self.field, self._mod, self.ram = field, mod, ram
+        self._c, self._den = codes, den
+        self._pn, self._pd, self._cut = pn, pd, cut
 
     # ------------------------------------------------------------- builders
     @classmethod
@@ -102,122 +162,179 @@ class TruncatedSeries:
     def variable(cls, field, prec=INF):
         return cls(field, {1: field.one}, prec)
 
+    def _like(self, codes, den, pn, pd, cut, ram=None):
+        return _make(self.field, self._mod, self.ram if ram is None else ram,
+                     codes, den, pn, pd, cut)
+
+    def exact(self) -> "TruncatedSeries":
+        """The same coefficients, known exactly: a polynomial in t^(1/ram)."""
+        return self._like(self._c, self._den, 1, 0, None)
+
     # ------------------------------------------------------------ structure
+    @property
+    def prec(self):
+        """The precision: a Fraction, or INF for an exact series."""
+        return Fraction(self._pn, self._pd * self.ram) if self._pd else INF
+
+    @property
+    def coeffs(self) -> dict:
+        """{index: coefficient} as field elements, built on every read."""
+        return {k: self._element(v) for k, v in self._c.items()}
+
+    def _element(self, code):
+        if self._mod is None:
+            return code
+        if self._mod:
+            return FpElement(code, self.field)
+        return Fraction(code, self._den)
+
     def with_ram(self, new_ram: int) -> "TruncatedSeries":
         if new_ram == self.ram:
             return self
         if new_ram % self.ram:
             raise InvalidInputError("new ramification must be a multiple")
         q = new_ram // self.ram
-        return _series(self.field, {k * q: c for k, c in self.coeffs.items()},
-                       self.prec, new_ram)
+        pn, pd = self._pn * q, self._pd
+        return self._like({k * q: c for k, c in self._c.items()}, self._den,
+                          pn, pd, _cutoff(pn, pd), new_ram)
 
     def reduce_ram(self) -> "TruncatedSeries":
         """Smallest ramification index representing the same exponents."""
-        if not self.coeffs:
-            return TruncatedSeries(self.field, {}, self.prec)
         g = self.ram
-        for k in self.coeffs:
-            g = math.gcd(g, abs(k))
+        for k in self._c:
+            g = math.gcd(g, k)
             if g == 1:
                 return self
-        return TruncatedSeries(self.field, {k // g: c for k, c in self.coeffs.items()},
-                               self.prec, self.ram // g)
+        # also when there is no coefficient: then the index is 1
+        pn, pd = self._pn, self._pd * g
+        return self._like({k // g: c for k, c in self._c.items()}, self._den,
+                          pn, pd, _cutoff(pn, pd), self.ram // g)
 
     def valuation(self):
         """Least exponent with a nonzero coefficient, or None if the series
         is zero to its precision."""
-        if not self.coeffs:
+        if not self._c:
             return None
-        return Fraction(min(self.coeffs), self.ram)
+        return Fraction(min(self._c), self.ram)
 
     def effective_valuation(self):
         v = self.valuation()
         return self.prec if v is None else v
 
     def is_zero_to_precision(self):
-        return not self.coeffs
+        return not self._c
 
     def coeff_at(self, exponent) -> object:
         e = Fraction(exponent)
         if e >= self.prec:
             raise InvalidInputError("coefficient beyond stated precision")
         k = e * self.ram
-        if k.denominator != 1:
+        if k.denominator != 1 or int(k) not in self._c:
             return self.field.zero
-        return self.coeffs.get(int(k), self.field.zero)
+        return self._element(self._c[int(k)])
 
     def constant_term(self):
         return self.coeff_at(0) if self.prec > 0 else self.field.zero
 
     def truncate(self, new_prec) -> "TruncatedSeries":
-        new_prec = _precision(new_prec)
-        if not _less(new_prec, self.prec):
+        pn, pd, cut = _index_precision(new_prec, self.ram)
+        if not _less(pn, pd, self._pn, self._pd):
             return self
-        return _series(self.field,
-                       _below(self.coeffs, _cutoff(new_prec, self.ram)),
-                       new_prec, self.ram)
+        codes = {k: c for k, c in self._c.items() if k < cut}
+        return self._like(*_normal(self._mod, codes, self._den), pn, pd, cut)
+
+    def _shifted(self, d: int) -> "TruncatedSeries":
+        """Times t^(d/ram)."""
+        pn, pd = self._pn + d * self._pd, self._pd
+        return self._like({k + d: c for k, c in self._c.items()}, self._den,
+                          pn, pd, self._cut + d if pd else None)
 
     # ----------------------------------------------------------- arithmetic
     def _align(self, other):
-        if not isinstance(other, TruncatedSeries):
+        if other.__class__ is not TruncatedSeries:
             other = TruncatedSeries.constant(self.field, other)
+        if self.ram == other.ram:
+            return self, other
         r = math.lcm(self.ram, other.ram)
         return self.with_ram(r), other.with_ram(r)
 
     def __add__(self, other):
+        if other.__class__ is not TruncatedSeries:
+            return self._plus_scalar(other)
         a, b = self._align(other)
-        prec = b.prec if _less(b.prec, a.prec) else a.prec
-        cutoff = _cutoff(prec, a.ram)
-        out = _below(a.coeffs, cutoff)
-        zero = self.field.zero
-        for k, c in b.coeffs.items():
-            if k < cutoff:
-                s = out.get(k, zero) + c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return _series(self.field, out, prec, a.ram)
+        if _less(b._pn, b._pd, a._pn, a._pd):
+            a, b = b, a  # a has the lower precision, which the sum keeps
+        out, den = _merge(dict(a._c), a._den, b._c, b._den, a._cut)
+        return a._like(*_normal(a._mod, out, den), a._pn, a._pd, a._cut)
 
     __radd__ = __add__
 
+    def _plus_scalar(self, c):
+        """self + c, an exact constant: the precision is kept."""
+        c, cden = _scalar_code(self.field, self._mod, c)
+        if not c or (self._cut is not None and self._cut <= 0):
+            return self
+        out, den = _merge(dict(self._c), self._den, {0: c}, cden, None)
+        return self._like(*_normal(self._mod, out, den), self._pn, self._pd,
+                          self._cut)
+
     def __neg__(self):
-        return _series(self.field, {k: -c for k, c in self.coeffs.items()},
-                       self.prec, self.ram)
+        mod = self._mod
+        if mod:
+            codes = {k: mod - c for k, c in self._c.items()}
+        else:
+            codes = {k: -c for k, c in self._c.items()}
+        return self._like(codes, self._den, self._pn, self._pd, self._cut)
 
     def __sub__(self, other):
-        a, b = self._align(other)
-        return a + (-b)
+        if other.__class__ is not TruncatedSeries:
+            return self + -self.field.of(other)
+        return self + (-other)
 
     def __rsub__(self, other):
-        a, b = self._align(other)
-        return b + (-a)
+        return (-self) + other
+
+    def _times_scalar(self, c):
+        c, cden = _scalar_code(self.field, self._mod, c)
+        if not c:  # times an exact zero: an exact zero
+            return self._like({}, 1, 1, 0, None)
+        return self._like(*_normal(self._mod,
+                                   {k: x * c for k, x in self._c.items()},
+                                   self._den * cden),
+                          self._pn, self._pd, self._cut)
 
     def __mul__(self, other):
+        if other.__class__ is not TruncatedSeries:
+            return self._times_scalar(other)
         a, b = self._align(other)
-        va = a.effective_valuation()
-        vb = b.effective_valuation()
-        prec = INF if a.prec.__class__ is float and b.prec.__class__ is float \
-            else min(a.prec + vb, b.prec + va)
-        if not a.coeffs or not b.coeffs:
-            return _series(self.field, {}, prec, a.ram)
-        cutoff = _cutoff(prec, a.ram)
-        bkeys = sorted(b.coeffs)
-        # delayed reduction, as in MultiPoly.__mul__
-        ai, bi, decode = self.field.product_codec(
-            list(a.coeffs.values()), [b.coeffs[k] for k in bkeys])
-        bterms = list(zip(bkeys, bi))
-        sums = {}
-        for k1, x in zip(a.coeffs, ai):
-            for k2, y in bterms:
-                k = k1 + k2
-                if k >= cutoff:
-                    break  # every later pair lies past the truncation too
-                sums[k] = sums.get(k, 0) + x * y
-        return _series(self.field, decode(sums), prec, a.ram)
+        if not a._c or not b._c:
+            return _zero_product(a, b)
+        pn, pd, cut = _product_precision(a, b)
+        sums, den = _product_sums(a, b, cut)
+        return a._like(*_normal(a._mod, sums, den), pn, pd, cut)
 
     __rmul__ = __mul__
+
+    def _mul_add(self, b, c):
+        """self * b + c (c a series or a scalar), the sums of the product
+        and c's codes normalised once: Horner's step."""
+        a = self
+        series = c.__class__ is TruncatedSeries
+        if not a._c or not b._c or a.ram != b.ram \
+                or (series and c.ram != a.ram):
+            return a * b + c
+        pn, pd, cut = _product_precision(a, b)
+        if series:
+            if _less(c._pn, c._pd, pn, pd):
+                pn, pd, cut = c._pn, c._pd, c._cut
+            codes, cden = c._c, c._den
+        else:
+            code, cden = _scalar_code(a.field, a._mod, c)
+            codes = {0: code} if code else {}
+        sums, den = _product_sums(a, b, cut)
+        if codes:
+            sums, den = _merge(sums, den, codes, cden, cut)
+        return a._like(*_normal(a._mod, sums, den), pn, pd, cut)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -228,39 +345,43 @@ class TruncatedSeries:
         return binary_power(self, n)
 
     def invert_unit(self) -> "TruncatedSeries":
-        """Inverse of a valuation-zero series, to the same precision."""
-        v = self.valuation()
-        if v is None or v != 0:
+        """Inverse of a valuation-zero series, to the same precision.
+
+        Newton's iteration u <- u (2 - s u) from u = 1/s_0 doubles the
+        indices known each step, on the products above, so no coefficient
+        is divided by s_0 more than once: a recurrence that did so over Q
+        would put the k-th coefficient over the power s_0^(k+1) of the
+        series-wide numerator s_0."""
+        c = self._c
+        if not c or min(c) != 0:
             raise NotAUnitError("series is not a unit (valuation != 0)")
-        if self.prec == INF and len(self.coeffs) == 1:
-            return TruncatedSeries(self.field, {0: 1 / self.coeffs[0]}, INF)
-        if self.prec == INF:
-            raise InvalidInputError(
-                "cannot invert a non-monomial exact series; truncate first")
-        c0 = self.coeffs[0]
-        inv0 = 1 / c0
-        bound = _cutoff(self.prec, self.ram)
-        out = {0: inv0}
-        zero = self.field.zero
-        for k in range(1, bound):
-            acc = zero
-            for j, cj in self.coeffs.items():
-                if 0 < j <= k and (k - j) in out:
-                    acc = acc + cj * out[k - j]
-            val = -inv0 * acc
-            if val:
-                out[k] = val
-        return TruncatedSeries(self.field, out, self.prec, self.ram)
+        code, den = _scalar_code(self.field, self._mod,
+                                 1 / self._element(c[0]))
+        u = _make(self.field, self._mod, 1, {0: code}, den, 1, 0, None)
+        cut = self._cut
+        if cut is None:
+            if len(c) != 1:
+                raise InvalidInputError(
+                    "cannot invert a non-monomial exact series; truncate "
+                    "first")
+            return u
+        u = u.with_ram(self.ram)
+        known = 1  # u is the inverse below index known
+        while known < cut:
+            known = min(2 * known, cut)
+            s = self._like({k: v for k, v in c.items() if k < known},
+                           self._den, known, 1, known)
+            u = (u * (2 - s * u)).exact()
+        return self._like(u._c, u._den, self._pn, self._pd, cut)
 
     def __truediv__(self, other):
         a, b = self._align(other)
-        vb = b.valuation()
-        if vb is None:
+        if not b._c:
             raise ZeroDivisionError("division by a series that is zero to precision")
+        vb = min(b._c)
         if vb == 0:
             return a * b.invert_unit()
-        unit_part = shift_exponents(b, -vb)
-        return shift_exponents(a * unit_part.invert_unit(), -vb)
+        return (a * b._shifted(-vb).invert_unit())._shifted(-vb)
 
     def __rtruediv__(self, other):
         a, b = self._align(other)
@@ -269,12 +390,13 @@ class TruncatedSeries:
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
             a, b = self._align(other)
-            return a.coeffs == b.coeffs and a.prec == b.prec
+            return a._c == b._c and a._den == b._den \
+                and a._pn * b._pd == b._pn * a._pd
         return NotImplemented
 
     def __hash__(self):
         s = self.reduce_ram()  # equal series agree in their reduced form
-        return hash((s.ram, s.prec, frozenset(s.coeffs.items())))
+        return hash((s.ram, s.prec, s._den, frozenset(s._c.items())))
 
     # -------------------------------------------------------------- queries
     def specialize(self):
@@ -295,8 +417,8 @@ class TruncatedSeries:
         """The series printed in ``name`` standing for t^(1/B): each
         exponent, the precision's too, prints multiplied by B."""
         parts = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
+        for k in sorted(self._c):
+            c = self._element(self._c[k])
             e = Fraction(k * B, self.ram)
             cs = str(c)
             if ("+" in cs[1:]) or ("-" in cs[1:]) or ("*" in cs):
@@ -312,7 +434,7 @@ class TruncatedSeries:
                     parts.append("-" + body)
                 else:
                     parts.append(f"{cs}*{body}")
-        if self.prec != INF:
+        if self._pd:
             p = self.prec * B
             ps = str(p) if p.denominator == 1 else f"({p})"
             parts.append(f"O({name}^{ps})")
@@ -330,28 +452,98 @@ class TruncatedSeries:
         return f"TruncatedSeries({self})"
 
 
+def _merge(out, den, codes, cden, cut):
+    """out/den + codes/cden at the indices below cut (None for all), as
+    unreduced codes over the least common denominator; ``out`` is a dict
+    the caller gives up."""
+    scale = 1
+    if cden != den:
+        g = math.gcd(den, cden)
+        scale, up = den // g, cden // g
+        if up != 1:
+            out = {k: v * up for k, v in out.items()}
+            den *= up
+    for k, y in codes.items():
+        if cut is None or k < cut:
+            if scale != 1:
+                y *= scale
+            out[k] = out[k] + y if k in out else y
+    return out, den
+
+
+def _product_precision(a, b):
+    """(pn, pd, cut) of a * b for a and b at one ramification, neither zero
+    to precision: min(prec_a + val_b, prec_b + val_a), in index units."""
+    apd, bpd = a._pd, b._pd
+    pn, pd = a._pn + min(b._c) * apd, apd
+    n2 = b._pn + min(a._c) * bpd
+    if _less(n2, bpd, pn, pd):
+        pn, pd = n2, bpd
+    return pn, pd, _cutoff(pn, pd)
+
+
+def _product_sums(a, b, cut):
+    """(sums, den): the products of a's and b's codes summed per index
+    below cut (None for all), unreduced, over the product of the
+    denominators; over K[z]/(m) through ``Field.product_codec``, decoded."""
+    ac = a._c
+    bitems = sorted(b._c.items())
+    stop = max(ac) + bitems[-1][0] + 1 if cut is None else cut
+    decode = None
+    if a._mod is None:
+        # delayed reduction, as in MultiPoly.__mul__
+        ai, bi, decode = a.field.product_codec(
+            list(ac.values()), [c for _, c in bitems])
+        aitems = zip(ac, ai)
+        bitems = [(k, y) for (k, _), y in zip(bitems, bi)]
+    else:
+        aitems = ac.items()
+    sums = {}
+    for k1, x in aitems:
+        for k2, y in bitems:
+            k = k1 + k2
+            if k >= stop:
+                break  # every later pair lies past the truncation too
+            sums[k] = sums.get(k, 0) + x * y
+    if decode is not None:
+        return decode(sums), 1
+    return sums, a._den * b._den
+
+
+def _zero_product(a, b):
+    """a * b where one factor is zero to precision: zero, to the precision
+    min(prec_a + val_b, prec_b + val_a), a missing valuation read as the
+    precision.  A rare step, so it reads the precisions as Fractions."""
+    prec = min(a.prec + b.effective_valuation(),
+               b.prec + a.effective_valuation())
+    return a._like({}, 1, *_index_precision(prec, a.ram))
+
+
 def shift_exponents(s: TruncatedSeries, delta) -> TruncatedSeries:
     """Multiply by t^delta (delta may be a negative Fraction)."""
     delta = Fraction(delta)
-    r = math.lcm(s.ram, delta.denominator)
-    s2 = s.with_ram(r)
-    d = int(delta * r)
-    return TruncatedSeries(s.field, {k + d: c for k, c in s2.coeffs.items()},
-                           s2.prec + delta if s2.prec != INF else INF, r)
+    s = s.with_ram(math.lcm(s.ram, delta.denominator))
+    return s._shifted(int(delta * s.ram))
 
 
 def rescale_exponents(s: TruncatedSeries, b: int) -> TruncatedSeries:
-    """Reinterpret a series in s as a series in t with s = t^(1/b)."""
-    return TruncatedSeries(s.field, dict(s.coeffs),
-                           s.prec / b if s.prec != INF else INF,
-                           s.ram * b)
+    """Reinterpret a series in s as a series in t with s = t^(1/b): the
+    indices and the index precision stay, the ramification is b times."""
+    return s._like(s._c, s._den, s._pn, s._pd, s._cut, s.ram * b)
 
 
 def horner(coeffs, point: TruncatedSeries) -> TruncatedSeries:
-    """Horner evaluation of [c_0, c_1, ...] (series or scalars) at a series."""
-    total = TruncatedSeries.zero(point.field)
-    for c in reversed(coeffs):
-        total = total * point + c
+    """Horner evaluation of [c_0, c_1, ...] (series or scalars) at a series:
+    from the top coefficient, read at the ramification of its product with
+    the point, each step one ``_mul_add``."""
+    if not coeffs:
+        return TruncatedSeries.zero(point.field)
+    total = coeffs[-1]
+    if total.__class__ is not TruncatedSeries:
+        total = TruncatedSeries.constant(point.field, total)
+    total = total.with_ram(math.lcm(total.ram, point.ram))
+    for c in reversed(coeffs[:-1]):
+        total = total._mul_add(point, c)
     return total
 
 
@@ -366,14 +558,22 @@ def _read_t(coeffs, t: TruncatedSeries) -> TruncatedSeries:
     only falls and ends at P - 1 + e1, e1 the least positive exponent: the
     value is sum c_e c^e t^e over the e below it, exact when there is no
     e1."""
-    c = t.coeffs[1]
-    if c != t.field.one:
-        coeffs = {e: ce * c ** e for e, ce in coeffs.items()}
     e1 = min((e for e in coeffs if e), default=None)
     if e1 is None:
-        return _series(t.field, coeffs, INF, 1)
-    prec = t.prec - 1 + e1
-    return _series(t.field, _below(coeffs, _cutoff(prec, 1)), prec, 1)
+        pn, pd, cut = 1, 0, None
+    else:
+        pn, pd = t._pn + (e1 - 1) * t._pd, t._pd
+        cut = _cutoff(pn, pd)
+        coeffs = {e: ce for e, ce in coeffs.items() if cut is None or e < cut}
+    field, mod, c, d = t.field, t._mod, t._c[1], t._den
+    codes, den = _encode(field, mod, coeffs)
+    if d != 1:  # c_e (c/d)^e over den * d^top
+        top = max(codes)
+        codes = {e: v * d ** (top - e) for e, v in codes.items()}
+        den *= d ** top
+    if c != 1:
+        codes = {e: v * c ** e for e, v in codes.items()}
+    return _make(field, mod, 1, *_normal(mod, codes, den), pn, pd, cut)
 
 
 def eval_poly_at_series(f: MultiPoly, assignment: dict) -> TruncatedSeries:
@@ -388,7 +588,7 @@ def eval_poly_at_series(f: MultiPoly, assignment: dict) -> TruncatedSeries:
               for val in (assignment[v] for v in f.vars)]
     last = points[-1] if points else None
     read_t = last is not None and last.ram == 1 \
-        and len(last.coeffs) == 1 and 1 in last.coeffs
+        and len(last._c) == 1 and 1 in last._c
 
     def nest(terms, i):
         """The terms [(exponents, c)] summed, variables i, ... bound."""

@@ -14,7 +14,11 @@ element operators, normalising every partial sum, where the production
 products sum integer encodings and normalise once per coefficient; the
 pseudo-remainder reference forms each step r*lead - t*g as whole
 polynomial products, where the production step runs one pass that never
-forms the cancelling top terms.  The Frobenius orbit oracle raises each
+forms the cancelling top terms.  The series reference (``RefSeries``,
+``horner_reference``, ``eval_reference``) keeps a series as a dict of
+field elements with a Fraction precision and inverts term by term, where
+the production series computes on int codes with an int cutoff and
+inverts by Newton's iteration.  The Frobenius orbit oracle raises each
 coordinate of a point to p**i, where the production code takes p-th
 powers step by step.  The substitution
 oracle expands with sympy, where the production ``compose`` multiplies
@@ -35,13 +39,13 @@ are used by tests only, so they live here rather than in the library.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 
 from curveint.algebra import lift_to_field
 from curveint.errors import InvalidInputError, UnsupportedExtensionError
 from curveint.fields import QQ, ExtElement, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
-from curveint.series import INF, TruncatedSeries, _cutoff
+from curveint.series import INF, TruncatedSeries
 
 
 def sylvester_matrix(f: MultiPoly, g: MultiPoly, name: str):
@@ -310,26 +314,157 @@ def pseudo_rem_by_products(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     return r * lead ** e if e else r
 
 
+def _cutoff(prec, ram):
+    """Least index k with k/ram >= prec, or INF."""
+    if prec == INF:
+        return INF
+    return ceil(Fraction(prec) * ram)
+
+
+class RefSeries:
+    """The series arithmetic on dicts of field elements: {index: element}
+    at ramification ``ram``, below ``prec`` (a Fraction, or INF), every
+    product one term pair at a time through the element operators, every
+    precision a Fraction computed afresh."""
+
+    def __init__(self, field, coeffs, prec, ram=1):
+        self.field, self.ram = field, ram
+        self.prec = prec if prec == INF else Fraction(prec)
+        cutoff = _cutoff(self.prec, ram)
+        self.coeffs = {k: field.of(c) for k, c in coeffs.items()
+                       if field.of(c) and k < cutoff}
+
+    @classmethod
+    def of(cls, s):
+        """The reference form of a TruncatedSeries or of a scalar."""
+        if isinstance(s, TruncatedSeries):
+            return cls(s.field, s.coeffs, s.prec, s.ram)
+        return s
+
+    def series(self) -> TruncatedSeries:
+        return TruncatedSeries(self.field, self.coeffs, self.prec, self.ram)
+
+    def with_ram(self, ram):
+        q = ram // self.ram
+        return RefSeries(self.field, {k * q: c for k, c in self.coeffs.items()},
+                         self.prec, ram)
+
+    def _align(self, other):
+        if not isinstance(other, RefSeries):
+            other = RefSeries(self.field, {0: other}, INF)
+        ram = lcm(self.ram, other.ram)
+        return self.with_ram(ram), other.with_ram(ram)
+
+    def effective_valuation(self):
+        if not self.coeffs:
+            return self.prec
+        return Fraction(min(self.coeffs), self.ram)
+
+    def truncate(self, prec):
+        return RefSeries(self.field, self.coeffs, min(self.prec, prec),
+                         self.ram)
+
+    def __add__(self, other):
+        a, b = self._align(other)
+        out = dict(a.coeffs)
+        for k, c in b.coeffs.items():
+            out[k] = out[k] + c if k in out else c
+        return RefSeries(a.field, out, min(a.prec, b.prec), a.ram)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefSeries(self.field, {k: -c for k, c in self.coeffs.items()},
+                         self.prec, self.ram)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self._align(other)
+        va, vb = a.effective_valuation(), b.effective_valuation()
+        prec = min(a.prec + vb, b.prec + va) \
+            if (a.prec != INF or b.prec != INF) else INF
+        cutoff = _cutoff(prec, a.ram)
+        out = {}
+        for k1, c1 in a.coeffs.items():
+            for k2, c2 in b.coeffs.items():
+                k = k1 + k2
+                if k < cutoff:
+                    out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+        return RefSeries(a.field, out, prec, a.ram)
+
+    __rmul__ = __mul__
+
+    def invert_unit(self):
+        c = self.coeffs
+        inv0 = 1 / c[0]
+        if self.prec == INF:
+            return RefSeries(self.field, {0: inv0}, INF)
+        out = {0: inv0}
+        for k in range(1, _cutoff(self.prec, self.ram)):
+            acc = self.field.zero
+            for j, cj in c.items():
+                if 0 < j <= k and k - j in out:
+                    acc = acc + cj * out[k - j]
+            out[k] = -inv0 * acc
+        return RefSeries(self.field, out, self.prec, self.ram)
+
+    def shift(self, delta):
+        """Times t^delta."""
+        delta = Fraction(delta)
+        s = self.with_ram(lcm(self.ram, delta.denominator))
+        d = int(delta * s.ram)
+        return RefSeries(s.field, {k + d: c for k, c in s.coeffs.items()},
+                         s.prec + delta if s.prec != INF else INF, s.ram)
+
+    def rescale(self, b):
+        """Read in s = t^(1/b)."""
+        return RefSeries(self.field, self.coeffs,
+                         self.prec / b if self.prec != INF else INF,
+                         self.ram * b)
+
+    def __truediv__(self, other):
+        a, b = self._align(other)
+        vb = b.effective_valuation()
+        return (a * b.shift(-vb).invert_unit()).shift(-vb)
+
+
 def series_mul_pairwise(a: TruncatedSeries, b: TruncatedSeries):
     """The product at the common ramification, truncated at
-    min(prec_a + val_b, prec_b + val_a)."""
-    ram = lcm(a.ram, b.ram)
-    a, b = a.with_ram(ram), b.with_ram(ram)
-    va, vb = a.effective_valuation(), b.effective_valuation()
-    prec = min(a.prec + vb, b.prec + va) \
-        if (a.prec != INF or b.prec != INF) else INF
-    cutoff = _cutoff(prec, ram)
-    out = {}
-    for k1, c1 in a.coeffs.items():
-        for k2, c2 in b.coeffs.items():
-            k = k1 + k2
-            if k < cutoff:
-                s = out[k] + c1 * c2 if k in out else c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k)
-    return TruncatedSeries(a.field, out, prec, ram)
+    min(prec_a + val_b, prec_b + val_a), through ``RefSeries``."""
+    return (RefSeries.of(a) * RefSeries.of(b)).series()
+
+
+def horner_reference(coeffs, point: RefSeries) -> RefSeries:
+    """Horner's rule on ``RefSeries`` (or scalar) coefficients."""
+    total = RefSeries(point.field, {}, INF)
+    for c in reversed(coeffs):
+        total = total * point + c
+    return total
+
+
+def eval_reference(f: MultiPoly, assignment) -> RefSeries:
+    """f at bound series or scalars by Horner's rule on ``RefSeries`` in
+    each variable in turn, the last innermost, with no readout of t."""
+    points = [RefSeries.of(v) if isinstance(v, TruncatedSeries)
+              else RefSeries(f.field, {0: v}, INF)
+              for v in (assignment[name] for name in f.vars)]
+
+    def nest(terms, i):
+        if i == len(points):
+            return terms[0][1]
+        groups = {}
+        for term in terms:
+            groups.setdefault(term[0][i], []).append(term)
+        return horner_reference(
+            [nest(groups[e], i + 1) if e in groups else f.field.zero
+             for e in range(max(groups) + 1)], points[i])
+
+    if not f.terms:
+        return RefSeries(f.field, {}, INF)
+    return RefSeries.of(nest(list(f.terms.items()), 0)) if points else \
+        RefSeries(f.field, {0: f.constant_value()}, INF)
 
 
 def eval_by_compose(f: MultiPoly, assignment):

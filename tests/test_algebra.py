@@ -487,6 +487,37 @@ def test_separable_by_evaluation_implies_a_nonzero_discriminant(field, seed):
                     (False, False)}
 
 
+def _count_specializations(monkeypatch):
+    calls = []
+    subs = MultiPoly.subs_values
+
+    def counted(self, values):
+        calls.append(values)
+        return subs(self, values)
+    monkeypatch.setattr(MultiPoly, "subs_values", counted)
+    return calls
+
+
+def test_separable_by_evaluation_gives_up_after_two_shared_factors(
+        monkeypatch):
+    """(y - t)^2 (y + 1) keeps its degree at every tau and shares y - tau
+    with its derivative there: the search stops after two taus."""
+    y, t = (MultiPoly.var(QQ, ("y", "t"), v) for v in ("y", "t"))
+    calls = _count_specializations(monkeypatch)
+    assert not algebra.separable_by_evaluation((y - t) ** 2 * (y + 1), "y")
+    assert len(calls) <= 2
+
+
+def test_separable_by_evaluation_proves_after_one_shared_factor(
+        monkeypatch):
+    """y^2 - t + 1 is y^2 at tau = 1, which shares y with its derivative,
+    and y^2 - 1 at tau = 2, which proves it separable."""
+    y, t = (MultiPoly.var(QQ, ("y", "t"), v) for v in ("y", "t"))
+    calls = _count_specializations(monkeypatch)
+    assert algebra.separable_by_evaluation(y * y - t + 1, "y")
+    assert len(calls) == 2
+
+
 # ----------------------------------------------------------------- translate
 
 def test_translate_line():

@@ -9,9 +9,10 @@ from curveint.errors import (InvalidInputError, NotAUnitError,
 from curveint.fields import QQ, ExtElement, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
 from curveint.series import (INF, TruncatedSeries, eval_poly_at_series,
-                             rescale_exponents, shift_exponents)
+                             horner, rescale_exponents, shift_exponents)
 
-from oracles import agrees_with, series_from_terms
+from oracles import (RefSeries, agrees_with, eval_reference,
+                     horner_reference, series_from_terms)
 
 
 def t_var(prec=INF):
@@ -250,3 +251,132 @@ def test_series_product_matches_naive_oracle(codec):
         assert {Fraction(k, got.ram): from_field(c)
                 for k, c in got.coeffs.items()} == want
         assert all(Fraction(k, got.ram) < got.prec for k in got.coeffs)
+
+
+# --------------------------------- the int kernel against dict arithmetic
+#
+# ``oracles.RefSeries`` is the series arithmetic on dicts of field elements
+# with Fraction precisions, one term pair at a time.  Every operation of
+# the int-coded kernel must give the same coefficients, precision and
+# ramification, on seeded random operands: exact series, series zero to
+# precision, negative exponents, and precisions off the ramification grid
+# (5/2 and 5/4 at ramification 1).
+
+F7 = PrimeField(7)
+F101 = PrimeField(101)
+DIFF_FIELDS = [QQ, F7, F101, _EXT, ExtensionField(F7, [-3, 0, 1], "w")]
+DIFF_IDS = ["Q", "F7", "F101", "Q[w]/(w^3-2w+5)", "F7[w]/(w^2-3)"]
+OFF_GRID = [Fraction(5, 2), Fraction(5, 4)]
+
+
+def _diff_element(rng, field):
+    if field == QQ:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    if isinstance(field, ExtensionField):
+        base = field.base
+        return ExtElement([_diff_element(rng, base)
+                           for _ in range(field.degree)], field)
+    return field.of(rng.randint(0, field.p - 1))
+
+
+def _diff_series(rng, field, low=-3):
+    """A random series: exact, zero to precision, or truncated, with a
+    precision on or off the ramification grid."""
+    ram = rng.choice([1, 1, 2, 3])
+    kind = rng.random()
+    if kind < 0.25:
+        prec = INF
+    elif kind < 0.45 and ram == 1:
+        prec = rng.choice(OFF_GRID)
+    else:
+        prec = Fraction(rng.randint(low + 1, 12), rng.choice([1, 2, 3, 5]))
+    terms = {} if rng.random() < 0.1 else {
+        rng.randint(low * ram, 10 * ram): _diff_element(rng, field)
+        for _ in range(rng.randint(1, 6))}
+    return TruncatedSeries(field, terms, prec, ram)
+
+
+def _unit(rng, field):
+    """A random series of valuation 0, known to a finite precision."""
+    while True:
+        s = _diff_series(rng, field, low=1)
+        s = s.truncate(rng.choice([Fraction(rng.randint(1, 9),
+                                            rng.choice([1, 2, 4]))]
+                                  + OFF_GRID))
+        if s.prec != INF and s.prec > 0:
+            c0 = _diff_element(rng, field)
+            if c0:
+                return s + c0
+
+
+def _same(got, want):
+    """The kernel's series equals the reference's, part by part, and as a
+    series built from the reference's coefficients (equal codes)."""
+    assert (got.coeffs, got.prec, got.ram) == \
+        (want.coeffs, want.prec, want.ram), f"{got} != {want.series()}"
+    assert got == want.series()
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS, ids=DIFF_IDS)
+def test_ring_operations_match_dict_arithmetic(field):
+    rng = random.Random(3232)
+    for _ in range(60):
+        a, b = _diff_series(rng, field), _diff_series(rng, field)
+        ra, rb = RefSeries.of(a), RefSeries.of(b)
+        c = _diff_element(rng, field)
+        _same(a * b, ra * rb)
+        _same(a + b, ra + rb)
+        _same(a - b, ra - rb)
+        _same(-a, -ra)
+        _same(a * c, ra * c)
+        _same(a + c, ra + c)
+        _same(c - a, -ra + c)
+        p = rng.choice([Fraction(rng.randint(-2, 9), rng.choice([1, 2, 3]))]
+                       + OFF_GRID)
+        _same(a.truncate(p), ra.truncate(p))
+        delta = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
+        _same(shift_exponents(a, delta), ra.shift(delta))
+        k = rng.randint(1, 3)
+        _same(rescale_exponents(a, k), ra.rescale(k))
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS, ids=DIFF_IDS)
+def test_inverse_and_division_match_dict_arithmetic(field):
+    rng = random.Random(3233)
+    for _ in range(40):
+        u = _unit(rng, field)
+        _same(u.invert_unit(), RefSeries.of(u).invert_unit())
+        a = _diff_series(rng, field)
+        b = shift_exponents(_unit(rng, field),
+                            Fraction(rng.randint(-3, 3), rng.choice([1, 2])))
+        _same(a / b, RefSeries.of(a) / RefSeries.of(b))
+    c = _diff_element(rng, field) or field.one
+    exact = TruncatedSeries.constant(field, c)
+    _same(exact.invert_unit(), RefSeries.of(exact).invert_unit())
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS, ids=DIFF_IDS)
+def test_horner_and_evaluation_match_dict_arithmetic(field):
+    rng = random.Random(3234)
+    V3 = ("x", "y", "t")
+    for _ in range(30):
+        point = _diff_series(rng, field, low=0)
+        coeffs = [_diff_series(rng, field) if rng.random() < 0.5
+                  else _diff_element(rng, field)
+                  for _ in range(rng.randint(1, 5))]
+        _same(horner(coeffs, point),
+              horner_reference([RefSeries.of(c) for c in coeffs],
+                               RefSeries.of(point)))
+        f = MultiPoly(field, V3, {
+            tuple(rng.randint(0, 3) for _ in V3): _diff_element(rng, field)
+            for _ in range(rng.randint(1, 8))})
+        # t bound to c t + O(t^P) is read off the exponents; else Horner
+        t = TruncatedSeries(field, {1: _diff_element(rng, field)},
+                            rng.choice([INF, Fraction(3), Fraction(7, 2)])) \
+            if rng.random() < 0.5 else _diff_series(rng, field, low=0)
+        assignment = {"x": _diff_series(rng, field, low=0),
+                      "y": _diff_series(rng, field, low=-1)
+                      if rng.random() < 0.8 else _diff_element(rng, field),
+                      "t": t}
+        _same(eval_poly_at_series(f, assignment),
+              eval_reference(f, assignment))
