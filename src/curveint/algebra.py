@@ -28,7 +28,7 @@ from .errors import (GeneralPositionError, GenericityFailureError,
                      InfiniteMultiplicityError, InvalidDegreeError,
                      InvalidInputError, SharedComponentError,
                      UnsupportedExtensionError)
-from .factor import factor_mod_p, factor_over_q
+from .factor import PRIME_Q, _gcd, _trim, factor_mod_p, factor_over_q
 from .fields import QQ, ExtensionField, PrimeField, pth_root_scalar
 from .poly import MultiPoly, _exponent_codec, _poly
 
@@ -332,6 +332,53 @@ def squarefree_decompose(f: MultiPoly):
     return factors
 
 
+def _image_mod_q(R: MultiPoly, name: str):
+    """(q, n, [(i, j, c), ...]): R's terms with exponent i in ``name`` and
+    j in t, and coefficient image c mod q, n = deg_name R.  Over F_p q = p
+    and the image is exact; over Q q = 2^31 - 1; over Q[w]/(m) w -> r for
+    the field's ``root_mod_q``, a prime below 2^15.  None over F_p[w],
+    when the field has no ``root_mod_q`` and when q divides a
+    coefficient's denominator."""
+    field = R.field
+    coeffs = R.terms.values()
+    if isinstance(field, ExtensionField):
+        if field.root_mod_q is None:
+            return None
+        q, root = field.root_mod_q
+        powers = [pow(root, k, q) for k in range(field.degree)]
+        parts = [(sum(x * w for x, w in zip(c.num, powers)), c.den)
+                 for c in coeffs]
+    elif field.characteristic:
+        q = field.p
+        parts = [(c.val, 1) for c in coeffs]
+    else:
+        q = PRIME_Q
+        parts = [(c.numerator, c.denominator) for c in coeffs]
+    inverse = {}
+    for _, den in parts:
+        if den not in inverse:
+            if den % q == 0:
+                return None
+            inverse[den] = pow(den, -1, q)
+    i, j = R.vars.index(name), R.vars.index("t")
+    return q, R.degree_in(name), [
+        (e[i], e[j], num * inverse[den] % q)
+        for e, (num, den) in zip(R.terms, parts)]
+
+
+def _specialize_mod(image, tau: int):
+    """R(name, tau) mod q from R's ``_image_mod_q``: the dense ascending
+    list of its n + 1 residues, the top one possibly 0."""
+    q, n, terms = image
+    out = [0] * (n + 1)
+    powers = [1]
+    for i, j, c in terms:
+        while len(powers) <= j:
+            powers.append(powers[-1] * tau % q)
+        out[i] += c * powers[j]
+    return [c % q for c in out]
+
+
 def separable_by_evaluation(R: MultiPoly, name: str) -> bool:
     """The one evaluation proof that R(name, t) is separable in ``name``:
     for some tau in 1..23 (cut to p - 1 over F_p) the top coefficient does
@@ -340,24 +387,45 @@ def separable_by_evaluation(R: MultiPoly, name: str) -> bool:
     outright).  The search stops at the second tau that keeps R's degree
     but leaves R(name, tau) sharing a factor with its derivative: a
     repeated factor of R shows at every such tau, and False is always
-    safe, since the caller then takes its exact path.  R is specialized
-    once per tau: the top coefficient survives iff R(name, tau) keeps R's
-    degree, and d/d name commutes with t = tau."""
+    safe, since the caller then takes its exact path.
+
+    Each tau is read mod q first (``_image_mod_q``): an image of degree n
+    coprime to its derivative mod q proves it.  Over F_p the image is
+    R(name, tau) itself.  Over Q, R(name, tau) lies in Z_(q)[name] with a
+    unit top coefficient, so by Gauss's lemma a common factor with its
+    derivative of positive degree would reduce to one mod q.  Over
+    Q[w]/(m), m irreducible, q prime to lc(m) and m squarefree mod q, the
+    same holds in the discrete valuation ring of Z_(q)[w]/(m) at
+    (q, w - r).  The exact check (``subs_values`` and ``gcd``) decides a
+    tau whose image drops the top coefficient or shares a factor, over Q
+    and Q[w]/(m), and every tau with no image: the answer is the exact
+    check's, only sooner."""
     n = R.degree_in(name)
     if n < 2:
         return True
-    if R.derivative(name).is_zero():
-        return False
     field = R.field
     p = field.characteristic
+    i = R.vars.index(name)
+    if p and not any(e[i] % p for e in R.terms):  # d/d name of R is 0
+        return False
+    image = _image_mod_q(R, name)
     shared = 0
     for raw in range(1, 24 if p == 0 else min(24, p)):
-        r0 = R.subs_values({"t": field.of(raw)})
-        if r0.degree_in(name) != n:
+        r = _specialize_mod(image, raw) if image else None
+        if r is not None and r[-1]:
+            q = image[0]
+            dr = _trim([k * c % q for k, c in enumerate(r)][1:])
+            if len(_gcd(r, dr, q)) == 1:
+                return True
+        if r is None or not p:  # the image is not R(name, tau) itself
+            r0 = R.subs_values({"t": field.of(raw)})
+            if r0.degree_in(name) != n:
+                continue
+            d0 = r0.derivative(name)
+            if not d0.is_zero() and gcd(r0, d0).is_constant():
+                return True
+        elif not r[-1]:
             continue
-        d0 = r0.derivative(name)
-        if not d0.is_zero() and gcd(r0, d0).is_constant():
-            return True
         shared += 1
         if shared == 2:
             return False

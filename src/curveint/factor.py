@@ -8,18 +8,29 @@ a common denominator with ``_over_lcm``.
 
 Over F_p: distinct-degree factorization, then an equal-degree split,
 Cantor-Zassenhaus for odd p and the trace map for p = 2 (von zur Gathen
-and Gerhard, *Modern Computer Algebra*, sections 14.2-14.3).  Over Z:
+and Gerhard, *Modern Computer Algebra*, sections 14.2-14.3), and one root
+of a polynomial mod a prime q, for the images mod q of an extension of Q
+(``fields.ExtensionField.root_mod_q``).  Over Z:
 factor mod the smallest prime that keeps the polynomial's degree and
 squarefreeness, lift the factors by multifactor Hensel lifting past the
 Mignotte bound, and recombine subsets of increasing size (Zassenhaus,
-MCA section 15.6).  The split draws from a ``random.Random`` the caller
-passes, so a caller that seeds it gets the same factors every run.
+MCA section 15.6).  An irreducibility test tries the degrees of the
+factors mod a few primes first (degree analysis).  The split draws from a
+``random.Random`` the caller passes, so a caller that seeds it gets the
+same factors every run.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import gcd, isqrt, lcm
+
+
+# The prime of the images of Q mod q, and the primes tried in turn for
+# the images of Q[w]/(m), below 2^15 so that a root search mod q
+# (``root_mod_p``) takes few squarings on small ints.
+PRIME_Q = 2 ** 31 - 1
+PRIMES_QW = (32749, 32719, 32717, 32713, 32707, 32693, 32687, 32653)
 
 
 def is_prime(n: int) -> bool:
@@ -183,6 +194,48 @@ def factor_mod_p(f, p, rng):
             for u in _equal_degree(g, d, p, rng)]
 
 
+def _linear_power(a, e, f, p):
+    """(x + a)^e mod f, mod p, for a monic f of degree n >= 1 and e >= 1:
+    left-to-right binary powering on a dense list of n residues, so a
+    multiply by x + a is one shift and n products."""
+    n = len(f) - 1
+    low = f[:-1]
+    span = range(n)
+    u = [1] + [0] * (n - 1)
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * n - 1)
+        for i, x in enumerate(u):
+            if x:
+                for j in span:
+                    sq[i + j] += x * u[j]
+        for k in range(2 * n - 2, n - 1, -1):
+            c = sq[k] % p
+            if c:
+                for i in span:
+                    sq[k - n + i] -= c * low[i]
+        if bit == "1":  # times x + a, x^n = -low
+            top = sq[n - 1] % p
+            u = [((sq[i - 1] if i else 0) + a * sq[i] - top * low[i]) % p
+                 for i in span]
+        else:
+            u = [c % p for c in sq[:n]]
+    return _trim(u)
+
+
+def root_mod_p(f, p, rng):
+    """A root mod an odd prime p of a monic f (coefficients in [0, p)), or
+    None when it has none.  g = gcd(x^p - x, f) is the product of f's
+    distinct linear factors, and gcd(g, (x + a)^((p-1)/2) - 1) for random
+    a splits it until one is left (MCA sections 14.3 and 14.5)."""
+    g = _gcd(f, _sub(_linear_power(0, p, f, p), [0, 1], p), p)
+    while len(g) > 2:
+        h = _gcd(g, _sub(_linear_power(rng.randrange(p), (p - 1) // 2, g, p),
+                         [1], p), p)
+        if 1 < len(h) < len(g):
+            g = h
+    return -g[0] % p if len(g) == 2 else None
+
+
 # ---------------------------------------------------------- over Q and Z
 
 def _hensel_step(f, g, h, s, t, m):
@@ -243,17 +296,51 @@ def factor_over_q(coeffs, rng):
     return _zassenhaus([c // content for c in ints], rng)
 
 
+def irreducible_over_q(coeffs, rng) -> bool:
+    """Whether a squarefree polynomial of degree >= 1 with Fraction
+    coefficients is irreducible over Q.  Degree analysis first: a factor
+    of degree k over Q is a product of factors mod every prime that keeps
+    the degree and squarefreeness, so k is a sum of their degrees there;
+    when no 0 < k < n is such a sum at each of the first five such
+    primes, the polynomial is irreducible.  Else ``factor_over_q``
+    decides."""
+    f = _over_lcm(coeffs)[0]
+    sums = set(range(len(f)))
+    for _, p in zip(range(5), _good_primes(f)):
+        sums &= _degree_sums(_distinct_degree(_monic([c % p for c in f], p),
+                                              p))
+        if len(sums) == 2:
+            return True
+    return len(factor_over_q(coeffs, rng)) == 1
+
+
+def _good_primes(f):
+    """The primes that keep the degree and squarefreeness of f mod p, in
+    increasing order."""
+    df = [k * c for k, c in enumerate(f)][1:]
+    p = 1
+    while True:
+        p += 1
+        if is_prime(p) and f[-1] % p and len(_gcd(df, f, p)) == 1:
+            yield p
+
+
+def _degree_sums(parts):
+    """The degrees of the products of subsets of the irreducible factors
+    of a distinct-degree factorization [(g, d), ...]."""
+    sums = {0}
+    for g, d in parts:
+        for _ in range((len(g) - 1) // d):
+            sums |= {s + d for s in sums}
+    return sums
+
+
 def _zassenhaus(f, rng):
     """The irreducible factors in Z[x] of a primitive squarefree f of
     degree >= 1 with a positive top coefficient: primitive, each with a
     positive top coefficient, and their product is f."""
     lc, n = f[-1], len(f) - 1
-    df = [k * c for k, c in enumerate(f)][1:]
-    p = 2
-    while not lc % p or len(_gcd(df, f, p)) > 1:
-        p += 1
-        while not is_prime(p):
-            p += 1
+    p = next(_good_primes(f))
     us = factor_mod_p(_monic([c % p for c in f], p), p, rng)
     if len(us) == 1:
         return [f]

@@ -25,17 +25,21 @@ the elements, and its products go through ``product_codec``.
 Exact polynomial division reads its remainder through
 ``Field.division_codec`` the same way: plain ints over Q and F_p, one
 normalisation per remainder coefficient it reads (extension elements go
-in as they are).
+in as they are).  An extension of Q finds once a prime q and a root of
+m mod q (``root_mod_q``), the map onto F_q of the separability proof
+mod q.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InvalidInputError, UnsupportedExtensionError
-from .factor import _gcd, _over_lcm, _rem, _xgcd, is_prime
+from .factor import (PRIMES_QW, _gcd, _monic, _over_lcm, _rem, _xgcd,
+                     irreducible_over_q, is_prime, root_mod_p)
 
 
 def binary_power(base, n: int):
@@ -706,6 +710,29 @@ class ExtensionField(Field):
             rows.append(row.num)
             row = row * zp
         return rows
+
+    @cached_property
+    def root_mod_q(self):
+        """(q, r) for the first q of ``factor.PRIMES_QW`` with q not
+        dividing the lead of ``int_modulus`` and m squarefree mod q, and a
+        root r of m mod q: w -> r maps the elements with denominators
+        prime to q onto F_q.  None over F_p, for an m that is reducible
+        over Q (``factor.irreducible_over_q``, once per field) and when no
+        listed prime has a root.  Built once per field."""
+        if self.characteristic:
+            return None
+        rng = random.Random(0)
+        if not irreducible_over_q(list(self.modulus), rng):
+            return None
+        mod, scale = self.int_modulus
+        for q in PRIMES_QW:
+            if scale % q:
+                m = _monic([c % q for c in mod], q)
+                r = root_mod_p(m, q, rng)
+                dm = [k * c % q for k, c in enumerate(m)][1:]
+                if r is not None and len(_gcd(m, dm, q)) == 1:
+                    return q, r
+        return None
 
     @property
     def gen(self):

@@ -13,7 +13,9 @@ entry points:
   and x = T^a (z0^u + x1) with u*b - v*a = 1 (D. Duval, Rational Puiseux
   expansions, Compositio Math. 70, 1989), so every coefficient stays in
   the field of the edge roots, and a ``Branch`` is a series in T with
-  t = scale * T^B.  Every caller reads the branches in that form.
+  t = scale * T^B.  Every caller reads the branches in that form.  A
+  segment is built from the polynomial's terms as a list of exact series
+  in T, shifted to head + x by Ruffini's rule (``series.taylor_shift``).
 * ``weierstrass_prepare``: effective Weierstrass division F = U * G with G
   monic in x, non-leading coefficients vanishing at y = 0, and U a local
   unit; U and G are polynomials truncated below y^prec.
@@ -33,7 +35,7 @@ from .errors import (BudgetError, InsufficientPrecisionError, InvalidInputError,
 from .fields import ExtensionField
 from .poly import MultiPoly
 from .series import (INF, TruncatedSeries, horner, positive_precision,
-                     rescale_exponents, shift_exponents)
+                     rescale_exponents, shift_exponents, taylor_shift)
 
 
 # ----------------------------------------------------------------- hensel
@@ -234,31 +236,32 @@ def _edge_polynomial(f: MultiPoly, xname: str, edge):
     return a, b, level, coeffs
 
 
-def _transform_segment(f: MultiPoly, xname: str, a: int, b: int, level: int,
-                       head, c, new_field, below=None):
-    """Substitute t -> c T^b, x -> T^a (head + x) and divide by T^level:
-    each d x^i t^j becomes d c^j T^(a*i + b*j - level) (head + x)^i, with
-    T nonnegative on the segment's side of the polygon.  The result is
-    over new_field, the field of head and c, in the same two variable
-    slots, t now standing for T.
+def _segment(f: MultiPoly, xname: str, a: int, b: int, level: int, head,
+             c, field, below=None):
+    """f after t -> c T^b, x -> T^a (head + x) and division by T^level, as
+    the dense list of its x-coefficients, exact series in T over
+    ``field``, the field of head and c: each d x^i t^j adds d c^j
+    T^(a*i + b*j - level) to the coefficient of x^i, T nonnegative on the
+    segment's side of the polygon, and ``series.taylor_shift`` then
+    substitutes head + x for x by Ruffini's rule.
 
     Terms of T-exponent ``below`` or more are dropped before the shift:
     the shift keeps T-exponents, so this is exact below T^below."""
     xi, ti = f.vars.index(xname), f.vars.index("t")
-    powers, terms = {}, {}
-    for exps, coeff in f.terms.items():
+    rows = [{} for _ in range(f.degree_in(xname) + 1)]
+    powers = {}
+    for exps, d in f.terms.items():
         j = exps[ti]
         e = a * exps[xi] + b * j - level
         if below is not None and e >= below:
             continue
         if j not in powers:
             powers[j] = c ** j
-        key = list(exps)
-        key[ti] = e
-        terms[tuple(key)] = new_field.of(coeff) * powers[j]
-    g = MultiPoly(new_field, f.vars, terms)
-    return g.compose({xname: MultiPoly.var(new_field, g.vars, xname)
-                      + new_field.of(head)})
+        rows[exps[xi]][e] = field.of(d) * powers[j]
+    while rows and not rows[-1]:
+        rows.pop()
+    return taylor_shift([TruncatedSeries(field, row, INF) for row in rows],
+                        field.of(head))
 
 
 def _bezout_pair(a: int, b: int):
@@ -283,7 +286,7 @@ def _expand_squarefree(f: MultiPoly, xname: str, prec: Fraction, depth: int):
     if depth > 64:
         raise BudgetError("Newton polygon recursion exceeded its depth cap")
     field = f.field
-    xi = f.vars.index(xname)
+    xi, ti = f.vars.index(xname), f.vars.index("t")
     out = []
     k = _x_adic_valuation(f, xi)
     if k > 0:
@@ -311,7 +314,13 @@ def _expand_squarefree(f: MultiPoly, xname: str, prec: Fraction, depth: int):
                 out.append((((a, b, z0),), b * kappa,
                             partial(_assemble, tail, head, a, b, 1)))
                 continue
-            g = _transform_segment(f, xname, a, b, level, head, c, rfield)
+            key, terms = [0] * len(f.vars), {}
+            for i, s in enumerate(_segment(f, xname, a, b, level, head, c,
+                                           rfield)):
+                for e, coef in s.coeffs.items():
+                    key[xi], key[ti] = i, e
+                    terms[tuple(key)] = coef
+            g = MultiPoly(rfield, f.vars, terms)
             for levels, sub_span, tail in _expand_squarefree(
                     g, xname, Fraction(sub_prec), depth + 1):
                 out.append((((a, b, z0),) + levels, b * kappa * sub_span,
@@ -323,9 +332,8 @@ def _expand_squarefree(f: MultiPoly, xname: str, prec: Fraction, depth: int):
 def _hensel_tail(f: MultiPoly, xname: str, a: int, b: int, level: int, head,
                  c, rfield, sub_prec) -> TruncatedSeries:
     """The tail x1(T) of a segment whose root is simple, to O(T^sub_prec)."""
-    g = _transform_segment(f, xname, a, b, level, head, c, rfield, sub_prec)
-    return hensel_lift(series_poly_from_multipoly(g, xname), rfield.zero,
-                       sub_prec)
+    return hensel_lift(_segment(f, xname, a, b, level, head, c, rfield,
+                                sub_prec), rfield.zero, sub_prec)
 
 
 def _segment_roots(phi: MultiPoly, field):

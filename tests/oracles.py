@@ -28,7 +28,12 @@ the production ``eval_poly_at_series`` runs Horner's rule on series.  The
 shear-candidate oracle lists every (lam, mu) by growing |lam| + mu and
 drops the repeated directions lam/mu.  The transversality reference proves by
 evaluation, on Sylvester resultants and long-division gcds, what the
-deformation engine reads off a separable eliminant.  The factorization
+deformation engine reads off a separable eliminant.  The separability
+reference specializes R(y, t) at each tau with ``subs_values`` and takes
+an exact ``gcd``, where the production proof reads each tau mod a prime
+on ints first.  The segment reference substitutes x -> head + x with
+``compose``, where the production ``lifting`` shifts a list of series by
+Ruffini's rule.  The factorization
 oracle asks sympy for the irreducible factors of a univariate polynomial,
 where the production code lifts factors mod p on dense int lists.
 
@@ -41,7 +46,7 @@ are used by tests only, so they live here rather than in the library.
 from fractions import Fraction
 from math import ceil, lcm
 
-from curveint.algebra import lift_to_field
+from curveint.algebra import gcd, lift_to_field
 from curveint.errors import InvalidInputError, UnsupportedExtensionError
 from curveint.fields import QQ, ExtElement, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
@@ -616,6 +621,59 @@ def transverse_by_evaluation(R: MultiPoly, ft: MultiPoly,
         else:
             return True
     return False
+
+
+def separable_by_exact_evaluation(R: MultiPoly, name: str) -> bool:
+    """The exact per-tau loop that ``algebra.separable_by_evaluation``
+    answers mod q first: at tau in 1..23 (below p over F_p), R(name, tau)
+    by ``subs_values``; a tau that drops R's degree is skipped, one where
+    R(name, tau) is coprime to its derivative (``gcd``) proves R
+    separable, and the second that shares a factor ends the search."""
+    n = R.degree_in(name)
+    if n < 2:
+        return True
+    if R.derivative(name).is_zero():
+        return False
+    field = R.field
+    p = field.characteristic
+    shared = 0
+    for raw in range(1, 24 if p == 0 else min(24, p)):
+        r0 = R.subs_values({"t": field.of(raw)})
+        if r0.degree_in(name) != n:
+            continue
+        d0 = r0.derivative(name)
+        if not d0.is_zero() and gcd(r0, d0).is_constant():
+            return True
+        shared += 1
+        if shared == 2:
+            return False
+    return False
+
+
+# ------------------------------------------------------ segment reference
+
+
+def transform_segment_by_compose(f: MultiPoly, xname: str, a: int, b: int,
+                                 level: int, head, c, new_field, below=None):
+    """Substitute t -> c T^b, x -> T^a (head + x) and divide by T^level
+    with ``MultiPoly.compose``: each d x^i t^j becomes d c^j
+    T^(a*i + b*j - level) (head + x)^i, over new_field, t standing for T.
+    Terms of T-exponent ``below`` or more are dropped before the shift."""
+    xi, ti = f.vars.index(xname), f.vars.index("t")
+    powers, terms = {}, {}
+    for exps, coeff in f.terms.items():
+        j = exps[ti]
+        e = a * exps[xi] + b * j - level
+        if below is not None and e >= below:
+            continue
+        if j not in powers:
+            powers[j] = c ** j
+        key = list(exps)
+        key[ti] = e
+        terms[tuple(key)] = new_field.of(coeff) * powers[j]
+    g = MultiPoly(new_field, f.vars, terms)
+    return g.compose({xname: MultiPoly.var(new_field, g.vars, xname)
+                      + new_field.of(head)})
 
 
 def sympy_factor_list(f: MultiPoly, name: str):

@@ -10,13 +10,16 @@ from curveint.algebra import (SHEAR_BOUND, _shear_candidates, content_in,
                               resultant, apply_shear, roots_univariate,
                               shear_to_general_position, squarefree_decompose,
                               subresultant_prs, translate_to_origin)
+from curveint.cli import parse_poly
 from curveint.errors import (GeneralPositionError, InvalidDegreeError,
                              InvalidInputError, UnsupportedExtensionError)
+from curveint.factor import _gcd
 from curveint.fields import QQ, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
 
 from oracles import (evaluate, pseudo_rem_by_products, random_poly,
-                     shear_candidates_by_ratio, sylvester_resultant)
+                     separable_by_exact_evaluation, shear_candidates_by_ratio,
+                     sylvester_resultant)
 
 V = ("x", "y")
 
@@ -488,6 +491,20 @@ def test_separable_by_evaluation_implies_a_nonzero_discriminant(field, seed):
 
 
 def _count_specializations(monkeypatch):
+    """The taus ``separable_by_evaluation`` reads R at: one
+    ``algebra._specialize_mod`` call per tau."""
+    calls = []
+    specialize = algebra._specialize_mod
+
+    def counted(image, tau):
+        calls.append(tau)
+        return specialize(image, tau)
+    monkeypatch.setattr(algebra, "_specialize_mod", counted)
+    return calls
+
+
+def _count_exact_checks(monkeypatch):
+    """The taus decided by the exact check: one ``subs_values`` each."""
     calls = []
     subs = MultiPoly.subs_values
 
@@ -496,6 +513,151 @@ def _count_specializations(monkeypatch):
         return subs(self, values)
     monkeypatch.setattr(MultiPoly, "subs_values", counted)
     return calls
+
+
+QW2 = ExtensionField(QQ, [-2, 0, 1], "w")       # Q[w]/(w^2 - 2)
+QW3 = ExtensionField(QQ, [-1, -1, 0, 1], "w")   # Q[w]/(w^3 - w - 1)
+
+
+def _with_w_part(rng, field, A):
+    """A plus w times a random polynomial of lower y-degree, over an
+    extension; A itself otherwise."""
+    n = A.degree_in("y")
+    if not isinstance(field, ExtensionField) or n < 1:
+        return A
+    return A + _random_in_y(rng, field, rng.randint(0, n - 1),
+                            False).scale(field.gen)
+
+
+def _trap(rng, field, R, q):
+    """R with one coefficient the proof mod q cannot read, over Q and
+    Q[w]: the top y-coefficient times q, or a term over the denominator
+    q; R itself over F_p, where the image is exact."""
+    if field.characteristic:
+        return R, False
+    y = MultiPoly.var(field, R.vars, "y")
+    t = MultiPoly.var(field, R.vars, "t")
+    if rng.random() < 0.5:
+        top = R.coeff_of("y", R.degree_in("y"))
+        return R + (top * y ** R.degree_in("y")).scale(q - 1), True
+    return R + (t * y).scale(Fraction(1, q)), True
+
+
+def _discriminant_is_nonzero(R):
+    """Res_y(R, dR/dy) is not the zero polynomial in t: it is nonzero at
+    some t0 in -3..3 where R keeps its y-degree.  There it is the
+    Sylvester determinant of R(y, t0) and its derivative, up to a power of
+    the nonzero top coefficient."""
+    n = R.degree_in("y")
+    for t0 in range(-3, 4):
+        r = R.subs_values({"t": R.field.of(t0)})
+        d = r.derivative("y")
+        if r.degree_in("y") == n and not d.is_zero() \
+                and not sylvester_resultant(r, d, "y").is_zero():
+            return True
+    return False
+
+
+@pytest.mark.parametrize("field,seed", [(QQ, 71), (PrimeField(5), 72),
+                                        (PrimeField(101), 73), (QW2, 74),
+                                        (QW3, 75)],
+                         ids=["Q", "F5", "F101", "Q[w]/(w^2-2)",
+                              "Q[w]/(w^3-w-1)"])
+def test_separable_by_evaluation_matches_the_exact_loop(field, seed,
+                                                        monkeypatch):
+    """R = A^m * B, random, some with a top coefficient that vanishes at
+    tau = 1, and over Q and Q[w] some with a top coefficient or a
+    denominator divisible by the image's prime q, where every tau takes
+    the exact check: the proof mod q returns the exact loop's bool
+    (``oracles.separable_by_exact_evaluation``), and every True has a
+    nonzero Sylvester discriminant Res_y(R, dR/dy), read at one t0."""
+    rng = random.Random(seed)
+    q = (field.root_mod_q[0] if isinstance(field, ExtensionField)
+         else field.characteristic or algebra.PRIME_Q)
+    exact = _count_exact_checks(monkeypatch)
+    seen = set()
+    for _ in range(40):
+        A = _with_w_part(rng, field, _random_in_y(
+            rng, field, rng.randint(1, 2), rng.random() < 0.5))
+        B = _with_w_part(rng, field, _random_in_y(
+            rng, field, rng.randint(0, 2), rng.random() < 0.3))
+        R, trapped = A ** rng.randint(1, 2) * B, False
+        if R.degree_in("y") < 2:
+            continue
+        if rng.random() < 0.3:
+            R, trapped = _trap(rng, field, R, q)
+        del exact[:]
+        proved = algebra.separable_by_evaluation(R, "y")
+        if trapped:
+            assert exact, str(R)
+        assert proved == separable_by_exact_evaluation(R, "y"), str(R)
+        if proved:
+            assert _discriminant_is_nonzero(R), str(R)
+        seen.add((proved, trapped))
+    assert {True, False} <= {proved for proved, _ in seen}
+    if not field.characteristic:
+        assert (True, True) in seen
+
+
+# pair A's cluster: one orbit of 12 points of the pair in ROADMAP.md
+PAIR_A_MINPOLY = (
+    "y^12 - 30767/10865*y^11 + 308821/76055*y^10 - 109769/76055*y^9"
+    " - 234091/76055*y^8 + 340486/76055*y^7 + 13766/76055*y^6"
+    " - 334267/76055*y^5 + 317267/76055*y^4 - 50544/76055*y^3"
+    " - 9588/15211*y^2 + 15536/76055*y + 21136/76055")
+
+
+def _eisenstein(rng, degree):
+    """A random integer polynomial of the given degree, irreducible over
+    Q by Eisenstein's criterion at 2."""
+    return ([2 * rng.choice([-3, -1, 1, 3])]
+            + [2 * rng.randint(-4, 4) for _ in range(degree - 1)]
+            + [rng.choice([-3, -1, 1, 3])])
+
+
+def test_root_mod_q_is_a_simple_root_mod_q():
+    """For moduli of degree 1-12 and pair A's degree-12 minimal
+    polynomial, the cached (q, r) has m(r) = 0 mod q, q prime to the lead
+    of the integer modulus, and m squarefree mod q."""
+    rng = random.Random(76)
+    pair_a = parse_poly(PAIR_A_MINPOLY, QQ, ("y",))
+    moduli = [_eisenstein(rng, d) for d in range(1, 13)] + [
+        [pair_a.coeff_of("y", k).constant_value() for k in range(13)]]
+    found = 0
+    for m in moduli:
+        E = ExtensionField(QQ, m, "w")
+        if E.root_mod_q is None:
+            continue
+        found += 1
+        q, r = E.root_mod_q
+        mod, scale = E.int_modulus
+        assert scale % q
+        assert sum(c * pow(r, k, q) for k, c in enumerate(mod)) % q == 0
+        m_q = [c % q for c in mod]
+        dm_q = [k * c % q for k, c in enumerate(m_q)][1:]
+        assert len(_gcd(m_q, dm_q, q)) == 1
+    assert ExtensionField(QQ, moduli[-1], "w").root_mod_q is not None
+    assert found >= 11
+
+
+def test_reducible_modulus_takes_the_exact_path(monkeypatch):
+    """Over Q[w]/(w^2 - 1), squarefree but reducible, a root mod q sees
+    one factor of the ring only: there is no image, and every tau takes
+    the exact check, with the exact loop's answer."""
+    E = ExtensionField(QQ, [-1, 0, 1], "w")
+    assert E.root_mod_q is None
+    y, t = (MultiPoly.var(E, ("y", "t"), v) for v in ("y", "t"))
+    exact = _count_exact_checks(monkeypatch)
+    for R in (y * y - t - 1, (y - t) ** 2 * (y + 1)):
+        assert algebra._image_mod_q(R, "y") is None
+        del exact[:]
+        assert (algebra.separable_by_evaluation(R, "y")
+                == separable_by_exact_evaluation(R, "y"))
+        assert exact
+
+
+def test_extensions_of_f_p_take_the_exact_path():
+    assert F101W.root_mod_q is None
 
 
 def test_separable_by_evaluation_gives_up_after_two_shared_factors(

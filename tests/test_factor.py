@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from curveint import factor
 from curveint.algebra import factor_univariate
 from curveint.cli import parse_poly
 from curveint.errors import InvalidInputError, UnsupportedExtensionError
@@ -131,3 +132,64 @@ def test_xgcd_contract(p):
         assert not _rem(_sub(_mul(s, a, p), g, p), b, p), (a, b)
         assert len(s) - 1 < len(b) - len(g), (a, b)  # in degrees
         assert all(0 <= x < p for x in s) and (not s or s[-1]), (a, b)
+
+
+@pytest.mark.parametrize("coeffs,irreducible,factored", [
+    ([-1, -1, 0, 0, 1], True, False),        # x^4 - x - 1: Galois group S4
+    ([-5, 1, 3, -2, 0, 0, 7], True, False),  # a sextic of no special shape
+    ([1, 0, 0, 0, 1], True, True),           # x^4 + 1 splits mod every prime
+    ([1, 0, -10, 0, 1], True, True),         # so does x^4 - 10x^2 + 1
+    ([6, 0, -5, 0, 1], False, True),         # (x^2 - 2)(x^2 - 3)
+    ([Fraction(1, 3), 2], True, False),      # linear
+])
+def test_irreducible_over_q_by_degree_analysis(coeffs, irreducible, factored,
+                                              monkeypatch):
+    """Degree analysis proves a polynomial irreducible when the factor
+    degrees mod a few primes admit no proper subset sum in common, with
+    no factorization; a polynomial that splits mod every prime, or a
+    reducible one, is decided by ``factor_over_q``."""
+    calls = []
+    factor_over_q = factor.factor_over_q
+
+    def counted(*args):
+        calls.append(args)
+        return factor_over_q(*args)
+    monkeypatch.setattr(factor, "factor_over_q", counted)
+    f = [Fraction(c) for c in coeffs]
+    assert factor.irreducible_over_q(f, random.Random(0)) == irreducible
+    assert bool(calls) == factored
+    assert (len(factor_over_q(f, random.Random(0))) == 1) == irreducible
+
+
+def test_image_primes():
+    """The prime of the images of Q is 2^31 - 1; the primes of the images
+    of Q[w]/(m) are the eight largest primes below 2^15, largest first."""
+    assert factor.PRIME_Q == 2 ** 31 - 1 and factor.is_prime(factor.PRIME_Q)
+    below = [q for q in range(2 ** 15 - 1, 32600, -1) if factor.is_prime(q)]
+    assert list(factor.PRIMES_QW) == below[:8]
+
+
+@pytest.mark.parametrize("q", (3, 13, 32749))
+def test_root_mod_p_finds_a_root_exactly_when_there_is_one(q):
+    """Seeded monic squarefree f mod q of degree 1-6: a root when one
+    exists (f(r) = 0 mod q), None when none does (checked by trying every
+    residue for the small q, and by gcd(x^q - x, f) for the large one)."""
+    rng = random.Random(f"root-{q}")
+    seen = set()
+    for _ in range(80):
+        f = [rng.randrange(q) for _ in range(rng.randint(1, 6))] + [1]
+        df = [k * c % q for k, c in enumerate(f)][1:]
+        if len(factor._gcd(f, factor._trim(df), q)) != 1:
+            continue
+        r = factor.root_mod_p(f, q, rng)
+        if q < 100:
+            has = any(sum(c * pow(x, k, q) for k, c in enumerate(f)) % q == 0
+                      for x in range(q))
+        else:
+            has = len(factor._gcd(f, factor._sub(
+                factor._powmod([0, 1], q, f, q), [0, 1], q), q)) > 1
+        assert (r is not None) == has, f
+        if r is not None:
+            assert sum(c * pow(r, k, q) for k, c in enumerate(f)) % q == 0
+        seen.add(has)
+    assert seen == {True, False}

@@ -77,6 +77,15 @@ EXTRA_JOBS = [
     # attempt's separable eliminant
     ("mult-roadmap-pair-one-attempt",
      dict(_mult("x^4-y^5", "x^3-y^2+x*y", "0,0"), max_retries=1)),
+    # pair A of ROADMAP.md: one orbit of 12 points over a degree-12 field,
+    # certified by count-only, whose separability proof is read mod a
+    # prime that has a root of the field's modulus
+    ("pair-a-degree-12-orbit", _bezout(
+        "3*X^3 + 4*X^2*Y + 2*X^2*Z + 2*X*Y^2 + 2*X*Y*Z + 2*X*Z^2 - 4*Y^3"
+        " + 3*Y^2*Z + 2*Y*Z^2 - 5*Z^3",
+        "-2*X^4 - 4*X^3*Y - 2*X^3*Z + 3*X^2*Y^2 - 3*X^2*Y*Z - 4*X^2*Z^2"
+        " + X*Y^3 + 5*X*Y^2*Z - 5*X*Y*Z^2 - 4*X*Z^3 - 5*Y^4 + 5*Y^3*Z"
+        " - 3*Y^2*Z^2 + 4*Y*Z^3 - 4*Z^4", "Q")),
     # the lifting layer's own commands
     ("weierstrass-unit-times-x", _weierstrass("x^2 + x^3 + y", 6)),
     ("weierstrass-f7-degree-two",

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import prod
 
 import pytest
@@ -11,11 +12,14 @@ from curveint.errors import (InsufficientPrecisionError, InvalidInputError,
                              NothingToPrepareError, NotRegularError,
                              NotSimpleRootError)
 from curveint.fields import QQ, ExtensionField, PrimeField
-from curveint.lifting import hensel_lift, newton_puiseux, weierstrass_prepare
+from curveint import lifting
+from curveint.lifting import (hensel_lift, newton_puiseux,
+                              series_poly_from_multipoly, weierstrass_prepare)
 from curveint.poly import MultiPoly
 from curveint.series import INF, TruncatedSeries, eval_poly_at_series
 
-from oracles import branch_count, branch_residual, random_poly, verify_branch
+from oracles import (branch_count, branch_residual, random_poly,
+                     transform_segment_by_compose, verify_branch)
 
 XT = ("x", "t")
 XY = ("x", "y")
@@ -312,6 +316,42 @@ def test_rational_puiseux_branches_satisfy_F(F):
     assert branch_count(brs) == order
     if all(br.simple for br in brs):
         assert sum(br.span for br in brs) == order
+
+
+QW2 = ExtensionField(QQ, [-2, 0, 1], "w")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(101), QW2],
+                         ids=["Q", "F7", "F101", "Q[w]/(w^2-2)"])
+def test_segment_shift_matches_compose(field):
+    """The segment list ``lifting._segment`` builds, with x -> head + x by
+    Ruffini's rule on series, equals the compose-based substitution of
+    ``oracles.transform_segment_by_compose``, read as series in T: random
+    f of degree <= 6, slopes with b = 1 and b > 1, head 0 and nonzero,
+    with no bound and with an int or Fraction truncation bound."""
+    rng = random.Random(81)
+    for b_kind, head_kind, below_kind in product((1, 2), (0, 1), (0, 1, 2)):
+        for _ in range(3):
+            f = random_poly(rng, field, XT, rng.randint(1, 6))
+            if isinstance(field, ExtensionField):
+                f = f + random_poly(rng, field, XT, 3).scale(field.gen)
+            if not f.involves("x"):
+                continue
+            a, b = rng.choice([(1, 1), (2, 1)] if b_kind == 1
+                              else [(1, 2), (3, 2), (2, 3)])
+            level = min(a * e[0] + b * e[1] for e in f.terms)
+            c = field.of(rng.randint(1, 5))
+            head = field.zero
+            if head_kind:
+                head = field.of(rng.randint(1, 5))
+                if isinstance(field, ExtensionField):
+                    head, c = head + field.gen, c - field.gen
+            below = (None, rng.randint(1, 9),
+                     Fraction(rng.randint(3, 19), 2))[below_kind]
+            want = series_poly_from_multipoly(transform_segment_by_compose(
+                f, "x", a, b, level, head, c, field, below), "x")
+            assert lifting._segment(f, "x", a, b, level, head, c, field,
+                                    below) == want, str(f)
 
 
 # -------------------------------------------------------------- weierstrass
