@@ -10,10 +10,11 @@ coefficients in descending powers of x).  The determinant is kept as a test
 oracle only.  ``subresultant_prs`` is the one remainder loop: one chain
 gives the resultant (its last member when that has degree 0, signed by
 the chain itself), the gcd (the primitive part of its last member) and
-the degree-one subresultant S1 that the deformation engine lifts
-x-coordinates with.  Its pseudo-remainders (``pseudo_rem``) take one
-sparse pass of plain int products per step, on packed exponent keys and
-one ``Field.product_codec`` encoding, and never form the top terms that
+the degree-one subresultant S1 that the point enumeration and the
+deformation engine read x-coordinates off (``resultant_and_s1``).  Its
+pseudo-remainders (``pseudo_rem``) take one sparse pass of plain int
+products per step, on packed exponent keys and one
+``Field.product_codec`` encoding, and never form the top terms that
 cancel.
 """
 
@@ -257,8 +258,19 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
         raise InvalidInputError(f"neither input involves {name}")
     if f.is_zero() or g.is_zero():
         return f.clone({})
-    last = subresultant_prs(f, g, name)[-1]
-    return last.clone({}) if last.degree_in(name) > 0 else last
+    return resultant_and_s1(f, g, name)[0]
+
+
+def resultant_and_s1(f: MultiPoly, g: MultiPoly, name: str):
+    """(R, S1) off one subresultant chain of nonzero f and g in ``name``:
+    R = Res_name(f, g) as ``resultant`` reads it (0 when the last member
+    has positive degree), and S1, the member of degree one in ``name``
+    (None when the chain skips degree one).  S1 lies in the ideal (f, g)."""
+    chain = subresultant_prs(f, g, name)
+    last = chain[-1]
+    R = last.clone({}) if last.degree_in(name) > 0 else last
+    return R, next((m for m in reversed(chain) if m.degree_in(name) == 1),
+                   None)
 
 
 # ------------------------------------------------------ squarefree factors
@@ -481,6 +493,7 @@ def roots_univariate(f: MultiPoly, name: str, gen_name: str):
             out.append((fac, -coeffs[0], f.field, mult))
         else:
             ext = ExtensionField(f.field, coeffs, gen_name=gen_name)
+            ext._irreducible = True  # a factor of factor_univariate
             out.append((fac, ext.gen, ext, mult))
     return out
 
@@ -501,7 +514,10 @@ def translate_to_origin(f: MultiPoly, point) -> MultiPoly:
     """f(x + p_x, y + p_y): vanishes at the origin iff f vanishes at p.
 
     The point may live in a one-step extension of f's field, in which case
-    the result is over that extension.
+    the result is over that extension.  Each nonzero coordinate shifts its
+    variable by Ruffini's rule on scalars (``_shift``); any further
+    variable (t, in ``infinitesimal``'s frame) passes through, and the
+    point (0, 0) returns f, lifted to the point's field if need be.
     """
     px, py = point
     field = f.field
@@ -515,13 +531,36 @@ def translate_to_origin(f: MultiPoly, point) -> MultiPoly:
             raise UnsupportedExtensionError(
                 "translation point not representable over the polynomial's "
                 "field or a one-step extension of it")
-    g = lift_to_field(f, field) if field != f.field else f
-    xv, yv = g.vars[0], g.vars[1]
-    x = MultiPoly.var(g.field, g.vars, xv)
-    y = MultiPoly.var(g.field, g.vars, yv)
-    cx = MultiPoly.const(g.field, g.vars, field.of(px))
-    cy = MultiPoly.const(g.field, g.vars, field.of(py))
-    return g.compose({xv: x + cx, yv: y + cy})
+    g = lift_to_field(f, field)
+    for i, c in enumerate((px, py)):
+        c = field.of(c)
+        if c:
+            g = _poly(field, g.vars, _shift(g.terms, i, c, field.zero))
+    return g
+
+
+def _shift(terms, i, c, zero):
+    """The terms of a polynomial with its variable i replaced by that
+    variable plus the nonzero scalar c: Ruffini's rule (synthetic division
+    by the variable minus c, repeated on each quotient; von zur Gathen and
+    Gerhard, Modern Computer Algebra, section 5) on the dense row of
+    coefficients in variable i, one row per choice of the other
+    exponents."""
+    rows = {}
+    for e, v in terms.items():
+        rows.setdefault(e[:i] + e[i + 1:], {})[e[i]] = v
+    out = {}
+    for rest, row in rows.items():
+        n = max(row)
+        a = [row.get(k, zero) for k in range(n + 1)]
+        for k in range(n):
+            for j in range(n - 1, k - 1, -1):
+                if a[j + 1]:
+                    a[j] = a[j] + c * a[j + 1]
+        for k, v in enumerate(a):
+            if v:
+                out[rest[:i] + (k,) + rest[i:]] = v
+    return out
 
 
 def apply_shear(f: MultiPoly, lam, mu) -> MultiPoly:

@@ -37,8 +37,10 @@ witnesses gave way to it (the start, over an extension field).
   x-coordinate is read off S1: when S11(y0) != 0 at a root y0 of R, the
   gcd of the two specialized polynomials is S11(y0) x + S10(y0) up to a
   unit, so x = -S10/S11 is the unique lift.  ``_points_along`` is the one
-  readout of the point over each y-branch; the two-scale readout and
-  ``infinitesimal.nearby_intersections`` use it too.  Each witness must
+  readout of the point over each y-branch, and
+  ``infinitesimal.nearby_intersections`` uses it too; the two-scale
+  readout, which reads no x, takes only its certificate that S11 is
+  nonzero along every branch (``_s11_along``).  Each witness must
   satisfy f_t and g_t to working precision, specialize to the origin, and
   have a nonzero Jacobian.  These check every point against the deformed
   pair itself, where the count-only readout rests on R alone.
@@ -64,8 +66,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (LocalPair, gcd, lift_to_field, separable_by_evaluation,
-                      subresultant_prs)
+from .algebra import (LocalPair, gcd, lift_to_field, resultant_and_s1,
+                      separable_by_evaluation)
 from .errors import (GenericityFailureError, InsufficientPrecisionError,
                      InvalidInputError, SharedComponentError,
                      UnsupportedExtensionError, ZeroToPrecisionError)
@@ -119,11 +121,9 @@ def _eliminant_and_s1(ft: MultiPoly, gt: MultiPoly):
     """R = Res_x(ft, gt), exact and signed, and the degree-one member S1
     (None when the chain skips degree one), both off one subresultant
     chain of the pair.  R(y, 0) = 0 means the pair shares a component."""
-    chain = subresultant_prs(ft, gt, "x")
-    R = chain[-1]
-    if R.degree_in("x") > 0 or R.coeff_of("t", 0).is_zero():
+    R, s1 = resultant_and_s1(ft, gt, "x")
+    if R.coeff_of("t", 0).is_zero():
         raise SharedComponentError("resultant vanishes at t = 0")
-    s1 = next((m for m in reversed(chain) if m.degree_in("x") == 1), None)
     return R, s1
 
 
@@ -144,24 +144,32 @@ def _along(br, prec):
         lift_to_field(p, bf), {"x": x, "y": br.series, "t": tser})
 
 
-def _points_along(s1, ybranches, prec, vanishing: str):
-    """The one point over each y-branch of R, read off the degree-one
-    subresultant S1 = S11 x + S10: x = -S10/S11 along the branch.
-
-    Certifies that S1 exists and that S11 is nonzero along every branch
-    (else ZeroToPrecisionError, with the message ``vanishing``): then the
-    specialized pair has the one common root x over the branch's y, of
-    the branch's order in R.
-    Yields (branch, _along(branch), x) one branch at a time, so a caller's
-    own certificates on a branch run before the next branch is checked."""
+def _s11_along(s1, ybranches, prec, vanishing: str):
+    """Certifies that the degree-one subresultant S1 = S11 x + S10 exists
+    and that S11 is nonzero along every y-branch of R (else
+    ZeroToPrecisionError, with the message ``vanishing``): then the
+    specialized pair has one common root x over the branch's y, of the
+    branch's order in R.
+    Yields (branch, _along(branch), S11 along it) one branch at a time, so
+    a caller's own certificates on a branch run before the next branch is
+    checked."""
     if s1 is None:
         raise GenericityFailureError("subresultant chain skips degree one")
-    s10, s11 = s1.coeff_of("x", 0), s1.coeff_of("x", 1)
+    s11 = s1.coeff_of("x", 1)
     for br in ybranches:
         at = _along(br, prec)
         den = at(s11)
         if den.is_zero_to_precision():
             raise ZeroToPrecisionError(vanishing)
+        yield br, at, den
+
+
+def _points_along(s1, ybranches, prec, vanishing: str):
+    """The one point over each y-branch of R, read off the degree-one
+    subresultant: x = -S10/S11 along the branch, under the certificate of
+    ``_s11_along``.  Yields (branch, _along(branch), x)."""
+    s10 = s1.coeff_of("x", 0) if s1 is not None else None
+    for br, at, den in _s11_along(s1, ybranches, prec, vanishing):
         yield br, at, -(at(s10) / den)
 
 
@@ -362,7 +370,8 @@ def two_scale_analysis(pair: LocalPair, seed: int = 0,
     once every y-root carries a single coarse point, the order of R there
     is I_P(f_t, g_t), the multiplicity a fine deformation of either side
     splits at P.  The certificate is the degree-one subresultant's
-    x-coefficient, nonzero along every branch; a failure reseeds.
+    x-coefficient, nonzero along every branch (``_s11_along``); a failure
+    reseeds.
     """
     if coarse_side not in ("left", "right"):
         raise InvalidInputError("coarse_side must be 'left' or 'right'")
@@ -385,7 +394,7 @@ def two_scale_analysis(pair: LocalPair, seed: int = 0,
         R, s1, total = built
         branches = newton_puiseux(R, "y", prec)
         groups = sorted(
-            (br.span, br.multiplicity) for br, _, _ in _points_along(
+            (br.span, br.multiplicity) for br, _, _ in _s11_along(
                 s1, branches, prec, "two coarse points share a y-coordinate"))
         if sum(k * m for k, m in groups) != total:
             raise GenericityFailureError(

@@ -602,6 +602,10 @@ class ExtensionField(Field):
     squarefree reducible m, inversion of a zero divisor raises.
     """
 
+    # True once m is known irreducible: ``algebra.roots_univariate`` sets
+    # it on the fields it builds from irreducible factors.
+    _irreducible = False
+
     def __init__(self, base: Field, modulus, gen_name: str = "z"):
         if isinstance(base, ExtensionField):
             raise UnsupportedExtensionError("only one extension step is supported")
@@ -717,12 +721,14 @@ class ExtensionField(Field):
         dividing the lead of ``int_modulus`` and m squarefree mod q, and a
         root r of m mod q: w -> r maps the elements with denominators
         prime to q onto F_q.  None over F_p, for an m that is reducible
-        over Q (``factor.irreducible_over_q``, once per field) and when no
-        listed prime has a root.  Built once per field."""
+        over Q (``factor.irreducible_over_q``, once per field, unless
+        ``_irreducible`` already says so) and when no listed prime has a
+        root.  Built once per field."""
         if self.characteristic:
             return None
         rng = random.Random(0)
-        if not irreducible_over_q(list(self.modulus), rng):
+        if not (self._irreducible
+                or irreducible_over_q(list(self.modulus), rng)):
             return None
         mod, scale = self.int_modulus
         for q in PRIMES_QW:

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .algebra import (PROJECTIVE_VARS, LocalPair, _strongly_regular_in_x,
-                      apply_shear, dehomogenize, first_shear, gcd,
-                      is_homogeneous, lift_to_field, local_pair, resultant,
+from .algebra import (PROJECTIVE_VARS, LocalPair, _dense,
+                      _strongly_regular_in_x, apply_shear, dehomogenize,
+                      first_shear, gcd, is_homogeneous, lift_to_field,
+                      local_pair, resultant, resultant_and_s1,
                       roots_univariate, squarefree_decompose,
                       translate_to_origin)
 from .deformation import deformation_count
@@ -271,8 +272,10 @@ def transversality_check(f: MultiPoly, g: MultiPoly) -> bool:
 
 def _fiber_point(f: MultiPoly, g: MultiPoly, yval, lam, mu):
     """The common zero of a sheared pair over y = yval, back in the original
-    frame.  Raises GeneralPositionError when the fiber does not hold
-    exactly one distinct common zero (the shear is rejected)."""
+    frame, by the gcd of the two specialized polynomials: the fallback of
+    ``_s1_point`` where S11(yval) = 0 or the chain skips degree one.
+    Raises GeneralPositionError when the fiber does not hold exactly one
+    distinct common zero (the shear is rejected)."""
     field = f.field
     xv, yv = f.vars[0], f.vars[1]
     factors = squarefree_decompose(
@@ -282,8 +285,37 @@ def _fiber_point(f: MultiPoly, g: MultiPoly, yval, lam, mu):
     h = factors[0][0]
     x0 = -h.coeff_of(xv, 0).constant_value() / \
         h.coeff_of(xv, 1).constant_value()
+    return _unsheared(x0, yval, lam, mu, field)
+
+
+def _unsheared(x0, yval, lam, mu, field) -> ProjectivePoint:
+    """The point (x0, yval) of the sheared frame in the original one."""
     y0 = (yval - field.of(lam) * x0) / field.of(mu)
     return ProjectivePoint((x0, y0, field.one), field)
+
+
+def _s1_point(s1, yval, field, lam, mu):
+    """The common zero of a sheared pair over a root yval of its eliminant,
+    read off the chain's degree-one member S1 = S11(y) x + S10(y):
+    x0 = -S10(yval)/S11(yval), by Horner's rule over the root's field,
+    back in the original frame.  S1 lies in the ideal of the pair and both
+    top x-coefficients are constants, so when S11(yval) != 0 the fiber
+    holds exactly one common zero, the one ``_fiber_point`` finds.  None
+    when S11(yval) = 0 or the chain skips degree one (S1 is None)."""
+    if s1 is None:
+        return None
+    xv, yv = s1.vars[0], s1.vars[1]
+    s10, s11 = (_horner(_dense(s1.coeff_of(xv, k), yv), yval, field)
+                for k in (0, 1))
+    return _unsheared(-s10 / s11, yval, lam, mu, field) if s11 else None
+
+
+def _horner(coeffs, value, field):
+    """sum(coeffs[k] * value^k) over ``field``, by Horner's rule."""
+    acc = field.zero
+    for c in reversed(coeffs):
+        acc = acc * value + c
+    return acc
 
 
 def _orbit(minpoly: MultiPoly, chart: str,
@@ -335,15 +367,16 @@ def _affine_points(C1: Curve, C2: Curve):
         gs = apply_shear(g, lam, mu)
         if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):
             return None
-        R = resultant(fs, gs, xv)
+        R, s1 = resultant_and_s1(fs, gs, xv)
         if R.is_zero():
             raise SharedComponentError("identically vanishing eliminant")
         points, clusters = [], []
         if not R.involves(yv):
             return points, clusters  # no affine intersections
         for m, y0, yfield, _ in roots_univariate(R, yv, "r"):
-            point = _fiber_point(lift_to_field(fs, yfield),
-                                 lift_to_field(gs, yfield), y0, lam, mu)
+            point = _s1_point(s1, y0, yfield, lam, mu) or _fiber_point(
+                lift_to_field(fs, yfield), lift_to_field(gs, yfield), y0,
+                lam, mu)
             if yfield == f.field:
                 points.append(point)
             else:

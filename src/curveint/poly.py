@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import chain
+from operator import add
 
 from .errors import InvalidInputError
 from .fields import Field, _pack, binary_power
@@ -175,11 +176,20 @@ class MultiPoly:
         exponent vectors packed with ``_exponent_codec`` in slots wide
         enough for the sum of any two exponents, so a product's key is the
         sum of its factors' keys; each output coefficient is normalised
-        once."""
+        once.  A one-term operand shifts the other's keys and scales its
+        coefficients instead, dropping the products that are zero (a
+        reducible modulus has zero divisors)."""
         other = self._coerce(other)
         a, b = self.terms, other.terms
         if not a or not b:
             return _poly(self.field, self.vars, {})
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            [(eb, cb)] = b.items()
+            return _poly(self.field, self.vars, {
+                tuple(map(add, e, eb)): p
+                for e, c in a.items() if (p := c * cb)})
         ai, bi, decode = self.field.product_codec(list(a.values()),
                                                   list(b.values()))
         pack, unpack, _ = _exponent_codec(

@@ -40,11 +40,14 @@ where the production code lifts factors mod p on dense int lists.
 The readouts at the end (``evaluate``, ``agrees_with``, ``branch_count``,
 ``valuation_certificate``, ``series_from_terms``, ``branch_residual``
 and ``verify_branch``)
-are used by tests only, so they live here rather than in the library.
+are used by tests only, so they live here rather than in the library, as
+does ``bench_workloads``, the bench's job lists loaded from their file.
 """
 
+import importlib.util
 from fractions import Fraction
 from math import ceil, lcm
+from pathlib import Path
 
 from curveint.algebra import gcd, lift_to_field
 from curveint.errors import InvalidInputError, UnsupportedExtensionError
@@ -711,6 +714,15 @@ def sympy_factor_list(f: MultiPoly, name: str):
 
 
 # --------------------------------------------------------------- readouts
+
+def bench_workloads():
+    """The module ``bench/workloads.py``, loaded from its file."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
 
 def evaluate(f: MultiPoly, assignment):
     """f with a field element substituted for every variable."""

@@ -19,7 +19,7 @@ from curveint.poly import MultiPoly
 
 from oracles import (evaluate, pseudo_rem_by_products, random_poly,
                      separable_by_exact_evaluation, shear_candidates_by_ratio,
-                     sylvester_resultant)
+                     sylvester_resultant, sympy_compose)
 
 V = ("x", "y")
 
@@ -640,6 +640,23 @@ def test_root_mod_q_is_a_simple_root_mod_q():
     assert found >= 11
 
 
+def test_roots_univariate_fields_skip_the_irreducibility_proof(
+        monkeypatch):
+    """A field that ``roots_univariate`` builds from an irreducible factor
+    of ``factor_univariate`` finds its root mod q without proving the
+    modulus irreducible again; a field built directly still proves it."""
+    import curveint.fields as fields
+    proofs = []
+    real = fields.irreducible_over_q
+    monkeypatch.setattr(fields, "irreducible_over_q",
+                        lambda *a: proofs.append(a) or real(*a))
+    y = MultiPoly.var(QQ, ("y",), "y")
+    [(_, r, E, _)] = roots_univariate(y ** 4 - 2 * y + 2, "y", "r")
+    assert E.root_mod_q == ExtensionField(QQ, E.modulus, "r").root_mod_q
+    assert len(proofs) == 1
+    assert E.root_mod_q is not None and r == E.gen
+
+
 def test_reducible_modulus_takes_the_exact_path(monkeypatch):
     """Over Q[w]/(w^2 - 1), squarefree but reducible, a root mod q sees
     one factor of the ring only: there is no image, and every tau takes
@@ -706,6 +723,41 @@ def test_translate_into_extension():
     g = translate_to_origin(f, (E.gen, E.zero))
     assert g.field == E
     assert not g.subs_values({"x": E.zero, "y": E.zero}).constant_value()
+
+
+TRANSLATE_FIELDS = [QQ, PrimeField(101), QW, F101W]
+
+
+def _coordinate(rng, field):
+    """A random nonzero coordinate; over an extension, one off the base."""
+    if isinstance(field, ExtensionField):
+        return field.of(rng.randint(-9, 9)) + field.gen * rng.randint(1, 9)
+    return field.of(Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                    if field == QQ else rng.randint(1, 100))
+
+
+@pytest.mark.parametrize("field", TRANSLATE_FIELDS,
+                         ids=["Q", "F101", "Qw", "F101w"])
+@pytest.mark.parametrize("variables", [V, XYT], ids=["xy", "xyt"])
+def test_translate_agrees_with_sympy(field, variables):
+    """Ruffini's rule on each coordinate against a sympy expansion of
+    f(x + p_x, y + p_y), over the point's field: t passes through, a zero
+    coordinate on either side shifts nothing, and (0, 0) gives f back."""
+    rng = random.Random(len(variables))
+    base = field.base if isinstance(field, ExtensionField) else field
+    zero = field.zero
+    for _ in range(3):
+        f = random_poly(rng, base, variables, 3)
+        g = lift_to_field(f, field)
+        px, py = _coordinate(rng, field), _coordinate(rng, field)
+        for point in ((zero, zero), (px, zero), (zero, py), (px, py)):
+            subs = {v: MultiPoly.var(field, variables, v)
+                    + MultiPoly.const(field, variables, c)
+                    for v, c in zip(variables, point)}
+            got = translate_to_origin(f, point)
+            assert got.field == field
+            assert got == sympy_compose(g, subs)
+        assert translate_to_origin(f, (zero, zero)) == g
 
 
 def test_translate_unrepresentable_coordinate():

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import random
 from fractions import Fraction
@@ -21,7 +20,8 @@ from curveint.fields import QQ, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
 from curveint.series import TruncatedSeries
 
-from oracles import sylvester_resultant, transverse_by_evaluation
+from oracles import (bench_workloads, sylvester_resultant,
+                     transverse_by_evaluation)
 
 V = ("x", "y")
 
@@ -67,12 +67,8 @@ def test_precision_invariance():
 
 def _stress_pairs():
     """(name, f, g, field) of every pair of the bench's stress workload."""
-    path = Path(__file__).parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     return [(f"{f} | {g} over {field}", f, g, field)
-            for f, g, field, _, _ in workloads.STRESS]
+            for f, g, field, _, _ in bench_workloads().STRESS]
 
 
 ADAPTIVE_PAIRS = affine_instances() + _stress_pairs()

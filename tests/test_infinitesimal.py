@@ -283,7 +283,7 @@ def test_bad_precision_and_targets_are_input_errors(monkeypatch, case):
     is refused before any subresultant chain is built."""
     def no_chain(*args):
         raise AssertionError("a chain was built")
-    monkeypatch.setattr(deformation, "subresultant_prs", no_chain)
+    monkeypatch.setattr(deformation, "resultant_and_s1", no_chain)
     with pytest.raises(InvalidInputError):
         _bad_inputs()[case]()
 

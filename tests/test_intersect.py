@@ -3,9 +3,13 @@ import random
 import pytest
 
 import curveint.algebra as algebra
-from curveint.algebra import (_shear_candidates, apply_shear, homogenize,
-                              local_pair, shear_to_general_position)
-from curveint.cli import parse_curve
+import curveint.intersect as intersect
+from curveint.algebra import (_shear_candidates, _strongly_regular_in_x,
+                              apply_shear, homogenize, lift_to_field,
+                              local_pair, resultant_and_s1, roots_univariate,
+                              shear_to_general_position)
+from curveint.cli import parse_curve, parse_field
+from curveint.corpus import corpus_manifest
 from curveint.deformation import deformation_count
 from curveint.errors import (GeneralPositionError, InfiniteMultiplicityError,
                              SharedComponentError)
@@ -18,7 +22,8 @@ from curveint.intersect import (Curve, PointCluster, ProjectivePoint,
                                 transversality_check)
 from curveint.poly import MultiPoly
 
-from oracles import frobenius_orbit, fulton_intersection_number, random_poly
+from oracles import (bench_workloads, frobenius_orbit,
+                     fulton_intersection_number, random_poly)
 
 V = ("x", "y")
 P3 = ("X", "Y", "Z")
@@ -287,6 +292,56 @@ def test_points_fp_conjugates_match_frobenius_oracle(p, f, g):
     assert set(coords) == frobenius_orbit(cl.representative, cl.degree)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(101), PrimeField(7)],
+                         ids=str)
+def test_s1_reading_is_the_gcd_reading(field):
+    """Wherever S11(y0) != 0 at a root y0 of a sheared eliminant, the point
+    read off S1 is the one the gcd of the fiber gives, over the root's
+    field (rational roots and generators of K[r]/(m) alike)."""
+    rng = random.Random(3401)
+    checked = 0
+    for _ in range(10):
+        f, g = (random_poly(rng, field, V, rng.randint(2, 3))
+                for _ in range(2))
+        for lam, mu in ((0, 1), (1, 1), (-2, 1)):
+            lam, mu = field.of(lam), field.of(mu)
+            fs, gs = apply_shear(f, lam, mu), apply_shear(g, lam, mu)
+            if not (_strongly_regular_in_x(fs)
+                    and _strongly_regular_in_x(gs)):
+                continue
+            R, s1 = resultant_and_s1(fs, gs, "x")
+            if not R.involves("y"):
+                continue
+            for _, y0, yfield, _ in roots_univariate(R, "y", "r"):
+                point = intersect._s1_point(s1, y0, yfield, lam, mu)
+                if point is not None:
+                    assert point == intersect._fiber_point(
+                        lift_to_field(fs, yfield), lift_to_field(gs, yfield),
+                        y0, lam, mu)
+                    checked += 1
+    assert checked >= 20
+
+
+def test_gcd_fallback_runs_only_where_s1_cannot_read_the_point(monkeypatch):
+    """The two corpus pairs whose chains skip degree one take the gcd of
+    the fiber; no affine point of the seed-1 bezout-random pairs does."""
+    calls = []
+    fiber = intersect._fiber_point
+    monkeypatch.setattr(intersect, "_fiber_point",
+                        lambda *a: calls.append(a) or fiber(*a))
+
+    def points(f, g, field):
+        field = parse_field(field)[0]
+        del calls[:]
+        intersection_points(parse_curve(f, field), parse_curve(g, field))
+        return len(calls)
+    jobs = {e["name"]: e["job"] for e in corpus_manifest()}
+    for name in ("two-conics-quartic-cluster", "tangent-conics-projective"):
+        assert points(*jobs[name]["curves"], jobs[name]["field"]), name
+    for job in bench_workloads().build("bezout-random", 1):
+        assert not points(*job["curves"], job["field"]), job["name"]
+
+
 # ------------------------------------------------------------------ bezout
 
 def test_bezout_two_lines():
@@ -323,7 +378,6 @@ def test_bezout_cluster_weighting():
 
 @pytest.mark.parametrize("p,f,g", FP_ORBIT_PAIRS)
 def test_bezout_certifies_each_orbit_once(monkeypatch, p, f, g):
-    import curveint.intersect as intersect
     calls = []
     real = intersect.multiplicities_at
 
@@ -342,7 +396,6 @@ def test_bezout_runs_no_gcd_per_point(monkeypatch):
     """``intersection_points`` proves the curves coprime once, so no point
     re-proves it with a gcd of its translated pair; ``mult`` on raw input
     still does, and still refuses a component through the point."""
-    import curveint.intersect as intersect
     calls = []
     real = algebra.gcd
 
@@ -426,7 +479,6 @@ def test_multiplicities_at_shears_once(monkeypatch):
     """One shear search per point, made by the point's ``LocalPair``, and
     its sheared pair is the one both the deformation and the resultant
     engines read: no second shear."""
-    import curveint.intersect as intersect
     searches, shears = [], []
     real_search = shear_to_general_position
 

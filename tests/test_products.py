@@ -120,6 +120,38 @@ def test_poly_product_matches_pairwise_reference(field):
         _assert_canonical(got)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(101), QW, F7W],
+                         ids=["Q", "F101", "Q[w]/(w^3-2w+5)", "F7[w]/(w^2-3)"])
+def test_poly_product_by_one_term(field):
+    """A one-term operand, on either side, shifts the other's keys and
+    scales its coefficients: the pairwise product, canonical."""
+    rng = random.Random(7004)
+    for _ in range(25):
+        a = _poly(rng, field, rng.randint(1, 12))
+        c = _scalar(rng, field)
+        while not c:
+            c = _scalar(rng, field)
+        m = MultiPoly(field, V, {tuple(rng.randint(0, 4) for _ in V): c})
+        for got, want in ((a * m, poly_mul_pairwise(a, m)),
+                          (m * a, poly_mul_pairwise(m, a))):
+            assert got.terms == want.terms
+            _assert_canonical(got)
+
+
+def test_poly_product_by_one_term_drops_zero_divisor_products():
+    """Over F7[w]/(w^2 - 1), reducible, (w - 1)(w + 1) = 0: that product is
+    dropped, not stored as a zero coefficient."""
+    R = ExtensionField(F7, [-1, 0, 1], "w")
+    w = R.gen
+    x, y = (MultiPoly.var(R, V, v) for v in "xy")
+    a = x.scale(w + 1) + y.scale(w + 2)
+    m = x.scale(w - 1)
+    for got in (a * m, m * a):
+        assert got.terms == poly_mul_pairwise(a, m).terms \
+            == {(1, 1, 0): (w + 2) * (w - 1)}
+        _assert_canonical(got)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 def test_poly_product_sums_that_cancel(field):
     rng = random.Random(7002)
