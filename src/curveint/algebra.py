@@ -1,6 +1,7 @@
 """Polynomial algebra: gcd, subresultant remainder sequences, resultants,
 squarefree decomposition, and the coordinate changes used to put curve
-pairs in general position.
+pairs in general position.  Both changes, a point moved to the origin and
+a shear, are one kernel (``_shift``): Ruffini's rule on rows of scalars.
 
 Resultant convention
 --------------------
@@ -569,6 +570,13 @@ def apply_shear(f: MultiPoly, lam, mu) -> MultiPoly:
     Substitutes y -> (y - lam*x)/mu, so the new polynomial vanishes on the
     image of the old zero set.  The origin is fixed, and the identity
     shear (0, 1) returns f itself.
+
+    f(x, (y - lam*x)/mu) is g(x, y - lam*x) for g(x, y) = f(x, y/mu), and
+    x^i (y - lam*x)^j = x^(i+j) (u - lam)^j in u = y/x: each term, scaled
+    by mu^-j, is keyed by i + j in the x slot, u -> u - lam is the Taylor
+    shift ``_shift`` of the y slot on each row of fixed i + j (any further
+    variable stays in the row key), and a term u^j' of row i + j reads
+    back as x^(i+j-j') y^j'.
     """
     field = f.field
     lam, mu = field.of(lam), field.of(mu)
@@ -576,11 +584,17 @@ def apply_shear(f: MultiPoly, lam, mu) -> MultiPoly:
         raise InvalidInputError("shear requires mu != 0")
     if not lam and mu == field.one:
         return f
-    xv, yv = f.vars[0], f.vars[1]
-    x = MultiPoly.var(field, f.vars, xv)
-    y = MultiPoly.var(field, f.vars, yv)
-    repl = (y - x.scale(lam)).scale(1 / mu)
-    return f.compose({yv: repl})
+    powers = [field.one, 1 / mu]
+    keyed = {}
+    for e, c in f.terms.items():
+        j = e[1]
+        while len(powers) <= j:
+            powers.append(powers[-1] * powers[1])
+        keyed[(e[0] + j,) + e[1:]] = c * powers[j] if j else c
+    if lam:
+        keyed = _shift(keyed, 1, -lam, field.zero)
+    return _poly(field, f.vars,
+                 {(e[0] - e[1],) + e[1:]: c for e, c in keyed.items()})
 
 
 PROJECTIVE_VARS = ("X", "Y", "Z")

@@ -14,10 +14,8 @@ of a polynomial mod a prime q, for the images mod q of an extension of Q
 factor mod the smallest prime that keeps the polynomial's degree and
 squarefreeness, lift the factors by multifactor Hensel lifting past the
 Mignotte bound, and recombine subsets of increasing size (Zassenhaus,
-MCA section 15.6).  An irreducibility test tries the degrees of the
-factors mod a few primes first (degree analysis).  The split draws from a
-``random.Random`` the caller passes, so a caller that seeds it gets the
-same factors every run.
+MCA section 15.6).  The split draws from a ``random.Random`` the caller
+passes, so a caller that seeds it gets the same factors every run.
 """
 
 from __future__ import annotations
@@ -296,24 +294,6 @@ def factor_over_q(coeffs, rng):
     return _zassenhaus([c // content for c in ints], rng)
 
 
-def irreducible_over_q(coeffs, rng) -> bool:
-    """Whether a squarefree polynomial of degree >= 1 with Fraction
-    coefficients is irreducible over Q.  Degree analysis first: a factor
-    of degree k over Q is a product of factors mod every prime that keeps
-    the degree and squarefreeness, so k is a sum of their degrees there;
-    when no 0 < k < n is such a sum at each of the first five such
-    primes, the polynomial is irreducible.  Else ``factor_over_q``
-    decides."""
-    f = _over_lcm(coeffs)[0]
-    sums = set(range(len(f)))
-    for _, p in zip(range(5), _good_primes(f)):
-        sums &= _degree_sums(_distinct_degree(_monic([c % p for c in f], p),
-                                              p))
-        if len(sums) == 2:
-            return True
-    return len(factor_over_q(coeffs, rng)) == 1
-
-
 def _good_primes(f):
     """The primes that keep the degree and squarefreeness of f mod p, in
     increasing order."""
@@ -323,16 +303,6 @@ def _good_primes(f):
         p += 1
         if is_prime(p) and f[-1] % p and len(_gcd(df, f, p)) == 1:
             yield p
-
-
-def _degree_sums(parts):
-    """The degrees of the products of subsets of the irreducible factors
-    of a distinct-degree factorization [(g, d), ...]."""
-    sums = {0}
-    for g, d in parts:
-        for _ in range((len(g) - 1) // d):
-            sums |= {s + d for s in sums}
-    return sums
 
 
 def _zassenhaus(f, rng):

@@ -25,9 +25,10 @@ the elements, and its products go through ``product_codec``.
 Exact polynomial division reads its remainder through
 ``Field.division_codec`` the same way: plain ints over Q and F_p, one
 normalisation per remainder coefficient it reads (extension elements go
-in as they are).  An extension of Q finds once a prime q and a root of
-m mod q (``root_mod_q``), the map onto F_q of the separability proof
-mod q.
+in as they are).  An extension of Q built from an irreducible factor
+(``algebra.roots_univariate``) finds once a prime q and a root of m mod q
+(``root_mod_q``), the map onto F_q of the separability proof mod q;
+other extensions of Q have no such map.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from math import gcd, lcm
 
 from .errors import InvalidInputError, UnsupportedExtensionError
 from .factor import (PRIMES_QW, _gcd, _monic, _over_lcm, _rem, _xgcd,
-                     irreducible_over_q, is_prime, root_mod_p)
+                     is_prime, root_mod_p)
 
 
 def binary_power(base, n: int):
@@ -720,16 +721,13 @@ class ExtensionField(Field):
         """(q, r) for the first q of ``factor.PRIMES_QW`` with q not
         dividing the lead of ``int_modulus`` and m squarefree mod q, and a
         root r of m mod q: w -> r maps the elements with denominators
-        prime to q onto F_q.  None over F_p, for an m that is reducible
-        over Q (``factor.irreducible_over_q``, once per field, unless
-        ``_irreducible`` already says so) and when no listed prime has a
-        root.  Built once per field."""
-        if self.characteristic:
+        prime to q onto F_q.  None over F_p, when ``_irreducible`` is not
+        set (no proof is run: over a reducible m a root mod q sees one
+        factor of the ring only) and when no listed prime has a root.
+        Built once per field."""
+        if self.characteristic or not self._irreducible:
             return None
         rng = random.Random(0)
-        if not (self._irreducible
-                or irreducible_over_q(list(self.modulus), rng)):
-            return None
         mod, scale = self.int_modulus
         for q in PRIMES_QW:
             if scale % q:

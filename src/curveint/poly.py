@@ -274,42 +274,6 @@ class MultiPoly:
                 out.pop(key, None)
         return _poly(self.field, self.vars, out)
 
-    def compose(self, substitution):
-        """Substitute polynomials (same field/vars) for some variables.
-
-        One pass over the terms: each term's substituted powers (cached
-        per variable) are multiplied together, and their terms, scaled by
-        the coefficient and shifted by the kept exponents, are added into
-        one term map."""
-        subs = {}
-        for v, p in substitution.items():
-            if not isinstance(p, MultiPoly):
-                p = MultiPoly.const(self.field, self.vars, p)
-            subs[self.vars.index(v)] = p
-        one = MultiPoly.const(self.field, self.vars, 1)
-        powers = {i: [one] for i in subs}
-        out = {}
-        zero = self.field.zero
-        for exps, c in self.terms.items():
-            term = one
-            kept = list(exps)
-            for i, e in enumerate(exps):
-                if i in subs:
-                    kept[i] = 0
-                    cache = powers[i]
-                    while len(cache) <= e:
-                        cache.append(cache[-1] * subs[i])
-                    if e:
-                        term = cache[e] if term is one else term * cache[e]
-            for k, v in term.terms.items():
-                key = tuple(a + b for a, b in zip(k, kept))
-                s = out.get(key, zero) + v * c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return _poly(self.field, self.vars, out)
-
     # -------------------------------------------------------- recoordinate
     def map_coefficients(self, new_field, fn):
         return MultiPoly(new_field, self.vars,

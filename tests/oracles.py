@@ -21,10 +21,11 @@ the production series computes on int codes with an int cutoff and
 inverts by Newton's iteration.  The Frobenius orbit oracle raises each
 coordinate of a point to p**i, where the production code takes p-th
 powers step by step.  The substitution
-oracle expands with sympy, where the production ``compose`` multiplies
-cached powers term by term.  The evaluation oracle reads each bound
-series as a polynomial in s = t^(1/L) and expands with ``compose``, where
-the production ``eval_poly_at_series`` runs Horner's rule on series.  The
+oracle expands with sympy, where the production translation and shear
+run Ruffini's rule on rows of scalars.  The evaluation oracle reads each
+bound series as a polynomial in s = t^(1/L) and expands term by term
+with ``MultiPoly`` products (``expand_substitution``), where the
+production ``eval_poly_at_series`` runs Horner's rule on series.  The
 shear-candidate oracle lists every (lam, mu) by growing |lam| + mu and
 drops the repeated directions lam/mu.  The transversality reference proves by
 evaluation, on Sylvester resultants and long-division gcds, what the
@@ -32,8 +33,8 @@ deformation engine reads off a separable eliminant.  The separability
 reference specializes R(y, t) at each tau with ``subs_values`` and takes
 an exact ``gcd``, where the production proof reads each tau mod a prime
 on ints first.  The segment reference substitutes x -> head + x with
-``compose``, where the production ``lifting`` shifts a list of series by
-Ruffini's rule.  The factorization
+``expand_substitution``, where the production ``lifting`` shifts a list
+of series by Ruffini's rule.  The factorization
 oracle asks sympy for the irreducible factors of a univariate polynomial,
 where the production code lifts factors mod p on dense int lists.
 
@@ -475,13 +476,33 @@ def eval_reference(f: MultiPoly, assignment) -> RefSeries:
         RefSeries(f.field, {0: f.constant_value()}, INF)
 
 
-def eval_by_compose(f: MultiPoly, assignment):
+def expand_substitution(f: MultiPoly, images) -> MultiPoly:
+    """f with the polynomials of ``images`` (same field and variables) put
+    in for their variables, expanded term by term: each term is the
+    product of its coefficient and the powers of the images (and of the
+    other variables), taken by ``MultiPoly`` products and cached per
+    variable, and the terms are summed."""
+    one = MultiPoly.const(f.field, f.vars, 1)
+    powers = [[one, images[v] if v in images
+               else MultiPoly.var(f.field, f.vars, v)] for v in f.vars]
+    out = MultiPoly.zero(f.field, f.vars)
+    for exps, c in f.terms.items():
+        term = MultiPoly.const(f.field, f.vars, c)
+        for cache, e in zip(powers, exps):
+            while len(cache) <= e:
+                cache.append(cache[-1] * cache[1])
+            term = term * cache[e]
+        out = out + term
+    return out
+
+
+def eval_by_expansion(f: MultiPoly, assignment):
     """f at the bound series (or scalars) of ``assignment``, exactly: the
     map k -> coefficient of t^(k/L), L the lcm of the ramifications.
 
     A series read at ramification L is s^-m P(s) with s = t^(1/L) and P a
     polynomial; each variable becomes u P(s) for a fresh variable u that
-    stands for s^-m, and ``compose`` expands f at once."""
+    stands for s^-m, and ``expand_substitution`` expands f at once."""
     bound = [val if isinstance(val, TruncatedSeries)
              else TruncatedSeries.constant(f.field, val)
              for val in (assignment[v] for v in f.vars)]
@@ -498,7 +519,7 @@ def eval_by_compose(f: MultiPoly, assignment):
             for k, c in coeffs.items()})
     out = {}
     zero = f.field.zero
-    expanded = f.extend_vars(names).compose(images)
+    expanded = expand_substitution(f.extend_vars(names), images)
     for exps, c in expanded.terms.items():
         us = exps[len(f.vars) + 1:]
         k = exps[len(f.vars)] - sum(m * e for m, e in zip(shifts, us))
@@ -656,10 +677,11 @@ def separable_by_exact_evaluation(R: MultiPoly, name: str) -> bool:
 # ------------------------------------------------------ segment reference
 
 
-def transform_segment_by_compose(f: MultiPoly, xname: str, a: int, b: int,
-                                 level: int, head, c, new_field, below=None):
+def transform_segment_by_expansion(f: MultiPoly, xname: str, a: int,
+                                   b: int, level: int, head, c, new_field,
+                                   below=None):
     """Substitute t -> c T^b, x -> T^a (head + x) and divide by T^level
-    with ``MultiPoly.compose``: each d x^i t^j becomes d c^j
+    with ``expand_substitution``: each d x^i t^j becomes d c^j
     T^(a*i + b*j - level) (head + x)^i, over new_field, t standing for T.
     Terms of T-exponent ``below`` or more are dropped before the shift."""
     xi, ti = f.vars.index(xname), f.vars.index("t")
@@ -675,8 +697,8 @@ def transform_segment_by_compose(f: MultiPoly, xname: str, a: int, b: int,
         key[ti] = e
         terms[tuple(key)] = new_field.of(coeff) * powers[j]
     g = MultiPoly(new_field, f.vars, terms)
-    return g.compose({xname: MultiPoly.var(new_field, g.vars, xname)
-                      + new_field.of(head)})
+    return expand_substitution(g, {
+        xname: MultiPoly.var(new_field, g.vars, xname) + new_field.of(head)})
 
 
 def sympy_factor_list(f: MultiPoly, name: str):

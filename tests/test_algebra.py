@@ -515,8 +515,15 @@ def _count_exact_checks(monkeypatch):
     return calls
 
 
-QW2 = ExtensionField(QQ, [-2, 0, 1], "w")       # Q[w]/(w^2 - 2)
-QW3 = ExtensionField(QQ, [-1, -1, 0, 1], "w")   # Q[w]/(w^3 - w - 1)
+def _root_field(f):
+    """The field of the root of an irreducible univariate f over Q, as
+    ``roots_univariate`` builds it: the fields that have an image mod q."""
+    [(_, _, field, _)] = roots_univariate(f, "y", "w")
+    return field
+
+
+QW2 = _root_field(parse_poly("y^2 - 2", QQ, ("y",)))       # Q[w]/(w^2 - 2)
+QW3 = _root_field(parse_poly("y^3 - y - 1", QQ, ("y",)))   # Q[w]/(w^3 - w - 1)
 
 
 def _with_w_part(rng, field, A):
@@ -616,16 +623,16 @@ def _eisenstein(rng, degree):
 
 
 def test_root_mod_q_is_a_simple_root_mod_q():
-    """For moduli of degree 1-12 and pair A's degree-12 minimal
-    polynomial, the cached (q, r) has m(r) = 0 mod q, q prime to the lead
-    of the integer modulus, and m squarefree mod q."""
+    """For the root fields of moduli of degree 2-12 and of pair A's
+    degree-12 minimal polynomial, the cached (q, r) has m(r) = 0 mod q, q
+    prime to the lead of the integer modulus, and m squarefree mod q."""
     rng = random.Random(76)
-    pair_a = parse_poly(PAIR_A_MINPOLY, QQ, ("y",))
-    moduli = [_eisenstein(rng, d) for d in range(1, 13)] + [
-        [pair_a.coeff_of("y", k).constant_value() for k in range(13)]]
+    fields = [_root_field(MultiPoly(QQ, ("y",), {
+        (k,): c for k, c in enumerate(_eisenstein(rng, d))}))
+        for d in range(2, 13)]
+    fields.append(_root_field(parse_poly(PAIR_A_MINPOLY, QQ, ("y",))))
     found = 0
-    for m in moduli:
-        E = ExtensionField(QQ, m, "w")
+    for E in fields:
         if E.root_mod_q is None:
             continue
         found += 1
@@ -636,25 +643,22 @@ def test_root_mod_q_is_a_simple_root_mod_q():
         m_q = [c % q for c in mod]
         dm_q = [k * c % q for k, c in enumerate(m_q)][1:]
         assert len(_gcd(m_q, dm_q, q)) == 1
-    assert ExtensionField(QQ, moduli[-1], "w").root_mod_q is not None
+    assert fields[-1].root_mod_q is not None
     assert found >= 11
 
 
-def test_roots_univariate_fields_skip_the_irreducibility_proof(
-        monkeypatch):
+def test_roots_univariate_fields_skip_the_irreducibility_proof():
     """A field that ``roots_univariate`` builds from an irreducible factor
-    of ``factor_univariate`` finds its root mod q without proving the
-    modulus irreducible again; a field built directly still proves it."""
-    import curveint.fields as fields
-    proofs = []
-    real = fields.irreducible_over_q
-    monkeypatch.setattr(fields, "irreducible_over_q",
-                        lambda *a: proofs.append(a) or real(*a))
+    of ``factor_univariate`` finds its root mod q with no proof that its
+    modulus is irreducible; the same field built directly has no image,
+    so its separability proofs take the exact path."""
     y = MultiPoly.var(QQ, ("y",), "y")
     [(_, r, E, _)] = roots_univariate(y ** 4 - 2 * y + 2, "y", "r")
-    assert E.root_mod_q == ExtensionField(QQ, E.modulus, "r").root_mod_q
-    assert len(proofs) == 1
     assert E.root_mod_q is not None and r == E.gen
+    direct = ExtensionField(QQ, E.modulus, "r")
+    assert direct == E and direct.root_mod_q is None
+    yt = MultiPoly.var(direct, ("y", "t"), "y")
+    assert algebra._image_mod_q(yt * yt - direct.gen, "y") is None
 
 
 def test_reducible_modulus_takes_the_exact_path(monkeypatch):

@@ -134,33 +134,6 @@ def test_xgcd_contract(p):
         assert all(0 <= x < p for x in s) and (not s or s[-1]), (a, b)
 
 
-@pytest.mark.parametrize("coeffs,irreducible,factored", [
-    ([-1, -1, 0, 0, 1], True, False),        # x^4 - x - 1: Galois group S4
-    ([-5, 1, 3, -2, 0, 0, 7], True, False),  # a sextic of no special shape
-    ([1, 0, 0, 0, 1], True, True),           # x^4 + 1 splits mod every prime
-    ([1, 0, -10, 0, 1], True, True),         # so does x^4 - 10x^2 + 1
-    ([6, 0, -5, 0, 1], False, True),         # (x^2 - 2)(x^2 - 3)
-    ([Fraction(1, 3), 2], True, False),      # linear
-])
-def test_irreducible_over_q_by_degree_analysis(coeffs, irreducible, factored,
-                                              monkeypatch):
-    """Degree analysis proves a polynomial irreducible when the factor
-    degrees mod a few primes admit no proper subset sum in common, with
-    no factorization; a polynomial that splits mod every prime, or a
-    reducible one, is decided by ``factor_over_q``."""
-    calls = []
-    factor_over_q = factor.factor_over_q
-
-    def counted(*args):
-        calls.append(args)
-        return factor_over_q(*args)
-    monkeypatch.setattr(factor, "factor_over_q", counted)
-    f = [Fraction(c) for c in coeffs]
-    assert factor.irreducible_over_q(f, random.Random(0)) == irreducible
-    assert bool(calls) == factored
-    assert (len(factor_over_q(f, random.Random(0))) == 1) == irreducible
-
-
 def test_image_primes():
     """The prime of the images of Q is 2^31 - 1; the primes of the images
     of Q[w]/(m) are the eight largest primes below 2^15, largest first."""

@@ -3,11 +3,12 @@ at series, against references that do not call them.
 
 Powers of polynomials, extension elements and series are checked against
 repeated multiplication, division by a constant against term-pair long
-division, ``compose`` against a sympy expansion, and
-``eval_poly_at_series`` against ``compose`` on the bound series read as
-polynomials, and its reading of t against Horner's rule through
-term-pair series products.  Operands are seeded and random, over Q, F_101
-and F_101[w]/(w^2 - 2) (2 is not a square mod 101).
+division, the shear against a sympy expansion, and
+``eval_poly_at_series`` against a term-by-term expansion of the bound
+series read as polynomials, and its reading of t against Horner's rule
+through term-pair series products.  Operands are seeded and random, over
+Q, F_101 and F_101[w]/(w^2 - 2) (2 is not a square mod 101), and for the
+shear also over Q[w]/(w^2 - 2).
 """
 
 import random
@@ -20,12 +21,13 @@ from curveint.fields import QQ, ExtElement, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
 from curveint.series import INF, TruncatedSeries, eval_poly_at_series
 
-from oracles import (eval_by_compose, poly_exact_divide_pairwise,
+from oracles import (eval_by_expansion, poly_exact_divide_pairwise,
                      poly_mul_pairwise, series_mul_pairwise, sympy_compose)
 
 V = ("x", "y", "t")
 F101 = PrimeField(101)
 F101W = ExtensionField(F101, [-2, 0, 1], "w")
+QW = ExtensionField(QQ, [-2, 0, 1], "w")
 FIELDS = [QQ, F101, F101W]
 IDS = ["Q", "F101", "F101w"]
 
@@ -64,8 +66,7 @@ def test_power_is_repeated_multiplication(field, n):
         assert p ** n == expected
 
 
-@pytest.mark.parametrize("field", [ExtensionField(QQ, [-2, 0, 1], "w"),
-                                   F101W], ids=["Qw", "F101w"])
+@pytest.mark.parametrize("field", [QW, F101W], ids=["Qw", "F101w"])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
 def test_extension_power_is_repeated_multiplication(field, n):
     rng = random.Random(n)
@@ -118,7 +119,7 @@ def test_eval_poly_at_series_matches_expansion(field):
                       else _series(rng, field, rng.choice([-1, 0, 0, 1]))
                       for v in V}
         val = eval_poly_at_series(f, assignment)
-        expected, L = eval_by_compose(f, assignment)
+        expected, L = eval_by_expansion(f, assignment)
         assert L % val.ram == 0
         assert {k * (L // val.ram): c for k, c in val.coeffs.items()} == \
             {k: c for k, c in expected.items() if Fraction(k, L) < val.prec}
@@ -187,23 +188,20 @@ def test_exact_divide_by_a_constant(field):
                 p.exact_divide(zero)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=IDS)
-@pytest.mark.parametrize("names", [("y",), ("x", "y")], ids=["one", "two"])
-def test_compose_agrees_with_sympy(field, names):
-    rng = random.Random(len(names))
-    for _ in range(4):
-        f = _poly(rng, field, 6, degree=3)
-        subs = {v: _poly(rng, field, 3) for v in names}
-        assert f.compose(subs) == sympy_compose(f, subs)
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@pytest.mark.parametrize("field", FIELDS + [QW], ids=IDS + ["Qw"])
 def test_shear_agrees_with_sympy_and_the_identity_keeps_f(field):
+    """f(x, (y - lam*x)/mu) against a sympy expansion, in (x, y) and in
+    (x, y, t), where t passes through: a full shear, a scaling alone
+    (lam = 0, mu != 1) and a shift alone (lam != 0, mu = 1).  The
+    identity (0, 1) returns f."""
     rng = random.Random(5)
-    x, y = (MultiPoly.var(field, ("x", "y"), v) for v in ("x", "y"))
-    for _ in range(4):
-        f = _poly(rng, field, 6, degree=3, variables=("x", "y"))
-        assert apply_shear(f, 0, 1) == f
-        lam, mu = field.of(3), field.of(-2)
-        repl = (y - x * lam) * (1 / mu)
-        assert apply_shear(f, lam, mu) == sympy_compose(f, {"y": repl})
+    for names in (("x", "y"), V):
+        x, y = (MultiPoly.var(field, names, v) for v in ("x", "y"))
+        for _ in range(4):
+            f = _poly(rng, field, 6, degree=3, variables=names)
+            assert apply_shear(f, 0, 1) == f
+            for lam, mu in ((3, -2), (0, 5), (-4, 1)):
+                lam, mu = field.of(lam), field.of(mu)
+                repl = (y - x * lam) * (1 / mu)
+                assert apply_shear(f, lam, mu) == \
+                    sympy_compose(f, {"y": repl})

@@ -19,7 +19,7 @@ from curveint.poly import MultiPoly
 from curveint.series import INF, TruncatedSeries, eval_poly_at_series
 
 from oracles import (branch_count, branch_residual, random_poly,
-                     transform_segment_by_compose, verify_branch)
+                     transform_segment_by_expansion, verify_branch)
 
 XT = ("x", "t")
 XY = ("x", "y")
@@ -325,8 +325,8 @@ QW2 = ExtensionField(QQ, [-2, 0, 1], "w")
                          ids=["Q", "F7", "F101", "Q[w]/(w^2-2)"])
 def test_segment_shift_matches_compose(field):
     """The segment list ``lifting._segment`` builds, with x -> head + x by
-    Ruffini's rule on series, equals the compose-based substitution of
-    ``oracles.transform_segment_by_compose``, read as series in T: random
+    Ruffini's rule on series, equals the term-by-term expansion of
+    ``oracles.transform_segment_by_expansion``, read as series in T: random
     f of degree <= 6, slopes with b = 1 and b > 1, head 0 and nonzero,
     with no bound and with an int or Fraction truncation bound."""
     rng = random.Random(81)
@@ -348,7 +348,7 @@ def test_segment_shift_matches_compose(field):
                     head, c = head + field.gen, c - field.gen
             below = (None, rng.randint(1, 9),
                      Fraction(rng.randint(3, 19), 2))[below_kind]
-            want = series_poly_from_multipoly(transform_segment_by_compose(
+            want = series_poly_from_multipoly(transform_segment_by_expansion(
                 f, "x", a, b, level, head, c, field, below), "x")
             assert lifting._segment(f, "x", a, b, level, head, c, field,
                                     below) == want, str(f)

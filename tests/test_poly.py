@@ -53,13 +53,6 @@ def test_partial_substitution():
     assert f.subs_values({"x": QQ.of(1)}) == -(y ** 3) + 1
 
 
-def test_compose_translation():
-    x, y = xy()
-    f = y - x * x
-    g = f.compose({"x": x + 1, "y": y + 1})
-    assert g == y - x * x - 2 * x
-
-
 def test_exact_divide_roundtrip():
     rng = random.Random(5)
     for _ in range(25):

@@ -1,7 +1,8 @@
 """Properties of intersection multiplicity that the paper's theorem covers,
 checked on seeded random pairs over Q and F_101 (Fulton, Algebraic Curves,
-section 3.3): singular points, non-reduced components, symmetry and
-adding a multiple of one curve to the other.
+section 3.3): singular points, non-reduced components, symmetry,
+adding a multiple of one curve to the other and invariance under affine
+changes of coordinates.
 
 Every pair runs through ``multiplicities_at``, which enforces that its three
 engines agree, at the default (adaptive) working precision, and its value
@@ -19,7 +20,8 @@ from curveint.fields import QQ, PrimeField
 from curveint.intersect import Curve, ProjectivePoint, multiplicities_at
 from curveint.poly import MultiPoly
 
-from oracles import bareiss_determinant, fulton_intersection_number
+from oracles import (bareiss_determinant, fulton_intersection_number,
+                     sympy_compose)
 
 V = ("x", "y")
 FIELDS = {"Q": QQ, "F101": PrimeField(101)}
@@ -155,3 +157,34 @@ def test_symmetry_and_adding_a_multiple(seed, fieldname):
     assert fulton_intersection_number(F, G + A * F) == expected, pair
     assert _engines(F, G, field) == _engines(G, F, field) == expected, pair
     assert _engines(F, G + A * F, field) == expected, pair
+
+
+@SETTINGS
+@given(seed=st.integers(0, 10 ** 6), fieldname=st.sampled_from(sorted(FIELDS)))
+def test_invariance_under_affine_changes_of_coordinates(seed, fieldname):
+    """I_P(F, G) = I_0(f, g) for F = f(a(x - p) + b(y - q), c(x - p) +
+    d(y - q)), G the same from g, ad - bc != 0 and P = (p, q).  F and G
+    are expanded by sympy (``oracles.sympy_compose``), not by the
+    translation and shear under test."""
+    field = FIELDS[fieldname]
+    rng = random.Random(seed)
+    # f and g through the origin, each singular there half the time
+    f, g = (_higher_terms(rng, field, 1 + (rng.random() < 0.5), 2)
+            for _ in range(2))
+    a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+    p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+    if f.is_zero() or g.is_zero() or a * d == b * c:
+        return
+    pair = (f"seed {seed} over {fieldname}: f = {f}, g = {g}, "
+            f"(a, b, c, d) = {(a, b, c, d)}, P = {(p, q)}")
+    try:
+        expected = fulton_intersection_number(f, g)
+    except ValueError:
+        return  # a shared component
+    x, y = (MultiPoly.var(field, V, name) for name in V)
+    dx, dy = x - p, y - q
+    images = {"x": dx.scale(a) + dy.scale(b), "y": dx.scale(c) + dy.scale(d)}
+    F, G = (sympy_compose(h, images) for h in (f, g))
+    curves = [Curve(homogenize(h, h.total_degree())) for h in (F, G)]
+    point = ProjectivePoint((p, q, 1), field)
+    assert multiplicities_at(*curves, point).multiplicity == expected, pair
