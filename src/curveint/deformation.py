@@ -133,13 +133,13 @@ def _jacobian(ft: MultiPoly, gt: MultiPoly) -> MultiPoly:
 
 
 def _along(br, prec):
-    """at(p, x) = p(x, y, t) along the y-branch ``br`` at precision prec,
-    over the branch's field, as a series in the branch's T: y is the
-    branch's series and t the monomial scale * T^B.  t is a constant times
-    T^B, so valuations and precisions read the same in T and in t; x = 0
+    """at(p, x) = p(x, y, t) along the y-branch ``br`` at precision prec
+    (in t), over the branch's field, as a series in the branch's T: y is
+    the branch's series and t the monomial scale * T^B + O(T^(prec B)).
+    Valuations and precisions read in T are B times those in t; x = 0
     unless a series is given."""
     bf = br.series.field
-    tser = TruncatedSeries(bf, {1: bf.of(br.scale)}, prec)
+    tser = TruncatedSeries(bf, {br.B: bf.of(br.scale)}, prec * br.B)
     return lambda p, x=bf.zero: eval_poly_at_series(
         lift_to_field(p, bf), {"x": x, "y": br.series, "t": tser})
 
@@ -219,7 +219,8 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, R: MultiPoly, s1,
                 "the shear precondition is violated")
         if vx is None and xser.prec <= 0:
             raise InsufficientPrecisionError(
-                f"branch x-coordinate is known only to O(t^{xser.prec})")
+                "branch x-coordinate is known only to "
+                f"O(t^{xser.prec / br.B})")
         for eq in (ft, gt):
             residual = at(eq, xser)
             if residual.valuation() is not None:
@@ -227,7 +228,8 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, R: MultiPoly, s1,
                     "witness fails to satisfy a deformed equation")
             if residual.prec <= 0:
                 raise InsufficientPrecisionError(
-                    f"witness residual is known only to O(t^{residual.prec})")
+                    "witness residual is known only to "
+                    f"O(t^{residual.prec / br.B})")
         if at(jac, xser).is_zero_to_precision():
             raise ZeroToPrecisionError(
                 "deformed intersection is not transverse at a witness")

@@ -13,7 +13,6 @@ subresultant (``deformation._points_along``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .algebra import (apply_shear, first_shear, in_general_position,
                       local_pair, translate_to_origin)
@@ -45,17 +44,18 @@ class NearbyPoint:
     """One solution cycle in the infinitesimal neighborhood of ``target``.
 
     ``x`` and ``y`` are the coordinates less the target's, as series in the
-    T of the cycle's eliminant branch, with t = scale * T^B: a series'
-    formal t^(1/B) is T, as in ``lifting.Branch``.  The cycle stands for
-    ``span`` points over the algebraic closure (its conjugates under the B
-    choices of T and under the field extension of its coefficients), each
-    counted ``multiplicity`` times."""
+    T of the cycle's eliminant branch, with t = scale * T^B, as in
+    ``lifting.Branch``: their exponents, precisions and valuations are in
+    T.  The cycle stands for ``span`` points over the algebraic closure
+    (its conjugates under the B choices of T and under the field extension
+    of its coefficients), each counted ``multiplicity`` times."""
     x: TruncatedSeries
     y: TruncatedSeries
     target: tuple
     span: int = 1
     multiplicity: int = 1
     scale: object = 1
+    B: int = 1
 
     @property
     def count(self) -> int:
@@ -68,14 +68,13 @@ class NearbyPoint:
 
     def __str__(self):
         """(x, y) -> target.  With scale 1, T^B = t and the point prints
-        in t; otherwise it prints in T, followed by t = scale * T^B.  Any
-        common ramification index of the two series serves as B."""
+        in t; otherwise it prints in T, followed by t = scale * T^B."""
         tx, ty = self.target
         if self.scale == 1:
-            return f"({self.x}, {self.y}) -> ({tx}, {ty})"
-        B = lcm(self.x.ram, self.y.ram)
-        t = TruncatedSeries(self.x.field, {B: self.scale}, INF)
-        return (f"({self.x.format('T', B)}, {self.y.format('T', B)}) -> "
+            return (f"({self.x.format('t', self.B)}, "
+                    f"{self.y.format('t', self.B)}) -> ({tx}, {ty})")
+        t = TruncatedSeries(self.x.field, {self.B: self.scale}, INF)
+        return (f"({self.x.format('T')}, {self.y.format('T')}) -> "
                 f"({tx}, {ty}), t = {t.format('T')}")
 
 
@@ -166,20 +165,22 @@ def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):
     base = [h.coeff_of("t", 0).drop_vars(["t"]) for h in (ft, gt)]
     points = _nearby_points(ft, gt, base, prec)
     # x = -S10/S11 loses the valuation of S11 along the branch: expand once
-    # more with that shortfall added, and keep only what prec asked for
-    short = max((prec - min(xs.prec, ys.prec) for xs, ys, _ in points),
-                default=0)
+    # more with that shortfall added, and keep only what prec asked for;
+    # precisions compare in t, B times less than in the branch's T
+    short = max((prec - min(xs.prec, ys.prec) / br.B
+                 for xs, ys, br in points), default=0)
     if short > 0:
         points = _nearby_points(ft, gt, base, prec + short)
     out = []
     for xs, ys, br in points:
-        known = min(xs.prec, ys.prec)
+        known = min(xs.prec, ys.prec) / br.B
         if known < prec:
             raise InsufficientPrecisionError(
                 f"a nearby point is known only to O(t^{known}), not "
                 f"O(t^{prec})")
-        out.append(NearbyPoint(xs.truncate(prec), ys.truncate(prec),
-                               (tx, ty), br.span, br.multiplicity, br.scale))
+        out.append(NearbyPoint(xs.truncate(prec * br.B),
+                               ys.truncate(prec * br.B), (tx, ty), br.span,
+                               br.multiplicity, br.scale, br.B))
     out.sort(key=lambda np_: (str(np_.y), str(np_.x)))
     try:
         expected = mult_length(local_pair(*base))

@@ -425,11 +425,17 @@ def _local_pair_at(C1: Curve, C2: Curve, point: ProjectivePoint,
     """Both curves with the point at the affine origin, as a ``LocalPair``.
     Both must vanish there.  The pair is checked by ``local_pair`` unless
     ``coprime`` says the forms are proved to share no component: then so
-    do their translates in any chart, and no gcd is run."""
+    do their translates in any chart, and no gcd is run.  ``coprime`` comes
+    only with a point the enumeration found, so there a curve that does not
+    vanish is a defect, not bad input."""
     chart, (px, py) = point.chart, point.affine_pair()
     f0, g0 = (_at_origin(C.form, chart, (px, py)) for C in (C1, C2))
     if f0.constant_value() or g0.constant_value():
         where = f"({px},{py})" if chart == "Z" else str(point)
+        if coprime:
+            raise VerificationFailureError(
+                f"enumerated point {where} is not a common zero of the "
+                "curves")
         raise InvalidInputError(f"both curves must vanish at {where}")
     return LocalPair(f0, g0) if coprime else local_pair(f0, g0)
 

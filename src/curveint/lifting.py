@@ -31,11 +31,11 @@ from .algebra import (roots_univariate, separable_by_evaluation,
                       squarefree_decompose)
 from .errors import (BudgetError, InsufficientPrecisionError, InvalidInputError,
                      NothingToPrepareError, NotRegularError, NotSimpleRootError,
-                     UnsupportedExtensionError)
+                     UnsupportedExtensionError, VerificationFailureError)
 from .fields import ExtensionField
 from .poly import MultiPoly
 from .series import (INF, TruncatedSeries, horner, positive_precision,
-                     rescale_exponents, shift_exponents, taylor_shift)
+                     taylor_shift)
 
 
 # ----------------------------------------------------------------- hensel
@@ -128,32 +128,31 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
 
 @dataclass(frozen=True)
 class Branch:
-    """One solution cycle x(t) through the origin, as a series in T with
-    t = scale * T^B.
+    """One solution cycle x(t) through the origin, as a series in its own
+    T with t = scale * T^B.
 
-    The series' formal t^(1/B) is T: its exponent k/B stands for T^k, so
-    the coefficients stay in the field of the edge roots and no b-th root
-    is adjoined (Duval's rational Puiseux expansion).  With no ramified
-    level the scale is 1 and the series is x(t) itself.  ``multiplicity``
-    counts how often the cycle divides the input (simple when 1).
-    ``span`` is the number of algebraic-closure solutions the stored
-    series represents: the ramification sheets times the degree of any
-    field extension the edge roots needed.  ``ram`` is the reduced
-    ramification index.  ``levels`` holds (a, b, z0) per Newton-polygon
+    The series' exponents and precision are in T, so the coefficients stay
+    in the field of the edge roots and no b-th root is adjoined (Duval's
+    rational Puiseux expansion).  With no ramified level B and the scale
+    are 1 and the series is x(t) itself.  ``multiplicity`` counts how
+    often the cycle divides the input (simple when 1).  ``span`` is the
+    number of algebraic-closure solutions the stored series represents:
+    the ramification sheets times the degree of any field extension the
+    edge roots needed.  ``levels`` holds (a, b, z0) per Newton-polygon
     level, slope a/b and compressed root z0: the one record of the
-    substitutions, from which the scale follows."""
+    substitutions, from which B and the scale follow."""
     series: TruncatedSeries
     multiplicity: int
     span: int = 1
     levels: tuple = ()
 
     @property
-    def ram(self) -> int:
-        return self.series.reduce_ram().ram
+    def B(self) -> int:
+        return _t_in_T(self.levels)[0]
 
     @property
     def scale(self):
-        return self.series.field.of(_scale(self.levels))
+        return self.series.field.of(_t_in_T(self.levels)[1])
 
     @property
     def simple(self) -> bool:
@@ -165,7 +164,7 @@ class Branch:
             tag += f", {self.span} conjugates"
         if self.scale != 1:
             tag += f", scale {self.scale}"
-        return f"Branch({self.series}; {tag})"
+        return f"Branch({self.series.format('t', self.B)}; {tag})"
 
 
 def _x_adic_valuation(f: MultiPoly, xi: int) -> int:
@@ -270,13 +269,14 @@ def _bezout_pair(a: int, b: int):
     return (1 + v * a) // b, v
 
 
-def _scale(levels):
-    """c with t = c T^B for a branch of these levels: the level t = z0^v
-    T^b over a nested level's T = c' T'^b' gives c = z0^v c'^b."""
-    c = 1
+def _t_in_T(levels):
+    """(B, c) with t = c T^B for a branch of these levels: the level
+    t = z0^v T^b over a nested level's T = c' T'^B' gives B = b B' and
+    c = z0^v c'^b."""
+    B, c = 1, 1
     for a, b, z0 in reversed(levels):
-        c = z0 ** _bezout_pair(a, b)[1] * c ** b
-    return c
+        B, c = b * B, z0 ** _bezout_pair(a, b)[1] * c ** b
+    return B, c
 
 
 def _expand_squarefree(f: MultiPoly, xname: str, prec: Fraction, depth: int):
@@ -312,7 +312,7 @@ def _expand_squarefree(f: MultiPoly, xname: str, prec: Fraction, depth: int):
                 tail = partial(_hensel_tail, f, xname, a, b, level, head, c,
                                rfield, sub_prec)
                 out.append((((a, b, z0),), b * kappa,
-                            partial(_assemble, tail, head, a, b, 1)))
+                            partial(_assemble, tail, head, a, 1, 1)))
                 continue
             key, terms = [0] * len(f.vars), {}
             for i, s in enumerate(_segment(f, xname, a, b, level, head, c,
@@ -324,16 +324,22 @@ def _expand_squarefree(f: MultiPoly, xname: str, prec: Fraction, depth: int):
             for levels, sub_span, tail in _expand_squarefree(
                     g, xname, Fraction(sub_prec), depth + 1):
                 out.append((((a, b, z0),) + levels, b * kappa * sub_span,
-                            partial(_assemble, tail, head, a, b,
-                                    _scale(levels))))
+                            partial(_assemble, tail, head, a,
+                                    *_t_in_T(levels))))
     return out
 
 
 def _hensel_tail(f: MultiPoly, xname: str, a: int, b: int, level: int, head,
                  c, rfield, sub_prec) -> TruncatedSeries:
-    """The tail x1(T) of a segment whose root is simple, to O(T^sub_prec)."""
-    return hensel_lift(_segment(f, xname, a, b, level, head, c, rfield,
-                                sub_prec), rfield.zero, sub_prec)
+    """The tail x1(T) of a segment whose root is simple, to O(T^sub_prec).
+    x1 = 0 at T = 0 is a root of the segment by construction, since the
+    edge terms sum to a power of z0 times phi(z0) = 0: a segment that does
+    not vanish there is a defect, not a Hensel failure."""
+    segment = _segment(f, xname, a, b, level, head, c, rfield, sub_prec)
+    if segment[0].constant_term():
+        raise VerificationFailureError(
+            "segment does not vanish at its edge root: phi(z0) != 0")
+    return hensel_lift(segment, rfield.zero, sub_prec)
 
 
 def _segment_roots(phi: MultiPoly, field):
@@ -352,16 +358,15 @@ def _segment_roots(phi: MultiPoly, field):
             for fac, z0, zfield, mult in roots_univariate(phi, zname, "w")]
 
 
-def _assemble(tail, head, a: int, b: int, sub_scale) -> TruncatedSeries:
-    """The series T^a (head + tail()) in the formal t of its level, t^(1/b)
-    = T: shifted by a/b after the tail's exponents are divided by b.  A
-    tail of a nested level is a series in T' with T = sub_scale * T'^b',
-    so T^a brings the factor sub_scale^a.  Over the tail's field (a nested
+def _assemble(tail, head, a: int, sub_B: int, sub_scale) -> TruncatedSeries:
+    """The series x = T^a (head + tail()) in the T of the tail: a tail of
+    a nested level is a series in T' with T = sub_scale * T'^sub_B, so x
+    is head + tail shifted by a * sub_B, times sub_scale^a (sub_B and
+    sub_scale are 1 for a Hensel tail).  Over the tail's field (a nested
     level may have extended the field of head)."""
     tail = tail()
     field = tail.field
-    const = TruncatedSeries.constant(field, field.of(head))
-    s = shift_exponents(const + rescale_exponents(tail, b), Fraction(a, b))
+    s = (tail + field.of(head))._shifted(a * sub_B)
     m = field.of(sub_scale) ** a
     return s if m == field.one else s * m
 
@@ -398,7 +403,8 @@ def newton_puiseux(F: MultiPoly, xname: str, prec):
     plans = [(levels, mult, span, expand) for fac, mult in pieces
              for levels, span, expand in _expand_squarefree(fac, xname, prec,
                                                              0)]
-    return [Branch(expand().truncate(prec), mult, span, levels)
+    return [Branch(expand().truncate(prec * _t_in_T(levels)[0]), mult, span,
+                   levels)
             for levels, mult, span, expand in plans]
 
 

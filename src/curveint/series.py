@@ -1,16 +1,18 @@
-"""Truncated power series in the one infinitesimal parameter t.
+"""Truncated power series in one variable.
 
-A series holds coefficients indexed by exponents k/r (ramification index r)
-strictly below its precision, the first unknown exponent.  Exponents may be
-negative (quotients of series produce them); a series with all known
-coefficients zero is only "zero to precision" and its valuation is reported
-as None, never as a number.  Constants and polynomials embed with infinite
-precision.
+A series holds coefficients indexed by integer exponents strictly below its
+precision, the first unknown exponent.  Its variable is t, or the T of a
+Puiseux branch in Duval's rational form, where t = scale * T^B
+(``lifting.Branch``): a series never meets one in another variable, so it
+carries no ramification index.  Exponents may be negative (quotients of
+series produce them); a series with all known coefficients zero is only
+"zero to precision" and its valuation is reported as None, never as a
+number.  Constants and polynomials embed with infinite precision.
 
-A series computes on Python ints.  Its precision is kept in index units,
-prec * r = pn / pd as two ints (pd = 0 for an exact series), with the
-cutoff, the least index at or past it, as one more int; so a precision off
-the ramification grid, such as Hensel's 5/2 at r = 1, is kept exactly.
+A series computes on Python ints.  Its precision is kept as two ints,
+prec = pn / pd (pd = 0 for an exact series), with the cutoff, the least
+index at or past it, as one more int; so a precision between integers,
+such as Hensel's 5/2, is kept exactly.
 Its coefficients are int codes: over F_p residues in [1, p), over Q
 integer numerators over one positive series-wide denominator with
 gcd(den, *codes) = 1, and over K[z]/(m) the elements themselves.  Each
@@ -58,24 +60,23 @@ def _cutoff(pn, pd):
     return -(-pn // pd) if pd else None
 
 
-def _index_precision(prec, ram):
-    """(pn, pd, cut) for a precision (a number or INF) at ramification
-    ram: prec * ram = pn / pd and its cutoff; (1, 0, None) for INF."""
+def _index_precision(prec):
+    """(pn, pd, cut) for a precision (a number or INF): prec = pn / pd and
+    its cutoff; (1, 0, None) for INF."""
     if prec.__class__ is not Fraction:
         if prec == INF:
             return 1, 0, None
         prec = Fraction(prec)
-    pn, pd = prec.numerator * ram, prec.denominator
+    pn, pd = prec.numerator, prec.denominator
     return pn, pd, _cutoff(pn, pd)
 
 
-def _make(field, mod, ram, codes, den, pn, pd, cut):
+def _make(field, mod, codes, den, pn, pd, cut):
     """A series from parts that are already clean: nonzero codes in
     canonical form at int indices below ``cut``."""
     s = object.__new__(TruncatedSeries)
     s.field = field
     s._mod = mod
-    s.ram = ram
     s._c = codes
     s._den = den
     s._pn = pn
@@ -130,13 +131,10 @@ def _less(an, ad, bn, bd):
 
 
 class TruncatedSeries:
-    __slots__ = ("field", "_mod", "ram", "_c", "_den", "_pn", "_pd", "_cut")
+    __slots__ = ("field", "_mod", "_c", "_den", "_pn", "_pd", "_cut")
 
-    def __init__(self, field, coeffs, prec, ram=1):
-        ram = int(ram)
-        if ram < 1:
-            raise InvalidInputError("ramification index must be >= 1")
-        pn, pd, cut = _index_precision(prec, ram)
+    def __init__(self, field, coeffs, prec):
+        pn, pd, cut = _index_precision(prec)
         mod = _modulus(field)
         clean = {}
         for k, c in coeffs.items():
@@ -145,7 +143,7 @@ class TruncatedSeries:
             if c and (cut is None or k < cut):
                 clean[k] = c
         codes, den = _encode(field, mod, clean)
-        self.field, self._mod, self.ram = field, mod, ram
+        self.field, self._mod = field, mod
         self._c, self._den = codes, den
         self._pn, self._pd, self._cut = pn, pd, cut
 
@@ -162,19 +160,18 @@ class TruncatedSeries:
     def variable(cls, field, prec=INF):
         return cls(field, {1: field.one}, prec)
 
-    def _like(self, codes, den, pn, pd, cut, ram=None):
-        return _make(self.field, self._mod, self.ram if ram is None else ram,
-                     codes, den, pn, pd, cut)
+    def _like(self, codes, den, pn, pd, cut):
+        return _make(self.field, self._mod, codes, den, pn, pd, cut)
 
     def exact(self) -> "TruncatedSeries":
-        """The same coefficients, known exactly: a polynomial in t^(1/ram)."""
+        """The same coefficients, known exactly: a Laurent polynomial."""
         return self._like(self._c, self._den, 1, 0, None)
 
     # ------------------------------------------------------------ structure
     @property
     def prec(self):
         """The precision: a Fraction, or INF for an exact series."""
-        return Fraction(self._pn, self._pd * self.ram) if self._pd else INF
+        return Fraction(self._pn, self._pd) if self._pd else INF
 
     @property
     def coeffs(self) -> dict:
@@ -188,34 +185,12 @@ class TruncatedSeries:
             return FpElement(code, self.field)
         return Fraction(code, self._den)
 
-    def with_ram(self, new_ram: int) -> "TruncatedSeries":
-        if new_ram == self.ram:
-            return self
-        if new_ram % self.ram:
-            raise InvalidInputError("new ramification must be a multiple")
-        q = new_ram // self.ram
-        pn, pd = self._pn * q, self._pd
-        return self._like({k * q: c for k, c in self._c.items()}, self._den,
-                          pn, pd, _cutoff(pn, pd), new_ram)
-
-    def reduce_ram(self) -> "TruncatedSeries":
-        """Smallest ramification index representing the same exponents."""
-        g = self.ram
-        for k in self._c:
-            g = math.gcd(g, k)
-            if g == 1:
-                return self
-        # also when there is no coefficient: then the index is 1
-        pn, pd = self._pn, self._pd * g
-        return self._like({k // g: c for k, c in self._c.items()}, self._den,
-                          pn, pd, _cutoff(pn, pd), self.ram // g)
-
     def valuation(self):
         """Least exponent with a nonzero coefficient, or None if the series
         is zero to its precision."""
         if not self._c:
             return None
-        return Fraction(min(self._c), self.ram)
+        return min(self._c)
 
     def effective_valuation(self):
         v = self.valuation()
@@ -225,43 +200,32 @@ class TruncatedSeries:
         return not self._c
 
     def coeff_at(self, exponent) -> object:
-        e = Fraction(exponent)
-        if e >= self.prec:
+        if exponent >= self.prec:
             raise InvalidInputError("coefficient beyond stated precision")
-        k = e * self.ram
-        if k.denominator != 1 or int(k) not in self._c:
-            return self.field.zero
-        return self._element(self._c[int(k)])
+        code = self._c.get(exponent)
+        return self.field.zero if code is None else self._element(code)
 
     def constant_term(self):
         return self.coeff_at(0) if self.prec > 0 else self.field.zero
 
     def truncate(self, new_prec) -> "TruncatedSeries":
-        pn, pd, cut = _index_precision(new_prec, self.ram)
+        pn, pd, cut = _index_precision(new_prec)
         if not _less(pn, pd, self._pn, self._pd):
             return self
         codes = {k: c for k, c in self._c.items() if k < cut}
         return self._like(*_normal(self._mod, codes, self._den), pn, pd, cut)
 
     def _shifted(self, d: int) -> "TruncatedSeries":
-        """Times t^(d/ram)."""
+        """Times t^d."""
         pn, pd = self._pn + d * self._pd, self._pd
         return self._like({k + d: c for k, c in self._c.items()}, self._den,
                           pn, pd, self._cut + d if pd else None)
 
     # ----------------------------------------------------------- arithmetic
-    def _align(self, other):
-        if other.__class__ is not TruncatedSeries:
-            other = TruncatedSeries.constant(self.field, other)
-        if self.ram == other.ram:
-            return self, other
-        r = math.lcm(self.ram, other.ram)
-        return self.with_ram(r), other.with_ram(r)
-
     def __add__(self, other):
         if other.__class__ is not TruncatedSeries:
             return self._plus_scalar(other)
-        a, b = self._align(other)
+        a, b = self, other
         if _less(b._pn, b._pd, a._pn, a._pd):
             a, b = b, a  # a has the lower precision, which the sum keeps
         out, den = _merge(dict(a._c), a._den, b._c, b._den, a._cut)
@@ -303,10 +267,10 @@ class TruncatedSeries:
                                    self._den * cden),
                           self._pn, self._pd, self._cut)
 
-    def __mul__(self, other):
-        if other.__class__ is not TruncatedSeries:
-            return self._times_scalar(other)
-        a, b = self._align(other)
+    def __mul__(self, b):
+        if b.__class__ is not TruncatedSeries:
+            return self._times_scalar(b)
+        a = self
         if not a._c or not b._c:
             return _zero_product(a, b)
         pn, pd, cut = _product_precision(a, b)
@@ -319,12 +283,10 @@ class TruncatedSeries:
         """self * b + c (c a series or a scalar), the sums of the product
         and c's codes normalised once: Horner's step."""
         a = self
-        series = c.__class__ is TruncatedSeries
-        if not a._c or not b._c or a.ram != b.ram \
-                or (series and c.ram != a.ram):
+        if not a._c or not b._c:
             return a * b + c
         pn, pd, cut = _product_precision(a, b)
-        if series:
+        if c.__class__ is TruncatedSeries:
             if _less(c._pn, c._pd, pn, pd):
                 pn, pd, cut = c._pn, c._pd, c._cut
             codes, cden = c._c, c._den
@@ -357,7 +319,7 @@ class TruncatedSeries:
             raise NotAUnitError("series is not a unit (valuation != 0)")
         code, den = _scalar_code(self.field, self._mod,
                                  1 / self._element(c[0]))
-        u = _make(self.field, self._mod, 1, {0: code}, den, 1, 0, None)
+        u = _make(self.field, self._mod, {0: code}, den, 1, 0, None)
         cut = self._cut
         if cut is None:
             if len(c) != 1:
@@ -365,7 +327,6 @@ class TruncatedSeries:
                     "cannot invert a non-monomial exact series; truncate "
                     "first")
             return u
-        u = u.with_ram(self.ram)
         known = 1  # u is the inverse below index known
         while known < cut:
             known = min(2 * known, cut)
@@ -374,29 +335,27 @@ class TruncatedSeries:
             u = (u * (2 - s * u)).exact()
         return self._like(u._c, u._den, self._pn, self._pd, cut)
 
-    def __truediv__(self, other):
-        a, b = self._align(other)
+    def __truediv__(self, b):
+        if b.__class__ is not TruncatedSeries:
+            b = TruncatedSeries.constant(self.field, b)
         if not b._c:
             raise ZeroDivisionError("division by a series that is zero to precision")
         vb = min(b._c)
         if vb == 0:
-            return a * b.invert_unit()
-        return (a * b._shifted(-vb).invert_unit())._shifted(-vb)
+            return self * b.invert_unit()
+        return (self * b._shifted(-vb).invert_unit())._shifted(-vb)
 
     def __rtruediv__(self, other):
-        a, b = self._align(other)
-        return b / a
+        return TruncatedSeries.constant(self.field, other) / self
 
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
-            a, b = self._align(other)
-            return a._c == b._c and a._den == b._den \
-                and a._pn * b._pd == b._pn * a._pd
+            return self._c == other._c and self._den == other._den \
+                and self._pn * other._pd == other._pn * self._pd
         return NotImplemented
 
     def __hash__(self):
-        s = self.reduce_ram()  # equal series agree in their reduced form
-        return hash((s.ram, s.prec, s._den, frozenset(s._c.items())))
+        return hash((self.prec, self._den, frozenset(self._c.items())))
 
     # -------------------------------------------------------------- queries
     def specialize(self):
@@ -414,12 +373,12 @@ class TruncatedSeries:
         return self.format()
 
     def format(self, name: str = "t", B: int = 1) -> str:
-        """The series printed in ``name`` standing for t^(1/B): each
-        exponent, the precision's too, prints multiplied by B."""
+        """The series, a series in T, printed in ``name`` standing for
+        T^B: each exponent, the precision's too, prints divided by B."""
         parts = []
         for k in sorted(self._c):
             c = self._element(self._c[k])
-            e = Fraction(k * B, self.ram)
+            e = Fraction(k, B)
             cs = str(c)
             if ("+" in cs[1:]) or ("-" in cs[1:]) or ("*" in cs):
                 cs = f"({cs})"
@@ -435,7 +394,7 @@ class TruncatedSeries:
                 else:
                     parts.append(f"{cs}*{body}")
         if self._pd:
-            p = self.prec * B
+            p = self.prec / B
             ps = str(p) if p.denominator == 1 else f"({p})"
             parts.append(f"O({name}^{ps})")
         if not parts:
@@ -472,8 +431,8 @@ def _merge(out, den, codes, cden, cut):
 
 
 def _product_precision(a, b):
-    """(pn, pd, cut) of a * b for a and b at one ramification, neither zero
-    to precision: min(prec_a + val_b, prec_b + val_a), in index units."""
+    """(pn, pd, cut) of a * b for a and b neither zero to precision:
+    min(prec_a + val_b, prec_b + val_a), in index units."""
     apd, bpd = a._pd, b._pd
     pn, pd = a._pn + min(b._c) * apd, apd
     n2 = b._pn + min(a._c) * bpd
@@ -516,32 +475,17 @@ def _zero_product(a, b):
     precision.  A rare step, so it reads the precisions as Fractions."""
     prec = min(a.prec + b.effective_valuation(),
                b.prec + a.effective_valuation())
-    return a._like({}, 1, *_index_precision(prec, a.ram))
-
-
-def shift_exponents(s: TruncatedSeries, delta) -> TruncatedSeries:
-    """Multiply by t^delta (delta may be a negative Fraction)."""
-    delta = Fraction(delta)
-    s = s.with_ram(math.lcm(s.ram, delta.denominator))
-    return s._shifted(int(delta * s.ram))
-
-
-def rescale_exponents(s: TruncatedSeries, b: int) -> TruncatedSeries:
-    """Reinterpret a series in s as a series in t with s = t^(1/b): the
-    indices and the index precision stay, the ramification is b times."""
-    return s._like(s._c, s._den, s._pn, s._pd, s._cut, s.ram * b)
+    return a._like({}, 1, *_index_precision(prec))
 
 
 def horner(coeffs, point: TruncatedSeries) -> TruncatedSeries:
     """Horner evaluation of [c_0, c_1, ...] (series or scalars) at a series:
-    from the top coefficient, read at the ramification of its product with
-    the point, each step one ``_mul_add``."""
+    from the top coefficient, each step one ``_mul_add``."""
     if not coeffs:
         return TruncatedSeries.zero(point.field)
     total = coeffs[-1]
     if total.__class__ is not TruncatedSeries:
         total = TruncatedSeries.constant(point.field, total)
-    total = total.with_ram(math.lcm(total.ram, point.ram))
     for c in reversed(coeffs[:-1]):
         total = total._mul_add(point, c)
     return total
@@ -566,47 +510,48 @@ def taylor_shift(coeffs, c):
 
 
 def _read_t(coeffs, t: TruncatedSeries) -> TruncatedSeries:
-    """Horner's rule on {e: c_e} (nonzero scalars) at the monomial
-    t = c t + O(t^P), P = t.prec > 1, read off the exponents: c_e c^e is
-    the coefficient of t^e.
+    """Horner's rule on {e: c_e} (nonzero scalars) at t bound to the
+    monomial c T^B + O(T^P), P = t.prec > B > 0, read off the exponents:
+    c_e c^e is the coefficient of T^(B e).
 
-    A step total * t + c keeps min(p + 1, P + v), p and v the running
+    A step total * t + c keeps min(p + B, P + v), p and v the running
     precision and valuation.  Read at the exponents' own places, that is
-    min(q, P - 1 + u), u the least exponent summed so far, so the cutoff q
-    only falls and ends at P - 1 + e1, e1 the least positive exponent: the
-    value is sum c_e c^e t^e over the e below it, exact when there is no
-    e1."""
+    min(q, P + (u - 1) B), u the least exponent summed so far, so the
+    cutoff q only falls and ends at P + (e1 - 1) B, e1 the least positive
+    exponent: the value is sum c_e c^e T^(B e) over the e with B e below
+    it, exact when there is no e1."""
+    (B, c), = t._c.items()
     e1 = min((e for e in coeffs if e), default=None)
     if e1 is None:
         pn, pd, cut = 1, 0, None
     else:
-        pn, pd = t._pn + (e1 - 1) * t._pd, t._pd
+        pn, pd = t._pn + (e1 - 1) * B * t._pd, t._pd
         cut = _cutoff(pn, pd)
-        coeffs = {e: ce for e, ce in coeffs.items() if cut is None or e < cut}
-    field, mod, c, d = t.field, t._mod, t._c[1], t._den
+        coeffs = {e: ce for e, ce in coeffs.items()
+                  if cut is None or B * e < cut}
+    field, mod, d = t.field, t._mod, t._den
     codes, den = _encode(field, mod, coeffs)
     if d != 1:  # c_e (c/d)^e over den * d^top
         top = max(codes)
         codes = {e: v * d ** (top - e) for e, v in codes.items()}
         den *= d ** top
-    if c != 1:
-        codes = {e: v * c ** e for e, v in codes.items()}
-    return _make(field, mod, 1, *_normal(mod, codes, den), pn, pd, cut)
+    if c != 1 or B != 1:
+        codes = {B * e: v * c ** e for e, v in codes.items()}
+    return _make(field, mod, *_normal(mod, codes, den), pn, pd, cut)
 
 
 def eval_poly_at_series(f: MultiPoly, assignment: dict) -> TruncatedSeries:
     """Evaluate a polynomial with every variable bound to a series or
     scalar, by Horner's rule in each variable in turn, the last variable
-    innermost.  When that variable is bound to a monomial c t (to a
-    precision above 1), its level is read, not evaluated: the coefficients
-    in t, times powers of c, already are the series (``_read_t``)."""
+    innermost.  When that variable is bound to a monomial c T^B with
+    B > 0 (known past T^B), its level is read, not evaluated: its
+    coefficients, times powers of c, already are the series (``_read_t``)."""
     field = f.field
     points = [val if isinstance(val, TruncatedSeries)
               else TruncatedSeries.constant(field, val)
               for val in (assignment[v] for v in f.vars)]
     last = points[-1] if points else None
-    read_t = last is not None and last.ram == 1 \
-        and len(last._c) == 1 and 1 in last._c
+    read_t = last is not None and len(last._c) == 1 and min(last._c) > 0
 
     def nest(terms, i):
         """The terms [(exponents, c)] summed, variables i, ... bound."""

@@ -39,15 +39,14 @@ oracle asks sympy for the irreducible factors of a univariate polynomial,
 where the production code lifts factors mod p on dense int lists.
 
 The readouts at the end (``evaluate``, ``agrees_with``, ``branch_count``,
-``valuation_certificate``, ``series_from_terms``, ``branch_residual``
-and ``verify_branch``)
+``valuation_certificate``, ``branch_residual`` and ``verify_branch``)
 are used by tests only, so they live here rather than in the library, as
 does ``bench_workloads``, the bench's job lists loaded from their file.
 """
 
 import importlib.util
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil
 from pathlib import Path
 
 from curveint.algebra import gcd, lift_to_field
@@ -323,23 +322,23 @@ def pseudo_rem_by_products(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     return r * lead ** e if e else r
 
 
-def _cutoff(prec, ram):
-    """Least index k with k/ram >= prec, or INF."""
+def _cutoff(prec):
+    """Least index k with k >= prec, or INF."""
     if prec == INF:
         return INF
-    return ceil(Fraction(prec) * ram)
+    return ceil(Fraction(prec))
 
 
 class RefSeries:
     """The series arithmetic on dicts of field elements: {index: element}
-    at ramification ``ram``, below ``prec`` (a Fraction, or INF), every
-    product one term pair at a time through the element operators, every
-    precision a Fraction computed afresh."""
+    below ``prec`` (a Fraction, or INF), every product one term pair at a
+    time through the element operators, every precision a Fraction
+    computed afresh."""
 
-    def __init__(self, field, coeffs, prec, ram=1):
-        self.field, self.ram = field, ram
+    def __init__(self, field, coeffs, prec):
+        self.field = field
         self.prec = prec if prec == INF else Fraction(prec)
-        cutoff = _cutoff(self.prec, ram)
+        cutoff = _cutoff(self.prec)
         self.coeffs = {k: field.of(c) for k, c in coeffs.items()
                        if field.of(c) and k < cutoff}
 
@@ -347,61 +346,54 @@ class RefSeries:
     def of(cls, s):
         """The reference form of a TruncatedSeries or of a scalar."""
         if isinstance(s, TruncatedSeries):
-            return cls(s.field, s.coeffs, s.prec, s.ram)
+            return cls(s.field, s.coeffs, s.prec)
         return s
 
     def series(self) -> TruncatedSeries:
-        return TruncatedSeries(self.field, self.coeffs, self.prec, self.ram)
+        return TruncatedSeries(self.field, self.coeffs, self.prec)
 
-    def with_ram(self, ram):
-        q = ram // self.ram
-        return RefSeries(self.field, {k * q: c for k, c in self.coeffs.items()},
-                         self.prec, ram)
-
-    def _align(self, other):
-        if not isinstance(other, RefSeries):
-            other = RefSeries(self.field, {0: other}, INF)
-        ram = lcm(self.ram, other.ram)
-        return self.with_ram(ram), other.with_ram(ram)
+    def _lift(self, other):
+        if isinstance(other, RefSeries):
+            return other
+        return RefSeries(self.field, {0: other}, INF)
 
     def effective_valuation(self):
         if not self.coeffs:
             return self.prec
-        return Fraction(min(self.coeffs), self.ram)
+        return min(self.coeffs)
 
     def truncate(self, prec):
-        return RefSeries(self.field, self.coeffs, min(self.prec, prec),
-                         self.ram)
+        return RefSeries(self.field, self.coeffs, min(self.prec, prec))
 
     def __add__(self, other):
-        a, b = self._align(other)
+        a, b = self, self._lift(other)
         out = dict(a.coeffs)
         for k, c in b.coeffs.items():
             out[k] = out[k] + c if k in out else c
-        return RefSeries(a.field, out, min(a.prec, b.prec), a.ram)
+        return RefSeries(a.field, out, min(a.prec, b.prec))
 
     __radd__ = __add__
 
     def __neg__(self):
         return RefSeries(self.field, {k: -c for k, c in self.coeffs.items()},
-                         self.prec, self.ram)
+                         self.prec)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        a, b = self._align(other)
+        a, b = self, self._lift(other)
         va, vb = a.effective_valuation(), b.effective_valuation()
         prec = min(a.prec + vb, b.prec + va) \
             if (a.prec != INF or b.prec != INF) else INF
-        cutoff = _cutoff(prec, a.ram)
+        cutoff = _cutoff(prec)
         out = {}
         for k1, c1 in a.coeffs.items():
             for k2, c2 in b.coeffs.items():
                 k = k1 + k2
                 if k < cutoff:
                     out[k] = out[k] + c1 * c2 if k in out else c1 * c2
-        return RefSeries(a.field, out, prec, a.ram)
+        return RefSeries(a.field, out, prec)
 
     __rmul__ = __mul__
 
@@ -411,37 +403,29 @@ class RefSeries:
         if self.prec == INF:
             return RefSeries(self.field, {0: inv0}, INF)
         out = {0: inv0}
-        for k in range(1, _cutoff(self.prec, self.ram)):
+        for k in range(1, _cutoff(self.prec)):
             acc = self.field.zero
             for j, cj in c.items():
                 if 0 < j <= k and k - j in out:
                     acc = acc + cj * out[k - j]
             out[k] = -inv0 * acc
-        return RefSeries(self.field, out, self.prec, self.ram)
+        return RefSeries(self.field, out, self.prec)
 
-    def shift(self, delta):
-        """Times t^delta."""
-        delta = Fraction(delta)
-        s = self.with_ram(lcm(self.ram, delta.denominator))
-        d = int(delta * s.ram)
-        return RefSeries(s.field, {k + d: c for k, c in s.coeffs.items()},
-                         s.prec + delta if s.prec != INF else INF, s.ram)
-
-    def rescale(self, b):
-        """Read in s = t^(1/b)."""
-        return RefSeries(self.field, self.coeffs,
-                         self.prec / b if self.prec != INF else INF,
-                         self.ram * b)
+    def shift(self, d: int):
+        """Times t^d."""
+        return RefSeries(self.field,
+                         {k + d: c for k, c in self.coeffs.items()},
+                         self.prec + d if self.prec != INF else INF)
 
     def __truediv__(self, other):
-        a, b = self._align(other)
+        a, b = self, self._lift(other)
         vb = b.effective_valuation()
         return (a * b.shift(-vb).invert_unit()).shift(-vb)
 
 
 def series_mul_pairwise(a: TruncatedSeries, b: TruncatedSeries):
-    """The product at the common ramification, truncated at
-    min(prec_a + val_b, prec_b + val_a), through ``RefSeries``."""
+    """The product, truncated at min(prec_a + val_b, prec_b + val_a),
+    through ``RefSeries``."""
     return (RefSeries.of(a) * RefSeries.of(b)).series()
 
 
@@ -498,19 +482,18 @@ def expand_substitution(f: MultiPoly, images) -> MultiPoly:
 
 def eval_by_expansion(f: MultiPoly, assignment):
     """f at the bound series (or scalars) of ``assignment``, exactly: the
-    map k -> coefficient of t^(k/L), L the lcm of the ramifications.
+    map k -> coefficient of t^k.
 
-    A series read at ramification L is s^-m P(s) with s = t^(1/L) and P a
-    polynomial; each variable becomes u P(s) for a fresh variable u that
-    stands for s^-m, and ``expand_substitution`` expands f at once."""
+    A series is s^-m P(s) with s its variable and P a polynomial; each
+    variable becomes u P(s) for a fresh variable u that stands for s^-m,
+    and ``expand_substitution`` expands f at once."""
     bound = [val if isinstance(val, TruncatedSeries)
              else TruncatedSeries.constant(f.field, val)
              for val in (assignment[v] for v in f.vars)]
-    L = lcm(1, *(val.ram for val in bound))
     names = f.vars + ("s_",) + tuple(f"u_{v}" for v in f.vars)
     shifts, images = [], {}
     for i, (v, val) in enumerate(zip(f.vars, bound)):
-        coeffs = val.with_ram(L).coeffs
+        coeffs = val.coeffs
         m = max(0, -min(coeffs, default=0))
         shifts.append(m)
         images[v] = MultiPoly(f.field, names, {
@@ -524,7 +507,7 @@ def eval_by_expansion(f: MultiPoly, assignment):
         us = exps[len(f.vars) + 1:]
         k = exps[len(f.vars)] - sum(m * e for m, e in zip(shifts, us))
         out[k] = out.get(k, zero) + c
-    return {k: c for k, c in out.items() if c}, L
+    return {k: c for k, c in out.items() if c}
 
 
 def shear_candidates_by_ratio(field, bound):
@@ -757,7 +740,7 @@ def agrees_with(a: TruncatedSeries, b: TruncatedSeries, below) -> bool:
     below = Fraction(below)
     if min(a.prec, b.prec) < below:
         raise InvalidInputError("comparison range exceeds precision")
-    exponents = {Fraction(k, s.ram) for s in (a, b) for k in s.coeffs}
+    exponents = {k for s in (a, b) for k in s.coeffs}
     return all(a.coeff_at(e) == b.coeff_at(e)
                for e in exponents if e < below)
 
@@ -775,26 +758,14 @@ def valuation_certificate(point):
                  for s in (point.x, point.y))
 
 
-def series_from_terms(field, terms, prec=INF):
-    """The series with the (exponent, coefficient) pairs ``terms``, whose
-    exponents are Fractions (or ints)."""
-    items = [(Fraction(e), c) for e, c in terms]
-    ram = lcm(1, *(e.denominator for e, _ in items))
-    coeffs = {}
-    for e, c in items:
-        k = int(e * ram)
-        coeffs[k] = coeffs.get(k, field.zero) + field.of(c)
-    return TruncatedSeries(field, coeffs, prec, ram)
-
-
-def branch_residual(F: MultiPoly, series: dict, scale=1) -> TruncatedSeries:
+def branch_residual(F: MultiPoly, series: dict, scale=1,
+                    B: int = 1) -> TruncatedSeries:
     """F at a parametrized point, term by term: each variable named in
-    ``series`` is its series in T, and t is ``scale`` times the series'
-    own formal t (t = scale * T^B, T the formal t^(1/B)), with no Horner
+    ``series`` is its series in T, and t is scale * T^B, with no Horner
     step or exponent readout.  F involves no other variable."""
     field = next(iter(series.values())).field
     F = lift_to_field(F, field)
-    t = TruncatedSeries(field, {1: field.of(scale)}, INF)
+    t = TruncatedSeries(field, {B: field.of(scale)}, INF)
     values = [t if v == "t" else series.get(v) for v in F.vars]
     total = TruncatedSeries.zero(field)
     for exps, c in F.terms.items():
@@ -809,5 +780,5 @@ def branch_residual(F: MultiPoly, series: dict, scale=1) -> TruncatedSeries:
 def verify_branch(F: MultiPoly, xname: str, br) -> bool:
     """Substitute the branch into F (``branch_residual``); the result must
     vanish to the branch's guaranteed precision."""
-    return branch_residual(F, {xname: br.series}, br.scale).valuation() \
-        is None
+    return branch_residual(F, {xname: br.series}, br.scale,
+                           br.B).valuation() is None

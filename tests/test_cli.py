@@ -11,6 +11,7 @@ import pytest
 import curveint.cli
 import curveint.infinitesimal
 import curveint.intersect
+import curveint.lifting
 from curveint.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK,
                           EXIT_VERIFICATION, Job, main, parse_curve,
                           parse_field, parse_point, parse_poly,
@@ -282,6 +283,40 @@ def test_mult_enforces_transverse_implies_one(monkeypatch):
     report, code = run_job(Job(command="mult", curves=("x^2 - y", "y")))
     assert code == EXIT_VERIFICATION
     assert "transverse" in report["error"]
+
+
+# ----------------------------------------- defects in computed values
+#
+# A check on a value the program made itself is an invariant: a failure
+# there is a defect (exit 1), not bad input (exit 2) nor a budget (exit 3).
+# Each mutant below breaks one kernel and must surface as exit 1.
+
+def test_an_enumerated_point_off_a_curve_is_a_defect(monkeypatch):
+    """x0 read with the wrong sign puts bezout's own point off a curve."""
+    real = curveint.intersect._s1_point
+
+    def flipped(s1, yval, field, lam, mu):
+        point = real(s1, yval, field, lam, mu)
+        return None if point is None else curveint.intersect._unsheared(
+            -point.coords[0], yval, lam, mu, field)
+    monkeypatch.setattr(curveint.intersect, "_s1_point", flipped)
+    report, code = run_job(Job(command="bezout",
+                               curves=("x^2+y^2-5", "x*y-2")))
+    assert code == EXIT_VERIFICATION
+    assert "is not a common zero of the curves" in report["error"]
+
+
+def test_a_segment_off_its_edge_root_is_a_defect(monkeypatch):
+    """An off-by-one in Duval's exponents (u*b - v*a = 1) leaves the
+    segment nonzero at its root x1 = 0, which phi(z0) = 0 rules out."""
+    real = curveint.lifting._bezout_pair
+    monkeypatch.setattr(curveint.lifting, "_bezout_pair",
+                        lambda a, b: (real(a, b)[0] + 1, real(a, b)[1]))
+    [entry] = [e for e in corpus_manifest()
+               if e["name"] == "cusp-vs-horizontal"]
+    report, code = run_job(Job.from_dict(entry["job"]))
+    assert code == EXIT_VERIFICATION
+    assert "phi(z0) != 0" in report["error"]
 
 
 def test_mult_off_origin_matches_bezout_line():

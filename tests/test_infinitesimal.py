@@ -22,10 +22,10 @@ from curveint.infinitesimal import (NearbyPoint, deform,
 from curveint.intersect import mult_length
 from curveint.lifting import hensel_lift, newton_puiseux
 from curveint.poly import MultiPoly
-from curveint.series import INF, TruncatedSeries, shift_exponents
+from curveint.series import INF, TruncatedSeries
 
 from oracles import (branch_residual, fulton_intersection_number,
-                     series_from_terms, valuation_certificate)
+                     valuation_certificate)
 
 V = ("x", "y")
 
@@ -79,16 +79,18 @@ def test_specialize_series():
 
 
 def test_specialize_nearby_point():
-    half = series_from_terms(QQ, [(Fraction(1, 2), 1)], prec=3)
-    t = TruncatedSeries.variable(QQ).truncate(3)
-    np_ = NearbyPoint(half, t, (QQ.zero, QQ.zero))
+    # x = t^(1/2), y = t in T with t = T^2
+    T = TruncatedSeries.variable(QQ).truncate(6)
+    np_ = NearbyPoint(T, T * T, (QQ.zero, QQ.zero), span=2, B=2)
     assert specialize(np_) == (0, 0)
     vx, vy = valuation_certificate(np_)
     assert vx > 0 and vy > 0
+    assert str(np_) == "(t^(1/2) + O(t^3), t + O(t^(7/2))) -> (0, 0)"
 
 
 def test_specialize_negative_valuation():
-    s = shift_exponents(TruncatedSeries.constant(QQ, 1).truncate(2), -1)
+    s = TruncatedSeries.constant(QQ, 1).truncate(2) \
+        / TruncatedSeries.variable(QQ)
     with pytest.raises(NotSpecializableError):
         specialize(s)
 
@@ -102,8 +104,9 @@ def test_nearby_tangent_conics_plus_t():
     f = x * x - y
     gt = deform(x * x - 2 * y, MultiPoly.const(QQ, V, 1))
     [p] = nearby_intersections(f, gt)
-    assert (p.span, p.multiplicity, p.count, p.scale) == (2, 1, 2, 1)
-    assert str(p.x).startswith("-t^(1/2)") and str(p.y).startswith("t")
+    assert (p.span, p.multiplicity, p.count, p.scale, p.B) == (2, 1, 2, 1, 2)
+    assert str(p.x).startswith("-t") and str(p.y).startswith("t^2")
+    assert str(p).startswith("(-t^(1/2)")
     assert specialize(p) == (0, 0)
 
 
@@ -163,7 +166,7 @@ def _on_both(point, f, g):
     known = min(point.x.prec, point.y.prec)
     for h in (f, g):
         residual = branch_residual(h, {"x": point.x, "y": point.y},
-                                   point.scale)
+                                   point.scale, point.B)
         if residual.valuation() is not None or residual.prec < known:
             return False
     return True
@@ -191,14 +194,16 @@ def test_nearby_recovers_conjugate_points(make, expected):
 
 def test_nearby_coordinates_reach_the_requested_precision():
     # x = -S10/S11 loses the valuation of S11 along the branch: read once at
-    # precision 24, x came back as t^(2/5) + O(t^(117/5))
+    # precision 24, x came back as t^(2/5) + O(t^(117/5)); precisions and
+    # valuations read in T, with t = T^5
     x, y, t = (MultiPoly.var(QQ, ("x", "y", "t"), v) for v in "xyt")
     f, g = (y - x * x) ** 2 - x ** 5, y - x * x + t
     pts = nearby_intersections(f, g, prec=24)
     assert sum(p.count for p in pts) == 5
     for p in pts:
-        assert p.x.prec == p.y.prec == 24
-        assert p.x.valuation() == Fraction(2, 5)
+        assert p.B == 5
+        assert p.x.prec == p.y.prec == 24 * p.B
+        assert p.x.valuation() == 2
         assert _on_both(p, f, g)
 
 
@@ -365,7 +370,7 @@ def test_nearby_points_account_for_the_multiplicity(pair):
     assert sum(p.count for p in pts) == expected
     prec = default_precision(ft, gt) + 2  # the default of nearby_intersections
     for p in pts:
-        assert p.x.prec == p.y.prec == prec
+        assert p.x.prec == p.y.prec == prec * p.B
         assert p.x.field == p.y.field
         assert _on_both(p, ft, gt)
         assert all(not c for c in specialize(p))

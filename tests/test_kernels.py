@@ -80,14 +80,13 @@ def test_extension_power_is_repeated_multiplication(field, n):
 
 
 def _series(rng, field, low=0):
-    """A random series of ramification 1-3 from t^(low/ram) on, exact or
-    truncated."""
-    ram = rng.randint(1, 3)
+    """A random series from t^low on, exact or truncated at an integer or
+    a fractional precision."""
     coeffs = {k: _element(rng, field) for k in range(low, low + 4)
               if rng.random() < 0.6}
     prec = INF if rng.random() < 0.3 \
-        else Fraction(rng.randint(low + 1, low + 6), ram)
-    return TruncatedSeries(field, coeffs, prec, ram)
+        else Fraction(rng.randint(low + 1, low + 6), rng.randint(1, 3))
+    return TruncatedSeries(field, coeffs, prec)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
@@ -119,10 +118,9 @@ def test_eval_poly_at_series_matches_expansion(field):
                       else _series(rng, field, rng.choice([-1, 0, 0, 1]))
                       for v in V}
         val = eval_poly_at_series(f, assignment)
-        expected, L = eval_by_expansion(f, assignment)
-        assert L % val.ram == 0
-        assert {k * (L // val.ram): c for k, c in val.coeffs.items()} == \
-            {k: c for k, c in expected.items() if Fraction(k, L) < val.prec}
+        expected = eval_by_expansion(f, assignment)
+        assert val.coeffs == \
+            {k: c for k, c in expected.items() if k < val.prec}
         bound = [s for s in assignment.values()
                  if isinstance(s, TruncatedSeries)]
         if all(s.effective_valuation() >= 0 for s in bound):
@@ -137,7 +135,7 @@ def _horner_pairwise(coeffs, point):
         total = series_mul_pairwise(total, point)
         out = dict(total.coeffs)
         out[0] = out.get(0, point.field.zero) + c
-        total = TruncatedSeries(point.field, out, total.prec, total.ram)
+        total = TruncatedSeries(point.field, out, total.prec)
     return total
 
 
@@ -149,27 +147,31 @@ T_PRECS = [Fraction(2), Fraction(3), Fraction(7), INF,  # integer, exact
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 @pytest.mark.parametrize("prec", T_PRECS, ids=str)
 def test_reading_t_is_horner_in_t(field, prec):
-    """Bound to t + O(t^prec), the innermost level is read off the
-    exponents; it must carry the coefficients and the precision of
-    Horner's rule in t.  Sparse polynomials with gaps below and between
-    their exponents, in t alone and in (x, y, t) with x and y at 0."""
-    t = TruncatedSeries.variable(field, prec)
+    """Bound to a monomial c T^B + O(T^prec), the innermost level is read
+    off the exponents; it must carry the coefficients and the precision of
+    Horner's rule in T.  Sparse polynomials with gaps below and between
+    their exponents, in t alone and in (x, y, t) with x and y at 0; each
+    at t + O(t^prec) and at c T^B with a random nonzero c and B = 1, 2, 3
+    in turn."""
     for seed in range(30):
         rng = random.Random(seed)
         degree = rng.randint(0, 9)
         coeffs = [_element(rng, field) if rng.random() < 0.4
                   else field.zero for _ in range(degree)]
         coeffs.append(_element(rng, field))
-        expected = _horner_pairwise(coeffs, t)
-        for names in (("t",), V):
-            f = MultiPoly(field, names, {
-                (0,) * (len(names) - 1) + (e,): c
-                for e, c in enumerate(coeffs) if c})
-            val = eval_poly_at_series(
-                f, {"x": field.zero, "y": field.zero, "t": t})
-            assert (val.coeffs, val.prec, val.ram) == \
-                (expected.coeffs, expected.prec, expected.ram), \
-                f"seed {seed}: {f} at t + O(t^{prec})"
+        c = _element(rng, field) or field.one
+        for B, scale in ((1, field.one), (1 + seed % 3, c)):
+            t = TruncatedSeries(field, {B: scale}, prec)
+            expected = _horner_pairwise(coeffs, t)
+            for names in (("t",), V):
+                f = MultiPoly(field, names, {
+                    (0,) * (len(names) - 1) + (e,): ce
+                    for e, ce in enumerate(coeffs) if ce})
+                val = eval_poly_at_series(
+                    f, {"x": field.zero, "y": field.zero, "t": t})
+                assert (val.coeffs, val.prec) == \
+                    (expected.coeffs, expected.prec), \
+                    f"seed {seed}: {f} at {t}"
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)

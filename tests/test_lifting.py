@@ -133,17 +133,17 @@ def test_hensel_returns_requested_precision_on_criterion_8_instances():
 
 
 def test_hensel_ramified_coefficients_fractional_precision():
-    # x^2 - (1 + s) with s = t^(1/2): the root is the binomial series of
-    # (1 + s)^(1/2), read here to precision t^(5/2), i.e. s^0 .. s^4
+    # x^2 - (1 + t): the root is the binomial series of (1 + t)^(1/2),
+    # read here to the precision t^(5/2) between integers, i.e. t^0 .. t^2
     prec = Fraction(5, 2)
-    f = [-TruncatedSeries(QQ, {0: 1, 1: 1}, INF, ram=2),
+    f = [-TruncatedSeries(QQ, {0: 1, 1: 1}, INF),
          TruncatedSeries.zero(QQ),
          TruncatedSeries.constant(QQ, 1)]
     root = hensel_lift(f, 1, prec)
-    assert root.prec == prec and root.ram == 2
+    assert root.prec == prec
     binom = Fraction(1)
-    for k in range(5):
-        assert root.coeff_at(Fraction(k, 2)) == binom
+    for k in range(3):
+        assert root.coeff_at(k) == binom
         binom = binom * (Fraction(1, 2) - k) / (k + 1)
     resid = root * root + f[0]
     assert resid.prec == prec and resid.valuation() is None
@@ -167,13 +167,16 @@ def test_puiseux_splitting_pair():
     brs = newton_puiseux(x * x - t * t, "x", 5)
     series = sorted(str(b.series) for b in brs)
     assert len(brs) == 2 and branch_count(brs) == 2
-    assert all(b.simple and b.ram == 1 for b in brs)
+    assert all(b.simple and b.B == 1 for b in brs)
 
 
 def test_puiseux_ramified_pair():
     x, t = xt()
     brs = newton_puiseux(x * x - t, "x", 4)
-    assert len(brs) == 1 and brs[0].ram == 2 and branch_count(brs) == 2
+    assert len(brs) == 1 and brs[0].B == 2 and branch_count(brs) == 2
+    # the series is in T with t = T^2, to O(T^8); it prints in t
+    assert brs[0].series.format("T") == "T + O(T^8)"
+    assert str(brs[0]) == "Branch(t^(1/2) + O(t^4); simple, 2 conjugates)"
 
 
 def test_puiseux_branch_through_origin_only():
@@ -243,7 +246,9 @@ def test_ramified_branch_needs_no_bth_root():
     x, t = xt()
     [br] = newton_puiseux(x * x - 2 * t, "x", 4)
     assert br.series.field == QQ and br.scale == 2 and br.span == 2
-    assert str(br.series) == "2*t^(1/2) + O(t^4)"
+    assert br.B == 2 and br.series.format("T") == "2*T + O(T^8)"
+    assert str(br) == \
+        "Branch(2*t^(1/2) + O(t^4); simple, 2 conjugates, scale 2)"
     assert br.levels == ((1, 2, 2),)
     assert verify_branch(x * x - 2 * t, "x", br)
 
@@ -258,9 +263,9 @@ def test_nested_ramified_branch_composes_its_scale():
     assert br.series.field == QQ and br.span == 4
     assert [(a, b) for a, b, _ in br.levels] == [(3, 2), (1, 2)]
     (_, _, z0), (_, _, z1) = br.levels
-    assert br.scale == z0 * z1 ** 2
-    residual = branch_residual(F, {"x": br.series}, br.scale)
-    assert residual.valuation() is None and residual.prec >= 4
+    assert br.scale == z0 * z1 ** 2 and br.B == 4
+    residual = branch_residual(F, {"x": br.series}, br.scale, br.B)
+    assert residual.valuation() is None and residual.prec >= 4 * br.B
 
 
 FIELDS = [QQ, PrimeField(7), PrimeField(101)]
@@ -303,13 +308,13 @@ def test_rational_puiseux_branches_satisfy_F(F):
     prec = 5
     brs = newton_puiseux(F, "x", prec)
     for br in brs:
-        residual = branch_residual(F, {"x": br.series}, br.scale)
-        assert residual.valuation() is None and residual.prec >= prec, \
-            (str(F), str(br))
+        assert br.B == prod(b for _, b, _ in br.levels)
+        residual = branch_residual(F, {"x": br.series}, br.scale, br.B)
+        assert residual.valuation() is None \
+            and residual.prec >= prec * br.B, (str(F), str(br))
         field = br.series.field
         degree = field.degree if isinstance(field, ExtensionField) else 1
-        assert degree * prod(b for _, b, _ in br.levels) == br.span, \
-            (str(F), str(br))
+        assert degree * br.B == br.span, (str(F), str(br))
         if isinstance(field, ExtensionField):
             assert field.base == F.field
     order = min(e[0] for e in F.coeff_of("t", 0).terms)

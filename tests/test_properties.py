@@ -2,7 +2,8 @@
 checked on seeded random pairs over Q and F_101 (Fulton, Algebraic Curves,
 section 3.3): singular points, non-reduced components, symmetry,
 adding a multiple of one curve to the other and invariance under affine
-changes of coordinates.
+changes of coordinates; and Bezout's theorem itself on random projective
+pairs over Q, F_5, F_7 and F_101.
 
 Every pair runs through ``multiplicities_at``, which enforces that its three
 engines agree, at the default (adaptive) working precision, and its value
@@ -16,6 +17,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from curveint.algebra import homogenize
+from curveint.cli import EXIT_OK, Job, run_job
 from curveint.fields import QQ, PrimeField
 from curveint.intersect import Curve, ProjectivePoint, multiplicities_at
 from curveint.poly import MultiPoly
@@ -188,3 +190,36 @@ def test_invariance_under_affine_changes_of_coordinates(seed, fieldname):
     curves = [Curve(homogenize(h, h.total_degree())) for h in (F, G)]
     point = ProjectivePoint((p, q, 1), field)
     assert multiplicities_at(*curves, point).multiplicity == expected, pair
+
+
+BEZOUT_FIELDS = ["Q", "F5", "F7", "F101"]
+
+
+def _projective_form(rng, degree):
+    """A random nonzero form of the given degree in X, Y, Z, as text, with
+    coefficients in -4 .. 4 (none of them 0 mod 5, 7 or 101 unless 0)."""
+    while True:
+        terms = [f"({c})*X^{i}*Y^{j}*Z^{degree - i - j}"
+                 for i in range(degree + 1) for j in range(degree + 1 - i)
+                 for c in [rng.randint(-4, 4) if rng.random() < 0.6 else 0]
+                 if c]
+        if terms:
+            return " + ".join(terms)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 10 ** 6), fieldname=st.sampled_from(BEZOUT_FIELDS))
+def test_bezout_total_on_random_projective_pairs(seed, fieldname):
+    """Two random forms of degrees d, e in 1 .. 3: ``run_job`` returns (it
+    never raises), the exit is 0, 2 (a shared component) or 3 (a budget),
+    never 1, and on exit 0 the points' total is d * e, as Bezout's theorem
+    says and as the report's own expected total says."""
+    rng = random.Random(seed)
+    d, e = rng.randint(1, 3), rng.randint(1, 3)
+    curves = (_projective_form(rng, d), _projective_form(rng, e))
+    report, code = run_job(Job(command="bezout", curves=curves,
+                               field=fieldname))
+    pair = f"seed {seed} over {fieldname}: {curves}"
+    assert code in (0, 2, 3), (pair, report)
+    if code == EXIT_OK:
+        assert report["total"] == report["expected_total"] == d * e, pair

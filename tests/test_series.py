@@ -9,10 +9,10 @@ from curveint.errors import (InvalidInputError, NotAUnitError,
 from curveint.fields import QQ, ExtElement, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
 from curveint.series import (INF, TruncatedSeries, eval_poly_at_series,
-                             horner, rescale_exponents, shift_exponents)
+                             horner)
 
 from oracles import (RefSeries, agrees_with, eval_reference,
-                     horner_reference, series_from_terms)
+                     horner_reference)
 
 
 def t_var(prec=INF):
@@ -52,18 +52,6 @@ def test_invert_requires_unit():
         TruncatedSeries.zero(QQ, 3).invert_unit()
 
 
-def test_hash_agrees_with_equality_across_ramification():
-    """Equal series hash equal, whatever ramification index stores them."""
-    s = (one() + t_var() + shift_exponents(t_var(), Fraction(1, 2))
-         ).truncate(Fraction(5, 2))
-    r = series_from_terms(QQ, [(Fraction(1, 3), 2)], prec=3)
-    for a in (s, r, one(4), TruncatedSeries.zero(QQ, 3)):
-        for k in (2, 6):
-            assert a == a.with_ram(a.ram * k)
-            assert hash(a) == hash(a.with_ram(a.ram * k))
-            assert len({a, a.with_ram(a.ram * k)}) == 1
-
-
 def test_precision_never_inflated_by_multiplication():
     a = t_var(3)          # t + O(t^3)
     b = t_var(5)          # t + O(t^5)
@@ -85,25 +73,19 @@ def test_coefficient_beyond_precision_rejected():
 
 
 def test_division_with_valuation_shift():
-    num = shift_exponents(one(4), 1)      # t + O(t^5)
+    num = t_var() * one(4)                # t + O(t^5)
     den = (t_var() * t_var()).truncate(6)  # t^2 + O(t^6)
     q = num / den
     assert q.valuation() == -1
 
 
 def test_ramified_square():
-    r = series_from_terms(QQ, [(Fraction(1, 2), 1)], prec=3)
+    # t^(1/2) + O(t^(3/2)) in T with t = T^2: T + O(T^3)
+    r = t_var(3)
     sq = r * r
-    assert sq.valuation() == 1
-    assert sq.coeff_at(1) == 1
-
-
-def test_rescale_and_shift_exponents():
-    s = t_var(4)
-    d = rescale_exponents(s, 2)   # series in t^(1/2)
-    assert d.valuation() == Fraction(1, 2)
-    u = shift_exponents(d, Fraction(1, 2))
-    assert u.valuation() == 1
+    assert sq.valuation() == 2 and sq.prec == 4
+    assert sq.coeff_at(2) == 1
+    assert sq.format("t", 2) == "t + O(t^2)"
 
 
 def test_specialize_constant_term():
@@ -112,14 +94,14 @@ def test_specialize_constant_term():
 
 
 def test_specialize_negative_valuation_rejected():
-    s = shift_exponents(one(3), -1)
+    s = one(3) / t_var()                  # t^-1 + O(t^2)
     with pytest.raises(NotSpecializableError):
         s.specialize()
 
 
 def test_agrees_with():
     a = one(6) + t_var(6)
-    b = one(6) + t_var(6) + shift_exponents(one(6), 3).truncate(6)
+    b = one(6) + t_var(6) + (t_var() ** 3 * one(6)).truncate(6)
     assert agrees_with(a, b, 3)
     assert not agrees_with(a, b, 4)
 
@@ -129,9 +111,11 @@ def test_eval_poly_at_series():
     x = MultiPoly.var(QQ, V, "x")
     y = MultiPoly.var(QQ, V, "y")
     f = x * x - y
-    r = series_from_terms(QQ, [(Fraction(1, 2), 1)], prec=4)
-    val = eval_poly_at_series(f, {"x": r, "y": t_var(4)})
-    assert val.is_zero_to_precision()
+    # x = t^(1/2), y = t in T with t = T^2: y is read off the exponents
+    T = TruncatedSeries(QQ, {1: 1}, 8)
+    val = eval_poly_at_series(f, {"x": T, "y": TruncatedSeries(QQ, {2: 1},
+                                                               8)})
+    assert val.is_zero_to_precision() and val.prec == 8
 
 
 def test_fp_series():
@@ -146,8 +130,10 @@ def test_fp_series():
 def test_printable_form():
     s = one(3) + t_var(3) * Fraction(1, 2)
     assert str(s) == "1 + 1/2*t + O(t^3)"
-    r = series_from_terms(QQ, [(Fraction(1, 2), 1)], prec=2)
-    assert str(r) == "t^(1/2) + O(t^2)"
+    r = TruncatedSeries(QQ, {1: 1}, 4)   # in T, t = T^2
+    assert str(r) == "t + O(t^4)"
+    assert r.format("T") == "T + O(T^4)"
+    assert r.format("t", 2) == "t^(1/2) + O(t^2)"
     assert str(TruncatedSeries.zero(QQ, 2)) == "O(t^2)"
 
 
@@ -203,24 +189,23 @@ def _codec_ext():
 
 
 def _random_operand(rng, codec):
-    """(terms by Fraction exponent, prec, ram) with every term below prec."""
+    """(terms by exponent, prec) with every term below prec."""
     _, rand, _, _, _, nonzero = codec
-    ram = rng.choice([1, 2, 3])
-    # a precision need not be a multiple of 1/ram
+    # a precision need not be an integer
     prec = INF if rng.random() < 0.3 else Fraction(rng.randint(-2, 14),
                                                    rng.choice([1, 2, 3, 5]))
     terms = {}
     for _ in range(rng.randint(0, 6)):
-        e = Fraction(rng.randint(-3, 12), ram)
+        e = rng.randint(-3, 12)
         v = rand(rng)
         if e < prec and nonzero(v):
             terms[e] = v
-    return terms, prec, ram
+    return terms, prec
 
 
 def _naive_product(a, b, codec):
     normal, nonzero = codec[4], codec[5]
-    (ta, pa, _), (tb, pb, _) = a, b
+    (ta, pa), (tb, pb) = a, b
     va = min(ta) if ta else pa
     vb = min(tb) if tb else pb
     prec = min(pa + vb, pb + va)
@@ -241,26 +226,23 @@ def test_series_product_matches_naive_oracle(codec):
     rng = random.Random(4242)
     for _ in range(60):
         a, b = _random_operand(rng, codec), _random_operand(rng, codec)
-        sa, sb = (TruncatedSeries(field, {int(e * ram): to_field(v)
-                                          for e, v in terms.items()},
-                                  prec, ram)
-                  for terms, prec, ram in (a, b))
+        sa, sb = (TruncatedSeries(field, {e: to_field(v)
+                                          for e, v in terms.items()}, prec)
+                  for terms, prec in (a, b))
         want, want_prec = _naive_product(a, b, codec)
         got = sa * sb
         assert got.prec == want_prec
-        assert {Fraction(k, got.ram): from_field(c)
-                for k, c in got.coeffs.items()} == want
-        assert all(Fraction(k, got.ram) < got.prec for k in got.coeffs)
+        assert {k: from_field(c) for k, c in got.coeffs.items()} == want
+        assert all(k < got.prec for k in got.coeffs)
 
 
 # --------------------------------- the int kernel against dict arithmetic
 #
 # ``oracles.RefSeries`` is the series arithmetic on dicts of field elements
 # with Fraction precisions, one term pair at a time.  Every operation of
-# the int-coded kernel must give the same coefficients, precision and
-# ramification, on seeded random operands: exact series, series zero to
-# precision, negative exponents, and precisions off the ramification grid
-# (5/2 and 5/4 at ramification 1).
+# the int-coded kernel must give the same coefficients and precision, on
+# seeded random operands: exact series, series zero to precision, negative
+# exponents, and precisions between integers (5/2 and 5/4 among them).
 
 F7 = PrimeField(7)
 F101 = PrimeField(101)
@@ -280,20 +262,19 @@ def _diff_element(rng, field):
 
 
 def _diff_series(rng, field, low=-3):
-    """A random series: exact, zero to precision, or truncated, with a
-    precision on or off the ramification grid."""
-    ram = rng.choice([1, 1, 2, 3])
+    """A random series: exact, zero to precision, or truncated, with an
+    integer or a fractional precision."""
     kind = rng.random()
     if kind < 0.25:
         prec = INF
-    elif kind < 0.45 and ram == 1:
+    elif kind < 0.45:
         prec = rng.choice(OFF_GRID)
     else:
         prec = Fraction(rng.randint(low + 1, 12), rng.choice([1, 2, 3, 5]))
     terms = {} if rng.random() < 0.1 else {
-        rng.randint(low * ram, 10 * ram): _diff_element(rng, field)
+        rng.randint(low, 10): _diff_element(rng, field)
         for _ in range(rng.randint(1, 6))}
-    return TruncatedSeries(field, terms, prec, ram)
+    return TruncatedSeries(field, terms, prec)
 
 
 def _unit(rng, field):
@@ -311,10 +292,11 @@ def _unit(rng, field):
 
 def _same(got, want):
     """The kernel's series equals the reference's, part by part, and as a
-    series built from the reference's coefficients (equal codes)."""
-    assert (got.coeffs, got.prec, got.ram) == \
-        (want.coeffs, want.prec, want.ram), f"{got} != {want.series()}"
-    assert got == want.series()
+    series built from the reference's coefficients (equal codes, equal
+    hashes)."""
+    assert (got.coeffs, got.prec) == (want.coeffs, want.prec), \
+        f"{got} != {want.series()}"
+    assert got == want.series() and hash(got) == hash(want.series())
 
 
 @pytest.mark.parametrize("field", DIFF_FIELDS, ids=DIFF_IDS)
@@ -334,10 +316,8 @@ def test_ring_operations_match_dict_arithmetic(field):
         p = rng.choice([Fraction(rng.randint(-2, 9), rng.choice([1, 2, 3]))]
                        + OFF_GRID)
         _same(a.truncate(p), ra.truncate(p))
-        delta = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
-        _same(shift_exponents(a, delta), ra.shift(delta))
-        k = rng.randint(1, 3)
-        _same(rescale_exponents(a, k), ra.rescale(k))
+        d = rng.randint(-5, 5)
+        _same(a._shifted(d), ra.shift(d))
 
 
 @pytest.mark.parametrize("field", DIFF_FIELDS, ids=DIFF_IDS)
@@ -347,8 +327,7 @@ def test_inverse_and_division_match_dict_arithmetic(field):
         u = _unit(rng, field)
         _same(u.invert_unit(), RefSeries.of(u).invert_unit())
         a = _diff_series(rng, field)
-        b = shift_exponents(_unit(rng, field),
-                            Fraction(rng.randint(-3, 3), rng.choice([1, 2])))
+        b = _unit(rng, field)._shifted(rng.randint(-3, 3))
         _same(a / b, RefSeries.of(a) / RefSeries.of(b))
     c = _diff_element(rng, field) or field.one
     exact = TruncatedSeries.constant(field, c)
@@ -370,8 +349,9 @@ def test_horner_and_evaluation_match_dict_arithmetic(field):
         f = MultiPoly(field, V3, {
             tuple(rng.randint(0, 3) for _ in V3): _diff_element(rng, field)
             for _ in range(rng.randint(1, 8))})
-        # t bound to c t + O(t^P) is read off the exponents; else Horner
-        t = TruncatedSeries(field, {1: _diff_element(rng, field)},
+        # t bound to c T^B + O(T^P) is read off the exponents; else Horner
+        t = TruncatedSeries(field, {rng.randint(1, 3):
+                                    _diff_element(rng, field)},
                             rng.choice([INF, Fraction(3), Fraction(7, 2)])) \
             if rng.random() < 0.5 else _diff_series(rng, field, low=0)
         assignment = {"x": _diff_series(rng, field, low=0),
