@@ -29,7 +29,7 @@ from itertools import chain
 from .errors import (GeneralPositionError, GenericityFailureError,
                      InfiniteMultiplicityError, InvalidDegreeError,
                      InvalidInputError, SharedComponentError,
-                     UnsupportedExtensionError)
+                     UnsupportedExtensionError, VerificationFailureError)
 from .factor import PRIME_Q, _gcd, _trim, factor_mod_p, factor_over_q
 from .fields import QQ, ExtensionField, PrimeField, pth_root_scalar
 from .poly import MultiPoly, _exponent_codec, _poly
@@ -341,7 +341,8 @@ def squarefree_decompose(f: MultiPoly):
     for fac, m in factors:
         prod = prod * fac ** m
     if not f.exact_divide(prod).is_constant():
-        raise InvalidInputError("squarefree decomposition failed to reconstruct")
+        raise VerificationFailureError(
+            "squarefree decomposition failed to reconstruct f")
     return factors
 
 

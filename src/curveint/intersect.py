@@ -248,8 +248,9 @@ def mult_resultant_order(pair: LocalPair) -> int:
     fs, gs, _, _ = pair.sheared
     xv, yv = fs.vars[0], fs.vars[1]
     R = resultant(fs, gs, xv)
-    if R.is_zero():
-        raise SharedComponentError("identically vanishing resultant")
+    if R.is_zero():  # a LocalPair is coprime: a defect, not bad input
+        raise VerificationFailureError(
+            "identically vanishing resultant of a coprime local pair")
     yi = R.vars.index(yv)
     return min(e[yi] for e in R.terms)
 
@@ -368,8 +369,9 @@ def _affine_points(C1: Curve, C2: Curve):
         if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):
             return None
         R, s1 = resultant_and_s1(fs, gs, xv)
-        if R.is_zero():
-            raise SharedComponentError("identically vanishing eliminant")
+        if R.is_zero():  # the forms are coprime: a defect, not bad input
+            raise VerificationFailureError(
+                "identically vanishing eliminant of coprime curves")
         points, clusters = [], []
         if not R.involves(yv):
             return points, clusters  # no affine intersections

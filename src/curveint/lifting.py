@@ -13,9 +13,12 @@ entry points:
   and x = T^a (z0^u + x1) with u*b - v*a = 1 (D. Duval, Rational Puiseux
   expansions, Compositio Math. 70, 1989), so every coefficient stays in
   the field of the edge roots, and a ``Branch`` is a series in T with
-  t = scale * T^B.  Every caller reads the branches in that form.  A
-  segment is built from the polynomial's terms as a list of exact series
-  in T, shifted to head + x by Ruffini's rule (``series.taylor_shift``).
+  t = scale * T^B.  Every caller reads the branches in that form.  Each
+  squarefree piece is converted once to the dense list of exact series
+  that ``hensel_lift`` takes (``series_poly_from_multipoly``), and the
+  polygon, the edge polynomials and every segment work on that list: a
+  segment is the list in T, shifted to head + x by Ruffini's rule
+  (``series.taylor_shift``), and a nested level expands it as it is.
 * ``weierstrass_prepare``: effective Weierstrass division F = U * G with G
   monic in x, non-leading coefficients vanishing at y = 0, and U a local
   unit; U and G are polynomials truncated below y^prec.
@@ -42,7 +45,7 @@ from .series import (INF, TruncatedSeries, horner, positive_precision,
 
 def series_poly_from_multipoly(f: MultiPoly, xname: str):
     """Dense coefficient list in x, each an exact series in t, for a poly
-    in (x, t)."""
+    in (x, t): the one form that Newton-Puiseux and Hensel lifting take."""
     if xname == "t" or "t" not in f.vars:
         raise InvalidInputError("the series parameter must be named t")
     for v in f.vars:
@@ -50,15 +53,10 @@ def series_poly_from_multipoly(f: MultiPoly, xname: str):
             raise InvalidInputError(f"unexpected variable {v}")
     xi = f.vars.index(xname)
     ti = f.vars.index("t")
-    d = f.degree_in(xname)
-    out = []
-    for k in range(d + 1):
-        coeffs = {}
-        for exps, c in f.terms.items():
-            if exps[xi] == k:
-                coeffs[exps[ti]] = coeffs.get(exps[ti], f.field.zero) + c
-        out.append(TruncatedSeries(f.field, coeffs, INF))
-    return out
+    rows = [{} for _ in range(f.degree_in(xname) + 1)]
+    for exps, c in f.terms.items():
+        rows[exps[xi]][exps[ti]] = c
+    return [TruncatedSeries(f.field, row, INF) for row in rows]
 
 
 def hensel_lift(f, a0, prec) -> TruncatedSeries:
@@ -195,71 +193,61 @@ def _lower_hull(points):
     return hull
 
 
-def newton_polygon_edges(f: MultiPoly, xname: str):
-    """Edges (i1, j1, i2, j2) of the origin-facing Newton polygon, with
-    positive slope gamma = (j1 - j2)/(i2 - i1) for branches with val > 0."""
-    xi, ti = f.vars.index(xname), f.vars.index("t")
-    support = {}
-    for exps in f.terms:
-        i, j = exps[xi], exps[ti]
-        if i not in support or j < support[i]:
-            support[i] = j
+def newton_polygon_edges(rows):
+    """Edges (i1, j1, i2, j2) of the origin-facing Newton polygon of the
+    dense x-coefficient list ``rows``, with positive slope
+    gamma = (j1 - j2)/(i2 - i1) for branches with val > 0."""
+    support = {i: row.valuation() for i, row in enumerate(rows)
+               if not row.is_zero_to_precision()}
     m_zero = min((i for i, j in support.items() if j == 0), default=None)
     if m_zero is None:
         raise NotRegularError("input vanishes identically at t = 0")
-    pts = [(i, j) for i, j in support.items() if i <= m_zero]
-    hull = _lower_hull(pts)
-    edges = []
-    for (i1, j1), (i2, j2) in zip(hull, hull[1:]):
-        if j1 > j2:
-            edges.append((i1, j1, i2, j2))
-    return edges
+    # the hull ends at (m_zero, 0), the only point kept with j = 0, so
+    # every edge falls
+    hull = _lower_hull([(i, j) for i, j in support.items() if i <= m_zero])
+    return [(i1, j1, i2, j2) for (i1, j1), (i2, j2) in zip(hull, hull[1:])]
 
 
-def _edge_polynomial(f: MultiPoly, xname: str, edge):
-    """Coefficients of the restriction of f to one polygon edge, as a
-    univariate polynomial in the segment unknown z: returns (a, b, level,
-    coeff list ascending in z), where a/b is the slope gamma in lowest
-    terms."""
+def _edge_polynomial(rows, edge):
+    """Coefficients of the restriction of ``rows`` to one polygon edge, as
+    a univariate polynomial in the segment unknown z: returns (a, b,
+    level, coeff list ascending in z), where a/b is the slope gamma in
+    lowest terms and the coefficient of z^k is that of x^i t^j with
+    i = i1 + k*b on the edge's line b*j + a*i = level."""
     i1, j1, i2, j2 = edge
     gamma = Fraction(j1 - j2, i2 - i1)
     a, b = gamma.numerator, gamma.denominator
     level = b * j1 + a * i1
-    xi, ti = f.vars.index(xname), f.vars.index("t")
-    deg = (i2 - i1) // b
-    coeffs = [f.field.zero] * (deg + 1)
-    for exps, c in f.terms.items():
-        i, j = exps[xi], exps[ti]
-        if b * j + a * i == level and (i - i1) % b == 0 and i1 <= i <= i2:
-            coeffs[(i - i1) // b] = coeffs[(i - i1) // b] + c
+    coeffs = [rows[i].coeff_at((level - a * i) // b)
+              for i in range(i1, i2 + 1, b)]
     return a, b, level, coeffs
 
 
-def _segment(f: MultiPoly, xname: str, a: int, b: int, level: int, head,
-             c, field, below=None):
-    """f after t -> c T^b, x -> T^a (head + x) and division by T^level, as
-    the dense list of its x-coefficients, exact series in T over
-    ``field``, the field of head and c: each d x^i t^j adds d c^j
+def _segment(rows, a: int, b: int, level: int, head, c, field, below=None):
+    """``rows`` after t -> c T^b, x -> T^a (head + x) and division by
+    T^level, as the dense list of its x-coefficients, exact series in T
+    over ``field``, the field of head and c: each d x^i t^j adds d c^j
     T^(a*i + b*j - level) to the coefficient of x^i, T nonnegative on the
     segment's side of the polygon, and ``series.taylor_shift`` then
     substitutes head + x for x by Ruffini's rule.
 
     Terms of T-exponent ``below`` or more are dropped before the shift:
     the shift keeps T-exponents, so this is exact below T^below."""
-    xi, ti = f.vars.index(xname), f.vars.index("t")
-    rows = [{} for _ in range(f.degree_in(xname) + 1)]
+    out = []
     powers = {}
-    for exps, d in f.terms.items():
-        j = exps[ti]
-        e = a * exps[xi] + b * j - level
-        if below is not None and e >= below:
-            continue
-        if j not in powers:
-            powers[j] = c ** j
-        rows[exps[xi]][e] = field.of(d) * powers[j]
-    while rows and not rows[-1]:
-        rows.pop()
-    return taylor_shift([TruncatedSeries(field, row, INF) for row in rows],
+    for i, row in enumerate(rows):
+        terms = {}
+        for j, d in row.coeffs.items():
+            e = a * i + b * j - level
+            if below is not None and e >= below:
+                continue
+            if j not in powers:
+                powers[j] = c ** j
+            terms[e] = field.of(d) * powers[j]
+        out.append(terms)
+    while out and not out[-1]:
+        out.pop()
+    return taylor_shift([TruncatedSeries(field, terms, INF) for terms in out],
                         field.of(head))
 
 
@@ -279,24 +267,22 @@ def _t_in_T(levels):
     return B, c
 
 
-def _expand_squarefree(f: MultiPoly, xname: str, prec: Fraction, depth: int):
-    """All val>0 branches of a squarefree polynomial, as (levels, span,
-    expand) in ``Branch``'s terms, ``expand()`` computing the series: the
-    levels of every branch are known before any series is lifted."""
+def _expand_squarefree(rows, field, prec: Fraction, depth: int):
+    """All val>0 branches of a squarefree polynomial, given as its dense
+    x-coefficient list over ``field``, as (levels, span, expand) in
+    ``Branch``'s terms, ``expand()`` computing the series: the levels of
+    every branch are known before any series is lifted."""
     if depth > 64:
         raise BudgetError("Newton polygon recursion exceeded its depth cap")
-    field = f.field
-    xi, ti = f.vars.index(xname), f.vars.index("t")
     out = []
-    k = _x_adic_valuation(f, xi)
+    k = next(i for i, row in enumerate(rows) if not row.is_zero_to_precision())
     if k > 0:
         out.append(((), 1, partial(TruncatedSeries.zero, field)))
-        f = _divide_x_power(f, xi, k)
-    if f.constant_value():
+        rows = rows[k:]
+    if rows[0].constant_term():
         return out
-    edges = newton_polygon_edges(f, xname)
-    for edge in edges:
-        a, b, level, coeffs = _edge_polynomial(f, xname, edge)
+    for edge in newton_polygon_edges(rows):
+        a, b, level, coeffs = _edge_polynomial(rows, edge)
         phi = MultiPoly(field, ("z",),
                         {(k,): c for k, c in enumerate(coeffs)})
         u, v = _bezout_pair(a, b)
@@ -309,33 +295,27 @@ def _expand_squarefree(f: MultiPoly, xname: str, prec: Fraction, depth: int):
             # edge terms become phi(z0) z0^const, so no b-th root is needed
             head, c = z0 ** u, z0 ** v
             if mult == 1:
-                tail = partial(_hensel_tail, f, xname, a, b, level, head, c,
+                tail = partial(_hensel_tail, rows, a, b, level, head, c,
                                rfield, sub_prec)
                 out.append((((a, b, z0),), b * kappa,
                             partial(_assemble, tail, head, a, 1, 1)))
                 continue
-            key, terms = [0] * len(f.vars), {}
-            for i, s in enumerate(_segment(f, xname, a, b, level, head, c,
-                                           rfield)):
-                for e, coef in s.coeffs.items():
-                    key[xi], key[ti] = i, e
-                    terms[tuple(key)] = coef
-            g = MultiPoly(rfield, f.vars, terms)
+            segment = _segment(rows, a, b, level, head, c, rfield)
             for levels, sub_span, tail in _expand_squarefree(
-                    g, xname, Fraction(sub_prec), depth + 1):
+                    segment, rfield, Fraction(sub_prec), depth + 1):
                 out.append((((a, b, z0),) + levels, b * kappa * sub_span,
                             partial(_assemble, tail, head, a,
                                     *_t_in_T(levels))))
     return out
 
 
-def _hensel_tail(f: MultiPoly, xname: str, a: int, b: int, level: int, head,
-                 c, rfield, sub_prec) -> TruncatedSeries:
+def _hensel_tail(rows, a: int, b: int, level: int, head, c, rfield,
+                 sub_prec) -> TruncatedSeries:
     """The tail x1(T) of a segment whose root is simple, to O(T^sub_prec).
     x1 = 0 at T = 0 is a root of the segment by construction, since the
     edge terms sum to a power of z0 times phi(z0) = 0: a segment that does
     not vanish there is a defect, not a Hensel failure."""
-    segment = _segment(f, xname, a, b, level, head, c, rfield, sub_prec)
+    segment = _segment(rows, a, b, level, head, c, rfield, sub_prec)
     if segment[0].constant_term():
         raise VerificationFailureError(
             "segment does not vanish at its edge root: phi(z0) != 0")
@@ -391,18 +371,18 @@ def newton_puiseux(F: MultiPoly, xname: str, prec):
     prec = positive_precision(prec)
     if F.is_zero():
         raise InvalidInputError("zero polynomial")
-    if "t" not in F.vars:
-        raise InvalidInputError("the series parameter must be named t")
+    rows = series_poly_from_multipoly(F, xname)
     if F.coeff_of("t", 0).is_zero():
         raise NotRegularError("F(x, 0) vanishes identically; shear first")
     if separable_by_evaluation(F, xname):
-        pieces = [(F, 1)]
+        pieces = [(rows, 1)]
     else:
-        pieces = [(fac, mult) for fac, mult in squarefree_decompose(F)
+        pieces = [(series_poly_from_multipoly(fac, xname), mult)
+                  for fac, mult in squarefree_decompose(F)
                   if fac.involves(xname)]
-    plans = [(levels, mult, span, expand) for fac, mult in pieces
-             for levels, span, expand in _expand_squarefree(fac, xname, prec,
-                                                             0)]
+    plans = [(levels, mult, span, expand) for piece, mult in pieces
+             for levels, span, expand in _expand_squarefree(piece, F.field,
+                                                             prec, 0)]
     return [Branch(expand().truncate(prec * _t_in_T(levels)[0]), mult, span,
                    levels)
             for levels, mult, span, expand in plans]

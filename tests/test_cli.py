@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import curveint.algebra
 import curveint.cli
 import curveint.infinitesimal
 import curveint.intersect
@@ -317,6 +318,41 @@ def test_a_segment_off_its_edge_root_is_a_defect(monkeypatch):
     report, code = run_job(Job.from_dict(entry["job"]))
     assert code == EXIT_VERIFICATION
     assert "phi(z0) != 0" in report["error"]
+
+
+def test_a_squarefree_decomposition_short_of_f_is_a_defect(monkeypatch):
+    """A factor lost in ``_sqf_recurse`` leaves the product of the factors
+    short of the polynomial the program decomposed."""
+    real = curveint.algebra._sqf_recurse
+
+    def dropped(f):
+        factors = real(f)
+        factors.pop(next(iter(factors)))
+        return factors
+    monkeypatch.setattr(curveint.algebra, "_sqf_recurse", dropped)
+    report, code = run_job(Job(command="bezout",
+                               curves=("x^2+y^2-5", "x*y-2")))
+    assert code == EXIT_VERIFICATION
+    assert "failed to reconstruct" in report["error"]
+
+
+@pytest.mark.parametrize("name,command,curves,error", [
+    ("resultant", "mult", ("x", "y"), "resultant of a coprime local pair"),
+    ("resultant_and_s1", "bezout", ("x^2+y^2-5", "x*y-2"),
+     "eliminant of coprime curves")])
+def test_a_zero_eliminant_of_coprime_curves_is_a_defect(monkeypatch, name,
+                                                        command, curves,
+                                                        error):
+    """``local_pair`` and ``bezout``'s gcd of the forms prove the curves
+    coprime before any resultant is taken, so a resultant that vanishes
+    identically is the kernel's fault, not the input's."""
+    def zero(f, g, xv):
+        R = MultiPoly.zero(f.field, f.vars)
+        return R if name == "resultant" else (R, None)
+    monkeypatch.setattr(curveint.intersect, name, zero)
+    report, code = run_job(Job(command=command, curves=curves))
+    assert code == EXIT_VERIFICATION
+    assert report["error"] == f"identically vanishing {error}"
 
 
 def test_mult_off_origin_matches_bezout_line():

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -329,11 +329,12 @@ QW2 = ExtensionField(QQ, [-2, 0, 1], "w")
 @pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(101), QW2],
                          ids=["Q", "F7", "F101", "Q[w]/(w^2-2)"])
 def test_segment_shift_matches_compose(field):
-    """The segment list ``lifting._segment`` builds, with x -> head + x by
-    Ruffini's rule on series, equals the term-by-term expansion of
-    ``oracles.transform_segment_by_expansion``, read as series in T: random
-    f of degree <= 6, slopes with b = 1 and b > 1, head 0 and nonzero,
-    with no bound and with an int or Fraction truncation bound."""
+    """The segment list ``lifting._segment`` builds from f's dense list of
+    series, with x -> head + x by Ruffini's rule on series, equals the
+    term-by-term expansion of ``oracles.transform_segment_by_expansion``,
+    read as series in T: random f of degree <= 6, slopes with b = 1 and
+    b > 1, head 0 and nonzero, with no bound and with an int or Fraction
+    truncation bound."""
     rng = random.Random(81)
     for b_kind, head_kind, below_kind in product((1, 2), (0, 1), (0, 1, 2)):
         for _ in range(3):
@@ -355,8 +356,50 @@ def test_segment_shift_matches_compose(field):
                      Fraction(rng.randint(3, 19), 2))[below_kind]
             want = series_poly_from_multipoly(transform_segment_by_expansion(
                 f, "x", a, b, level, head, c, field, below), "x")
-            assert lifting._segment(f, "x", a, b, level, head, c, field,
+            rows = series_poly_from_multipoly(f, "x")
+            assert lifting._segment(rows, a, b, level, head, c, field,
                                     below) == want, str(f)
+
+
+def _edges_by_brute_force(F):
+    """The origin-facing Newton polygon's edges of F(x, t), from its
+    exponents alone: the support points with i up to m = ord_x F(x, 0),
+    and every falling segment (i, j)-(k, l) between two of them with no
+    support point below its line, taken between the outermost support
+    points on that line."""
+    pts = list(F.terms)
+    m = min(i for i, j in pts if j == 0)
+    pts = [p for p in pts if p[0] <= m]
+    edges = []
+    for (i, j), (k, l) in combinations(sorted(pts), 2):
+        if i == k or j <= l:
+            continue
+        height = [(q - j) * (k - i) - (l - j) * (p - i) for p, q in pts]
+        on_line = [p for (p, _), h in zip(pts, height) if h == 0]
+        if min(height) >= 0 and (min(on_line), max(on_line)) == (i, k):
+            edges.append((i, j, k, l))
+    return sorted(edges)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101), QW2],
+                         ids=["Q", "F101", "Q[w]/(w^2-2)"])
+def test_newton_polygon_edges_match_brute_force_hull(field):
+    """``newton_polygon_edges`` on the dense list of series equals the
+    edges found by testing every pair of support points of sparse random
+    F(x, t) with F(x, 0) != 0, about half of them through the origin."""
+    rng = random.Random(37)
+    for _ in range(60):
+        terms = {(i, j): field.of(rng.choice([-3, -2, -1, 1, 2, 3]))
+                 for i in range(7) for j in range(7) if rng.random() < 0.2}
+        terms[(rng.randint(1, 6), 0)] = field.one
+        if rng.random() < 0.5:
+            terms.pop((0, 0), None)
+        if isinstance(field, ExtensionField):
+            terms = {e: c + field.gen for e, c in terms.items()}
+        F = MultiPoly(field, XT, terms)
+        rows = series_poly_from_multipoly(F, "x")
+        assert lifting.newton_polygon_edges(rows) \
+            == _edges_by_brute_force(F), str(F)
 
 
 # -------------------------------------------------------------- weierstrass

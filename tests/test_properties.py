@@ -2,7 +2,8 @@
 checked on seeded random pairs over Q and F_101 (Fulton, Algebraic Curves,
 section 3.3): singular points, non-reduced components, symmetry,
 adding a multiple of one curve to the other and invariance under affine
-changes of coordinates; and Bezout's theorem itself on random projective
+changes of coordinates; the exit codes of ``mult`` on random local pairs
+over Q, F_7 and F_101; and Bezout's theorem itself on random projective
 pairs over Q, F_5, F_7 and F_101.
 
 Every pair runs through ``multiplicities_at``, which enforces that its three
@@ -190,6 +191,47 @@ def test_invariance_under_affine_changes_of_coordinates(seed, fieldname):
     curves = [Curve(homogenize(h, h.total_degree())) for h in (F, G)]
     point = ProjectivePoint((p, q, 1), field)
     assert multiplicities_at(*curves, point).multiplicity == expected, pair
+
+
+MULT_FIELDS = {"Q": QQ, "F7": PrimeField(7), "F101": PrimeField(101)}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(seed=st.integers(0, 10 ** 6),
+       fieldname=st.sampled_from(sorted(MULT_FIELDS)),
+       shape=st.sampled_from(["random", "product", "square", "shared line"]),
+       job_seed=st.integers(0, 5))
+def test_mult_exit_codes_on_random_local_pairs(seed, fieldname, shape,
+                                               job_seed):
+    """``mult`` at the origin of two random curves through it, of their
+    products with random curves, of a square, or of two curves sharing a
+    line through it: ``run_job`` returns (it never raises), the exit is 0,
+    2 (a shared component) or 3 (a budget), never 1, and on exit 0 all
+    three engines give ``oracles.fulton_intersection_number``."""
+    field = MULT_FIELDS[fieldname]
+    rng = random.Random(seed)
+    f, g = (_higher_terms(rng, field, 1, 2) for _ in range(2))
+    if shape == "product":
+        f, g = (h * _higher_terms(rng, field, 0, 1) for h in (f, g))
+    elif shape == "square":
+        f = f * f
+    elif shape == "shared line":
+        a, b = rng.choice([(1, 0), (0, 1), (1, 1), (1, -2), (2, 3)])
+        line = _form(rng, field, [a, b])
+        f, g = f * line, g * line
+    if f.is_zero() or g.is_zero():
+        return
+    curves = (str(f), str(g))
+    report, code = run_job(Job(command="mult", curves=curves,
+                               field=fieldname, seed=job_seed))
+    pair = f"seed {seed} over {fieldname}, job seed {job_seed}: {curves}"
+    assert code in (0, 2, 3), (pair, report)
+    if code == EXIT_OK:
+        [result] = report["results"]
+        expected = fulton_intersection_number(f, g)
+        assert [result[k] for k in ("mult_length", "mult_resultant",
+                                    "mult_deformation")] == [expected] * 3, \
+            pair
 
 
 BEZOUT_FIELDS = ["Q", "F5", "F7", "F101"]
