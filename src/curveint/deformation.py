@@ -70,7 +70,8 @@ from .algebra import (LocalPair, gcd, lift_to_field, resultant_and_s1,
                       separable_by_evaluation)
 from .errors import (GenericityFailureError, InsufficientPrecisionError,
                      InvalidInputError, SharedComponentError,
-                     UnsupportedExtensionError, ZeroToPrecisionError)
+                     UnsupportedExtensionError, VerificationFailureError,
+                     ZeroToPrecisionError)
 from .fields import ExtensionField
 from .poly import MultiPoly
 from .lifting import _x_adic_valuation, newton_puiseux
@@ -197,8 +198,11 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, R: MultiPoly, s1,
     must satisfy f_t and g_t, specialize to the origin and have a nonzero
     Jacobian.  Separability of R already proves every point transverse;
     the Jacobian is the one witness check made against the deformed pair
-    rather than against R, so it stays.  Raises GenericityFailureError
-    when any certificate fails (caller reseeds), and
+    rather than against R, so it stays.  The sheared pair is in general
+    position, so x along every branch tends to the origin: a witness that
+    does not is a defect (VerificationFailureError).  Raises
+    GenericityFailureError when another certificate fails (caller
+    reseeds), and
     InsufficientPrecisionError or ZeroToPrecisionError when a check could
     not decide at ``prec`` (caller escalates); no check passes on a value
     known only to O(t^0)."""
@@ -214,13 +218,13 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, R: MultiPoly, s1,
             "degree-one subresultant vanishes along a branch"):
         vx = xser.valuation()
         if vx is not None and vx <= 0:
-            raise GenericityFailureError(
-                "branch x-coordinate does not specialize to the origin; "
-                "the shear precondition is violated")
+            raise VerificationFailureError(
+                "branch x-coordinate does not specialize to the origin, "
+                "though the sheared pair is in general position")
         if vx is None and xser.prec <= 0:
             raise InsufficientPrecisionError(
                 "branch x-coordinate is known only to "
-                f"O(t^{xser.prec / br.B})")
+                f"O(t^{Fraction(xser.prec, br.B)})")
         for eq in (ft, gt):
             residual = at(eq, xser)
             if residual.valuation() is not None:
@@ -229,7 +233,7 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, R: MultiPoly, s1,
             if residual.prec <= 0:
                 raise InsufficientPrecisionError(
                     "witness residual is known only to "
-                    f"O(t^{residual.prec / br.B})")
+                    f"O(t^{Fraction(residual.prec, br.B)})")
         if at(jac, xser).is_zero_to_precision():
             raise ZeroToPrecisionError(
                 "deformed intersection is not transverse at a witness")

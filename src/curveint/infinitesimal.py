@@ -13,6 +13,7 @@ subresultant (``deformation._points_along``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import (apply_shear, first_shear, in_general_position,
                       local_pair, translate_to_origin)
@@ -167,13 +168,13 @@ def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):
     # x = -S10/S11 loses the valuation of S11 along the branch: expand once
     # more with that shortfall added, and keep only what prec asked for;
     # precisions compare in t, B times less than in the branch's T
-    short = max((prec - min(xs.prec, ys.prec) / br.B
+    short = max((prec - Fraction(min(xs.prec, ys.prec), br.B)
                  for xs, ys, br in points), default=0)
     if short > 0:
         points = _nearby_points(ft, gt, base, prec + short)
     out = []
     for xs, ys, br in points:
-        known = min(xs.prec, ys.prec) / br.B
+        known = Fraction(min(xs.prec, ys.prec), br.B)
         if known < prec:
             raise InsufficientPrecisionError(
                 f"a nearby point is known only to O(t^{known}), not "

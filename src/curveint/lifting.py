@@ -26,6 +26,7 @@ entry points:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -74,9 +75,10 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
     is returned only once f(root) vanishes mod t^prec, evaluated at that
     full precision, and InsufficientPrecisionError otherwise (the
     coefficients are not known that far, or the iterate did not converge).
-    A precision that is not positive is an InvalidInputError.
+    A precision that is not positive is an InvalidInputError; one between
+    integers is rounded up, since every exponent is an integer.
     """
-    prec = positive_precision(prec)
+    prec = math.ceil(positive_precision(prec))
     if isinstance(f, MultiPoly):
         f = series_poly_from_multipoly(f, f.vars[0])
     if not f:
@@ -94,13 +96,14 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
         raise NotSimpleRootError(
             "residual derivative vanishes at a0; the root is not simple")
     # a0 is correct to the valuation v0 of f(a0), and a step at working
-    # precision w needs an approximant correct to w/2: so prec/2^k, ...,
-    # prec/2, prec, starting from the first w with w/2 <= v0.  Between
-    # steps the approximant is an exact polynomial, read at each w.
+    # precision w needs an approximant correct to w/2: so the cutoffs of
+    # prec/2^k, ..., prec/2, prec, starting from the first w with
+    # w/2 <= v0.  Between steps the approximant is an exact polynomial,
+    # read at each w.
     v0 = res0.effective_valuation()
     schedule = [prec]
-    while v0 > 0 and schedule[-1] / 2 > v0:
-        schedule.append(schedule[-1] / 2)
+    while v0 > 0 and -(-schedule[-1] // 2) > v0:
+        schedule.append(-(-schedule[-1] // 2))
     schedule.reverse()
     x = TruncatedSeries.constant(field, a0)
     for w in schedule + [prec]:
@@ -196,12 +199,15 @@ def _lower_hull(points):
 def newton_polygon_edges(rows):
     """Edges (i1, j1, i2, j2) of the origin-facing Newton polygon of the
     dense x-coefficient list ``rows``, with positive slope
-    gamma = (j1 - j2)/(i2 - i1) for branches with val > 0."""
+    gamma = (j1 - j2)/(i2 - i1) for branches with val > 0.  The rows
+    never all vanish at t = 0: ``newton_puiseux`` refuses F(x, 0) = 0, and
+    a nested segment at T = 0 is its nonzero edge polynomial shifted."""
     support = {i: row.valuation() for i, row in enumerate(rows)
                if not row.is_zero_to_precision()}
     m_zero = min((i for i, j in support.items() if j == 0), default=None)
     if m_zero is None:
-        raise NotRegularError("input vanishes identically at t = 0")
+        raise VerificationFailureError(
+            "Newton polygon input vanishes identically at t = 0")
     # the hull ends at (m_zero, 0), the only point kept with j = 0, so
     # every edge falls
     hull = _lower_hull([(i, j) for i, j in support.items() if i <= m_zero])

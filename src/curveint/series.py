@@ -9,19 +9,17 @@ series produce them); a series with all known coefficients zero is only
 "zero to precision" and its valuation is reported as None, never as a
 number.  Constants and polynomials embed with infinite precision.
 
-A series computes on Python ints.  Its precision is kept as two ints,
-prec = pn / pd (pd = 0 for an exact series), with the cutoff, the least
-index at or past it, as one more int; so a precision between integers,
-such as Hensel's 5/2, is kept exactly.
+A series computes on Python ints.  Its precision is its cutoff, one int
+(None for an exact series, read as INF): every exponent is an integer, so
+a precision between integers, such as Hensel's 5/2, knows exactly the
+coefficients its ceiling knows, and is rounded up where it enters.
 Its coefficients are int codes: over F_p residues in [1, p), over Q
 integer numerators over one positive series-wide denominator with
 gcd(den, *codes) = 1, and over K[z]/(m) the elements themselves.  Each
 result is normalised once (one ``% p`` per coefficient, or one gcd per
 series); a product of two series over K[z]/(m) goes through
-``Field.product_codec``.  Field elements and ``Fraction`` precisions are
-built only where a caller reads them (``coeffs``, ``prec``, ``coeff_at``,
-``valuation``, ``format``) and in the rare product with a factor zero to
-precision.
+``Field.product_codec``.  Field elements are built only where a caller
+reads them (``coeffs``, ``coeff_at``, ``format``).
 
 All values are immutable; operations return fresh series and never claim
 coefficients at or beyond the stated precision.
@@ -55,23 +53,22 @@ def _modulus(field):
     return None if isinstance(field, ExtensionField) else field.characteristic
 
 
-def _cutoff(pn, pd):
-    """The least index k with k >= pn / pd, or None when pd = 0 (INF)."""
-    return -(-pn // pd) if pd else None
+def _cutoff(prec):
+    """The cutoff of a precision (a number or INF): the least index k with
+    k >= prec, or None for INF."""
+    if prec.__class__ is int:
+        return prec
+    return None if prec == INF else math.ceil(prec)
 
 
-def _index_precision(prec):
-    """(pn, pd, cut) for a precision (a number or INF): prec = pn / pd and
-    its cutoff; (1, 0, None) for INF."""
-    if prec.__class__ is not Fraction:
-        if prec == INF:
-            return 1, 0, None
-        prec = Fraction(prec)
-    pn, pd = prec.numerator, prec.denominator
-    return pn, pd, _cutoff(pn, pd)
+def _min_cut(a, b):
+    """The lower of two cutoffs, None standing above every int."""
+    if a is None:
+        return b
+    return a if b is None or a <= b else b
 
 
-def _make(field, mod, codes, den, pn, pd, cut):
+def _make(field, mod, codes, den, cut):
     """A series from parts that are already clean: nonzero codes in
     canonical form at int indices below ``cut``."""
     s = object.__new__(TruncatedSeries)
@@ -79,8 +76,6 @@ def _make(field, mod, codes, den, pn, pd, cut):
     s._mod = mod
     s._c = codes
     s._den = den
-    s._pn = pn
-    s._pd = pd
     s._cut = cut
     return s
 
@@ -117,35 +112,26 @@ def _scalar_code(field, mod, c):
 
 
 def _encode(field, mod, elements):
-    """(codes, den) of a dict of nonzero field elements, over their least
-    common denominator: already canonical."""
+    """(codes, den) of a dict of field elements (or ints or Fractions), the
+    zeros (of denominator 1) dropped, over their least common denominator:
+    already canonical."""
     parts = {k: _scalar_code(field, mod, c) for k, c in elements.items()}
     den = math.lcm(1, *(d for _, d in parts.values()))
     return {k: n if d == den else n * (den // d)
-            for k, (n, d) in parts.items()}, den
-
-
-def _less(an, ad, bn, bd):
-    """an/ad < bn/bd for index precisions, a zero denominator marking INF."""
-    return an * bd < bn * ad
+            for k, (n, d) in parts.items() if n}, den
 
 
 class TruncatedSeries:
-    __slots__ = ("field", "_mod", "_c", "_den", "_pn", "_pd", "_cut")
+    __slots__ = ("field", "_mod", "_c", "_den", "_cut")
 
     def __init__(self, field, coeffs, prec):
-        pn, pd, cut = _index_precision(prec)
+        cut = _cutoff(prec)
         mod = _modulus(field)
-        clean = {}
-        for k, c in coeffs.items():
-            c = field.of(c)
-            k = int(k)
-            if c and (cut is None or k < cut):
-                clean[k] = c
-        codes, den = _encode(field, mod, clean)
+        if cut is not None:
+            coeffs = {k: c for k, c in coeffs.items() if k < cut}
+        codes, den = _encode(field, mod, coeffs)
         self.field, self._mod = field, mod
-        self._c, self._den = codes, den
-        self._pn, self._pd, self._cut = pn, pd, cut
+        self._c, self._den, self._cut = codes, den, cut
 
     # ------------------------------------------------------------- builders
     @classmethod
@@ -160,18 +146,18 @@ class TruncatedSeries:
     def variable(cls, field, prec=INF):
         return cls(field, {1: field.one}, prec)
 
-    def _like(self, codes, den, pn, pd, cut):
-        return _make(self.field, self._mod, codes, den, pn, pd, cut)
+    def _like(self, codes, den, cut):
+        return _make(self.field, self._mod, codes, den, cut)
 
     def exact(self) -> "TruncatedSeries":
         """The same coefficients, known exactly: a Laurent polynomial."""
-        return self._like(self._c, self._den, 1, 0, None)
+        return self._like(self._c, self._den, None)
 
     # ------------------------------------------------------------ structure
     @property
     def prec(self):
-        """The precision: a Fraction, or INF for an exact series."""
-        return Fraction(self._pn, self._pd) if self._pd else INF
+        """The precision: the cutoff, an int, or INF for an exact series."""
+        return INF if self._cut is None else self._cut
 
     @property
     def coeffs(self) -> dict:
@@ -209,27 +195,26 @@ class TruncatedSeries:
         return self.coeff_at(0) if self.prec > 0 else self.field.zero
 
     def truncate(self, new_prec) -> "TruncatedSeries":
-        pn, pd, cut = _index_precision(new_prec)
-        if not _less(pn, pd, self._pn, self._pd):
+        cut = _cutoff(new_prec)
+        if _min_cut(cut, self._cut) == self._cut:
             return self
         codes = {k: c for k, c in self._c.items() if k < cut}
-        return self._like(*_normal(self._mod, codes, self._den), pn, pd, cut)
+        return self._like(*_normal(self._mod, codes, self._den), cut)
 
     def _shifted(self, d: int) -> "TruncatedSeries":
         """Times t^d."""
-        pn, pd = self._pn + d * self._pd, self._pd
         return self._like({k + d: c for k, c in self._c.items()}, self._den,
-                          pn, pd, self._cut + d if pd else None)
+                          None if self._cut is None else self._cut + d)
 
     # ----------------------------------------------------------- arithmetic
     def __add__(self, other):
         if other.__class__ is not TruncatedSeries:
             return self._plus_scalar(other)
         a, b = self, other
-        if _less(b._pn, b._pd, a._pn, a._pd):
+        if _min_cut(a._cut, b._cut) != a._cut:
             a, b = b, a  # a has the lower precision, which the sum keeps
         out, den = _merge(dict(a._c), a._den, b._c, b._den, a._cut)
-        return a._like(*_normal(a._mod, out, den), a._pn, a._pd, a._cut)
+        return a._like(*_normal(a._mod, out, den), a._cut)
 
     __radd__ = __add__
 
@@ -239,8 +224,7 @@ class TruncatedSeries:
         if not c or (self._cut is not None and self._cut <= 0):
             return self
         out, den = _merge(dict(self._c), self._den, {0: c}, cden, None)
-        return self._like(*_normal(self._mod, out, den), self._pn, self._pd,
-                          self._cut)
+        return self._like(*_normal(self._mod, out, den), self._cut)
 
     def __neg__(self):
         mod = self._mod
@@ -248,7 +232,7 @@ class TruncatedSeries:
             codes = {k: mod - c for k, c in self._c.items()}
         else:
             codes = {k: -c for k, c in self._c.items()}
-        return self._like(codes, self._den, self._pn, self._pd, self._cut)
+        return self._like(codes, self._den, self._cut)
 
     def __sub__(self, other):
         if other.__class__ is not TruncatedSeries:
@@ -261,21 +245,21 @@ class TruncatedSeries:
     def _times_scalar(self, c):
         c, cden = _scalar_code(self.field, self._mod, c)
         if not c:  # times an exact zero: an exact zero
-            return self._like({}, 1, 1, 0, None)
+            return self._like({}, 1, None)
         return self._like(*_normal(self._mod,
                                    {k: x * c for k, x in self._c.items()},
                                    self._den * cden),
-                          self._pn, self._pd, self._cut)
+                          self._cut)
 
     def __mul__(self, b):
         if b.__class__ is not TruncatedSeries:
             return self._times_scalar(b)
         a = self
+        cut = _product_cut(a, b)
         if not a._c or not b._c:
-            return _zero_product(a, b)
-        pn, pd, cut = _product_precision(a, b)
+            return a._like({}, 1, cut)
         sums, den = _product_sums(a, b, cut)
-        return a._like(*_normal(a._mod, sums, den), pn, pd, cut)
+        return a._like(*_normal(a._mod, sums, den), cut)
 
     __rmul__ = __mul__
 
@@ -285,10 +269,9 @@ class TruncatedSeries:
         a = self
         if not a._c or not b._c:
             return a * b + c
-        pn, pd, cut = _product_precision(a, b)
+        cut = _product_cut(a, b)
         if c.__class__ is TruncatedSeries:
-            if _less(c._pn, c._pd, pn, pd):
-                pn, pd, cut = c._pn, c._pd, c._cut
+            cut = _min_cut(cut, c._cut)
             codes, cden = c._c, c._den
         else:
             code, cden = _scalar_code(a.field, a._mod, c)
@@ -296,7 +279,7 @@ class TruncatedSeries:
         sums, den = _product_sums(a, b, cut)
         if codes:
             sums, den = _merge(sums, den, codes, cden, cut)
-        return a._like(*_normal(a._mod, sums, den), pn, pd, cut)
+        return a._like(*_normal(a._mod, sums, den), cut)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -319,7 +302,7 @@ class TruncatedSeries:
             raise NotAUnitError("series is not a unit (valuation != 0)")
         code, den = _scalar_code(self.field, self._mod,
                                  1 / self._element(c[0]))
-        u = _make(self.field, self._mod, {0: code}, den, 1, 0, None)
+        u = _make(self.field, self._mod, {0: code}, den, None)
         cut = self._cut
         if cut is None:
             if len(c) != 1:
@@ -331,9 +314,9 @@ class TruncatedSeries:
         while known < cut:
             known = min(2 * known, cut)
             s = self._like({k: v for k, v in c.items() if k < known},
-                           self._den, known, 1, known)
+                           self._den, known)
             u = (u * (2 - s * u)).exact()
-        return self._like(u._c, u._den, self._pn, self._pd, cut)
+        return self._like(u._c, u._den, cut)
 
     def __truediv__(self, b):
         if b.__class__ is not TruncatedSeries:
@@ -351,11 +334,11 @@ class TruncatedSeries:
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
             return self._c == other._c and self._den == other._den \
-                and self._pn * other._pd == other._pn * self._pd
+                and self._cut == other._cut
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.prec, self._den, frozenset(self._c.items())))
+        return hash((self._cut, self._den, frozenset(self._c.items())))
 
     # -------------------------------------------------------------- queries
     def specialize(self):
@@ -393,8 +376,8 @@ class TruncatedSeries:
                     parts.append("-" + body)
                 else:
                     parts.append(f"{cs}*{body}")
-        if self._pd:
-            p = self.prec / B
+        if self._cut is not None:
+            p = Fraction(self._cut, B)
             ps = str(p) if p.denominator == 1 else f"({p})"
             parts.append(f"O({name}^{ps})")
         if not parts:
@@ -430,15 +413,14 @@ def _merge(out, den, codes, cden, cut):
     return out, den
 
 
-def _product_precision(a, b):
-    """(pn, pd, cut) of a * b for a and b neither zero to precision:
-    min(prec_a + val_b, prec_b + val_a), in index units."""
-    apd, bpd = a._pd, b._pd
-    pn, pd = a._pn + min(b._c) * apd, apd
-    n2 = b._pn + min(a._c) * bpd
-    if _less(n2, bpd, pn, pd):
-        pn, pd = n2, bpd
-    return pn, pd, _cutoff(pn, pd)
+def _product_cut(a, b):
+    """The cutoff of a * b: min(cut_a + val_b, cut_b + val_a), a missing
+    valuation (a factor zero to precision) read as the cutoff."""
+    ca, cb = a._cut, b._cut
+    va = min(a._c) if a._c else ca
+    vb = min(b._c) if b._c else cb
+    return _min_cut(None if ca is None or vb is None else ca + vb,
+                    None if cb is None or va is None else cb + va)
 
 
 def _product_sums(a, b, cut):
@@ -467,15 +449,6 @@ def _product_sums(a, b, cut):
     if decode is not None:
         return decode(sums), 1
     return sums, a._den * b._den
-
-
-def _zero_product(a, b):
-    """a * b where one factor is zero to precision: zero, to the precision
-    min(prec_a + val_b, prec_b + val_a), a missing valuation read as the
-    precision.  A rare step, so it reads the precisions as Fractions."""
-    prec = min(a.prec + b.effective_valuation(),
-               b.prec + a.effective_valuation())
-    return a._like({}, 1, *_index_precision(prec))
 
 
 def horner(coeffs, point: TruncatedSeries) -> TruncatedSeries:
@@ -522,13 +495,9 @@ def _read_t(coeffs, t: TruncatedSeries) -> TruncatedSeries:
     it, exact when there is no e1."""
     (B, c), = t._c.items()
     e1 = min((e for e in coeffs if e), default=None)
-    if e1 is None:
-        pn, pd, cut = 1, 0, None
-    else:
-        pn, pd = t._pn + (e1 - 1) * B * t._pd, t._pd
-        cut = _cutoff(pn, pd)
-        coeffs = {e: ce for e, ce in coeffs.items()
-                  if cut is None or B * e < cut}
+    cut = None if e1 is None or t._cut is None else t._cut + (e1 - 1) * B
+    if cut is not None:
+        coeffs = {e: ce for e, ce in coeffs.items() if B * e < cut}
     field, mod, d = t.field, t._mod, t._den
     codes, den = _encode(field, mod, coeffs)
     if d != 1:  # c_e (c/d)^e over den * d^top
@@ -537,7 +506,7 @@ def _read_t(coeffs, t: TruncatedSeries) -> TruncatedSeries:
         den *= d ** top
     if c != 1 or B != 1:
         codes = {B * e: v * c ** e for e, v in codes.items()}
-    return _make(field, mod, *_normal(mod, codes, den), pn, pd, cut)
+    return _make(field, mod, *_normal(mod, codes, den), cut)
 
 
 def eval_poly_at_series(f: MultiPoly, assignment: dict) -> TruncatedSeries:

@@ -10,6 +10,7 @@ import pytest
 
 import curveint.algebra
 import curveint.cli
+import curveint.deformation
 import curveint.infinitesimal
 import curveint.intersect
 import curveint.lifting
@@ -334,6 +335,37 @@ def test_a_squarefree_decomposition_short_of_f_is_a_defect(monkeypatch):
                                curves=("x^2+y^2-5", "x*y-2")))
     assert code == EXIT_VERIFICATION
     assert "failed to reconstruct" in report["error"]
+
+
+def test_a_witness_off_the_origin_is_a_defect(monkeypatch):
+    """The sheared pair is in general position and the top x-coefficients
+    of f_t and g_t are units of k[[t]], so x along every branch tends to
+    the origin: a witness that does not is the kernel's fault, not a
+    genericity failure to reseed."""
+    real = curveint.deformation._points_along
+
+    def moved(*args):
+        for br, at, x in real(*args):
+            yield br, at, x + 1
+    monkeypatch.setattr(curveint.deformation, "_points_along", moved)
+    report, code = run_job(Job(command="mult", curves=("x*y", "x+y")))
+    assert code == EXIT_VERIFICATION
+    assert "does not specialize to the origin" in report["error"]
+
+
+def test_a_segment_vanishing_at_its_origin_is_a_defect(monkeypatch):
+    """``newton_puiseux`` refuses F(x, 0) = 0, and a nested segment at
+    T = 0 is its nonzero edge polynomial shifted, so a Newton polygon
+    whose rows all vanish at the origin is the kernel's fault, not bad
+    input."""
+    real = curveint.lifting._segment
+    monkeypatch.setattr(curveint.lifting, "_segment",
+                        lambda *args, **kwargs: [
+                            r._shifted(1) for r in real(*args, **kwargs)])
+    report, code = run_job(Job(command="mult",
+                               curves=("y - x^2", "y - 2*x^2")))
+    assert code == EXIT_VERIFICATION
+    assert "vanishes identically at t = 0" in report["error"]
 
 
 @pytest.mark.parametrize("name,command,curves,error", [

@@ -140,13 +140,13 @@ def test_hensel_ramified_coefficients_fractional_precision():
          TruncatedSeries.zero(QQ),
          TruncatedSeries.constant(QQ, 1)]
     root = hensel_lift(f, 1, prec)
-    assert root.prec == prec
+    assert root.prec == 3  # the cutoff of 5/2
     binom = Fraction(1)
     for k in range(3):
         assert root.coeff_at(k) == binom
         binom = binom * (Fraction(1, 2) - k) / (k + 1)
     resid = root * root + f[0]
-    assert resid.prec == prec and resid.valuation() is None
+    assert resid.prec == 3 and resid.valuation() is None
 
 
 def test_hensel_rejects_coefficients_short_of_the_precision():

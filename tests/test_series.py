@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,11 +8,12 @@ from fractions import Fraction
 from curveint.errors import (InvalidInputError, NotAUnitError,
                              NotSpecializableError)
 from curveint.fields import QQ, ExtElement, ExtensionField, PrimeField
+from curveint.lifting import hensel_lift
 from curveint.poly import MultiPoly
 from curveint.series import (INF, TruncatedSeries, eval_poly_at_series,
                              horner)
 
-from oracles import (RefSeries, agrees_with, eval_reference,
+from oracles import (RefSeries, _cutoff, agrees_with, eval_reference,
                      horner_reference)
 
 
@@ -231,7 +233,7 @@ def test_series_product_matches_naive_oracle(codec):
                   for terms, prec in (a, b))
         want, want_prec = _naive_product(a, b, codec)
         got = sa * sb
-        assert got.prec == want_prec
+        assert got.prec == _cutoff(want_prec)
         assert {k: from_field(c) for k, c in got.coeffs.items()} == want
         assert all(k < got.prec for k in got.coeffs)
 
@@ -294,7 +296,7 @@ def _same(got, want):
     """The kernel's series equals the reference's, part by part, and as a
     series built from the reference's coefficients (equal codes, equal
     hashes)."""
-    assert (got.coeffs, got.prec) == (want.coeffs, want.prec), \
+    assert (got.coeffs, got.prec) == (want.coeffs, _cutoff(want.prec)), \
         f"{got} != {want.series()}"
     assert got == want.series() and hash(got) == hash(want.series())
 
@@ -360,3 +362,47 @@ def test_horner_and_evaluation_match_dict_arithmetic(field):
                       "t": t}
         _same(eval_poly_at_series(f, assignment),
               eval_reference(f, assignment))
+
+
+# ------------------------------------------ a precision is its cutoff
+#
+# Every exponent is an integer, so a precision p between integers knows
+# exactly the coefficients of its ceiling: the series built at p is the
+# series built at ceil(p), and so is every result computed from it.
+
+@pytest.mark.parametrize("field", [QQ, F7, _EXT],
+                         ids=["Q", "F7", "Q[w]/(w^3-2w+5)"])
+def test_a_precision_between_integers_is_its_cutoff(field):
+    rng = random.Random(3838)
+    for _ in range(60):
+        d = rng.choice([2, 3, 4, 5])
+        p = rng.randint(-3, 10) + Fraction(rng.randint(1, d - 1), d)
+        cut = math.ceil(p)
+        terms = {rng.randint(-3, 12): _diff_element(rng, field)
+                 for _ in range(rng.randint(0, 6))}
+        at_p, at_cut = (TruncatedSeries(field, terms, q) for q in (p, cut))
+        wide = TruncatedSeries(field, terms, cut + rng.randint(0, 3))
+        exact = TruncatedSeries(field, {rng.randint(-3, 12):
+                                        _diff_element(rng, field)}, INF)
+        unit = exact._shifted(-exact.valuation()) if exact.valuation() \
+            is not None else TruncatedSeries.constant(field, 1)
+        for got, want in [(at_p, at_cut),
+                          (wide.truncate(p), wide.truncate(cut)),
+                          (at_p + exact, at_cut + exact),
+                          (at_p * unit, at_cut * unit)]:
+            assert got == want and hash(got) == hash(want)
+            assert got.prec == want.prec == cut
+
+
+@pytest.mark.parametrize("field", [QQ, F7, _EXT],
+                         ids=["Q", "F7", "Q[w]/(w^3-2w+5)"])
+def test_hensel_at_a_precision_between_integers_is_at_its_cutoff(field):
+    # x^2 - (1 + t): the binomial series of (1 + t)^(1/2)
+    f = [-TruncatedSeries(field, {0: 1, 1: 1}, INF),
+         TruncatedSeries.zero(field),
+         TruncatedSeries.constant(field, 1)]
+    for p in [Fraction(1, 2), Fraction(5, 2), Fraction(7, 3),
+              Fraction(31, 4), Fraction(33, 8)]:
+        root = hensel_lift(f, 1, p)
+        assert root == hensel_lift(f, 1, math.ceil(p))
+        assert root.prec == math.ceil(p)
