@@ -1,8 +1,10 @@
 """Infinitesimal deformation engine.
 
 Count the solutions of a curve pair inside the infinitesimal neighborhood
-of the origin after perturbing the defining coefficients along a seeded
-random direction scaled by t.  The count is certified, never assumed.
+of the origin after deforming each curve by t times a seeded random line
+a + b x + c y of its family (``random_direction``, the one rule of the
+deformation count and the two-scale readout).  The count is certified,
+never assumed.
 
 Everything runs in the one frame (x, y, t), on the sheared pair of a
 ``LocalPair`` (``algebra.local_pair``), which is in general position (the
@@ -84,17 +86,26 @@ def derived_seed(seed: int, attempt: int) -> int:
     return (seed * 1000003 + 7919 * attempt + attempt * attempt) & 0x7FFFFFFF
 
 
-def random_direction(rng: random.Random, field, degree: int) -> MultiPoly:
-    """A random member of the full family of degree <= ``degree`` curves
-    in the frame (x, y, t), with small integer coefficients, not
-    identically zero."""
+def random_direction(rng: random.Random, field) -> MultiPoly:
+    """A random line a + b x + c y of the family, in the frame (x, y, t),
+    with small integer coefficients, not identically zero.
+
+    Any member of the full family serves as a direction: once the
+    certificates pass (R separable in y, every witness specializing to the
+    origin), conservation of number (Fulton, *Intersection Theory*,
+    ch. 10) makes the count of nearby solutions I_P, the count at a
+    generic member and so the Zariski multiplicity.  The draw only makes
+    certification likely.  A line keeps t in the x^0 and x^1 coefficients
+    of the deformed pair, so the trivariate chain stays small.  Constant
+    directions are not enough: on y - x^2 vs y - 2x^2, f + at and g + a't
+    put both nearby points at one y, so R has a double factor at every
+    seed."""
     while True:
         terms = {}
-        for i in range(degree + 1):
-            for j in range(degree + 1 - i):
-                c = rng.randint(-9, 9)
-                if c:
-                    terms[(i, j, 0)] = field.of(c)
+        for mono in ((0, 0, 0), (0, 1, 0), (1, 0, 0)):
+            c = rng.randint(-9, 9)
+            if c:
+                terms[mono] = field.of(c)
         p = MultiPoly(field, VARS3, terms)
         if not p.is_zero():
             return p
@@ -322,14 +333,14 @@ class DeformationOutcome:
 def deformation_count(pair: LocalPair, seed: int = 0, prec=None,
                       max_retries: int = 8) -> DeformationOutcome:
     """The infinitesimal-neighborhood solution count of the pair at the
-    origin: perturb every coefficient of both sheared curves and count all
-    nearby solutions."""
+    origin: deform both sheared curves along random lines of their family
+    (``random_direction``) and count all nearby solutions."""
     fs, gs, lam, mu = pair.sheared
     field = fs.field
 
     def build(rng):
-        ft = deform_polynomial(fs, random_direction(rng, field, fs.total_degree()))
-        gt = deform_polynomial(gs, random_direction(rng, field, gs.total_degree()))
+        ft = deform_polynomial(fs, random_direction(rng, field))
+        gt = deform_polynomial(gs, random_direction(rng, field))
         return (ft, gt) + _eliminant_and_s1(ft, gt)
 
     def readout(built, prec):
@@ -371,7 +382,8 @@ def two_scale_analysis(pair: LocalPair, seed: int = 0,
     """Deform one side at a coarse scale t and group the multiplicity at
     the origin by the nearby coarse points P it splits into.
 
-    coarse_side "left" perturbs f, "right" perturbs g.  Each y-branch of
+    coarse_side "left" perturbs f, "right" perturbs g, along a random line
+    of the family (``random_direction``).  Each y-branch of
     R = Res_x(f_t, g_t) with multiplicity m and span k is one group (k, m):
     once every y-root carries a single coarse point, the order of R there
     is I_P(f_t, g_t), the multiplicity a fine deformation of either side
@@ -389,8 +401,7 @@ def two_scale_analysis(pair: LocalPair, seed: int = 0,
     f3, g3 = fs.extend_vars(VARS3), gs.extend_vars(VARS3)
 
     def build(rng):
-        d_coarse = random_direction(rng, field, (
-            fs if coarse_side == "left" else gs).total_degree())
+        d_coarse = random_direction(rng, field)
         ft = deform_polynomial(f3, d_coarse) if coarse_side == "left" else f3
         gt = deform_polynomial(g3, d_coarse) if coarse_side == "right" else g3
         R, s1 = _eliminant_and_s1(ft, gt)

@@ -204,7 +204,13 @@ def test_corpus_passes_precision_and_retries_to_every_instance():
     assert code == EXIT_BUDGET
     exits = [line["exit"] for line in report["results"]]
     assert EXIT_BUDGET in exits and set(exits) <= {EXIT_OK, EXIT_BUDGET}
+    # over F7 the seed-0 lines give the tangent conics' eliminant a
+    # repeated factor; the second seed certifies
     report, code = run_job(Job(command="corpus", max_retries=1))
+    assert code == EXIT_BUDGET
+    assert [line["name"] for line in report["results"]
+            if line["exit"] != EXIT_OK] == ["f7-tangent-conics"]
+    report, code = run_job(Job(command="corpus", max_retries=2))
     assert code == EXIT_OK
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -20,8 +21,8 @@ from curveint.fields import QQ, ExtensionField, PrimeField
 from curveint.poly import MultiPoly
 from curveint.series import TruncatedSeries
 
-from oracles import (bench_workloads, sylvester_resultant,
-                     transverse_by_evaluation)
+from oracles import (bench_workloads, fulton_intersection_number,
+                     sylvester_resultant, transverse_by_evaluation)
 
 V = ("x", "y")
 
@@ -133,10 +134,10 @@ def test_two_scale_expands_a_nested_ramified_eliminant(seed):
 
 
 def test_precision_escalates_within_the_first_seed(monkeypatch):
-    """The tangent parabolas' witnesses cannot decide at the start
-    precision 2; the readout reruns at 4 on the same eliminant, so seed
-    0's first attempt certifies and builds one chain."""
-    assert deformation.START_PRECISION == 2
+    """From start precision 1, the tangent parabolas' witnesses cannot
+    decide; the readout reruns at 2 on the same eliminant, so seed 0's
+    first attempt certifies and builds one chain."""
+    monkeypatch.setattr(deformation, "START_PRECISION", Fraction(1))
     precisions, chains = [], []
     readout, build = deformation.certified_solutions, deformation._eliminant_and_s1
     monkeypatch.setattr(deformation, "certified_solutions",
@@ -147,8 +148,8 @@ def test_precision_escalates_within_the_first_seed(monkeypatch):
     outcome = deformation_count(local_pair(y - x * x, y - 2 * x * x))
     assert outcome.count == 2
     assert outcome.seed_used == derived_seed(0, 0)
-    assert outcome.precision == 4
-    assert precisions == [2, 4]
+    assert outcome.precision == 2
+    assert precisions == [1, 2]
     assert len(chains) == 1
 
 
@@ -328,15 +329,15 @@ def test_two_scale_groups_match_pins(name, ftext, gtext, fieldname):
 
 
 def _force_direction(monkeypatch, make, forced_calls):
-    """Replace the first ``forced_calls`` coarse directions by
+    """Replace the first ``forced_calls`` drawn directions by
     ``make(field)``; later draws are the seeded random ones."""
     calls = []
 
-    def direction(rng, field, degree, *args, **kwargs):
-        calls.append(degree)
+    def direction(rng, field):
+        calls.append(field)
         if len(calls) <= forced_calls:
             return make(field)
-        return random_direction(rng, field, degree, *args, **kwargs)
+        return random_direction(rng, field)
 
     monkeypatch.setattr(deformation, "random_direction", direction)
     return calls
@@ -415,7 +416,7 @@ def _eliminant_seen(monkeypatch, consumer):
     x, y = xy()
     f, g = x - y, x ** 3 - y * y
     rng = random.Random(3)
-    directions = [random_direction(rng, QQ, 1), random_direction(rng, QQ, 3)]
+    directions = [random_direction(rng, QQ), random_direction(rng, QQ)]
     ft, gt = (deform_polynomial(h.extend_vars(VARS3), d)
               for h, d in zip((f, g), directions))
     assert (ft.degree_in("x"), gt.degree_in("x")) == (1, 3)
@@ -457,8 +458,9 @@ def _deformed(field, make, attempts=4):
     fs, gs, _, _ = shear_to_general_position(*make(x, y))
     for attempt in range(attempts):
         rng = random.Random(derived_seed(5, attempt))
-        yield tuple(deform_polynomial(h.extend_vars(VARS3), random_direction(
-            rng, field, h.total_degree())) for h in (fs, gs))
+        yield tuple(deform_polynomial(h.extend_vars(VARS3),
+                                      random_direction(rng, field))
+                    for h in (fs, gs))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(101), QW, F101W],
@@ -494,9 +496,9 @@ def test_count_only_agrees_with_witnesses(field, label, make, expected):
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "F101"])
 def test_count_only_certifies_tangent_branches(field):
     """The tangent conics' nearby points share a leading coefficient, so an
-    edge polynomial of R has a repeated root on 3 of these 4 directions;
-    R itself is separable on all 4, which is what proves the points
-    distinct."""
+    edge polynomial of R has a repeated root on each of these 4
+    directions; R itself is separable on all 4, which is what proves the
+    points distinct."""
     counts = []
     for ft, gt in _deformed(field, lambda x, y: (x * x - y, x * x - 2 * y)):
         R, _ = deformation._eliminant_and_s1(ft, gt)
@@ -541,8 +543,70 @@ def test_derived_seed_deterministic():
     assert derived_seed(42, 3) != derived_seed(42, 4)
 
 
-def test_random_direction_full_family():
-    rng = random.Random(0)
-    d = random_direction(rng, QQ, 2)
-    assert d.total_degree() <= 2
-    assert not d.is_zero()
+def test_random_direction_is_a_line():
+    """Each draw is a nonzero a + b x + c y, so t enters the deformed curve
+    only in its x^0 and x^1 coefficients."""
+    for field in (QQ, PrimeField(7), PrimeField(101)):
+        x, y = xy(field)
+        f3 = (x ** 3 - y * y + x * y).extend_vars(VARS3)
+        rng = random.Random(0)
+        for _ in range(50):
+            d = random_direction(rng, field)
+            assert not d.is_zero()
+            assert d.total_degree() <= 1
+            ft = deform_polynomial(f3, d)
+            assert {i for (i, _, k) in ft.terms if k} <= {0, 1}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_constant_directions_fail_on_tangent_parabolas(monkeypatch, seed):
+    """Why the draw has linear terms: f + a t and g + a' t put both nearby
+    points of y - x^2 and y - 2x^2 at one y, so R has a double factor,
+    whatever the constants."""
+    rng = random.Random(seed)
+    _force_direction(monkeypatch,
+                     lambda F: MultiPoly.const(F, VARS3, rng.randint(1, 9)),
+                     forced_calls=10 ** 6)
+    x, y = xy()
+    with pytest.raises(GenericityFailureError,
+                       match=r"^genericity certification failed after 8 "
+                             r"attempts \(last: deformed resultant has a "
+                             r"repeated factor\)$"):
+        deformation_count(local_pair(y - x * x, y - 2 * x * x), seed=seed)
+
+
+def _full_family(field, rng, degree):
+    """A draw over every monomial of total degree <= ``degree``."""
+    while True:
+        terms = {}
+        for i in range(degree + 1):
+            for j in range(degree + 1 - i):
+                c = rng.randint(-9, 9)
+                if c:
+                    terms[(i, j, 0)] = field.of(c)
+        p = MultiPoly(field, VARS3, terms)
+        if not p.is_zero():
+            return p
+
+
+CHEAP_LOCAL = [row for row in affine_instances() if row[3] in ("Q", "F101")]
+
+
+@pytest.mark.parametrize("name,ftext,gtext,fieldname", CHEAP_LOCAL,
+                         ids=[row[0] for row in CHEAP_LOCAL])
+def test_line_directions_count_as_the_full_family(monkeypatch, name, ftext,
+                                                  gtext, fieldname):
+    """Conservation of number: a certified count is I_P whichever member
+    of the family the pair is deformed to, so full-family directions, the
+    line rule and Fulton's algorithm agree."""
+    field, _ = parse_field(fieldname)
+    f, g = parse_poly(ftext, field, V), parse_poly(gtext, field, V)
+    expected = fulton_intersection_number(f, g)
+    assert deformation_count(local_pair(f, g)).count == expected
+    rng = random.Random(name)
+    degrees = itertools.cycle((f.total_degree(), g.total_degree()))
+    calls = _force_direction(monkeypatch,
+                             lambda F: _full_family(F, rng, next(degrees)),
+                             forced_calls=10 ** 6)
+    assert deformation_count(local_pair(f, g)).count == expected
+    assert calls

@@ -123,7 +123,7 @@ def test_nearby_count_matches_length_engine():
     from curveint.deformation import random_direction
     x, y = xy()
     rng = random.Random(6)
-    direction = random_direction(rng, QQ, 1)
+    direction = random_direction(rng, QQ)
     lt = deform(y - x, direction)
     pts = nearby_intersections(x * x - y ** 3, lt)
     assert sum(p.count for p in pts) == \
@@ -144,12 +144,14 @@ def _distinct_nearby_points(ft: str) -> int:
 @pytest.mark.parametrize("direction,cycles", [
     ("x^2", [(1, 2)]),                                     # restricted
     ("3*x^2 - 2*x*y + y^2 + 5*x - 7*y + 4", [(2, 1)]),     # every monomial
-], ids=["x^2-alone", "full-family"])
+    ("5*x - 7*y + 4", [(2, 1)]),                           # a line
+], ids=["x^2-alone", "full-family", "line"])
 def test_the_full_family_is_needed(direction, cycles):
     """y - x^2 meets y with I = 2 at the origin.  Moved along x^2 alone the
     two intersections stay one double point; along a direction with every
-    monomial of degree <= 2 they separate into two simple points, one
-    cycle of span 2.  (span, multiplicity) per cycle."""
+    monomial of degree <= 2, or along a line of the family (the engine's
+    draw), they separate into two simple points, one cycle of span 2.
+    (span, multiplicity) per cycle."""
     x, y = xy()
     f = y - x * x
     pts = nearby_intersections(deform(f, parse_poly(direction, QQ, V)), y)
