@@ -661,24 +661,34 @@ def shear_bound(field) -> int:
     return SHEAR_BOUND if p == 0 else min(SHEAR_BOUND, p - 1)
 
 
-def _shear_candidates(field):
-    """Shears (lam, mu) by growing |lam| + mu, the identity first.  Each
-    direction lam/mu comes once: scaling (lam, mu) only rescales the
-    sheared y, so every acceptor gives the same answer.  The direction is
-    kept in the prime field, on ints."""
-    p = field.characteristic
-    limit = shear_bound(field)
+def small_pairs(field, key):
+    """Int pairs (i, j) with |i|, |j| <= ``shear_bound(field)``, by growing
+    |i| + |j|, then i, then j, each value of ``key(i, j)`` once; a pair
+    whose key is None is skipped.  The one enumeration of the shear and
+    frame-line searches."""
+    bound = shear_bound(field)
     seen = set()
-    for size in range(1, 2 * limit + 1):
-        for lam_i in range(-limit, limit + 1):
-            mu_i = size - abs(lam_i)
-            if not 1 <= mu_i <= limit:
-                continue
-            ratio = Fraction(lam_i, mu_i) if p == 0 \
-                else lam_i * pow(mu_i, -1, p) % p
-            if ratio not in seen:
-                seen.add(ratio)
-                yield field.of(lam_i), field.of(mu_i)
+    for size in range(2 * bound + 1):
+        for i in range(-min(size, bound), min(size, bound) + 1):
+            for j in sorted({size - abs(i), abs(i) - size}):
+                k = key(i, j) if abs(j) <= bound else None
+                if k is not None and k not in seen:
+                    seen.add(k)
+                    yield i, j
+
+
+def _shear_candidates(field):
+    """Shears (lam, mu) with mu >= 1 by growing |lam| + mu, the identity
+    first.  Each direction lam/mu comes once: scaling (lam, mu) only
+    rescales the sheared y, so every acceptor gives the same answer.  The
+    direction is kept in the prime field, on ints."""
+    p = field.characteristic
+
+    def direction(lam, mu):
+        if mu >= 1:
+            return Fraction(lam, mu) if p == 0 else lam * pow(mu, -1, p) % p
+    return ((field.of(lam), field.of(mu))
+            for lam, mu in small_pairs(field, direction))
 
 
 def in_general_position(fs: MultiPoly, gs: MultiPoly) -> bool:

@@ -1,41 +1,45 @@
 """Infinitesimal deformation engine.
 
 Count the solutions of a curve pair inside the infinitesimal neighborhood
-of the origin after deforming each curve by t times a seeded random line
+of given points after deforming each curve by t times a seeded random line
 a + b x + c y of its family (``random_direction``, the one rule of the
 deformation count and the two-scale readout).  The count is certified,
 never assumed.
 
-Everything runs in the one frame (x, y, t), on the sheared pair of a
-``LocalPair`` (``algebra.local_pair``), which is in general position (the
-origin is the only common zero on y = 0, and both top x-coefficients are
-constants).  The pair finds its shear the first time an engine asks and
-keeps it, so the deformation count, the two-scale readout and the
-resultant engine share one shear search.  Failures raise
+Everything runs in one frame (x, y, t) in general position: both top
+x-coefficients are constants, and each point counted at is the only
+common zero on its line y = y0.  ``deformation_count`` counts at the
+origin of the sheared pair of a ``LocalPair`` (``algebra.local_pair``),
+which finds its shear the first time an engine asks and keeps it, so the
+deformation count, the two-scale readout and the resultant engine share
+one shear search.  ``deformation_counts`` counts at every common point of
+a projective pair at once, in the frame of ``intersect._frames``; the
+deformation count is it at the one point (0, 0).  Failures raise
 GenericityFailureError, and one attempt loop (``_attempts``), shared by
-the deformation count and the two-scale readout, reseeds deterministically
-up to a retry budget.
+the counts and the two-scale readout, reseeds deterministically up to a
+retry budget.
 
 Each attempt (one seed) builds one subresultant chain of (f_t, g_t) in x
 (``_eliminant_and_s1``), the only source of R = Res_x(f_t, g_t) and of
-its degree-one member S1, and runs one readout on them.  Each readout
-proves what it reads: that R is separable in y, so the nearby points are
-distinct and transverse.  The count is fixed by R alone; the working
-precision of the series only has to let the checks decide.  So the
-readout starts at precision 2 and, where it failed only for want of
-precision (InsufficientPrecisionError, or S11 or the Jacobian zero to
-precision along a branch: ZeroToPrecisionError), reruns on the same R at
-double the precision, up to the cap ``default_precision`` = 2de + 2.  A
-failure at the cap fails the attempt: the next seed runs, after an
-InsufficientPrecisionError under double the cap.  That is the one
+its degree-one member S1, and runs one readout on them at every point.
+Each readout proves what it reads: that R is separable in y, so the
+nearby points are distinct and transverse.  The count is fixed by R
+alone; the working precision of the series only has to let the checks
+decide.  So the readout starts at precision 2 and, where it failed only
+for want of precision (InsufficientPrecisionError, or S11 or the Jacobian
+zero to precision along a branch: ZeroToPrecisionError), reruns on the
+same R at double the precision, up to the cap ``default_precision`` =
+2de + 2.  A failure at the cap fails the attempt: the next seed runs,
+after an InsufficientPrecisionError under double the cap.  That is the one
 precision rule: no certificate suggests a precision of its own.  An
-explicit precision is both start and cap.  The outcome's
-``precision`` is the precision the witnesses were certified at;
-count-only expands no series and reports the precision at which the
-witnesses gave way to it (the start, over an extension field).
+explicit precision is both start and cap.  The outcome's ``precision`` is
+the precision the witnesses were certified at; count-only expands no
+series and reports the precision at which the witnesses gave way to it
+(the start, over an extension field).
 
-* witnesses (``certified_solutions``, over Q and F_p): every y-branch of
-  R is expanded as a Puiseux series and must be simple, and its
+* witnesses (``certified_solutions``, at points over Q and F_p, on the
+  pair translated to the point): every y-branch of R through the point
+  is expanded as a Puiseux series and must be simple, and its
   x-coordinate is read off S1: when S11(y0) != 0 at a root y0 of R, the
   gcd of the two specialized polynomials is S11(y0) x + S10(y0) up to a
   unit, so x = -S10/S11 is the unique lift.  ``_points_along`` is the one
@@ -46,11 +50,12 @@ witnesses gave way to it (the start, over an extension field).
   satisfy f_t and g_t to working precision, specialize to the origin, and
   have a nonzero Jacobian.  These check every point against the deformed
   pair itself, where the count-only readout rests on R alone.
-* count-only (``certified_count_only``, over extension fields, and where
-  an edge factor does not split over the one-step extension): once
-  ``certify_squarefree_in`` proves R separable, ord_y R(y, 0).  This
-  equals ord_y Res_x(fs, gs), the resultant engine's value, so where this
-  readout runs the engine is not independent of the resultant engine.
+* count-only (``certified_count_only``, at points over an extension
+  field, and where an edge factor does not split over the one-step
+  extension): once ``certify_squarefree_in`` proves R separable over the
+  pair's field, the order of R(y, 0) at y0.  This equals that of
+  Res_x(fs, gs), the resultant engine's value, so where this readout runs
+  the engine is not independent of the resultant engine.
 
 Two-scale analysis deforms one curve only, at a coarse scale t, and reads
 the nearby coarse points P off the y-eliminant R = Res_x(f_t, g_t): by the
@@ -65,18 +70,18 @@ checks consume.
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (LocalPair, gcd, lift_to_field, resultant_and_s1,
-                      separable_by_evaluation)
+                      separable_by_evaluation, translate_to_origin)
 from .errors import (GenericityFailureError, InsufficientPrecisionError,
-                     InvalidInputError, SharedComponentError,
-                     UnsupportedExtensionError, VerificationFailureError,
-                     ZeroToPrecisionError)
+                     InvalidInputError, UnsupportedExtensionError,
+                     VerificationFailureError, ZeroToPrecisionError)
 from .fields import ExtensionField
 from .poly import MultiPoly
-from .lifting import _x_adic_valuation, newton_puiseux
+from .lifting import _x_adic_valuation, newton_puiseux, separable_branches
 from .series import TruncatedSeries, eval_poly_at_series, positive_precision
 
 VARS3 = ("x", "y", "t")
@@ -132,10 +137,14 @@ class SolutionBranch:
 def _eliminant_and_s1(ft: MultiPoly, gt: MultiPoly):
     """R = Res_x(ft, gt), exact and signed, and the degree-one member S1
     (None when the chain skips degree one), both off one subresultant
-    chain of the pair.  R(y, 0) = 0 means the pair shares a component."""
+    chain of the pair.  Every caller deforms a pair proved coprime (a
+    ``LocalPair``, or the forms of ``intersect._frames``), whose constant
+    top x-coefficients make R(y, 0) its resultant: R(y, 0) = 0 is a
+    defect, not bad input."""
     R, s1 = resultant_and_s1(ft, gt, "x")
     if R.coeff_of("t", 0).is_zero():
-        raise SharedComponentError("resultant vanishes at t = 0")
+        raise VerificationFailureError(
+            "deformed eliminant of coprime curves vanishes at t = 0")
     return R, s1
 
 
@@ -200,11 +209,13 @@ def certify_squarefree_in(R: MultiPoly):
             "deformed resultant has a repeated factor")
 
 
-def certified_solutions(ft: MultiPoly, gt: MultiPoly, R: MultiPoly, s1,
+def certified_solutions(ft: MultiPoly, gt: MultiPoly, ybranches, s1,
                         prec):
     """All solution branches of the deformed pair through the origin, with
-    witness certificates, read off the pair's eliminant R and degree-one
-    subresultant S1 (``_eliminant_and_s1``).  Every y-branch of R must be
+    witness certificates, read off the y-branches of the pair's eliminant
+    R through the origin (``newton_puiseux`` of R, or
+    ``separable_branches`` once R is proved separable) and its degree-one
+    subresultant S1 (``_eliminant_and_s1``).  Every y-branch must be
     simple (R has no repeated factor along a branch); then each witness
     must satisfy f_t and g_t, specialize to the origin and have a nonzero
     Jacobian.  Separability of R already proves every point transverse;
@@ -218,7 +229,6 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, R: MultiPoly, s1,
     not decide at ``prec`` (caller escalates); no check passes on a value
     known only to O(t^0)."""
     prec = Fraction(prec)
-    ybranches = newton_puiseux(R, "y", prec)
     if any(br.multiplicity > 1 for br in ybranches):
         raise GenericityFailureError(
             "deformed resultant has a repeated factor")
@@ -258,21 +268,24 @@ def _order_at_origin(R: MultiPoly) -> int:
     return _x_adic_valuation(R.coeff_of("t", 0), 1)
 
 
-def certified_count_only(R: MultiPoly) -> int:
-    """Solution count through the origin without witnesses: ord_y R(y, 0)
-    of the eliminant R = Res_x(f_t, g_t), once ``certify_squarefree_in``
-    has proved R separable in y.
+def certified_count_only(R: MultiPoly, ys) -> list:
+    """Solution counts without witnesses at the fibers y = y0 of ``ys``,
+    each over its own field: ord_(y - y0) R(y, 0) of the eliminant
+    R = Res_x(f_t, g_t), which the caller has proved separable in y over
+    its own field by ``certify_squarefree_in`` (a proof that holds over
+    every extension).
 
-    Proof.  The shear precondition (the origin is the only common zero on
-    y = 0, constant top x-coefficients) keeps the x-coordinates over a
-    y-root of positive valuation bounded, so every such root is the
-    y-coordinate of a nearby point, and every nearby point has one.  The
-    order of R at a y-root is the sum of the multiplicities of the points
-    over it; separability makes that order 1, so each such point is single
-    and transverse.  This is also ord_y Res_x(fs, gs), the resultant
-    engine's value, so the count is not independent of that engine."""
-    certify_squarefree_in(R)
-    return _order_at_origin(R)
+    Proof.  The general position of the pair at each point (constant top
+    x-coefficients, the point the only common zero on its fiber y = y0)
+    keeps the x-coordinates over a y-root near y0 bounded, so every such
+    root is the y-coordinate of a nearby point, and every nearby point
+    has one.  The order of R at a y-root is the sum of the multiplicities
+    of the points over it; separability makes that order 1, so each such
+    point is single and transverse.  This is also the multiplicity of the
+    fiber in Res_x(fs, gs), the resultant engine's value, so the count is
+    not independent of that engine."""
+    R0 = R.coeff_of("t", 0)
+    return [_order_at_origin(translate_to_origin(R0, (0, y0))) for y0 in ys]
 
 
 def default_precision(f: MultiPoly, g: MultiPoly) -> int:
@@ -330,13 +343,26 @@ class DeformationOutcome:
     precision: Fraction
 
 
-def deformation_count(pair: LocalPair, seed: int = 0, prec=None,
-                      max_retries: int = 8) -> DeformationOutcome:
-    """The infinitesimal-neighborhood solution count of the pair at the
-    origin: deform both sheared curves along random lines of their family
-    (``random_direction``) and count all nearby solutions."""
-    fs, gs, lam, mu = pair.sheared
+def deformation_counts(fs: MultiPoly, gs: MultiPoly, points, seed: int,
+                       prec, max_retries: int):
+    """(counts, seed used, precision): the certified number of nearby
+    solutions at each of ``points`` of the pair (fs, gs), deformed along
+    random lines of its family, in one attempt loop for all of them.
+
+    The pair must have constant top x-coefficients, and each point
+    (x0, y0), over the field of y0, must be the only common zero on its
+    fiber y = y0 (``LocalPair.sheared`` for the origin,
+    ``intersect._frames`` for every common point).  At a point over Q or
+    F_p, the pair's field, the witnesses run on f_t, g_t, R and S1
+    translated there; elsewhere, and where an edge factor does not split,
+    ``certified_count_only`` counts.  Each readout proves R separable
+    once: over the ground field by ``certify_squarefree_in`` before any
+    point is read when there are several, and at the one point by
+    ``newton_puiseux`` (before count-only, by ``certify_squarefree_in``)
+    when there is one, so the origin of ``deformation_count`` gets no
+    extra proof."""
     field = fs.field
+    several = len(points) > 1
 
     def build(rng):
         ft = deform_polynomial(fs, random_direction(rng, field))
@@ -344,18 +370,41 @@ def deformation_count(pair: LocalPair, seed: int = 0, prec=None,
         return (ft, gt) + _eliminant_and_s1(ft, gt)
 
     def readout(built, prec):
-        ft, gt, R, s1 = built
-        if not isinstance(field, ExtensionField):
-            try:
-                return sum(s.span
-                           for s in certified_solutions(ft, gt, R, s1, prec))
-            except UnsupportedExtensionError:
-                pass
-        return certified_count_only(R)
+        R = built[2]
+        if several:
+            certify_squarefree_in(R)
+        counts = [None] * len(points)
+        for k, point in enumerate(points):
+            if not isinstance(field, ExtensionField) and \
+                    field.is_element(point[1]):
+                ft, gt, Rp, s1 = (h and translate_to_origin(h, point)
+                                  for h in built)
+                expand = separable_branches if several else newton_puiseux
+                with suppress(UnsupportedExtensionError):
+                    counts[k] = sum(s.span for s in certified_solutions(
+                        ft, gt, expand(Rp, "y", prec), s1, prec))
+        rest = [k for k, count in enumerate(counts) if count is None]
+        if rest:
+            if not several:
+                certify_squarefree_in(R)
+            for k, count in zip(rest, certified_count_only(
+                    R, [points[k][1] for k in rest])):
+                counts[k] = count
+        return counts
 
-    count, seed_used, prec = _attempts(
-        build, readout, seed, 0, prec, default_precision(fs, gs),
-        max_retries, "genericity")
+    return _attempts(build, readout, seed, 0, prec,
+                     default_precision(fs, gs), max_retries, "genericity")
+
+
+def deformation_count(pair: LocalPair, seed: int = 0, prec=None,
+                      max_retries: int = 8) -> DeformationOutcome:
+    """The infinitesimal-neighborhood solution count of the pair at the
+    origin: ``deformation_counts`` on the sheared pair at the one point
+    (0, 0)."""
+    fs, gs, lam, mu = pair.sheared
+    zero = fs.field.zero
+    [count], seed_used, prec = deformation_counts(
+        fs, gs, [(zero, zero)], seed, prec, max_retries)
     return DeformationOutcome(count, seed_used, (lam, mu), prec)
 
 

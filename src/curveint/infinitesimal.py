@@ -16,12 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (apply_shear, first_shear, in_general_position,
-                      local_pair, translate_to_origin)
-from .deformation import (VARS3, _eliminant_and_s1, _points_along,
-                          deform_polynomial, default_precision,
-                          deformation_count, two_scale_analysis)
+                      local_pair, resultant_and_s1, translate_to_origin)
+from .deformation import (VARS3, _points_along, deform_polynomial,
+                          default_precision, deformation_count,
+                          two_scale_analysis)
 from .errors import (InfiniteMultiplicityError, InsufficientPrecisionError,
-                     InvalidInputError, VerificationFailureError)
+                     InvalidInputError, SharedComponentError,
+                     VerificationFailureError)
 from .intersect import mult_length
 from .lifting import newton_puiseux
 from .poly import MultiPoly
@@ -128,8 +129,10 @@ def _nearby_points(ft: MultiPoly, gt: MultiPoly, base, prec):
     def attempt(lam, mu):
         if not in_general_position(*(apply_shear(h, lam, mu) for h in base)):
             return None
-        R, s1 = _eliminant_and_s1(apply_shear(ft, lam, mu),
-                                  apply_shear(gt, lam, mu))
+        R, s1 = resultant_and_s1(apply_shear(ft, lam, mu),
+                                 apply_shear(gt, lam, mu), "x")
+        if R.coeff_of("t", 0).is_zero():  # the user's curves
+            raise SharedComponentError("resultant vanishes at t = 0")
         return [(x, (br.series - x * lam) * (ft.field.one / mu), br)
                 for br, _, x in _points_along(
                     s1, newton_puiseux(R, "y", prec), prec,

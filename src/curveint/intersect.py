@@ -7,33 +7,38 @@
 * ``deformation.deformation_count``: certified infinitesimal solution
   count.
 
-Each engine takes a ``LocalPair`` (``algebra.local_pair``): the pair is
-checked once when it is built (under ``bezout_sum``, once for the whole
-pair of curves) and sheared at most once, by whichever engine first asks
-for the sheared pair.
+Each engine takes a ``LocalPair`` (``algebra.local_pair``), checked once
+when it is built and sheared at most once, by whichever engine first asks
+for the sheared pair; ``multiplicities_at`` runs the three at one point.
 
-``bezout_sum`` enumerates every intersection point of two curves across
-all three charts, as rational points and Galois orbits (``PointCluster``:
-Frobenius orbits over F_p, exact clusters over Q).  It runs the three
-engines once per rational point and once per orbit, demands exact
-agreement, and checks the weighted total against the product of the
-degrees.
+``bezout_sum`` works in one frame for the whole pair of curves: the chart
+of a line Z + aX + bY that misses every common point, sheared until each
+point is alone on its fiber of the eliminant R (``_frames``).  There a
+point's factor in R has the resultant engine's multiplicity, and one
+attempt loop deforms the pair and counts the nearby solutions at every
+point at once.  Over a small F_p the common points can meet every line;
+then a second frame finds the points on the first frame's line at
+infinity, and the attempt loop runs once per frame.  Points come as
+rational points and Galois orbits
+(``PointCluster``: Frobenius orbits over F_p, exact clusters over Q), in
+the input's coordinates, and each orbit is certified once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
-from .algebra import (PROJECTIVE_VARS, LocalPair, _dense,
+from .algebra import (PROJECTIVE_VARS, LocalPair, _dense, _shift,
                       _strongly_regular_in_x, apply_shear, dehomogenize,
                       first_shear, gcd, is_homogeneous, lift_to_field,
                       local_pair, resultant, resultant_and_s1,
-                      roots_univariate, squarefree_decompose,
-                      translate_to_origin)
-from .deformation import deformation_count
+                      roots_univariate, shear_bound, small_pairs,
+                      squarefree_decompose, translate_to_origin)
+from .deformation import deformation_count, deformation_counts
 from .errors import (BudgetError, GeneralPositionError, InvalidInputError,
                      SharedComponentError, VerificationFailureError)
-from .poly import MultiPoly
+from .poly import MultiPoly, _poly
 
 
 # ----------------------------------------------------------------- curves
@@ -117,10 +122,12 @@ class ProjectivePoint:
 class PointCluster:
     """A Galois orbit of irrational intersection points, carried as one.
 
-    ``minpoly`` is an irreducible factor of the (sheared) eliminant; the
-    orbit has ``degree`` conjugate points, all of the local multiplicity
-    the engines compute at ``representative``, a point over
-    ``K[r]/(minpoly)``.  Over F_p, ``conjugates`` lists the ``degree``
+    ``minpoly`` is an irreducible factor of the eliminant in the frame
+    that found the orbit (``_frames``); the orbit has ``degree`` conjugate
+    points, all of the local multiplicity the engines compute at
+    ``representative``, a point over ``K[r]/(minpoly)`` in the input's
+    coordinates, and ``chart`` is that point's standard chart.  Over F_p,
+    ``conjugates`` lists the ``degree``
     points, the representative first and each the p-th power of the one
     before.  Over Q it is None: a non-normal extension cannot hold its
     conjugates, and the cluster contributes degree * multiplicity to the
@@ -271,44 +278,36 @@ def transversality_check(f: MultiPoly, g: MultiPoly) -> bool:
 
 # ------------------------------------------------------ point enumeration
 
-def _fiber_point(f: MultiPoly, g: MultiPoly, yval, lam, mu):
-    """The common zero of a sheared pair over y = yval, back in the original
-    frame, by the gcd of the two specialized polynomials: the fallback of
-    ``_s1_point`` where S11(yval) = 0 or the chain skips degree one.
-    Raises GeneralPositionError when the fiber does not hold exactly one
-    distinct common zero (the shear is rejected)."""
-    field = f.field
-    xv, yv = f.vars[0], f.vars[1]
+def _fiber_x(fs: MultiPoly, gs: MultiPoly, yval):
+    """The x of the one common zero of a sheared pair over y = yval, by the
+    gcd of the two specialized polynomials: the fallback of ``_s1_x``
+    where S11(yval) = 0 or the chain skips degree one.  Raises
+    GeneralPositionError when the fiber does not hold exactly one distinct
+    common zero (the shear is rejected)."""
+    xv, yv = fs.vars[0], fs.vars[1]
     factors = squarefree_decompose(
-        gcd(f.subs_values({yv: yval}), g.subs_values({yv: yval})))
+        gcd(fs.subs_values({yv: yval}), gs.subs_values({yv: yval})))
     if len(factors) != 1 or factors[0][0].degree_in(xv) != 1:
         raise GeneralPositionError("a fiber held two distinct common zeros")
     h = factors[0][0]
-    x0 = -h.coeff_of(xv, 0).constant_value() / \
+    return -h.coeff_of(xv, 0).constant_value() / \
         h.coeff_of(xv, 1).constant_value()
-    return _unsheared(x0, yval, lam, mu, field)
 
 
-def _unsheared(x0, yval, lam, mu, field) -> ProjectivePoint:
-    """The point (x0, yval) of the sheared frame in the original one."""
-    y0 = (yval - field.of(lam) * x0) / field.of(mu)
-    return ProjectivePoint((x0, y0, field.one), field)
-
-
-def _s1_point(s1, yval, field, lam, mu):
-    """The common zero of a sheared pair over a root yval of its eliminant,
-    read off the chain's degree-one member S1 = S11(y) x + S10(y):
-    x0 = -S10(yval)/S11(yval), by Horner's rule over the root's field,
-    back in the original frame.  S1 lies in the ideal of the pair and both
-    top x-coefficients are constants, so when S11(yval) != 0 the fiber
-    holds exactly one common zero, the one ``_fiber_point`` finds.  None
-    when S11(yval) = 0 or the chain skips degree one (S1 is None)."""
+def _s1_x(s1, yval, field):
+    """The x of the common zero of a sheared pair over a root yval of its
+    eliminant, read off the chain's degree-one member
+    S1 = S11(y) x + S10(y): x0 = -S10(yval)/S11(yval), by Horner's rule
+    over the root's field.  S1 lies in the ideal of the pair and both top
+    x-coefficients are constants, so when S11(yval) != 0 the fiber holds
+    exactly one common zero, the one ``_fiber_x`` finds.  None when
+    S11(yval) = 0 or the chain skips degree one (S1 is None)."""
     if s1 is None:
         return None
     xv, yv = s1.vars[0], s1.vars[1]
     s10, s11 = (_horner(_dense(s1.coeff_of(xv, k), yv), yval, field)
                 for k in (0, 1))
-    return _unsheared(-s10 / s11, yval, lam, mu, field) if s11 else None
+    return -s10 / s11 if s11 else None
 
 
 def _horner(coeffs, value, field):
@@ -319,12 +318,11 @@ def _horner(coeffs, value, field):
     return acc
 
 
-def _orbit(minpoly: MultiPoly, chart: str,
-           rep: ProjectivePoint) -> PointCluster:
+def _orbit(minpoly: MultiPoly, rep: ProjectivePoint) -> PointCluster:
     """The Galois orbit of ``rep``, a point over the root r of an
     irreducible ``minpoly`` (``roots_univariate``).  The orbit's k
-    Frobenius conjugates are distinct because r, the sheared y-coordinate
-    (or X/Y at infinity), generates the extension."""
+    Frobenius conjugates are distinct because r, the point's y in the
+    sheared frame, generates the extension."""
     ext = rep.field
     k = ext.degree
     conjugates = None
@@ -334,82 +332,155 @@ def _orbit(minpoly: MultiPoly, chart: str,
         for _ in range(k - 1):
             conjugates.append(ProjectivePoint(
                 [c.frobenius() for c in conjugates[-1].coords], ext))
-    return PointCluster(minpoly, k, chart, rep, conjugates)
+    return PointCluster(minpoly, k, rep.chart, rep, conjugates)
+
+
+def _line_candidates(field):
+    """(a, b) of the lines Z + aX + bY tried as the line at infinity:
+    Z = 0 first, then by growing |a| + |b| (``algebra.small_pairs``), each
+    line once over F_p."""
+    def line(a, b):
+        return field.of(a), field.of(b)
+    return (line(a, b) for a, b in small_pairs(field, line))
+
+
+def _moved(F: MultiPoly, a, b) -> MultiPoly:
+    """The form F in the coordinates (X, Y, Z + aX + bY), that is
+    F(X, Y, Z - aX - bY).  Z -> Z - aX is the shift z -> z - a of
+    F(1, y, z), by Ruffini's rule (``algebra._shift``) on the terms keyed
+    by their Y and Z exponents, and Z -> Z - bY that of F(x, 1, z); the
+    degree of the form gives back the exponent of the coordinate set to
+    1."""
+    n, terms, zero = F.total_degree(), F.terms, F.field.zero
+    for i, c in ((0, a), (1, b)):
+        if c:
+            shifted = _shift({e[:i] + e[i + 1:]: v for e, v in terms.items()},
+                             1, -c, zero)
+            terms = {e[:i] + (n - sum(e),) + e[i:]: v
+                     for e, v in shifted.items()}
+    return _poly(F.field, F.vars, terms)
+
+
+def _frames(C1: Curve, C2: Curve):
+    """[(fs, gs, lam, mu, sites)]: both curves in one frame, or in two,
+    and every common point in them, each once.
+
+    A frame is the chart of a line Z + aX + bY of ``_line_candidates``
+    with the first shear (lam, mu) that leaves both curves strongly
+    regular in x and puts each common point of the chart alone on its
+    fiber y = y0 of R = Res_x(fs, gs) (``_chart_sites``).  The one frame
+    is that of the first line that misses every common point (the binary
+    forms of the ``_moved`` forms on Z = 0 have a constant gcd; a curve
+    that contains the line restricts to 0, and gcd(0, B) is B) and has
+    such a shear.  Over a small F_p the common points can meet every line
+    (all p + 1 points of one line, say); then, and only then, the first
+    line L with such a shear gives the points off L, and the first other
+    line that meets L at no common point and has one gives the points on
+    L, each line's shear searched at most once.  When no line or pair of
+    lines serves, the last shear search's GeneralPositionError is
+    raised.  One site per irreducible factor of R kept: (at,
+    multiplicity, point, cluster), with ``at`` = (x0, y0) in the sheared
+    chart over the field of one root y0, the factor's multiplicity in R,
+    the ProjectivePoint in the input's coordinates, and its PointCluster,
+    or None for a rational point.  Curves of degree 0 meet nowhere, in no
+    frame."""
+    if C1.field != C2.field:
+        raise InvalidInputError("curves over different fields")
+    if not gcd(C1.form, C2.form).is_constant():
+        raise SharedComponentError("curves share a component")
+    if not (C1.degree and C2.degree):
+        return []
+    field = C1.field
+    last = GeneralPositionError(
+        f"no line Z + aX + bY with |a|, |b| <= {shear_bound(field)} "
+        "misses every common point")
+    charts = {}
+
+    def moved(line):
+        return [_moved(C.form, *line) for C in (C1, C2)]
+
+    def chart(line):
+        nonlocal last
+        if line not in charts:
+            f, g = (dehomogenize(F, "Z") for F in moved(line))
+            try:
+                charts[line] = first_shear(
+                    field, partial(_chart_sites, f, g, *line),
+                    "separated the affine points")
+            except GeneralPositionError as err:
+                charts[line], last = None, err
+        return charts[line]
+
+    blocked = True  # every line meets a common point
+    for line in _line_candidates(field):
+        F1, F2 = moved(line)
+        if gcd(F1.coeff_of("Z", 0), F2.coeff_of("Z", 0)).is_constant():
+            blocked = False
+            if chart(line):
+                return [charts[line]]
+    for outer in _line_candidates(field) if blocked else ():
+        if not chart(outer):
+            continue
+        for inner in _line_candidates(field):
+            if inner != outer and not _meet_is_common(C1, C2, outer, inner) \
+                    and chart(inner):
+                fs, gs, lam, mu, sites = charts[inner]
+                return [charts[outer], (fs, gs, lam, mu, [
+                    site for site in sites if _on(outer, site[2])])]
+    raise last
+
+
+def _meet_is_common(C1: Curve, C2: Curve, line1, line2) -> bool:
+    """Whether the lines Z + aX + bY of (a, b) = line1 and line2 meet at a
+    common point of the curves."""
+    (a1, b1), (a2, b2) = line1, line2
+    meet = dict(zip(PROJECTIVE_VARS, (b1 - b2, a2 - a1, a1 * b2 - a2 * b1)))
+    return all(C.form.subs_values(meet).is_zero() for C in (C1, C2))
+
+
+def _on(line, point: ProjectivePoint) -> bool:
+    """Whether ``point`` lies on the line Z + aX + bY of (a, b) = line."""
+    (a, b), (X, Y, Z) = line, point.coords
+    return not Z + point.field.of(a) * X + point.field.of(b) * Y
+
+
+def _chart_sites(f: MultiPoly, g: MultiPoly, a, b, lam, mu):
+    """``_frames``' attempt at the shear (lam, mu) of the chart of the line
+    Z + aX + bY, where the curves are f and g: (fs, gs, lam, mu, sites),
+    or None when a sheared curve is not strongly regular in x."""
+    xv, yv = f.vars[0], f.vars[1]
+    fs, gs = apply_shear(f, lam, mu), apply_shear(g, lam, mu)
+    if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):
+        return None
+    R, s1 = resultant_and_s1(fs, gs, xv)
+    if R.is_zero():  # the forms are coprime: a defect, not bad input
+        raise VerificationFailureError(
+            "identically vanishing eliminant of coprime curves")
+    sites = []
+    for m, y0, yfield, mult in roots_univariate(R, yv, "r"):
+        x0 = _s1_x(s1, y0, yfield)
+        if x0 is None:
+            x0 = _fiber_x(lift_to_field(fs, yfield),
+                          lift_to_field(gs, yfield), y0)
+        # unsheared, then at Z + aX + bY = 1 in the input's coordinates
+        y = (y0 - yfield.of(lam) * x0) / yfield.of(mu)
+        point = ProjectivePoint(
+            (x0, y, yfield.one - yfield.of(a) * x0 - yfield.of(b) * y),
+            yfield)
+        sites.append(((x0, y0), mult, point,
+                      None if yfield == f.field else _orbit(m, point)))
+    return fs, gs, lam, mu, sites
 
 
 def intersection_points(C1: Curve, C2: Curve):
-    """Every common point of two curves, each exactly once.
-
-    Affine points come from the Z chart after a joint shear that gives
-    distinct points distinct y-coordinates; points at infinity from the
-    Z = 0 line.  Returns (rational points, clusters): each irrational
-    Galois orbit is one PointCluster, which over F_p lists its conjugate
-    points.
-    """
-    if C1.field != C2.field:
-        raise InvalidInputError("curves over different fields")
-    common = gcd(C1.form, C2.form)
-    if not common.is_constant():
-        raise SharedComponentError("curves share a component")
-    points, clusters = _affine_points(C1, C2)
-    inf_points, inf_clusters = _infinity_points(C1, C2)
-    return points + inf_points, clusters + inf_clusters
-
-
-def _affine_points(C1: Curve, C2: Curve):
-    f = C1.affine("Z")
-    g = C2.affine("Z")
-    if f.is_constant() or g.is_constant():
-        return [], []  # a curve with no affine part in this chart
-    xv, yv = f.vars[0], f.vars[1]
-
-    def attempt(lam, mu):
-        fs = apply_shear(f, lam, mu)
-        gs = apply_shear(g, lam, mu)
-        if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):
-            return None
-        R, s1 = resultant_and_s1(fs, gs, xv)
-        if R.is_zero():  # the forms are coprime: a defect, not bad input
-            raise VerificationFailureError(
-                "identically vanishing eliminant of coprime curves")
-        points, clusters = [], []
-        if not R.involves(yv):
-            return points, clusters  # no affine intersections
-        for m, y0, yfield, _ in roots_univariate(R, yv, "r"):
-            point = _s1_point(s1, y0, yfield, lam, mu) or _fiber_point(
-                lift_to_field(fs, yfield), lift_to_field(gs, yfield), y0,
-                lam, mu)
-            if yfield == f.field:
-                points.append(point)
-            else:
-                clusters.append(_orbit(m, "Z", point))
-        return points, clusters
-    return first_shear(f.field, attempt, "separated the affine points")
-
-
-def _infinity_points(C1: Curve, C2: Curve):
-    """The common points on Z = 0 of two curves with no common component:
-    the zeros of H = gcd(C1(X, Y, 0), C2(X, Y, 0)), a binary form (a curve
-    that contains Z = 0 restricts to 0, and gcd(0, B) is B)."""
-    field = C1.field
-    H = gcd(C1.form.coeff_of("Z", 0), C2.form.coeff_of("Z", 0))
-    points = []
-    # [1:0:0] is a zero of H iff H's X^deg coefficient vanishes
-    if H.degree_in("X") < H.total_degree():
-        points.append(ProjectivePoint((field.one, field.zero, field.zero),
-                                      field))
-    # the others are [x:1:0]
-    h = H.subs_values({"Y": field.one})
-    if h.is_constant():
-        return points, []
-    clusters = []
-    for m, x0, xfield, _ in roots_univariate(h, "X", "r"):
-        point = ProjectivePoint((x0, xfield.one, xfield.zero), xfield)
-        if xfield == field:
-            points.append(point)
-        else:
-            clusters.append(_orbit(m, "Y", point))
-    return points, clusters
+    """Every common point of two curves, each exactly once, in the input's
+    coordinates, found in the frames of ``_frames``.  Returns (rational
+    points, clusters): each irrational Galois orbit is one PointCluster,
+    which over F_p lists its conjugate points."""
+    sites = [site for *_, frame_sites in _frames(C1, C2)
+             for site in frame_sites]
+    return ([point for _, _, point, cluster in sites if cluster is None],
+            [cluster for *_, cluster in sites if cluster is not None])
 
 
 # --------------------------------------------------------------- reports
@@ -422,54 +493,44 @@ def _at_origin(F: MultiPoly, chart: str, pair) -> MultiPoly:
     return translate_to_origin(f, pair)
 
 
-def _local_pair_at(C1: Curve, C2: Curve, point: ProjectivePoint,
-                   coprime: bool) -> LocalPair:
-    """Both curves with the point at the affine origin, as a ``LocalPair``.
-    Both must vanish there.  The pair is checked by ``local_pair`` unless
-    ``coprime`` says the forms are proved to share no component: then so
-    do their translates in any chart, and no gcd is run.  ``coprime`` comes
-    only with a point the enumeration found, so there a curve that does not
-    vanish is a defect, not bad input."""
+def _checked(report: MultiplicityReport) -> MultiplicityReport:
+    """The report, once its three engines agree and a transverse point has
+    multiplicity 1; VerificationFailureError otherwise."""
+    if not report.agreed:
+        raise VerificationFailureError(
+            f"engine disagreement at {report.point}: "
+            f"length={report.mult_length} resultant={report.mult_resultant} "
+            f"deformation={report.mult_deformation}", report=report)
+    if report.transversal and report.multiplicity != 1:
+        raise VerificationFailureError(
+            f"transverse point with multiplicity != 1 at {report.point}",
+            report=report)
+    return report
+
+
+def multiplicities_at(C1: Curve, C2: Curve, point: ProjectivePoint,
+                      seed: int = 0, prec=None,
+                      max_retries: int = 8) -> MultiplicityReport:
+    """All three engines at one point, with exact agreement enforced.  The
+    point is moved to the origin of its chart and the pair checked once by
+    ``local_pair`` (a shear keeps what the check proves).  It is sheared
+    once, by the deformation engine: the resultant engine reads the same
+    sheared pair."""
     chart, (px, py) = point.chart, point.affine_pair()
     f0, g0 = (_at_origin(C.form, chart, (px, py)) for C in (C1, C2))
     if f0.constant_value() or g0.constant_value():
         where = f"({px},{py})" if chart == "Z" else str(point)
-        if coprime:
-            raise VerificationFailureError(
-                f"enumerated point {where} is not a common zero of the "
-                "curves")
         raise InvalidInputError(f"both curves must vanish at {where}")
-    return LocalPair(f0, g0) if coprime else local_pair(f0, g0)
-
-
-def multiplicities_at(C1: Curve, C2: Curve, point: ProjectivePoint,
-                      seed: int = 0, prec=None, max_retries: int = 8, *,
-                      coprime: bool = False) -> MultiplicityReport:
-    """All three engines at one point, with exact agreement enforced.  The
-    pair is checked once (a shear keeps what the check proves), or not at
-    all when ``coprime`` passes on the proof that the curves share no
-    component (``bezout_sum`` has it from ``intersection_points``).  It is
-    sheared once, by the deformation engine: the resultant engine reads
-    the same sheared pair."""
-    pair = _local_pair_at(C1, C2, point, coprime)
+    pair = local_pair(f0, g0)
     m_len = mult_length(pair)
     outcome = deformation_count(pair, seed=seed, prec=prec,
                                 max_retries=max_retries)
-    m_res = mult_resultant_order(pair)
-    trans = transversality_check(pair.f, pair.g)
-    report = MultiplicityReport(
-        point=point, mult_length=m_len, mult_resultant=m_res,
-        mult_deformation=outcome.count, transversal=trans,
-        shear=outcome.shear, precision=outcome.precision, weight=m_len)
-    if not report.agreed:
-        raise VerificationFailureError(
-            f"engine disagreement at {point}: length={m_len} "
-            f"resultant={m_res} deformation={outcome.count}", report=report)
-    if trans and report.multiplicity != 1:
-        raise VerificationFailureError(
-            f"transverse point with multiplicity != 1 at {point}",
-            report=report)
-    return report
+    return _checked(MultiplicityReport(
+        point=point, mult_length=m_len,
+        mult_resultant=mult_resultant_order(pair),
+        mult_deformation=outcome.count,
+        transversal=transversality_check(pair.f, pair.g),
+        shear=outcome.shear, precision=outcome.precision, weight=m_len))
 
 
 @dataclass
@@ -484,29 +545,58 @@ def bezout_sum(C1: Curve, C2: Curve, seed: int = 0, prec=None,
     """Sum the local multiplicities over every intersection point and check
     the total against degree(C1) * degree(C2).
 
-    The engines run once per rational point and once per Galois orbit, at
-    its representative.  Each point over F_p, rational or a Frobenius
-    conjugate, gets one report line, sorted by chart and point; each
-    cluster over Q follows as one line of weight degree * multiplicity."""
-    points, clusters = intersection_points(C1, C2)
-
-    def certify(pt):
-        return multiplicities_at(C1, C2, pt, seed=seed, prec=prec,
-                                 max_retries=max_retries, coprime=True)
-
-    reports = [certify(pt) for pt in points]
-    cluster_reports = []
-    for cl in sorted(clusters, key=lambda c: (c.chart, str(c.minpoly))):
-        rep = certify(cl.representative)
-        if cl.conjugates:
-            reports += [replace(rep, point=pt) for pt in cl.conjugates]
+    Everything runs in the frame of ``_frames``, or in its two frames
+    when no line misses every common point.  There the resultant engine's
+    value at a point or orbit is its factor's multiplicity in R, and
+    ``deformation.deformation_counts`` deforms the frame's pair once per
+    seed: its counts, weighted by orbit size, must sum to d * e over all
+    frames before any report is built.  A report's shear is that of the
+    frame that found its point.  The length engine and the transversality
+    law run per point, on the frame pair translated there, with no gcd.
+    Each point over F_p, rational or a Frobenius conjugate, gets one
+    report line, sorted by chart and point; each cluster over Q follows as
+    one line of weight degree * multiplicity."""
+    expected = C1.degree * C2.degree
+    found = []
+    for fs, gs, lam, mu, sites in _frames(C1, C2):
+        pairs = []
+        for at, _, point, _ in sites:
+            pair = LocalPair(*(translate_to_origin(h, at) for h in (fs, gs)))
+            if pair.f.constant_value() or pair.g.constant_value():
+                raise VerificationFailureError(
+                    f"enumerated point {point} is not a common zero of the "
+                    "curves")
+            pairs.append(pair)
+        if sites:
+            counts, _, precision = deformation_counts(
+                fs, gs, [site[0] for site in sites], seed, prec, max_retries)
+            found += [(pair, count, site, (lam, mu), precision)
+                      for pair, count, site in zip(pairs, counts, sites)]
+    nearby = sum(count * (cluster.degree if cluster else 1)
+                 for _, count, (*_, cluster), _, _ in found)
+    if nearby != expected:
+        raise VerificationFailureError(
+            f"the deformed pair has {nearby} nearby solutions, not "
+            f"{expected}")
+    reports, cluster_reports = [], []
+    for pair, count, (_, m_res, point, cluster), shear, precision in found:
+        m_len = mult_length(pair)
+        rep = _checked(MultiplicityReport(
+            point=point, mult_length=m_len, mult_resultant=m_res,
+            mult_deformation=count,
+            transversal=transversality_check(pair.f, pair.g),
+            shear=shear, precision=precision, weight=m_len))
+        if cluster is None:
+            reports.append(rep)
+        elif cluster.conjugates:
+            reports += [replace(rep, point=pt) for pt in cluster.conjugates]
         else:
             cluster_reports.append(replace(
-                rep, point=cl, weight=cl.degree * rep.multiplicity))
+                rep, point=cluster, weight=cluster.degree * m_len))
     reports.sort(key=lambda r: (r.point.chart, str(r.point)))
+    cluster_reports.sort(key=lambda r: (r.point.chart, str(r.point.minpoly)))
     reports += cluster_reports
     total = sum(rep.weight for rep in reports)
-    expected = C1.degree * C2.degree
     result = BezoutResult(total, expected, reports)
     if total != expected:
         raise VerificationFailureError(

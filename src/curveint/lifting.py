@@ -386,8 +386,22 @@ def newton_puiseux(F: MultiPoly, xname: str, prec):
         pieces = [(series_poly_from_multipoly(fac, xname), mult)
                   for fac, mult in squarefree_decompose(F)
                   if fac.involves(xname)]
+    return _branches(pieces, F.field, prec)
+
+
+def separable_branches(F: MultiPoly, xname: str, prec):
+    """``newton_puiseux`` of an F that the caller has proved separable in
+    ``xname``, with F(x, 0) != 0: F is the one piece, so no proof runs
+    here and every branch is simple."""
+    return _branches([(series_poly_from_multipoly(F, xname), 1)], F.field,
+                     positive_precision(prec))
+
+
+def _branches(pieces, field, prec):
+    """The branches of the squarefree pieces (series rows, multiplicity),
+    every branch's levels found before any series is lifted."""
     plans = [(levels, mult, span, expand) for piece, mult in pieces
-             for levels, span, expand in _expand_squarefree(piece, F.field,
+             for levels, span, expand in _expand_squarefree(piece, field,
                                                              prec, 0)]
     return [Branch(expand().truncate(prec * _t_in_T(levels)[0]), mult, span,
                    levels)

@@ -18,6 +18,7 @@ from curveint.errors import (GenericityFailureError, InfiniteMultiplicityError,
                              InsufficientPrecisionError, InvalidInputError,
                              UnsupportedExtensionError, ZeroToPrecisionError)
 from curveint.fields import QQ, ExtensionField, PrimeField
+from curveint.lifting import newton_puiseux
 from curveint.poly import MultiPoly
 from curveint.series import TruncatedSeries
 
@@ -111,7 +112,7 @@ def test_ramified_pairs_certify_by_witnesses(monkeypatch, ftext, gtext,
     roots are no squares in Q (the roadmap pair's also a slope-1/4 edge);
     the witnesses expand them over Q itself, so count-only never runs, at
     seeds 0-9."""
-    def count_only(R):
+    def count_only(R, ys):
         raise AssertionError("count-only readout ran")
 
     monkeypatch.setattr(deformation, "certified_count_only", count_only)
@@ -139,9 +140,9 @@ def test_precision_escalates_within_the_first_seed(monkeypatch):
     first attempt certifies and builds one chain."""
     monkeypatch.setattr(deformation, "START_PRECISION", Fraction(1))
     precisions, chains = [], []
-    readout, build = deformation.certified_solutions, deformation._eliminant_and_s1
-    monkeypatch.setattr(deformation, "certified_solutions",
-                        lambda *a: precisions.append(a[-1]) or readout(*a))
+    expand, build = deformation.newton_puiseux, deformation._eliminant_and_s1
+    monkeypatch.setattr(deformation, "newton_puiseux",
+                        lambda *a: precisions.append(a[-1]) or expand(*a))
     monkeypatch.setattr(deformation, "_eliminant_and_s1",
                         lambda ft, gt: chains.append(ft) or build(ft, gt))
     x, y = xy()
@@ -245,7 +246,8 @@ def test_witness_known_to_no_order_escalates(monkeypatch, shortfall, message):
               for h in (x - y, x + y))
     R, s1 = deformation._eliminant_and_s1(ft, gt)
     with pytest.raises(InsufficientPrecisionError, match=message):
-        deformation.certified_solutions(ft, gt, R, s1, 4)
+        deformation.certified_solutions(
+            ft, gt, newton_puiseux(R, "y", 4), s1, 4)
 
 
 def test_counts_over_prime_fields():
@@ -479,12 +481,13 @@ def test_count_only_agrees_with_witnesses(field, label, make, expected):
         except GenericityFailureError:
             continue
         assert transverse_by_evaluation(R, ft, gt)
-        counts.append(deformation.certified_count_only(R))
+        counts.append(deformation.certified_count_only(R, [0])[0])
         if isinstance(field, ExtensionField):
             continue
         prec = deformation.default_precision(ft, gt)
         try:
-            sols = deformation.certified_solutions(ft, gt, R, s1, prec)
+            sols = deformation.certified_solutions(
+                ft, gt, newton_puiseux(R, "y", prec), s1, prec)
         except GenericityFailureError:
             continue
         witnessed.append(sum(s.span for s in sols))
@@ -503,7 +506,7 @@ def test_count_only_certifies_tangent_branches(field):
     for ft, gt in _deformed(field, lambda x, y: (x * x - y, x * x - 2 * y)):
         R, _ = deformation._eliminant_and_s1(ft, gt)
         deformation.certify_squarefree_in(R)
-        counts.append(deformation.certified_count_only(R))
+        counts.append(deformation.certified_count_only(R, [0])[0])
     assert counts == [2, 2, 2, 2]
 
 
@@ -523,7 +526,8 @@ def test_witness_readout_rejects_a_repeated_factor():
     ft, gt = y - x * x, y - 2 * t * x + t * t
     R, s1 = deformation._eliminant_and_s1(ft, gt)
     with pytest.raises(GenericityFailureError, match="repeated factor"):
-        deformation.certified_solutions(ft, gt, R, s1, 6)
+        deformation.certified_solutions(
+            ft, gt, newton_puiseux(R, "y", 6), s1, 6)
 
 
 def test_roadmap_pair_builds_one_chain(monkeypatch):

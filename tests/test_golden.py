@@ -60,7 +60,7 @@ EXTRA_JOBS = [
     ("conic-vs-line-pair", _bezout("Y^2 + X*Z", "Y*Z", "Q")),
     # dense conic/cubic pairs over F_p whose affine points form Frobenius
     # orbits of degree 3 (two over F7, one over F101 beside three rational
-    # points) and 6 (over F32003), each fiber read off by _fiber_point
+    # points) and 6 (over F32003), each fiber read off by _fiber_x
     ("f7-dense-conic-vs-cubic", _bezout(
         "-5*X^2 - 2*X*Y - 2*X*Z + 5*Y^2 + 2*Y*Z - 3*Z^2",
         "-4*X^3 + 3*X^2*Y - 3*X^2*Z - 2*X*Y^2 - 3*X*Y*Z - 4*X*Z^2 + 2*Y^3"

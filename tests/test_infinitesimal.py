@@ -7,13 +7,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from curveint import deformation
+from curveint import deformation, infinitesimal
 from curveint.algebra import local_pair
 from curveint.cli import parse_field, parse_poly
 from curveint.deformation import (VARS3, default_precision, deformation_count,
                                   two_scale_analysis)
 from curveint.errors import (InfiniteMultiplicityError, InvalidInputError,
-                             NotSpecializableError)
+                             NotSpecializableError, SharedComponentError)
 from curveint.fields import QQ, PrimeField
 from curveint.infinitesimal import (NearbyPoint, deform,
                                     left_right_factoring_check,
@@ -291,8 +291,19 @@ def test_bad_precision_and_targets_are_input_errors(monkeypatch, case):
     def no_chain(*args):
         raise AssertionError("a chain was built")
     monkeypatch.setattr(deformation, "resultant_and_s1", no_chain)
+    monkeypatch.setattr(infinitesimal, "resultant_and_s1", no_chain)
     with pytest.raises(InvalidInputError):
         _bad_inputs()[case]()
+
+
+def test_nearby_points_of_curves_sharing_a_component_are_bad_input():
+    """``nearby_intersections`` takes curves from the user, so an
+    eliminant that vanishes at t = 0 is their shared component (exit 2),
+    where the deformation engine, on curves proved coprime, calls it a
+    defect."""
+    x, y = xy()
+    with pytest.raises(SharedComponentError, match="vanishes at t = 0"):
+        nearby_intersections(x * y, x * (x + y))
 
 
 # --------------------------------------------------------- property checks

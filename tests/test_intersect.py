@@ -3,6 +3,7 @@ import random
 import pytest
 
 import curveint.algebra as algebra
+import curveint.deformation as deformation
 import curveint.intersect as intersect
 from curveint.algebra import (_shear_candidates, _strongly_regular_in_x,
                               apply_shear, homogenize, lift_to_field,
@@ -102,17 +103,22 @@ def test_length_never_shears():
         pair.sheared
 
 
-def test_shear_searches_over_f2_name_the_bound_they_tried():
+F7_PAIR = ("-5*X^2 - 4*X*Y + 5*X*Z + 4*Y^2 - 2*Y*Z - 3*Z^2",
+           "-5*X^3 - 3*X^2*Y - 3*X^2*Z + X*Y^2 - 2*X*Y*Z + 5*X*Z^2 + 3*Y^3 "
+           "+ 2*Y^2*Z - Y*Z^2 + 4*Z^3")
+
+
+def test_shear_searches_over_f2_name_the_bound_they_tried(monkeypatch):
     """Over F2 only |lam|, mu <= 1 is tried, and the local, affine and
     nearby shear searches all say so in one wording and list every shear
-    they tried.  Over F7 the affine search tries all 7 directions, each
-    with a fiber holding two common zeros, and names that last reason."""
+    they tried.  Over F7, in the chart of Z = 0 alone, the affine search
+    tries all 7 directions, each with a fiber holding two common zeros,
+    and names that last reason."""
+    monkeypatch.setattr(intersect, "_line_candidates",
+                        lambda field: iter([(field.zero, field.zero)]))
     F2, F7 = PrimeField(2), PrimeField(7)
     x, y = xy(F2)
-    f7_pair = [parse_curve(text, F7) for text in (
-        "-5*X^2 - 4*X*Y + 5*X*Z + 4*Y^2 - 2*Y*Z - 3*Z^2",
-        "-5*X^3 - 3*X^2*Y - 3*X^2*Z + X*Y^2 - 2*X*Y*Z + 5*X*Z^2 + 3*Y^3 "
-        "+ 2*Y^2*Z - Y*Z^2 + 4*Z^3")]
+    f7_pair = [parse_curve(text, F7) for text in F7_PAIR]
     cases = [
         (F2, lambda: local_pair(x * y, x + y).sheared,
          "<= 1 put the pair in general position"),
@@ -130,6 +136,38 @@ def test_shear_searches_over_f2_name_the_bound_they_tried():
         assert str(info.value) == f"no shear with |lam|, mu {outcome}"
         assert info.value.tried == list(_shear_candidates(field))
     assert len(info.value.tried) == 7
+
+
+def test_a_line_whose_chart_separates_the_points_gives_the_frame():
+    """No shear of the chart of Z = 0 separates the common points of the
+    F7 pair above (a fiber holds two of them at every one of the 7
+    directions), so the frame moves to the next line Z + aX + bY that
+    misses them: four rational points, checked by hand, and one orbit of
+    two, each transverse, total 6."""
+    F7 = PrimeField(7)
+    res = bezout_sum(*(parse_curve(text, F7) for text in F7_PAIR), seed=1)
+    assert res.total == res.expected == 6
+    assert all(r.weight == 1 and r.transversal for r in res.reports)
+    rational = {str(r.point) for r in res.reports if "r" not in str(r.point)}
+    assert rational == {"[1:2:2]", "[1:4:3]", "[1:5:4]", "[1:6:1]"}
+
+
+@pytest.mark.parametrize("p,form", [(7, "X^7*Z - X*Z^7 + Y^8"),
+                                    (2, "X^2*Z + X*Z^2 + Y^3")])
+def test_points_on_every_line_are_found_in_two_frames(p, form):
+    """Every point of Y = 0 over F_p is a common point, so every line over
+    F_p meets one and no one chart holds them all: the chart of Z = 0
+    gives the p affine points, and the chart of a second line, which
+    meets Z = 0 at no common point, gives [1:0:0].  Each is transverse,
+    total p + 1."""
+    F = PrimeField(p)
+    C1, C2 = parse_curve("Y", F), parse_curve(form, F)
+    assert len(intersect._frames(C1, C2)) == 2
+    res = bezout_sum(C1, C2)
+    assert res.total == res.expected == p + 1
+    assert {str(r.point) for r in res.reports} == \
+        {"[1:0:0]", "[0:0:1]"} | {f"[1:0:{z}]" for z in range(1, p)}
+    assert all(r.weight == 1 and r.transversal for r in res.reports)
 
 
 def test_length_shared_component_through_origin():
@@ -313,11 +351,11 @@ def test_s1_reading_is_the_gcd_reading(field):
             if not R.involves("y"):
                 continue
             for _, y0, yfield, _ in roots_univariate(R, "y", "r"):
-                point = intersect._s1_point(s1, y0, yfield, lam, mu)
-                if point is not None:
-                    assert point == intersect._fiber_point(
+                x0 = intersect._s1_x(s1, y0, yfield)
+                if x0 is not None:
+                    assert x0 == intersect._fiber_x(
                         lift_to_field(fs, yfield), lift_to_field(gs, yfield),
-                        y0, lam, mu)
+                        y0)
                     checked += 1
     assert checked >= 20
 
@@ -326,8 +364,8 @@ def test_gcd_fallback_runs_only_where_s1_cannot_read_the_point(monkeypatch):
     """The two corpus pairs whose chains skip degree one take the gcd of
     the fiber; no affine point of the seed-1 bezout-random pairs does."""
     calls = []
-    fiber = intersect._fiber_point
-    monkeypatch.setattr(intersect, "_fiber_point",
+    fiber = intersect._fiber_x
+    monkeypatch.setattr(intersect, "_fiber_x",
                         lambda *a: calls.append(a) or fiber(*a))
 
     def points(f, g, field):
@@ -376,20 +414,71 @@ def test_bezout_cluster_weighting():
     assert rep.weight == 2 and rep.multiplicity == 1
 
 
-@pytest.mark.parametrize("p,f,g", FP_ORBIT_PAIRS)
-def test_bezout_certifies_each_orbit_once(monkeypatch, p, f, g):
-    calls = []
-    real = intersect.multiplicities_at
+WHOLE_PAIRS = FP_ORBIT_PAIRS + [
+    (0, lambda x, y: x * x + y * y - 1, lambda x, y: x - 3),
+    (0, lambda x, y: x * x - y ** 3, lambda x, y: y - x),
+    (0, lambda x, y: x * y - 1, lambda x, y: x)]
 
-    def counting(C1, C2, point, **kw):
-        calls.append(point)
-        return real(C1, C2, point, **kw)
 
-    monkeypatch.setattr(intersect, "multiplicities_at", counting)
-    x, y = xy(PrimeField(p))
+@pytest.mark.parametrize("p,f,g", WHOLE_PAIRS)
+def test_bezout_runs_one_frame_for_the_whole_pair(monkeypatch, p, f, g):
+    """One enumeration chain for the pair, one deformed chain per attempt
+    for all its points and orbits, and no per-point shear search,
+    resultant engine, deformation count or ``multiplicities_at``."""
+    chains = {"enumeration": 0, "deformed": 0, "directions": 0}
+
+    def counting(module, name, key):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            chains[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("per-point work under bezout")
+
+    counting(intersect, "resultant_and_s1", "enumeration")
+    counting(deformation, "resultant_and_s1", "deformed")
+    counting(deformation, "random_direction", "directions")
+    monkeypatch.setattr(algebra, "shear_to_general_position", refused)
+    for name in ("deformation_count", "mult_resultant_order",
+                 "multiplicities_at"):
+        monkeypatch.setattr(intersect, name, refused)
+    x, y = xy(PrimeField(p) if p else QQ)
     res = bezout_sum(curve(f(x, y)), curve(g(x, y)), seed=1)
-    assert len(calls) == 1
     assert res.total == res.expected
+    assert chains["enumeration"] == 1
+    assert 1 <= chains["deformed"] == chains["directions"] // 2
+
+
+def test_bezout_proves_the_eliminant_separable_once_per_readout(
+        monkeypatch):
+    """Over F7 no evaluation proves the deformed eliminant R separable,
+    and the proof is a gcd.  With two rational points in the frame, each
+    readout proves R separable once over F7 and expands R at each point
+    with no second proof; ``mult``'s one point gets its proof from the
+    expansion there and no other."""
+    events = []
+
+    def recorded(module, name, tag):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: events.append(tag)
+                            or real(*a))
+
+    recorded(deformation, "certify_squarefree_in", "P")
+    recorded(deformation, "separable_branches", "E")
+    recorded(deformation, "newton_puiseux", "N")
+    F7 = PrimeField(7)
+    res = bezout_sum(parse_curve("X^2*Z - Y^3", F7), parse_curve("Y", F7))
+    assert res.total == 3 and len(res.reports) == 2
+    readouts = "".join(events).split("P")
+    assert readouts[0] == "" and len(readouts) > 1
+    assert all(len(r) <= 2 and set(r) <= {"E"} for r in readouts[1:])
+    events.clear()
+    x, y = xy(F7)
+    assert deformation_count(local_pair(y - x * x, y - 2 * x * x)).count == 2
+    assert set(events) == {"N"}
 
 
 def test_bezout_runs_no_gcd_per_point(monkeypatch):

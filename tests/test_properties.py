@@ -15,6 +15,7 @@ failure names its seed and prints the pair.
 
 import random
 
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from curveint.algebra import homogenize
@@ -237,31 +238,79 @@ def test_mult_exit_codes_on_random_local_pairs(seed, fieldname, shape,
 BEZOUT_FIELDS = ["Q", "F5", "F7", "F101"]
 
 
-def _projective_form(rng, degree):
+def _projective_form(rng, degree, through_x_point):
     """A random nonzero form of the given degree in X, Y, Z, as text, with
-    coefficients in -4 .. 4 (none of them 0 mod 5, 7 or 101 unless 0)."""
+    coefficients in -4 .. 4 (none of them 0 mod 5, 7 or 101 unless 0).
+    With ``through_x_point`` its X^degree coefficient is 0, so the curve
+    passes through [1:0:0], a point on Z = 0."""
     while True:
         terms = [f"({c})*X^{i}*Y^{j}*Z^{degree - i - j}"
                  for i in range(degree + 1) for j in range(degree + 1 - i)
                  for c in [rng.randint(-4, 4) if rng.random() < 0.6 else 0]
-                 if c]
+                 if c and not (through_x_point and i == degree)]
         if terms:
             return " + ".join(terms)
+
+
+def _common_zero(curves, point, fieldname):
+    """The rational point printed as [a:b:c] is a zero of both input forms,
+    by sympy, modulo p over F_p."""
+    X, Y, Z = sympy.symbols("X Y Z")
+    coords = dict(zip((X, Y, Z), map(sympy.Rational,
+                                     point.strip("[]").split(":"))))
+    p = 0 if fieldname == "Q" else int(fieldname[1:])
+    for text in curves:
+        value = sympy.Rational(sympy.sympify(text.replace("^", "**"))
+                               .subs(coords))
+        if (value.p % p if p else value.p) != 0:
+            return False
+    return True
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(seed=st.integers(0, 10 ** 6), fieldname=st.sampled_from(BEZOUT_FIELDS))
 def test_bezout_total_on_random_projective_pairs(seed, fieldname):
-    """Two random forms of degrees d, e in 1 .. 3: ``run_job`` returns (it
-    never raises), the exit is 0, 2 (a shared component) or 3 (a budget),
-    never 1, and on exit 0 the points' total is d * e, as Bezout's theorem
-    says and as the report's own expected total says."""
-    rng = random.Random(seed)
-    d, e = rng.randint(1, 3), rng.randint(1, 3)
-    curves = (_projective_form(rng, d), _projective_form(rng, e))
-    report, code = run_job(Job(command="bezout", curves=curves,
-                               field=fieldname))
-    pair = f"seed {seed} over {fieldname}: {curves}"
-    assert code in (0, 2, 3), (pair, report)
-    if code == EXIT_OK:
+    """Two random forms of degrees d, e in 1 .. 3, and the same draw with
+    both X^d and X^e coefficients 0, so both curves pass through [1:0:0]
+    on Z = 0 and the frame's line at infinity must move: ``run_job``
+    returns (it never raises), the exit is 0, 2 (a shared component) or 3
+    (a budget), never 1, and on exit 0 the points' total is d * e, as
+    Bezout's theorem says and as the report's own expected total says,
+    every line's three engines agree, and every rational point printed is
+    a common zero of the input forms."""
+    for through_x_point in (False, True):
+        rng = random.Random(seed)
+        d, e = rng.randint(1, 3), rng.randint(1, 3)
+        curves = tuple(_projective_form(rng, n, through_x_point)
+                       for n in (d, e))
+        report, code = run_job(Job(command="bezout", curves=curves,
+                                   field=fieldname))
+        pair = f"seed {seed} over {fieldname}: {curves}"
+        assert code in (0, 2, 3), (pair, report)
+        if code != EXIT_OK:
+            continue
         assert report["total"] == report["expected_total"] == d * e, pair
+        for line in report["results"]:
+            assert line["mult_length"] == line["mult_resultant"] \
+                == line["mult_deformation"], (pair, line)
+            point = line["point"]
+            if point.startswith("[") and "r" not in point:
+                assert _common_zero(curves, point, fieldname), (pair, line)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(seed=st.integers(0, 10 ** 6), p=st.sampled_from([3, 5, 7]))
+def test_bezout_finds_common_points_on_every_line(seed, p):
+    """The line Y = 0 and X^p Z - X Z^p + Y H, H a random form of degree
+    p, meet transversally at the p + 1 points of Y = 0 over F_p, so every
+    line over F_p meets a common point and no one chart holds them all:
+    the exit is 0, with one line of weight 1 at each of those points."""
+    H = _projective_form(random.Random(seed), p, False)
+    curves = ("Y", f"X^{p}*Z - X*Z^{p} + Y*({H})")
+    report, code = run_job(Job(command="bezout", curves=curves,
+                               field=f"F{p}", fmt="json"))
+    assert code == EXIT_OK, (curves, report)
+    assert report["total"] == report["expected_total"] == p + 1
+    assert sorted(line["point"] for line in report["results"]) == sorted(
+        ["[1:0:0]", "[0:0:1]"] + [f"[1:0:{z}]" for z in range(1, p)])
+    assert {line["weight"] for line in report["results"]} == {1}
