@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 
 from .errors import (GeneralPositionError, GenericityFailureError,
@@ -691,28 +691,14 @@ def _shear_candidates(field):
             for lam, mu in small_pairs(field, direction))
 
 
-def in_general_position(fs: MultiPoly, gs: MultiPoly) -> bool:
-    """Resultant general position: both top x-coefficients are nonzero
-    constants (degree in x equals total degree) and the origin is the only
-    common zero on the line y = 0, so the order of the resultant in y
-    reads off the local multiplicity."""
-    if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):
-        return False
-    yv = fs.vars[1]
-    f0, g0 = fs.coeff_of(yv, 0), gs.coeff_of(yv, 0)
-    # every common zero on y = 0 must sit at the origin, i.e. the gcd of
-    # the two restrictions is a pure power of x
-    return len(gcd(f0, g0).terms) == 1
-
-
 def first_shear(field, attempt, outcome: str):
     """The first value ``attempt(lam, mu)`` gives over the shears of
-    ``_shear_candidates``, the one loop over them.  An attempt rejects its
-    shear by returning None or by raising GeneralPositionError or
-    GenericityFailureError.  Once every shear is rejected, raises
-    GeneralPositionError "no shear with |lam|, mu <= B <outcome>", with
-    the last rejection's reason when one raised, and ``tried`` listing
-    every shear."""
+    ``_shear_candidates``, the one loop over them; every attempt runs
+    ``isolating_shear``.  An attempt rejects its shear by returning None
+    or by raising GeneralPositionError or GenericityFailureError.  Once
+    every shear is rejected, raises GeneralPositionError "no shear with
+    |lam|, mu <= B <outcome>", with the last rejection's reason when one
+    raised, and ``tried`` listing every shear."""
     tried, last = [], None
     for lam, mu in _shear_candidates(field):
         tried.append((lam, mu))
@@ -729,16 +715,85 @@ def first_shear(field, attempt, outcome: str):
         tried=tried)
 
 
-def shear_to_general_position(f: MultiPoly, g: MultiPoly):
-    """The first shear (lam, mu) that puts the pair ``in_general_position``;
-    returns (sheared f, sheared g, lam, mu)."""
-    if f.is_zero() or g.is_zero():
-        raise InvalidInputError("shear of a zero polynomial")
+def _fiber_x(fs: MultiPoly, gs: MultiPoly, yval):
+    """The x of the one common zero of a sheared pair over y = yval, by the
+    gcd of the two specialized polynomials: the fallback of ``_s1_x``
+    where S11(yval) = 0 or the chain skips degree one.  None when the
+    fiber does not hold exactly one distinct common zero."""
+    xv, yv = fs.vars[0], fs.vars[1]
+    factors = squarefree_decompose(
+        gcd(fs.subs_values({yv: yval}), gs.subs_values({yv: yval})))
+    if len(factors) != 1 or factors[0][0].degree_in(xv) != 1:
+        return None
+    h = factors[0][0]
+    return -h.coeff_of(xv, 0).constant_value() / \
+        h.coeff_of(xv, 1).constant_value()
 
-    def attempt(lam, mu):
-        fs, gs = apply_shear(f, lam, mu), apply_shear(g, lam, mu)
-        return (fs, gs, lam, mu) if in_general_position(fs, gs) else None
-    return first_shear(f.field, attempt, "put the pair in general position")
+
+def _s1_x(s1, yval, field):
+    """The x of the common zero of a sheared pair over a root yval of its
+    eliminant, read off the chain's degree-one member
+    S1 = S11(y) x + S10(y): x0 = -S10(yval)/S11(yval), over the root's
+    field.  S1 lies in the ideal of the pair and both top x-coefficients
+    are constants, so when S11(yval) != 0 the fiber holds exactly one
+    common zero, the one ``_fiber_x`` finds.  None when S11(yval) = 0 or
+    the chain skips degree one (S1 is None)."""
+    if s1 is None:
+        return None
+    xv, yv = s1.vars[0], s1.vars[1]
+    s10, s11 = (lift_to_field(s1.coeff_of(xv, k), field).subs_values(
+        {yv: yval}).constant_value() for k in (0, 1))
+    return -s10 / s11 if s11 else None
+
+
+def isolating_shear(f: MultiPoly, g: MultiPoly, fibers: str, lam, mu):
+    """The one rule on a shear (lam, mu): (fs, gs, lam, mu, R, S1, sites)
+    when both sheared curves are strongly regular in x and, on the one
+    chain ``resultant_and_s1(fs, gs, x)``, each fiber y = y0 of R that
+    ``fibers`` names holds one common zero (x0 by ``_s1_x``, else
+    ``_fiber_x``), so ord_(y0) R is its I_P (Fulton, *Algebraic Curves*,
+    1.6); else None.  "every root" names one root of each irreducible
+    factor of R and raises GeneralPositionError at a fiber with two zeros;
+    "origin" names y = 0 and refuses the shear unless y = 0 is no root of
+    R or its one zero is the origin.  A site is ((x0, y0), the
+    multiplicity in R of y0's factor, that factor, y0's field).  Every
+    caller proves the curves coprime, so R = 0 is a defect."""
+    fs, gs = apply_shear(f, lam, mu), apply_shear(g, lam, mu)
+    if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):
+        return None
+    xv, yv = fs.vars[0], fs.vars[1]
+    R, s1 = resultant_and_s1(fs, gs, xv)
+    if R.is_zero():
+        raise VerificationFailureError(
+            "identically vanishing eliminant of coprime curves")
+    if fibers == "origin":  # y = 0, of multiplicity ord_y R
+        order = min(e[1] for e in R.terms)
+        roots = [(MultiPoly.var(R.field, R.vars, yv), R.field.zero, R.field,
+                  order)] if order else []
+    else:
+        roots = roots_univariate(R, yv, "r")
+    sites = []
+    for m, y0, yfield, mult in roots:
+        x0 = _s1_x(s1, y0, yfield)
+        if x0 is None:
+            x0 = _fiber_x(lift_to_field(fs, yfield),
+                          lift_to_field(gs, yfield), y0)
+        if fibers == "origin" and (x0 is None or x0):
+            return None
+        if x0 is None:
+            raise GeneralPositionError(
+                "a fiber held two distinct common zeros")
+        sites.append(((x0, y0), mult, m, yfield))
+    return fs, gs, lam, mu, R, s1, sites
+
+
+def shear_to_general_position(f: MultiPoly, g: MultiPoly, fibers: str):
+    """The one isolating-shear search: the first shear that
+    ``isolating_shear`` accepts for ``fibers`` ("origin" or "every root"),
+    and what it returns."""
+    return first_shear(f.field, partial(isolating_shear, f, g, fibers),
+                       "put the pair in general position" if fibers == "origin"
+                       else "separated the affine points")
 
 
 # ------------------------------------------------------------ local pairs
@@ -747,18 +802,20 @@ class LocalPair:
     """Two curves through the origin that share no component there: the
     input of every local engine, built by ``local_pair``.
 
-    ``sheared`` is the pair in general position, searched for the first
-    time an engine asks for it and kept, so a pair is sheared at most
-    once and an engine that works in the given frame never shears."""
+    ``sheared`` is the pair in general position, found by the search for
+    the origin's fiber (``shear_to_general_position``) the first time an
+    engine asks and kept: a pair is sheared at most once, the resultant
+    engine reads that search's chain, and an engine that works in the
+    given frame never shears."""
 
     def __init__(self, f: MultiPoly, g: MultiPoly):
         self.f, self.g = f, g
 
     @cached_property
     def sheared(self):
-        """(sheared f, sheared g, lam, mu), as ``shear_to_general_position``
-        returns them."""
-        return shear_to_general_position(self.f, self.g)
+        """(fs, gs, lam, mu, R, S1, [origin site]), as
+        ``shear_to_general_position`` returns them for "origin"."""
+        return shear_to_general_position(self.f, self.g, "origin")
 
 
 def local_pair(f: MultiPoly, g: MultiPoly) -> LocalPair:

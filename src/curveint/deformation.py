@@ -6,15 +6,16 @@ a + b x + c y of its family (``random_direction``, the one rule of the
 deformation count and the two-scale readout).  The count is certified,
 never assumed.
 
-Everything runs in one frame (x, y, t) in general position: both top
-x-coefficients are constants, and each point counted at is the only
-common zero on its line y = y0.  ``deformation_count`` counts at the
-origin of the sheared pair of a ``LocalPair`` (``algebra.local_pair``),
-which finds its shear the first time an engine asks and keeps it, so the
-deformation count, the two-scale readout and the resultant engine share
-one shear search.  ``deformation_counts`` counts at every common point of
-a projective pair at once, in the frame of ``intersect._frames``; the
-deformation count is it at the one point (0, 0).  Failures raise
+Everything runs in one frame (x, y, t) of the one shear search
+(``algebra.shear_to_general_position``): both top x-coefficients are
+constants, and each point counted at is the only common zero on its line
+y = y0.  ``deformation_count`` counts at the origin of the sheared pair of
+a ``LocalPair`` (``algebra.local_pair``), searched for the origin's fiber
+the first time an engine asks, so the deformation count, the two-scale
+readout and the resultant engine share one search and its chain.
+``deformation_counts`` counts at every common point of a projective pair
+at once, in the frame of ``intersect._frames`` (every root of the
+eliminant); the deformation count is it at (0, 0).  Failures raise
 GenericityFailureError, and one attempt loop (``_attempts``), shared by
 the counts and the two-scale readout, reseeds deterministically up to a
 retry budget.
@@ -262,12 +263,6 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, ybranches, s1,
     return sols
 
 
-def _order_at_origin(R: MultiPoly) -> int:
-    """ord_y R(y, 0): the number of roots of R(y, t) with positive
-    valuation, counted with multiplicity."""
-    return _x_adic_valuation(R.coeff_of("t", 0), 1)
-
-
 def certified_count_only(R: MultiPoly, ys) -> list:
     """Solution counts without witnesses at the fibers y = y0 of ``ys``,
     each over its own field: ord_(y - y0) R(y, 0) of the eliminant
@@ -285,7 +280,8 @@ def certified_count_only(R: MultiPoly, ys) -> list:
     fiber in Res_x(fs, gs), the resultant engine's value, so the count is
     not independent of that engine."""
     R0 = R.coeff_of("t", 0)
-    return [_order_at_origin(translate_to_origin(R0, (0, y0))) for y0 in ys]
+    return [_x_adic_valuation(translate_to_origin(R0, (0, y0)), 1)
+            for y0 in ys]
 
 
 def default_precision(f: MultiPoly, g: MultiPoly) -> int:
@@ -349,13 +345,11 @@ def deformation_counts(fs: MultiPoly, gs: MultiPoly, points, seed: int,
     solutions at each of ``points`` of the pair (fs, gs), deformed along
     random lines of its family, in one attempt loop for all of them.
 
-    The pair must have constant top x-coefficients, and each point
-    (x0, y0), over the field of y0, must be the only common zero on its
-    fiber y = y0 (``LocalPair.sheared`` for the origin,
-    ``intersect._frames`` for every common point).  At a point over Q or
-    F_p, the pair's field, the witnesses run on f_t, g_t, R and S1
-    translated there; elsewhere, and where an edge factor does not split,
-    ``certified_count_only`` counts.  Each readout proves R separable
+    The pair and its points (x0, y0), over the field of y0, are a frame
+    and its sites of ``algebra.shear_to_general_position``.  At a point
+    over Q or F_p, the pair's field, the witnesses run on f_t, g_t, R and
+    S1 translated there; elsewhere, and where an edge factor does not
+    split, ``certified_count_only`` counts.  Each readout proves R separable
     once: over the ground field by ``certify_squarefree_in`` before any
     point is read when there are several, and at the one point by
     ``newton_puiseux`` (before count-only, by ``certify_squarefree_in``)
@@ -401,10 +395,9 @@ def deformation_count(pair: LocalPair, seed: int = 0, prec=None,
     """The infinitesimal-neighborhood solution count of the pair at the
     origin: ``deformation_counts`` on the sheared pair at the one point
     (0, 0)."""
-    fs, gs, lam, mu = pair.sheared
-    zero = fs.field.zero
+    fs, gs, lam, mu, _, _, [(origin, *_)] = pair.sheared
     [count], seed_used, prec = deformation_counts(
-        fs, gs, [(zero, zero)], seed, prec, max_retries)
+        fs, gs, [origin], seed, prec, max_retries)
     return DeformationOutcome(count, seed_used, (lam, mu), prec)
 
 
@@ -438,11 +431,12 @@ def two_scale_analysis(pair: LocalPair, seed: int = 0,
     is I_P(f_t, g_t), the multiplicity a fine deformation of either side
     splits at P.  The certificate is the degree-one subresultant's
     x-coefficient, nonzero along every branch (``_s11_along``); a failure
-    reseeds.
+    reseeds.  The groups must account for ord_y R(y, 0), which is the
+    order the shear search read off the undeformed chain.
     """
     if coarse_side not in ("left", "right"):
         raise InvalidInputError("coarse_side must be 'left' or 'right'")
-    fs, gs, lam, mu = pair.sheared
+    fs, gs, lam, mu, _, _, [(_, total, _, _)] = pair.sheared
     field = fs.field
     if isinstance(field, ExtensionField):
         raise UnsupportedExtensionError(
@@ -453,11 +447,10 @@ def two_scale_analysis(pair: LocalPair, seed: int = 0,
         d_coarse = random_direction(rng, field)
         ft = deform_polynomial(f3, d_coarse) if coarse_side == "left" else f3
         gt = deform_polynomial(g3, d_coarse) if coarse_side == "right" else g3
-        R, s1 = _eliminant_and_s1(ft, gt)
-        return R, s1, _order_at_origin(R)
+        return _eliminant_and_s1(ft, gt)
 
     def readout(built, prec):
-        R, s1, total = built
+        R, s1 = built
         branches = newton_puiseux(R, "y", prec)
         groups = sorted(
             (br.span, br.multiplicity) for br, _, _ in _s11_along(
@@ -465,9 +458,9 @@ def two_scale_analysis(pair: LocalPair, seed: int = 0,
         if sum(k * m for k, m in groups) != total:
             raise GenericityFailureError(
                 "coarse groups do not account for the multiplicity")
-        return groups, total
+        return groups
 
-    (groups, total), seed_used, prec = _attempts(
+    groups, seed_used, prec = _attempts(
         build, readout, seed, 101, prec, default_precision(fs, gs),
         max_retries, "two-scale")
     return TwoScaleAnalysis(groups, total, seed_used, (lam, mu), prec)

@@ -7,7 +7,8 @@ of coordinate series of positive valuation in Duval's rational form, series
 in a T with t = scale * T^B (``lifting.Branch``).  ``nearby_intersections``
 reads the points the way the deformation engine reads its witnesses: y off
 the branches of the eliminant Res_x(f_t, g_t), and x off the degree-one
-subresultant (``deformation._points_along``).
+subresultant (``deformation._points_along``), at a shear that the rule
+of every shear search (``algebra.isolating_shear``) accepts.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (apply_shear, first_shear, in_general_position,
-                      local_pair, resultant_and_s1, translate_to_origin)
+from .algebra import (LocalPair, apply_shear, first_shear, gcd,
+                      isolating_shear, local_pair, resultant_and_s1,
+                      translate_to_origin)
 from .deformation import (VARS3, _points_along, deform_polynomial,
                           default_precision, deformation_count,
                           two_scale_analysis)
-from .errors import (InfiniteMultiplicityError, InsufficientPrecisionError,
-                     InvalidInputError, SharedComponentError,
-                     VerificationFailureError)
+from .errors import (InsufficientPrecisionError, InvalidInputError,
+                     SharedComponentError, VerificationFailureError)
 from .intersect import mult_length
 from .lifting import newton_puiseux
 from .poly import MultiPoly
@@ -118,16 +119,17 @@ def _as_deformed_poly(obj) -> tuple[MultiPoly, MultiPoly]:
 
 def _nearby_points(ft: MultiPoly, gt: MultiPoly, base, prec):
     """(x, y, branch) for the point over each y-branch of R = Res_x(f_t,
-    g_t), under the first shear that puts the base pair (t = 0) in general
-    position and lets ``_points_along`` read x along every branch: one
-    point per solution cycle, in the branch's T (``newton_puiseux``, as
-    the deformation engine expands them).
+    g_t), under the first shear that ``algebra.isolating_shear`` accepts
+    for the coprime base pair (t = 0) and the origin's fiber, and that
+    lets ``_points_along`` read x along every branch: one point per
+    solution cycle, in the branch's T (``newton_puiseux``, as the
+    deformation engine expands them).
 
     Every point lies over the origin: the branches of R start at y = 0,
     and R(y, 0) != 0 leaves a top x-coefficient a unit, so x stays
     bounded and tends to the base pair's one common zero on y = 0."""
     def attempt(lam, mu):
-        if not in_general_position(*(apply_shear(h, lam, mu) for h in base)):
+        if isolating_shear(*base, "origin", lam, mu) is None:
             return None
         R, s1 = resultant_and_s1(apply_shear(ft, lam, mu),
                                  apply_shear(gt, lam, mu), "x")
@@ -152,7 +154,8 @@ def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):
     with finite multiplicity, the points' counts must add up to it, the
     length engine's value there; VerificationFailureError otherwise.  A
     target that is not a point of the plane, or a precision that is not
-    positive, is an InvalidInputError."""
+    positive, is an InvalidInputError; base curves that share a component
+    are a SharedComponentError."""
     ft, base1 = _as_deformed_poly(C1t)
     gt, base2 = _as_deformed_poly(C2t)
     field = ft.field
@@ -167,6 +170,12 @@ def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):
         ft = translate_to_origin(ft, (tx, ty))
         gt = translate_to_origin(gt, (tx, ty))
     base = [h.coeff_of("t", 0).drop_vars(["t"]) for h in (ft, gt)]
+    # the user's curves share a component (all of the plane when both are
+    # 0); a curve that is 0 meets the other, a nonzero constant, nowhere
+    if gcd(*base).total_degree() != 0:
+        raise SharedComponentError("resultant vanishes at t = 0")
+    if any(h.is_zero() for h in base):
+        return []
     points = _nearby_points(ft, gt, base, prec)
     # x = -S10/S11 loses the valuation of S11 along the branch: expand once
     # more with that shortfall added, and keep only what prec asked for;
@@ -186,10 +195,9 @@ def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):
                                ys.truncate(prec * br.B), (tx, ty), br.span,
                                br.multiplicity, br.scale, br.B))
     out.sort(key=lambda np_: (str(np_.y), str(np_.x)))
-    try:
-        expected = mult_length(local_pair(*base))
-    except (InvalidInputError, InfiniteMultiplicityError):
-        return out  # the base curves do not meet there, or share a component
+    if any(h.constant_value() for h in base):
+        return out  # the base curves do not meet there
+    expected = mult_length(LocalPair(*base))
     found = sum(p.count for p in out)
     if found != expected:
         raise VerificationFailureError(

@@ -7,13 +7,16 @@
 * ``deformation.deformation_count``: certified infinitesimal solution
   count.
 
-Each engine takes a ``LocalPair`` (``algebra.local_pair``), checked once
-when it is built and sheared at most once, by whichever engine first asks
-for the sheared pair; ``multiplicities_at`` runs the three at one point.
+Every frame comes from one search, ``algebra.shear_to_general_position``,
+for the fibers of the eliminant R its caller names.  Each engine takes a
+``LocalPair`` (``algebra.local_pair``), checked once when it is built and
+sheared at most once, by the search for the origin's fiber, whose chain
+the resultant engine reads; ``multiplicities_at`` runs the three at one
+point.
 
 ``bezout_sum`` works in one frame for the whole pair of curves: the chart
-of a line Z + aX + bY that misses every common point, sheared until each
-point is alone on its fiber of the eliminant R (``_frames``).  There a
+of a line Z + aX + bY that misses every common point, sheared by the
+search for every root of R (``_frames``).  There a
 point's factor in R has the resultant engine's multiplicity, and one
 attempt loop deforms the pair and counts the nearby solutions at every
 point at once.  Over a small F_p the common points can meet every line;
@@ -27,13 +30,10 @@ the input's coordinates, and each orbit is certified once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
-from .algebra import (PROJECTIVE_VARS, LocalPair, _dense, _shift,
-                      _strongly_regular_in_x, apply_shear, dehomogenize,
-                      first_shear, gcd, is_homogeneous, lift_to_field,
-                      local_pair, resultant, resultant_and_s1,
-                      roots_univariate, shear_bound, small_pairs,
+from .algebra import (PROJECTIVE_VARS, LocalPair, _shift, dehomogenize, gcd,
+                      is_homogeneous, local_pair, shear_bound,
+                      shear_to_general_position, small_pairs,
                       squarefree_decompose, translate_to_origin)
 from .deformation import deformation_count, deformation_counts
 from .errors import (BudgetError, GeneralPositionError, InvalidInputError,
@@ -248,18 +248,11 @@ def _rank(rows, field) -> int:
 
 
 def mult_resultant_order(pair: LocalPair) -> int:
-    """ord_y Res_x(fs, gs) of the sheared pair, which is in resultant
-    general position (constant top x-coefficients, origin the only common
-    zero on the line y = 0); equals the local intersection multiplicity
-    there."""
-    fs, gs, _, _ = pair.sheared
-    xv, yv = fs.vars[0], fs.vars[1]
-    R = resultant(fs, gs, xv)
-    if R.is_zero():  # a LocalPair is coprime: a defect, not bad input
-        raise VerificationFailureError(
-            "identically vanishing resultant of a coprime local pair")
-    yi = R.vars.index(yv)
-    return min(e[yi] for e in R.terms)
+    """ord_y Res_x(fs, gs) of the sheared pair, read off the chain of the
+    search that sheared it (``LocalPair.sheared``), where the origin is
+    alone on its fiber y = 0: the local intersection multiplicity."""
+    *_, [(_, order, _, _)] = pair.sheared
+    return order
 
 
 def transversality_check(f: MultiPoly, g: MultiPoly) -> bool:
@@ -277,46 +270,6 @@ def transversality_check(f: MultiPoly, g: MultiPoly) -> bool:
 
 
 # ------------------------------------------------------ point enumeration
-
-def _fiber_x(fs: MultiPoly, gs: MultiPoly, yval):
-    """The x of the one common zero of a sheared pair over y = yval, by the
-    gcd of the two specialized polynomials: the fallback of ``_s1_x``
-    where S11(yval) = 0 or the chain skips degree one.  Raises
-    GeneralPositionError when the fiber does not hold exactly one distinct
-    common zero (the shear is rejected)."""
-    xv, yv = fs.vars[0], fs.vars[1]
-    factors = squarefree_decompose(
-        gcd(fs.subs_values({yv: yval}), gs.subs_values({yv: yval})))
-    if len(factors) != 1 or factors[0][0].degree_in(xv) != 1:
-        raise GeneralPositionError("a fiber held two distinct common zeros")
-    h = factors[0][0]
-    return -h.coeff_of(xv, 0).constant_value() / \
-        h.coeff_of(xv, 1).constant_value()
-
-
-def _s1_x(s1, yval, field):
-    """The x of the common zero of a sheared pair over a root yval of its
-    eliminant, read off the chain's degree-one member
-    S1 = S11(y) x + S10(y): x0 = -S10(yval)/S11(yval), by Horner's rule
-    over the root's field.  S1 lies in the ideal of the pair and both top
-    x-coefficients are constants, so when S11(yval) != 0 the fiber holds
-    exactly one common zero, the one ``_fiber_x`` finds.  None when
-    S11(yval) = 0 or the chain skips degree one (S1 is None)."""
-    if s1 is None:
-        return None
-    xv, yv = s1.vars[0], s1.vars[1]
-    s10, s11 = (_horner(_dense(s1.coeff_of(xv, k), yv), yval, field)
-                for k in (0, 1))
-    return -s10 / s11 if s11 else None
-
-
-def _horner(coeffs, value, field):
-    """sum(coeffs[k] * value^k) over ``field``, by Horner's rule."""
-    acc = field.zero
-    for c in reversed(coeffs):
-        acc = acc * value + c
-    return acc
-
 
 def _orbit(minpoly: MultiPoly, rep: ProjectivePoint) -> PointCluster:
     """The Galois orbit of ``rep``, a point over the root r of an
@@ -366,9 +319,8 @@ def _frames(C1: Curve, C2: Curve):
     and every common point in them, each once.
 
     A frame is the chart of a line Z + aX + bY of ``_line_candidates``
-    with the first shear (lam, mu) that leaves both curves strongly
-    regular in x and puts each common point of the chart alone on its
-    fiber y = y0 of R = Res_x(fs, gs) (``_chart_sites``).  The one frame
+    with the shear (lam, mu) that ``algebra.shear_to_general_position``
+    finds for every root of R = Res_x(fs, gs).  The one frame
     is that of the first line that misses every common point (the binary
     forms of the ``_moved`` forms on Z = 0 have a constant gcd; a curve
     that contains the line restricts to 0, and gcd(0, B) is B) and has
@@ -378,12 +330,8 @@ def _frames(C1: Curve, C2: Curve):
     line that meets L at no common point and has one gives the points on
     L, each line's shear searched at most once.  When no line or pair of
     lines serves, the last shear search's GeneralPositionError is
-    raised.  One site per irreducible factor of R kept: (at,
-    multiplicity, point, cluster), with ``at`` = (x0, y0) in the sheared
-    chart over the field of one root y0, the factor's multiplicity in R,
-    the ProjectivePoint in the input's coordinates, and its PointCluster,
-    or None for a rational point.  Curves of degree 0 meet nowhere, in no
-    frame."""
+    raised.  One site per irreducible factor of R kept, as ``_placed``
+    builds it.  Curves of degree 0 meet nowhere, in no frame."""
     if C1.field != C2.field:
         raise InvalidInputError("curves over different fields")
     if not gcd(C1.form, C2.form).is_constant():
@@ -404,9 +352,8 @@ def _frames(C1: Curve, C2: Curve):
         if line not in charts:
             f, g = (dehomogenize(F, "Z") for F in moved(line))
             try:
-                charts[line] = first_shear(
-                    field, partial(_chart_sites, f, g, *line),
-                    "separated the affine points")
+                charts[line] = _placed(line, *shear_to_general_position(
+                    f, g, "every root"))
             except GeneralPositionError as err:
                 charts[line], last = None, err
         return charts[line]
@@ -430,6 +377,25 @@ def _frames(C1: Curve, C2: Curve):
     raise last
 
 
+def _placed(line, fs, gs, lam, mu, R, s1, sites):
+    """(fs, gs, lam, mu, sites) of the search in the chart of the line
+    Z + aX + bY of (a, b) = line, a site as (at, multiplicity, point,
+    cluster): ``at`` = (x0, y0) in the sheared chart over the field of one
+    root y0, the multiplicity in R of y0's factor, the ProjectivePoint in
+    the input's coordinates, and its PointCluster, or None for a rational
+    point."""
+    out = []
+    for (x0, y0), mult, m, yfield in sites:
+        (a, b), of = line, yfield.of
+        # unsheared, then at Z + aX + bY = 1 in the input's coordinates
+        y = (y0 - of(lam) * x0) / of(mu)
+        point = ProjectivePoint((x0, y, yfield.one - of(a) * x0 - of(b) * y),
+                                yfield)
+        out.append(((x0, y0), mult, point,
+                    None if yfield == fs.field else _orbit(m, point)))
+    return fs, gs, lam, mu, out
+
+
 def _meet_is_common(C1: Curve, C2: Curve, line1, line2) -> bool:
     """Whether the lines Z + aX + bY of (a, b) = line1 and line2 meet at a
     common point of the curves."""
@@ -442,34 +408,6 @@ def _on(line, point: ProjectivePoint) -> bool:
     """Whether ``point`` lies on the line Z + aX + bY of (a, b) = line."""
     (a, b), (X, Y, Z) = line, point.coords
     return not Z + point.field.of(a) * X + point.field.of(b) * Y
-
-
-def _chart_sites(f: MultiPoly, g: MultiPoly, a, b, lam, mu):
-    """``_frames``' attempt at the shear (lam, mu) of the chart of the line
-    Z + aX + bY, where the curves are f and g: (fs, gs, lam, mu, sites),
-    or None when a sheared curve is not strongly regular in x."""
-    xv, yv = f.vars[0], f.vars[1]
-    fs, gs = apply_shear(f, lam, mu), apply_shear(g, lam, mu)
-    if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):
-        return None
-    R, s1 = resultant_and_s1(fs, gs, xv)
-    if R.is_zero():  # the forms are coprime: a defect, not bad input
-        raise VerificationFailureError(
-            "identically vanishing eliminant of coprime curves")
-    sites = []
-    for m, y0, yfield, mult in roots_univariate(R, yv, "r"):
-        x0 = _s1_x(s1, y0, yfield)
-        if x0 is None:
-            x0 = _fiber_x(lift_to_field(fs, yfield),
-                          lift_to_field(gs, yfield), y0)
-        # unsheared, then at Z + aX + bY = 1 in the input's coordinates
-        y = (y0 - yfield.of(lam) * x0) / yfield.of(mu)
-        point = ProjectivePoint(
-            (x0, y, yfield.one - yfield.of(a) * x0 - yfield.of(b) * y),
-            yfield)
-        sites.append(((x0, y0), mult, point,
-                      None if yfield == f.field else _orbit(m, point)))
-    return fs, gs, lam, mu, sites
 
 
 def intersection_points(C1: Curve, C2: Curve):
@@ -514,8 +452,8 @@ def multiplicities_at(C1: Curve, C2: Curve, point: ProjectivePoint,
     """All three engines at one point, with exact agreement enforced.  The
     point is moved to the origin of its chart and the pair checked once by
     ``local_pair`` (a shear keeps what the check proves).  It is sheared
-    once, by the deformation engine: the resultant engine reads the same
-    sheared pair."""
+    once, by the deformation engine: the resultant engine reads the order
+    of that search's own chain."""
     chart, (px, py) = point.chart, point.affine_pair()
     f0, g0 = (_at_origin(C.form, chart, (px, py)) for C in (C1, C2))
     if f0.constant_value() or g0.constant_value():
@@ -602,24 +540,3 @@ def bezout_sum(C1: Curve, C2: Curve, seed: int = 0, prec=None,
         raise VerificationFailureError(
             f"Bezout total {total} != {expected}", report=result)
     return result
-
-
-# ------------------------------------------------------------ bilinearity
-
-def bilinearity_expand(C1: Curve, C2: Curve, point: ProjectivePoint):
-    """(total, table): the weighted sum of pairwise component
-    multiplicities sum(n_i * e_j * I(G_i, H_j, p)) with each I computed on
-    the reduced factors by the length engine."""
-    chart, pair = point.chart, point.affine_pair()
-    hs = [(_at_origin(Hj, chart, pair), ej) for Hj, ej in C2.components()]
-    table = []
-    total = 0
-    for Gi, ni in C1.components():
-        gi0 = _at_origin(Gi, chart, pair)
-        for hj0, ej in hs:
-            if gi0.constant_value() or hj0.constant_value():
-                continue  # this component pair misses the point
-            m = mult_length(local_pair(gi0, hj0))
-            table.append((ni, ej, m))
-            total += ni * ej * m
-    return total, table

@@ -27,9 +27,13 @@ bound series as a polynomial in s = t^(1/L) and expands term by term
 with ``MultiPoly`` products (``expand_substitution``), where the
 production ``eval_poly_at_series`` runs Horner's rule on series.  The
 shear-candidate oracle lists every (lam, mu) by growing |lam| + mu and
-drops the repeated directions lam/mu.  The transversality reference proves by
-evaluation, on Sylvester resultants and long-division gcds, what the
-deformation engine reads off a separable eliminant.  The separability
+drops the repeated directions lam/mu.  The general-position reference
+(``in_general_position``, ``first_general_position_shear``) accepts a
+shear by a gcd of the two curves on the line y = 0, where the production
+search reads the origin's fiber off the subresultant chain it builds.
+The transversality reference proves by evaluation, on Sylvester
+resultants and long-division gcds, what the deformation engine reads off
+a separable eliminant.  The separability
 reference specializes R(y, t) at each tau with ``subs_values`` and takes
 an exact ``gcd``, where the production proof reads each tau mod a prime
 on ints first.  The segment reference substitutes x -> head + x with
@@ -39,9 +43,10 @@ oracle asks sympy for the irreducible factors of a univariate polynomial,
 where the production code lifts factors mod p on dense int lists.
 
 The readouts at the end (``evaluate``, ``agrees_with``, ``branch_count``,
-``valuation_certificate``, ``branch_residual`` and ``verify_branch``)
-are used by tests only, so they live here rather than in the library, as
-does ``bench_workloads``, the bench's job lists loaded from their file.
+``valuation_certificate``, ``branch_residual``, ``verify_branch`` and
+``bilinearity_expand``) are used by tests only, so they live here rather
+than in the library, as does ``bench_workloads``, the bench's job lists
+loaded from their file.
 """
 
 import importlib.util
@@ -49,9 +54,11 @@ from fractions import Fraction
 from math import ceil
 from pathlib import Path
 
-from curveint.algebra import gcd, lift_to_field
+from curveint.algebra import (SHEAR_BOUND, apply_shear, gcd, lift_to_field,
+                              local_pair)
 from curveint.errors import InvalidInputError, UnsupportedExtensionError
 from curveint.fields import QQ, ExtElement, ExtensionField, PrimeField
+from curveint.intersect import _at_origin, mult_length
 from curveint.poly import MultiPoly
 from curveint.series import INF, TruncatedSeries
 
@@ -528,6 +535,40 @@ def shear_candidates_by_ratio(field, bound):
     return out
 
 
+def in_general_position(fs: MultiPoly, gs: MultiPoly) -> bool:
+    """Resultant general position: both top x-coefficients are nonzero
+    constants (degree in x equals total degree) and the origin is the only
+    common zero on the line y = 0, so the order of the resultant in y
+    reads off the local multiplicity."""
+    for h in (fs, gs):
+        xv = h.vars[0]
+        if not (h.degree_in(xv) == h.total_degree()
+                and h.leading_coeff_in(xv).is_constant()):
+            return False
+    yv = fs.vars[1]
+    f0, g0 = fs.coeff_of(yv, 0), gs.coeff_of(yv, 0)
+    # every common zero on y = 0 must sit at the origin, i.e. the gcd of
+    # the two restrictions is a pure power of x
+    return len(gcd(f0, g0).terms) == 1
+
+
+_RATIO_CANDIDATES = {}
+
+
+def first_general_position_shear(f: MultiPoly, g: MultiPoly):
+    """The first shear of ``shear_candidates_by_ratio`` that puts the pair
+    ``in_general_position``, or None when none does.  The candidate list
+    is made once per field."""
+    if f.field not in _RATIO_CANDIDATES:
+        _RATIO_CANDIDATES[f.field] = shear_candidates_by_ratio(f.field,
+                                                               SHEAR_BOUND)
+    for lam, mu in _RATIO_CANDIDATES[f.field]:
+        if in_general_position(apply_shear(f, lam, mu),
+                               apply_shear(g, lam, mu)):
+            return lam, mu
+    return None
+
+
 def frobenius_orbit(point, k):
     """The distinct coordinate tuples (X**q, Y**q, Z**q), q = p**i for
     i < k, of a normalized point over an extension of F_p."""
@@ -782,3 +823,22 @@ def verify_branch(F: MultiPoly, xname: str, br) -> bool:
     vanish to the branch's guaranteed precision."""
     return branch_residual(F, {xname: br.series}, br.scale,
                            br.B).valuation() is None
+
+
+def bilinearity_expand(C1, C2, point):
+    """(total, table): the weighted sum of pairwise component
+    multiplicities sum(n_i * e_j * I(G_i, H_j, p)) with each I computed on
+    the reduced factors by the length engine."""
+    chart, pair = point.chart, point.affine_pair()
+    hs = [(_at_origin(Hj, chart, pair), ej) for Hj, ej in C2.components()]
+    table = []
+    total = 0
+    for Gi, ni in C1.components():
+        gi0 = _at_origin(Gi, chart, pair)
+        for hj0, ej in hs:
+            if gi0.constant_value() or hj0.constant_value():
+                continue  # this component pair misses the point
+            m = mult_length(local_pair(gi0, hj0))
+            table.append((ni, ej, m))
+            total += ni * ej * m
+    return total, table

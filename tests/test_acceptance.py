@@ -21,13 +21,13 @@ from curveint.errors import (GeneralPositionError, GenericityFailureError,
 from curveint.fields import QQ, PrimeField
 from curveint.infinitesimal import (left_right_factoring_check,
                                     staged_specialization_check)
-from curveint.intersect import (Curve, ProjectivePoint,
-                                bilinearity_expand, mult_length,
-                                mult_resultant_order,
-                                transversality_check)
+from curveint.intersect import (Curve, ProjectivePoint, mult_length,
+                                mult_resultant_order, transversality_check)
 from curveint.lifting import hensel_lift, weierstrass_prepare
 from curveint.poly import MultiPoly
 from curveint.series import TruncatedSeries, eval_poly_at_series
+
+from oracles import bilinearity_expand
 
 V = ("x", "y")
 

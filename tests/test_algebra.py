@@ -2,6 +2,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import assume, given, settings, strategies as st
 
 from curveint import algebra
 from curveint.algebra import (SHEAR_BOUND, _shear_candidates, content_in,
@@ -10,16 +11,19 @@ from curveint.algebra import (SHEAR_BOUND, _shear_candidates, content_in,
                               resultant, apply_shear, roots_univariate,
                               shear_to_general_position, squarefree_decompose,
                               subresultant_prs, translate_to_origin)
-from curveint.cli import parse_poly
+from curveint.cli import EXIT_OK, Job, parse_poly, run_job
 from curveint.errors import (GeneralPositionError, InvalidDegreeError,
                              InvalidInputError, UnsupportedExtensionError)
 from curveint.factor import _gcd
 from curveint.fields import QQ, ExtensionField, PrimeField
+from curveint.intersect import mult_resultant_order
 from curveint.poly import MultiPoly
 
-from oracles import (evaluate, pseudo_rem_by_products, random_poly,
-                     separable_by_exact_evaluation, shear_candidates_by_ratio,
-                     sylvester_resultant, sympy_compose)
+from oracles import (evaluate, first_general_position_shear,
+                     fulton_intersection_number, pseudo_rem_by_products,
+                     random_poly, separable_by_exact_evaluation,
+                     shear_candidates_by_ratio, sylvester_resultant,
+                     sympy_compose)
 
 V = ("x", "y")
 
@@ -774,14 +778,15 @@ def test_translate_unrepresentable_coordinate():
 
 def test_shear_identity_accepted_for_transverse_lines():
     x, y = xy()
-    fs, gs, lam, mu = shear_to_general_position(x - y, x + y)
+    fs, gs, lam, mu, _, _, _ = shear_to_general_position(x - y, x + y,
+                                                         "origin")
     assert (lam, mu) == (QQ.zero, QQ.one)
     assert fs == x - y and gs == x + y
 
 
 def test_shear_regularizes_horizontal_line():
     x, y = xy()
-    fs, gs, lam, mu = shear_to_general_position(y, x)
+    fs, gs, lam, mu, _, _, _ = shear_to_general_position(y, x, "origin")
     assert not fs.subs_values({"y": QQ.zero}).is_zero()
     assert not gs.subs_values({"y": QQ.zero}).is_zero()
     assert mu != 0
@@ -791,7 +796,7 @@ def test_shear_cusp_pair_postcondition():
     x, y = xy()
     f = x * x - y ** 3
     g = x - y
-    fs, gs, lam, mu = shear_to_general_position(f, g)
+    fs, gs, lam, mu, _, _, _ = shear_to_general_position(f, g, "origin")
     f0 = fs.subs_values({"y": QQ.zero})
     g0 = gs.subs_values({"y": QQ.zero})
     assert not f0.is_zero() and not g0.is_zero()
@@ -807,8 +812,48 @@ def test_shear_budget_exhaustion_reports_tried_pairs():
     F = PrimeField(2)
     x, y = xy(F)
     with pytest.raises(GeneralPositionError) as info:
-        shear_to_general_position(y * (x + y), y * x + y * y + y)
+        shear_to_general_position(y * (x + y), y * x + y * y + y,
+                                  "origin")
     assert info.value.tried
+
+
+REFERENCE_FIELDS = {"Q": QQ, "F2": PrimeField(2), "F3": PrimeField(3),
+                    "F7": PrimeField(7), "F101": PrimeField(101)}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(seed=st.integers(0, 10 ** 6),
+       fieldname=st.sampled_from(sorted(REFERENCE_FIELDS)),
+       misses=st.booleans())
+def test_origin_search_picks_the_gcd_rules_first_shear(seed, fieldname,
+                                                      misses):
+    """On random coprime pairs through the origin, and on pairs whose
+    first curve misses it (as a ``nearby_intersections`` target can), the
+    search for the origin's fiber accepts the first shear that the gcd
+    rule ``oracles.in_general_position`` accepts, or both refuse.  Where
+    ``mult`` exits 0, the resultant engine's order, read off the search's
+    own chain, is Fulton's intersection number."""
+    field = REFERENCE_FIELDS[fieldname]
+    rng = random.Random(seed)
+    f, g = (random_poly(rng, field, V, rng.randint(1, 3), 4, True)
+            for _ in range(2))
+    if misses:
+        f = f + MultiPoly.const(field, V, 1)
+    assume(not f.is_constant() and not g.is_constant()
+           and gcd(f, g).is_constant())
+    expected = first_general_position_shear(f, g)
+    try:
+        found = shear_to_general_position(f, g, "origin")[2:4]
+    except GeneralPositionError:
+        found = None
+    assert found == expected, (str(f), str(g))
+    if misses:
+        return
+    _, code = run_job(Job(command="mult", curves=(str(f), str(g)),
+                          field=fieldname))
+    if code == EXIT_OK:
+        assert mult_resultant_order(algebra.local_pair(f, g)) == \
+            fulton_intersection_number(f, g), (str(f), str(g))
 
 
 @pytest.mark.parametrize("field, count", [

@@ -301,12 +301,12 @@ def test_mult_enforces_transverse_implies_one(monkeypatch):
 
 def test_an_enumerated_point_off_a_curve_is_a_defect(monkeypatch):
     """x0 read with the wrong sign puts bezout's own point off a curve."""
-    real = curveint.intersect._s1_x
+    real = curveint.algebra._s1_x
 
     def flipped(s1, yval, field):
         x0 = real(s1, yval, field)
         return None if x0 is None else -x0
-    monkeypatch.setattr(curveint.intersect, "_s1_x", flipped)
+    monkeypatch.setattr(curveint.algebra, "_s1_x", flipped)
     report, code = run_job(Job(command="bezout",
                                curves=("x^2+y^2-5", "x*y-2")))
     assert code == EXIT_VERIFICATION
@@ -374,11 +374,10 @@ def test_a_segment_vanishing_at_its_origin_is_a_defect(monkeypatch):
 
 
 @pytest.mark.parametrize("module,name,command,curves,error", [
-    pytest.param("intersect", "resultant", "mult", ("x", "y"),
-                 "identically vanishing resultant of a coprime local pair",
-                 id="resultant-mult-curves0-resultant of a coprime local "
-                    "pair"),
-    pytest.param("intersect", "resultant_and_s1", "bezout",
+    pytest.param("algebra", "resultant_and_s1", "mult", ("x", "y"),
+                 "identically vanishing eliminant of coprime curves",
+                 id="eliminant-mult"),
+    pytest.param("algebra", "resultant_and_s1", "bezout",
                  ("x^2+y^2-5", "x*y-2"),
                  "identically vanishing eliminant of coprime curves",
                  id="resultant_and_s1-bezout-curves1-eliminant of coprime "
@@ -394,12 +393,12 @@ def test_a_zero_eliminant_of_coprime_curves_is_a_defect(monkeypatch, module,
                                                         name, command,
                                                         curves, error):
     """``local_pair`` and ``bezout``'s gcd of the forms prove the curves
-    coprime before any resultant is taken, so a resultant that vanishes
-    identically, or a deformed eliminant R(y, t) of the deformation engine
-    that vanishes at t = 0, is the kernel's fault, not the input's."""
+    coprime before any resultant is taken, so an eliminant of the one
+    shear search that vanishes identically, or a deformed eliminant
+    R(y, t) of the deformation engine that vanishes at t = 0, is the
+    kernel's fault, not the input's."""
     def zero(f, g, xv):
-        R = MultiPoly.zero(f.field, f.vars)
-        return R if name == "resultant" else (R, None)
+        return MultiPoly.zero(f.field, f.vars), None
     monkeypatch.setattr(getattr(curveint, module), name, zero)
     report, code = run_job(Job(command=command, curves=curves))
     assert code == EXIT_VERIFICATION

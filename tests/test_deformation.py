@@ -85,7 +85,7 @@ def test_adaptive_precision_keeps_counts_and_seeds(name, ftext, gtext,
     match on both sides."""
     field, _ = parse_field(fieldname)
     pair = local_pair(parse_poly(ftext, field, V), parse_poly(gtext, field, V))
-    fs, gs, _, _ = pair.sheared
+    fs, gs, *_ = pair.sheared
     cap = deformation.default_precision(fs, gs)
     adaptive, fixed = deformation_count(pair), deformation_count(pair, prec=cap)
     assert (adaptive.count, adaptive.seed_used) == (fixed.count,
@@ -457,7 +457,7 @@ def _deformed(field, make, attempts=4):
     """The classical pair over ``field``, sheared, and its deformations
     along the directions of the first attempts at seed 5."""
     x, y = xy(field)
-    fs, gs, _, _ = shear_to_general_position(*make(x, y))
+    fs, gs, *_ = shear_to_general_position(*make(x, y), "origin")
     for attempt in range(attempts):
         rng = random.Random(derived_seed(5, attempt))
         yield tuple(deform_polynomial(h.extend_vars(VARS3),

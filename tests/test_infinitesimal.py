@@ -300,10 +300,17 @@ def test_nearby_points_of_curves_sharing_a_component_are_bad_input():
     """``nearby_intersections`` takes curves from the user, so an
     eliminant that vanishes at t = 0 is their shared component (exit 2),
     where the deformation engine, on curves proved coprime, calls it a
-    defect."""
+    defect.  Two curves that are 0 at t = 0 share the whole plane, over
+    F2 too, where no shear separates the points; a curve that is 0 there
+    meets a nonzero constant nowhere."""
     x, y = xy()
-    with pytest.raises(SharedComponentError, match="vanishes at t = 0"):
-        nearby_intersections(x * y, x * (x + y))
+    x2, y2 = xy(PrimeField(2))
+    t = MultiPoly.var(QQ, VARS3, "t")
+    for pair in ((x * y, x * (x + y)), (x2 * y2, x2 * (x2 + y2)),
+                 (t * x.extend_vars(VARS3), t * y.extend_vars(VARS3))):
+        with pytest.raises(SharedComponentError, match="vanishes at t = 0"):
+            nearby_intersections(*pair)
+    assert nearby_intersections(t * x.extend_vars(VARS3), t + 1) == []
 
 
 # --------------------------------------------------------- property checks

@@ -9,7 +9,7 @@ from curveint.algebra import (_shear_candidates, _strongly_regular_in_x,
                               apply_shear, homogenize, lift_to_field,
                               local_pair, resultant_and_s1, roots_univariate,
                               shear_to_general_position)
-from curveint.cli import parse_curve, parse_field
+from curveint.cli import EXIT_OK, Job, parse_curve, parse_field, run_job
 from curveint.corpus import corpus_manifest
 from curveint.deformation import deformation_count
 from curveint.errors import (GeneralPositionError, InfiniteMultiplicityError,
@@ -17,13 +17,12 @@ from curveint.errors import (GeneralPositionError, InfiniteMultiplicityError,
 from curveint.fields import QQ, ExtensionField, PrimeField
 from curveint.infinitesimal import nearby_intersections
 from curveint.intersect import (Curve, PointCluster, ProjectivePoint,
-                                bezout_sum, bilinearity_expand,
-                                intersection_points, mult_length,
+                                bezout_sum, intersection_points, mult_length,
                                 mult_resultant_order, multiplicities_at,
                                 transversality_check)
 from curveint.poly import MultiPoly
 
-from oracles import (bench_workloads, frobenius_orbit,
+from oracles import (bench_workloads, bilinearity_expand, frobenius_orbit,
                      fulton_intersection_number, random_poly)
 
 V = ("x", "y")
@@ -206,7 +205,7 @@ def test_resultant_order_leaves_no_second_zero_on_the_axis():
 def test_resultant_order_after_shear_matches_length():
     x, y = xy()
     f, g = x * x - y ** 3, y - x
-    fs, gs, lam, mu = shear_to_general_position(f, g)
+    fs, gs, _, _, _, _, _ = shear_to_general_position(f, g, "origin")
     assert mult_resultant_order(local_pair(fs, gs)) == \
         mult_length(local_pair(f, g)) == 2
 
@@ -351,9 +350,9 @@ def test_s1_reading_is_the_gcd_reading(field):
             if not R.involves("y"):
                 continue
             for _, y0, yfield, _ in roots_univariate(R, "y", "r"):
-                x0 = intersect._s1_x(s1, y0, yfield)
+                x0 = algebra._s1_x(s1, y0, yfield)
                 if x0 is not None:
-                    assert x0 == intersect._fiber_x(
+                    assert x0 == algebra._fiber_x(
                         lift_to_field(fs, yfield), lift_to_field(gs, yfield),
                         y0)
                     checked += 1
@@ -364,8 +363,8 @@ def test_gcd_fallback_runs_only_where_s1_cannot_read_the_point(monkeypatch):
     """The two corpus pairs whose chains skip degree one take the gcd of
     the fiber; no affine point of the seed-1 bezout-random pairs does."""
     calls = []
-    fiber = intersect._fiber_x
-    monkeypatch.setattr(intersect, "_fiber_x",
+    fiber = algebra._fiber_x
+    monkeypatch.setattr(algebra, "_fiber_x",
                         lambda *a: calls.append(a) or fiber(*a))
 
     def points(f, g, field):
@@ -422,10 +421,12 @@ WHOLE_PAIRS = FP_ORBIT_PAIRS + [
 
 @pytest.mark.parametrize("p,f,g", WHOLE_PAIRS)
 def test_bezout_runs_one_frame_for_the_whole_pair(monkeypatch, p, f, g):
-    """One enumeration chain for the pair, one deformed chain per attempt
-    for all its points and orbits, and no per-point shear search,
-    resultant engine, deformation count or ``multiplicities_at``."""
+    """One shear search per line tried, each for every root of R, one
+    enumeration chain for the pair, one deformed chain per attempt for
+    all its points and orbits, and no per-point shear search, resultant
+    engine, deformation count or ``multiplicities_at``."""
     chains = {"enumeration": 0, "deformed": 0, "directions": 0}
+    searches = []
 
     def counting(module, name, key):
         real = getattr(module, name)
@@ -438,9 +439,16 @@ def test_bezout_runs_one_frame_for_the_whole_pair(monkeypatch, p, f, g):
     def refused(*args, **kwargs):
         raise AssertionError("per-point work under bezout")
 
-    counting(intersect, "resultant_and_s1", "enumeration")
+    real_search = intersect.shear_to_general_position
+
+    def search(f, g, fibers):
+        searches.append((str(f), str(g), fibers))
+        return real_search(f, g, fibers)
+
+    counting(algebra, "resultant_and_s1", "enumeration")
     counting(deformation, "resultant_and_s1", "deformed")
     counting(deformation, "random_direction", "directions")
+    monkeypatch.setattr(intersect, "shear_to_general_position", search)
     monkeypatch.setattr(algebra, "shear_to_general_position", refused)
     for name in ("deformation_count", "mult_resultant_order",
                  "multiplicities_at"):
@@ -448,6 +456,7 @@ def test_bezout_runs_one_frame_for_the_whole_pair(monkeypatch, p, f, g):
     x, y = xy(PrimeField(p) if p else QQ)
     res = bezout_sum(curve(f(x, y)), curve(g(x, y)), seed=1)
     assert res.total == res.expected
+    assert len(searches) == 1 and searches[0][2] == "every root"
     assert chains["enumeration"] == 1
     assert 1 <= chains["deformed"] == chains["directions"] // 2
 
@@ -567,23 +576,49 @@ def test_multiplicities_at_detects_agreement():
 def test_multiplicities_at_shears_once(monkeypatch):
     """One shear search per point, made by the point's ``LocalPair``, and
     its sheared pair is the one both the deformation and the resultant
-    engines read: no second shear."""
-    searches, shears = [], []
+    engines read: no shear outside the search.  ``mult`` builds one
+    undeformed chain, in the search, which engine 2 reads, and the search
+    runs no gcd."""
+    searches, shears, chains, gcds = [], [], [], []
+    inside = []  # one entry per search running
     real_search = shear_to_general_position
+    real_chain, real_gcd = algebra.resultant_and_s1, algebra.gcd
 
-    def search(f, g, *args, **kwargs):
-        searches.append((f, g))
-        return real_search(f, g, *args, **kwargs)
+    def search(f, g, fibers):
+        searches.append(fibers)
+        inside.append(fibers)
+        try:
+            return real_search(f, g, fibers)
+        finally:
+            inside.pop()
 
     def shear(f, lam, mu):
-        shears.append((f, lam, mu))
+        if not inside:
+            shears.append((f, lam, mu))
         return apply_shear(f, lam, mu)
 
+    def chain(f, g, name):
+        if len(f.vars) == 2:
+            chains.append((f, g))
+        return real_chain(f, g, name)
+
+    def counted_gcd(f, g):
+        if inside:
+            gcds.append((f, g))
+        return real_gcd(f, g)
+
     monkeypatch.setattr(algebra, "shear_to_general_position", search)
-    monkeypatch.setattr(intersect, "apply_shear", shear)
+    monkeypatch.setattr(algebra, "apply_shear", shear)
+    monkeypatch.setattr(algebra, "resultant_and_s1", chain)
+    monkeypatch.setattr(algebra, "gcd", counted_gcd)
     x, y = xy()
     C1, C2 = curve(x * x - y ** 3), curve(y - x)
     rep = multiplicities_at(C1, C2, ProjectivePoint((0, 0, 1), QQ), seed=2)
     assert rep.agreed and rep.multiplicity == 2
-    assert len(searches) == 1
+    assert searches == ["origin"]
     assert shears == []
+    del searches[:], chains[:]
+    report, code = run_job(Job(command="mult", curves=("x^2 - y^3", "y")))
+    assert code == EXIT_OK and report["results"][0]["mult_resultant"] == 2
+    assert searches == ["origin"]
+    assert len(chains) == 1 and gcds == []
