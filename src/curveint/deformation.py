@@ -22,41 +22,42 @@ retry budget.
 
 Each attempt (one seed) builds one subresultant chain of (f_t, g_t) in x
 (``_eliminant_and_s1``), the only source of R = Res_x(f_t, g_t) and of
-its degree-one member S1, and runs one readout on them at every point.
-Each readout proves what it reads: that R is separable in y, so the
-nearby points are distinct and transverse.  The count is fixed by R
-alone; the working precision of the series only has to let the checks
-decide.  So the readout starts at precision 2 and, where it failed only
-for want of precision (InsufficientPrecisionError, or S11 or the Jacobian
-zero to precision along a branch: ZeroToPrecisionError), reruns on the
-same R at double the precision, up to the cap ``default_precision`` =
-2de + 2.  A failure at the cap fails the attempt: the next seed runs,
-after an InsufficientPrecisionError under double the cap.  That is the one
-precision rule: no certificate suggests a precision of its own.  An
-explicit precision is both start and cap.  The outcome's ``precision`` is
-the precision the witnesses were certified at; count-only expands no
-series and reports the precision at which the witnesses gave way to it
-(the start, over an extension field).
+its degree-one member S1, and proves R separable in y once, where R is
+built (``certify_squarefree_in``): so the nearby points are distinct and
+transverse, at every point and over every extension.  A readout then
+reads every point by one rule, with no proof of its own.  The count is
+fixed by R alone; the working precision of the series only has to let
+the checks decide.  So the readout starts at precision 2 and, where it
+failed only for want of precision (InsufficientPrecisionError, or S11 or
+the Jacobian zero to precision along a branch: ZeroToPrecisionError),
+reruns on the same R at double the precision, up to the cap
+``default_precision`` = 2de + 2.  A failure at the cap fails the attempt:
+the next seed runs, after an InsufficientPrecisionError under double the
+cap.  That is the one precision rule: no certificate suggests a precision
+of its own.  An explicit precision is both start and cap.  The outcome's
+``precision`` is the precision the witnesses were certified at;
+count-only expands no series and reports the precision at which the
+witnesses gave way to it (the start, over an extension field).
 
 * witnesses (``certified_solutions``, at points over Q and F_p, on the
   pair translated to the point): every y-branch of R through the point
-  is expanded as a Puiseux series and must be simple, and its
-  x-coordinate is read off S1: when S11(y0) != 0 at a root y0 of R, the
-  gcd of the two specialized polynomials is S11(y0) x + S10(y0) up to a
-  unit, so x = -S10/S11 is the unique lift.  ``_points_along`` is the one
-  readout of the point over each y-branch, and
-  ``infinitesimal.nearby_intersections`` uses it too; the two-scale
+  is expanded as a Puiseux series (``separable_branches``, simple by the
+  seed's proof), and its x-coordinate is read off S1: when S11(y0) != 0
+  at a root y0 of R, the gcd of the two specialized polynomials is
+  S11(y0) x + S10(y0) up to a unit, so x = -S10/S11 is the unique lift.
+  ``_points_along`` is the one readout of the point over each y-branch,
+  and ``infinitesimal.nearby_intersections`` uses it too; the two-scale
   readout, which reads no x, takes only its certificate that S11 is
-  nonzero along every branch (``_s11_along``).  Each witness must
-  satisfy f_t and g_t to working precision, specialize to the origin, and
-  have a nonzero Jacobian.  These check every point against the deformed
-  pair itself, where the count-only readout rests on R alone.
+  nonzero along every branch (``_s11_along``).  Each witness must satisfy
+  f_t and g_t to working precision, specialize to the origin, and have a
+  nonzero Jacobian.  These check every point against the deformed pair
+  itself, where the count-only readout rests on R alone.
 * count-only (``certified_count_only``, at points over an extension
   field, and where an edge factor does not split over the one-step
-  extension): once ``certify_squarefree_in`` proves R separable over the
-  pair's field, the order of R(y, 0) at y0.  This equals that of
-  Res_x(fs, gs), the resultant engine's value, so where this readout runs
-  the engine is not independent of the resultant engine.
+  extension): the order of R(y, 0) at y0, which the seed's one proof
+  makes the count.  This equals that of Res_x(fs, gs), the resultant
+  engine's value, so where this readout runs the engine is not
+  independent of the resultant engine.
 
 Two-scale analysis deforms one curve only, at a coarse scale t, and reads
 the nearby coarse points P off the y-eliminant R = Res_x(f_t, g_t): by the
@@ -214,9 +215,9 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, ybranches, s1,
                         prec):
     """All solution branches of the deformed pair through the origin, with
     witness certificates, read off the y-branches of the pair's eliminant
-    R through the origin (``newton_puiseux`` of R, or
-    ``separable_branches`` once R is proved separable) and its degree-one
-    subresultant S1 (``_eliminant_and_s1``).  Every y-branch must be
+    R through the origin (``separable_branches`` of an R proved separable,
+    in production) and its degree-one subresultant S1
+    (``_eliminant_and_s1``).  Every y-branch must be
     simple (R has no repeated factor along a branch); then each witness
     must satisfy f_t and g_t, specialize to the origin and have a nonzero
     Jacobian.  Separability of R already proves every point transverse;
@@ -266,9 +267,9 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, ybranches, s1,
 def certified_count_only(R: MultiPoly, ys) -> list:
     """Solution counts without witnesses at the fibers y = y0 of ``ys``,
     each over its own field: ord_(y - y0) R(y, 0) of the eliminant
-    R = Res_x(f_t, g_t), which the caller has proved separable in y over
-    its own field by ``certify_squarefree_in`` (a proof that holds over
-    every extension).
+    R = Res_x(f_t, g_t), which ``deformation_counts`` proved separable in
+    y over the pair's field by ``certify_squarefree_in``, once per seed
+    where it built R (a proof that holds over every extension).
 
     Proof.  The general position of the pair at each point (constant top
     x-coefficients, the point the only common zero on its fiber y = y0)
@@ -349,40 +350,33 @@ def deformation_counts(fs: MultiPoly, gs: MultiPoly, points, seed: int,
     and its sites of ``algebra.shear_to_general_position``.  At a point
     over Q or F_p, the pair's field, the witnesses run on f_t, g_t, R and
     S1 translated there; elsewhere, and where an edge factor does not
-    split, ``certified_count_only`` counts.  Each readout proves R separable
-    once: over the ground field by ``certify_squarefree_in`` before any
-    point is read when there are several, and at the one point by
-    ``newton_puiseux`` (before count-only, by ``certify_squarefree_in``)
-    when there is one, so the origin of ``deformation_count`` gets no
-    extra proof."""
+    split, ``certified_count_only`` counts.  One proof per seed, where R
+    is built: ``build`` proves R separable in y (``certify_squarefree_in``)
+    and the readout, rerun at each precision on the same R, only expands
+    and reads, at one point (``mult``) as at many (``bezout``)."""
     field = fs.field
-    several = len(points) > 1
 
     def build(rng):
         ft = deform_polynomial(fs, random_direction(rng, field))
         gt = deform_polynomial(gs, random_direction(rng, field))
-        return (ft, gt) + _eliminant_and_s1(ft, gt)
+        R, s1 = _eliminant_and_s1(ft, gt)
+        certify_squarefree_in(R)
+        return ft, gt, R, s1
 
     def readout(built, prec):
-        R = built[2]
-        if several:
-            certify_squarefree_in(R)
         counts = [None] * len(points)
         for k, point in enumerate(points):
             if not isinstance(field, ExtensionField) and \
                     field.is_element(point[1]):
                 ft, gt, Rp, s1 = (h and translate_to_origin(h, point)
                                   for h in built)
-                expand = separable_branches if several else newton_puiseux
                 with suppress(UnsupportedExtensionError):
                     counts[k] = sum(s.span for s in certified_solutions(
-                        ft, gt, expand(Rp, "y", prec), s1, prec))
+                        ft, gt, separable_branches(Rp, "y", prec), s1, prec))
         rest = [k for k, count in enumerate(counts) if count is None]
         if rest:
-            if not several:
-                certify_squarefree_in(R)
             for k, count in zip(rest, certified_count_only(
-                    R, [points[k][1] for k in rest])):
+                    built[2], [points[k][1] for k in rest])):
                 counts[k] = count
         return counts
 

@@ -135,10 +135,18 @@ def _nearby_points(ft: MultiPoly, gt: MultiPoly, base, prec):
                                  apply_shear(gt, lam, mu), "x")
         if R.coeff_of("t", 0).is_zero():  # the user's curves
             raise SharedComponentError("resultant vanishes at t = 0")
-        return [(x, (br.series - x * lam) * (ft.field.one / mu), br)
-                for br, _, x in _points_along(
-                    s1, newton_puiseux(R, "y", prec), prec,
-                    "two nearby points share a y-coordinate")]
+
+        def read(p):
+            return [(x, (br.series - x * lam) * (ft.field.one / mu), br)
+                    for br, _, x in _points_along(
+                        s1, newton_puiseux(R, "y", p), p,
+                        "two nearby points share a y-coordinate")]
+        points = read(prec)
+        # x = -S10/S11 loses the valuation of S11 along a branch: expand
+        # the same R again with that shortfall (in t, not the branch's T)
+        short = max((prec - Fraction(min(xs.prec, ys.prec), br.B)
+                     for xs, ys, br in points), default=0)
+        return read(prec + short) if short > 0 else points
     return first_shear(ft.field, attempt, "separated the nearby points")
 
 
@@ -176,16 +184,8 @@ def nearby_intersections(C1t, C2t, target=(0, 0), prec=None):
         raise SharedComponentError("resultant vanishes at t = 0")
     if any(h.is_zero() for h in base):
         return []
-    points = _nearby_points(ft, gt, base, prec)
-    # x = -S10/S11 loses the valuation of S11 along the branch: expand once
-    # more with that shortfall added, and keep only what prec asked for;
-    # precisions compare in t, B times less than in the branch's T
-    short = max((prec - Fraction(min(xs.prec, ys.prec), br.B)
-                 for xs, ys, br in points), default=0)
-    if short > 0:
-        points = _nearby_points(ft, gt, base, prec + short)
     out = []
-    for xs, ys, br in points:
+    for xs, ys, br in _nearby_points(ft, gt, base, prec):
         known = Fraction(min(xs.prec, ys.prec), br.B)
         if known < prec:
             raise InsufficientPrecisionError(

@@ -365,9 +365,13 @@ def newton_puiseux(F: MultiPoly, xname: str, prec):
     ``separable_by_evaluation`` proves it separable: its content in
     ``xname`` is then a unit of k[[t]], which moves no Newton polygon,
     edge root or Newton iterate.  Else the squarefree factors carry the
-    multiplicities; within a piece every branch is simple.  Branches come
-    in the order the expansion finds them (piece, polygon edge, then edge
-    root in ``factor_univariate``'s order), which is deterministic.  A
+    multiplicities.  That fallback proves F squarefree in k[x, t], not
+    separable in x: over F_p a piece with dF/dx = 0 passes with p-fold
+    roots (its expansion ends at NotSimpleRootError or the depth cap), so a
+    caller that needs simple branches proves F separable and calls
+    ``separable_branches``.  Branches come in the order the expansion finds
+    them (piece, polygon edge, then edge root in ``factor_univariate``'s
+    order), which is deterministic.  A
     segment that ``prec`` is too short for raises
     InsufficientPrecisionError; the caller picks the next precision.
     Every branch's levels are found before any series is lifted, so that

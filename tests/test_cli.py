@@ -20,9 +20,10 @@ from curveint.cli import (EXIT_BUDGET, EXIT_INPUT, EXIT_OK,
                           render_report, run_job)
 from curveint.corpus import corpus_manifest
 from curveint.errors import (BudgetError, DegreeMixError, InvalidInputError,
-                             ParseError)
+                             NotSimpleRootError, ParseError)
 from curveint.fields import QQ, PrimeField
 from curveint.poly import MultiPoly
+from oracles import fulton_intersection_number
 
 
 # ------------------------------------------------------------------ parsing
@@ -214,13 +215,45 @@ def test_corpus_passes_precision_and_retries_to_every_instance():
     assert code == EXIT_OK
 
 
-def test_engine_root_not_simple_in_small_characteristic_is_budget_exit():
-    # over F_2 the engine's residual root is not simple: exit 3, not exit 2
-    job = Job(command="bezout", curves=("x^2+y^2+1", "x"), field="F2")
+def test_engine_root_not_simple_in_small_characteristic_is_budget_exit(
+        monkeypatch):
+    # an engine's residual root that is not simple is exit 3, not exit 2:
+    # over F_2, mult's deformed eliminant is separable in y, yet an edge of
+    # its Newton polygon leaves a root Hensel's lemma cannot lift
+    job = Job(command="mult", curves=("x*(x + y^2)", "(1 + x^3)*y + x"),
+              field="F2")
     report, code = run_job(job)
     assert code == EXIT_BUDGET
     assert report["status"] == "budget-exhausted"
     assert report["error_kind"] == "NotSimpleRootError"
+
+    def not_simple(*args):
+        raise NotSimpleRootError("residual derivative vanishes at a0")
+    monkeypatch.setattr(curveint.lifting, "hensel_lift", not_simple)
+    report, code = run_job(Job(command="bezout",
+                               curves=("x^2+y^2-5", "x*y-2")))
+    assert code == EXIT_BUDGET
+    assert report["error_kind"] == "NotSimpleRootError"
+
+
+def test_inseparable_eliminant_in_characteristic_two_reseeds():
+    """Over F_2, x^2 + y^2 + 1 = (x + y + 1)^2 meets x at (0, 1) only,
+    twice.  The first seeds' deformed eliminants are polynomials in y^2,
+    refused where they are built; a later seed certifies the total on all
+    three engines, and Fulton's algorithm on the pair translated to (0, 1)
+    gives the same multiplicity."""
+    report, code = run_job(Job(command="bezout", curves=("x^2+y^2+1", "x"),
+                               field="F2"))
+    assert code == EXIT_OK
+    assert report["total"] == report["expected_total"] == 2
+    [point] = report["results"]
+    assert point["point"] == "[0:1:1]"
+    F2 = PrimeField(2)
+    x, y = (MultiPoly.var(F2, ("x", "y"), v) for v in ("x", "y"))
+    expected = fulton_intersection_number(x * x + (y + 1) ** 2 + 1, x)
+    assert expected == 2
+    assert {point[k] for k in ("mult_length", "mult_resultant",
+                               "mult_deformation")} == {expected}
 
 
 def test_hensel_user_root_not_simple_is_input_error():

@@ -8,7 +8,7 @@ import pytest
 
 from curveint import deformation
 from curveint.algebra import (local_pair, resultant,
-                              shear_to_general_position)
+                              shear_to_general_position, squarefree_decompose)
 from curveint.cli import parse_field, parse_poly
 from curveint.corpus import affine_instances
 from curveint.deformation import (VARS3, deform_polynomial, deformation_count,
@@ -137,11 +137,16 @@ def test_two_scale_expands_a_nested_ramified_eliminant(seed):
 def test_precision_escalates_within_the_first_seed(monkeypatch):
     """From start precision 1, the tangent parabolas' witnesses cannot
     decide; the readout reruns at 2 on the same eliminant, so seed 0's
-    first attempt certifies and builds one chain."""
+    first attempt certifies, builds one chain and proves it separable
+    once."""
     monkeypatch.setattr(deformation, "START_PRECISION", Fraction(1))
-    precisions, chains = [], []
-    expand, build = deformation.newton_puiseux, deformation._eliminant_and_s1
-    monkeypatch.setattr(deformation, "newton_puiseux",
+    precisions, chains, proofs = [], [], []
+    prove = deformation.certify_squarefree_in
+    monkeypatch.setattr(deformation, "certify_squarefree_in",
+                        lambda R: proofs.append(R) or prove(R))
+    expand, build = (deformation.separable_branches,
+                     deformation._eliminant_and_s1)
+    monkeypatch.setattr(deformation, "separable_branches",
                         lambda *a: precisions.append(a[-1]) or expand(*a))
     monkeypatch.setattr(deformation, "_eliminant_and_s1",
                         lambda ft, gt: chains.append(ft) or build(ft, gt))
@@ -151,7 +156,7 @@ def test_precision_escalates_within_the_first_seed(monkeypatch):
     assert outcome.seed_used == derived_seed(0, 0)
     assert outcome.precision == 2
     assert precisions == [1, 2]
-    assert len(chains) == 1
+    assert len(chains) == len(proofs) == 1
 
 
 def test_explicit_precision_runs_once_per_seed(monkeypatch):
@@ -438,7 +443,7 @@ def _eliminant_seen(monkeypatch, consumer):
 
 
 def test_certified_solutions_eliminant_is_the_resultant(monkeypatch):
-    _eliminant_seen(monkeypatch, "newton_puiseux")
+    _eliminant_seen(monkeypatch, "separable_branches")
 
 
 def test_certified_count_only_eliminant_is_the_resultant(monkeypatch):
@@ -517,6 +522,22 @@ def test_tangent_deformed_pair_is_rejected():
     assert R == -(y - t * t) ** 2
     with pytest.raises(GenericityFailureError, match="repeated factor"):
         deformation.certify_squarefree_in(R)
+
+
+def test_inseparable_eliminant_is_refused():
+    """Seed 0's deformed eliminant in ``bezout "x^2+y^2+1" "x" --field
+    F2`` is a polynomial in y^2: squarefree in k[y, t] (dR/dt = 1), so a
+    squarefree decomposition accepts it whole, but dR/dy = 0, so it is not
+    separable in y and its nearby points are not distinct.  The one proof
+    refuses it."""
+    F2 = PrimeField(2)
+    y, t = (MultiPoly.var(F2, VARS3, v) for v in ("y", "t"))
+    R = y * y * t * t + y * y + t * t + t + 1
+    assert R.derivative("y").is_zero()
+    with pytest.raises(GenericityFailureError,
+                       match="inseparable deformed resultant"):
+        deformation.certify_squarefree_in(R)
+    assert squarefree_decompose(R) == [(R, 1)]
 
 
 def test_witness_readout_rejects_a_repeated_factor():

@@ -249,6 +249,23 @@ def test_nearby_points_match_pins(pin):
     assert took < pin.get("seconds", INF)
 
 
+def test_nearby_points_search_the_shears_once(monkeypatch):
+    """The cusps' points first come out short of O(t^22): x = -S10/S11
+    loses the valuation of S11.  The same eliminant is expanded once more
+    under the accepted shear, so the search, which refuses the identity
+    and accepts (-1, 1), runs once and no shear is tried twice."""
+    [pin] = [p for p in NEARBY_PINS
+             if (p["f"], p["g"]) == ("-y^3 + x^2", "-2*y^3 + x^2 + y*t")]
+    tried = []
+    real = infinitesimal.isolating_shear
+    monkeypatch.setattr(infinitesimal, "isolating_shear",
+                        lambda *a: tried.append(a[-2:]) or real(*a))
+    f, g = (parse_poly(pin[k], QQ, VARS3) for k in "fg")
+    pts = nearby_intersections(f, g, prec=pin["prec"])
+    assert [[str(p), p.span, p.multiplicity] for p in pts] == pin["points"]
+    assert tried == [(0, 1), (-1, 1)]
+
+
 def test_a_point_prints_its_coordinates_and_target():
     """Scale 1 and no ramification: (x, y) -> target, each coordinate
     printed as a field element."""

@@ -4,7 +4,9 @@ import pytest
 
 import curveint.algebra as algebra
 import curveint.deformation as deformation
+import curveint.infinitesimal as infinitesimal
 import curveint.intersect as intersect
+import curveint.lifting as lifting
 from curveint.algebra import (_shear_candidates, _strongly_regular_in_x,
                               apply_shear, homogenize, lift_to_field,
                               local_pair, resultant_and_s1, roots_univariate,
@@ -461,13 +463,13 @@ def test_bezout_runs_one_frame_for_the_whole_pair(monkeypatch, p, f, g):
     assert 1 <= chains["deformed"] == chains["directions"] // 2
 
 
-def test_bezout_proves_the_eliminant_separable_once_per_readout(
+def test_mult_and_bezout_prove_the_eliminant_separable_once_per_seed(
         monkeypatch):
     """Over F7 no evaluation proves the deformed eliminant R separable,
-    and the proof is a gcd.  With two rational points in the frame, each
-    readout proves R separable once over F7 and expands R at each point
-    with no second proof; ``mult``'s one point gets its proof from the
-    expansion there and no other."""
+    and the proof is a gcd.  ``mult`` and ``bezout`` read every point by
+    one rule: each seed proves R separable once, where R is built, and
+    then expands R at each rational point with no second proof; nothing
+    under either command calls ``newton_puiseux``."""
     events = []
 
     def recorded(module, name, tag):
@@ -477,17 +479,25 @@ def test_bezout_proves_the_eliminant_separable_once_per_readout(
 
     recorded(deformation, "certify_squarefree_in", "P")
     recorded(deformation, "separable_branches", "E")
-    recorded(deformation, "newton_puiseux", "N")
+    for module in (deformation, infinitesimal, lifting):
+        recorded(module, "newton_puiseux", "N")
+
+    def seeds(points):
+        attempts = "".join(events).split("P")
+        assert attempts[0] == "" and len(attempts) > 1
+        assert all(len(a) <= points and set(a) <= {"E"}
+                   for a in attempts[1:])
+        events.clear()
+
     F7 = PrimeField(7)
     res = bezout_sum(parse_curve("X^2*Z - Y^3", F7), parse_curve("Y", F7))
     assert res.total == 3 and len(res.reports) == 2
-    readouts = "".join(events).split("P")
-    assert readouts[0] == "" and len(readouts) > 1
-    assert all(len(r) <= 2 and set(r) <= {"E"} for r in readouts[1:])
-    events.clear()
-    x, y = xy(F7)
-    assert deformation_count(local_pair(y - x * x, y - 2 * x * x)).count == 2
-    assert set(events) == {"N"}
+    seeds(2)
+    report, code = run_job(Job(command="mult", curves=("y - x^2",
+                                                       "y - 2*x^2"),
+                               field="F7"))
+    assert code == EXIT_OK and report["results"][0]["mult_deformation"] == 2
+    seeds(1)
 
 
 def test_bezout_runs_no_gcd_per_point(monkeypatch):
