@@ -30,8 +30,9 @@ from .errors import (GeneralPositionError, GenericityFailureError,
                      InfiniteMultiplicityError, InvalidDegreeError,
                      InvalidInputError, SharedComponentError,
                      UnsupportedExtensionError, VerificationFailureError)
-from .factor import PRIME_Q, _gcd, _trim, factor_mod_p, factor_over_q
-from .fields import QQ, ExtensionField, PrimeField, pth_root_scalar
+from .factor import (PRIME_Q, _over_lcm, factor_mod_p, factor_over_q,
+                     squarefree_mod_p)
+from .fields import QQ, ExtElement, ExtensionField, PrimeField, pth_root_scalar
 from .poly import MultiPoly, _exponent_codec, _poly
 
 
@@ -426,11 +427,8 @@ def separable_by_evaluation(R: MultiPoly, name: str) -> bool:
     shared = 0
     for raw in range(1, 24 if p == 0 else min(24, p)):
         r = _specialize_mod(image, raw) if image else None
-        if r is not None and r[-1]:
-            q = image[0]
-            dr = _trim([k * c % q for k, c in enumerate(r)][1:])
-            if len(_gcd(r, dr, q)) == 1:
-                return True
+        if r is not None and r[-1] and squarefree_mod_p(r, image[0]):
+            return True
         if r is None or not p:  # the image is not R(name, tau) itself
             r0 = R.subs_values({"t": field.of(raw)})
             if r0.degree_in(name) != n:
@@ -453,9 +451,13 @@ def factor_univariate(f: MultiPoly, name: str):
 
     Returns [(factor, multiplicity), ...] with monic factors in a
     deterministic order, by degree first; the constant factor is dropped.
-    ``squarefree_decompose`` gives the multiplicities, and ``factor``
-    splits each squarefree factor on dense int lists: over F_p by
-    distinct- and equal-degree factorization, over Q as a primitive
+    One modular image proves f squarefree first (``factor.squarefree_mod_p``
+    on int lists): over F_p f itself, over Q f times the lcm of its
+    denominators, mod PRIME_Q.  Where that image keeps f's degree and is
+    coprime to its derivative, f is its own one squarefree factor;
+    otherwise ``squarefree_decompose`` gives the multiplicities.  Then
+    ``factor`` splits each squarefree factor on dense int lists: over F_p
+    by distinct- and equal-degree factorization, over Q as a primitive
     integer polynomial by Hensel lifting and Zassenhaus recombination.
     Its random choices come from a ``random.Random`` seeded anew on every
     call.
@@ -470,10 +472,17 @@ def factor_univariate(f: MultiPoly, name: str):
     coeffs = _dense(f, name)
     if len(coeffs) < 3:  # zero, a constant or a linear polynomial
         return [(_monic(coeffs, f, name), 1)] if len(coeffs) == 2 else []
+    p = field.characteristic
+    if squarefree_mod_p([c.val for c in coeffs] if p else
+                        _over_lcm(coeffs)[0], p or PRIME_Q):
+        inv = 1 / coeffs[-1]
+        parts = [([c * inv for c in coeffs], 1)]
+    else:
+        parts = [(_dense(fac, name), mult)
+                 for fac, mult in squarefree_decompose(f)]
     rng = random.Random(0)
     out = []
-    for fac, mult in squarefree_decompose(f):
-        coeffs = _dense(fac, name)
+    for coeffs, mult in parts:
         pieces = (factor_over_q(coeffs, rng) if field == QQ else
                   factor_mod_p([c.val for c in coeffs], field.p, rng))
         out += [(_monic([field.of(c) for c in piece], f, name), mult)
@@ -734,15 +743,19 @@ def _s1_x(s1, yval, field):
     """The x of the common zero of a sheared pair over a root yval of its
     eliminant, read off the chain's degree-one member
     S1 = S11(y) x + S10(y): x0 = -S10(yval)/S11(yval), over the root's
-    field.  S1 lies in the ideal of the pair and both top x-coefficients
-    are constants, so when S11(yval) != 0 the fiber holds exactly one
-    common zero, the one ``_fiber_x`` finds.  None when S11(yval) = 0 or
-    the chain skips degree one (S1 is None)."""
+    field.  A root outside S1's field is the generator of its field
+    (``roots_univariate``), so S1k(yval) there is S1k reduced mod the
+    root's factor, one ``ExtElement``.  S1 lies in the ideal of the pair
+    and both top x-coefficients are constants, so when S11(yval) != 0 the
+    fiber holds exactly one common zero, the one ``_fiber_x`` finds.  None
+    when S11(yval) = 0 or the chain skips degree one (S1 is None)."""
     if s1 is None:
         return None
     xv, yv = s1.vars[0], s1.vars[1]
-    s10, s11 = (lift_to_field(s1.coeff_of(xv, k), field).subs_values(
-        {yv: yval}).constant_value() for k in (0, 1))
+    s10, s11 = (s1.coeff_of(xv, k).subs_values({yv: yval}).constant_value()
+                if field == s1.field else
+                ExtElement(_dense(s1.coeff_of(xv, k), yv), field)
+                for k in (0, 1))
     return -s10 / s11 if s11 else None
 
 
@@ -757,7 +770,10 @@ def isolating_shear(f: MultiPoly, g: MultiPoly, fibers: str, lam, mu):
     "origin" names y = 0 and refuses the shear unless y = 0 is no root of
     R or its one zero is the origin.  A site is ((x0, y0), the
     multiplicity in R of y0's factor, that factor, y0's field).  Every
-    caller proves the curves coprime, so R = 0 is a defect."""
+    caller proves the curves coprime (``local_pair`` by a gcd, and
+    ``intersect._frames`` by the line Z = 0 when it misses every common
+    point, which a common component would meet, else by a gcd), so R = 0
+    is a defect."""
     fs, gs = apply_shear(f, lam, mu), apply_shear(g, lam, mu)
     if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):
         return None

@@ -18,16 +18,17 @@ import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from operator import add
 
 from .algebra import homogenize, is_homogeneous
 from .errors import (BudgetError, CurveIntError, DegreeMixError,
                      GeneralPositionError, GenericityFailureError,
                      InsufficientPrecisionError, InvalidInputError,
                      NotSimpleRootError, ParseError, VerificationFailureError)
-from .fields import QQ, PrimeField
+from .fields import QQ, PrimeField, binary_power
 from .intersect import Curve, ProjectivePoint, bezout_sum, multiplicities_at
 from .lifting import hensel_lift, weierstrass_prepare
-from .poly import MultiPoly
+from .poly import MultiPoly, _poly
 
 AFFINE = ("x", "y")
 PROJECTIVE = ("X", "Y", "Z")
@@ -99,12 +100,27 @@ def parse_poly(text: str, field, variables) -> MultiPoly:
     """Recursive-descent parser for the curve grammar: integer or rational
     literals, the allowed variables, + - * ^ and parentheses.
 
-    Raises BudgetError, before expanding, when an exponent or the total
-    degree of a product or power would pass MAX_DEGREE, and before
-    recursing, when parentheses nest deeper than MAX_NESTING."""
+    A product of literals and variables, and its powers, stays one term
+    (coefficient, exponent vector) until it is added into its sum's term
+    dict; only parentheses make ``MultiPoly`` products and powers.  Raises
+    BudgetError, before expanding, when an exponent or the total degree of
+    a product or power would pass MAX_DEGREE, and before recursing, when
+    parentheses nest deeper than MAX_NESTING."""
     lx = _Lexer(text)
     varset = tuple(variables)
     depth = 0
+
+    def degree(node):
+        if isinstance(node, MultiPoly):
+            return node.total_degree()
+        c, e = node
+        return sum(e) if c else -1
+
+    def poly(node):
+        if isinstance(node, MultiPoly):
+            return node
+        c, e = node
+        return _poly(field, varset, {e: c} if c else {})
 
     def check_degree(degree, pos):
         if degree > MAX_DEGREE:
@@ -112,36 +128,37 @@ def parse_poly(text: str, field, variables) -> MultiPoly:
                               f"exceeds the limit of {MAX_DEGREE}")
 
     def parse_expr():
+        terms, zero = {}, field.zero
         ch, _ = lx.peek()
-        negate = False
-        if ch in ("+", "-"):
-            lx.take()
-            negate = ch == "-"
-        node = parse_term()
-        if negate:
-            node = -node
         while True:
+            if ch in ("+", "-"):
+                lx.take()
+            node = parse_term()
+            items = (node.terms.items() if isinstance(node, MultiPoly)
+                     else [(node[1], node[0])] if node[0] else ())
+            for e, c in items:
+                s = terms.get(e, zero) + (-c if ch == "-" else c)
+                if s:
+                    terms[e] = s
+                else:
+                    terms.pop(e, None)
             ch, _ = lx.peek()
-            if ch == "+":
-                lx.take()
-                node = node + parse_term()
-            elif ch == "-":
-                lx.take()
-                node = node - parse_term()
-            else:
-                return node
+            if ch not in ("+", "-"):
+                return _poly(field, varset, terms)
 
     def parse_term():
         node = parse_factor()
         while True:
             ch, pos = lx.peek()
-            if ch == "*":
-                lx.take()
-                rhs = parse_factor()
-                check_degree(node.total_degree() + rhs.total_degree(), pos)
-                node = node * rhs
-            else:
+            if ch != "*":
                 return node
+            lx.take()
+            rhs = parse_factor()
+            check_degree(degree(node) + degree(rhs), pos)
+            if isinstance(node, MultiPoly) or isinstance(rhs, MultiPoly):
+                node = poly(node) * poly(rhs)
+            else:
+                node = node[0] * rhs[0], tuple(map(add, node[1], rhs[1]))
 
     def parse_factor():
         node = parse_atom()
@@ -152,8 +169,12 @@ def parse_poly(text: str, field, variables) -> MultiPoly:
             if n > MAX_DEGREE:
                 raise BudgetError(f"exponent {n} at position {pos} exceeds "
                                   f"the limit of {MAX_DEGREE}")
-            check_degree(node.total_degree() * n, pos)
-            node = node ** n
+            check_degree(degree(node) * n, pos)
+            if isinstance(node, MultiPoly):
+                node = node ** n
+            else:
+                node = (binary_power(node[0], n) if n else field.one,
+                        tuple(k * n for k in node[1]))
         return node
 
     def parse_atom():
@@ -183,17 +204,16 @@ def parse_poly(text: str, field, variables) -> MultiPoly:
                 if den == 0:
                     raise ParseError("zero denominator", dpos)
                 try:
-                    value = field.of(Fraction(num, den))
+                    return field.of(Fraction(num, den)), (0,) * len(varset)
                 except ZeroDivisionError:  # p divides the denominator
                     raise ParseError(f"denominator {den} is zero in "
                                      f"{field.name}", dpos) from None
-                return MultiPoly.const(field, varset, value)
-            return MultiPoly.const(field, varset, num)
+            return field.of(num), (0,) * len(varset)
         if ch.isalpha():
             lx.take()
             if ch not in varset:
                 raise ParseError(f"unknown variable {ch!r}", pos)
-            return MultiPoly.var(field, varset, ch)
+            return field.one, tuple(int(v == ch) for v in varset)
         raise ParseError(f"unexpected character {ch!r}", pos)
 
     node = parse_expr()

@@ -294,14 +294,22 @@ def factor_over_q(coeffs, rng):
     return _zassenhaus([c // content for c in ints], rng)
 
 
+def squarefree_mod_p(f, p):
+    """Whether f keeps its degree mod the prime p and is coprime to its
+    derivative there.  Then f is squarefree over F_p, and over Q too: a
+    square h^2 dividing f in Z[x] (Gauss's lemma) would reduce to one of
+    the same positive degree mod p (MCA section 15.6)."""
+    df = [k * c for k, c in enumerate(f)][1:]
+    return f[-1] % p != 0 and len(_gcd(df, f, p)) == 1
+
+
 def _good_primes(f):
     """The primes that keep the degree and squarefreeness of f mod p, in
     increasing order."""
-    df = [k * c for k, c in enumerate(f)][1:]
     p = 1
     while True:
         p += 1
-        if is_prime(p) and f[-1] % p and len(_gcd(df, f, p)) == 1:
+        if is_prime(p) and squarefree_mod_p(f, p):
             yield p
 
 

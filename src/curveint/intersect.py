@@ -321,21 +321,25 @@ def _frames(C1: Curve, C2: Curve):
     A frame is the chart of a line Z + aX + bY of ``_line_candidates``
     with the shear (lam, mu) that ``algebra.shear_to_general_position``
     finds for every root of R = Res_x(fs, gs).  The one frame
-    is that of the first line that misses every common point (the binary
-    forms of the ``_moved`` forms on Z = 0 have a constant gcd; a curve
-    that contains the line restricts to 0, and gcd(0, B) is B) and has
-    such a shear.  Over a small F_p the common points can meet every line
-    (all p + 1 points of one line, say); then, and only then, the first
-    line L with such a shear gives the points off L, and the first other
-    line that meets L at no common point and has one gives the points on
-    L, each line's shear searched at most once.  When no line or pair of
-    lines serves, the last shear search's GeneralPositionError is
-    raised.  One site per irreducible factor of R kept, as ``_placed``
-    builds it.  Curves of degree 0 meet nowhere, in no frame."""
+    is that of the first line that misses every common point and has such
+    a shear.  The ``_moved`` forms F1, F2 meet Z = 0 at [x:1:0] for each
+    common root x of b_i = F_i(x, 1, 0), so the univariate gcd of b1 and
+    b2 must be a nonzero constant (a curve that contains the line gives
+    b = 0, gcd(0, b) is b and gcd(0, 0) is 0), and at [1:0:0] when both
+    lack their X^degree term.  A common component meets every line
+    (Fulton, *Algebraic Curves*, 5.3), so a first line Z = 0 that misses
+    every common point proves the curves coprime, and the gcd of the two
+    forms runs only when Z = 0 meets a common point.  Over a small
+    F_p the common points can meet every line (all p + 1 points of one
+    line, say); then, and only then, the first line L with such a shear
+    gives the points off L, and the first other line that meets L at no
+    common point and has one gives the points on L, each line's shear
+    searched at most once.  When no line or pair of lines serves, the
+    last shear search's GeneralPositionError is raised.  One site per
+    irreducible factor of R kept, as ``_placed`` builds it.  Curves of
+    degree 0 meet nowhere, in no frame."""
     if C1.field != C2.field:
         raise InvalidInputError("curves over different fields")
-    if not gcd(C1.form, C2.form).is_constant():
-        raise SharedComponentError("curves share a component")
     if not (C1.degree and C2.degree):
         return []
     field = C1.field
@@ -359,12 +363,16 @@ def _frames(C1: Curve, C2: Curve):
         return charts[line]
 
     blocked = True  # every line meets a common point
-    for line in _line_candidates(field):
-        F1, F2 = moved(line)
-        if gcd(F1.coeff_of("Z", 0), F2.coeff_of("Z", 0)).is_constant():
+    for k, line in enumerate(_line_candidates(field)):
+        b1, b2 = (dehomogenize(F, "Y").coeff_of("z", 0) for F in moved(line))
+        if gcd(b1, b2).total_degree() == 0 and (
+                b1.degree_in("x") == C1.degree
+                or b2.degree_in("x") == C2.degree):
             blocked = False
             if chart(line):
                 return [charts[line]]
+        elif not k and not gcd(C1.form, C2.form).is_constant():  # Z = 0
+            raise SharedComponentError("curves share a component")
     for outer in _line_candidates(field) if blocked else ():
         if not chart(outer):
             continue

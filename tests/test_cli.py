@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import curveint.algebra
 import curveint.cli
@@ -61,6 +62,64 @@ def test_parse_rational_literals_and_parens():
     x = MultiPoly.var(QQ, ("x", "y"), "x")
     y = MultiPoly.var(QQ, ("x", "y"), "y")
     assert f == x * x * QQ.of(Fraction(1, 2)) - (y - 3) * y
+
+
+@st.composite
+def curve_texts(draw, names, depth=0):
+    """(text, sympy text) of a random expression in ``names``: one to three
+    signed terms of one or two factors, each an integer or rational
+    literal, a variable or a parenthesised expression (two levels deep at
+    most), maybe to a power 0-2, with random spaces.  Its degree stays
+    within MAX_DEGREE.  The sympy text puts ** for ^ and parenthesises
+    each rational literal, which binds tighter than ^ in the grammar."""
+    def space():
+        return draw(st.sampled_from(["", "", " "]))
+    kinds = ["int", "ratio", "var", "var"] + (["paren"] if depth < 2 else [])
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = []
+        for _ in range(draw(st.integers(1, 2))):
+            kind = draw(st.sampled_from(kinds))
+            if kind == "int":
+                a = b = str(draw(st.integers(0, 30)))
+            elif kind == "ratio":
+                a = f"{draw(st.integers(0, 30))}/{draw(st.integers(1, 6))}"
+                b = f"({a})"
+            elif kind == "var":
+                a = b = draw(st.sampled_from(names))
+            else:
+                a, b = draw(curve_texts(names, depth + 1))
+                a, b = f"({space()}{a}{space()})", f"({b})"
+            if draw(st.booleans()):
+                n = draw(st.integers(0, 2))
+                a, b = f"{a}{space()}^{space()}{n}", f"{b}**{n}"
+            factors.append((a, b))
+        times = f"{space()}*{space()}"
+        terms.append((times.join(a for a, _ in factors),
+                      "*".join(b for _, b in factors)))
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    text, stext = sign + terms[0][0], sign + terms[0][1]
+    for a, b in terms[1:]:
+        op = draw(st.sampled_from("+-"))
+        text, stext = f"{text}{space()}{op}{space()}{a}", f"{stext}{op}{b}"
+    return text, stext
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(7), PrimeField(101)]),
+       st.sampled_from([("x", "y"), ("X", "Y", "Z")]).flatmap(
+           lambda names: st.tuples(st.just(names), curve_texts(names))))
+def test_parse_matches_sympy_expansion(field, drawn):
+    """Random curve texts parse to sympy's expansion of the same text,
+    reduced into the field."""
+    import sympy
+    names, (text, stext) = drawn
+    symbols = sympy.symbols(names)
+    expanded = sympy.Poly(sympy.sympify(stext), *symbols, domain=sympy.QQ)
+    expected = MultiPoly(field, names, {
+        e: field.of(Fraction(int(c.p), int(c.q)))
+        for e, c in expanded.terms()})
+    assert parse_poly(text, field, names) == expected, text
 
 
 def test_parse_roundtrip_canonical_print():

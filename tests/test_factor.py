@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from curveint import factor
+from curveint import algebra, factor
 from curveint.algebra import factor_univariate
 from curveint.cli import parse_poly
 from curveint.errors import InvalidInputError, UnsupportedExtensionError
@@ -84,6 +84,48 @@ def test_factor_univariate_hard_cases(name):
     got = factor_univariate(f, "x")
     assert got == sympy_factor_list(f, "x")
     assert [fac.degree_in("x") for fac, _ in got] == degrees
+
+
+Q31 = 2 ** 31 - 1  # factor.PRIME_Q, spelled out
+# (field, text, whether the image mod p proves it squarefree): over Q the
+# image is mod 2^31 - 1, over F_p the polynomial itself
+SQUAREFREE_PATHS = {
+    # squarefree over Q, but not mod 2^31 - 1, or of lower degree there
+    "double-mod-q": (QQ, f"x*(x - {Q31})*(x^2 + 1)", False),
+    "close-roots": (QQ, f"(x - 1)*(x - 1 - {Q31})", False),
+    "top-mod-q": (QQ, f"{Q31}*x^3 + x + 1", False),
+    "rational-mod-q": (QQ, f"1/{2 * Q31}*x^2 - 1/3", False),
+    # repeated factors
+    "repeated-Q": (QQ, "(x^2 + 1)^2*(3/2*x - 5)^3*(x - 2)", False),
+    "repeated-F7": (PrimeField(7), "(x^2 + 1)^2*(x + 3)^3*x", False),
+    "repeated-F101": (PrimeField(101), "(x^3 + x + 1)^2*(x - 7)", False),
+    # p-th powers, whose derivative is 0 mod p
+    "pth-power-F2": (PrimeField(2), "(y^2 + y + 1)^2", False),
+    "pth-power-F2-mixed": (PrimeField(2), "(y^2 + y + 1)^2*(y^3 + y + 1)",
+                           False),
+    "pth-power-F3": (PrimeField(3), "(y^2 + 1)^3*(y + 1)^4", False),
+    # squarefree, proved by the image
+    "squarefree-Q": (QQ, "(2/3*x^2 - 1/5)*(7/2*x^3 + x - 3/4)", True),
+    "squarefree-F101": (PrimeField(101), "(x^3 + x + 1)*(x - 7)", True),
+}
+
+
+@pytest.mark.parametrize("name", SQUAREFREE_PATHS)
+def test_factor_univariate_takes_the_exact_path_where_the_image_fails(
+        monkeypatch, name):
+    """One image mod p proves f squarefree before any exact work; where it
+    does not (a square mod 2^31 - 1 that is none over Q, a top coefficient
+    that p divides, a repeated factor, a p-th power), the exact
+    ``squarefree_decompose`` runs.  Both paths agree with sympy."""
+    field, text, proved = SQUAREFREE_PATHS[name]
+    var = "y" if "y" in text else "x"
+    f = parse_poly(text, field, (var,))
+    calls = []
+    real = algebra.squarefree_decompose
+    monkeypatch.setattr(algebra, "squarefree_decompose",
+                        lambda g: calls.append(g) or real(g))
+    assert factor_univariate(f, var) == sympy_factor_list(f, var)
+    assert calls == ([] if proved else [f])
 
 
 QW = ExtensionField(QQ, [-2, 0, 1], "w")

@@ -11,7 +11,8 @@ from curveint.algebra import (_shear_candidates, _strongly_regular_in_x,
                               apply_shear, homogenize, lift_to_field,
                               local_pair, resultant_and_s1, roots_univariate,
                               shear_to_general_position)
-from curveint.cli import EXIT_OK, Job, parse_curve, parse_field, run_job
+from curveint.cli import (EXIT_INPUT, EXIT_OK, Job, parse_curve,
+                          parse_field, run_job)
 from curveint.corpus import corpus_manifest
 from curveint.deformation import deformation_count
 from curveint.errors import (GeneralPositionError, InfiniteMultiplicityError,
@@ -297,6 +298,61 @@ def test_points_shared_component_rejected():
         intersection_points(a, b)
 
 
+@pytest.mark.parametrize("f,g,field", [
+    ("4*Z^2 - X*Z", "4*Y*Z", "Q"),  # both curves contain Z = 0
+    ("X*Z", "Y*Z", "F2"),
+    ("(X+Y+Z)*(X^2+Y*Z)", "(X+Y+Z)*Y", "F2"),
+    ("x^2+y^2+1", "(x^2+y^2+1)*x", "F2"),
+])
+def test_bezout_shared_component_is_input_error(monkeypatch, f, g, field):
+    """A shared component meets every line, so the first line ``_frames``
+    tries, Z = 0, is blocked and the gcd of the two forms refuses the pair
+    with exit 2 before any other line is moved, also where both curves
+    contain Z = 0 (the gcd of their restrictions to it is 0, which proves
+    nothing)."""
+    moved = []
+    real = intersect._moved
+    monkeypatch.setattr(intersect, "_moved",
+                        lambda *a: moved.append(a[1:]) or real(*a))
+    report, code = run_job(Job(command="bezout", curves=(f, g), field=field))
+    assert code == EXIT_INPUT
+    assert report["error"] == "curves share a component"
+    assert len(moved) == 2 and not any(any(ab) for ab in moved)
+
+
+def test_bezout_frame_proves_the_curves_coprime_by_its_line(monkeypatch):
+    """A line Z = 0 that misses every common point proves the curves
+    coprime: no gcd of the two forms runs, and a squarefree eliminant of
+    the frame is split with no ``squarefree_decompose``.  The F7
+    concentric conics meet Z = 0 in an orbit, so that line is blocked:
+    the gcd of the forms runs once, and they still make one frame
+    search."""
+    gcds, splits, searches = [], [], []
+    real_gcd, real_split = algebra.gcd, algebra.squarefree_decompose
+    real_search = intersect.shear_to_general_position
+
+    def counting(f, g):
+        gcds.append((f, g))
+        return real_gcd(f, g)
+    for module in (algebra, intersect):
+        monkeypatch.setattr(module, "gcd", counting)
+    monkeypatch.setattr(algebra, "squarefree_decompose",
+                        lambda f: splits.append(f) or real_split(f))
+    monkeypatch.setattr(intersect, "shear_to_general_position",
+                        lambda *a: searches.append(a) or real_search(*a))
+    for p, f, g, blocked in ((0, "x^2 + y^2 - 1", "x - 3", False),
+                             (101, "x^2 + y^2 - 1", "x - 3", False),
+                             (7, "x^2 + y^2 - 1", "x^2 + y^2 - 2", True)):
+        field = PrimeField(p) if p else QQ
+        C1, C2 = parse_curve(f, field), parse_curve(g, field)
+        del gcds[:], splits[:], searches[:]
+        res = bezout_sum(C1, C2, seed=1)
+        assert res.total == res.expected
+        assert gcds.count((C1.form, C2.form)) == blocked
+        assert len(searches) == 1
+        assert bool(splits) == blocked  # the conics' R has double roots
+
+
 def test_points_fp_conjugates_materialized():
     F = PrimeField(7)
     x, y = xy(F)
@@ -336,12 +392,14 @@ def test_points_fp_conjugates_match_frobenius_oracle(p, f, g):
 def test_s1_reading_is_the_gcd_reading(field):
     """Wherever S11(y0) != 0 at a root y0 of a sheared eliminant, the point
     read off S1 is the one the gcd of the fiber gives, over the root's
-    field (rational roots and generators of K[r]/(m) alike)."""
+    field (rational roots and generators of K[r]/(m) alike, among them
+    the orbit of degree 3 of x^3 + x + 1 = y - x^2 = 0 over Q and F101)."""
     rng = random.Random(3401)
-    checked = 0
-    for _ in range(10):
-        f, g = (random_poly(rng, field, V, rng.randint(2, 3))
-                for _ in range(2))
+    checked, degrees = 0, set()
+    x, y = xy(field)
+    pairs = [[random_poly(rng, field, V, rng.randint(2, 3))
+              for _ in range(2)] for _ in range(10)]
+    for f, g in pairs + [(x ** 3 + x + 1, y - x * x)]:
         for lam, mu in ((0, 1), (1, 1), (-2, 1)):
             lam, mu = field.of(lam), field.of(mu)
             fs, gs = apply_shear(f, lam, mu), apply_shear(g, lam, mu)
@@ -358,7 +416,9 @@ def test_s1_reading_is_the_gcd_reading(field):
                         lift_to_field(fs, yfield), lift_to_field(gs, yfield),
                         y0)
                     checked += 1
+                    degrees.add(getattr(yfield, "degree", 1))
     assert checked >= 20
+    assert field.characteristic == 7 or max(degrees) >= 3
 
 
 def test_gcd_fallback_runs_only_where_s1_cannot_read_the_point(monkeypatch):
