@@ -177,7 +177,8 @@ def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Multivariate gcd over a field, normalized to leading coefficient 1.
 
     Single-variable pairs take a dense monic-Euclid path.  Otherwise the
-    contents in the first variable involved split off recursively, and the
+    contents in the first variable involved split off recursively (their
+    gcd is 1, with no call, when either is constant), and the
     gcd of the primitive parts is the primitive part of the last member of
     their subresultant chain (1 when that member has degree 0).
     """
@@ -196,7 +197,8 @@ def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if not g.involves(name):
         return gcd(content_in(f, name), g)
     cf, cg = content_in(f, name), content_in(g, name)
-    c = gcd(cf, cg)
+    c = (MultiPoly.const(f.field, f.vars, 1)
+         if cf.is_constant() or cg.is_constant() else gcd(cf, cg))
     last = subresultant_prs(f.exact_divide(cf), g.exact_divide(cg), name)[-1]
     if last.degree_in(name) == 0:
         return _normalize(c)

@@ -217,23 +217,19 @@ def certified_solutions(ft: MultiPoly, gt: MultiPoly, ybranches, s1,
     witness certificates, read off the y-branches of the pair's eliminant
     R through the origin (``separable_branches`` of an R proved separable,
     in production) and its degree-one subresultant S1
-    (``_eliminant_and_s1``).  Every y-branch must be
-    simple (R has no repeated factor along a branch); then each witness
-    must satisfy f_t and g_t, specialize to the origin and have a nonzero
-    Jacobian.  Separability of R already proves every point transverse;
-    the Jacobian is the one witness check made against the deformed pair
-    rather than against R, so it stays.  The sheared pair is in general
-    position, so x along every branch tends to the origin: a witness that
-    does not is a defect (VerificationFailureError).  Raises
-    GenericityFailureError when another certificate fails (caller
-    reseeds), and
+    (``_eliminant_and_s1``).  Precondition: every y-branch is simple, as
+    every branch of ``separable_branches`` is.  Each witness must satisfy
+    f_t and g_t, specialize to the origin and have a nonzero Jacobian.
+    Separability of R already proves every point transverse; the Jacobian
+    is the one witness check made against the deformed pair rather than
+    against R, so it stays.  The sheared pair is in general position, so x
+    along every branch tends to the origin: a witness that does not is a
+    defect (VerificationFailureError).  Raises GenericityFailureError when
+    another certificate fails (caller reseeds), and
     InsufficientPrecisionError or ZeroToPrecisionError when a check could
     not decide at ``prec`` (caller escalates); no check passes on a value
     known only to O(t^0)."""
     prec = Fraction(prec)
-    if any(br.multiplicity > 1 for br in ybranches):
-        raise GenericityFailureError(
-            "deformed resultant has a repeated factor")
     jac = _jacobian(ft, gt)
     sols = []
     for br, at, xser in _points_along(

@@ -346,10 +346,12 @@ def _frames(C1: Curve, C2: Curve):
     last = GeneralPositionError(
         f"no line Z + aX + bY with |a|, |b| <= {shear_bound(field)} "
         "misses every common point")
-    charts = {}
+    forms, charts = {}, {}
 
     def moved(line):
-        return [_moved(C.form, *line) for C in (C1, C2)]
+        if line not in forms:
+            forms[line] = [_moved(C.form, *line) for C in (C1, C2)]
+        return forms[line]
 
     def chart(line):
         nonlocal last

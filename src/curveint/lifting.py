@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .algebra import (roots_univariate, separable_by_evaluation,
                       squarefree_decompose)
@@ -275,15 +274,21 @@ def _t_in_T(levels):
 
 def _expand_squarefree(rows, field, prec: Fraction, depth: int):
     """All val>0 branches of a squarefree polynomial, given as its dense
-    x-coefficient list over ``field``, as (levels, span, expand) in
-    ``Branch``'s terms, ``expand()`` computing the series: the levels of
-    every branch are known before any series is lifted."""
+    x-coefficient list over ``field``, as (levels, span, series) in
+    ``Branch``'s terms.
+
+    One rule per edge root z0: its segment (truncated below ``sub_prec``
+    only when z0 is simple) must vanish at x1 = 0, since the edge terms
+    sum to a power of z0 times phi(z0) = 0, so a segment that does not is
+    a defect, not a Hensel failure; a simple root is then lifted by
+    ``hensel_lift`` and a multiple one expanded at the next level, and the
+    branch series is assembled from that tail."""
     if depth > 64:
         raise BudgetError("Newton polygon recursion exceeded its depth cap")
     out = []
     k = next(i for i, row in enumerate(rows) if not row.is_zero_to_precision())
     if k > 0:
-        out.append(((), 1, partial(TruncatedSeries.zero, field)))
+        out.append(((), 1, TruncatedSeries.zero(field)))
         rows = rows[k:]
     if rows[0].constant_term():
         return out
@@ -300,32 +305,20 @@ def _expand_squarefree(rows, field, prec: Fraction, depth: int):
             # Duval's substitution t = z0^v T^b, x = T^a (z0^u + x1): the
             # edge terms become phi(z0) z0^const, so no b-th root is needed
             head, c = z0 ** u, z0 ** v
+            segment = _segment(rows, a, b, level, head, c, rfield,
+                               sub_prec if mult == 1 else None)
+            if segment[0].constant_term():
+                raise VerificationFailureError(
+                    "segment does not vanish at its edge root: phi(z0) != 0")
             if mult == 1:
-                tail = partial(_hensel_tail, rows, a, b, level, head, c,
-                               rfield, sub_prec)
-                out.append((((a, b, z0),), b * kappa,
-                            partial(_assemble, tail, head, a, 1, 1)))
-                continue
-            segment = _segment(rows, a, b, level, head, c, rfield)
-            for levels, sub_span, tail in _expand_squarefree(
-                    segment, rfield, Fraction(sub_prec), depth + 1):
+                tails = [((), 1, hensel_lift(segment, rfield.zero, sub_prec))]
+            else:
+                tails = _expand_squarefree(segment, rfield, Fraction(sub_prec),
+                                           depth + 1)
+            for levels, sub_span, tail in tails:
                 out.append((((a, b, z0),) + levels, b * kappa * sub_span,
-                            partial(_assemble, tail, head, a,
-                                    *_t_in_T(levels))))
+                            _assemble(tail, head, a, *_t_in_T(levels))))
     return out
-
-
-def _hensel_tail(rows, a: int, b: int, level: int, head, c, rfield,
-                 sub_prec) -> TruncatedSeries:
-    """The tail x1(T) of a segment whose root is simple, to O(T^sub_prec).
-    x1 = 0 at T = 0 is a root of the segment by construction, since the
-    edge terms sum to a power of z0 times phi(z0) = 0: a segment that does
-    not vanish there is a defect, not a Hensel failure."""
-    segment = _segment(rows, a, b, level, head, c, rfield, sub_prec)
-    if segment[0].constant_term():
-        raise VerificationFailureError(
-            "segment does not vanish at its edge root: phi(z0) != 0")
-    return hensel_lift(segment, rfield.zero, sub_prec)
 
 
 def _segment_roots(phi: MultiPoly, field):
@@ -345,12 +338,11 @@ def _segment_roots(phi: MultiPoly, field):
 
 
 def _assemble(tail, head, a: int, sub_B: int, sub_scale) -> TruncatedSeries:
-    """The series x = T^a (head + tail()) in the T of the tail: a tail of
-    a nested level is a series in T' with T = sub_scale * T'^sub_B, so x
-    is head + tail shifted by a * sub_B, times sub_scale^a (sub_B and
+    """The series x = T^a (head + tail) in the T of the tail: a tail of a
+    nested level is a series in T' with T = sub_scale * T'^sub_B, so x is
+    head + tail shifted by a * sub_B, times sub_scale^a (sub_B and
     sub_scale are 1 for a Hensel tail).  Over the tail's field (a nested
     level may have extended the field of head)."""
-    tail = tail()
     field = tail.field
     s = (tail + field.of(head))._shifted(a * sub_B)
     m = field.of(sub_scale) ** a
@@ -373,10 +365,8 @@ def newton_puiseux(F: MultiPoly, xname: str, prec):
     them (piece, polygon edge, then edge root in ``factor_univariate``'s
     order), which is deterministic.  A
     segment that ``prec`` is too short for raises
-    InsufficientPrecisionError; the caller picks the next precision.
-    Every branch's levels are found before any series is lifted, so that
-    refusal costs Newton polygons only.  A precision that is not positive
-    is an InvalidInputError.
+    InsufficientPrecisionError; the caller picks the next precision.  A
+    precision that is not positive is an InvalidInputError.
     """
     prec = positive_precision(prec)
     if F.is_zero():
@@ -402,14 +392,12 @@ def separable_branches(F: MultiPoly, xname: str, prec):
 
 
 def _branches(pieces, field, prec):
-    """The branches of the squarefree pieces (series rows, multiplicity),
-    every branch's levels found before any series is lifted."""
-    plans = [(levels, mult, span, expand) for piece, mult in pieces
-             for levels, span, expand in _expand_squarefree(piece, field,
-                                                             prec, 0)]
-    return [Branch(expand().truncate(prec * _t_in_T(levels)[0]), mult, span,
+    """The branches of the squarefree pieces (series rows, multiplicity)."""
+    return [Branch(series.truncate(prec * _t_in_T(levels)[0]), mult, span,
                    levels)
-            for levels, mult, span, expand in plans]
+            for piece, mult in pieces
+            for levels, span, series in _expand_squarefree(piece, field,
+                                                            prec, 0)]
 
 
 # ------------------------------------------------------------- weierstrass

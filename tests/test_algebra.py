@@ -321,6 +321,19 @@ def test_gcd_agrees_with_sympy_on_planted_factors():
             done += 1
 
 
+def test_gcd_skips_the_gcd_of_trivial_contents(monkeypatch):
+    """x^2 - y has content 1 in x, so the gcd of the two contents is 1
+    with no recursive call."""
+    calls = []
+    real = algebra.gcd
+    monkeypatch.setattr(algebra, "gcd",
+                        lambda f, g: calls.append((f, g)) or real(f, g))
+    f, g = (parse_poly(text, QQ, ("x", "y"))
+            for text in ("x^2 - y", "x - y - 1"))
+    assert algebra.gcd(f, g).is_constant()
+    assert len(calls) == 1
+
+
 # ----------------------------------------------------------------- squarefree
 
 def _expand(factors, like):

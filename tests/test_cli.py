@@ -418,6 +418,25 @@ def test_a_segment_off_its_edge_root_is_a_defect(monkeypatch):
     assert "phi(z0) != 0" in report["error"]
 
 
+def test_a_nested_segment_off_its_edge_root_is_a_defect(monkeypatch):
+    """The segment of a multiple edge root, expanded at the next level
+    rather than lifted, must vanish at x1 = 0 as well: one off its root is
+    named as the kernel's fault, not left to show as an engine
+    disagreement."""
+    real = curveint.lifting._segment
+
+    def off(rows, a, b, level, head, c, field, below=None):
+        segment = real(rows, a, b, level, head, c, field, below)
+        if below is None:
+            segment[0] = segment[0] + field.one
+        return segment
+    monkeypatch.setattr(curveint.lifting, "_segment", off)
+    report, code = run_job(Job(command="mult",
+                               curves=("x^4-y^5", "x^3-y^2+x*y")))
+    assert code == EXIT_VERIFICATION
+    assert "phi(z0) != 0" in report["error"]
+
+
 def test_a_squarefree_decomposition_short_of_f_is_a_defect(monkeypatch):
     """A factor lost in ``_sqf_recurse`` leaves the product of the factors
     short of the polynomial the program decomposed."""

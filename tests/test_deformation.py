@@ -540,17 +540,6 @@ def test_inseparable_eliminant_is_refused():
     assert squarefree_decompose(R) == [(R, 1)]
 
 
-def test_witness_readout_rejects_a_repeated_factor():
-    # certified_solutions proves what it reads: the double branch y = t^2
-    # is refused before any witness check runs
-    x, y, t = (MultiPoly.var(QQ, VARS3, v) for v in VARS3)
-    ft, gt = y - x * x, y - 2 * t * x + t * t
-    R, s1 = deformation._eliminant_and_s1(ft, gt)
-    with pytest.raises(GenericityFailureError, match="repeated factor"):
-        deformation.certified_solutions(
-            ft, gt, newton_puiseux(R, "y", 6), s1, 6)
-
-
 def test_roadmap_pair_builds_one_chain(monkeypatch):
     # the witnesses certify the count off the first attempt's one chain
     from curveint.cli import EXIT_OK, Job, run_job

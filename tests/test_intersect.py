@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -351,6 +352,20 @@ def test_bezout_frame_proves_the_curves_coprime_by_its_line(monkeypatch):
         assert gcds.count((C1.form, C2.form)) == blocked
         assert len(searches) == 1
         assert bool(splits) == blocked  # the conics' R has double roots
+
+
+def test_frames_move_each_line_once(monkeypatch):
+    """The line test and the chart of a line read one pair of moved
+    forms: the F7 concentric conics are blocked on Z = 0 and framed on
+    Z + 6X, and each line's two forms are moved once."""
+    moved = Counter()
+    real = intersect._moved
+    monkeypatch.setattr(intersect, "_moved",
+                        lambda *a: moved.update([a[1:]]) or real(*a))
+    F7 = PrimeField(7)
+    intersection_points(parse_curve("x^2 + y^2 - 1", F7),
+                        parse_curve("x^2 + y^2 - 2", F7))
+    assert moved == {(F7.of(a), F7.of(b)): 2 for a, b in ((0, 0), (6, 0))}
 
 
 def test_points_fp_conjugates_materialized():

@@ -179,6 +179,30 @@ def test_puiseux_ramified_pair():
     assert str(brs[0]) == "Branch(t^(1/2) + O(t^4); simple, 2 conjugates)"
 
 
+def test_puiseux_refuses_a_precision_too_small_for_a_segment():
+    """An edge of slope a/b needs prec * b > a, so the edge of x - t^3
+    needs prec > 3.  The double edge root 2 of (x - 2t)^2 - t^5 leaves a
+    segment of slope 3/2 to O(T^(prec - 1)), which needs prec > 5/2: at
+    prec 2 the refusal comes after the sibling root 1 is lifted."""
+    x, t = xt()
+    pair = (x - t) * (x - t ** 3)
+    for prec in (2, 3):
+        with pytest.raises(InsufficientPrecisionError,
+                           match="requested precision too small for this "
+                                 "segment"):
+            newton_puiseux(pair, "x", prec)
+    assert [str(b.series) for b in newton_puiseux(pair, "x", 4)] == [
+        "t^3 + O(t^4)", "t + O(t^4)"]
+    nested = (x - t) * ((x - 2 * t) ** 2 - t ** 5)
+    with pytest.raises(InsufficientPrecisionError,
+                       match="requested precision too small for this "
+                             "segment"):
+        newton_puiseux(nested, "x", 2)
+    assert [str(b) for b in newton_puiseux(nested, "x", 4)] == [
+        "Branch(t + O(t^4); simple)",
+        "Branch(2*t + t^(5/2) + O(t^4); simple, 2 conjugates)"]
+
+
 def test_puiseux_branch_through_origin_only():
     x, t = xt()
     brs = newton_puiseux(x * x - x, "x", 5)
