@@ -12,11 +12,8 @@ seed produces byte-identical output.
 
 from __future__ import annotations
 
-import argparse
-import json
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from operator import add
 
@@ -67,33 +64,38 @@ def _to_int(digits: str, what: str) -> int:
                           f"of {sys.get_int_max_str_digits()}") from None
 
 
+# The tokens of a curve text: a run of decimal digits, or any other
+# character but whitespace.
+_TOKEN = re.compile(r"\d+|\S")
+
+
 class _Lexer:
+    """The text read once into tokens, each with its position, whitespace
+    skipped; ``peek`` and ``take`` give (first character, position), and
+    (None, len(text)) past the last token."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        found = list(_TOKEN.finditer(text))
+        self.runs = [m[0] for m in found]
+        self.heads = [(m[0][0], m.start()) for m in found]
+        self.heads.append((None, len(text)))
+        self.k = 0
 
     def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None, self.pos
-        return self.text[self.pos], self.pos
+        return self.heads[self.k]
 
     def take(self):
-        ch, pos = self.peek()
-        if ch is not None:
-            self.pos += 1
-        return ch, pos
+        head = self.heads[self.k]
+        if head[0] is not None:
+            self.k += 1
+        return head
 
     def take_int(self):
-        ch, pos = self.peek()
+        ch, pos = self.take()
         if ch is None or not ch.isdecimal():
             raise ParseError("expected an integer", pos)
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        return _to_int(self.text[start:self.pos],
-                       f"integer at position {start}"), start
+        return _to_int(self.runs[self.k - 1],
+                       f"integer at position {pos}"), pos
 
 
 def parse_poly(text: str, field, variables) -> MultiPoly:
@@ -303,20 +305,34 @@ def parse_point(spec: str, field):
 
 # -------------------------------------------------------------------- job
 
-@dataclass
 class Job:
-    command: str
-    curves: tuple = ()
-    field: str = "Q"
-    point: str = None
-    seed: int = 0
-    precision: int = None
-    fmt: str = "text"  # serialized as "format"
-    a0: str = None
-    max_retries: int = 8
+    """One command and its flags, as ``main`` parses them; ``fmt`` is
+    serialized as "format".  Mutable: the corpus fills in each instance's
+    seed, precision and budget."""
+
+    FIELDS = ("command", "curves", "field", "point", "seed", "precision",
+              "fmt", "a0", "max_retries")
+
+    def __init__(self, command, curves=(), field="Q", point=None, seed=0,
+                 precision=None, fmt="text", a0=None, max_retries=8):
+        self.command = command
+        self.curves = curves
+        self.field = field
+        self.point = point
+        self.seed = seed
+        self.precision = precision
+        self.fmt = fmt
+        self.a0 = a0
+        self.max_retries = max_retries
+
+    def __eq__(self, other):
+        if type(other) is not Job:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.FIELDS)
 
     def to_dict(self):
-        d = asdict(self)
+        d = {name: getattr(self, name) for name in self.FIELDS}
         d["curves"] = list(self.curves)
         d["format"] = d.pop("fmt")
         return d
@@ -325,7 +341,7 @@ class Job:
     def from_dict(cls, d):
         d = {"fmt" if key == "format" else key: value
              for key, value in d.items()}
-        kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        kwargs = {name: d[name] for name in cls.FIELDS if name in d}
         kwargs["curves"] = tuple(kwargs.get("curves", ()))
         return cls(**kwargs)
 
@@ -482,6 +498,7 @@ def _failure(job: Job, err: Exception, status: str) -> dict:
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
+        import json
         return json.dumps(report, sort_keys=True, indent=2)
     lines = [f"command: {report.get('command')}"]
     if report.get("inputs"):
@@ -503,6 +520,7 @@ def render_report(report: dict, fmt: str) -> str:
 
 
 def build_parser():
+    import argparse
     ap = argparse.ArgumentParser(
         prog="curveint",
         description="Exact intersection multiplicities of plane curves, "

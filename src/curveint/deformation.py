@@ -72,8 +72,8 @@ checks consume.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (LocalPair, gcd, lift_to_field, resultant_and_s1,
@@ -127,13 +127,11 @@ def deform_polynomial(f: MultiPoly, direction: MultiPoly) -> MultiPoly:
     return f3 + MultiPoly.var(f3.field, f3.vars, "t") * d3
 
 
-@dataclass(frozen=True)
-class SolutionBranch:
+class SolutionBranch(namedtuple("SolutionBranch", "x y span")):
     """One certified nearby-solution cycle of a deformed pair, its x and y
-    series in the T of its y-branch (t = scale * T^B, ``lifting.Branch``)."""
-    x: TruncatedSeries
-    y: TruncatedSeries
-    span: int
+    series (``TruncatedSeries``) in the T of its y-branch (t = scale * T^B,
+    ``lifting.Branch``), and the int ``span``."""
+    __slots__ = ()
 
 
 def _eliminant_and_s1(ft: MultiPoly, gt: MultiPoly):
@@ -328,12 +326,11 @@ def _attempts(build, readout, seed: int, first: int, prec, cap,
         f"(last: {last_error})")
 
 
-@dataclass
-class DeformationOutcome:
-    count: int
-    seed_used: int
-    shear: tuple
-    precision: Fraction
+class DeformationOutcome(namedtuple(
+        "DeformationOutcome", "count seed_used shear precision")):
+    """The certified count at one point, the seed and precision that
+    certified it, and the shear (lam, mu) of its frame."""
+    __slots__ = ()
 
 
 def deformation_counts(fs: MultiPoly, gs: MultiPoly, points, seed: int,
@@ -393,19 +390,16 @@ def deformation_count(pair: LocalPair, seed: int = 0, prec=None,
 
 # ------------------------------------------------------------- two scales
 
-@dataclass
-class TwoScaleAnalysis:
+class TwoScaleAnalysis(namedtuple(
+        "TwoScaleAnalysis", "groups total seed_used shear precision")):
     """The nearby points of a one-sided coarse deformation, grouped.
 
     groups: sorted (k, m) pairs, one per solution cycle of the coarse
     eliminant: k conjugate coarse points, each carrying the local
     multiplicity m that a further fine deformation splits into m simple
-    points; total = sum(k * m) is the multiplicity at the origin."""
-    groups: list
-    total: int
-    seed_used: int
-    shear: tuple
-    precision: Fraction
+    points; total = sum(k * m) is the multiplicity at the origin.  The
+    seed, shear and precision are those of the certifying attempt."""
+    __slots__ = ()
 
 
 def two_scale_analysis(pair: LocalPair, seed: int = 0,

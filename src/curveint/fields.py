@@ -319,6 +319,15 @@ def _ext(num, den, field):
     return el
 
 
+def _base_parts(v, p):
+    """(num, den) of the base-field value v, already canonical in every
+    extension of its field (``_ext``): ((v,), 1) over F_p, ((numerator,),
+    denominator) over Q, and ((), 1) for zero."""
+    if p:
+        return ((v.val,) if v.val else ()), 1
+    return ((v.numerator,) if v else ()), v.denominator
+
+
 def _canonical(num, den, field):
     """The element num/den, with num a list of ints of length <= degree.
 
@@ -376,10 +385,7 @@ class ExtElement:
             return other.num, other.den
         base = self.field.base
         if base.is_element(other) or isinstance(other, int):
-            v = base.of(other)
-            if self.field.characteristic:
-                return ((v.val,) if v.val else ()), 1
-            return ((v.numerator,) if v else ()), v.denominator
+            return _base_parts(base.of(other), self.field.characteristic)
         return None
 
     def __add__(self, other):
@@ -633,8 +639,8 @@ class ExtensionField(Field):
                                               or value.field == self):
             return value
         if isinstance(value, int) or self.base.is_element(value):
-            v = self.base.of(value)
-            return ExtElement((v,) if v else (), self)
+            return _ext(*_base_parts(self.base.of(value), self.characteristic),
+                        self)
         raise InvalidInputError(f"cannot coerce {value!r} into {self.name}")
 
     def product_codec(self, a, b):

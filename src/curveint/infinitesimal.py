@@ -13,7 +13,7 @@ of every shear search (``algebra.isolating_shear``) accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import (LocalPair, apply_shear, first_shear, gcd,
@@ -30,20 +30,18 @@ from .poly import MultiPoly
 from .series import INF, TruncatedSeries, positive_precision
 
 
-@dataclass
-class DeformedCurve:
+class DeformedCurve(namedtuple("DeformedCurve", "base direction result")):
     """A curve with every coefficient moved along ``direction`` at scale
     t: the result specializes back to the base at t = 0."""
-    base: MultiPoly
-    direction: MultiPoly
-    result: MultiPoly
+    __slots__ = ()
 
     def specialize(self) -> MultiPoly:
         return self.result.coeff_of("t", 0).drop_vars(["t"])
 
 
-@dataclass
-class NearbyPoint:
+class NearbyPoint(namedtuple("NearbyPoint",
+                             "x y target span multiplicity scale B",
+                             defaults=(1, 1, 1, 1))):
     """One solution cycle in the infinitesimal neighborhood of ``target``.
 
     ``x`` and ``y`` are the coordinates less the target's, as series in the
@@ -52,13 +50,7 @@ class NearbyPoint:
     T.  The cycle stands for ``span`` points over the algebraic closure
     (its conjugates under the B choices of T and under the field extension
     of its coefficients), each counted ``multiplicity`` times."""
-    x: TruncatedSeries
-    y: TruncatedSeries
-    target: tuple
-    span: int = 1
-    multiplicity: int = 1
-    scale: object = 1
-    B: int = 1
+    __slots__ = ()
 
     @property
     def count(self) -> int:

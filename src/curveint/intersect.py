@@ -29,7 +29,7 @@ the input's coordinates, and each orbit is certified once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .algebra import (PROJECTIVE_VARS, LocalPair, _shift, dehomogenize, gcd,
                       is_homogeneous, local_pair, shear_bound,
@@ -118,8 +118,9 @@ class ProjectivePoint:
         return f"ProjectivePoint({self})"
 
 
-@dataclass
-class PointCluster:
+class PointCluster(namedtuple(
+        "PointCluster", "minpoly degree chart representative conjugates",
+        defaults=(None, None))):
     """A Galois orbit of irrational intersection points, carried as one.
 
     ``minpoly`` is an irreducible factor of the eliminant in the frame
@@ -133,27 +134,21 @@ class PointCluster:
     conjugates, and the cluster contributes degree * multiplicity to the
     Bezout total as one.
     """
-    minpoly: MultiPoly
-    degree: int
-    chart: str
-    representative: ProjectivePoint = None
-    conjugates: list = None
+    __slots__ = ()
 
     def __str__(self):
         return (f"cluster[deg {self.degree}, chart {self.chart}, "
                 f"minpoly {self.minpoly}]")
 
 
-@dataclass
-class MultiplicityReport:
-    point: object
-    mult_length: int
-    mult_resultant: int
-    mult_deformation: int
-    transversal: bool
-    shear: tuple
-    precision: object
-    weight: int  # its share of the Bezout total
+class MultiplicityReport(namedtuple(
+        "MultiplicityReport", "point mult_length mult_resultant "
+        "mult_deformation transversal shear precision weight")):
+    """The three engines' values at one point (or one cluster), the
+    transversality law's verdict, the shear and precision that certified
+    the deformation engine, and ``weight``, the point's share of the
+    Bezout total."""
+    __slots__ = ()
 
     @property
     def agreed(self) -> bool:
@@ -481,11 +476,9 @@ def multiplicities_at(C1: Curve, C2: Curve, point: ProjectivePoint,
         shear=outcome.shear, precision=outcome.precision, weight=m_len))
 
 
-@dataclass
-class BezoutResult:
-    total: int
-    expected: int
-    reports: list
+class BezoutResult(namedtuple("BezoutResult", "total expected reports")):
+    """The Bezout total, d * e, and the report of each point or cluster."""
+    __slots__ = ()
 
 
 def bezout_sum(C1: Curve, C2: Curve, seed: int = 0, prec=None,
@@ -537,10 +530,10 @@ def bezout_sum(C1: Curve, C2: Curve, seed: int = 0, prec=None,
         if cluster is None:
             reports.append(rep)
         elif cluster.conjugates:
-            reports += [replace(rep, point=pt) for pt in cluster.conjugates]
+            reports += [rep._replace(point=pt) for pt in cluster.conjugates]
         else:
-            cluster_reports.append(replace(
-                rep, point=cluster, weight=cluster.degree * m_len))
+            cluster_reports.append(rep._replace(
+                point=cluster, weight=cluster.degree * m_len))
     reports.sort(key=lambda r: (r.point.chart, str(r.point)))
     cluster_reports.sort(key=lambda r: (r.point.chart, str(r.point.minpoly)))
     reports += cluster_reports

@@ -27,7 +27,7 @@ entry points:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import (roots_univariate, separable_by_evaluation,
@@ -126,8 +126,8 @@ def hensel_lift(f, a0, prec) -> TruncatedSeries:
 
 # ----------------------------------------------------------- newton-puiseux
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(namedtuple("Branch", "series multiplicity span levels",
+                        defaults=(1, ()))):
     """One solution cycle x(t) through the origin, as a series in its own
     T with t = scale * T^B.
 
@@ -141,10 +141,7 @@ class Branch:
     edge roots needed.  ``levels`` holds (a, b, z0) per Newton-polygon
     level, slope a/b and compressed root z0: the one record of the
     substitutions, from which B and the scale follow."""
-    series: TruncatedSeries
-    multiplicity: int
-    span: int = 1
-    levels: tuple = ()
+    __slots__ = ()
 
     @property
     def B(self) -> int:
@@ -402,16 +399,14 @@ def _branches(pieces, field, prec):
 
 # ------------------------------------------------------------- weierstrass
 
-@dataclass(frozen=True)
-class WeierstrassData:
+class WeierstrassData(namedtuple("WeierstrassData",
+                                 "degree unit weierstrass")):
     """F = unit * weierstrass + O(y^prec), both polynomials in (x, y)
     truncated below y^prec.
 
     ``weierstrass`` = x^m + a_1(y) x^(m-1) + ... + a_m(y) with a_i(0) = 0
     and m = ``degree``; ``unit`` does not vanish at the origin."""
-    degree: int
-    unit: MultiPoly
-    weierstrass: MultiPoly
+    __slots__ = ()
 
 
 def weierstrass_prepare(F: MultiPoly, prec: int) -> WeierstrassData:

@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -149,9 +151,26 @@ def test_parse_point():
 # ------------------------------------------------------------------- jobs
 
 def test_job_roundtrip():
-    job = Job(command="mult", curves=("x^2 - y^3", "y"), field="Q",
-              point="0,0", seed=7, precision=None, fmt="json")
+    """A job takes its flags by keyword, with the CLI's defaults; it
+    serializes "fmt" as "format", round-trips through its dict, and equals
+    another job exactly when every flag does."""
+    job = Job(command="mult")
+    assert job.to_dict() == {
+        "command": "mult", "curves": [], "field": "Q", "point": None,
+        "seed": 0, "precision": None, "a0": None, "max_retries": 8,
+        "format": "text"}
     assert Job.from_dict(job.to_dict()) == job
+    mult = Job(command="mult", curves=("x^2 - y^3", "y"), field="Q",
+               point="0,0", seed=7, precision=None, fmt="json")
+    assert Job.from_dict(mult.to_dict()) == mult
+    full = Job(command="hensel", curves=("x^2 - t",), field="F7",
+               point="1,2", seed=3, precision=5, fmt="json", a0="1",
+               max_retries=2)
+    assert Job.from_dict(full.to_dict()) == full
+    assert full != job and full != full.to_dict()
+    other = Job.from_dict(full.to_dict())
+    other.seed = 4  # jobs are mutable: the corpus fills in its flags
+    assert other != full
 
 
 def test_manifest_entries_reserialize_identically():
@@ -169,6 +188,62 @@ def test_manifest_has_at_least_25_instances():
     fields = {e["job"]["field"] for e in manifest}
     assert {"Q", "F7", "F101", "F32003"} <= fields
     assert not any(f in ("F2", "F3", "F5") for f in fields)
+
+
+# ---------------------------------------------------------------- records
+
+def test_records_take_keywords_and_defaults():
+    point = curveint.infinitesimal.NearbyPoint(x="x", y="y", target=(0, 0),
+                                               multiplicity=3)
+    assert (point.span, point.multiplicity, point.scale, point.B) == \
+        (1, 3, 1, 1)
+    assert point.count == 3
+    branch = curveint.lifting.Branch(series="s", multiplicity=2)
+    assert (branch.span, branch.levels, branch.simple) == (1, (), False)
+    cluster = curveint.intersect.PointCluster(minpoly="m", degree=2,
+                                              chart="Z")
+    assert cluster.representative is None and cluster.conjugates is None
+
+
+RECORDS = [curveint.deformation.SolutionBranch,
+           curveint.deformation.DeformationOutcome,
+           curveint.deformation.TwoScaleAnalysis,
+           curveint.infinitesimal.DeformedCurve,
+           curveint.infinitesimal.NearbyPoint,
+           curveint.intersect.PointCluster,
+           curveint.intersect.MultiplicityReport,
+           curveint.intersect.BezoutResult,
+           curveint.lifting.Branch,
+           curveint.lifting.WeierstrassData]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_are_read_only(cls):
+    """The library's result records are never assigned once built: a
+    field, or any new attribute, refuses assignment."""
+    record = cls(*range(len(cls._fields)))
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+def test_import_loads_no_front_end_modules():
+    """A fresh interpreter, without site packages, imports the CLI module
+    and the identities without loading dataclasses or inspect, which no
+    part of curveint needs, or argparse and json, which only ``main`` and
+    JSON rendering need."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import curveint.cli, curveint.infinitesimal; "
+            "print(*[m for m in sys.argv[2:] if m in sys.modules])")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src), "dataclasses",
+         "inspect", "argparse", "json"],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 # --------------------------------------------------------------- commands
@@ -525,6 +600,57 @@ def test_mult_off_origin_matches_bezout_line():
     line = next(r for r in bezout["results"] if r["point"] == "[1:1:1]")
     keys = ("mult_length", "mult_resultant", "mult_deformation")
     assert [mult["results"][0][k] for k in keys] == [line[k] for k in keys]
+
+
+# Compact texts that parse and texts that are refused, each refusal at a
+# position; whitespace may go between their tokens, never inside a run of
+# digits.
+_COMPACT = ["x^2-y^3", "3*x^2*y-1/2*y+4", "-(x-2/3*y)^2*(x+10)",
+            "((x))^0+7*y", "x^2+$", "x^-2", "(x+y", "x+", "1/0*x", "x^",
+            "x*z", "\u00b2*x", "x)", "x12", "x^65", "(x^8)^8*y"]
+_SPACES = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000"
+
+
+def _spaced(text, rng):
+    """text with random whitespace before each token and after the last,
+    and where each position of text went (its end included)."""
+    out, where = "", []
+    for i, ch in enumerate(text):
+        if not (ch.isdecimal() and i and text[i - 1].isdecimal()):
+            out += "".join(rng.choices(_SPACES, k=rng.randrange(4)))
+        where.append(len(out))
+        out += ch
+    out += " \t"
+    return out, where + [len(out)]
+
+
+def _parsed(text):
+    try:
+        return parse_poly(text, QQ, ("x", "y")).terms, None
+    except (ParseError, BudgetError) as err:
+        return None, err
+
+
+def test_whitespace_changes_neither_terms_nor_error_positions():
+    """Whitespace between tokens, of every kind str.isspace knows, gives
+    the compact text's term dict, or its error at the same token: the
+    error's position, in its message too, is where that token went."""
+    rng = random.Random(45)
+    for text in _COMPACT:
+        terms, err = _parsed(text)
+        for _ in range(20):
+            spaced, where = _spaced(text, rng)
+            got, got_err = _parsed(spaced)
+            assert got == terms, repr(spaced)
+            if err is None:
+                assert got_err is None, repr(spaced)
+                continue
+            assert type(got_err) is type(err), repr(spaced)
+            assert str(got_err) == re.sub(
+                r"position (\d+)", lambda m: f"position {where[int(m[1])]}",
+                str(err)), repr(spaced)
+            if isinstance(err, ParseError):
+                assert got_err.position == where[err.position]
 
 
 # ------------------------------------------------------------ input bounds

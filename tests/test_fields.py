@@ -386,6 +386,38 @@ def test_mixing_extension_fields_raises():
     assert E3.gen * a == 2 and E3.gen == a and hash(E3.gen) == hash(a)
 
 
+@pytest.mark.parametrize("base,modulus", [
+    (QQ, [-3, 2]),                    # 2z - 3
+    (QQ, [-2, 0, 3, 5]),              # 5z^3 + 3z^2 - 2
+    (PrimeField(7), [3, 1]),          # z + 3
+    (PrimeField(101), [2, 1, 0, 1]),  # z^3 + z + 2
+])
+def test_of_a_base_value_is_canonical(base, modulus):
+    """``of`` builds a base-field value's element directly: equal to the
+    element ``ExtElement`` reduces from it, with the same parts, which
+    are ((v,), 1) over F_p, ((numerator,), denominator) over Q and
+    ((), 1) for zero."""
+    field = ExtensionField(base, modulus)
+    p = base.characteristic
+    values = ([0, 1, p - 1, Fraction(1, 2)] if p
+              else [0, 1, -7, Fraction(-5, 6), Fraction(9, 4)])
+    for value in values:
+        v = base.of(value)
+        got = field.of(v)
+        want = ExtElement((v,), field)
+        assert got == want and (got.num, got.den) == (want.num, want.den)
+        assert got.field is field
+        if isinstance(value, int):
+            assert field.of(value) == got
+        if not v:
+            parts = ((), 1)
+        elif p:
+            parts = ((v.val,), 1)
+        else:
+            parts = ((v.numerator,), v.denominator)
+        assert (got.num, got.den) == parts
+
+
 @pytest.mark.parametrize("p", [7, 101, 32003])
 def test_frobenius_table_matches_power(p):
     """c.frobenius() is c ** p, by repeated squaring, on random elements

@@ -402,6 +402,22 @@ def test_points_fp_conjugates_match_frobenius_oracle(p, f, g):
     assert set(coords) == frobenius_orbit(cl.representative, cl.degree)
 
 
+@pytest.mark.parametrize("p,f,g", FP_ORBIT_PAIRS)
+def test_bezout_conjugate_lines_copy_the_representative(p, f, g):
+    """Each pair meets in one Frobenius orbit: ``bezout_sum`` gives one
+    line per conjugate, each the representative's report in every field
+    but ``point``."""
+    x, y = xy(PrimeField(p))
+    C1, C2 = curve(f(x, y)), curve(g(x, y))
+    [cluster] = intersection_points(C1, C2)[1]
+    reports = bezout_sum(C1, C2, seed=1).reports
+    assert sorted(str(r.point) for r in reports) == \
+        sorted(str(pt) for pt in cluster.conjugates)
+    [rep] = [r for r in reports if r.point == cluster.representative]
+    for r in reports:
+        assert r._replace(point=rep.point) == rep
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(101), PrimeField(7)],
                          ids=str)
 def test_s1_reading_is_the_gcd_reading(field):
