@@ -352,20 +352,13 @@ def squarefree_decompose(f: MultiPoly):
 def _image_mod_q(R: MultiPoly, name: str):
     """(q, n, [(i, j, c), ...]): R's terms with exponent i in ``name`` and
     j in t, and coefficient image c mod q, n = deg_name R.  Over F_p q = p
-    and the image is exact; over Q q = 2^31 - 1; over Q[w]/(m) w -> r for
-    the field's ``root_mod_q``, a prime below 2^15.  None over F_p[w],
-    when the field has no ``root_mod_q`` and when q divides a
-    coefficient's denominator."""
+    and the image is exact; over Q q = 2^31 - 1.  None over any extension
+    field and when q divides a coefficient's denominator."""
     field = R.field
     coeffs = R.terms.values()
     if isinstance(field, ExtensionField):
-        if field.root_mod_q is None:
-            return None
-        q, root = field.root_mod_q
-        powers = [pow(root, k, q) for k in range(field.degree)]
-        parts = [(sum(x * w for x, w in zip(c.num, powers)), c.den)
-                 for c in coeffs]
-    elif field.characteristic:
+        return None
+    if field.characteristic:
         q = field.p
         parts = [(c.val, 1) for c in coeffs]
     else:
@@ -410,13 +403,13 @@ def separable_by_evaluation(R: MultiPoly, name: str) -> bool:
     coprime to its derivative mod q proves it.  Over F_p the image is
     R(name, tau) itself.  Over Q, R(name, tau) lies in Z_(q)[name] with a
     unit top coefficient, so by Gauss's lemma a common factor with its
-    derivative of positive degree would reduce to one mod q.  Over
-    Q[w]/(m), m irreducible, q prime to lc(m) and m squarefree mod q, the
-    same holds in the discrete valuation ring of Z_(q)[w]/(m) at
-    (q, w - r).  The exact check (``subs_values`` and ``gcd``) decides a
-    tau whose image drops the top coefficient or shares a factor, over Q
-    and Q[w]/(m), and every tau with no image: the answer is the exact
-    check's, only sooner."""
+    derivative of positive degree would reduce to one mod q.  The exact
+    check (``subs_values`` and ``gcd``) decides a tau whose image over Q
+    drops the top coefficient or shares a factor, and every tau with no
+    image, as over any extension field, which only library callers pass
+    (a job proves its eliminant over Q or F_p once, and the proof holds
+    over every extension): the answer is the exact check's, only
+    sooner."""
     n = R.degree_in(name)
     if n < 2:
         return True
@@ -506,7 +499,6 @@ def roots_univariate(f: MultiPoly, name: str, gen_name: str):
             out.append((fac, -coeffs[0], f.field, mult))
         else:
             ext = ExtensionField(f.field, coeffs, gen_name=gen_name)
-            ext._irreducible = True  # a factor of factor_univariate
             out.append((fac, ext.gen, ext, mult))
     return out
 

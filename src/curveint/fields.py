@@ -25,22 +25,17 @@ the elements, and its products go through ``product_codec``.
 Exact polynomial division reads its remainder through
 ``Field.division_codec`` the same way: plain ints over Q and F_p, one
 normalisation per remainder coefficient it reads (extension elements go
-in as they are).  An extension of Q built from an irreducible factor
-(``algebra.roots_univariate``) finds once a prime q and a root of m mod q
-(``root_mod_q``), the map onto F_q of the separability proof mod q;
-other extensions of Q have no such map.
+in as they are).
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
 from .errors import InvalidInputError, UnsupportedExtensionError
-from .factor import (PRIMES_QW, _gcd, _monic, _over_lcm, _rem, _xgcd,
-                     is_prime, root_mod_p)
+from .factor import _gcd, _over_lcm, _rem, _xgcd, is_prime
 
 
 def binary_power(base, n: int):
@@ -609,10 +604,6 @@ class ExtensionField(Field):
     squarefree reducible m, inversion of a zero divisor raises.
     """
 
-    # True once m is known irreducible: ``algebra.roots_univariate`` sets
-    # it on the fields it builds from irreducible factors.
-    _irreducible = False
-
     def __init__(self, base: Field, modulus, gen_name: str = "z"):
         if isinstance(base, ExtensionField):
             raise UnsupportedExtensionError("only one extension step is supported")
@@ -721,28 +712,6 @@ class ExtensionField(Field):
             rows.append(row.num)
             row = row * zp
         return rows
-
-    @cached_property
-    def root_mod_q(self):
-        """(q, r) for the first q of ``factor.PRIMES_QW`` with q not
-        dividing the lead of ``int_modulus`` and m squarefree mod q, and a
-        root r of m mod q: w -> r maps the elements with denominators
-        prime to q onto F_q.  None over F_p, when ``_irreducible`` is not
-        set (no proof is run: over a reducible m a root mod q sees one
-        factor of the ring only) and when no listed prime has a root.
-        Built once per field."""
-        if self.characteristic or not self._irreducible:
-            return None
-        rng = random.Random(0)
-        mod, scale = self.int_modulus
-        for q in PRIMES_QW:
-            if scale % q:
-                m = _monic([c % q for c in mod], q)
-                r = root_mod_p(m, q, rng)
-                dm = [k * c % q for k, c in enumerate(m)][1:]
-                if r is not None and len(_gcd(m, dm, q)) == 1:
-                    return q, r
-        return None
 
     @property
     def gen(self):

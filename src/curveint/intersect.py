@@ -82,8 +82,8 @@ class ProjectivePoint:
         coords = [field.of(c) for c in coords]
         if all(not c for c in coords):
             raise InvalidInputError("all projective coordinates vanish")
-        pivot = next(c for c in coords if c)
-        self.coords = tuple(c / pivot for c in coords)
+        inv = 1 / next(c for c in coords if c)
+        self.coords = tuple(c * inv for c in coords)
         self.field = field
 
     @property
@@ -98,11 +98,11 @@ class ProjectivePoint:
     def affine_pair(self):
         """The two affine coordinates in this point's chart."""
         X, Y, Z = self.coords
-        if self.chart == "Z":
-            return (X / Z, Y / Z)
-        if self.chart == "Y":
-            return (X / Y, Z / Y)
-        return (Y / X, Z / X)
+        chart = self.chart
+        u, v, w = ((X, Y, Z) if chart == "Z" else
+                   (X, Z, Y) if chart == "Y" else (Y, Z, X))
+        inv = 1 / w
+        return (u * inv, v * inv)
 
     def __eq__(self, other):
         return (isinstance(other, ProjectivePoint)

@@ -12,9 +12,9 @@ from curveint.algebra import (SHEAR_BOUND, _shear_candidates, content_in,
                               shear_to_general_position, squarefree_decompose,
                               subresultant_prs, translate_to_origin)
 from curveint.cli import EXIT_OK, Job, parse_poly, run_job
+from curveint.corpus import corpus_manifest
 from curveint.errors import (GeneralPositionError, InvalidDegreeError,
                              InvalidInputError, UnsupportedExtensionError)
-from curveint.factor import _gcd
 from curveint.fields import QQ, ExtensionField, PrimeField
 from curveint.intersect import mult_resultant_order
 from curveint.poly import MultiPoly
@@ -534,7 +534,7 @@ def _count_exact_checks(monkeypatch):
 
 def _root_field(f):
     """The field of the root of an irreducible univariate f over Q, as
-    ``roots_univariate`` builds it: the fields that have an image mod q."""
+    ``roots_univariate`` builds it."""
     [(_, _, field, _)] = roots_univariate(f, "y", "w")
     return field
 
@@ -554,9 +554,9 @@ def _with_w_part(rng, field, A):
 
 
 def _trap(rng, field, R, q):
-    """R with one coefficient the proof mod q cannot read, over Q and
-    Q[w]: the top y-coefficient times q, or a term over the denominator
-    q; R itself over F_p, where the image is exact."""
+    """R with one coefficient the proof mod q cannot read, over Q: the
+    top y-coefficient times q, or a term over the denominator q; R itself
+    over F_p, where the image is exact."""
     if field.characteristic:
         return R, False
     y = MultiPoly.var(field, R.vars, "y")
@@ -590,15 +590,17 @@ def _discriminant_is_nonzero(R):
 def test_separable_by_evaluation_matches_the_exact_loop(field, seed,
                                                         monkeypatch):
     """R = A^m * B, random, some with a top coefficient that vanishes at
-    tau = 1, and over Q and Q[w] some with a top coefficient or a
-    denominator divisible by the image's prime q, where every tau takes
-    the exact check: the proof mod q returns the exact loop's bool
+    tau = 1, and over Q some with a top coefficient or a denominator
+    divisible by the image's prime q, where every tau takes the exact
+    check, as every tau does over Q[w], which has no image: the proof
+    returns the exact loop's bool
     (``oracles.separable_by_exact_evaluation``), and every True has a
     nonzero Sylvester discriminant Res_y(R, dR/dy), read at one t0."""
     rng = random.Random(seed)
-    q = (field.root_mod_q[0] if isinstance(field, ExtensionField)
-         else field.characteristic or algebra.PRIME_Q)
+    extension = isinstance(field, ExtensionField)
+    q = field.characteristic or algebra.PRIME_Q
     exact = _count_exact_checks(monkeypatch)
+    images = _count_specializations(monkeypatch)
     seen = set()
     for _ in range(40):
         A = _with_w_part(rng, field, _random_in_y(
@@ -608,94 +610,74 @@ def test_separable_by_evaluation_matches_the_exact_loop(field, seed,
         R, trapped = A ** rng.randint(1, 2) * B, False
         if R.degree_in("y") < 2:
             continue
-        if rng.random() < 0.3:
+        if not extension and rng.random() < 0.3:
             R, trapped = _trap(rng, field, R, q)
         del exact[:]
         proved = algebra.separable_by_evaluation(R, "y")
-        if trapped:
+        if trapped or extension:
             assert exact, str(R)
+        assert not (extension and images), str(R)
         assert proved == separable_by_exact_evaluation(R, "y"), str(R)
         if proved:
             assert _discriminant_is_nonzero(R), str(R)
         seen.add((proved, trapped))
     assert {True, False} <= {proved for proved, _ in seen}
-    if not field.characteristic:
+    if field == QQ:
         assert (True, True) in seen
 
 
-# pair A's cluster: one orbit of 12 points of the pair in ROADMAP.md
-PAIR_A_MINPOLY = (
-    "y^12 - 30767/10865*y^11 + 308821/76055*y^10 - 109769/76055*y^9"
-    " - 234091/76055*y^8 + 340486/76055*y^7 + 13766/76055*y^6"
-    " - 334267/76055*y^5 + 317267/76055*y^4 - 50544/76055*y^3"
-    " - 9588/15211*y^2 + 15536/76055*y + 21136/76055")
-
-
-def _eisenstein(rng, degree):
-    """A random integer polynomial of the given degree, irreducible over
-    Q by Eisenstein's criterion at 2."""
-    return ([2 * rng.choice([-3, -1, 1, 3])]
-            + [2 * rng.randint(-4, 4) for _ in range(degree - 1)]
-            + [rng.choice([-3, -1, 1, 3])])
-
-
-def test_root_mod_q_is_a_simple_root_mod_q():
-    """For the root fields of moduli of degree 2-12 and of pair A's
-    degree-12 minimal polynomial, the cached (q, r) has m(r) = 0 mod q, q
-    prime to the lead of the integer modulus, and m squarefree mod q."""
-    rng = random.Random(76)
-    fields = [_root_field(MultiPoly(QQ, ("y",), {
-        (k,): c for k, c in enumerate(_eisenstein(rng, d))}))
-        for d in range(2, 13)]
-    fields.append(_root_field(parse_poly(PAIR_A_MINPOLY, QQ, ("y",))))
-    found = 0
-    for E in fields:
-        if E.root_mod_q is None:
-            continue
-        found += 1
-        q, r = E.root_mod_q
-        mod, scale = E.int_modulus
-        assert scale % q
-        assert sum(c * pow(r, k, q) for k, c in enumerate(mod)) % q == 0
-        m_q = [c % q for c in mod]
-        dm_q = [k * c % q for k, c in enumerate(m_q)][1:]
-        assert len(_gcd(m_q, dm_q, q)) == 1
-    assert fields[-1].root_mod_q is not None
-    assert found >= 11
-
-
-def test_roots_univariate_fields_skip_the_irreducibility_proof():
-    """A field that ``roots_univariate`` builds from an irreducible factor
-    of ``factor_univariate`` finds its root mod q with no proof that its
-    modulus is irreducible; the same field built directly has no image,
-    so its separability proofs take the exact path."""
-    y = MultiPoly.var(QQ, ("y",), "y")
-    [(_, r, E, _)] = roots_univariate(y ** 4 - 2 * y + 2, "y", "r")
-    assert E.root_mod_q is not None and r == E.gen
-    direct = ExtensionField(QQ, E.modulus, "r")
-    assert direct == E and direct.root_mod_q is None
-    yt = MultiPoly.var(direct, ("y", "t"), "y")
-    assert algebra._image_mod_q(yt * yt - direct.gen, "y") is None
-
-
 def test_reducible_modulus_takes_the_exact_path(monkeypatch):
-    """Over Q[w]/(w^2 - 1), squarefree but reducible, a root mod q sees
-    one factor of the ring only: there is no image, and every tau takes
-    the exact check, with the exact loop's answer."""
-    E = ExtensionField(QQ, [-1, 0, 1], "w")
-    assert E.root_mod_q is None
-    y, t = (MultiPoly.var(E, ("y", "t"), v) for v in ("y", "t"))
+    """No extension field has an image mod q, its modulus reducible
+    (Q[w]/(w^2 - 1)) or irreducible (F101[w]/(w^2 - 2), and Q[w]/(w^2 - 2)
+    as ``roots_univariate`` builds it): every tau takes the exact check,
+    with the exact loop's answer."""
     exact = _count_exact_checks(monkeypatch)
-    for R in (y * y - t - 1, (y - t) ** 2 * (y + 1)):
-        assert algebra._image_mod_q(R, "y") is None
-        del exact[:]
-        assert (algebra.separable_by_evaluation(R, "y")
-                == separable_by_exact_evaluation(R, "y"))
-        assert exact
+    for E in (ExtensionField(QQ, [-1, 0, 1], "w"), F101W, QW2):
+        y, t = (MultiPoly.var(E, ("y", "t"), v) for v in ("y", "t"))
+        for R in (y * y - t - 1, (y - t) ** 2 * (y + 1),
+                  y * y - E.gen * t):
+            assert algebra._image_mod_q(R, "y") is None, (E, str(R))
+            del exact[:]
+            assert (algebra.separable_by_evaluation(R, "y")
+                    == separable_by_exact_evaluation(R, "y")), (E, str(R))
+            assert exact, (E, str(R))
 
 
-def test_extensions_of_f_p_take_the_exact_path():
-    assert F101W.root_mod_q is None
+# pair A of ROADMAP.md: one orbit of 12 points over a degree-12 field
+PAIR_A = (
+    "3*X^3 + 4*X^2*Y + 2*X^2*Z + 2*X*Y^2 + 2*X*Y*Z + 2*X*Z^2 - 4*Y^3"
+    " + 3*Y^2*Z + 2*Y*Z^2 - 5*Z^3",
+    "-2*X^4 - 4*X^3*Y - 2*X^3*Z + 3*X^2*Y^2 - 3*X^2*Y*Z - 4*X^2*Z^2"
+    " + X*Y^3 + 5*X*Y^2*Z - 5*X*Y*Z^2 - 4*X*Z^3 - 5*Y^4 + 5*Y^3*Z"
+    " - 3*Y^2*Z^2 + 4*Y*Z^3 - 4*Z^4")
+
+
+def test_jobs_prove_separability_over_q_and_f_p_only(monkeypatch):
+    """Every eliminant a job sends to the proof lies over Q or F_p, where
+    the proof holds over every extension: a cluster over Q of the corpus,
+    pair A's orbit, a Frobenius orbit over F7 and a ``mult`` job each
+    reach the proof, and none with an extension field, which would take
+    the exact check at every tau."""
+    seen = []
+    image = algebra._image_mod_q
+    monkeypatch.setattr(algebra, "_image_mod_q",
+                        lambda R, name: seen.append(R.field)
+                        or image(R, name))
+    corpus = {e["name"]: e["job"] for e in corpus_manifest()}
+    fields = set()
+    for job in (Job.from_dict(corpus["two-conics-quartic-cluster"]),
+                Job(command="bezout", curves=PAIR_A),
+                Job(command="bezout", curves=("X^2 - 3*Y^2", "Z"),
+                    field="F7"),
+                Job(command="mult", curves=("x^2 - y^3", "y"))):
+        del seen[:]
+        _, code = run_job(job)
+        assert code == EXIT_OK and seen, job.to_dict()
+        assert all(field == QQ or isinstance(field, PrimeField)
+                   for field in seen), (job.to_dict(), seen)
+        fields.update(seen)
+    assert QQ in fields and any(isinstance(field, PrimeField)
+                                for field in fields)
 
 
 def test_separable_by_evaluation_gives_up_after_two_shared_factors(

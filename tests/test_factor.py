@@ -177,34 +177,5 @@ def test_xgcd_contract(p):
 
 
 def test_image_primes():
-    """The prime of the images of Q is 2^31 - 1; the primes of the images
-    of Q[w]/(m) are the eight largest primes below 2^15, largest first."""
+    """The prime of the images of Q is 2^31 - 1."""
     assert factor.PRIME_Q == 2 ** 31 - 1 and factor.is_prime(factor.PRIME_Q)
-    below = [q for q in range(2 ** 15 - 1, 32600, -1) if factor.is_prime(q)]
-    assert list(factor.PRIMES_QW) == below[:8]
-
-
-@pytest.mark.parametrize("q", (3, 13, 32749))
-def test_root_mod_p_finds_a_root_exactly_when_there_is_one(q):
-    """Seeded monic squarefree f mod q of degree 1-6: a root when one
-    exists (f(r) = 0 mod q), None when none does (checked by trying every
-    residue for the small q, and by gcd(x^q - x, f) for the large one)."""
-    rng = random.Random(f"root-{q}")
-    seen = set()
-    for _ in range(80):
-        f = [rng.randrange(q) for _ in range(rng.randint(1, 6))] + [1]
-        df = [k * c % q for k, c in enumerate(f)][1:]
-        if len(factor._gcd(f, factor._trim(df), q)) != 1:
-            continue
-        r = factor.root_mod_p(f, q, rng)
-        if q < 100:
-            has = any(sum(c * pow(x, k, q) for k, c in enumerate(f)) % q == 0
-                      for x in range(q))
-        else:
-            has = len(factor._gcd(f, factor._sub(
-                factor._powmod([0, 1], q, f, q), [0, 1], q), q)) > 1
-        assert (r is not None) == has, f
-        if r is not None:
-            assert sum(c * pow(r, k, q) for k, c in enumerate(f)) % q == 0
-        seen.add(has)
-    assert seen == {True, False}

@@ -78,8 +78,8 @@ EXTRA_JOBS = [
     ("mult-roadmap-pair-one-attempt",
      dict(_mult("x^4-y^5", "x^3-y^2+x*y", "0,0"), max_retries=1)),
     # pair A of ROADMAP.md: one orbit of 12 points over a degree-12 field,
-    # certified by count-only, whose separability proof is read mod a
-    # prime that has a root of the field's modulus
+    # certified by count-only off the frame's eliminant, proved separable
+    # over Q
     ("pair-a-degree-12-orbit", _bezout(
         "3*X^3 + 4*X^2*Y + 2*X^2*Z + 2*X*Y^2 + 2*X*Y*Z + 2*X*Z^2 - 4*Y^3"
         " + 3*Y^2*Z + 2*Y*Z^2 - 5*Z^3",

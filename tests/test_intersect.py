@@ -18,7 +18,7 @@ from curveint.corpus import corpus_manifest
 from curveint.deformation import deformation_count
 from curveint.errors import (GeneralPositionError, InfiniteMultiplicityError,
                              SharedComponentError)
-from curveint.fields import QQ, ExtensionField, PrimeField
+from curveint.fields import QQ, ExtElement, ExtensionField, PrimeField
 from curveint.infinitesimal import nearby_intersections
 from curveint.intersect import (Curve, PointCluster, ProjectivePoint,
                                 bezout_sum, intersection_points, mult_length,
@@ -39,6 +39,51 @@ def xy(field=QQ):
 
 def curve(f, d=None):
     return Curve(homogenize(f, d if d is not None else f.total_degree()))
+
+
+# -------------------------------------------------------- projective points
+
+@pytest.mark.parametrize("field", [
+    QQ, PrimeField(101), ExtensionField(QQ, [-2, 0, 1], "w"),
+    ExtensionField(PrimeField(7), [-3, 0, 1], "w")],
+    ids=["Q", "F101", "Q[w]/(w^2-2)", "F7[w]/(w^2-3)"])
+def test_projective_point_inverts_one_coordinate(field, monkeypatch):
+    """A point's coordinates are the quotients by its first nonzero one,
+    and its affine pair the quotients by its chart's coordinate, as they
+    print; over an extension, building the point and reading its affine
+    pair each invert at most one element."""
+    rng = random.Random(79)
+    extension = isinstance(field, ExtensionField)
+    inverses = []
+    inverse = ExtElement.inverse
+    monkeypatch.setattr(ExtElement, "inverse",
+                        lambda self: inverses.append(self) or inverse(self))
+
+    def coordinate():
+        if rng.random() < 0.4:
+            return field.zero
+        c = field.of(rng.randint(-5, 5)) / rng.randint(1, 4)
+        return c + field.gen * rng.randint(-5, 5) if extension else c
+    charts = set()
+    for _ in range(60):
+        coords = [coordinate() for _ in range(3)]
+        if not any(coords):
+            continue
+        del inverses[:]
+        point = ProjectivePoint(coords, field)
+        assert len(inverses) <= 1, coords
+        pivot = next(c for c in coords if c)
+        assert ([str(c) for c in point.coords]
+                == [str(c / pivot) for c in coords]), coords
+        X, Y, Z = point.coords
+        u, v, w = {"Z": (X, Y, Z), "Y": (X, Z, Y),
+                   "X": (Y, Z, X)}[point.chart]
+        del inverses[:]
+        pair = point.affine_pair()
+        assert len(inverses) <= 1, coords
+        assert [str(c) for c in pair] == [str(u / w), str(v / w)], coords
+        charts.add(point.chart)
+    assert charts == {"X", "Y", "Z"}
 
 
 # ------------------------------------------------------------- mult_length
