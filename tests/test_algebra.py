@@ -643,6 +643,18 @@ def test_reducible_modulus_takes_the_exact_path(monkeypatch):
             assert exact, (E, str(R))
 
 
+def test_extensions_of_f_p_take_the_exact_path(monkeypatch):
+    """F101[w]/(w^2 - 2) has no image mod q: its eliminants take the exact
+    check, with the exact loop's answer."""
+    exact = _count_exact_checks(monkeypatch)
+    y, t = (MultiPoly.var(F101W, ("y", "t"), v) for v in ("y", "t"))
+    R = y * y - F101W.gen * t
+    assert algebra._image_mod_q(R, "y") is None
+    assert (algebra.separable_by_evaluation(R, "y")
+            == separable_by_exact_evaluation(R, "y"))
+    assert exact
+
+
 # pair A of ROADMAP.md: one orbit of 12 points over a degree-12 field
 PAIR_A = (
     "3*X^3 + 4*X^2*Y + 2*X^2*Z + 2*X*Y^2 + 2*X*Y*Z + 2*X*Z^2 - 4*Y^3"
