@@ -112,12 +112,6 @@ def parse_poly(text: str, field, variables) -> MultiPoly:
     varset = tuple(variables)
     depth = 0
 
-    def degree(node):
-        if isinstance(node, MultiPoly):
-            return node.total_degree()
-        c, e = node
-        return sum(e) if c else -1
-
     def poly(node):
         if isinstance(node, MultiPoly):
             return node
@@ -149,21 +143,24 @@ def parse_poly(text: str, field, variables) -> MultiPoly:
                 return _poly(field, varset, terms)
 
     def parse_term():
-        node = parse_factor()
+        node, deg = parse_factor()
         while True:
             ch, pos = lx.peek()
             if ch != "*":
                 return node
             lx.take()
-            rhs = parse_factor()
-            check_degree(degree(node) + degree(rhs), pos)
+            rhs, rdeg = parse_factor()
+            check_degree(deg + rdeg, pos)
+            deg = -1 if deg < 0 or rdeg < 0 else deg + rdeg
             if isinstance(node, MultiPoly) or isinstance(rhs, MultiPoly):
                 node = poly(node) * poly(rhs)
             else:
                 node = node[0] * rhs[0], tuple(map(add, node[1], rhs[1]))
 
     def parse_factor():
-        node = parse_atom()
+        """(node, total degree), -1 for zero: every factor carries its
+        degree, so a product's check adds two ints."""
+        node, deg = parse_atom()
         ch, _ = lx.peek()
         if ch == "^":
             lx.take()
@@ -171,13 +168,14 @@ def parse_poly(text: str, field, variables) -> MultiPoly:
             if n > MAX_DEGREE:
                 raise BudgetError(f"exponent {n} at position {pos} exceeds "
                                   f"the limit of {MAX_DEGREE}")
-            check_degree(degree(node) * n, pos)
+            check_degree(deg * n, pos)
             if isinstance(node, MultiPoly):
                 node = node ** n
             else:
                 node = (binary_power(node[0], n) if n else field.one,
                         tuple(k * n for k in node[1]))
-        return node
+            deg = 0 if not n else -1 if deg < 0 else deg * n
+        return node, deg
 
     def parse_atom():
         nonlocal depth
@@ -196,7 +194,7 @@ def parse_poly(text: str, field, variables) -> MultiPoly:
                 raise ParseError("expected ')'", pos2)
             lx.take()
             depth -= 1
-            return node
+            return node, node.total_degree()
         if ch.isdecimal():
             num, _ = lx.take_int()
             ch2, _ = lx.peek()
@@ -206,16 +204,18 @@ def parse_poly(text: str, field, variables) -> MultiPoly:
                 if den == 0:
                     raise ParseError("zero denominator", dpos)
                 try:
-                    return field.of(Fraction(num, den)), (0,) * len(varset)
+                    c = field.of(Fraction(num, den))
                 except ZeroDivisionError:  # p divides the denominator
                     raise ParseError(f"denominator {den} is zero in "
                                      f"{field.name}", dpos) from None
-            return field.of(num), (0,) * len(varset)
+            else:
+                c = field.of(num)
+            return (c, (0,) * len(varset)), 0 if c else -1
         if ch.isalpha():
             lx.take()
             if ch not in varset:
                 raise ParseError(f"unknown variable {ch!r}", pos)
-            return field.one, tuple(int(v == ch) for v in varset)
+            return (field.one, tuple(int(v == ch) for v in varset)), 1
         raise ParseError(f"unexpected character {ch!r}", pos)
 
     node = parse_expr()

@@ -11,8 +11,9 @@ Everything runs in one frame (x, y, t) of the one shear search
 constants, and each point counted at is the only common zero on its line
 y = y0.  ``deformation_count`` counts at the origin of the sheared pair of
 a ``LocalPair`` (``algebra.local_pair``), searched for the origin's fiber
-the first time an engine asks, so the deformation count, the two-scale
-readout and the resultant engine share one search and its chain.
+once (by ``local_pair``, whose coprimality proof it is, or the first time
+an engine asks), so the deformation count, the two-scale readout and the
+resultant engine share one search and its chain.
 ``deformation_counts`` counts at every common point of a projective pair
 at once, in the frame of ``intersect._frames`` (every root of the
 eliminant); the deformation count is it at (0, 0).  Failures raise

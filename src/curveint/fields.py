@@ -428,6 +428,8 @@ class ExtElement:
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("inverse of zero in extension field")
+        if len(self.num) == 1 and self.num[0] == self.den:  # the one
+            return self
         field = self.field
         p = field.characteristic
         mod = field.int_modulus[0]

@@ -9,9 +9,10 @@
 
 Every frame comes from one search, ``algebra.shear_to_general_position``,
 for the fibers of the eliminant R its caller names.  Each engine takes a
-``LocalPair`` (``algebra.local_pair``), checked once when it is built and
-sheared at most once, by the search for the origin's fiber, whose chain
-the resultant engine reads; ``multiplicities_at`` runs the three at one
+``LocalPair`` (``algebra.local_pair``), checked once when it is built, by
+the search for the origin's fiber that shears it (R != 0 proves the
+curves coprime), whose chain the resultant engine reads; a pair is
+sheared at most once.  ``multiplicities_at`` runs the three at one
 point.
 
 ``bezout_sum`` works in one frame for the whole pair of curves: the chart
@@ -38,6 +39,8 @@ from .algebra import (PROJECTIVE_VARS, LocalPair, _shift, dehomogenize, gcd,
 from .deformation import deformation_count, deformation_counts
 from .errors import (BudgetError, GeneralPositionError, InvalidInputError,
                      SharedComponentError, VerificationFailureError)
+from .factor import _over_lcm
+from .fields import ExtensionField
 from .poly import MultiPoly, _poly
 
 
@@ -197,48 +200,70 @@ def _local_dim(f: MultiPoly, g: MultiPoly, N: int) -> int:
     index = {m: k for k, m in enumerate(monos)}
     rows = []
     for h in (f, g):
-        items = list(h.terms.items())
+        items = _row_codes(h)
+        zero = field.zero if isinstance(field, ExtensionField) else 0
         for a in range(N):
             for b in range(N - a):
-                row = [field.zero] * len(monos)
+                row = [zero] * len(monos)
                 nonzero = False
                 for (i, j), c in items:
                     i2, j2 = i + a, j + b
                     if i2 + j2 < N:
-                        k = index[(i2, j2)]
-                        row[k] = row[k] + c
+                        row[index[(i2, j2)]] = c
                         nonzero = True
                 if nonzero:
                     rows.append(row)
     return len(monos) - _rank(rows, field)
 
 
+def _row_codes(h: MultiPoly):
+    """h's terms with the codes ``_rank`` takes: over Q the numerators of
+    h times the lcm of its denominators, over F_p the residues, and over an
+    extension the elements."""
+    field = h.field
+    if isinstance(field, ExtensionField):
+        return list(h.terms.items())
+    if field.characteristic:
+        return [(e, c.val) for e, c in h.terms.items()]
+    nums, _ = _over_lcm(list(h.terms.values()))
+    return list(zip(h.terms, nums))
+
+
 def _rank(rows, field) -> int:
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
+    """The rank of a matrix whose rows hold codes over ``field``: over Q
+    ints (each row a rational row cleared of its denominators, which keeps
+    the rank), eliminated fraction-free by Bareiss's rule, so every entry
+    is a minor of the matrix and each division is exact; over F_p
+    residues, eliminated mod p; over an extension field its elements.
+    F_p and extensions take one inverse per pivot.  The rows are
+    consumed."""
+    ext = isinstance(field, ExtensionField)
+    p = field.characteristic
+    rank, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
-            col += 1
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        for i in range(r + 1, len(rows)):
-            if rows[i][col]:
-                factor = rows[i][col] * inv
-                rows[i] = [ci - factor * cr
-                           for ci, cr in zip(rows[i], rows[r])]
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        lead = top[col]
+        if ext or p:
+            inv = 1 / lead if ext else pow(lead, -1, p)
+            for i in range(rank + 1, len(rows)):
+                c = rows[i][col]
+                if c and ext:
+                    k = c * inv
+                    rows[i] = [x - k * y for x, y in zip(rows[i], top)]
+                elif c:
+                    k = c * inv % p
+                    rows[i] = [(x - k * y) % p for x, y in zip(rows[i], top)]
+        else:
+            for i in range(rank + 1, len(rows)):
+                c = rows[i][col]
+                rows[i] = [(lead * x - c * y) // prev
+                           for x, y in zip(rows[i], top)]
+            prev = lead
         rank += 1
-        r += 1
-        col += 1
     return rank
 
 
@@ -456,9 +481,9 @@ def multiplicities_at(C1: Curve, C2: Curve, point: ProjectivePoint,
                       max_retries: int = 8) -> MultiplicityReport:
     """All three engines at one point, with exact agreement enforced.  The
     point is moved to the origin of its chart and the pair checked once by
-    ``local_pair`` (a shear keeps what the check proves).  It is sheared
-    once, by the deformation engine: the resultant engine reads the order
-    of that search's own chain."""
+    ``local_pair``, whose shear search proves the curves coprime.  That
+    search is the pair's one shear: the deformation engine counts in its
+    frame, and the resultant engine reads the order of its chain."""
     chart, (px, py) = point.chart, point.affine_pair()
     f0, g0 = (_at_origin(C.form, chart, (px, py)) for C in (C1, C2))
     if f0.constant_value() or g0.constant_value():

@@ -464,24 +464,6 @@ def horner(coeffs, point: TruncatedSeries) -> TruncatedSeries:
     return total
 
 
-def taylor_shift(coeffs, c):
-    """The coefficients of P(x + c), ascending, for P = sum coeffs[i] x^i
-    with series coefficients and a scalar c, by Ruffini's rule: synthetic
-    division by x - c, repeated on each quotient, leaves the new
-    coefficients in place, each step one ``_mul_add`` (n(n+1)/2 steps in
-    all; von zur Gathen and Gerhard, Fast algorithms for Taylor shifts and
-    certain difference equations, ISSAC 1997)."""
-    out = list(coeffs)
-    if not out or not c:
-        return out
-    point = TruncatedSeries.constant(out[0].field, c)
-    n = len(out) - 1
-    for k in range(n):
-        for i in range(n - 1, k - 1, -1):
-            out[i] = out[i + 1]._mul_add(point, out[i])
-    return out
-
-
 def _read_t(coeffs, t: TruncatedSeries) -> TruncatedSeries:
     """Horner's rule on {e: c_e} (nonzero scalars) at t bound to the
     monomial c T^B + O(T^P), P = t.prec > B > 0, read off the exponents:

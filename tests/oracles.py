@@ -37,10 +37,15 @@ a separable eliminant.  The separability
 reference specializes R(y, t) at each tau with ``subs_values`` and takes
 an exact ``gcd``, where the production proof reads each tau mod a prime
 on ints first.  The segment reference substitutes x -> head + x with
-``expand_substitution``, where the production ``lifting`` shifts a list
-of series by Ruffini's rule.  The factorization
+``expand_substitution``, where the production ``lifting`` shifts the
+rows' codes by Ruffini's rule.  The rank reference
+(``rank_by_elimination``) eliminates field elements with one inverse per
+pivot, where the production local-ring dimension eliminates ints,
+fraction-free over Q and residues mod p.  The factorization
 oracle asks sympy for the irreducible factors of a univariate polynomial,
-where the production code lifts factors mod p on dense int lists.
+where the production code lifts factors mod p on dense int lists, and
+for its squarefree split, where the production code runs Yun's algorithm
+on dense coefficient lists.
 
 The readouts at the end (``evaluate``, ``agrees_with``, ``branch_count``,
 ``valuation_certificate``, ``branch_residual``, ``verify_branch`` and
@@ -113,6 +118,39 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     if m + n == 0:
         return MultiPoly.const(f.field, f.vars, 1)
     return bareiss_determinant(sylvester_matrix(f, g, name))
+
+
+def rank_by_elimination(rows) -> int:
+    """The rank of a matrix of field elements by Gaussian elimination, one
+    inverse per pivot: the element-wise rank the local-ring dimension
+    took before it ran on ints."""
+    rows = [list(row) for row in rows]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    r = 0
+    while r < len(rows) and col < ncols:
+        piv = None
+        for i in range(r, len(rows)):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            col += 1
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        for i in range(r + 1, len(rows)):
+            if rows[i][col]:
+                factor = rows[i][col] * inv
+                rows[i] = [ci - factor * cr
+                           for ci, cr in zip(rows[i], rows[r])]
+        rank += 1
+        r += 1
+        col += 1
+    return rank
 
 
 def random_poly(rng, field, variables, max_degree, coeff_range=9,

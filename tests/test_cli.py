@@ -513,15 +513,15 @@ def test_a_nested_segment_off_its_edge_root_is_a_defect(monkeypatch):
 
 
 def test_a_squarefree_decomposition_short_of_f_is_a_defect(monkeypatch):
-    """A factor lost in ``_sqf_recurse`` leaves the product of the factors
-    short of the polynomial the program decomposed."""
-    real = curveint.algebra._sqf_recurse
+    """A factor lost in the dense split (``_yun``) leaves the product of
+    the factors short of the polynomial the program decomposed."""
+    real = curveint.algebra._yun
 
-    def dropped(f):
-        factors = real(f)
+    def dropped(f, field):
+        factors = real(f, field)
         factors.pop(next(iter(factors)))
         return factors
-    monkeypatch.setattr(curveint.algebra, "_sqf_recurse", dropped)
+    monkeypatch.setattr(curveint.algebra, "_yun", dropped)
     report, code = run_job(Job(command="bezout",
                                curves=("x^2+y^2-5", "x*y-2")))
     assert code == EXIT_VERIFICATION
@@ -578,9 +578,10 @@ def test_a_segment_vanishing_at_its_origin_is_a_defect(monkeypatch):
 def test_a_zero_eliminant_of_coprime_curves_is_a_defect(monkeypatch, module,
                                                         name, command,
                                                         curves, error):
-    """``local_pair`` and ``bezout``'s gcd of the forms prove the curves
-    coprime before any resultant is taken, so an eliminant of the one
-    shear search that vanishes identically, or a deformed eliminant
+    """``bezout``'s line (or gcd of the forms) proves the curves coprime
+    before any resultant is taken, and where the shear search of
+    ``local_pair`` finds an eliminant that vanishes identically, a gcd of
+    1 proves them coprime, so that eliminant, or a deformed eliminant
     R(y, t) of the deformation engine that vanishes at t = 0, is the
     kernel's fault, not the input's."""
     def zero(f, g, xv):

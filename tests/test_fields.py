@@ -5,6 +5,7 @@ import pytest
 import sympy
 from fractions import Fraction
 
+from curveint import fields
 from curveint.errors import InvalidInputError, UnsupportedExtensionError
 from curveint.fields import (QQ, ExtElement, ExtensionField, PrimeField,
                              is_prime, pth_root_scalar)
@@ -317,6 +318,27 @@ def test_reducible_modulus_zero_divisors(spec, f, g):
         with pytest.raises(ZeroDivisionError):
             op()
     _check_against_oracle(E, random.Random(f"reducible-{spec}"))
+
+
+@pytest.mark.parametrize("base,modulus", [
+    (QQ, [-2, 0, 1]), (PrimeField(7), [-3, 0, 1]),
+    (PrimeField(101), [1, 1, 0, 1])],
+    ids=["Q[w]/(w^2-2)", "F7[w]/(w^2-3)", "F101[w]/(w^3+w+1)"])
+def test_the_one_is_its_own_inverse_with_no_gcd(monkeypatch, base, modulus):
+    """Inverting the field's one (``1 / field.one``, ``inverse``, ``** -1``
+    and dividing by it) runs no extended gcd and gives the one back; any
+    other element still runs one."""
+    E = ExtensionField(base, modulus, "w")
+    calls = []
+    for name in ("_xgcd", "_ext_gcd"):
+        real = getattr(fields, name)
+        monkeypatch.setattr(fields, name, lambda *a, real=real:
+                            calls.append(a) or real(*a))
+    one = E.one
+    assert 1 / one == one.inverse() == one ** -1 == one
+    assert E.gen / one == E.gen
+    assert calls == []
+    assert (E.gen + 1) * (1 / (E.gen + 1)) == one and len(calls) == 1
 
 
 def test_modulus_squarefree_check_matches_oracle():

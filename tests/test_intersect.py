@@ -1,5 +1,8 @@
+import math
 import random
+import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -13,8 +16,8 @@ from curveint.algebra import (_shear_candidates, _strongly_regular_in_x,
                               local_pair, resultant_and_s1, roots_univariate,
                               shear_to_general_position)
 from curveint.cli import (EXIT_INPUT, EXIT_OK, Job, parse_curve,
-                          parse_field, run_job)
-from curveint.corpus import corpus_manifest
+                          parse_field, parse_poly, run_job)
+from curveint.corpus import affine_instances, corpus_manifest
 from curveint.deformation import deformation_count
 from curveint.errors import (GeneralPositionError, InfiniteMultiplicityError,
                              SharedComponentError)
@@ -27,7 +30,8 @@ from curveint.intersect import (Curve, PointCluster, ProjectivePoint,
 from curveint.poly import MultiPoly
 
 from oracles import (bench_workloads, bilinearity_expand, frobenius_orbit,
-                     fulton_intersection_number, random_poly)
+                     fulton_intersection_number, random_poly,
+                     rank_by_elimination)
 
 V = ("x", "y")
 P3 = ("X", "Y", "Z")
@@ -151,6 +155,79 @@ def test_length_never_shears():
         pair.sheared
 
 
+def _local_pair_gcds(monkeypatch):
+    """The arguments of every gcd that ``local_pair`` itself runs, as a
+    spy on ``algebra.gcd`` records them."""
+    calls, real = [], algebra.gcd
+    code = algebra.local_pair.__code__
+
+    def spy(f, g):
+        if sys._getframe(1).f_code is code:
+            calls.append((f, g))
+        return real(f, g)
+    monkeypatch.setattr(algebra, "gcd", spy)
+    return calls
+
+
+def test_local_pair_runs_no_gcd_where_a_shear_exists(monkeypatch):
+    """The pair's shear search for the origin's fiber proves the curves
+    coprime (R != 0 with constant top x-coefficients), so ``local_pair``
+    runs no gcd on any mult job of the corpus or the stress workload, nor
+    on any two-scale identity, and each of them builds a local pair."""
+    calls = _local_pair_gcds(monkeypatch)
+    built = []
+    for module in (intersect, infinitesimal):
+        real = module.local_pair
+        monkeypatch.setattr(module, "local_pair",
+                            lambda f, g, real=real: built.append(f) or
+                            real(f, g))
+    workloads = bench_workloads()
+    jobs = [job for name in ("corpus", "stress")
+            for job in workloads.build(name, 1) if job["kind"] == "mult"]
+    for job in jobs:
+        _, code = run_job(Job(command="mult", curves=tuple(job["curves"]),
+                              field=job["field"]))
+        assert code == EXIT_OK, job["name"]
+    checks = {"staged": infinitesimal.staged_specialization_check,
+              "leftright": infinitesimal.left_right_factoring_check}
+    texts = {name: (f, g, field) for name, f, g, field
+             in affine_instances()}
+    identities = [(name, check) for name, check in workloads.TWO_SCALE
+                  if (name, check) != ("tacnode-pair-vs-axis", "leftright")]
+    for name, check in identities:
+        f, g, field = texts[name]
+        field = parse_field(field)[0]
+        assert checks[check](*(parse_curve(text, field).affine("Z")
+                               for text in (f, g)),
+                             seed=workloads.TWO_SCALE_SEED)
+    assert len(built) >= len(jobs) + len(identities)
+    assert calls == []
+
+
+@pytest.mark.parametrize("field,f,g,error", [
+    (QQ, "x*y", "x*(x+y)", InfiniteMultiplicityError),
+    (QQ, "x*(y-1)", "y*(y-1)", SharedComponentError),
+    (PrimeField(7), "x*y", "x*(x+y)", InfiniteMultiplicityError),
+    (PrimeField(7), "x*(y-1)", "y*(y-1)", SharedComponentError),
+    (PrimeField(2), "x*y", "x+y", None)],
+    ids=["Q-through-origin", "Q-away", "F7-through-origin", "F7-away",
+         "F2-no-shear"])
+def test_local_pair_runs_one_gcd_where_the_search_proves_nothing(
+        monkeypatch, field, f, g, error):
+    """Where the first strongly regular shear finds R = 0, one gcd of the
+    pair names the shared component, through the origin or away from it;
+    where no shear exists at all (x*y, x + y over F2), one gcd proves the
+    curves coprime and the pair is built."""
+    calls = _local_pair_gcds(monkeypatch)
+    f, g = (parse_poly(text, field, V) for text in (f, g))
+    if error is None:
+        assert mult_length(local_pair(f, g)) == 2
+    else:
+        with pytest.raises(error):
+            local_pair(f, g)
+    assert calls == [(f, g)]
+
+
 F7_PAIR = ("-5*X^2 - 4*X*Y + 5*X*Z + 4*Y^2 - 2*Y*Z - 3*Z^2",
            "-5*X^3 - 3*X^2*Y - 3*X^2*Z + X*Y^2 - 2*X*Y*Z + 5*X*Z^2 + 3*Y^3 "
            "+ 2*Y^2*Z - Y*Z^2 + 4*Z^3")
@@ -216,6 +293,55 @@ def test_points_on_every_line_are_found_in_two_frames(p, form):
     assert {str(r.point) for r in res.reports} == \
         {"[1:0:0]", "[0:0:1]"} | {f"[1:0:{z}]" for z in range(1, p)}
     assert all(r.weight == 1 and r.transversal for r in res.reports)
+
+
+@pytest.mark.parametrize("field", [
+    QQ, PrimeField(2), PrimeField(7), PrimeField(101),
+    ExtensionField(QQ, [-2, 0, 1], "w")],
+    ids=["Q", "F2", "F7", "F101", "Q[w]/(w^2-2)"])
+def test_rank_on_codes_matches_elimination_on_elements(field):
+    """``intersect._rank`` on codes (over Q each row cleared of its
+    denominators and eliminated fraction-free, over F_p residues, over an
+    extension the elements) equals the element-wise elimination of
+    ``oracles.rank_by_elimination``: seeded matrices up to 8 x 8 of rank
+    up to the smaller side, sparse, most of them rank-deficient (each row
+    a random combination of fewer rows), some with zero columns that hold
+    no pivot, and the empty matrix."""
+    rng = random.Random(83)
+    extension = isinstance(field, ExtensionField)
+
+    def entry():  # zero about half the time, as in the local-ring rows
+        if rng.random() < 0.5:
+            return field.zero
+        c = field.of(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                     if field == QQ or extension else rng.randint(-9, 9))
+        return c + field.gen * rng.randint(-2, 2) if extension else c
+
+    def codes(row):
+        if extension:
+            return list(row)
+        if field.characteristic:
+            return [c.val for c in row]
+        den = math.lcm(*(c.denominator for c in row))
+        return [c.numerator * (den // c.denominator) for c in row]
+    ranks = set()
+    for k in range(80):
+        nrows, ncols = (rng.randint(1, 8) if k else 0), rng.randint(1, 8)
+        basis = [[entry() for _ in range(ncols)]
+                 for _ in range(rng.randint(0, min(nrows, ncols)))]
+        empty = set(rng.sample(range(ncols), rng.randint(0, ncols // 2)))
+        rows = []
+        for _ in range(nrows):
+            row = [field.zero] * ncols
+            for b in basis:
+                c = field.of(rng.choice((0, 0, 0, 1, -1, 2, -3)))
+                row = [x + c * y for x, y in zip(row, b)]
+            rows.append([field.zero if j in empty else x
+                         for j, x in enumerate(row)])
+        want = rank_by_elimination(rows)
+        assert intersect._rank([codes(row) for row in rows], field) == want
+        ranks.add((want, want < min(nrows, ncols)))
+    assert {deficient for _, deficient in ranks} == {False, True}
 
 
 def test_length_shared_component_through_origin():
@@ -369,12 +495,13 @@ def test_bezout_shared_component_is_input_error(monkeypatch, f, g, field):
 def test_bezout_frame_proves_the_curves_coprime_by_its_line(monkeypatch):
     """A line Z = 0 that misses every common point proves the curves
     coprime: no gcd of the two forms runs, and a squarefree eliminant of
-    the frame is split with no ``squarefree_decompose``.  The F7
+    the frame is split with no squarefree decomposition
+    (``_squarefree_dense``).  The F7
     concentric conics meet Z = 0 in an orbit, so that line is blocked:
     the gcd of the forms runs once, and they still make one frame
     search."""
     gcds, splits, searches = [], [], []
-    real_gcd, real_split = algebra.gcd, algebra.squarefree_decompose
+    real_gcd, real_split = algebra.gcd, algebra._squarefree_dense
     real_search = intersect.shear_to_general_position
 
     def counting(f, g):
@@ -382,8 +509,9 @@ def test_bezout_frame_proves_the_curves_coprime_by_its_line(monkeypatch):
         return real_gcd(f, g)
     for module in (algebra, intersect):
         monkeypatch.setattr(module, "gcd", counting)
-    monkeypatch.setattr(algebra, "squarefree_decompose",
-                        lambda f: splits.append(f) or real_split(f))
+    monkeypatch.setattr(algebra, "_squarefree_dense",
+                        lambda f, field: splits.append(f) or
+                        real_split(f, field))
     monkeypatch.setattr(intersect, "shear_to_general_position",
                         lambda *a: searches.append(a) or real_search(*a))
     for p, f, g, blocked in ((0, "x^2 + y^2 - 1", "x - 3", False),
@@ -639,7 +767,9 @@ def test_mult_and_bezout_prove_the_eliminant_separable_once_per_seed(
 def test_bezout_runs_no_gcd_per_point(monkeypatch):
     """``intersection_points`` proves the curves coprime once, so no point
     re-proves it with a gcd of its translated pair; ``mult`` on raw input
-    still does, and still refuses a component through the point."""
+    proves it by its pair's shear search, with no gcd either, and still
+    refuses a component through the point, by the one gcd that names
+    it."""
     calls = []
     real = algebra.gcd
 
@@ -660,10 +790,11 @@ def test_bezout_runs_no_gcd_per_point(monkeypatch):
     assert not [c for c in calls if c in pairs]
     calls.clear()
     multiplicities_at(C1, C2, res.reports[0].point, seed=1)
-    assert pairs[0] in calls
+    assert pairs[0] not in calls
     with pytest.raises(InfiniteMultiplicityError):
         multiplicities_at(curve(x * y), curve(x * (x + y)),
                           ProjectivePoint((0, 0, 1), QQ))
+    assert (x * y, x * (x + y)) in calls
 
 
 def test_bezout_fp_total():

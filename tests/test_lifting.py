@@ -354,27 +354,44 @@ QW2 = ExtensionField(QQ, [-2, 0, 1], "w")
                          ids=["Q", "F7", "F101", "Q[w]/(w^2-2)"])
 def test_segment_shift_matches_compose(field):
     """The segment list ``lifting._segment`` builds from f's dense list of
-    series, with x -> head + x by Ruffini's rule on series, equals the
-    term-by-term expansion of ``oracles.transform_segment_by_expansion``,
-    read as series in T: random f of degree <= 6, slopes with b = 1 and
-    b > 1, head 0 and nonzero, with no bound and with an int or Fraction
-    truncation bound."""
+    series, with x -> head + x by Ruffini's rule on the rows' codes,
+    equals the term-by-term expansion of
+    ``oracles.transform_segment_by_expansion``, read as series in T:
+    random f of degree <= 6, slopes with b = 1 and b > 1, head 0 and
+    nonzero, with no bound and with an int or Fraction truncation bound.
+    Half the draws put each term of f over its own denominator, so the
+    rows lie over different ones, and take head and c non-integral, of
+    either sign: over Q that is the scaling of row i by hd^(n-i); over
+    Q[w] those draws keep f over Q, so base codes meet extension
+    elements."""
     rng = random.Random(81)
-    for b_kind, head_kind, below_kind in product((1, 2), (0, 1), (0, 1, 2)):
+
+    def ratio():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                        rng.randint(2, 6))
+    for b_kind, head_kind, below_kind, rational in product(
+            (1, 2), (0, 1), (0, 1, 2), (False, True)):
         for _ in range(3):
-            f = random_poly(rng, field, XT, rng.randint(1, 6))
-            if isinstance(field, ExtensionField):
+            extension = isinstance(field, ExtensionField)
+            # over Q[w], the rational draws keep f over Q, as a segment
+            # whose edge root needed the extension finds it
+            f = random_poly(rng, field.base if extension and rational
+                            else field, XT, rng.randint(1, 6))
+            if extension and not rational:
                 f = f + random_poly(rng, field, XT, 3).scale(field.gen)
+            if rational:
+                f = f.clone({e: v * f.field.of(Fraction(1, rng.randint(1, 6)))
+                             for e, v in f.terms.items()})
             if not f.involves("x"):
                 continue
             a, b = rng.choice([(1, 1), (2, 1)] if b_kind == 1
                               else [(1, 2), (3, 2), (2, 3)])
             level = min(a * e[0] + b * e[1] for e in f.terms)
-            c = field.of(rng.randint(1, 5))
+            c = field.of(ratio() if rational else rng.randint(1, 5))
             head = field.zero
             if head_kind:
-                head = field.of(rng.randint(1, 5))
-                if isinstance(field, ExtensionField):
+                head = field.of(ratio() if rational else rng.randint(1, 5))
+                if extension:
                     head, c = head + field.gen, c - field.gen
             below = (None, rng.randint(1, 9),
                      Fraction(rng.randint(3, 19), 2))[below_kind]
