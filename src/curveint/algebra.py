@@ -2,8 +2,6 @@
 squarefree decomposition, and the coordinate changes used to put curve
 pairs in general position.  Both changes, a point moved to the origin and
 a shear, are one kernel (``_shift``): Ruffini's rule on rows of scalars.
-Every univariate squarefree split is one path, Yun's algorithm on the
-dense coefficient list (``_squarefree_dense``).
 
 Resultant convention
 --------------------
@@ -155,9 +153,9 @@ def _monic(coeffs, like: MultiPoly, name: str) -> MultiPoly:
                        c * inv for k, c in enumerate(coeffs) if c})
 
 
-def _dense_gcd(a, b):
-    """Monic Euclid on dense coefficient lists (ascending, the top one
-    nonzero): the monic gcd, [] when both are []."""
+def _univar_gcd(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
+    """Monic Euclid on dense coefficient lists (single-variable inputs)."""
+    a, b = _dense(f, name), _dense(g, name)
     while b:
         inv = 1 / b[-1]
         bm = [c * inv for c in b]
@@ -172,15 +170,7 @@ def _dense_gcd(a, b):
         while r and not r[-1]:
             r.pop()
         a, b = b, r
-    if not a:
-        return a
-    inv = 1 / a[-1]
-    return [c * inv for c in a]
-
-
-def _univar_gcd(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
-    """Monic Euclid on dense coefficient lists (single-variable inputs)."""
-    return _monic(_dense_gcd(_dense(f, name), _dense(g, name)), f, name)
+    return _monic(a, f, name)
 
 
 def gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -342,19 +332,12 @@ def squarefree_decompose(f: MultiPoly):
     ...]: pairwise coprime, squarefree, each with graded-lex leading
     coefficient 1, and f is a nonzero constant times the product of
     factor ** multiplicity.  Sorted by multiplicity, total degree, then
-    printed form; a constant f gives [].  A univariate f takes the dense
-    split (``_squarefree_dense``), with one factor per multiplicity.  Over
-    F_p a polynomial whose partials all vanish is decomposed through its
-    p-th root."""
+    printed form; a constant f gives [].  Over F_p a polynomial whose
+    partials all vanish is decomposed through its p-th root."""
     if f.is_zero():
         raise InvalidInputError("squarefree decomposition of zero")
     if f.is_constant():
         return []
-    involved = [v for v in f.vars if f.involves(v)]
-    if len(involved) == 1:
-        name = involved[0]
-        return [(_monic(fac, f, name), m)
-                for fac, m in _squarefree_dense(_dense(f, name), f.field)]
     factors = sorted(_sqf_recurse(f).items(),
                      key=lambda it: (it[1], it[0].total_degree(), str(it[0])))
     prod = MultiPoly.const(f.field, f.vars, 1)
@@ -364,112 +347,6 @@ def squarefree_decompose(f: MultiPoly):
         raise VerificationFailureError(
             "squarefree decomposition failed to reconstruct f")
     return factors
-
-
-def _dense_mul(a, b, zero):
-    """a * b for dense lists."""
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _dense_quotient(a, b):
-    """a / b for dense lists where b divides a."""
-    r = a[:]
-    n = len(b) - 1
-    inv = 1 / b[-1]
-    q = [None] * (len(a) - n)
-    for k in range(len(a) - 1, n - 1, -1):
-        c = q[k - n] = r[k] * inv
-        if c:
-            for i in range(n):
-                r[k - n + i] = r[k - n + i] - c * b[i]
-    return q
-
-
-def _dense_derivative(a):
-    d = [k * c for k, c in enumerate(a)][1:]
-    while d and not d[-1]:
-        d.pop()
-    return d
-
-
-def _minus(a, b):
-    """a - b for dense lists, trailing zeros dropped."""
-    out = [x - y for x, y in zip(a, b)] + a[len(b):] + [-y for y in b[len(a):]]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _yun(f, field):
-    """{multiplicity: monic squarefree factor} of a dense f of positive
-    degree, the product of factor ** multiplicity equal to f up to a
-    constant, by Yun's algorithm (D. Y. Y. Yun, On square-free
-    decomposition algorithms, SYMSAC 1976).  Over characteristic p Yun's loop
-    groups the factors of multiplicity i prime to p by i mod p, and the
-    rest of f is a p-th power: its p-th root is split the same way, and
-    gcds with those factors part each group by the p-th root's
-    multiplicity j, into multiplicity i = k + p*j."""
-    p = field.characteristic
-    df = _dense_derivative(f)
-    if not df:  # over F_p, f is a p-th power
-        root = [pth_root_scalar(c, field) for c in f[::p]]
-        return {p * m: fac for m, fac in _yun(root, field).items()}
-    a = _dense_gcd(f, df)
-    b, c = _dense_quotient(f, a), _dense_quotient(df, a)
-    d = _minus(c, _dense_derivative(b))
-    groups, k = {}, 1
-    while len(b) > 1:
-        a = _dense_gcd(b, d)
-        b, c = _dense_quotient(b, a), _dense_quotient(d, a)
-        d = _minus(c, _dense_derivative(b))
-        if len(a) > 1:
-            groups[k] = a
-        k += 1
-    if not p:
-        return groups
-    rest = f
-    for k, a in groups.items():
-        for _ in range(k):
-            rest = _dense_quotient(rest, a)
-    if len(rest) == 1:
-        return groups
-    out = {}
-    for j, h in _yun([pth_root_scalar(c, field) for c in rest[::p]],
-                     field).items():
-        for k, a in list(groups.items()):
-            g = _dense_gcd(a, h)
-            if len(g) > 1:
-                out[k + p * j] = g
-                groups[k] = _dense_quotient(a, g)
-                h = _dense_quotient(h, g)
-        if len(h) > 1:
-            out[p * j] = h
-    out.update((k, a) for k, a in groups.items() if len(a) > 1)
-    return out
-
-
-def _squarefree_dense(f, field):
-    """The squarefree split of a dense list over a field, the one path of
-    every univariate split: [(monic factor, multiplicity)] by
-    multiplicity, one factor per multiplicity (``_yun``); [] for a
-    constant.  The product of factor ** multiplicity must give f back up
-    to a constant, else VerificationFailureError."""
-    if len(f) < 2:
-        return []
-    factors = sorted(_yun(f, field).items())
-    prod = [f[-1]]
-    for m, fac in factors:
-        for _ in range(m):
-            prod = _dense_mul(prod, fac, field.zero)
-    if prod != f:
-        raise VerificationFailureError(
-            "squarefree decomposition failed to reconstruct f")
-    return [(fac, m) for m, fac in factors]
 
 
 def _image_mod_q(R: MultiPoly, name: str):
@@ -574,8 +451,7 @@ def factor_univariate(f: MultiPoly, name: str):
     on int lists): over F_p f itself, over Q f times the lcm of its
     denominators, mod PRIME_Q.  Where that image keeps f's degree and is
     coprime to its derivative, f is its own one squarefree factor;
-    otherwise the dense split (``_squarefree_dense``) gives the
-    multiplicities.  Then
+    otherwise ``squarefree_decompose`` gives the multiplicities.  Then
     ``factor`` splits each squarefree factor on dense int lists: over F_p
     by distinct- and equal-degree factorization, over Q as a primitive
     integer polynomial by Hensel lifting and Zassenhaus recombination.
@@ -598,7 +474,8 @@ def factor_univariate(f: MultiPoly, name: str):
         inv = 1 / coeffs[-1]
         parts = [([c * inv for c in coeffs], 1)]
     else:
-        parts = _squarefree_dense(coeffs, field)
+        parts = [(_dense(fac, name), mult)
+                 for fac, mult in squarefree_decompose(f)]
     rng = random.Random(0)
     out = []
     for coeffs, mult in parts:
@@ -846,16 +723,17 @@ def first_shear(field, attempt, outcome: str):
 
 def _fiber_x(fs: MultiPoly, gs: MultiPoly, yval):
     """The x of the one common zero of a sheared pair over y = yval, by the
-    gcd of the two specialized polynomials and its dense squarefree split:
-    the fallback of ``_s1_x`` where S11(yval) = 0 or the chain skips
-    degree one.  None when the fiber does not hold exactly one distinct
-    common zero."""
+    gcd of the two specialized polynomials: the fallback of ``_s1_x``
+    where S11(yval) = 0 or the chain skips degree one.  None when the
+    fiber does not hold exactly one distinct common zero."""
     xv, yv = fs.vars[0], fs.vars[1]
-    h = gcd(fs.subs_values({yv: yval}), gs.subs_values({yv: yval}))
-    factors = _squarefree_dense(_dense(h, xv), h.field)
-    if len(factors) != 1 or len(factors[0][0]) != 2:
+    factors = squarefree_decompose(
+        gcd(fs.subs_values({yv: yval}), gs.subs_values({yv: yval})))
+    if len(factors) != 1 or factors[0][0].degree_in(xv) != 1:
         return None
-    return -factors[0][0][0]  # the root of a monic linear factor
+    h = factors[0][0]
+    return -h.coeff_of(xv, 0).constant_value() / \
+        h.coeff_of(xv, 1).constant_value()
 
 
 def _s1_x(s1, yval, field):
@@ -890,12 +768,14 @@ def isolating_shear(f: MultiPoly, g: MultiPoly, fibers: str, lam, mu):
     R or its one zero is the origin.  A site is ((x0, y0), the
     multiplicity in R of y0's factor, that factor, y0's field).  R = 0
     means a common component, since both top x-coefficients are
-    constants.  For "origin" the shear is then returned with no site, R
-    = 0 for ``local_pair`` to classify by a gcd (a shared component, or a
-    defect).  For "every root" it is a defect: ``intersect._frames``
-    proves the curves coprime first (by the line Z = 0 when it misses
-    every common point, which a common component would meet, else by a
-    gcd)."""
+    constants.  For "origin" the shear is then returned with no site and
+    R = 0, for the caller to classify: ``local_pair`` by a gcd (a shared
+    component, or a defect), while ``LocalPair.sheared`` and
+    ``infinitesimal._nearby_points`` search pairs already proven coprime,
+    so R = 0 is a defect there.  For "every root" it is a defect here:
+    ``intersect._frames`` proves the curves coprime first (by the line
+    Z = 0 when it misses every common point, which a common component
+    would meet, else by a gcd)."""
     fs, gs = apply_shear(f, lam, mu), apply_shear(g, lam, mu)
     if not (_strongly_regular_in_x(fs) and _strongly_regular_in_x(gs)):
         return None
@@ -944,38 +824,26 @@ class LocalPair:
 
     ``sheared`` is the pair in general position, found by the search for
     the origin's fiber (``shear_to_general_position``): ``local_pair``
-    runs that search to prove the curves coprime and hands its outcome
-    over, and a pair built directly searches the first time an engine
-    asks.  Either way a pair is searched at most once, the resultant
-    engine reads that search's chain, and an engine that works in the
-    given frame never shears."""
+    runs that search to prove the curves coprime and hands its shear
+    over, and any other pair searches the first time an engine asks.  A
+    shear found is kept, so the resultant engine reads that search's
+    chain, and an engine that works in the given frame never shears."""
 
-    def __init__(self, f: MultiPoly, g: MultiPoly, search=None):
+    def __init__(self, f: MultiPoly, g: MultiPoly, sheared=None):
         self.f, self.g = f, g
-        self._search = search
+        self._sheared = sheared
 
     @property
     def sheared(self):
         """(fs, gs, lam, mu, R, S1, [origin site]), as
-        ``shear_to_general_position`` returns them for "origin"; its
-        GeneralPositionError when no shear puts the pair there."""
-        if self._search is None:
-            self._search = _origin_search(self.f, self.g)
-        if isinstance(self._search, GeneralPositionError):
-            raise self._search
-        if self._search[4].is_zero():  # its builder proved the pair coprime
-            raise VerificationFailureError(
-                "identically vanishing eliminant of coprime curves")
-        return self._search
-
-
-def _origin_search(f: MultiPoly, g: MultiPoly):
-    """``shear_to_general_position`` for the origin's fiber, or the
-    GeneralPositionError it raised."""
-    try:
-        return shear_to_general_position(f, g, "origin")
-    except GeneralPositionError as err:
-        return err
+        ``shear_to_general_position`` returns them for "origin"."""
+        if self._sheared is None:
+            found = shear_to_general_position(self.f, self.g, "origin")
+            if found[4].is_zero():  # its builder proved the pair coprime
+                raise VerificationFailureError(
+                    "identically vanishing eliminant of coprime curves")
+            self._sheared = found
+        return self._sheared
 
 
 def local_pair(f: MultiPoly, g: MultiPoly) -> LocalPair:
@@ -991,16 +859,22 @@ def local_pair(f: MultiPoly, g: MultiPoly) -> LocalPair:
     field) or a curve is 0, the gcd is the proof."""
     if f.constant_value() or g.constant_value():
         raise InvalidInputError("both curves must vanish at the origin")
-    search = None if f.is_zero() or g.is_zero() else _origin_search(f, g)
-    if isinstance(search, tuple) and not search[4].is_zero():  # R != 0
-        return LocalPair(f, g, search)
+    found = None
+    if not (f.is_zero() or g.is_zero()):
+        try:
+            found = shear_to_general_position(f, g, "origin")
+        except GeneralPositionError:  # no shear: the gcd is the proof
+            pass
+        else:
+            if not found[4].is_zero():  # R != 0
+                return LocalPair(f, g, found)
     d = gcd(f, g)
     if not d.is_constant():
         if not d.constant_value():
             raise InfiniteMultiplicityError(
                 "curves share a component through the origin")
         raise SharedComponentError("curves share a component")
-    if isinstance(search, tuple):
+    if found is not None:
         raise VerificationFailureError(
             "identically vanishing eliminant of coprime curves")
-    return LocalPair(f, g, search)
+    return LocalPair(f, g)

@@ -115,14 +115,20 @@ def _nearby_points(ft: MultiPoly, gt: MultiPoly, base, prec):
     for the coprime base pair (t = 0) and the origin's fiber, and that
     lets ``_points_along`` read x along every branch: one point per
     solution cycle, in the branch's T (``newton_puiseux``, as the
-    deformation engine expands them).
+    deformation engine expands them).  The base pair is proven coprime,
+    so a base eliminant of that search that vanishes identically is a
+    defect.
 
     Every point lies over the origin: the branches of R start at y = 0,
     and R(y, 0) != 0 leaves a top x-coefficient a unit, so x stays
     bounded and tends to the base pair's one common zero on y = 0."""
     def attempt(lam, mu):
-        if isolating_shear(*base, "origin", lam, mu) is None:
+        found = isolating_shear(*base, "origin", lam, mu)
+        if found is None:
             return None
+        if found[4].is_zero():  # the base pair is proven coprime
+            raise VerificationFailureError(
+                "identically vanishing eliminant of coprime curves")
         R, s1 = resultant_and_s1(apply_shear(ft, lam, mu),
                                  apply_shear(gt, lam, mu), "x")
         if R.coeff_of("t", 0).is_zero():  # the user's curves

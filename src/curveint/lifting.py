@@ -17,10 +17,10 @@ entry points:
   squarefree piece is converted once to the dense list of exact series
   that ``hensel_lift`` takes (``series_poly_from_multipoly``), and the
   polygon, the edge polynomials and every segment work on that list: a
-  segment (``_segment``) is the list in T, shifted to head + x by
-  Ruffini's rule, both steps on the rows' int codes (no field element per
-  coefficient, no series per step), and a nested level expands it as it
-  is.
+  segment (``series.segment_rows``) is the list in T, shifted to head + x
+  by Ruffini's rule, both steps on the rows' int codes (no field element
+  per coefficient, no series per step), and a nested level expands it as
+  it is.
 * ``weierstrass_prepare``: effective Weierstrass division F = U * G with G
   monic in x, non-leading coefficients vanishing at y = 0, and U a local
   unit; U and G are polynomials truncated below y^prec.
@@ -39,8 +39,8 @@ from .errors import (BudgetError, InsufficientPrecisionError, InvalidInputError,
                      UnsupportedExtensionError, VerificationFailureError)
 from .fields import ExtensionField
 from .poly import MultiPoly
-from .series import (INF, TruncatedSeries, _make, _modulus, _normal, horner,
-                     positive_precision)
+from .series import (INF, TruncatedSeries, horner, positive_precision,
+                     segment_rows)
 
 
 # ----------------------------------------------------------------- hensel
@@ -227,68 +227,6 @@ def _edge_polynomial(rows, edge):
     return a, b, level, coeffs
 
 
-def _segment(rows, a: int, b: int, level: int, head, c, field, below=None):
-    """``rows`` after t -> c T^b, x -> T^a (head + x) and division by
-    T^level, as the dense list of its x-coefficients, exact series in T
-    over ``field``, the field of head and c: each d x^i t^j adds d c^j
-    T^(a*i + b*j - level) to the coefficient of x^i, T nonnegative on the
-    segment's side of the polygon, and Ruffini's rule (synthetic division
-    by x - head, repeated on each quotient) then substitutes head + x for
-    x.  Terms of T-exponent ``below`` or more are dropped before the
-    shift: the shift keeps T-exponents, so this is exact below T^below.
-
-    Both steps run on the rows' codes (``series``), and each new row is
-    normalised once.  Over F_p they are residues.  Over Q the rows are put
-    over one denominator D, and with head = hn/hd row i is scaled by
-    hd^(n-i), n the top degree, so the shift is by the int hn and the new
-    row k lies over D hd^(n-k).  Over K[z]/(m) the codes are the elements,
-    the rows' codes over the base field times c^j / D."""
-    kept = []
-    for i, row in enumerate(rows):
-        terms = [(a * i + b * j - level, j, d) for j, d in row._c.items()]
-        if below is not None:
-            terms = [term for term in terms if term[0] < below]
-        kept.append((row._den, terms))
-    while kept and not kept[-1][1]:
-        kept.pop()
-    n = len(kept) - 1
-    top = max((j for _, terms in kept for _, j, _ in terms), default=0)
-    mod = _modulus(field)
-    c, head = field.of(c), field.of(head)
-    if mod:
-        h, powers = head.val, [1]
-        for _ in range(top):
-            powers.append(powers[-1] * c.val % mod)
-        scales = dens = [1] * (n + 1)
-    else:
-        lcd = math.lcm(1, *(den for den, _ in kept))
-        if mod == 0:
-            cn, cd, h, hd = (c.numerator, c.denominator, head.numerator,
-                             head.denominator)
-            powers = [cn ** j * cd ** (top - j) for j in range(top + 1)]
-            scales = [lcd // den * hd ** (n - i)
-                      for i, (den, _) in enumerate(kept)]
-            dens = [lcd * cd ** top * hd ** (n - k) for k in range(n + 1)]
-        else:
-            # 1 / lcd built, not inverted: only rows over Q have an lcd > 1
-            h = head
-            powers = [field.one if lcd == 1 else field.of(Fraction(1, lcd))]
-            for _ in range(top):
-                powers.append(powers[-1] * c)
-            scales = [lcd // den for den, _ in kept]
-            dens = [1] * (n + 1)
-    out = [{e: powers[j] * (d if s == 1 else d * s) for e, j, d in terms}
-           for s, (_, terms) in zip(scales, kept)]
-    if h:
-        for k in range(n):
-            for i in range(n - 1, k - 1, -1):
-                low = out[i]
-                for e, v in out[i + 1].items():
-                    low[e] = low[e] + h * v if e in low else h * v
-    return [_make(field, mod, *_normal(mod, codes, den), None)
-            for codes, den in zip(out, dens)]
-
-
 def _bezout_pair(a: int, b: int):
     """(u, v) with u*b - v*a = 1, 0 <= v < b, for a/b in lowest terms."""
     v = -pow(a, -1, b) % b
@@ -338,7 +276,7 @@ def _expand_squarefree(rows, field, prec: Fraction, depth: int):
             # Duval's substitution t = z0^v T^b, x = T^a (z0^u + x1): the
             # edge terms become phi(z0) z0^const, so no b-th root is needed
             head, c = z0 ** u, z0 ** v
-            segment = _segment(rows, a, b, level, head, c, rfield,
+            segment = segment_rows(rows, a, b, level, head, c, rfield,
                                sub_prec if mult == 1 else None)
             if segment[0].constant_term():
                 raise VerificationFailureError(

@@ -464,6 +464,71 @@ def horner(coeffs, point: TruncatedSeries) -> TruncatedSeries:
     return total
 
 
+def segment_rows(rows, a: int, b: int, level: int, head, c, field, below=None):
+    """A Newton-Puiseux segment (``lifting``): P(x, t) = sum rows[i] x^i,
+    rows a dense list of series in t, after Duval's substitution t -> c
+    T^b, x -> T^a (head + x) and division by T^level, as the dense list of
+    its x-coefficients, exact series in T over ``field``, the field of
+    head and c.  Each d x^i t^j adds d c^j T^(a*i + b*j - level) to the
+    coefficient of x^i, T nonnegative on the segment's side of the
+    polygon, and Ruffini's rule (synthetic division by x - head, repeated
+    on each quotient) then substitutes head + x for x.  Terms of
+    T-exponent ``below`` or more are dropped before the shift: the shift
+    keeps T-exponents, so this is exact below T^below.
+
+    Both steps run on the rows' codes, and each new row is normalised
+    once, so no field element is built per coefficient and no series per
+    step of the shift.  Over F_p the codes are residues.  Over Q the rows
+    are put over one denominator D, and with head = hn/hd row i is scaled
+    by hd^(n-i), n the top degree, so the shift is by the int hn and the
+    new row k lies over D hd^(n-k).  Over K[z]/(m) the codes are the
+    elements, the rows' codes over the base field times c^j / D."""
+    kept = []
+    for i, row in enumerate(rows):
+        terms = [(a * i + b * j - level, j, d) for j, d in row._c.items()]
+        if below is not None:
+            terms = [term for term in terms if term[0] < below]
+        kept.append((row._den, terms))
+    while kept and not kept[-1][1]:
+        kept.pop()
+    n = len(kept) - 1
+    top = max((j for _, terms in kept for _, j, _ in terms), default=0)
+    mod = _modulus(field)
+    c, head = field.of(c), field.of(head)
+    if mod:
+        h, powers = head.val, [1]
+        for _ in range(top):
+            powers.append(powers[-1] * c.val % mod)
+        scales = dens = [1] * (n + 1)
+    else:
+        lcd = math.lcm(1, *(den for den, _ in kept))
+        if mod == 0:
+            cn, cd, h, hd = (c.numerator, c.denominator, head.numerator,
+                             head.denominator)
+            powers = [cn ** j * cd ** (top - j) for j in range(top + 1)]
+            scales = [lcd // den * hd ** (n - i)
+                      for i, (den, _) in enumerate(kept)]
+            dens = [lcd * cd ** top * hd ** (n - k) for k in range(n + 1)]
+        else:
+            # 1 / lcd built, not inverted: only rows over Q have an lcd > 1
+            h = head
+            powers = [field.one if lcd == 1 else field.of(Fraction(1, lcd))]
+            for _ in range(top):
+                powers.append(powers[-1] * c)
+            scales = [lcd // den for den, _ in kept]
+            dens = [1] * (n + 1)
+    out = [{e: powers[j] * (d if s == 1 else d * s) for e, j, d in terms}
+           for s, (_, terms) in zip(scales, kept)]
+    if h:
+        for k in range(n):
+            for i in range(n - 1, k - 1, -1):
+                low = out[i]
+                for e, v in out[i + 1].items():
+                    low[e] = low[e] + h * v if e in low else h * v
+    return [_make(field, mod, *_normal(mod, codes, den), None)
+            for codes, den in zip(out, dens)]
+
+
 def _read_t(coeffs, t: TruncatedSeries) -> TruncatedSeries:
     """Horner's rule on {e: c_e} (nonzero scalars) at t bound to the
     monomial c T^B + O(T^P), P = t.prec > B > 0, read off the exponents:

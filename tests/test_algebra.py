@@ -428,45 +428,6 @@ def test_squarefree_matches_sympy_sqf_list():
         assert by_mult(squarefree_decompose(f)) == by_mult(expected), str(f)
 
 
-@pytest.mark.parametrize("p", (0, 2, 3, 7, 101))
-def test_dense_squarefree_split_matches_sympy_sqf_list(p):
-    """The one univariate split, Yun's algorithm on the dense list
-    (``algebra._squarefree_dense``), gives sympy's sqf_list: one monic
-    factor per multiplicity, by multiplicity.  Seeded products of random
-    factors over Q, F2, F3, F7 and F101 whose multiplicities include p
-    and p + 1, with 2p below F101 and p^2 over F2 and F3, so the p-th
-    roots nest and a
-    group of Yun's loop (multiplicity i prime to p, read mod p) is parted
-    by the p-th root's factors; every split is also what
-    ``squarefree_decompose`` gives for the univariate polynomial."""
-    field = PrimeField(p) if p else QQ
-    mults = ((1, 2, 3, 4, 5) if not p else (1, 2, 3, p, p + 1)
-             + ((2 * p,) if p < 101 else ())
-             + ((p * p, p * p + 1) if p < 5 else ()))
-    rng = random.Random(f"sqf-{p}")
-    done = 0
-    while done < 12:
-        parts = []
-        for m in rng.choices(mults, k=rng.randint(1, 3)):
-            degree = 1 if m > 10 else rng.randint(1, 3)  # F101: x - c
-            parts.append((random_poly(rng, field, ("x",), degree), m))
-        parts = [(a, m) for a, m in parts if not a.is_constant()]
-        if not parts:
-            continue
-        f = _expand(parts, parts[0][0]).scale(rng.randint(1, 9) or 1)
-        if f.is_zero():
-            continue
-        poly, of_sym = _sympy_poly(f)
-        expected = sorted(((_from_sympy(h, f, of_sym), m)
-                           for h, m in poly.sqf_list()[1]),
-                          key=lambda it: it[1])
-        got = algebra._squarefree_dense(algebra._dense(f, "x"), field)
-        assert [(algebra._monic(h, f, "x"), m) for h, m in got] == \
-            expected, str(f)
-        assert squarefree_decompose(f) == expected
-        done += 1
-
-
 def test_squarefree_char_p_pth_power():
     F = PrimeField(7)
     x, y = xy(F)

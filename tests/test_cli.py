@@ -498,14 +498,14 @@ def test_a_nested_segment_off_its_edge_root_is_a_defect(monkeypatch):
     rather than lifted, must vanish at x1 = 0 as well: one off its root is
     named as the kernel's fault, not left to show as an engine
     disagreement."""
-    real = curveint.lifting._segment
+    real = curveint.lifting.segment_rows
 
     def off(rows, a, b, level, head, c, field, below=None):
         segment = real(rows, a, b, level, head, c, field, below)
         if below is None:
             segment[0] = segment[0] + field.one
         return segment
-    monkeypatch.setattr(curveint.lifting, "_segment", off)
+    monkeypatch.setattr(curveint.lifting, "segment_rows", off)
     report, code = run_job(Job(command="mult",
                                curves=("x^4-y^5", "x^3-y^2+x*y")))
     assert code == EXIT_VERIFICATION
@@ -513,15 +513,15 @@ def test_a_nested_segment_off_its_edge_root_is_a_defect(monkeypatch):
 
 
 def test_a_squarefree_decomposition_short_of_f_is_a_defect(monkeypatch):
-    """A factor lost in the dense split (``_yun``) leaves the product of
-    the factors short of the polynomial the program decomposed."""
-    real = curveint.algebra._yun
+    """A factor lost in ``_sqf_recurse`` leaves the product of the factors
+    short of the polynomial the program decomposed."""
+    real = curveint.algebra._sqf_recurse
 
-    def dropped(f, field):
-        factors = real(f, field)
+    def dropped(f):
+        factors = real(f)
         factors.pop(next(iter(factors)))
         return factors
-    monkeypatch.setattr(curveint.algebra, "_yun", dropped)
+    monkeypatch.setattr(curveint.algebra, "_sqf_recurse", dropped)
     report, code = run_job(Job(command="bezout",
                                curves=("x^2+y^2-5", "x*y-2")))
     assert code == EXIT_VERIFICATION
@@ -549,8 +549,8 @@ def test_a_segment_vanishing_at_its_origin_is_a_defect(monkeypatch):
     T = 0 is its nonzero edge polynomial shifted, so a Newton polygon
     whose rows all vanish at the origin is the kernel's fault, not bad
     input."""
-    real = curveint.lifting._segment
-    monkeypatch.setattr(curveint.lifting, "_segment",
+    real = curveint.lifting.segment_rows
+    monkeypatch.setattr(curveint.lifting, "segment_rows",
                         lambda *args, **kwargs: [
                             r._shifted(1) for r in real(*args, **kwargs)])
     report, code = run_job(Job(command="mult",

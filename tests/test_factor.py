@@ -116,17 +116,16 @@ def test_factor_univariate_takes_the_exact_path_where_the_image_fails(
     """One image mod p proves f squarefree before any exact work; where it
     does not (a square mod 2^31 - 1 that is none over Q, a top coefficient
     that p divides, a repeated factor, a p-th power), the exact
-    dense split (``_squarefree_dense``) runs, once, on f's coefficients.
-    Both paths agree with sympy."""
+    ``squarefree_decompose`` runs.  Both paths agree with sympy."""
     field, text, proved = SQUAREFREE_PATHS[name]
     var = "y" if "y" in text else "x"
     f = parse_poly(text, field, (var,))
     calls = []
-    real = algebra._squarefree_dense
-    monkeypatch.setattr(algebra, "_squarefree_dense",
-                        lambda g, k: calls.append(g) or real(g, k))
+    real = algebra.squarefree_decompose
+    monkeypatch.setattr(algebra, "squarefree_decompose",
+                        lambda g: calls.append(g) or real(g))
     assert factor_univariate(f, var) == sympy_factor_list(f, var)
-    assert calls == ([] if proved else [algebra._dense(f, var)])
+    assert calls == ([] if proved else [f])
 
 
 QW = ExtensionField(QQ, [-2, 0, 1], "w")

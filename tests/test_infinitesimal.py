@@ -7,13 +7,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from curveint import deformation, infinitesimal
+from curveint import algebra, deformation, infinitesimal
 from curveint.algebra import local_pair
 from curveint.cli import parse_field, parse_poly
 from curveint.deformation import (VARS3, default_precision, deformation_count,
                                   two_scale_analysis)
 from curveint.errors import (InfiniteMultiplicityError, InvalidInputError,
-                             NotSpecializableError, SharedComponentError)
+                             NotSpecializableError, SharedComponentError,
+                             VerificationFailureError)
 from curveint.fields import QQ, PrimeField
 from curveint.infinitesimal import (NearbyPoint, deform,
                                     left_right_factoring_check,
@@ -264,6 +265,19 @@ def test_nearby_points_search_the_shears_once(monkeypatch):
     pts = nearby_intersections(f, g, prec=pin["prec"])
     assert [[str(p), p.span, p.multiplicity] for p in pts] == pin["points"]
     assert tried == [(0, 1), (-1, 1)]
+
+
+def test_a_zero_eliminant_of_the_coprime_base_pair_is_a_defect(monkeypatch):
+    """``nearby_intersections`` proves the base curves coprime by a gcd
+    before it searches a shear, so a base eliminant of that search that
+    vanishes identically is the kernel's fault, not a shear to accept."""
+    def zero(f, g, xv):
+        return MultiPoly.zero(f.field, f.vars), None
+    monkeypatch.setattr(algebra, "resultant_and_s1", zero)
+    x, y, t = (MultiPoly.var(QQ, VARS3, v) for v in "xyt")
+    with pytest.raises(VerificationFailureError,
+                       match="identically vanishing eliminant of coprime"):
+        nearby_intersections(x - t, y, prec=4)
 
 
 def test_a_point_prints_its_coordinates_and_target():

@@ -495,13 +495,12 @@ def test_bezout_shared_component_is_input_error(monkeypatch, f, g, field):
 def test_bezout_frame_proves_the_curves_coprime_by_its_line(monkeypatch):
     """A line Z = 0 that misses every common point proves the curves
     coprime: no gcd of the two forms runs, and a squarefree eliminant of
-    the frame is split with no squarefree decomposition
-    (``_squarefree_dense``).  The F7
+    the frame is split with no ``squarefree_decompose``.  The F7
     concentric conics meet Z = 0 in an orbit, so that line is blocked:
     the gcd of the forms runs once, and they still make one frame
     search."""
     gcds, splits, searches = [], [], []
-    real_gcd, real_split = algebra.gcd, algebra._squarefree_dense
+    real_gcd, real_split = algebra.gcd, algebra.squarefree_decompose
     real_search = intersect.shear_to_general_position
 
     def counting(f, g):
@@ -509,9 +508,8 @@ def test_bezout_frame_proves_the_curves_coprime_by_its_line(monkeypatch):
         return real_gcd(f, g)
     for module in (algebra, intersect):
         monkeypatch.setattr(module, "gcd", counting)
-    monkeypatch.setattr(algebra, "_squarefree_dense",
-                        lambda f, field: splits.append(f) or
-                        real_split(f, field))
+    monkeypatch.setattr(algebra, "squarefree_decompose",
+                        lambda f: splits.append(f) or real_split(f))
     monkeypatch.setattr(intersect, "shear_to_general_position",
                         lambda *a: searches.append(a) or real_search(*a))
     for p, f, g, blocked in ((0, "x^2 + y^2 - 1", "x - 3", False),

@@ -16,7 +16,8 @@ from curveint import lifting
 from curveint.lifting import (hensel_lift, newton_puiseux,
                               series_poly_from_multipoly, weierstrass_prepare)
 from curveint.poly import MultiPoly
-from curveint.series import INF, TruncatedSeries, eval_poly_at_series
+from curveint.series import (INF, TruncatedSeries, eval_poly_at_series,
+                             segment_rows)
 
 from oracles import (branch_count, branch_residual, random_poly,
                      transform_segment_by_expansion, verify_branch)
@@ -353,7 +354,7 @@ QW2 = ExtensionField(QQ, [-2, 0, 1], "w")
 @pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(101), QW2],
                          ids=["Q", "F7", "F101", "Q[w]/(w^2-2)"])
 def test_segment_shift_matches_compose(field):
-    """The segment list ``lifting._segment`` builds from f's dense list of
+    """The segment list ``series.segment_rows`` builds from f's dense list of
     series, with x -> head + x by Ruffini's rule on the rows' codes,
     equals the term-by-term expansion of
     ``oracles.transform_segment_by_expansion``, read as series in T:
@@ -398,8 +399,8 @@ def test_segment_shift_matches_compose(field):
             want = series_poly_from_multipoly(transform_segment_by_expansion(
                 f, "x", a, b, level, head, c, field, below), "x")
             rows = series_poly_from_multipoly(f, "x")
-            assert lifting._segment(rows, a, b, level, head, c, field,
-                                    below) == want, str(f)
+            assert segment_rows(rows, a, b, level, head, c, field,
+                                below) == want, str(f)
 
 
 def _edges_by_brute_force(F):
