@@ -352,28 +352,25 @@ def squarefree_decompose(f: MultiPoly):
 def _image_mod_q(R: MultiPoly, name: str):
     """(q, n, [(i, j, c), ...]): R's terms with exponent i in ``name`` and
     j in t, and coefficient image c mod q, n = deg_name R.  Over F_p q = p
-    and the image is exact; over Q q = 2^31 - 1.  None over any extension
-    field and when q divides a coefficient's denominator."""
+    and the image is exact; over Q q = 2^31 - 1, and R's coefficients go
+    over one denominator, their lcm (``factor._over_lcm``), inverted once
+    mod q.  None over any extension field and when q divides that lcm,
+    that is, a coefficient's denominator."""
     field = R.field
-    coeffs = R.terms.values()
     if isinstance(field, ExtensionField):
         return None
     if field.characteristic:
-        q = field.p
-        parts = [(c.val, 1) for c in coeffs]
+        q, inv = field.p, 1
+        codes = [c.val for c in R.terms.values()]
     else:
         q = PRIME_Q
-        parts = [(c.numerator, c.denominator) for c in coeffs]
-    inverse = {}
-    for _, den in parts:
-        if den not in inverse:
-            if den % q == 0:
-                return None
-            inverse[den] = pow(den, -1, q)
+        codes, den = _over_lcm(list(R.terms.values()))
+        if den % q == 0:
+            return None
+        inv = pow(den, -1, q)
     i, j = R.vars.index(name), R.vars.index("t")
     return q, R.degree_in(name), [
-        (e[i], e[j], num * inverse[den] % q)
-        for e, (num, den) in zip(R.terms, parts)]
+        (e[i], e[j], c * inv % q) for e, c in zip(R.terms, codes)]
 
 
 def _specialize_mod(image, tau: int):
@@ -869,7 +866,7 @@ def local_pair(f: MultiPoly, g: MultiPoly) -> LocalPair:
             if not found[4].is_zero():  # R != 0
                 return LocalPair(f, g, found)
     d = gcd(f, g)
-    if not d.is_constant():
+    if d.is_zero() or not d.is_constant():  # gcd(0, 0) = 0 shares everything
         if not d.constant_value():
             raise InfiniteMultiplicityError(
                 "curves share a component through the origin")

@@ -357,22 +357,18 @@ def deformation_counts(fs: MultiPoly, gs: MultiPoly, points, seed: int,
         certify_squarefree_in(R)
         return ft, gt, R, s1
 
+    def count_at(built, point, prec):
+        if not isinstance(field, ExtensionField) and \
+                field.is_element(point[1]):
+            ft, gt, Rp, s1 = (h and translate_to_origin(h, point)
+                              for h in built)
+            with suppress(UnsupportedExtensionError):
+                return sum(s.span for s in certified_solutions(
+                    ft, gt, separable_branches(Rp, "y", prec), s1, prec))
+        return certified_count_only(built[2], [point[1]])[0]
+
     def readout(built, prec):
-        counts = [None] * len(points)
-        for k, point in enumerate(points):
-            if not isinstance(field, ExtensionField) and \
-                    field.is_element(point[1]):
-                ft, gt, Rp, s1 = (h and translate_to_origin(h, point)
-                                  for h in built)
-                with suppress(UnsupportedExtensionError):
-                    counts[k] = sum(s.span for s in certified_solutions(
-                        ft, gt, separable_branches(Rp, "y", prec), s1, prec))
-        rest = [k for k, count in enumerate(counts) if count is None]
-        if rest:
-            for k, count in zip(rest, certified_count_only(
-                    built[2], [points[k][1] for k in rest])):
-                counts[k] = count
-        return counts
+        return [count_at(built, point, prec) for point in points]
 
     return _attempts(build, readout, seed, 0, prec,
                      default_precision(fs, gs), max_retries, "genericity")

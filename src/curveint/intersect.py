@@ -13,7 +13,8 @@ for the fibers of the eliminant R its caller names.  Each engine takes a
 the search for the origin's fiber that shears it (R != 0 proves the
 curves coprime), whose chain the resultant engine reads; a pair is
 sheared at most once.  ``multiplicities_at`` runs the three at one
-point.
+point, and ``_report`` checks their values there, as at every point of
+``bezout_sum``.
 
 ``bezout_sum`` works in one frame for the whole pair of curves: the chart
 of a line Z + aX + bY that misses every common point, sheared by the
@@ -277,15 +278,14 @@ def mult_resultant_order(pair: LocalPair) -> int:
 
 def transversality_check(f: MultiPoly, g: MultiPoly) -> bool:
     """True iff both curves are nonsingular at the origin and meet with
-    independent tangents (nonzero Jacobian determinant), read off the
-    constant and linear terms of f and g in their first two variables."""
+    independent tangents: the Jacobian determinant, read off the linear
+    terms of f and g in their first two variables, is nonzero (it is 0
+    where either curve is singular)."""
     zero, rest = f.field.zero, (0,) * (len(f.vars) - 2)
     const, ex, ey = (0, 0) + rest, (1, 0) + rest, (0, 1) + rest
     if f.terms.get(const, zero) or g.terms.get(const, zero):
         raise InvalidInputError("both curves must vanish at the origin")
     fx, fy, gx, gy = (h.terms.get(e, zero) for h in (f, g) for e in (ex, ey))
-    if (not fx and not fy) or (not gx and not gy):
-        return False
     return bool(fx * gy - fy * gx)
 
 
@@ -461,17 +461,26 @@ def _at_origin(F: MultiPoly, chart: str, pair) -> MultiPoly:
     return translate_to_origin(f, pair)
 
 
-def _checked(report: MultiplicityReport) -> MultiplicityReport:
-    """The report, once its three engines agree and a transverse point has
-    multiplicity 1; VerificationFailureError otherwise."""
+def _report(point, pair: LocalPair, m_res: int, count: int, shear,
+            precision) -> MultiplicityReport:
+    """The report at ``point`` from the resultant and deformation engines'
+    values: the length engine and the transversality law run on the
+    point's ``pair``, and VerificationFailureError is raised unless the
+    three engines agree and a transverse point has multiplicity 1.
+    ``mult`` and ``bezout`` build every report here."""
+    m_len = mult_length(pair)
+    report = MultiplicityReport(
+        point=point, mult_length=m_len, mult_resultant=m_res,
+        mult_deformation=count,
+        transversal=transversality_check(pair.f, pair.g),
+        shear=shear, precision=precision, weight=m_len)
     if not report.agreed:
         raise VerificationFailureError(
-            f"engine disagreement at {report.point}: "
-            f"length={report.mult_length} resultant={report.mult_resultant} "
-            f"deformation={report.mult_deformation}", report=report)
-    if report.transversal and report.multiplicity != 1:
+            f"engine disagreement at {point}: length={m_len} "
+            f"resultant={m_res} deformation={count}", report=report)
+    if report.transversal and m_len != 1:
         raise VerificationFailureError(
-            f"transverse point with multiplicity != 1 at {report.point}",
+            f"transverse point with multiplicity != 1 at {point}",
             report=report)
     return report
 
@@ -490,15 +499,10 @@ def multiplicities_at(C1: Curve, C2: Curve, point: ProjectivePoint,
         where = f"({px},{py})" if chart == "Z" else str(point)
         raise InvalidInputError(f"both curves must vanish at {where}")
     pair = local_pair(f0, g0)
-    m_len = mult_length(pair)
     outcome = deformation_count(pair, seed=seed, prec=prec,
                                 max_retries=max_retries)
-    return _checked(MultiplicityReport(
-        point=point, mult_length=m_len,
-        mult_resultant=mult_resultant_order(pair),
-        mult_deformation=outcome.count,
-        transversal=transversality_check(pair.f, pair.g),
-        shear=outcome.shear, precision=outcome.precision, weight=m_len))
+    return _report(point, pair, mult_resultant_order(pair), outcome.count,
+                   outcome.shear, outcome.precision)
 
 
 class BezoutResult(namedtuple("BezoutResult", "total expected reports")):
@@ -518,7 +522,8 @@ def bezout_sum(C1: Curve, C2: Curve, seed: int = 0, prec=None,
     seed: its counts, weighted by orbit size, must sum to d * e over all
     frames before any report is built.  A report's shear is that of the
     frame that found its point.  The length engine and the transversality
-    law run per point, on the frame pair translated there, with no gcd.
+    law run per point (``_report``), on the frame pair translated there,
+    with no gcd.
     Each point over F_p, rational or a Frobenius conjugate, gets one
     report line, sorted by chart and point; each cluster over Q follows as
     one line of weight degree * multiplicity."""
@@ -546,19 +551,14 @@ def bezout_sum(C1: Curve, C2: Curve, seed: int = 0, prec=None,
             f"{expected}")
     reports, cluster_reports = [], []
     for pair, count, (_, m_res, point, cluster), shear, precision in found:
-        m_len = mult_length(pair)
-        rep = _checked(MultiplicityReport(
-            point=point, mult_length=m_len, mult_resultant=m_res,
-            mult_deformation=count,
-            transversal=transversality_check(pair.f, pair.g),
-            shear=shear, precision=precision, weight=m_len))
+        rep = _report(point, pair, m_res, count, shear, precision)
         if cluster is None:
             reports.append(rep)
         elif cluster.conjugates:
             reports += [rep._replace(point=pt) for pt in cluster.conjugates]
         else:
             cluster_reports.append(rep._replace(
-                point=cluster, weight=cluster.degree * m_len))
+                point=cluster, weight=cluster.degree * rep.weight))
     reports.sort(key=lambda r: (r.point.chart, str(r.point)))
     cluster_reports.sort(key=lambda r: (r.point.chart, str(r.point.minpoly)))
     reports += cluster_reports

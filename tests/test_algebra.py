@@ -626,6 +626,47 @@ def test_separable_by_evaluation_matches_the_exact_loop(field, seed,
         assert (True, True) in seen
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(101)],
+                         ids=["Q", "F7", "F101"])
+def test_image_mod_q_reads_each_coefficient_mod_q(field):
+    """The image over one denominator is R's coefficients read one at a
+    time, each numerator times the inverse of its own denominator mod q;
+    over Q it is None exactly when q divides some denominator."""
+    rng = random.Random(4049)
+    q = field.characteristic or algebra.PRIME_Q
+    dens = [1, 2, 3, 6, 35, 2 ** 61 - 1] if field == QQ else [1]
+    nones = 0
+    for _ in range(60):
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            num = rng.choice([rng.randint(-9, 9), rng.randint(-q, q)]) or 1
+            den = q * rng.randint(1, 3) if rng.random() < 0.05 \
+                else rng.choice(dens)
+            terms[(rng.randint(0, 4), rng.randint(0, 3))] = \
+                field.of(Fraction(num, den)) if field == QQ else field.of(num)
+        R = MultiPoly(field, ("y", "t"), terms)
+        if R.is_zero() or not R.involves("y"):
+            continue
+        expected = []
+        for (i, j), c in R.terms.items():
+            if field == QQ:
+                if c.denominator % q == 0:
+                    expected = None
+                    break
+                code = c.numerator * pow(c.denominator, -1, q) % q
+            else:
+                code = int(str(c)) % q
+            expected.append((i, j, code))
+        image = algebra._image_mod_q(R, "y")
+        if expected is None:
+            assert image is None, str(R)
+            nones += 1
+            continue
+        assert image[:2] == (q, R.degree_in("y")), str(R)
+        assert sorted(image[2]) == sorted(expected), str(R)
+    assert (nones > 0) == (field == QQ)
+
+
 def test_reducible_modulus_takes_the_exact_path(monkeypatch):
     """No extension field has an image mod q, its modulus reducible
     (Q[w]/(w^2 - 1)) or irreducible (F101[w]/(w^2 - 2), and Q[w]/(w^2 - 2)

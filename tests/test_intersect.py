@@ -29,9 +29,9 @@ from curveint.intersect import (Curve, PointCluster, ProjectivePoint,
                                 transversality_check)
 from curveint.poly import MultiPoly
 
-from oracles import (bench_workloads, bilinearity_expand, frobenius_orbit,
-                     fulton_intersection_number, random_poly,
-                     rank_by_elimination)
+from oracles import (bench_workloads, bilinearity_expand, evaluate,
+                     frobenius_orbit, fulton_intersection_number,
+                     random_poly, rank_by_elimination)
 
 V = ("x", "y")
 P3 = ("X", "Y", "Z")
@@ -209,15 +209,21 @@ def test_local_pair_runs_no_gcd_where_a_shear_exists(monkeypatch):
     (QQ, "x*(y-1)", "y*(y-1)", SharedComponentError),
     (PrimeField(7), "x*y", "x*(x+y)", InfiniteMultiplicityError),
     (PrimeField(7), "x*(y-1)", "y*(y-1)", SharedComponentError),
-    (PrimeField(2), "x*y", "x+y", None)],
+    (PrimeField(2), "x*y", "x+y", None),
+    (QQ, "0", "x", InfiniteMultiplicityError),
+    (QQ, "0", "0", InfiniteMultiplicityError),
+    (PrimeField(7), "0", "0", InfiniteMultiplicityError)],
     ids=["Q-through-origin", "Q-away", "F7-through-origin", "F7-away",
-         "F2-no-shear"])
+         "F2-no-shear", "Q-zero-curve", "Q-two-zero-curves",
+         "F7-two-zero-curves"])
 def test_local_pair_runs_one_gcd_where_the_search_proves_nothing(
         monkeypatch, field, f, g, error):
     """Where the first strongly regular shear finds R = 0, one gcd of the
     pair names the shared component, through the origin or away from it;
     where no shear exists at all (x*y, x + y over F2), one gcd proves the
-    curves coprime and the pair is built."""
+    curves coprime and the pair is built.  A zero curve gets no shear
+    search, and the gcd names the component it shares with the other
+    curve, all of it when both are 0 (gcd(0, 0) = 0)."""
     calls = _local_pair_gcds(monkeypatch)
     f, g = (parse_poly(text, field, V) for text in (f, g))
     if error is None:
@@ -388,10 +394,37 @@ def test_resultant_order_after_shear_matches_length():
 # --------------------------------------------------------- transversality
 
 def test_transversality_examples():
+    """The law's verdict is the oracle's: the Jacobian determinant of the
+    pair, evaluated at the origin, is nonzero.  On the classical examples
+    and on random local pairs over Q and F101, tangent and singular ones
+    included."""
     x, y = xy()
     assert transversality_check(x, y) is True
     assert transversality_check(y - x * x, y) is False  # tangent
     assert transversality_check(x * x - y ** 3, x) is False  # singular
+    rng = random.Random(5153)
+    seen = Counter()
+    for field in (QQ, PrimeField(101)):
+        origin = {"x": field.zero, "y": field.zero}
+        for _ in range(80):
+            f, g = (random_poly(rng, field, V, rng.randint(1, 3), 3,
+                                force_origin=True) for _ in range(2))
+            shape = rng.choice(["generic", "singular", "tangent"])
+            if shape == "singular":  # no linear terms in one curve
+                f = f.clone({e: c for e, c in f.terms.items() if sum(e) > 1})
+            elif shape == "tangent":  # g's linear part a multiple of f's
+                linear = f.clone({e: c for e, c in f.terms.items()
+                                  if sum(e) == 1})
+                g = g.clone({e: c for e, c in g.terms.items()
+                             if sum(e) > 1}) + linear * rng.randint(-3, 3)
+            jac = (f.derivative("x") * g.derivative("y")
+                   - f.derivative("y") * g.derivative("x"))
+            expected = bool(evaluate(jac, origin))
+            assert transversality_check(f, g) is expected, (str(f), str(g))
+            seen[field, shape, expected] += 1
+    assert all(seen[field, "generic", True] and seen[field, "singular", False]
+               and seen[field, "tangent", False]
+               for field in (QQ, PrimeField(101)))
 
 
 def test_transversality_implies_unit_multiplicity():
@@ -793,6 +826,28 @@ def test_bezout_runs_no_gcd_per_point(monkeypatch):
         multiplicities_at(curve(x * y), curve(x * (x + y)),
                           ProjectivePoint((0, 0, 1), QQ))
     assert (x * y, x * (x + y)) in calls
+
+
+@pytest.mark.parametrize("entry", [
+    e for e in corpus_manifest() if e["kind"] == "bezout"],
+    ids=lambda e: e["name"])
+def test_mult_and_bezout_report_the_same_values_at_a_rational_point(entry):
+    """At every rational point that ``bezout`` reports on a corpus job,
+    over Q and over F_p, ``multiplicities_at`` gives the same three
+    multiplicities and the same transversality verdict."""
+    job = entry["job"]
+    field = parse_field(job["field"])[0]
+    C1, C2 = (parse_curve(text, field) for text in job["curves"])
+    res = bezout_sum(C1, C2, seed=job["seed"])
+    keys = ("mult_length", "mult_resultant", "mult_deformation",
+            "transversal")
+    for rep in res.reports:
+        if not isinstance(rep.point, ProjectivePoint) or \
+                rep.point.field != field:
+            continue  # a cluster, or a conjugate of a Frobenius orbit
+        at = multiplicities_at(C1, C2, rep.point, seed=job["seed"])
+        assert [getattr(at, k) for k in keys] == \
+            [getattr(rep, k) for k in keys], (entry["name"], str(rep.point))
 
 
 def test_bezout_fp_total():
